@@ -499,8 +499,8 @@ func (c *CROW) RequeueScrub(channel int, a dram.Addr) {
 
 // HasPendingOps reports, without mutating any queue, whether the channel may
 // have copy or scrub work pending. It may overestimate (stale candidates are
-// only filtered on pop); it never misses live work, which is what the
-// controller's idle-skip logic requires.
+// only filtered on pop); it never misses live work, which is what lets the
+// controller skip its scrub path, and sleep, while this is false.
 func (c *CROW) HasPendingOps(channel int) bool {
 	return len(c.pendingCopies[channel]) > 0 || len(c.partials[channel]) > 0
 }

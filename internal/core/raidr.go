@@ -108,8 +108,7 @@ func (r *RAIDR) NextCopy(channel int) (CopyOp, bool) {
 }
 
 // HasPendingOps reports whether the channel has weak-row refreshes queued,
-// without popping any; the controller's idle-skip logic uses it to decide
-// whether NextCopy could produce work.
+// without popping any (hammer.Shield peeks through it when it wraps RAIDR).
 func (r *RAIDR) HasPendingOps(channel int) bool {
 	return len(r.pending[channel]) > 0
 }

@@ -39,9 +39,9 @@ func BenchmarkReadStream(b *testing.B) {
 	}
 }
 
-// BenchmarkIdleTick measures a tick with empty queues and an open row: the
-// refresh bookkeeping plus the timeout-policy check that the cached
-// EarliestTimeoutPRE query keeps off the subarray-scan path.
+// BenchmarkIdleTick measures ticks with empty queues after one read: a
+// timeout close of the open row, then nothing before the wake-up cycle (the
+// next refresh deadline), so nearly every tick is the guard's one comparison.
 func BenchmarkIdleTick(b *testing.B) {
 	c, _ := newBenchBaseline()
 	done := false

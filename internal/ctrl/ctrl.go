@@ -6,6 +6,9 @@
 package ctrl
 
 import (
+	"fmt"
+	"sync/atomic"
+
 	"crowdram/internal/core"
 	"crowdram/internal/dram"
 	"crowdram/internal/metrics"
@@ -221,9 +224,10 @@ type scrubSource interface {
 	RequeueScrub(int, dram.Addr)
 }
 
-// opPeeker lets NextEvent ask, without mutating mechanism state, whether a
-// channel has copy or scrub work pending. Mechanisms implementing copySource
-// or scrubSource without opPeeker are never idle-skipped (conservative).
+// opPeeker lets serviceScrub ask, without mutating mechanism state, whether a
+// channel may have scrub work pending. An empty queue needs no polling: the
+// scrub path returns before NextScrub, so the controller can sleep. Mechanisms
+// implementing scrubSource without opPeeker are asked through NextScrub.
 type opPeeker interface {
 	HasPendingOps(int) bool
 }
@@ -238,9 +242,10 @@ type refreshScaler interface {
 
 // copyState tracks a mechanism-initiated ACT-c in flight.
 type copyState struct {
-	op     core.CopyOp
-	actAt  int64
-	active bool
+	op      core.CopyOp
+	actAt   int64
+	pending bool // an op was picked up from the mechanism and is not finished
+	active  bool // its activation has issued
 }
 
 // Controller schedules one channel.
@@ -264,7 +269,7 @@ type Controller struct {
 	refRow  []int   // refresh row counter per rank
 	refBank []int   // next bank to refresh per rank (per-bank mode)
 
-	pendingCopy *copyState
+	pendingCopy copyState
 
 	// The composed policies, resolved from the registries at construction.
 	// effCap is the scheduler's effective per-activation hit cap (0 =
@@ -286,6 +291,21 @@ type Controller struct {
 	free  *Request       // request freelist (see GetRequest)
 	osBuf []dram.OpenSub // reusable open-subarray scan buffer
 
+	// wake is the earliest DRAM cycle at which a tick can do anything — fire
+	// a completion, issue a command, or change controller state. Tick and its
+	// halves return at once before it. A scheduling pass that issues nothing
+	// sets it from the readiness tests that failed (nextReady) and the next
+	// completion; an issued command, or a pass with a side effect of its own
+	// (poll), sets it to the next cycle; an enqueue pulls it back to the
+	// enqueue cycle. It is written only where the request queues are, so the
+	// sharded loop's syncChannel orders it the same way.
+	wake      int64
+	nextReady int64
+	poll      bool
+	// verifyWake, set only from tests, makes every skipped tick re-run the
+	// scheduling pass and panic if the skip was not a no-op.
+	verifyWake bool
+
 	events      eventQueue
 	timeout     int64
 	lastEnqueue int64 // most recent demand arrival (gates scrubbing)
@@ -302,6 +322,14 @@ type Controller struct {
 
 	Stats Stats
 }
+
+// verifyWakeAll is what New copies into Controller.verifyWake.
+var verifyWakeAll atomic.Bool
+
+// SetVerifyWake turns the self-checking skip (Controller.verifyWake) on or
+// off for every controller built afterwards. It exists for tests of the
+// packages that build controllers through internal/sim; nothing else calls it.
+func SetVerifyWake(on bool) { verifyWakeAll.Store(on) }
 
 // sched reports one scheduler decision to the attached observer. Call sites
 // guard with `c.Obs != nil` so the disabled path costs one comparison.
@@ -344,6 +372,7 @@ func New(cfg Config, mech core.Mechanism) *Controller {
 	c.copySrc, _ = mech.(copySource)
 	c.scrubSrc, _ = mech.(scrubSource)
 	c.opPeek, _ = mech.(opPeeker)
+	c.verifyWake = verifyWakeAll.Load()
 	return c
 }
 
@@ -437,7 +466,7 @@ func (c *Controller) QueueLens() (int, int) { return len(c.readQ), len(c.writeQ)
 // Idle reports whether the controller has no queued work or in-flight
 // events (used to drain simulations).
 func (c *Controller) Idle() bool {
-	return len(c.readQ) == 0 && len(c.writeQ) == 0 && len(c.events) == 0 && c.pendingCopy == nil
+	return len(c.readQ) == 0 && len(c.writeQ) == 0 && len(c.events) == 0 && !c.pendingCopy.pending
 }
 
 // EnqueueRead accepts a read request, or returns false if the queue is full.
@@ -451,6 +480,7 @@ func (c *Controller) EnqueueRead(r *Request, now int64) bool {
 				c.sched(SchedForward, r.Addr, now)
 			}
 			c.events.push(event{at: now + 1, req: r})
+			c.wake = min(c.wake, now+1)
 			return true
 		}
 	}
@@ -460,6 +490,7 @@ func (c *Controller) EnqueueRead(r *Request, now int64) bool {
 	r.Arrive = now
 	c.lastEnqueue = now
 	c.readQ = append(c.readQ, r)
+	c.wake = min(c.wake, now)
 	return true
 }
 
@@ -472,6 +503,7 @@ func (c *Controller) EnqueueWrite(r *Request, now int64) bool {
 	r.Arrive = now
 	c.lastEnqueue = now
 	c.writeQ = append(c.writeQ, r)
+	c.wake = min(c.wake, now)
 	if r.Done != nil {
 		r.Done(now, r.Line)
 	}
@@ -479,56 +511,40 @@ func (c *Controller) EnqueueWrite(r *Request, now int64) bool {
 }
 
 // NextEvent returns the earliest DRAM cycle after `now` at which Tick could
-// issue a command or fire a completion. While any queue, copy, scrub, or owed
-// refresh is live it conservatively returns now+1 (those paths re-evaluate
-// every cycle); otherwise it is the min of the next read completion, the next
-// refresh deadline, and the earliest timeout-policy precharge. With nothing
-// in flight it returns dram.Horizon; the run loop skips the gap.
-func (c *Controller) NextEvent(now int64) int64 {
-	if len(c.readQ) > 0 || len(c.writeQ) > 0 || c.pendingCopy != nil {
-		return now + 1
-	}
-	for r := range c.refOwed {
-		if c.refOwed[r] > 0 {
-			return now + 1
-		}
-	}
-	if c.copySrc != nil || c.scrubSrc != nil {
-		if c.opPeek == nil || c.opPeek.HasPendingOps(c.Cfg.ChannelID) {
-			return now + 1
-		}
-	}
-	next := dram.Horizon
-	if len(c.events) > 0 && c.events[0].at < next {
-		next = c.events[0].at
-	}
-	for r := range c.refDue {
-		if c.refDue[r] < next {
-			next = c.refDue[r]
-		}
-	}
-	if t := c.rowPol.NextClose(c); t < next {
-		next = t
-	}
-	if next <= now {
-		return now + 1
-	}
-	return next
-}
+// fire a completion, issue a command, or change state: the wake-up cycle. The
+// run loop skips the gap (dram.Horizon when nothing is in flight).
+func (c *Controller) NextEvent(now int64) int64 { return max(c.wake, now+1) }
 
 // Tick advances the controller by one DRAM cycle, issuing at most one
 // command. It is TickEvents followed by TickSchedule; the sharded tick loop
 // (internal/sim) drives the halves separately so completion delivery can be
-// serialized across channels while scheduling runs in parallel.
+// serialized across channels while scheduling runs in parallel. Every entry
+// point returns at once before the wake-up cycle.
 func (c *Controller) Tick(now int64) {
+	if now < c.wake && !c.verifyWake {
+		return // the common case, decided without a call into either half
+	}
 	c.TickEvents(now)
 	c.TickSchedule(now)
+}
+
+// verifyNoCompletionDue is the completion half of the verifyWake check: a
+// skipped cycle must have no completion to fire.
+func (c *Controller) verifyNoCompletionDue(now int64) {
+	if c.verifyWake && len(c.events) > 0 && c.events[0].at <= now {
+		panic(fmt.Sprintf("ctrl: ch%d slept through cycle %d (wake %d) with a completion due at %d",
+			c.Cfg.ChannelID, now, c.wake, c.events[0].at))
+	}
 }
 
 // TickEvents is the completion half of Tick: it advances the device's
 // per-cycle accounting and fires every completion event due at now, in heap
 // order, recycling each finished request after its callback returns.
 func (c *Controller) TickEvents(now int64) {
+	if now < c.wake {
+		c.verifyNoCompletionDue(now)
+		return
+	}
 	c.Dev.Tick(now)
 	for len(c.events) > 0 && c.events[0].at <= now {
 		e := c.events.pop()
@@ -545,6 +561,10 @@ func (c *Controller) TickEvents(now int64) {
 // to pop per-channel events concurrently while the completion callbacks —
 // which touch the shared LLC — run on one goroutine in fixed channel order.
 func (c *Controller) TickEventsDeferred(now int64, buf []*Request) []*Request {
+	if now < c.wake {
+		c.verifyNoCompletionDue(now)
+		return buf
+	}
 	c.Dev.Tick(now)
 	for len(c.events) > 0 && c.events[0].at <= now {
 		buf = append(buf, c.events.pop().req)
@@ -564,15 +584,76 @@ func (c *Controller) CompleteDeferred(now int64, reqs []*Request) {
 	}
 }
 
-// TickSchedule is the scheduling half of Tick: refresh, mechanism-initiated
-// copies, drain-mode transitions, the composed scheduler passes, the idle-row
-// policy, and scrubbing. At most one command issues per call.
+// TickSchedule is the scheduling half of Tick: one scheduling pass, then the
+// next wake-up cycle. It brings the device's accounting up to `now` itself
+// (Dev.Tick is idempotent): in the sharded loop the completion half may have
+// been skipped before another channel's completion enqueued a request here.
 func (c *Controller) TickSchedule(now int64) {
-	if c.serviceRefresh(now) {
+	if now < c.wake {
+		if c.verifyWake {
+			c.verifySkip(now)
+		}
 		return
 	}
-	if c.serviceMechCopy(now) {
+	c.Dev.Tick(now)
+	if c.schedulePass(now) {
+		c.wake = now + 1
 		return
+	}
+	c.wake = c.sleepUntil(now)
+}
+
+// ready is the one readiness test of the scheduling pass: it reports whether
+// cycle `at` — a device Ready* answer or a controller deadline — has been
+// reached, and when it has not, keeps the smallest such cycle as the pass's
+// wake-up candidate. Every test that depends on the cycle number goes through
+// it; everything else a pass looks at changes only with a command or an
+// enqueue, so a pass that issued nothing would repeat itself exactly until
+// the smallest failed cycle.
+func (c *Controller) ready(at, now int64) bool {
+	if now >= at {
+		return true
+	}
+	c.nextReady = min(c.nextReady, at)
+	return false
+}
+
+// sleepUntil returns the wake-up cycle after a pass at `now` that issued
+// nothing: the next cycle if the pass had a side effect of its own, otherwise
+// the smallest failed readiness cycle or the next completion.
+func (c *Controller) sleepUntil(now int64) int64 {
+	if c.poll {
+		return now + 1
+	}
+	if len(c.events) > 0 {
+		return min(c.nextReady, c.events[0].at)
+	}
+	return c.nextReady
+}
+
+// verifySkip re-runs the scheduling pass in a cycle the wake-up contract
+// skipped and panics unless the pass is the no-op the contract promised: no
+// command, no side effect, and the same wake-up cycle again.
+func (c *Controller) verifySkip(now int64) {
+	draining := c.draining
+	issued := c.schedulePass(now)
+	if w := c.sleepUntil(now); issued || c.poll || draining != c.draining || w != c.wake {
+		panic(fmt.Sprintf("ctrl: ch%d slept through cycle %d (wake %d) but the pass was not a no-op: issued=%v poll=%v drain %v->%v next wake %d",
+			c.Cfg.ChannelID, now, c.wake, issued, c.poll, draining, c.draining, w))
+	}
+}
+
+// schedulePass runs refresh, mechanism-initiated copies, drain-mode
+// transitions, the composed scheduler passes, the idle-row policy, and
+// scrubbing, in that order. At most one command issues; it reports whether
+// one did.
+func (c *Controller) schedulePass(now int64) bool {
+	c.nextReady, c.poll = dram.Horizon, false
+	if c.serviceRefresh(now) {
+		return true
+	}
+	if c.serviceMechCopy(now) {
+		return true
 	}
 
 	c.updateDrainMode(now)
@@ -581,17 +662,17 @@ func (c *Controller) TickSchedule(now int64) {
 		q, other = &c.writeQ, &c.readQ
 	}
 	if c.schedPol.Schedule(c, q, now) {
-		return
+		return true
 	}
 	// If the preferred queue could not issue, let the other queue's row
 	// hits through (writes never starve reads and vice versa).
 	if c.schedPol.ScheduleHits(c, other, now) {
-		return
+		return true
 	}
 	if c.rowPol.ServiceIdle(c, now) {
-		return
+		return true
 	}
-	c.serviceScrub(now)
+	return c.serviceScrub(now)
 }
 
 func (c *Controller) updateDrainMode(now int64) {
@@ -623,7 +704,7 @@ func (c *Controller) bankKey(a dram.Addr) int { return a.Rank*c.Cfg.Geo.Banks + 
 // RefreshPolicy; returns true if a command issued this cycle.
 func (c *Controller) serviceRefresh(now int64) bool {
 	for r := 0; r < c.Cfg.Geo.Ranks; r++ {
-		for now >= c.refDue[r] {
+		for c.ready(c.refDue[r], now) {
 			c.refOwed[r]++
 			c.refDue[r] += c.refInterval()
 		}
@@ -650,7 +731,7 @@ func (c *Controller) serviceRefresh(now int64) bool {
 // next bank in the rank's round-robin order.
 func (c *Controller) refreshBank(r int, now int64) bool {
 	bank := c.refBank[r]
-	if c.Dev.CanREFpb(r, bank, now) {
+	if c.ready(c.Dev.ReadyREFpb(r, bank), now) {
 		c.Dev.REFpb(r, bank, now)
 		c.Stats.Refreshes++
 		if c.Obs != nil {
@@ -672,7 +753,7 @@ func (c *Controller) refreshBank(r int, now int64) bool {
 			continue
 		}
 		a := dram.Addr{Channel: c.Cfg.ChannelID, Rank: os.Rank, Bank: os.Bank, Row: os.Row}
-		if c.Dev.CanPRE(a, now) {
+		if c.ready(c.Dev.ReadyPRE(a), now) {
 			c.preAndNotify(a, now)
 			return true
 		}
@@ -705,22 +786,26 @@ func (c *Controller) hasBankDemand(r, bank int) bool {
 }
 
 // serviceMechCopy executes mechanism-initiated ACT-c operations (RowHammer
-// victim duplication, dynamic CROW-ref remaps).
+// victim duplication, dynamic CROW-ref remaps). Picking an op up and dropping
+// one both change what the next cycle's pass does without a command issuing,
+// so they ask for that cycle (poll).
 func (c *Controller) serviceMechCopy(now int64) bool {
-	if c.pendingCopy == nil && c.copySrc != nil {
+	pc := &c.pendingCopy
+	if !pc.pending && c.copySrc != nil {
 		if op, found := c.copySrc.NextCopy(c.Cfg.ChannelID); found {
-			c.pendingCopy = &copyState{op: op}
+			*pc = copyState{op: op, pending: true}
+			c.poll = true
 		}
 	}
-	pc := c.pendingCopy
-	if pc == nil {
+	if !pc.pending {
 		return false
 	}
 	a := pc.op.Addr
 	if !pc.active {
 		if open := c.Dev.OpenRow(a); open >= 0 {
-			if c.Dev.CanPRE(dram.Addr{Channel: a.Channel, Rank: a.Rank, Bank: a.Bank, Row: open}, now) {
-				c.preAndNotify(dram.Addr{Channel: a.Channel, Rank: a.Rank, Bank: a.Bank, Row: open}, now)
+			victim := dram.Addr{Channel: a.Channel, Rank: a.Rank, Bank: a.Bank, Row: open}
+			if c.ready(c.Dev.ReadyPRE(victim), now) {
+				c.preAndNotify(victim, now)
 				return true
 			}
 			return false
@@ -729,7 +814,7 @@ func (c *Controller) serviceMechCopy(now int64) bool {
 		if kind == dram.ActSingle && pc.op.Timing == (dram.ActTimings{}) {
 			pc.op.Timing = c.Cfg.T.Base()
 		}
-		if c.Dev.CanACT(a, now, kind) {
+		if c.ready(c.Dev.ReadyACT(a), now) {
 			copyRow := pc.op.CopyRow
 			if kind == dram.ActSingle {
 				copyRow = -1
@@ -749,15 +834,16 @@ func (c *Controller) serviceMechCopy(now int64) bool {
 	// demand scheduler stole the bank meanwhile (a row conflict can legally
 	// precharge the copy row between tRAS and full restoration, notifying
 	// the mechanism through its own preAndNotify), the copy is already as
-	// done as it will get — waiting on CanPRE for a closed bank would wedge
+	// done as it will get — waiting on ReadyPRE for a closed bank would wedge
 	// the mechanism-copy pipeline for the rest of the run.
 	if c.Dev.OpenRow(a) != a.Row {
-		c.pendingCopy = nil
+		*pc = copyState{}
+		c.poll = true
 		return false
 	}
-	if now >= pc.actAt+int64(pc.op.Timing.RASFull) && c.Dev.CanPRE(a, now) {
+	if c.ready(pc.actAt+int64(pc.op.Timing.RASFull), now) && c.ready(c.Dev.ReadyPRE(a), now) {
 		c.preAndNotify(a, now)
-		c.pendingCopy = nil
+		*pc = copyState{}
 		return true
 	}
 	return false
@@ -863,7 +949,7 @@ func (c *Controller) progress(r *Request, now int64) bool {
 	if open == a.Row {
 		// Row open but over the hit cap: FR-FCFS-Cap treats it as a
 		// conflict and recycles the row [81].
-		if c.effCap > 0 && c.hitsServed[c.key(a)] >= c.effCap && c.Dev.CanPRE(a, now) {
+		if c.effCap > 0 && c.hitsServed[c.key(a)] >= c.effCap && c.ready(c.Dev.ReadyPRE(a), now) {
 			c.Stats.RowConflicts++
 			if c.Obs != nil {
 				c.sched(SchedRowConflict, a, now)
@@ -876,7 +962,7 @@ func (c *Controller) progress(r *Request, now int64) bool {
 	if open >= 0 {
 		// Conflict in this subarray.
 		victim := dram.Addr{Channel: a.Channel, Rank: a.Rank, Bank: a.Bank, Row: open}
-		if c.Dev.CanPRE(victim, now) {
+		if c.ready(c.Dev.ReadyPRE(victim), now) {
 			c.Stats.RowConflicts++
 			if c.Obs != nil {
 				c.sched(SchedRowConflict, victim, now)
@@ -890,7 +976,7 @@ func (c *Controller) progress(r *Request, now int64) bool {
 		// Another subarray of the bank may hold the bank's one open row.
 		if row := c.Dev.OpenRowInBank(a.Rank, a.Bank); row >= 0 {
 			victim := dram.Addr{Channel: a.Channel, Rank: a.Rank, Bank: a.Bank, Row: row}
-			if c.Dev.CanPRE(victim, now) {
+			if c.ready(c.Dev.ReadyPRE(victim), now) {
 				c.Stats.RowConflicts++
 				if c.Obs != nil {
 					c.sched(SchedRowConflict, victim, now)
@@ -905,7 +991,7 @@ func (c *Controller) progress(r *Request, now int64) bool {
 	d := c.Mech.PlanActivate(a, now)
 	if d.RestoreFirst {
 		ra := dram.Addr{Channel: a.Channel, Rank: a.Rank, Bank: a.Bank, Row: d.RestoreRow}
-		if c.Dev.CanACT(ra, now, dram.ActTwo) {
+		if c.ready(c.Dev.ReadyACT(ra), now) {
 			c.Dev.ACT(ra, now, dram.ActTwo, d.RestoreTiming, d.RestoreCopyRow)
 			c.Mech.OnActivate(ra, core.ActDecision{
 				Kind: dram.ActTwo, CopyRow: d.RestoreCopyRow,
@@ -917,7 +1003,7 @@ func (c *Controller) progress(r *Request, now int64) bool {
 		}
 		return false
 	}
-	if c.Dev.CanACT(a, now, d.Kind) {
+	if c.ready(c.Dev.ReadyACT(a), now) {
 		copyRow := d.CopyRow
 		if d.Kind == dram.ActSingle {
 			// Single-row activations carry no copy-row operand. (TL-DRAM
@@ -941,7 +1027,7 @@ func (c *Controller) progress(r *Request, now int64) bool {
 // issueColumn issues the RD or WR for a request whose row is open.
 func (c *Controller) issueColumn(r *Request, now int64) bool {
 	if r.Type == Read {
-		if !c.Dev.CanRD(r.Addr, now) {
+		if !c.ready(c.Dev.ReadyRD(r.Addr), now) {
 			return false
 		}
 		c.bankLast[c.bankKey(r.Addr)] = now
@@ -954,7 +1040,7 @@ func (c *Controller) issueColumn(r *Request, now int64) bool {
 		c.events.push(event{at: done, req: r})
 		return true
 	}
-	if !c.Dev.CanWR(r.Addr, now) {
+	if !c.ready(c.Dev.ReadyWR(r.Addr), now) {
 		return false
 	}
 	c.bankLast[c.bankKey(r.Addr)] = now
@@ -967,20 +1053,16 @@ func (c *Controller) issueColumn(r *Request, now int64) bool {
 // (the Table 2 timeout-based row-buffer policy; the timeout/closed row
 // policies invoke it). Returns true if it issued a command.
 func (c *Controller) serviceTimeout(now int64) bool {
-	// Cheap reject: no open subarray can have timed out yet.
-	if c.Dev.EarliestTimeoutPRE(c.timeout) > now {
-		return false
-	}
 	c.osBuf = c.Dev.OpenSubarraysAppend(c.osBuf[:0])
 	for _, os := range c.osBuf {
-		if now-os.LastUse < c.timeout {
+		if !c.ready(os.LastUse+c.timeout, now) {
 			continue
 		}
 		a := dram.Addr{Channel: c.Cfg.ChannelID, Rank: os.Rank, Bank: os.Bank, Row: os.Row}
 		if c.hasRequestFor(a) {
 			continue
 		}
-		if c.Dev.CanPRE(a, now) {
+		if c.ready(c.Dev.ReadyPRE(a), now) {
 			c.Stats.TimeoutCloses++
 			if c.Obs != nil {
 				c.sched(SchedTimeoutClose, a, now)
@@ -998,33 +1080,40 @@ func (c *Controller) serviceTimeout(now int64) bool {
 // pair is closed by the normal timeout/conflict policies, at which point it
 // reports fully restored. Over a complete retention window the refresh sweep
 // performs the same cleanup; scrubbing brings the steady state forward.
-func (c *Controller) serviceScrub(now int64) {
-	if len(c.readQ) > 0 || len(c.writeQ) > 0 || c.pendingCopy != nil {
-		return
+// Returns true if it issued a command.
+//
+// The state gates come first and the two time gates go through ready, so a
+// controller with nothing to scrub never wakes for them. Past the gates the
+// path polls every cycle: a candidate that cannot issue is rotated to the
+// back of the mechanism's queue, so each cycle examines a different one.
+func (c *Controller) serviceScrub(now int64) bool {
+	if c.scrubSrc == nil || len(c.readQ) > 0 || len(c.writeQ) > 0 || c.pendingCopy.pending {
+		return false
+	}
+	if c.opPeek != nil && !c.opPeek.HasPendingOps(c.Cfg.ChannelID) {
+		return false
+	}
+	for r := range c.refOwed {
+		if c.refOwed[r] > 0 {
+			return false
+		}
 	}
 	// Only scrub after a short quiet period, at a bounded rate, and only
 	// into banks that have been cold for a while, so a bursty stream does
 	// not find its hot banks held by restore passes.
 	const quiet = 40
-	if now-c.lastEnqueue < quiet || now-c.lastScrub < quiet {
-		return
-	}
-	for r := range c.refOwed {
-		if c.refOwed[r] > 0 {
-			return
-		}
-	}
-	if c.scrubSrc == nil {
-		return
+	if !c.ready(max(c.lastEnqueue, c.lastScrub)+quiet, now) {
+		return false
 	}
 	op, found := c.scrubSrc.NextScrub(c.Cfg.ChannelID)
 	if !found {
-		return
+		return false
 	}
 	const bankCold = 250
 	if now-c.bankLast[c.bankKey(op.Addr)] < bankCold || !c.Dev.CanACT(op.Addr, now, op.Kind) {
 		c.scrubSrc.RequeueScrub(c.Cfg.ChannelID, op.Addr)
-		return
+		c.poll = true
+		return false
 	}
 	c.Dev.ACT(op.Addr, now, op.Kind, op.Timing, op.CopyRow)
 	c.hitsServed[c.key(op.Addr)] = 0
@@ -1033,6 +1122,7 @@ func (c *Controller) serviceScrub(now int64) {
 	if c.Obs != nil {
 		c.sched(SchedScrub, op.Addr, now)
 	}
+	return true
 }
 
 func (c *Controller) hasRequestFor(a dram.Addr) bool {

@@ -49,6 +49,52 @@ func TestSingleReadLatency(t *testing.T) {
 	}
 }
 
+// TestWakeIsExact follows one read through the controller and checks that
+// NextEvent names, at each point, the exact cycle of the next action — the
+// cycle after a command, then the device's ready cycle for the next command,
+// the completion, the timeout close, and finally the refresh deadline — while
+// the self-checking skip confirms every cycle in between was a no-op.
+func TestWakeIsExact(t *testing.T) {
+	c, tm := newBaseline(0)
+	c.verifyWake = true
+	var doneAt int64 = -1
+	req := &Request{Type: Read, Addr: dram.Addr{Row: 5, Col: 3}, Done: func(now int64, _ uint64) { doneAt = now }}
+	if !c.EnqueueRead(req, 0) {
+		t.Fatal("enqueue failed")
+	}
+	rd := int64(1 + tm.RCD)
+	data := rd + int64(tm.CL+tm.BL)
+	steps := []struct {
+		tickTo, next int64
+		what         string
+	}{
+		{0, 1, "an enqueue wakes the controller for the next tick"},
+		{1, 2, "ACT issued: re-evaluate next cycle"},
+		{2, rd, "row open, RD waits for tRCD"},
+		{rd, rd + 1, "RD issued: re-evaluate next cycle"},
+		{rd + 1, data, "nothing to schedule until the data returns"},
+		{data, rd + c.timeout, "completion fired; the idle row closes at its timeout"},
+		{rd + c.timeout, rd + c.timeout + 1, "PRE issued: re-evaluate next cycle"},
+		{rd + c.timeout + 1, c.refDue[0], "bank closed, queues empty: sleep until the refresh deadline"},
+	}
+	now := int64(0)
+	for _, s := range steps {
+		for now < s.tickTo {
+			now++
+			c.Tick(now)
+		}
+		if got := c.NextEvent(now); got != s.next {
+			t.Fatalf("after cycle %d NextEvent = %d, want %d (%s)", now, got, s.next, s.what)
+		}
+	}
+	if doneAt != data {
+		t.Errorf("read completed at %d, want %d", doneAt, data)
+	}
+	if c.Stats.TimeoutCloses != 1 || c.Dev.Stats.PRE != 1 {
+		t.Errorf("timeout close did not happen: %+v", c.Stats)
+	}
+}
+
 func TestRowHitsAvoidReactivation(t *testing.T) {
 	c, _ := newBaseline(0)
 	done := 0
@@ -306,6 +352,7 @@ func TestRandomTrafficObeysProtocol(t *testing.T) {
 			ctrlCfg.MASA = cfg.masa
 			ctrlCfg.OpenPage = cfg.open
 			c := New(ctrlCfg, cfg.mech(g, tm))
+			c.verifyWake = true // every skipped tick re-runs the pass and must be a no-op
 			k := dram.NewChecker(c.Dev)
 
 			rng := rand.New(rand.NewSource(1))
@@ -349,11 +396,4 @@ func TestRandomTrafficObeysProtocol(t *testing.T) {
 			}
 		})
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -25,13 +25,11 @@ type Scheduler interface {
 }
 
 // RowPolicy decides when to close rows no request needs. ServiceIdle may
-// issue at most one command; NextClose returns the earliest cycle a
-// policy-initiated close could issue (dram.Horizon if never), which the
-// idle-skip logic folds into NextEvent.
+// issue at most one command; a close it is still waiting for goes through
+// Controller.ready, which is how the wake-up cycle learns of it.
 type RowPolicy interface {
 	Name() string
 	ServiceIdle(c *Controller, now int64) bool
-	NextClose(c *Controller) int64
 }
 
 // RefreshPolicy decides how the per-rank refresh obligation is met. PerBank
@@ -167,9 +165,6 @@ func (p timeoutRowPolicy) Name() string { return p.name }
 func (p timeoutRowPolicy) ServiceIdle(c *Controller, now int64) bool {
 	return c.serviceTimeout(now)
 }
-func (p timeoutRowPolicy) NextClose(c *Controller) int64 {
-	return c.Dev.EarliestTimeoutPRE(c.timeout)
-}
 
 // openRowPolicy never closes a row on its own; rows close only on conflicts,
 // refresh, and the hit cap (the SALP open-page policy).
@@ -177,7 +172,6 @@ type openRowPolicy struct{}
 
 func (openRowPolicy) Name() string                        { return "open" }
 func (openRowPolicy) ServiceIdle(*Controller, int64) bool { return false }
-func (openRowPolicy) NextClose(*Controller) int64         { return dram.Horizon }
 
 // allbankRefresh issues LPDDR4-style REFab: the whole rank refreshes for
 // tRFC, so open rows must close first.
@@ -186,7 +180,7 @@ type allbankRefresh struct{}
 func (allbankRefresh) Name() string  { return "allbank" }
 func (allbankRefresh) PerBank() bool { return false }
 func (allbankRefresh) Issue(c *Controller, r int, now int64) (bool, bool) {
-	if c.Dev.CanREF(r, now) {
+	if c.ready(c.Dev.ReadyREF(r), now) {
 		c.Dev.REF(r, now)
 		c.Stats.Refreshes++
 		if c.Obs != nil {
@@ -205,7 +199,7 @@ func (allbankRefresh) Issue(c *Controller, r int, now int64) (bool, bool) {
 			continue
 		}
 		a := dram.Addr{Channel: c.Cfg.ChannelID, Rank: os.Rank, Bank: os.Bank, Row: os.Row}
-		if c.Dev.CanPRE(a, now) {
+		if c.ready(c.Dev.ReadyPRE(a), now) {
 			c.preAndNotify(a, now)
 			return true, false
 		}

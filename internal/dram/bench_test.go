@@ -55,21 +55,6 @@ func BenchmarkOpenSubarraysAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkEarliestTimeoutPRE measures the cached earliest-timeout query the
-// controller's NextEvent and serviceTimeout paths issue every idle cycle.
-func BenchmarkEarliestTimeoutPRE(b *testing.B) {
-	c, _ := benchChannel(8)
-	var sink int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink = c.EarliestTimeoutPRE(120)
-	}
-	if sink == Horizon {
-		b.Fatal("expected a pending timeout")
-	}
-}
-
 // BenchmarkOpenRowInBank measures the per-request open-row lookup on the
 // non-MASA scheduling path.
 func BenchmarkOpenRowInBank(b *testing.B) {

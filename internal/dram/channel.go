@@ -1,6 +1,9 @@
 package dram
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // subState tracks the activation state of one subarray's local row buffer.
 //
@@ -17,12 +20,26 @@ type subState struct {
 	lastUse  int64 // last ACT/RD/WR cycle (for timeout row policy)
 }
 
-// bank groups the subarray states of one bank.
+// bank groups the subarray states of one bank, with the two summaries that
+// keep whole-bank questions off the per-subarray arrays: which subarrays hold
+// an open row, and when the last of them is past its precharge recovery.
 type bank struct {
 	subs      []subState
+	open      []uint64 // bitmap over subs: bit s set iff subs[s].openRow >= 0
 	openCount int
-	openSub   int   // subarray of the most recent ACT; exact iff openCount == 1
+	actReady  int64 // max over subs of subState.actReady
 	refBusy   int64 // per-bank refresh in progress until this cycle
+}
+
+// firstOpen returns the lowest-numbered subarray holding an open row.
+// Callers check openCount > 0 first.
+func (bk *bank) firstOpen() int {
+	for w, word := range bk.open {
+		if word != 0 {
+			return w*64 + bits.TrailingZeros64(word)
+		}
+	}
+	return -1
 }
 
 // rank tracks rank-level activation and refresh constraints.
@@ -135,14 +152,6 @@ type Channel struct {
 	dataBusFree int64 // next cycle the data bus is free
 	lastColCmd  int64 // most recent RD/WR issue cycle (tCCD)
 
-	// cmdSeq increments on every issued command; cached derived queries
-	// (EarliestTimeoutPRE) are invalidated by it, so idle stretches pay
-	// for at most one full subarray scan.
-	cmdSeq    uint64
-	toSeq     uint64
-	toTimeout int64
-	toVal     int64
-
 	Stats Stats
 
 	// Check, when non-nil, independently re-validates every issued
@@ -192,7 +201,7 @@ func NewChannel(g Geometry, t Timing) *Channel {
 				subs[s].openRow = -1
 			}
 			c.ranks[r].banks[b].subs = subs
-			c.ranks[r].banks[b].openSub = -1
+			c.ranks[r].banks[b].open = make([]uint64, (len(subs)+63)/64)
 		}
 	}
 	return c
@@ -270,17 +279,7 @@ func (c *Channel) OpenRowInBank(rankID, bankID int) int {
 	if bk.openCount == 0 {
 		return -1
 	}
-	// Single open buffer (always the case without MASA): the tracked
-	// subarray is exact, no scan needed.
-	if bk.openCount == 1 && bk.openSub >= 0 && bk.subs[bk.openSub].openRow >= 0 {
-		return bk.subs[bk.openSub].openRow
-	}
-	for s := range bk.subs {
-		if bk.subs[s].openRow >= 0 {
-			return bk.subs[s].openRow
-		}
-	}
-	return -1
+	return bk.subs[bk.firstOpen()].openRow
 }
 
 // LastUse returns the cycle of the most recent ACT/RD/WR to the subarray
@@ -300,8 +299,10 @@ func (c *Channel) OpenSubarrays() []OpenSub {
 }
 
 // OpenSubarraysAppend appends every open local row buffer to buf, in
-// (rank, bank, subarray) order, and returns the extended slice. Callers on
-// the per-cycle hot path pass a reused buffer (buf[:0]) to avoid allocating.
+// (rank, bank, subarray) order, and returns the extended slice. It walks the
+// banks' open bitmaps, so the cost follows the number of open rows, not the
+// number of subarrays. Callers on the scheduling path pass a reused buffer
+// (buf[:0]) to avoid allocating.
 func (c *Channel) OpenSubarraysAppend(buf []OpenSub) []OpenSub {
 	for r := range c.ranks {
 		for b := range c.ranks[r].banks {
@@ -309,8 +310,9 @@ func (c *Channel) OpenSubarraysAppend(buf []OpenSub) []OpenSub {
 			if bk.openCount == 0 {
 				continue
 			}
-			for s := range bk.subs {
-				if bk.subs[s].openRow >= 0 {
+			for w, word := range bk.open {
+				for ; word != 0; word &= word - 1 {
+					s := w*64 + bits.TrailingZeros64(word)
 					buf = append(buf, OpenSub{
 						Rank: r, Bank: b, Subarray: s,
 						Row: bk.subs[s].openRow, LastUse: bk.subs[s].lastUse,
@@ -327,47 +329,6 @@ func (c *Channel) OpenSubarraysAppend(buf []OpenSub) []OpenSub {
 // to without overflowing int64.
 const Horizon = int64(1) << 60
 
-// EarliestTimeoutPRE returns the earliest cycle at which some currently
-// open row could legally be closed after sitting idle for `timeout` cycles:
-// the minimum over open subarrays of max(lastUse+timeout, preReady,
-// cmdBusFree). It returns Horizon when no row is open. The result is cached
-// against the channel's command sequence number, so repeated queries over
-// an idle (command-free) stretch cost O(1).
-func (c *Channel) EarliestTimeoutPRE(timeout int64) int64 {
-	if c.toSeq == c.cmdSeq+1 && c.toTimeout == timeout {
-		return c.toVal
-	}
-	best := Horizon
-	for r := range c.ranks {
-		for b := range c.ranks[r].banks {
-			bk := &c.ranks[r].banks[b]
-			if bk.openCount == 0 {
-				continue
-			}
-			for s := range bk.subs {
-				sub := &bk.subs[s]
-				if sub.openRow < 0 {
-					continue
-				}
-				at := sub.lastUse + timeout
-				if sub.preReady > at {
-					at = sub.preReady
-				}
-				if c.cmdBusFree > at {
-					at = c.cmdBusFree
-				}
-				if at < best {
-					best = at
-				}
-			}
-		}
-	}
-	c.toSeq = c.cmdSeq + 1
-	c.toTimeout = timeout
-	c.toVal = best
-	return best
-}
-
 // ActCycle returns the cycle at which the currently open row of a's
 // subarray was activated. Only meaningful when OpenRow(a) >= 0.
 func (c *Channel) ActCycle(a Addr) int64 { return c.sub(a).actCycle }
@@ -376,29 +337,35 @@ func (c *Channel) ActCycle(a Addr) int64 { return c.sub(a).actCycle }
 // subarray. Only meaningful when OpenRow(a) >= 0.
 func (c *Channel) OpenKind(a Addr) ActKind { return c.sub(a).kind }
 
-// CanACT reports whether an activation of kind k targeting a.Row's subarray
-// may issue at cycle `now`.
-func (c *Channel) CanACT(a Addr, now int64, k ActKind) bool {
+// The Ready* queries answer *when* a command becomes legal; the Can* queries
+// below are `now >= Ready*`, so every timing rule exists once. Between two
+// commands nothing on the channel changes, and each rule is a plain threshold
+// on the cycle number, so a Ready* value stays exact until the next command
+// issues: the command is illegal at every earlier cycle and legal from that
+// cycle on. A command that only a state change can unblock (a closed row for
+// RD/WR/PRE, an open one for ACT/REF) reports Horizon.
+
+// ReadyACT returns the earliest cycle an activation targeting a.Row's
+// subarray may issue, or Horizon while that subarray (or, without MASA, any
+// subarray of the bank) holds an open row. The activation kind does not
+// enter: every variant obeys the same issue rules.
+func (c *Channel) ReadyACT(a Addr) int64 {
 	rk := &c.ranks[a.Rank]
 	bk := &rk.banks[a.Bank]
 	s := &bk.subs[a.Subarray(c.Geo)]
-	if s.openRow >= 0 {
-		return false
+	if s.openRow >= 0 || (!c.MASA && bk.openCount > 0) {
+		return Horizon
 	}
-	if !c.MASA && bk.openCount > 0 {
-		return false
+	at := max(c.cmdBusFree, s.actReady, rk.refBusy, bk.refBusy, rk.lastACT+int64(c.T.RRD))
+	if rk.actCount == 4 {
+		at = max(at, rk.actTimes[rk.actHead]+int64(c.T.FAW))
 	}
-	if now < c.cmdBusFree || now < s.actReady || now < rk.refBusy || now < bk.refBusy {
-		return false
-	}
-	if now < rk.lastACT+int64(c.T.RRD) {
-		return false
-	}
-	if rk.actCount == 4 && now < rk.actTimes[rk.actHead]+int64(c.T.FAW) {
-		return false
-	}
-	return true
+	return at
 }
+
+// CanACT reports whether an activation of kind k targeting a.Row's subarray
+// may issue at cycle `now`.
+func (c *Channel) CanACT(a Addr, now int64, k ActKind) bool { return now >= c.ReadyACT(a) }
 
 // ACT issues an activation of kind k with per-activation timings t.
 //
@@ -422,8 +389,7 @@ func (c *Channel) ACT(a Addr, now int64, k ActKind, t ActTimings, copyRow int) {
 	s.preReady = now + int64(t.RAS)
 	s.lastUse = now
 	bk.openCount++
-	bk.openSub = si
-	c.cmdSeq++
+	bk.open[si/64] |= 1 << (si % 64)
 	rk.lastACT = now
 	rk.actTimes[rk.actHead] = now
 	rk.actHead = (rk.actHead + 1) % 4
@@ -453,27 +419,25 @@ func (c *Channel) ACT(a Addr, now int64, k ActKind, t ActTimings, copyRow int) {
 	}
 }
 
-// CanRD reports whether a read of a.Col from the open row a.Row may issue.
-func (c *Channel) CanRD(a Addr, now int64) bool {
-	rk := &c.ranks[a.Rank]
+// readyCol returns the earliest cycle a column command to the open row a.Row
+// may issue, given its command-to-data latency (CL for reads, CWL for
+// writes): the data burst may not start before the governing bus is free.
+func (c *Channel) readyCol(a Addr, toData int) int64 {
 	s := c.sub(a)
 	if s.openRow != a.Row {
-		return false
+		return Horizon
 	}
-	if now < c.cmdBusFree || now < s.rdReady {
-		return false
-	}
-	if now < c.lastColCmd+int64(c.T.CCD) {
-		return false
-	}
-	if now < rk.wrDataEnd+int64(c.T.WTR) {
-		return false
-	}
-	if now+int64(c.T.CL) < c.dataFree(a.Rank) {
-		return false
-	}
-	return true
+	return max(c.cmdBusFree, s.rdReady, c.lastColCmd+int64(c.T.CCD), c.dataFree(a.Rank)-int64(toData))
 }
+
+// ReadyRD returns the earliest cycle a read of a.Col from the open row a.Row
+// may issue, or Horizon while another row (or none) is open.
+func (c *Channel) ReadyRD(a Addr) int64 {
+	return max(c.readyCol(a, c.T.CL), c.ranks[a.Rank].wrDataEnd+int64(c.T.WTR))
+}
+
+// CanRD reports whether a read of a.Col from the open row a.Row may issue.
+func (c *Channel) CanRD(a Addr, now int64) bool { return now >= c.ReadyRD(a) }
 
 // RD issues a read and returns the cycle at which the data burst completes.
 func (c *Channel) RD(a Addr, now int64) int64 {
@@ -489,7 +453,6 @@ func (c *Channel) RD(a Addr, now int64) int64 {
 		s.preReady = pre
 	}
 	s.lastUse = now
-	c.cmdSeq++
 	c.Stats.RD++
 	c.Stats.RDBusyCycles += int64(c.T.BL)
 	if c.Check != nil {
@@ -501,23 +464,12 @@ func (c *Channel) RD(a Addr, now int64) int64 {
 	return dataStart + int64(c.T.BL)
 }
 
+// ReadyWR returns the earliest cycle a write to a.Col of the open row a.Row
+// may issue, or Horizon while another row (or none) is open.
+func (c *Channel) ReadyWR(a Addr) int64 { return c.readyCol(a, c.T.CWL) }
+
 // CanWR reports whether a write to a.Col of the open row a.Row may issue.
-func (c *Channel) CanWR(a Addr, now int64) bool {
-	s := c.sub(a)
-	if s.openRow != a.Row {
-		return false
-	}
-	if now < c.cmdBusFree || now < s.rdReady {
-		return false
-	}
-	if now < c.lastColCmd+int64(c.T.CCD) {
-		return false
-	}
-	if now+int64(c.T.CWL) < c.dataFree(a.Rank) {
-		return false
-	}
-	return true
-}
+func (c *Channel) CanWR(a Addr, now int64) bool { return now >= c.ReadyWR(a) }
 
 // WR issues a write. The write-recovery time applied before a PRE of this
 // subarray is the per-activation plan's WR (writes to an MRA-opened pair
@@ -537,7 +489,6 @@ func (c *Channel) WR(a Addr, now int64) {
 		s.preReady = pre
 	}
 	s.lastUse = now
-	c.cmdSeq++
 	c.Stats.WR++
 	c.Stats.WRBusyCycles += int64(c.T.BL)
 	if c.Check != nil {
@@ -548,14 +499,18 @@ func (c *Channel) WR(a Addr, now int64) {
 	}
 }
 
-// CanPRE reports whether the subarray holding a.Row may be precharged.
-func (c *Channel) CanPRE(a Addr, now int64) bool {
+// ReadyPRE returns the earliest cycle the subarray holding a.Row may be
+// precharged, or Horizon while it is closed.
+func (c *Channel) ReadyPRE(a Addr) int64 {
 	s := c.sub(a)
 	if s.openRow < 0 {
-		return false
+		return Horizon
 	}
-	return now >= c.cmdBusFree && now >= s.preReady
+	return max(c.cmdBusFree, s.preReady)
 }
+
+// CanPRE reports whether the subarray holding a.Row may be precharged.
+func (c *Channel) CanPRE(a Addr, now int64) bool { return now >= c.ReadyPRE(a) }
 
 // PRE closes the open row of a.Row's subarray and returns whether the
 // activation was held open for at least the plan's full-restoration time,
@@ -565,19 +520,18 @@ func (c *Channel) PRE(a Addr, now int64) (fullyRestored bool) {
 	if !c.CanPRE(a, now) {
 		panic(fmt.Sprintf("dram: illegal PRE to ch%d/r%d/b%d at cycle %d", a.Channel, a.Rank, a.Bank, now))
 	}
-	s := c.sub(a)
+	bk := &c.ranks[a.Rank].banks[a.Bank]
+	si := a.Subarray(c.Geo)
+	s := &bk.subs[si]
 	full := now-s.actCycle >= int64(s.plan.RASFull)
 	s.openRow = -1
 	if ready := now + int64(c.T.RP); ready > s.actReady {
 		s.actReady = ready
+		bk.actReady = max(bk.actReady, ready)
 	}
-	bk := &c.ranks[a.Rank].banks[a.Bank]
 	bk.openCount--
-	if bk.openCount == 0 {
-		bk.openSub = -1
-	}
+	bk.open[si/64] &^= 1 << (si % 64)
 	c.cmdBusFree = now + 1
-	c.cmdSeq++
 	c.Stats.PRE++
 	if c.Check != nil {
 		c.Check.record(CmdPRE, a, now)
@@ -588,41 +542,33 @@ func (c *Channel) PRE(a Addr, now int64) (fullyRestored bool) {
 	return full
 }
 
-// CanREFpb reports whether a per-bank refresh of one bank may issue: that
-// bank's subarrays must be closed and past precharge recovery, and no other
-// refresh may be in progress on the rank. Other banks remain accessible —
-// the point of LPDDR4's per-bank refresh mode.
-func (c *Channel) CanREFpb(rankID, bankID int, now int64) bool {
+// ReadyREFpb returns the earliest cycle a per-bank refresh of one bank may
+// issue: that bank's subarrays must be past precharge recovery and no other
+// refresh may be in progress on the rank. It returns Horizon while the bank
+// holds an open row. Other banks remain accessible — the point of LPDDR4's
+// per-bank refresh mode.
+func (c *Channel) ReadyREFpb(rankID, bankID int) int64 {
 	rk := &c.ranks[rankID]
 	bk := &rk.banks[bankID]
-	if now < c.cmdBusFree || now < rk.refBusy || now < bk.refBusy {
-		return false
-	}
 	if bk.openCount > 0 {
-		return false
+		return Horizon
 	}
-	for s := range bk.subs {
-		if now < bk.subs[s].actReady {
-			return false
-		}
-	}
-	return true
+	return max(c.cmdBusFree, rk.refBusy, bk.refBusy, bk.actReady)
 }
 
-// REFpb issues a per-bank refresh, blocking only that bank for tRFCpb.
+// CanREFpb reports whether a per-bank refresh of one bank may issue.
+func (c *Channel) CanREFpb(rankID, bankID int, now int64) bool {
+	return now >= c.ReadyREFpb(rankID, bankID)
+}
+
+// REFpb issues a per-bank refresh, blocking only that bank for tRFCpb (the
+// refBusy horizon every activation and refresh of the bank checks).
 func (c *Channel) REFpb(rankID, bankID int, now int64) {
 	if !c.CanREFpb(rankID, bankID, now) {
 		panic(fmt.Sprintf("dram: illegal REFpb to rank %d bank %d at cycle %d", rankID, bankID, now))
 	}
-	bk := &c.ranks[rankID].banks[bankID]
-	bk.refBusy = now + int64(c.T.RFCpb)
-	for s := range bk.subs {
-		if bk.subs[s].actReady < bk.refBusy {
-			bk.subs[s].actReady = bk.refBusy
-		}
-	}
+	c.ranks[rankID].banks[bankID].refBusy = now + int64(c.T.RFCpb)
 	c.cmdBusFree = now + 1
-	c.cmdSeq++
 	c.Stats.REFpb++
 	if c.Check != nil {
 		c.Check.record(CmdREFpb, Addr{Rank: rankID, Bank: bankID}, now)
@@ -632,42 +578,33 @@ func (c *Channel) REFpb(rankID, bankID int, now int64) {
 	}
 }
 
-// CanREF reports whether an all-bank refresh of the rank may issue: every
-// subarray must be closed and past its precharge recovery.
-func (c *Channel) CanREF(rankID int, now int64) bool {
+// ReadyREF returns the earliest cycle an all-bank refresh of the rank may
+// issue: every bank must be past its precharge recovery and any refresh of
+// its own. It returns Horizon while any subarray of the rank is open.
+func (c *Channel) ReadyREF(rankID int) int64 {
 	rk := &c.ranks[rankID]
-	if now < c.cmdBusFree || now < rk.refBusy {
-		return false
-	}
+	at := max(c.cmdBusFree, rk.refBusy)
 	for b := range rk.banks {
-		if rk.banks[b].openCount > 0 || now < rk.banks[b].refBusy {
-			return false
+		bk := &rk.banks[b]
+		if bk.openCount > 0 {
+			return Horizon
 		}
-		for s := range rk.banks[b].subs {
-			if now < rk.banks[b].subs[s].actReady {
-				return false
-			}
-		}
+		at = max(at, bk.refBusy, bk.actReady)
 	}
-	return true
+	return at
 }
 
-// REF issues an all-bank refresh, blocking the rank for tRFC.
+// CanREF reports whether an all-bank refresh of the rank may issue.
+func (c *Channel) CanREF(rankID int, now int64) bool { return now >= c.ReadyREF(rankID) }
+
+// REF issues an all-bank refresh, blocking the rank for tRFC (the refBusy
+// horizon every activation and refresh of the rank checks).
 func (c *Channel) REF(rankID int, now int64) {
 	if !c.CanREF(rankID, now) {
 		panic(fmt.Sprintf("dram: illegal REF to rank %d at cycle %d", rankID, now))
 	}
-	rk := &c.ranks[rankID]
-	rk.refBusy = now + int64(c.T.RFC)
-	for b := range rk.banks {
-		for s := range rk.banks[b].subs {
-			if rk.banks[b].subs[s].actReady < rk.refBusy {
-				rk.banks[b].subs[s].actReady = rk.refBusy
-			}
-		}
-	}
+	c.ranks[rankID].refBusy = now + int64(c.T.RFC)
 	c.cmdBusFree = now + 1
-	c.cmdSeq++
 	c.Stats.REF++
 	if c.Check != nil {
 		c.Check.record(CmdREF, Addr{Rank: rankID}, now)

@@ -28,7 +28,8 @@ func commandPlans(tm Timing) []struct {
 // issuing each one only when the device reports it legal, and lets the
 // independent checker validate the whole stream. This exercises corner
 // interleavings (refresh vs activation, MRA plans, per-bank refresh, MASA)
-// that the targeted tests do not.
+// that the targeted tests do not. After every issued command the Ready*/Can*
+// contract is checked in the state that command left.
 func TestRandomCommandStream(t *testing.T) {
 	for _, masa := range []bool{false, true} {
 		name := "conventional"
@@ -41,12 +42,21 @@ func TestRandomCommandStream(t *testing.T) {
 			c := NewChannel(g, tm)
 			c.MASA = masa
 			k := NewChecker(c)
+			m := newShadow(c)
 			rng := rand.New(rand.NewSource(99))
 			plans := commandPlans(tm)
 
-			issued := 0
+			issued, checked := 0, 0
 			for now := int64(0); issued < 400 && now < 2_000_000; now++ {
 				c.Tick(now)
+				if checked < issued {
+					checked = issued
+					probe := Addr{Bank: rng.Intn(g.Banks), Row: rng.Intn(64), Col: rng.Intn(g.ColumnsPerRow())}
+					if open := c.OpenRow(probe); open >= 0 && rng.Intn(2) == 0 {
+						probe.Row = open
+					}
+					checkReadyContract(t, c, m, probe)
+				}
 				a := Addr{
 					Bank: rng.Intn(g.Banks),
 					Row:  rng.Intn(64),
@@ -61,6 +71,7 @@ func TestRandomCommandStream(t *testing.T) {
 							copyRow = rng.Intn(g.CopyRows)
 						}
 						c.ACT(a, now, p.kind, p.t, copyRow)
+						m.act(a)
 						issued++
 					}
 				case 1:
@@ -84,6 +95,7 @@ func TestRandomCommandStream(t *testing.T) {
 						a.Row = open
 						if c.CanPRE(a, now) {
 							c.PRE(a, now)
+							m.pre(a)
 							issued++
 						}
 					}
@@ -113,11 +125,153 @@ func TestRandomCommandStream(t *testing.T) {
 	}
 }
 
+// shadow is the test's own model of which row each subarray holds open,
+// updated only by the commands the driver issues. It is what "only a state
+// change can unblock this command" is judged against, independently of the
+// channel's bitmaps and counters.
+type shadow struct {
+	g    Geometry
+	masa bool
+	open map[[2]int]int // (bank, subarray) -> open row
+}
+
+func newShadow(c *Channel) *shadow {
+	return &shadow{g: c.Geo, masa: c.MASA, open: map[[2]int]int{}}
+}
+
+func (m *shadow) act(a Addr) { m.open[[2]int{a.Bank, a.Subarray(m.g)}] = a.Row }
+func (m *shadow) pre(a Addr) { delete(m.open, [2]int{a.Bank, a.Subarray(m.g)}) }
+
+func (m *shadow) openInBank(bank int) int {
+	n := 0
+	for k := range m.open {
+		if k[0] == bank {
+			n++
+		}
+	}
+	return n
+}
+
+// stateBlocked reports whether no passage of time can make the command legal.
+func (m *shadow) stateBlocked(cmd Command, a Addr) bool {
+	row, isOpen := m.open[[2]int{a.Bank, a.Subarray(m.g)}]
+	switch cmd {
+	case CmdACT:
+		return isOpen || (!m.masa && m.openInBank(a.Bank) > 0)
+	case CmdRD, CmdWR:
+		return !isOpen || row != a.Row
+	case CmdPRE:
+		return !isOpen
+	case CmdREFpb:
+		return m.openInBank(a.Bank) > 0
+	default: // CmdREF
+		return len(m.open) > 0
+	}
+}
+
+// contractOp is one command as a (ready, can, issue) triple over an address,
+// so the contract below is stated once for all six.
+type contractOp struct {
+	cmd   Command
+	ready func(a Addr) int64
+	can   func(a Addr, now int64) bool
+	issue func(a Addr, now int64)
+}
+
+func contractOps(c *Channel, tm Timing) []contractOp {
+	return []contractOp{
+		{CmdACT, c.ReadyACT,
+			func(a Addr, now int64) bool { return c.CanACT(a, now, ActSingle) },
+			func(a Addr, now int64) { c.ACT(a, now, ActSingle, tm.Base(), -1) }},
+		{CmdRD, c.ReadyRD, c.CanRD, func(a Addr, now int64) { c.RD(a, now) }},
+		{CmdWR, c.ReadyWR, c.CanWR, c.WR},
+		{CmdPRE, c.ReadyPRE, c.CanPRE, func(a Addr, now int64) { c.PRE(a, now) }},
+		{CmdREF, func(a Addr) int64 { return c.ReadyREF(a.Rank) },
+			func(a Addr, now int64) bool { return c.CanREF(a.Rank, now) },
+			func(a Addr, now int64) { c.REF(a.Rank, now) }},
+		{CmdREFpb, func(a Addr) int64 { return c.ReadyREFpb(a.Rank, a.Bank) },
+			func(a Addr, now int64) bool { return c.CanREFpb(a.Rank, a.Bank, now) },
+			func(a Addr, now int64) { c.REFpb(a.Rank, a.Bank, now) }},
+	}
+}
+
+// checkReadyContract asserts the device's when-not-whether contract in the
+// channel's current state, for every command over each given address: the
+// command is illegal at every cycle before Ready*, legal at it and from then
+// on (nothing changes until the next command), issuing it a cycle early
+// panics, and Ready* is Horizon exactly when the shadow model says only a
+// state change can help. It also checks the per-bank summaries the Ready*
+// answers rest on against a scan of every subarray.
+func checkReadyContract(t *testing.T, c *Channel, m *shadow, addrs ...Addr) {
+	t.Helper()
+	for _, op := range contractOps(c, c.T) {
+		for _, a := range addrs {
+			at := op.ready(a)
+			if blocked := m.stateBlocked(op.cmd, a); (at == Horizon) != blocked {
+				t.Fatalf("%v b%d row %d: ready %d, but state-blocked = %v", op.cmd, a.Bank, a.Row, at, blocked)
+			}
+			if at == Horizon {
+				if op.can(a, 0) || op.can(a, Horizon-1) {
+					t.Fatalf("%v b%d row %d: legal at some cycle though only a state change can unblock it", op.cmd, a.Bank, a.Row)
+				}
+				continue
+			}
+			for _, now := range []int64{at - 1000, at - 1} {
+				if op.can(a, now) {
+					t.Fatalf("%v b%d row %d: legal at %d, before its ready cycle %d", op.cmd, a.Bank, a.Row, now, at)
+				}
+			}
+			for _, now := range []int64{at, at + 1, at + 1000} {
+				if !op.can(a, now) {
+					t.Fatalf("%v b%d row %d: illegal at %d, at or after its ready cycle %d", op.cmd, a.Bank, a.Row, now, at)
+				}
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%v b%d row %d: issuing at %d, before ready cycle %d, must panic", op.cmd, a.Bank, a.Row, at-1, at)
+					}
+				}()
+				op.issue(a, at-1)
+			}()
+		}
+	}
+	var scanned []OpenSub
+	for r := range c.ranks {
+		for b := range c.ranks[r].banks {
+			bk := &c.ranks[r].banks[b]
+			var actReady int64
+			for s := range bk.subs {
+				actReady = max(actReady, bk.subs[s].actReady)
+				if bk.subs[s].openRow >= 0 {
+					scanned = append(scanned, OpenSub{Rank: r, Bank: b, Subarray: s, Row: bk.subs[s].openRow, LastUse: bk.subs[s].lastUse})
+				}
+			}
+			if actReady != bk.actReady {
+				t.Fatalf("bank %d: tracked actReady %d, scan says %d", b, bk.actReady, actReady)
+			}
+		}
+	}
+	got := c.OpenSubarrays()
+	if len(got) != len(scanned) || len(got) != len(m.open) {
+		t.Fatalf("open subarrays: tracked %v, scan %v, shadow %v", got, scanned, m.open)
+	}
+	for i := range got {
+		if got[i] != scanned[i] {
+			t.Fatalf("open subarrays: tracked %v, scan %v", got, scanned)
+		}
+	}
+}
+
 // driveCommandStream interprets data as a command script against a fresh
 // channel: every three bytes pick a time advance, a command, and an address.
-// Commands issue only when the device reports them legal — the properties
-// under test are that no legal-by-the-device sequence panics and that the
-// independent checker agrees the whole stream is clean.
+// Before each command the device's Ready*/Can* contract is checked in the
+// state the prefix left; then the command issues at the later of the script's
+// cycle and its ready cycle — so most commands issue on the exact cycle the
+// device first calls legal — unless only a state change could unblock it. The
+// properties under test are that the contract holds after any legal prefix,
+// that no legal-by-the-device sequence panics, and that the independent
+// checker agrees the whole stream is clean.
 func driveCommandStream(t *testing.T, data []byte) {
 	t.Helper()
 	if len(data) < 4 {
@@ -128,6 +282,7 @@ func driveCommandStream(t *testing.T, data []byte) {
 	c := NewChannel(g, tm)
 	c.MASA = data[0]&1 != 0
 	k := NewChecker(c)
+	m := newShadow(c)
 	plans := commandPlans(tm)
 
 	now := int64(0)
@@ -136,49 +291,57 @@ func driveCommandStream(t *testing.T, data []byte) {
 		// Advance time by 1..1024 cycles so slow constraints (tRFC,
 		// write recovery) can clear within short inputs.
 		now += 1 + int64(adv)*4
-		c.Tick(now)
 		a := Addr{
 			Bank: int(sel) % g.Banks,
 			Row:  int(sel>>3) % 64,
 			Col:  int(op>>3) % g.ColumnsPerRow(),
 		}
+		probe := a
+		if open := c.OpenRow(a); open >= 0 {
+			probe.Row = open
+		}
+		checkReadyContract(t, c, m, a, probe)
+		// at returns the issue cycle for a command ready at `ready`, moving
+		// the script's clock to it; ok is false when time cannot help.
+		at := func(ready int64) (int64, bool) {
+			if ready == Horizon {
+				return 0, false
+			}
+			now = max(now, ready)
+			c.Tick(now)
+			return now, true
+		}
 		switch op % 6 {
 		case 0:
 			p := plans[int(sel)%len(plans)]
-			if c.CanACT(a, now, p.kind) {
+			if now, ok := at(c.ReadyACT(a)); ok {
 				copyRow := -1
 				if p.kind != ActSingle {
 					copyRow = int(adv) % g.CopyRows
 				}
 				c.ACT(a, now, p.kind, p.t, copyRow)
+				m.act(a)
 			}
 		case 1:
-			if open := c.OpenRow(a); open >= 0 {
-				a.Row = open
-				if c.CanRD(a, now) {
-					c.RD(a, now)
-				}
+			if now, ok := at(c.ReadyRD(probe)); ok {
+				c.RD(probe, now)
 			}
 		case 2:
-			if open := c.OpenRow(a); open >= 0 {
-				a.Row = open
-				if c.CanWR(a, now) {
-					c.WR(a, now)
-				}
+			if now, ok := at(c.ReadyWR(probe)); ok {
+				c.WR(probe, now)
 			}
 		case 3:
-			if open := c.OpenRow(a); open >= 0 {
-				a.Row = open
-				if c.CanPRE(a, now) {
-					c.PRE(a, now)
-				}
+			if now, ok := at(c.ReadyPRE(probe)); ok {
+				c.PRE(probe, now)
+				m.pre(probe)
 			}
 		case 4:
-			if c.CanREF(0, now) {
+			if now, ok := at(c.ReadyREF(0)); ok {
 				c.REF(0, now)
 			}
 		case 5:
-			if b := int(sel) % g.Banks; c.CanREFpb(0, b, now) {
+			b := int(sel) % g.Banks
+			if now, ok := at(c.ReadyREFpb(0, b)); ok {
 				c.REFpb(0, b, now)
 			}
 		}

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"crowdram/internal/ctrl"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden experiment reports under testdata/golden/")
@@ -18,10 +20,17 @@ var update = flag.Bool("update", false, "rewrite the golden experiment reports u
 // with:
 //
 //	go test ./internal/exp -run TestGoldenReports -update
+//
+// The sweep runs with the controllers' self-checking skip on: every tick a
+// controller sleeps through re-runs its scheduling pass and panics unless it
+// was a no-op, so the goldens are reproduced and every skipped cycle of all
+// 26 experiments is checked in the same run.
 func TestGoldenReports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden regression runs the full QuickScale sweep; skipped in -short")
 	}
+	ctrl.SetVerifyWake(true)
+	defer ctrl.SetVerifyWake(false)
 	r := NewRunner(QuickScale(), Workers(4))
 	if err := r.Execute(PlanAll(r, Experiments())); err != nil {
 		t.Fatal(err)

@@ -276,7 +276,7 @@ func (s *Shield) RequeueScrub(channel int, a dram.Addr) {
 
 // HasPendingOps reports whether the channel has mitigation or inner-mechanism
 // ops pending. When the inner mechanism has op sources but no peeker, it
-// reports true (never idle-skip past un-peekable work), preserving the
+// reports true (un-peekable work is never assumed absent), preserving the
 // controller's contract for the wrapped case.
 func (s *Shield) HasPendingOps(channel int) bool {
 	if len(s.chans[channel].queue) > 0 {

@@ -189,7 +189,7 @@ func TestWriteChromeTraceDeterministic(t *testing.T) {
 }
 
 // BenchmarkTracerRecord measures ring-buffer recording throughput in
-// steady state (events/sec = 1e9 / ns-per-op); BENCH_obs.json records it.
+// steady state (events/sec = 1e9 / ns-per-op).
 func BenchmarkTracerRecord(b *testing.B) {
 	g, tm := testShape()
 	tr := NewTracer(1<<16, 1, g, tm)

@@ -44,7 +44,7 @@ func benchSubmitWait(b *testing.B, ts *httptest.Server, body string) {
 	}
 }
 
-// BenchmarkWarmCacheSubmissions is the BENCH_service.json baseline:
+// BenchmarkWarmCacheSubmissions measures the serving layer alone:
 // sustained submit→done round trips per second when every job is a warm
 // engine-cache hit (the simulation itself executed once, before the timer).
 // It measures the serving overhead — queue, worker handoff, HTTP, JSON —

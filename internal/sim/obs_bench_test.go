@@ -49,8 +49,7 @@ func BenchmarkRunObsNil(b *testing.B) {
 
 // BenchmarkRunTraced runs with the full observability stack attached:
 // event tracing into a ring sized for the whole run plus interval telemetry.
-// The delta against BenchmarkRunObsOff is the tracing-on overhead recorded
-// in BENCH_obs.json.
+// The delta against BenchmarkRunObsOff is the tracing-on overhead.
 func BenchmarkRunTraced(b *testing.B) {
 	benchRun(b, &obs.Observers{
 		TraceCapacity: 1 << 16, // comfortably holds the ~9k events this run emits

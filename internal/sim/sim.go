@@ -77,8 +77,8 @@ type Config struct {
 	// Verify attaches the correctness oracle (internal/oracle) to every
 	// channel: a shadow data memory, refresh-deadline monitor, and
 	// scheduler/accounting checks validate the run end to end. Findings
-	// are reported in Result.Verify. Costs roughly 10-20% simulation time
-	// (see BENCH_oracle.json).
+	// are reported in Result.Verify. Its cost is what crowperf's `verified`
+	// workload reports (oracle.overhead_ratio).
 	Verify bool
 
 	// Obs, when non-nil and enabled, attaches the observability bundle

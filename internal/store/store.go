@@ -52,11 +52,17 @@ type Envelope struct {
 	Key string `json:"key"`
 	// SHA256 is the hex checksum of Value; a mismatch marks corruption.
 	SHA256 string `json:"sha256"`
-	// SavedAt records the write time (informational).
-	SavedAt time.Time `json:"saved_at"`
+	// SavedAt records the write time (informational), in savedAtLayout.
+	SavedAt string `json:"saved_at"`
 	// Value is the JSON encoding of the stored result.
 	Value json.RawMessage `json:"value"`
 }
+
+// savedAtLayout is RFC 3339 in UTC with all nine fractional digits kept.
+// time.Time's own JSON encoding trims trailing zeros, so one write in ten came
+// out a byte shorter than its neighbours: envelopes of identical content
+// differed in size, and a byte cap sized for N entries sometimes held N-1.
+const savedAtLayout = "2006-01-02T15:04:05.000000000Z07:00"
 
 // Stats is a point-in-time view of the store: the startup-scan numbers plus
 // lifetime operation counters.
@@ -237,7 +243,7 @@ func (s *Store[V]) put(key string, val V) error {
 		Schema:  s.schema,
 		Key:     key,
 		SHA256:  hex.EncodeToString(sum[:]),
-		SavedAt: time.Now().UTC(),
+		SavedAt: time.Now().UTC().Format(savedAtLayout),
 		Value:   raw,
 	}
 	data, err := json.Marshal(env)

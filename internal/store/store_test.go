@@ -165,8 +165,13 @@ func TestEnvelopeFields(t *testing.T) {
 	if env.Version != Version || env.Schema != "rec/v1" || env.Key != "the-key" {
 		t.Errorf("envelope = %+v", env)
 	}
-	if len(env.SHA256) != 64 || env.SavedAt.IsZero() || len(env.Value) == 0 {
+	if len(env.SHA256) != 64 || len(env.Value) == 0 {
 		t.Errorf("envelope metadata = %+v", env)
+	}
+	// The timestamp is RFC 3339 at a fixed width, whatever the clock read:
+	// equal content must make equal-sized files or byte caps are guesswork.
+	if _, err := time.Parse(time.RFC3339Nano, env.SavedAt); err != nil || len(env.SavedAt) != len("2006-01-02T15:04:05.000000000Z") {
+		t.Errorf("saved_at = %q (parse error %v), want RFC 3339 with nine fractional digits", env.SavedAt, err)
 	}
 }
 
