@@ -453,7 +453,9 @@ func RunContext(ctx context.Context, o Options) (Report, error) {
 	// a cache entry.
 	cfg.Obs = obs.From(ctx)
 	cfg.Shards = ShardsFrom(ctx)
-	res, err := sim.New(cfg, mech, gens).RunContext(ctx)
+	sys := sim.New(cfg, mech, gens)
+	defer sys.Release()
+	res, err := sys.RunContext(ctx)
 	if err != nil {
 		return Report{}, fmt.Errorf("crow: %s on %v: %w", o.Mechanism, o.Workloads, err)
 	}

@@ -203,8 +203,10 @@ func TestTraceFileInput(t *testing.T) {
 
 // TestConcurrentRunsDeterministic runs the same simulations sequentially and
 // then concurrently (4 goroutines, the engine's minimum interesting worker
-// count) and requires identical reports: simulations share no mutable state,
-// so scheduling must not leak into results. Run under -race in CI.
+// count) and requires identical reports: simulations share nothing a result
+// can depend on (the LLC line arrays and prefill images they do share are
+// covered in construct_test.go), so scheduling must not leak into results.
+// Run under -race in CI.
 func TestConcurrentRunsDeterministic(t *testing.T) {
 	opts := []Options{
 		fast(Options{}),

@@ -3,8 +3,6 @@
 // write-allocate, and MSHR-based miss handling with request merging.
 package cache
 
-import "math/rand"
-
 // Config parameterizes the LLC.
 type Config struct {
 	SizeBytes  int64
@@ -39,7 +37,6 @@ type waiter struct {
 
 type mshr struct {
 	lineAddr uint64
-	sent     bool
 	prefetch bool
 	waiters  []waiter
 	next     *mshr // freelist link
@@ -122,18 +119,25 @@ func (q *delayQueue) pop() delayed {
 
 // Cache is the shared LLC.
 type Cache struct {
-	Cfg  Config
-	Mem  Memory
-	sets [][]line
+	Cfg Config
+	Mem Memory
+	// lines is every set back to back: set s is lines[s*assoc:(s+1)*assoc].
+	// One array instead of one per set, so building a cache is one
+	// allocation — or none, when New finds a released one (slab.go).
+	lines []line
+	assoc int
 	// prefetched marks resident lines that were filled by a prefetch and
 	// not yet touched by demand.
 	prefetched map[uint64]bool
 
 	mshrs    map[uint64]*mshr
-	mshrFree *mshr    // recycled mshr structs (waiter slices retained)
-	unsent   int      // mshrs whose downstream read was rejected, to retry
-	wbQ      []uint64 // writebacks the memory rejected, to retry
-	delayed  delayQueue
+	mshrFree *mshr // recycled mshr structs (waiter slices retained)
+	// unsent holds the mshrs whose downstream read was rejected, oldest
+	// first: Tick retries them in allocation order, so which one takes a
+	// freed queue slot does not depend on map iteration order.
+	unsent  []*mshr
+	wbQ     []uint64 // writebacks the memory rejected, to retry
+	delayed delayQueue
 
 	setMask  uint64
 	lineBits uint
@@ -148,13 +152,11 @@ func New(cfg Config, mem Memory, cores int) *Cache {
 	c := &Cache{
 		Cfg:        cfg,
 		Mem:        mem,
-		sets:       make([][]line, numSets),
+		lines:      takeSlab(int(numSets) * cfg.Assoc),
+		assoc:      cfg.Assoc,
 		mshrs:      make(map[uint64]*mshr),
 		prefetched: make(map[uint64]bool),
 		setMask:    uint64(numSets - 1),
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Assoc)
 	}
 	for lb := cfg.LineBytes; lb > 1; lb >>= 1 {
 		c.lineBits++
@@ -165,7 +167,20 @@ func New(cfg Config, mem Memory, cores int) *Cache {
 }
 
 func (c *Cache) lineAddr(addr uint64) uint64 { return addr >> c.lineBits }
-func (c *Cache) set(lineAddr uint64) []line  { return c.sets[lineAddr&c.setMask] }
+
+func (c *Cache) set(lineAddr uint64) []line {
+	i := int(lineAddr&c.setMask) * c.assoc
+	return c.lines[i : i+c.assoc : i+c.assoc]
+}
+
+// Release hands the line array to the next New (slab.go) and leaves the
+// cache without one: whoever built the cache calls it once the run that
+// used it is over, and any access after that panics instead of touching
+// lines another run now owns.
+func (c *Cache) Release() {
+	putSlab(c.lines)
+	c.lines = nil
+}
 
 func (c *Cache) find(lineAddr uint64) *line {
 	set := c.set(lineAddr)
@@ -189,7 +204,6 @@ func (c *Cache) newMSHR(lineAddr uint64) *mshr {
 	}
 	m.lineAddr = lineAddr
 	c.mshrs[lineAddr] = m
-	c.unsent++ // until trySend succeeds
 	return m
 }
 
@@ -200,7 +214,6 @@ func (c *Cache) releaseMSHR(m *mshr) {
 		m.waiters[i] = waiter{}
 	}
 	m.waiters = m.waiters[:0]
-	m.sent = false
 	m.prefetch = false
 	m.next = c.mshrFree
 	c.mshrFree = m
@@ -251,7 +264,7 @@ func (c *Cache) Access(now int64, core int, addr uint64, write bool, done func(n
 	c.Stats.CoreMisses[core]++
 	m := c.newMSHR(la)
 	m.waiters = append(m.waiters, waiter{write: write, done: done})
-	c.trySend(m)
+	c.send(m)
 	return true, false
 }
 
@@ -270,19 +283,21 @@ func (c *Cache) Prefetch(now int64, addr uint64) bool {
 	}
 	m := c.newMSHR(la)
 	m.prefetch = true
-	c.trySend(m)
+	c.send(m)
 	c.Stats.PrefIssued++
 	return true
 }
 
-func (c *Cache) trySend(m *mshr) {
-	if m.sent {
-		return
+// send issues a new mshr's read downstream, queueing it for Tick to retry
+// if the memory rejects it.
+func (c *Cache) send(m *mshr) {
+	if !c.sendRead(m) {
+		c.unsent = append(c.unsent, m)
 	}
-	if c.Mem.SendRead(m.lineAddr<<c.lineBits, m.prefetch) {
-		m.sent = true
-		c.unsent--
-	}
+}
+
+func (c *Cache) sendRead(m *mshr) bool {
+	return c.Mem.SendRead(m.lineAddr<<c.lineBits, m.prefetch)
 }
 
 // Fill installs a returned line and wakes its waiters. The cache's owner
@@ -330,48 +345,31 @@ func (c *Cache) Fill(now int64, addr uint64) {
 	set[victim] = line{tag: la, valid: true, dirty: dirty, lastUse: now}
 }
 
-// Prefill populates every way with random resident lines, a fraction of
-// them dirty. Short simulations start from a cold cache that would otherwise
-// never fill (and so never write back); prefilling emulates the steady-state
-// system the paper's methodology assumes, producing realistic writeback
-// traffic from the first eviction. lineAddrBits bounds the generated line
-// addresses to the physical address space.
-func (c *Cache) Prefill(lineAddrBits uint, dirtyFrac float64, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	mask := uint64(1)<<lineAddrBits - 1
-	for si := range c.sets {
-		for w := range c.sets[si] {
-			la := rng.Uint64() & mask
-			// Force the tag into this set.
-			la = la&^c.setMask | uint64(si)
-			c.sets[si][w] = line{
-				tag:     la,
-				valid:   true,
-				dirty:   rng.Float64() < dirtyFrac,
-				lastUse: int64(-1000 + rng.Intn(1000)),
-			}
-		}
-	}
-}
-
 // Tick fires due hit callbacks and retries rejected downstream sends.
 func (c *Cache) Tick(now int64) {
 	for len(c.delayed) > 0 && c.delayed[0].at <= now {
 		d := c.delayed.pop()
 		d.done(now)
 	}
-	for len(c.wbQ) > 0 {
-		if !c.Mem.SendWrite(c.wbQ[0]) {
-			break
-		}
-		c.wbQ = c.wbQ[1:]
+	n := 0
+	for n < len(c.wbQ) && c.Mem.SendWrite(c.wbQ[n]) {
+		n++
 	}
-	if c.unsent > 0 {
-		for _, m := range c.mshrs {
-			if !m.sent {
-				c.trySend(m)
+	if n > 0 {
+		// Move what is left to the front: the array is reused however often
+		// the memory stalls, where wbQ = wbQ[1:] gave its capacity away.
+		c.wbQ = c.wbQ[:copy(c.wbQ, c.wbQ[n:])]
+	}
+	if len(c.unsent) > 0 {
+		// Every rejected read is offered again (they may go to different
+		// channels), oldest first; the ones rejected again keep their order.
+		keep := c.unsent[:0]
+		for _, m := range c.unsent {
+			if !c.sendRead(m) {
+				keep = append(keep, m)
 			}
 		}
+		c.unsent = keep
 	}
 }
 
@@ -380,7 +378,7 @@ func (c *Cache) Tick(now int64) {
 // (rejected reads or writebacks) are pending. With nothing in flight it
 // returns Horizon; the run loop uses this to skip the cache's idle cycles.
 func (c *Cache) NextEvent(now int64) int64 {
-	if c.unsent > 0 || len(c.wbQ) > 0 {
+	if len(c.unsent) > 0 || len(c.wbQ) > 0 {
 		return now + 1
 	}
 	if len(c.delayed) > 0 {

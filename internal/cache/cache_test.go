@@ -231,3 +231,103 @@ func TestAccessAlwaysAcceptedWhenResident(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// meterMem accepts up to `reads` reads, then rejects; writes are accepted
+// unless rejectWrites. It records what it accepted without allocating per
+// write, so it can sit inside an allocation count.
+type meterMem struct {
+	reads        int
+	accepted     []uint64
+	rejectWrites bool
+	writes       int
+}
+
+func (m *meterMem) SendRead(lineAddr uint64, pref bool) bool {
+	if m.reads == 0 {
+		return false
+	}
+	m.reads--
+	m.accepted = append(m.accepted, lineAddr)
+	return true
+}
+
+func (m *meterMem) SendWrite(lineAddr uint64) bool {
+	if m.rejectWrites {
+		return false
+	}
+	m.writes++
+	return true
+}
+
+// TestRejectedReadsRetryInIssueOrder: with several reads rejected and one
+// queue slot freed per tick, the slot goes to the oldest miss. Walking the
+// mshr map instead picked a different winner from run to run.
+func TestRejectedReadsRetryInIssueOrder(t *testing.T) {
+	cfg := small()
+	cfg.MSHRs = 8
+	for rep := 0; rep < 100; rep++ {
+		mem := &meterMem{}
+		c := New(cfg, mem, 1)
+		var issued []uint64
+		for i := 0; i < cfg.MSHRs; i++ {
+			addr := uint64(0x1000 * (i + 1))
+			if i%3 == 2 {
+				c.Prefetch(int64(i), addr)
+			} else {
+				c.Access(int64(i), 0, addr, false, nil)
+			}
+			issued = append(issued, addr)
+		}
+		for now := int64(100); len(mem.accepted) < len(issued); now++ {
+			if c.NextEvent(now-1) != now {
+				t.Fatalf("rep %d: NextEvent = %d with reads unsent, want %d", rep, c.NextEvent(now-1), now)
+			}
+			mem.reads = 1
+			c.Tick(now)
+		}
+		for i := range issued {
+			if mem.accepted[i] != issued[i] {
+				t.Fatalf("rep %d: reads accepted as %#x, issued as %#x", rep, mem.accepted, issued)
+			}
+		}
+		c.Tick(1000)
+		if len(mem.accepted) != len(issued) || c.NextEvent(1000) != Horizon {
+			t.Fatalf("rep %d: a sent read was retried or is still queued", rep)
+		}
+	}
+}
+
+// TestWritebackRetryQueueKeepsItsArray: a write-queue stall that ends and
+// starts again must queue into the array the last one used. Popping with
+// wbQ = wbQ[1:] gave the capacity away, one reallocation per stall.
+func TestWritebackRetryQueueKeepsItsArray(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.SizeBytes = 1 << 20
+	mem := &meterMem{}
+	c := New(cfg, mem, 1)
+	c.Prefill(28, 1, 1) // every line dirty: each fill below evicts one
+	const perStall = 3
+	var now int64
+	var fills int
+	stall := func() {
+		mem.rejectWrites = true
+		for i := 0; i < perStall; i++ {
+			fills++
+			now++
+			c.Fill(now, 1<<40|uint64(fills)<<6) // a tag no set holds, one set each
+		}
+		c.Tick(now) // still stalled: nothing leaves
+		if c.Pending() != perStall {
+			t.Fatalf("%d write-backs queued, want %d", c.Pending(), perStall)
+		}
+		mem.rejectWrites = false
+		c.Tick(now)
+	}
+	stall()
+	if allocs := testing.AllocsPerRun(100, stall); allocs != 0 {
+		t.Errorf("a reject/accept/reject cycle allocates %.0f times, want 0", allocs)
+	}
+	if mem.writes != fills || c.Pending() != 0 {
+		t.Errorf("%d of %d write-backs delivered, %d pending", mem.writes, fills, c.Pending())
+	}
+}

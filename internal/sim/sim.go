@@ -401,6 +401,12 @@ func New(cfg Config, mech core.Mechanism, gens []trace.Generator) *System {
 	return s
 }
 
+// Release gives the system's recyclable memory (the LLC's line array) to the
+// next one built in this process. A System runs once; its owner calls
+// Release when that run has returned, however it ended, and must not touch
+// the system afterwards.
+func (s *System) Release() { s.LLC.Release() }
+
 func (s *System) tick() {
 	s.cpuCycle++
 	for _, c := range s.Cores {
