@@ -77,7 +77,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		verify    = fs.Bool("verify", false, "run the correctness oracle alongside the simulation and report violations")
 		compare   = fs.Bool("compare", false, "also run the baseline and report speedup/energy savings")
 		jobs      = fs.Int("j", 1, "max simulations in flight for -compare (0 = GOMAXPROCS)")
-		shards    = fs.Int("shards", 1, "goroutines advancing the simulated channels within one run (results are byte-identical at any value)")
 		timeout   = fs.Duration("timeout", 0, "per-simulation wall-clock limit (0 = none)")
 		verbose   = fs.Bool("v", false, "print progress per simulation run")
 		asJSON    = fs.Bool("json", false, "emit the report as JSON")
@@ -158,13 +157,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	// up front, instead of failing deep inside a run.
 	if err := opts.Validate(); err != nil {
 		return err
-	}
-
-	if *shards < 0 {
-		return errors.New("-shards must be non-negative")
-	}
-	if *shards > 1 {
-		ctx = crow.WithShards(ctx, *shards)
 	}
 
 	if *compare {

@@ -126,36 +126,16 @@ func keys[V any](m map[string]V) []string {
 	return out
 }
 
-// TestShardsFlagByteIdentical runs the same verified simulation serially and
-// with -shards 8 through the CLI entry point and requires byte-identical
-// stdout — the user-facing face of the parallel tick loop's determinism
-// contract.
-func TestShardsFlagByteIdentical(t *testing.T) {
-	out := func(extra ...string) string {
-		var stdout, stderr bytes.Buffer
-		args := append([]string{
-			"-standard", "hbm2", "-mech", "crow-cache",
-			"-workloads", "mcf,lbm", "-insts", "10000", "-verify",
-		}, extra...)
-		if err := run(context.Background(), args, &stdout, &stderr); err != nil {
-			t.Fatalf("run %v failed: %v\nstderr: %s", extra, err, stderr.String())
-		}
-		return stdout.String()
-	}
-	serial := out()
-	sharded := out("-shards", "8")
-	if serial != sharded {
-		t.Errorf("-shards 8 output diverged from serial:\n--- serial ---\n%s\n--- sharded ---\n%s",
-			serial, sharded)
-	}
-}
-
-// TestShardsMustBeNonNegative: a negative shard count is a usage error.
-func TestShardsMustBeNonNegative(t *testing.T) {
+// TestRemovedShardsFlagIsUsageError: the -shards knob is gone (DESIGN.md §11),
+// and a command line that still passes it fails instead of being ignored.
+func TestRemovedShardsFlagIsUsageError(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	err := run(context.Background(), []string{"-shards", "-2"}, &stdout, &stderr)
-	if err == nil || !strings.Contains(err.Error(), "-shards") {
-		t.Fatalf("err = %v, want a -shards validation error", err)
+	err := run(context.Background(), []string{"-shards", "2"}, &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -shards") {
+		t.Fatalf("err = %v, want an undefined-flag error for -shards", err)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("a rejected command line ran a simulation:\n%s", stdout.String())
 	}
 }
 

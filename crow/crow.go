@@ -412,26 +412,6 @@ func Run(o Options) (Report, error) {
 	return RunContext(context.Background(), o)
 }
 
-// shardsKey is the context key for a requested shard count.
-type shardsKey struct{}
-
-// WithShards returns a context asking RunContext to advance the simulated
-// channels on up to n goroutines between synchronization epochs. The result
-// is byte-identical to a serial run at any shard count, which is why the
-// setting rides the context rather than Options: Options.Key() is the
-// engine's memoization key, and a sharded run is the same simulation as a
-// serial one. Values below 2 (and systems with a single channel) keep the
-// serial tick loop.
-func WithShards(ctx context.Context, n int) context.Context {
-	return context.WithValue(ctx, shardsKey{}, n)
-}
-
-// ShardsFrom returns the shard count carried by ctx, or 0.
-func ShardsFrom(ctx context.Context) int {
-	n, _ := ctx.Value(shardsKey{}).(int)
-	return n
-}
-
 // RunContext executes one simulation under a context: the simulation loop
 // polls ctx and abandons the run with its error once canceled or past its
 // deadline, so callers (the experiment engine, the CLIs) can enforce
@@ -448,11 +428,8 @@ func RunContext(ctx context.Context, o Options) (Report, error) {
 	}
 	// Observability rides the context, not Options: Options.Key() is the
 	// engine's memoization key, and a traced run is the same simulation as
-	// an untraced one. The shard count rides along for the same reason —
-	// a sharded run is byte-identical to a serial one, so both must share
-	// a cache entry.
+	// an untraced one.
 	cfg.Obs = obs.From(ctx)
-	cfg.Shards = ShardsFrom(ctx)
 	sys := sim.New(cfg, mech, gens)
 	defer sys.Release()
 	res, err := sys.RunContext(ctx)

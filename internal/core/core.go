@@ -33,12 +33,8 @@ type ActDecision struct {
 }
 
 // Mechanism is the controller-side interface of a CROW-based (or competing)
-// mechanism. Implementations must be deterministic. One instance serves
-// every channel of a system, and the sharded tick loop calls it from
-// per-channel goroutines concurrently — implementations must keep
-// channel-addressed state disjoint (indexed by Addr.Channel, as the table's
-// per-channel sets and the pending-copy queues are) and update any counters
-// shared across channels atomically.
+// mechanism. Implementations must be deterministic and are called from a
+// single goroutine; one instance serves every channel of a system.
 type Mechanism interface {
 	// Name identifies the mechanism in reports.
 	Name() string

@@ -1,17 +1,11 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"crowdram/internal/dram"
 	"crowdram/internal/retention"
 )
 
-// Stats counts CROW-table events. A mechanism instance is shared by every
-// channel of a system, and the sharded tick loop calls into it from
-// per-channel goroutines concurrently, so the counters are incremented
-// atomically (addition commutes, so totals match a serial run exactly).
-// Fallback is only written during setup, before any concurrent ticking.
+// Stats counts CROW-table events.
 type Stats struct {
 	Hits       int64 // ACT-t activations of an existing duplicate
 	Misses     int64 // activations with no matching entry
@@ -21,6 +15,19 @@ type Stats struct {
 	RefRemaps  int64 // activations redirected to a CROW-ref copy row
 	HamRemaps  int64 // victim rows remapped by the RowHammer mitigation
 	Fallback   bool  // CROW-ref fell back to the default refresh interval
+}
+
+// Sub returns s minus b, counter by counter: the events since the snapshot b
+// was taken. Fallback is a state, not a count, and carries s's value.
+// TestStatsSubCoversEveryField fails if a field added to Stats is not added
+// here.
+func (s Stats) Sub(b Stats) Stats {
+	return Stats{
+		Hits: s.Hits - b.Hits, Misses: s.Misses - b.Misses,
+		Copies: s.Copies - b.Copies, Evictions: s.Evictions - b.Evictions,
+		RestoreOps: s.RestoreOps - b.RestoreOps, RefRemaps: s.RefRemaps - b.RefRemaps,
+		HamRemaps: s.HamRemaps - b.HamRemaps, Fallback: s.Fallback,
+	}
 }
 
 // HitRate returns the CROW-table hit rate over cache-eligible activations.
@@ -320,14 +327,14 @@ func (c *CROW) OnActivate(a dram.Addr, d ActDecision, cycle int64) {
 	switch d.Kind {
 	case dram.ActTwo:
 		if d.RestoreFirst {
-			atomic.AddInt64(&c.Stats.RestoreOps, 1)
+			c.Stats.RestoreOps++
 			if c.Obs != nil {
 				c.tev(TableRestore, a, d.RestoreCopyRow, cycle)
 			}
 			set[d.RestoreCopyRow].lastUse = cycle
 			break
 		}
-		atomic.AddInt64(&c.Stats.Hits, 1)
+		c.Stats.Hits++
 		if c.Obs != nil {
 			c.tev(TableHit, a, d.CopyRow, cycle)
 		}
@@ -338,21 +345,21 @@ func (c *CROW) OnActivate(a dram.Addr, d ActDecision, cycle int64) {
 			// A demand activation performing a pending remap copy: the
 			// entry stays a CROW-ref/RowHammer remap. CopyPending clears
 			// at precharge, once restoration of the pair completes.
-			atomic.AddInt64(&c.Stats.Copies, 1)
+			c.Stats.Copies++
 			if c.Obs != nil {
 				c.tev(TableCopy, a, d.CopyRow, cycle)
 			}
 			e.lastUse = cycle
 			break
 		}
-		atomic.AddInt64(&c.Stats.Misses, 1)
-		atomic.AddInt64(&c.Stats.Copies, 1)
+		c.Stats.Misses++
+		c.Stats.Copies++
 		if c.Obs != nil {
 			c.tev(TableMiss, a, d.CopyRow, cycle)
 			c.tev(TableCopy, a, d.CopyRow, cycle)
 		}
 		if set[d.CopyRow].Allocated {
-			atomic.AddInt64(&c.Stats.Evictions, 1)
+			c.Stats.Evictions++
 			if c.Obs != nil {
 				c.tev(TableEviction, a, d.CopyRow, cycle)
 			}
@@ -365,13 +372,13 @@ func (c *CROW) OnActivate(a dram.Addr, d ActDecision, cycle int64) {
 			lastUse:    cycle,
 		}
 	case dram.ActCopyRow:
-		atomic.AddInt64(&c.Stats.RefRemaps, 1)
+		c.Stats.RefRemaps++
 		if c.Obs != nil {
 			c.tev(TableRefRemap, a, d.CopyRow, cycle)
 		}
 	case dram.ActSingle:
 		if c.Cache && !d.RestoreFirst {
-			atomic.AddInt64(&c.Stats.Misses, 1)
+			c.Stats.Misses++
 			if c.Obs != nil {
 				c.tev(TableMiss, a, -1, cycle)
 			}
@@ -540,7 +547,7 @@ func (c *CROW) countHammer(a dram.Addr, cycle int64) {
 				continue
 			}
 			set[w].Kind = EntryHammer
-			atomic.AddInt64(&c.Stats.HamRemaps, 1)
+			c.Stats.HamRemaps++
 			if c.Obs != nil {
 				c.tev(TableHamRemap, victim, w, cycle)
 			}
@@ -563,7 +570,7 @@ func (c *CROW) countHammer(a dram.Addr, cycle int64) {
 		c.pendingCopies[a.Channel] = append(c.pendingCopies[a.Channel], CopyOp{
 			Addr: victim, Kind: dram.ActCopy, CopyRow: w, Timing: c.Crow.CopyFull,
 		})
-		atomic.AddInt64(&c.Stats.HamRemaps, 1)
+		c.Stats.HamRemaps++
 		if c.Obs != nil {
 			c.tev(TableHamRemap, victim, w, cycle)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"crowdram/internal/dram"
@@ -423,4 +424,39 @@ func findStrongRowExcept(t *testing.T, c *CROW, sub, except int) int {
 	}
 	t.Fatal("no strong row found")
 	return -1
+}
+
+// TestStatsSubCoversEveryField sets every int64 field of two Stats to distinct
+// values and requires Sub to subtract each from its own counterpart: a counter
+// added to Stats but not to Sub would otherwise report its whole-run value for
+// the measured interval, silently. Fallback is the one field that is not a
+// count — whether CROW-ref fell back to the default refresh interval — so the
+// difference carries the receiver's (latest) value, whatever the snapshot held.
+func TestStatsSubCoversEveryField(t *testing.T) {
+	var a, b Stats
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		switch name := av.Type().Field(i).Name; {
+		case av.Field(i).Kind() == reflect.Int64:
+			av.Field(i).SetInt(int64(1000 * (i + 1)))
+			bv.Field(i).SetInt(int64(i + 1))
+		case name != "Fallback":
+			t.Fatalf("Stats.%s is not an int64: decide how Sub treats it and extend this test", name)
+		}
+	}
+	diff := reflect.ValueOf(a.Sub(b))
+	for i := 0; i < av.NumField(); i++ {
+		if av.Field(i).Kind() != reflect.Int64 {
+			continue
+		}
+		if got, want := diff.Field(i).Int(), int64(999*(i+1)); got != want {
+			t.Errorf("Sub: %s = %d, want %d", av.Type().Field(i).Name, got, want)
+		}
+	}
+	for _, c := range []struct{ latest, snapshot bool }{{true, false}, {true, true}, {false, true}, {false, false}} {
+		a.Fallback, b.Fallback = c.latest, c.snapshot
+		if got := a.Sub(b).Fallback; got != c.latest {
+			t.Errorf("Sub: Fallback = %v with latest %v and snapshot %v, want the latest", got, c.latest, c.snapshot)
+		}
+	}
 }

@@ -102,6 +102,23 @@ type Stats struct {
 	Scrubs         int64 // idle-cycle full-restore passes
 }
 
+// Sub returns s minus b, field by field: the counters accumulated since the
+// snapshot b was taken. TestStatsSubCoversEveryField fails if a field added
+// to Stats is not added here.
+func (s Stats) Sub(b Stats) Stats {
+	return Stats{
+		ReadsServed: s.ReadsServed - b.ReadsServed, WritesServed: s.WritesServed - b.WritesServed,
+		ReadLatencySum: s.ReadLatencySum - b.ReadLatencySum,
+		RowHits:        s.RowHits - b.RowHits, RowMisses: s.RowMisses - b.RowMisses,
+		RowConflicts: s.RowConflicts - b.RowConflicts, Forwarded: s.Forwarded - b.Forwarded,
+		Refreshes: s.Refreshes - b.Refreshes, TimeoutCloses: s.TimeoutCloses - b.TimeoutCloses,
+		MechCopies: s.MechCopies - b.MechCopies, Scrubs: s.Scrubs - b.Scrubs,
+	}
+}
+
+// Add returns s plus b, field by field (summing channels).
+func (s Stats) Add(b Stats) Stats { return s.Sub(Stats{}.Sub(b)) }
+
 // AvgReadLatencyNs returns the mean read latency in nanoseconds, given the
 // command-clock cycle time of the standard the controller ran.
 func (s *Stats) AvgReadLatencyNs(cycleNs float64) float64 {
@@ -292,13 +309,11 @@ type Controller struct {
 	osBuf []dram.OpenSub // reusable open-subarray scan buffer
 
 	// wake is the earliest DRAM cycle at which a tick can do anything — fire
-	// a completion, issue a command, or change controller state. Tick and its
-	// halves return at once before it. A scheduling pass that issues nothing
-	// sets it from the readiness tests that failed (nextReady) and the next
-	// completion; an issued command, or a pass with a side effect of its own
-	// (poll), sets it to the next cycle; an enqueue pulls it back to the
-	// enqueue cycle. It is written only where the request queues are, so the
-	// sharded loop's syncChannel orders it the same way.
+	// a completion, issue a command, or change controller state. Tick returns
+	// at once before it. A scheduling pass that issues nothing sets it from
+	// the readiness tests that failed (nextReady) and the next completion; an
+	// issued command, or a pass with a side effect of its own (poll), sets it
+	// to the next cycle; an enqueue pulls it back to the enqueue cycle.
 	wake      int64
 	nextReady int64
 	poll      bool
@@ -515,34 +530,16 @@ func (c *Controller) EnqueueWrite(r *Request, now int64) bool {
 // run loop skips the gap (dram.Horizon when nothing is in flight).
 func (c *Controller) NextEvent(now int64) int64 { return max(c.wake, now+1) }
 
-// Tick advances the controller by one DRAM cycle, issuing at most one
-// command. It is TickEvents followed by TickSchedule; the sharded tick loop
-// (internal/sim) drives the halves separately so completion delivery can be
-// serialized across channels while scheduling runs in parallel. Every entry
-// point returns at once before the wake-up cycle.
+// Tick advances the controller by one DRAM cycle: it brings the device's
+// per-cycle accounting up to `now`, fires every completion event due, in heap
+// order, recycling each finished request after its callback returns, then
+// runs one scheduling pass (at most one command) and sets the next wake-up
+// cycle. Before the wake-up cycle it returns at once.
 func (c *Controller) Tick(now int64) {
-	if now < c.wake && !c.verifyWake {
-		return // the common case, decided without a call into either half
-	}
-	c.TickEvents(now)
-	c.TickSchedule(now)
-}
-
-// verifyNoCompletionDue is the completion half of the verifyWake check: a
-// skipped cycle must have no completion to fire.
-func (c *Controller) verifyNoCompletionDue(now int64) {
-	if c.verifyWake && len(c.events) > 0 && c.events[0].at <= now {
-		panic(fmt.Sprintf("ctrl: ch%d slept through cycle %d (wake %d) with a completion due at %d",
-			c.Cfg.ChannelID, now, c.wake, c.events[0].at))
-	}
-}
-
-// TickEvents is the completion half of Tick: it advances the device's
-// per-cycle accounting and fires every completion event due at now, in heap
-// order, recycling each finished request after its callback returns.
-func (c *Controller) TickEvents(now int64) {
 	if now < c.wake {
-		c.verifyNoCompletionDue(now)
+		if c.verifyWake {
+			c.verifySkip(now)
+		}
 		return
 	}
 	c.Dev.Tick(now)
@@ -553,49 +550,6 @@ func (c *Controller) TickEvents(now int64) {
 		}
 		c.PutRequest(e.req)
 	}
-}
-
-// TickEventsDeferred is TickEvents with delivery detached: events due at now
-// are popped in the exact order TickEvents would fire them, appended to buf,
-// and returned for a later CompleteDeferred. The sharded tick loop uses this
-// to pop per-channel events concurrently while the completion callbacks —
-// which touch the shared LLC — run on one goroutine in fixed channel order.
-func (c *Controller) TickEventsDeferred(now int64, buf []*Request) []*Request {
-	if now < c.wake {
-		c.verifyNoCompletionDue(now)
-		return buf
-	}
-	c.Dev.Tick(now)
-	for len(c.events) > 0 && c.events[0].at <= now {
-		buf = append(buf, c.events.pop().req)
-	}
-	return buf
-}
-
-// CompleteDeferred fires and recycles completions collected by
-// TickEventsDeferred, replicating TickEvents' per-event sequence: the Done
-// callback, then recycling. The slice contents are consumed.
-func (c *Controller) CompleteDeferred(now int64, reqs []*Request) {
-	for _, r := range reqs {
-		if r.Done != nil {
-			r.Done(now, r.Line)
-		}
-		c.PutRequest(r)
-	}
-}
-
-// TickSchedule is the scheduling half of Tick: one scheduling pass, then the
-// next wake-up cycle. It brings the device's accounting up to `now` itself
-// (Dev.Tick is idempotent): in the sharded loop the completion half may have
-// been skipped before another channel's completion enqueued a request here.
-func (c *Controller) TickSchedule(now int64) {
-	if now < c.wake {
-		if c.verifyWake {
-			c.verifySkip(now)
-		}
-		return
-	}
-	c.Dev.Tick(now)
 	if c.schedulePass(now) {
 		c.wake = now + 1
 		return
@@ -631,10 +585,15 @@ func (c *Controller) sleepUntil(now int64) int64 {
 	return c.nextReady
 }
 
-// verifySkip re-runs the scheduling pass in a cycle the wake-up contract
-// skipped and panics unless the pass is the no-op the contract promised: no
-// command, no side effect, and the same wake-up cycle again.
+// verifySkip checks both halves of a cycle the wake-up contract skipped: no
+// completion may be due, and re-running the scheduling pass must be the no-op
+// the contract promised — no command, no side effect, and the same wake-up
+// cycle again. It panics otherwise.
 func (c *Controller) verifySkip(now int64) {
+	if len(c.events) > 0 && c.events[0].at <= now {
+		panic(fmt.Sprintf("ctrl: ch%d slept through cycle %d (wake %d) with a completion due at %d",
+			c.Cfg.ChannelID, now, c.wake, c.events[0].at))
+	}
 	draining := c.draining
 	issued := c.schedulePass(now)
 	if w := c.sleepUntil(now); issued || c.poll || draining != c.draining || w != c.wake {

@@ -1,6 +1,9 @@
 package dram
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func testChannel(t *testing.T, copyRows int) (*Channel, *Checker) {
 	t.Helper()
@@ -323,4 +326,30 @@ func TestIllegalCommandPanics(t *testing.T) {
 		}
 	}()
 	c.RD(Addr{Row: 0}, 0)
+}
+
+// TestStatsSubCoversEveryField sets every int64 field of two Stats to distinct
+// values and requires Sub and Add to combine each with its own counterpart: a
+// counter added to Stats but not to Sub would otherwise report its whole-run
+// value for the measured interval, silently.
+func TestStatsSubCoversEveryField(t *testing.T) {
+	var a, b Stats
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		if av.Field(i).Kind() != reflect.Int64 {
+			t.Fatalf("Stats.%s is not an int64: decide how Sub treats it and extend this test", av.Type().Field(i).Name)
+		}
+		av.Field(i).SetInt(int64(1000 * (i + 1)))
+		bv.Field(i).SetInt(int64(i + 1))
+	}
+	diff, sum := reflect.ValueOf(a.Sub(b)), reflect.ValueOf(a.Add(b))
+	for i := 0; i < av.NumField(); i++ {
+		name := av.Type().Field(i).Name
+		if got, want := diff.Field(i).Int(), int64(999*(i+1)); got != want {
+			t.Errorf("Sub: %s = %d, want %d", name, got, want)
+		}
+		if got, want := sum.Field(i).Int(), int64(1001*(i+1)); got != want {
+			t.Errorf("Add: %s = %d, want %d", name, got, want)
+		}
+	}
 }

@@ -123,7 +123,6 @@ type Runner struct {
 	ctx       context.Context
 	verify    bool
 	telemetry int64
-	shards    int
 	run       func(context.Context, crow.Options) (crow.Report, error)
 }
 
@@ -137,7 +136,6 @@ type runnerConfig struct {
 	ctx       context.Context
 	verify    bool
 	telemetry int64
-	shards    int
 	pool      *engine.Pool[crow.Report]
 	backing   engine.Backing[crow.Report]
 	run       func(context.Context, crow.Options) (crow.Report, error)
@@ -175,13 +173,6 @@ func Verify() RunnerOption { return func(c *runnerConfig) { c.verify = true } }
 func Telemetry(every int64) RunnerOption {
 	return func(c *runnerConfig) { c.telemetry = every }
 }
-
-// Shards makes every simulation the runner executes advance its channels on
-// up to n goroutines between synchronization epochs (crow.WithShards). The
-// results are byte-identical to serial runs, so the setting does not enter
-// the memoization key — a sharded run and a serial one share a cache entry.
-// Values below 2 keep the serial tick loop.
-func Shards(n int) RunnerOption { return func(c *runnerConfig) { c.shards = n } }
 
 // UsePool makes the Runner execute on an existing engine pool instead of
 // constructing its own, so independent Runners (e.g. per-request runners in
@@ -237,7 +228,6 @@ func NewRunner(s Scale, opts ...RunnerOption) *Runner {
 		ctx:       cfg.ctx,
 		verify:    cfg.verify,
 		telemetry: cfg.telemetry,
-		shards:    cfg.shards,
 		run:       cfg.run,
 	}
 }
@@ -274,9 +264,6 @@ func (r *Runner) scaled(o crow.Options) crow.Options {
 // violations (only possible when the runner verifies).
 func (r *Runner) exec(o crow.Options) func(context.Context) (crow.Report, error) {
 	return func(ctx context.Context) (crow.Report, error) {
-		if r.shards > 1 {
-			ctx = crow.WithShards(ctx, r.shards)
-		}
 		if r.telemetry > 0 {
 			key, label := o.Key(), runLabel(o)
 			ctx = obs.With(ctx, &obs.Observers{

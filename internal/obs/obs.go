@@ -65,7 +65,7 @@ func (o *Observers) Bind(channels int, geo dram.Geometry, t dram.Timing) {
 		return
 	}
 	if o.TraceCapacity > 0 {
-		o.tracer = NewTracer(o.TraceCapacity, channels, geo, t)
+		o.tracer = NewTracer(o.TraceCapacity, geo, t)
 	}
 	if o.SnapshotEvery > 0 {
 		o.telem = NewTelemetry(channels, geo, t)
@@ -186,27 +186,6 @@ func (o *Observers) TakeSnapshot(cycle int64) {
 	}
 	if o.OnSnapshot != nil {
 		o.OnSnapshot(s)
-	}
-}
-
-// BeginTickWindow opens a parallel-tick staging window: until EndTickWindow,
-// tracer records route into per-channel staging buffers so the sharded tick
-// loop's channel goroutines never touch the shared ring. Telemetry needs no
-// staging — its counters are already indexed by channel, so concurrent
-// writers touch disjoint state. Nil-safe and a no-op without a tracer; the
-// sharded loop calls the pair once per DRAM tick.
-func (o *Observers) BeginTickWindow() {
-	if o != nil && o.tracer != nil {
-		o.tracer.StageWindow(true)
-	}
-}
-
-// EndTickWindow closes the staging window, merging staged tracer events into
-// the ring in fixed channel order — the order the serial loop records them,
-// since every in-window event is emitted by a channel's scheduling phase.
-func (o *Observers) EndTickWindow() {
-	if o != nil && o.tracer != nil {
-		o.tracer.DrainStaged()
 	}
 }
 

@@ -30,9 +30,8 @@ func NewTraceID() TraceID {
 type traceKey struct{}
 
 // WithTrace returns a context carrying the trace ID. The service stamps the
-// run context with it so every layer below — and, later, every node a
-// sharded job fans out to — can correlate its work back to the admitting
-// request without the ID entering any memoization key.
+// run context with it so every layer below can correlate its work back to the
+// admitting request without the ID entering any memoization key.
 func WithTrace(ctx context.Context, id TraceID) context.Context {
 	return context.WithValue(ctx, traceKey{}, id)
 }

@@ -28,7 +28,7 @@ func cmdEvent(cycle int64, cmd dram.Command, bank int) dram.CmdEvent {
 // counts the overwritten ones, and replays in record order.
 func TestTracerRingOverwrite(t *testing.T) {
 	g, tm := testShape()
-	tr := NewTracer(4, 1, g, tm)
+	tr := NewTracer(4, g, tm)
 	for i := 0; i < 10; i++ {
 		tr.Command(cmdEvent(int64(i), dram.CmdRD, 0))
 	}
@@ -52,7 +52,7 @@ func TestTracerRingOverwrite(t *testing.T) {
 // not allocate (the tracer sits on the simulation hot path).
 func TestTracerNoAllocationSteadyState(t *testing.T) {
 	g, tm := testShape()
-	tr := NewTracer(64, 1, g, tm)
+	tr := NewTracer(64, g, tm)
 	ev := cmdEvent(0, dram.CmdRD, 0)
 	for i := 0; i < 128; i++ {
 		tr.Command(ev)
@@ -88,7 +88,7 @@ type chromeTrace struct {
 // 0.625 ns per DRAM cycle.
 func TestWriteChromeTrace(t *testing.T) {
 	g, tm := testShape()
-	tr := NewTracer(100, 1, g, tm)
+	tr := NewTracer(100, g, tm)
 	tr.Command(cmdEvent(100, dram.CmdACT, 2))
 	tr.Command(cmdEvent(160, dram.CmdACTt, 3))
 	tr.Sched(ctrl.SchedEvent{Kind: ctrl.SchedRowHit, Cycle: 170,
@@ -168,7 +168,7 @@ func TestWriteChromeTrace(t *testing.T) {
 // byte-identical (metadata ordering is sorted, not map-ordered).
 func TestWriteChromeTraceDeterministic(t *testing.T) {
 	g, tm := testShape()
-	tr := NewTracer(100, 4, g, tm)
+	tr := NewTracer(100, g, tm)
 	for ch := 0; ch < 4; ch++ {
 		for b := 0; b < 8; b++ {
 			e := cmdEvent(int64(ch*100+b), dram.CmdACT, b)
@@ -192,7 +192,7 @@ func TestWriteChromeTraceDeterministic(t *testing.T) {
 // steady state (events/sec = 1e9 / ns-per-op).
 func BenchmarkTracerRecord(b *testing.B) {
 	g, tm := testShape()
-	tr := NewTracer(1<<16, 1, g, tm)
+	tr := NewTracer(1<<16, g, tm)
 	ev := cmdEvent(0, dram.CmdRD, 0)
 	b.ReportAllocs()
 	b.ResetTimer()

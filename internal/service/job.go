@@ -49,11 +49,6 @@ type Spec struct {
 	// whole budget queued fails with a deadline error without executing
 	// (0 = the service default).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Shards, when above 1, advances each simulation's channels on up to
-	// that many goroutines between synchronization epochs. Results are
-	// byte-identical to serial runs, so sharded and serial jobs share the
-	// service's cross-request result cache.
-	Shards int `json:"shards,omitempty"`
 }
 
 // Result is a completed job's payload.

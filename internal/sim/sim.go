@@ -100,15 +100,6 @@ type Config struct {
 	// configs leave it zero.
 	MaxMeasureCycles int64
 
-	// Shards, when > 1, advances the DRAM channels on that many worker
-	// goroutines inside each DRAM tick (clamped to the channel count; see
-	// shard.go for the epoch/barrier protocol). Every run is byte-identical
-	// to the serial path at any shard count — completions and observer
-	// events are merged in fixed channel order — so Shards is a pure
-	// execution knob: it rides the run context (crow.WithShards), never the
-	// memoization key. 0 and 1 select today's serial loop.
-	Shards int
-
 	Seed int64
 }
 
@@ -212,17 +203,6 @@ type System struct {
 	// rowSpan/tenants drive the rowstripe translation (rowSpan 0 = hash).
 	rowSpan uint64
 	tenants uint64
-
-	// shr drives the per-channel parallel DRAM tick when Cfg.Shards > 1;
-	// nil selects the serial loop. Created and torn down by RunContext.
-	shr *shardRunner
-
-	// testSuppressT2 is a test-only fault hook: when set, a sharded run
-	// skips the scheduling half of the tick for channels the hook claims at
-	// that cycle, modeling a channel that misses its synchronization epoch.
-	// The oracle-under-parallelism tests use it to prove a broken barrier
-	// is caught by -verify.
-	testSuppressT2 func(ch int, now int64) bool
 }
 
 // memPort adapts the controllers to the cache's Memory interface.
@@ -232,7 +212,6 @@ func (m memPort) SendRead(lineAddr uint64, pref bool) bool {
 	s := m.s
 	a := s.Mapper.Decode(lineAddr)
 	c := s.Ctrls[a.Channel]
-	s.shr.syncChannel(a.Channel)
 	req := c.GetRequest()
 	req.Type = ctrl.Read
 	req.Addr = a
@@ -250,7 +229,6 @@ func (m memPort) SendWrite(lineAddr uint64) bool {
 	s := m.s
 	a := s.Mapper.Decode(lineAddr)
 	c := s.Ctrls[a.Channel]
-	s.shr.syncChannel(a.Channel)
 	req := c.GetRequest()
 	req.Type = ctrl.Write
 	req.Addr = a
@@ -419,12 +397,8 @@ func (s *System) tick() {
 	if int64(s.accum) >= s.ratioDen {
 		s.accum -= int(s.ratioDen)
 		s.dramCycle++
-		if s.shr != nil {
-			s.shr.tickDram(s.dramCycle)
-		} else {
-			for _, c := range s.Ctrls {
-				c.Tick(s.dramCycle)
-			}
+		for _, c := range s.Ctrls {
+			c.Tick(s.dramCycle)
 		}
 	}
 }
@@ -510,13 +484,6 @@ const cancelCheckMask = 1<<14 - 1
 // polls ctx periodically and abandons the run (returning ctx's error) once
 // it is canceled or past its deadline.
 func (s *System) RunContext(ctx context.Context) (Result, error) {
-	if s.Cfg.Shards > 1 && len(s.Ctrls) > 1 && s.shr == nil {
-		s.shr = newShardRunner(s, s.Cfg.Shards)
-		defer func() {
-			s.shr.stop()
-			s.shr = nil
-		}()
-	}
 	// Warmup.
 	warmLimit := s.Cfg.WarmupInsts*int64(len(s.Cores))*10_000 + 10_000_000
 	if s.Cfg.MaxMeasureCycles > 0 && warmLimit > s.Cfg.MaxMeasureCycles {
@@ -615,11 +582,9 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 
 	params := energy.DefaultParams()
 	for i, c := range s.Ctrls {
-		var dev dram.Stats
-		dev = diffDram(c.Dev.Stats, devSnap[i])
-		res.DRAM = addDram(res.DRAM, dev)
-		cs := diffCtrl(c.Stats, ctrlSnap[i])
-		res.Ctrl = addCtrl(res.Ctrl, cs)
+		dev := c.Dev.Stats.Sub(devSnap[i])
+		res.DRAM = res.DRAM.Add(dev)
+		res.Ctrl = res.Ctrl.Add(c.Stats.Sub(ctrlSnap[i]))
 		res.Energy = res.Energy.Add(energy.Compute(dev, s.Cfg.T, res.DRAMCycles, params))
 	}
 	// Mean read latency weighted by each channel's read count. Averaging
@@ -633,7 +598,7 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 	res.ReadP50Ns = allLat.Percentile(50) * s.Cfg.T.CycleTime()
 	res.ReadP99Ns = allLat.Percentile(99) * s.Cfg.T.CycleTime()
 	if cw, ok := core.Unwrap(s.Mech).(*core.CROW); ok {
-		res.CROW = diffCROW(cw.Stats, crowSnap)
+		res.CROW = cw.Stats.Sub(crowSnap)
 	}
 	s.Cfg.Obs.Finish(s.dramCycle)
 	if s.Oracle != nil {
@@ -671,66 +636,4 @@ func shadowDataApplies(mech core.Mechanism) bool {
 		return false
 	}
 	return true
-}
-
-func diffDram(a, b dram.Stats) dram.Stats {
-	return dram.Stats{
-		ACT: a.ACT - b.ACT, ACTTwo: a.ACTTwo - b.ACTTwo, ACTCopy: a.ACTCopy - b.ACTCopy,
-		ACTCopyRow: a.ACTCopyRow - b.ACTCopyRow, PRE: a.PRE - b.PRE,
-		RD: a.RD - b.RD, WR: a.WR - b.WR, REF: a.REF - b.REF, REFpb: a.REFpb - b.REFpb,
-		ActRasSingle:        a.ActRasSingle - b.ActRasSingle,
-		ActRasMRA:           a.ActRasMRA - b.ActRasMRA,
-		OpenBufferCycles:    a.OpenBufferCycles - b.OpenBufferCycles,
-		ActiveStandbyCycles: a.ActiveStandbyCycles - b.ActiveStandbyCycles,
-		RefreshBusyCycles:   a.RefreshBusyCycles - b.RefreshBusyCycles,
-		RDBusyCycles:        a.RDBusyCycles - b.RDBusyCycles,
-		WRBusyCycles:        a.WRBusyCycles - b.WRBusyCycles,
-	}
-}
-
-func addDram(a, b dram.Stats) dram.Stats { return diffDram(a, negDram(b)) }
-
-func negDram(b dram.Stats) dram.Stats {
-	return dram.Stats{
-		ACT: -b.ACT, ACTTwo: -b.ACTTwo, ACTCopy: -b.ACTCopy, ACTCopyRow: -b.ACTCopyRow,
-		PRE: -b.PRE, RD: -b.RD, WR: -b.WR, REF: -b.REF, REFpb: -b.REFpb,
-		ActRasSingle:        -b.ActRasSingle,
-		ActRasMRA:           -b.ActRasMRA,
-		OpenBufferCycles:    -b.OpenBufferCycles,
-		ActiveStandbyCycles: -b.ActiveStandbyCycles,
-		RefreshBusyCycles:   -b.RefreshBusyCycles,
-		RDBusyCycles:        -b.RDBusyCycles,
-		WRBusyCycles:        -b.WRBusyCycles,
-	}
-}
-
-func diffCtrl(a, b ctrl.Stats) ctrl.Stats {
-	return ctrl.Stats{
-		ReadsServed: a.ReadsServed - b.ReadsServed, WritesServed: a.WritesServed - b.WritesServed,
-		ReadLatencySum: a.ReadLatencySum - b.ReadLatencySum,
-		RowHits:        a.RowHits - b.RowHits, RowMisses: a.RowMisses - b.RowMisses,
-		RowConflicts: a.RowConflicts - b.RowConflicts, Forwarded: a.Forwarded - b.Forwarded,
-		Refreshes: a.Refreshes - b.Refreshes, TimeoutCloses: a.TimeoutCloses - b.TimeoutCloses,
-		MechCopies: a.MechCopies - b.MechCopies, Scrubs: a.Scrubs - b.Scrubs,
-	}
-}
-
-func addCtrl(a, b ctrl.Stats) ctrl.Stats {
-	return diffCtrl(a, ctrl.Stats{
-		ReadsServed: -b.ReadsServed, WritesServed: -b.WritesServed,
-		ReadLatencySum: -b.ReadLatencySum,
-		RowHits:        -b.RowHits, RowMisses: -b.RowMisses,
-		RowConflicts: -b.RowConflicts, Forwarded: -b.Forwarded,
-		Refreshes: -b.Refreshes, TimeoutCloses: -b.TimeoutCloses,
-		MechCopies: -b.MechCopies, Scrubs: -b.Scrubs,
-	})
-}
-
-func diffCROW(a, b core.Stats) core.Stats {
-	return core.Stats{
-		Hits: a.Hits - b.Hits, Misses: a.Misses - b.Misses,
-		Copies: a.Copies - b.Copies, Evictions: a.Evictions - b.Evictions,
-		RestoreOps: a.RestoreOps - b.RestoreOps, RefRemaps: a.RefRemaps - b.RefRemaps,
-		HamRemaps: a.HamRemaps - b.HamRemaps, Fallback: a.Fallback,
-	}
 }

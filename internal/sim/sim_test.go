@@ -268,7 +268,7 @@ func TestDeterminism(t *testing.T) {
 func TestAvgReadNsWeightsByChannelLoad(t *testing.T) {
 	hot := ctrl.Stats{ReadsServed: 1_000_000, ReadLatencySum: 40_000_000} // mean 40 cycles
 	idle := ctrl.Stats{ReadsServed: 4, ReadLatencySum: 4_000}             // mean 1000 cycles
-	sum := addCtrl(hot, idle)
+	sum := hot.Add(idle)
 	want := float64(hot.ReadLatencySum+idle.ReadLatencySum) /
 		float64(hot.ReadsServed+idle.ReadsServed) * dram.Cycle
 	if got := sum.AvgReadLatencyNs(dram.Cycle); got != want {

@@ -18,11 +18,18 @@ func verifyConfig(insts int64) Config {
 
 func mcfGens(t *testing.T, seed int64) []trace.Generator {
 	t.Helper()
-	app, err := trace.ByName("mcf")
-	if err != nil {
-		t.Fatal(err)
+	return appGens(t, seed, "mcf")
+}
+
+// appGens builds one generator per named application, core i seeded seed+i.
+// Every run needs a fresh set (generators advance as they are consumed).
+func appGens(t *testing.T, seed int64, names ...string) []trace.Generator {
+	t.Helper()
+	gens := make([]trace.Generator, len(names))
+	for i, name := range names {
+		gens[i] = gen(name, seed+int64(i), t)
 	}
-	return []trace.Generator{app.Gen(seed)}
+	return gens
 }
 
 func newVerifiedCROW(cfg Config) *core.CROW {

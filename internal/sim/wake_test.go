@@ -80,7 +80,7 @@ var wakeMechs = []struct {
 // closes, scrubbing and idle skips all occur — and fails on a truncated run.
 func runWake(t *testing.T, cfg Config, mech core.Mechanism, apps ...string) Result {
 	t.Helper()
-	res := New(cfg, mech, shardGens(t, 1, apps...)).Run()
+	res := New(cfg, mech, appGens(t, 1, apps...)).Run()
 	if res.Truncated {
 		t.Error("run was truncated")
 	}
@@ -174,30 +174,6 @@ func TestWakeSkipIsNoOpHammerMitigations(t *testing.T) {
 				}
 				runWake(t, cfg, mech, "hammer-double", "mcf")
 			})
-		}
-	}
-}
-
-// TestShardedWakeSkipIsNoOp runs the check through the sharded loop's halves,
-// where a channel whose completion half slept can be woken by another
-// channel's completion before its scheduling half runs, and requires the
-// result to equal the serial run's.
-func TestShardedWakeSkipIsNoOp(t *testing.T) {
-	verifyWake(t)
-	cfg := DefaultFor(mustStandard(t, "hbm2"), 8, dram.Density8Gb, 64)
-	cfg.WarmupInsts, cfg.MeasureInsts = 2_000, 15_000
-	apps := []string{"mcf", "gcc", "lbm", "povray"}
-	var build func(Config) core.Mechanism
-	for _, m := range wakeMechs {
-		if m.name == "crow-cache+ref" { // mechanism copies in flight
-			build = m.build
-		}
-	}
-	serial := runWake(t, cfg, build(cfg), apps...)
-	for _, shards := range []int{2, 8} {
-		cfg.Shards = shards
-		if got := runWake(t, cfg, build(cfg), apps...); fmt.Sprint(got) != fmt.Sprint(serial) {
-			t.Errorf("shards=%d diverged from the serial run:\nserial:  %+v\nsharded: %+v", shards, serial, got)
 		}
 	}
 }

@@ -7,8 +7,6 @@
 package tldram
 
 import (
-	"sync/atomic"
-
 	"crowdram/internal/circuit"
 	"crowdram/internal/core"
 	"crowdram/internal/dram"
@@ -97,16 +95,16 @@ func (m *Mechanism) OnActivate(a dram.Addr, d core.ActDecision, cycle int64) {
 	switch d.Kind {
 	case dram.ActSingle:
 		if d.Timing == m.near {
-			atomic.AddInt64(&m.Stats.Hits, 1)
+			m.Stats.Hits++
 			set[d.CopyRow].Touch(cycle)
 		} else {
-			atomic.AddInt64(&m.Stats.Misses, 1)
+			m.Stats.Misses++
 		}
 	case dram.ActCopy:
-		atomic.AddInt64(&m.Stats.Misses, 1)
-		atomic.AddInt64(&m.Stats.Copies, 1)
+		m.Stats.Misses++
+		m.Stats.Copies++
 		if set[d.CopyRow].Allocated {
-			atomic.AddInt64(&m.Stats.Evictions, 1)
+			m.Stats.Evictions++
 		}
 		set[d.CopyRow] = core.Entry{
 			Allocated:     true,
