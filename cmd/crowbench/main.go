@@ -31,9 +31,18 @@ func main() {
 	}
 }
 
+// expNames lists the registry's experiment names for the -exp help text.
+func expNames() []string {
+	var names []string
+	for _, e := range exp.Experiments() {
+		names = append(names, e.Name)
+	}
+	return names
+}
+
 func run() error {
 	var (
-		which   = flag.String("exp", "all", "comma-separated experiments: table1,fig5..fig14,weakprob,overhead,sharing,restore,refcompare,latcompare,refreshmodes,hammer,hammerlab,tenant,sched,ddr4,ddr5,hbm2, or 'all' / 'analytic' / 'sim' / 'ablations'")
+		which   = flag.String("exp", "all", "comma-separated experiments: "+strings.Join(expNames(), ",")+", or 'all' / 'analytic' / 'sim' / 'ablations'")
 		asJSON  = flag.Bool("json", false, "emit results as a JSON array of tables")
 		insts   = flag.Int64("insts", 300_000, "measured instructions per core")
 		mixes   = flag.Int("mixes", 3, "four-core mixes per workload group")

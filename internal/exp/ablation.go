@@ -21,19 +21,6 @@ type SharingResult struct{ Points []SharingPoint }
 
 var sharingGroups = []int{1, 2, 4, 8}
 
-// TableSharingPlan declares the sharing ablation's runs.
-func TableSharingPlan(r *Runner) []crow.Options {
-	var plan []crow.Options
-	for _, share := range sharingGroups {
-		for _, app := range r.singleApps() {
-			plan = append(plan,
-				crow.Options{Mechanism: crow.Baseline, Workloads: []string{app.Name}},
-				crow.Options{Mechanism: crow.Cache, TableShareGroup: share, Workloads: []string{app.Name}})
-		}
-	}
-	return plan
-}
-
 // TableSharing evaluates the Section 6.1 storage optimization: sharing one
 // CROW-table entry set across 1/2/4/8 subarrays. The paper reports the
 // average single-core speedup dropping from 7.1 % to 6.1 % when sharing
@@ -42,16 +29,12 @@ func TableSharing(r *Runner) (SharingResult, error) {
 	var res SharingResult
 	for _, share := range sharingGroups {
 		var sp []float64
-		for _, app := range r.singleApps() {
-			base, err := r.Run(crow.Options{Mechanism: crow.Baseline, Workloads: []string{app.Name}})
-			if err != nil {
-				return SharingResult{}, err
-			}
-			rep, err := r.Run(crow.Options{Mechanism: crow.Cache, TableShareGroup: share, Workloads: []string{app.Name}})
-			if err != nil {
-				return SharingResult{}, err
-			}
-			sp = append(sp, metrics.Speedup(rep.IPC[0], base.IPC[0]))
+		err := r.eachApp(crow.Options{Mechanism: crow.Baseline},
+			crow.Options{Mechanism: crow.Cache, TableShareGroup: share}, func(base, rep crow.Report) {
+				sp = append(sp, metrics.Speedup(rep.IPC[0], base.IPC[0]))
+			})
+		if err != nil {
+			return SharingResult{}, err
 		}
 		res.Points = append(res.Points, SharingPoint{
 			ShareGroup: share,
@@ -100,20 +83,6 @@ type RestoreResult struct {
 	FullRestore float64
 	// RestoreOpsEager counts the inline restore passes under Eager.
 	RestoreOpsEager int64
-}
-
-// RestorePolicyPlan declares the restore-policy ablation's runs.
-func RestorePolicyPlan(r *Runner) []crow.Options {
-	var plan []crow.Options
-	for _, app := range r.singleApps() {
-		w := []string{app.Name}
-		plan = append(plan,
-			crow.Options{Mechanism: crow.Baseline, Workloads: w},
-			crow.Options{Mechanism: crow.Cache, Workloads: w},
-			crow.Options{Mechanism: crow.Cache, EagerRestore: true, Workloads: w},
-			crow.Options{Mechanism: crow.Cache, FullRestore: true, Workloads: w})
-	}
-	return plan
 }
 
 // RestorePolicy evaluates the restoration/eviction policy space: the value
@@ -199,21 +168,6 @@ func refCompareConfigs() []struct {
 	}
 }
 
-// RefComparisonPlan declares the refresh-comparison runs.
-func RefComparisonPlan(r *Runner) []crow.Options {
-	var plan []crow.Options
-	for _, cfg := range refCompareConfigs() {
-		for _, app := range r.singleApps() {
-			o := cfg.o
-			o.Workloads = []string{app.Name}
-			plan = append(plan,
-				crow.Options{Mechanism: crow.Baseline, DensityGbit: 64, Workloads: []string{app.Name}},
-				o)
-		}
-	}
-	return plan
-}
-
 // RefComparison pits CROW-ref against a RAIDR-style retention-aware refresh
 // baseline (footnote 4) on the single-core suite with futuristic 64 Gbit
 // chips. Both halve the bulk refresh rate; RAIDR pays per-weak-row refresh
@@ -224,20 +178,13 @@ func RefComparison(r *Runner) (RefCompareResult, error) {
 	for _, cfg := range refCompareConfigs() {
 		var sp, en []float64
 		var rowRef int64
-		for _, app := range r.singleApps() {
-			base, err := r.Run(crow.Options{Mechanism: crow.Baseline, DensityGbit: 64, Workloads: []string{app.Name}})
-			if err != nil {
-				return RefCompareResult{}, err
-			}
-			o := cfg.o
-			o.Workloads = []string{app.Name}
-			rep, err := r.Run(o)
-			if err != nil {
-				return RefCompareResult{}, err
-			}
+		err := r.eachApp(crow.Options{Mechanism: crow.Baseline, DensityGbit: 64}, cfg.o, func(base, rep crow.Report) {
 			sp = append(sp, metrics.Speedup(rep.IPC[0], base.IPC[0]))
 			en = append(en, rep.EnergyNJ.Total()/base.EnergyNJ.Total())
 			rowRef += rep.RowRefreshOps
+		})
+		if err != nil {
+			return RefCompareResult{}, err
 		}
 		res.Rows = append(res.Rows, RefCompareRow{
 			Name: cfg.name, Speedup: metrics.Mean(sp), EnergyRatio: metrics.Mean(en),
@@ -290,12 +237,6 @@ func hammerOpts() (base, mit crow.Options) {
 	mit = common
 	mit.Mechanism = crow.Hammer
 	return base, mit
-}
-
-// HammerAttackPlan declares the RowHammer experiment's runs.
-func HammerAttackPlan(r *Runner) []crow.Options {
-	base, mit := hammerOpts()
-	return []crow.Options{base, mit}
 }
 
 // HammerAttack runs the synthetic hammering probe with and without the
@@ -358,20 +299,6 @@ func schedConfigs() []struct {
 	}
 }
 
-// SchedulerSensitivityPlan declares the sensitivity study's runs.
-func SchedulerSensitivityPlan(r *Runner) []crow.Options {
-	var plan []crow.Options
-	for _, cfg := range schedConfigs() {
-		for _, app := range r.singleApps() {
-			plan = append(plan, crow.Options{Mechanism: crow.Baseline, Workloads: []string{app.Name}})
-			o := crow.Options{Mechanism: crow.Baseline, Workloads: []string{app.Name}}
-			cfg.mod(&o)
-			plan = append(plan, o)
-		}
-	}
-	return plan
-}
-
 // SchedulerSensitivity sweeps the FR-FCFS-Cap limit and the row-buffer
 // timeout around the Table 2 defaults (cap 16, 75 ns) on the single-core
 // suite, reporting speedup relative to the defaults.
@@ -379,18 +306,14 @@ func SchedulerSensitivity(r *Runner) (SchedResult, error) {
 	var res SchedResult
 	for _, cfg := range schedConfigs() {
 		var sp []float64
-		for _, app := range r.singleApps() {
-			base, err := r.Run(crow.Options{Mechanism: crow.Baseline, Workloads: []string{app.Name}})
-			if err != nil {
-				return SchedResult{}, err
-			}
-			o := crow.Options{Mechanism: crow.Baseline, Workloads: []string{app.Name}}
-			cfg.mod(&o)
-			rep, err := r.Run(o)
-			if err != nil {
-				return SchedResult{}, err
-			}
+		base := crow.Options{Mechanism: crow.Baseline}
+		arm := base
+		cfg.mod(&arm)
+		err := r.eachApp(base, arm, func(base, rep crow.Report) {
 			sp = append(sp, metrics.Speedup(rep.IPC[0], base.IPC[0]))
+		})
+		if err != nil {
+			return SchedResult{}, err
 		}
 		res.Rows = append(res.Rows, SchedRow{Name: cfg.name, Speedup: metrics.Mean(sp)})
 	}

@@ -1,10 +1,14 @@
 package exp
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"crowdram/internal/dram"
 	"crowdram/internal/engine"
 )
 
@@ -108,18 +112,20 @@ func TestRunnerMemoizes(t *testing.T) {
 	}
 }
 
-// TestPlanCoversReduce asserts the tentpole invariant: after Execute(Plan),
-// the reduce phase performs zero fresh simulations — every run it requests,
-// including recursive alone-run baselines, was declared in the plan.
+// TestPlanCoversReduce asserts that after Execute(PlanAll), the reduce phase
+// performs zero fresh simulations. The plan is recorded from the reduce code
+// itself, so it cannot omit a request that depends only on the scale; what a
+// recording cannot see is a request that depends on an earlier report's
+// contents (the placeholder reports are all zeros), and this test is the
+// guard that fails if one is ever written.
 func TestPlanCoversReduce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
 	for _, e := range Experiments() {
-		if e.Plan == nil {
+		if e.Kind == Analytic {
 			continue
 		}
-		e := e
 		t.Run(e.Name, func(t *testing.T) {
 			t.Parallel()
 			var fresh atomic.Int64
@@ -133,7 +139,7 @@ func TestPlanCoversReduce(t *testing.T) {
 					}
 				}
 			}))
-			if err := r.Execute(e.Plan(r)); err != nil {
+			if err := r.Execute(PlanAll(r, []Experiment{e})); err != nil {
 				t.Fatal(err)
 			}
 			close(executed)
@@ -141,9 +147,71 @@ func TestPlanCoversReduce(t *testing.T) {
 				t.Fatal(err)
 			}
 			if n := fresh.Load(); n != 0 {
-				t.Errorf("reduce phase ran %d simulations not declared in the plan", n)
+				t.Errorf("reduce phase ran %d simulations the recorded plan lacks", n)
 			}
 		})
+	}
+}
+
+// TestPlanAllRecords derives every plan at QuickScale without simulating:
+// no reduce function may panic on the placeholder report, every simulation
+// experiment must request something, the distinct-run count is the one the
+// goldens and the benchmark's repro workload were measured with, and the
+// Runner handed to PlanAll executes nothing.
+func TestPlanAllRecords(t *testing.T) {
+	r := NewRunner(QuickScale())
+	distinct := map[string]bool{}
+	for _, o := range PlanAll(r, Experiments()) {
+		distinct[r.KeyOf(o)] = true
+	}
+	if len(distinct) != 419 {
+		t.Errorf("QuickScale plans hold %d distinct runs, want 419", len(distinct))
+	}
+	for _, e := range Experiments() {
+		if n := len(PlanAll(r, []Experiment{e})); (n == 0) != (e.Kind == Analytic) {
+			t.Errorf("%s (%s): %d planned runs", e.Name, e.Kind, n)
+		}
+	}
+	if n := r.Pool().Snapshot().Executions; n != 0 {
+		t.Errorf("deriving plans executed %d simulations", n)
+	}
+}
+
+// TestRegistryHygiene: names are unique, goldens and registry rows pair up
+// one to one (an orphaned golden would otherwise pass silently), and the
+// cross-standard rows track the standards registry.
+func TestRegistryHygiene(t *testing.T) {
+	names := map[string]bool{}
+	var stdRows []string
+	for _, e := range Experiments() {
+		if names[e.Name] {
+			t.Errorf("experiment %q registered twice", e.Name)
+		}
+		names[e.Name] = true
+		if _, err := os.Stat(filepath.Join("testdata", "golden", e.Name+".txt")); err != nil {
+			t.Errorf("experiment %q has no golden: %v", e.Name, err)
+		}
+		if _, err := dram.StandardByName(e.Name); err == nil {
+			stdRows = append(stdRows, e.Name)
+		}
+	}
+	goldens, err := filepath.Glob(filepath.Join("testdata", "golden", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range goldens {
+		if name := strings.TrimSuffix(filepath.Base(g), ".txt"); !names[name] {
+			t.Errorf("golden %s has no registry row", g)
+		}
+	}
+	var want []string
+	for _, std := range dram.StandardNames() {
+		if std != "lpddr4" {
+			want = append(want, std)
+		}
+	}
+	if !reflect.DeepEqual(stdRows, want) {
+		t.Errorf("standards rows = %v, want %v (dram.StandardNames() minus lpddr4)", stdRows, want)
 	}
 }
 

@@ -33,21 +33,6 @@ func latCompareConfigs() []struct {
 	}
 }
 
-// LatencyComparisonPlan declares the latency-comparison runs.
-func LatencyComparisonPlan(r *Runner) []crow.Options {
-	var plan []crow.Options
-	for _, cfg := range latCompareConfigs() {
-		for _, app := range r.singleApps() {
-			o := cfg.o
-			o.Workloads = []string{app.Name}
-			plan = append(plan,
-				crow.Options{Mechanism: crow.Baseline, Workloads: []string{app.Name}},
-				o)
-		}
-	}
-	return plan
-}
-
 // LatencyComparison pits CROW-cache against ChargeCache [26] (short-lived
 // highly-charged-row reuse) on the single-core suite. The paper argues
 // CROW-cache captures more in-DRAM locality because a duplicated row stays
@@ -56,20 +41,13 @@ func LatencyComparison(r *Runner) (LatCompareResult, error) {
 	var res LatCompareResult
 	for _, cfg := range latCompareConfigs() {
 		var sp, en, hr []float64
-		for _, app := range r.singleApps() {
-			base, err := r.Run(crow.Options{Mechanism: crow.Baseline, Workloads: []string{app.Name}})
-			if err != nil {
-				return LatCompareResult{}, err
-			}
-			o := cfg.o
-			o.Workloads = []string{app.Name}
-			rep, err := r.Run(o)
-			if err != nil {
-				return LatCompareResult{}, err
-			}
+		err := r.eachApp(crow.Options{Mechanism: crow.Baseline}, cfg.o, func(base, rep crow.Report) {
 			sp = append(sp, metrics.Speedup(rep.IPC[0], base.IPC[0]))
 			en = append(en, rep.EnergyNJ.Total()/base.EnergyNJ.Total())
 			hr = append(hr, rep.CROWTableHitRate)
+		})
+		if err != nil {
+			return LatCompareResult{}, err
 		}
 		res.Rows = append(res.Rows, LatCompareRow{
 			Name: cfg.name, Speedup: metrics.Mean(sp),
@@ -128,21 +106,6 @@ func refreshModeConfigs() []struct {
 	}
 }
 
-// RefreshModesPlan declares the refresh-mode study's runs.
-func RefreshModesPlan(r *Runner) []crow.Options {
-	var plan []crow.Options
-	for _, cfg := range refreshModeConfigs() {
-		for _, app := range r.singleApps() {
-			w := []string{app.Name}
-			plan = append(plan, crow.Options{Mechanism: crow.Baseline, DensityGbit: 64, Workloads: w})
-			o := crow.Options{Mechanism: crow.Baseline, DensityGbit: 64, Workloads: w}
-			cfg.mod(&o)
-			plan = append(plan, o)
-		}
-	}
-	return plan
-}
-
 // RefreshModes studies the controller's refresh machinery at 64 Gbit, where
 // refresh pressure is highest: all-bank REFab (Table 2 default), elastic
 // postponement of up to 8 REFs [107], LPDDR4 per-bank REFpb, and both.
@@ -151,20 +114,15 @@ func RefreshModes(r *Runner) (RefreshModeResult, error) {
 	var res RefreshModeResult
 	for _, cfg := range refreshModeConfigs() {
 		var sp, en []float64
-		for _, app := range r.singleApps() {
-			w := []string{app.Name}
-			base, err := r.Run(crow.Options{Mechanism: crow.Baseline, DensityGbit: 64, Workloads: w})
-			if err != nil {
-				return RefreshModeResult{}, err
-			}
-			o := crow.Options{Mechanism: crow.Baseline, DensityGbit: 64, Workloads: w}
-			cfg.mod(&o)
-			rep, err := r.Run(o)
-			if err != nil {
-				return RefreshModeResult{}, err
-			}
+		base := crow.Options{Mechanism: crow.Baseline, DensityGbit: 64}
+		arm := base
+		cfg.mod(&arm)
+		err := r.eachApp(base, arm, func(base, rep crow.Report) {
 			sp = append(sp, metrics.Speedup(rep.IPC[0], base.IPC[0]))
 			en = append(en, rep.EnergyNJ.Total()/base.EnergyNJ.Total())
+		})
+		if err != nil {
+			return RefreshModeResult{}, err
 		}
 		res.Rows = append(res.Rows, RefreshModeRow{Name: cfg.name, Speedup: metrics.Mean(sp), Energy: metrics.Mean(en)})
 	}

@@ -28,19 +28,6 @@ type Fig8Result struct {
 
 var fig8Configs = []int{1, 8, 256}
 
-// Fig8Plan declares Figure 8's runs.
-func Fig8Plan(r *Runner) []crow.Options {
-	var plan []crow.Options
-	for _, app := range r.singleApps() {
-		plan = append(plan, crow.Options{Mechanism: crow.Baseline, Workloads: []string{app.Name}})
-		for _, c := range fig8Configs {
-			plan = append(plan, crow.Options{Mechanism: crow.Cache, CopyRows: c, Workloads: []string{app.Name}})
-		}
-		plan = append(plan, crow.Options{Mechanism: crow.IdealCache, Workloads: []string{app.Name}})
-	}
-	return plan
-}
-
 // Fig8 runs the single-core CROW-cache evaluation.
 func Fig8(r *Runner) (Fig8Result, error) {
 	res := Fig8Result{
@@ -144,28 +131,9 @@ func fig9Opts() map[string]crow.Options {
 	}
 }
 
-// fig9Mixes returns the group's mixes, seeded as the reduce phase seeds them.
+// fig9Mixes returns the group's mixes (Figure 10 reuses them).
 func fig9Mixes(r *Runner, gi int, classes []trace.Class) []trace.Mix {
 	return trace.MakeMixes(classes, r.Scale.MixesPerGroup, r.Scale.Seed+int64(gi))
-}
-
-// Fig9Plan declares Figure 9's runs, including the alone-run baselines the
-// weighted speedups depend on.
-func Fig9Plan(r *Runner) []crow.Options {
-	var plan []crow.Options
-	for gi, classes := range trace.Groups {
-		mixes := fig9Mixes(r, gi, classes)
-		for _, mix := range mixes {
-			apps := trace.Names(mix.Apps)
-			plan = append(plan, crow.Options{Mechanism: crow.Baseline, Workloads: apps})
-			for _, o := range fig9Opts() {
-				o.Workloads = apps
-				plan = append(plan, o)
-			}
-		}
-		plan = append(plan, alonePlan(mixes, crow.Options{})...)
-	}
-	return plan
 }
 
 // Fig9 runs the four-core CROW-cache evaluation.
@@ -248,43 +216,16 @@ type Fig10Result struct {
 	FourCore   float64
 }
 
-// Fig10Plan declares Figure 10's runs (all shared with Figure 8 where the
-// workloads overlap; the engine coalesces them).
-func Fig10Plan(r *Runner) []crow.Options {
-	var plan []crow.Options
-	for _, app := range r.singleApps() {
-		plan = append(plan,
-			crow.Options{Mechanism: crow.Baseline, Workloads: []string{app.Name}},
-			crow.Options{Mechanism: crow.Cache, CopyRows: 8, Workloads: []string{app.Name}})
-	}
-	for gi, classes := range trace.Groups {
-		if trace.GroupName(classes) == "LLLL" {
-			continue
-		}
-		for _, mix := range fig9Mixes(r, gi, classes) {
-			apps := trace.Names(mix.Apps)
-			plan = append(plan,
-				crow.Options{Mechanism: crow.Baseline, Workloads: apps},
-				crow.Options{Mechanism: crow.Cache, CopyRows: 8, Workloads: apps})
-		}
-	}
-	return plan
-}
-
 // Fig10 runs the CROW-cache energy evaluation.
 func Fig10(r *Runner) (Fig10Result, error) {
 	var res Fig10Result
 	var single []float64
-	for _, app := range r.singleApps() {
-		base, err := r.Run(crow.Options{Mechanism: crow.Baseline, Workloads: []string{app.Name}})
-		if err != nil {
-			return Fig10Result{}, err
-		}
-		rep, err := r.Run(crow.Options{Mechanism: crow.Cache, CopyRows: 8, Workloads: []string{app.Name}})
-		if err != nil {
-			return Fig10Result{}, err
-		}
-		single = append(single, rep.EnergyNJ.Total()/base.EnergyNJ.Total())
+	err := r.eachApp(crow.Options{Mechanism: crow.Baseline},
+		crow.Options{Mechanism: crow.Cache, CopyRows: 8}, func(base, rep crow.Report) {
+			single = append(single, rep.EnergyNJ.Total()/base.EnergyNJ.Total())
+		})
+	if err != nil {
+		return Fig10Result{}, err
 	}
 	res.SingleCore = metrics.Mean(single)
 
@@ -352,41 +293,19 @@ func fig11Configs() []struct {
 	}
 }
 
-// Fig11Plan declares Figure 11's runs.
-func Fig11Plan(r *Runner) []crow.Options {
-	var plan []crow.Options
-	for _, app := range r.singleApps() {
-		plan = append(plan, crow.Options{Mechanism: crow.Baseline, Workloads: []string{app.Name}})
-		for _, cfg := range fig11Configs() {
-			o := cfg.o
-			o.Workloads = []string{app.Name}
-			plan = append(plan, o)
-		}
-	}
-	return plan
-}
-
 // Fig11 runs the baseline-comparison evaluation.
 func Fig11(r *Runner) (Fig11Result, error) {
 	var res Fig11Result
-	apps := r.singleApps()
 	for _, cfg := range fig11Configs() {
 		var sp, en []float64
 		var area float64
-		for _, app := range apps {
-			base, err := r.Run(crow.Options{Mechanism: crow.Baseline, Workloads: []string{app.Name}})
-			if err != nil {
-				return Fig11Result{}, err
-			}
-			o := cfg.o
-			o.Workloads = []string{app.Name}
-			rep, err := r.Run(o)
-			if err != nil {
-				return Fig11Result{}, err
-			}
+		err := r.eachApp(crow.Options{Mechanism: crow.Baseline}, cfg.o, func(base, rep crow.Report) {
 			sp = append(sp, metrics.Speedup(rep.IPC[0], base.IPC[0]))
 			en = append(en, rep.EnergyNJ.Total()/base.EnergyNJ.Total())
 			area = rep.ChipAreaOverhead
+		})
+		if err != nil {
+			return Fig11Result{}, err
 		}
 		res.Rows = append(res.Rows, Fig11Row{
 			Name: cfg.name, Speedup: metrics.Mean(sp),
@@ -443,20 +362,6 @@ func fig12Apps(r *Runner) []string {
 		return r.Scale.SingleApps
 	}
 	return []string{"libq", "lbm", "mcf", "soplex", "omnetpp", "stream-copy"}
-}
-
-// Fig12Plan declares Figure 12's runs.
-func Fig12Plan(r *Runner) []crow.Options {
-	var plan []crow.Options
-	for _, app := range fig12Apps(r) {
-		w := []string{app}
-		plan = append(plan,
-			crow.Options{Mechanism: crow.Baseline, Workloads: w},
-			crow.Options{Mechanism: crow.Baseline, Workloads: w, Prefetch: true},
-			crow.Options{Mechanism: crow.Cache, Workloads: w},
-			crow.Options{Mechanism: crow.Cache, Workloads: w, Prefetch: true})
-	}
-	return plan
 }
 
 // Fig12 runs the prefetcher-interaction evaluation on a representative
@@ -528,28 +433,6 @@ func fig13Mixes(r *Runner) []trace.Mix {
 		r.Scale.MixesPerGroup, r.Scale.Seed+4)
 }
 
-// Fig13Plan declares Figure 13's runs, including the per-density alone-run
-// baselines.
-func Fig13Plan(r *Runner) []crow.Options {
-	var plan []crow.Options
-	hhhh := fig13Mixes(r)
-	for _, d := range fig13Densities {
-		for _, app := range r.singleApps() {
-			plan = append(plan,
-				crow.Options{Mechanism: crow.Baseline, DensityGbit: d, Workloads: []string{app.Name}},
-				crow.Options{Mechanism: crow.Ref, DensityGbit: d, Workloads: []string{app.Name}})
-		}
-		for _, mix := range hhhh {
-			apps := trace.Names(mix.Apps)
-			plan = append(plan,
-				crow.Options{Mechanism: crow.Baseline, DensityGbit: d, Workloads: apps},
-				crow.Options{Mechanism: crow.Ref, DensityGbit: d, Workloads: apps})
-		}
-		plan = append(plan, alonePlan(hhhh, crow.Options{DensityGbit: d})...)
-	}
-	return plan
-}
-
 // Fig13 runs the CROW-ref evaluation across chip densities.
 func Fig13(r *Runner) (Fig13Result, error) {
 	var res Fig13Result
@@ -560,17 +443,13 @@ func Fig13(r *Runner) (Fig13Result, error) {
 		env := crow.Options{DensityGbit: d}
 
 		var sp, en []float64
-		for _, app := range r.singleApps() {
-			base, err := r.Run(crow.Options{Mechanism: crow.Baseline, DensityGbit: d, Workloads: []string{app.Name}})
-			if err != nil {
-				return Fig13Result{}, err
-			}
-			rep, err := r.Run(crow.Options{Mechanism: crow.Ref, DensityGbit: d, Workloads: []string{app.Name}})
-			if err != nil {
-				return Fig13Result{}, err
-			}
-			sp = append(sp, metrics.Speedup(rep.IPC[0], base.IPC[0]))
-			en = append(en, rep.EnergyNJ.Total()/base.EnergyNJ.Total())
+		err := r.eachApp(crow.Options{Mechanism: crow.Baseline, DensityGbit: d},
+			crow.Options{Mechanism: crow.Ref, DensityGbit: d}, func(base, rep crow.Report) {
+				sp = append(sp, metrics.Speedup(rep.IPC[0], base.IPC[0]))
+				en = append(en, rep.EnergyNJ.Total()/base.EnergyNJ.Total())
+			})
+		if err != nil {
+			return Fig13Result{}, err
 		}
 		p.SingleSpeedup = metrics.Mean(sp)
 		p.SingleEnergy = metrics.Mean(en)
@@ -662,27 +541,6 @@ func fig14Mixes(r *Runner) []trace.Mix {
 		r.Scale.MixesPerGroup, r.Scale.Seed+4)
 	return append(mixes, trace.MakeMixes([]trace.Class{trace.Medium, trace.Medium, trace.High, trace.High},
 		r.Scale.MixesPerGroup, r.Scale.Seed+7)...)
-}
-
-// Fig14Plan declares Figure 14's runs, including per-LLC alone baselines.
-func Fig14Plan(r *Runner) []crow.Options {
-	var plan []crow.Options
-	mixes := fig14Mixes(r)
-	for _, mib := range fig14LLCMiB {
-		llc := int64(mib) << 20
-		for _, mix := range mixes {
-			apps := trace.Names(mix.Apps)
-			plan = append(plan, crow.Options{Mechanism: crow.Baseline, DensityGbit: 64, LLCBytes: llc, Workloads: apps})
-			for _, o := range fig14Opts() {
-				o.DensityGbit = 64
-				o.LLCBytes = llc
-				o.Workloads = apps
-				plan = append(plan, o)
-			}
-		}
-		plan = append(plan, alonePlan(mixes, crow.Options{DensityGbit: 64, LLCBytes: llc})...)
-	}
-	return plan
 }
 
 // Fig14 runs the combined CROW-cache + CROW-ref evaluation across LLC

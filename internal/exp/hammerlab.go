@@ -88,15 +88,6 @@ type HammerLabResult struct {
 	Rows []HammerLabRow
 }
 
-// HammerLabPlan declares the frontier's runs.
-func HammerLabPlan(r *Runner) []crow.Options {
-	var plan []crow.Options
-	for _, arm := range hammerLabArms() {
-		plan = append(plan, arm.o)
-	}
-	return plan
-}
-
 // HammerLab runs every mitigation arm against the same double-sided
 // attacker and reports protection (flips) against cost (slowdown, energy,
 // extra refresh work) relative to the unmitigated run.
@@ -235,15 +226,6 @@ type TenantRow struct {
 type TenantResult struct {
 	VictimAloneIPC float64
 	Rows           []TenantRow
-}
-
-// TenantPlan declares the two-tenant scenario's runs.
-func TenantPlan(r *Runner) []crow.Options {
-	plan := []crow.Options{tenantVictimAlone()}
-	for _, arm := range tenantArms() {
-		plan = append(plan, arm.o)
-	}
-	return plan
 }
 
 // Tenant runs the attacker next to a traced victim under each mitigation

@@ -16,18 +16,17 @@ const (
 	Ablation Kind = "ablations"
 )
 
-// Experiment couples a named experiment's plan phase (the simulation runs
-// it requires, declared up front so they can execute concurrently) with its
-// reduce phase (table assembly from completed, memoized results). Analytic
-// experiments need no simulations: their Plan is nil.
+// Experiment is one named row of the registry. Table states the experiment
+// once: it requests every run it needs through the Runner and assembles the
+// table from the reports. PlanAll derives the experiment's plan by calling
+// Table on a recording Runner, so the requests Table makes must depend only
+// on the Runner's Scale — never on what an earlier report contained, which
+// a recording cannot see (TestPlanCoversReduce is the guard). Analytic
+// experiments request no runs.
 type Experiment struct {
 	Name string
 	Kind Kind
-	// Plan declares every run the reduce phase will request, including
-	// the alone-run baselines behind weighted speedups. nil for
-	// analytic experiments.
-	Plan func(*Runner) []crow.Options
-	// Table assembles the experiment's table. After Execute(Plan(r))
+	// Table assembles the experiment's table. After Execute(PlanAll(...))
 	// it performs no fresh simulation work.
 	Table func(*Runner) (Table, error)
 }
@@ -51,34 +50,30 @@ func analytic(fn func() Table) func(*Runner) (Table, error) {
 // Experiments returns the full registry in canonical order (the order
 // crowbench -exp all renders).
 func Experiments() []Experiment {
-	return []Experiment{
+	return append([]Experiment{
 		{Name: "table1", Kind: Analytic, Table: analytic(Table1)},
 		{Name: "fig5", Kind: Analytic, Table: analytic(Fig5)},
 		{Name: "fig6", Kind: Analytic, Table: analytic(Fig6)},
 		{Name: "fig7", Kind: Analytic, Table: analytic(Fig7)},
 		{Name: "weakprob", Kind: Analytic, Table: analytic(WeakProb)},
 		{Name: "overhead", Kind: Analytic, Table: analytic(Overhead)},
-		{Name: "fig8", Kind: Sim, Plan: Fig8Plan, Table: tab(Fig8)},
-		{Name: "fig9", Kind: Sim, Plan: Fig9Plan, Table: tab(Fig9)},
-		{Name: "fig10", Kind: Sim, Plan: Fig10Plan, Table: tab(Fig10)},
-		{Name: "fig11", Kind: Sim, Plan: Fig11Plan, Table: tab(Fig11)},
-		{Name: "fig12", Kind: Sim, Plan: Fig12Plan, Table: tab(Fig12)},
-		{Name: "fig13", Kind: Sim, Plan: Fig13Plan, Table: tab(Fig13)},
-		{Name: "fig14", Kind: Sim, Plan: Fig14Plan, Table: tab(Fig14)},
-		{Name: "sharing", Kind: Ablation, Plan: TableSharingPlan, Table: tab(TableSharing)},
-		{Name: "restore", Kind: Ablation, Plan: RestorePolicyPlan, Table: tab(RestorePolicy)},
-		{Name: "refcompare", Kind: Ablation, Plan: RefComparisonPlan, Table: tab(RefComparison)},
-		{Name: "latcompare", Kind: Ablation, Plan: LatencyComparisonPlan, Table: tab(LatencyComparison)},
-		{Name: "refreshmodes", Kind: Ablation, Plan: RefreshModesPlan, Table: tab(RefreshModes)},
-		{Name: "hammer", Kind: Ablation, Plan: HammerAttackPlan, Table: tab(HammerAttack)},
-		{Name: "sched", Kind: Ablation, Plan: SchedulerSensitivityPlan, Table: tab(SchedulerSensitivity)},
-		{Name: "hammerlab", Kind: Ablation, Plan: HammerLabPlan, Table: tab(HammerLab)},
-		{Name: "tenant", Kind: Ablation, Plan: TenantPlan, Table: tab(Tenant)},
-		{Name: "ddr4", Kind: Ablation, Plan: DDR4Plan, Table: tab(DDR4Study)},
-		{Name: "ddr5", Kind: Ablation, Plan: DDR5Plan, Table: tab(DDR5Study)},
-		{Name: "hbm2", Kind: Ablation, Plan: HBM2Plan, Table: tab(HBM2Study)},
-		{Name: "lpddr5", Kind: Ablation, Plan: LPDDR5Plan, Table: tab(LPDDR5Study)},
-	}
+		{Name: "fig8", Kind: Sim, Table: tab(Fig8)},
+		{Name: "fig9", Kind: Sim, Table: tab(Fig9)},
+		{Name: "fig10", Kind: Sim, Table: tab(Fig10)},
+		{Name: "fig11", Kind: Sim, Table: tab(Fig11)},
+		{Name: "fig12", Kind: Sim, Table: tab(Fig12)},
+		{Name: "fig13", Kind: Sim, Table: tab(Fig13)},
+		{Name: "fig14", Kind: Sim, Table: tab(Fig14)},
+		{Name: "sharing", Kind: Ablation, Table: tab(TableSharing)},
+		{Name: "restore", Kind: Ablation, Table: tab(RestorePolicy)},
+		{Name: "refcompare", Kind: Ablation, Table: tab(RefComparison)},
+		{Name: "latcompare", Kind: Ablation, Table: tab(LatencyComparison)},
+		{Name: "refreshmodes", Kind: Ablation, Table: tab(RefreshModes)},
+		{Name: "hammer", Kind: Ablation, Table: tab(HammerAttack)},
+		{Name: "sched", Kind: Ablation, Table: tab(SchedulerSensitivity)},
+		{Name: "hammerlab", Kind: Ablation, Table: tab(HammerLab)},
+		{Name: "tenant", Kind: Ablation, Table: tab(Tenant)},
+	}, standardExperiments()...)
 }
 
 // Select resolves a crowbench -exp selection: an experiment name, a kind
@@ -120,14 +115,23 @@ func Select(names []string) ([]Experiment, error) {
 	return sel, nil
 }
 
-// PlanAll concatenates the plans of the selected experiments (the engine
-// deduplicates shared runs by canonical key at execution time).
+// PlanAll returns every run the selected experiments request, in request
+// order: it calls each simulation experiment's Table on a recording Runner
+// at r's scale (see Runner.Run), so the plan cannot disagree with the reduce
+// code. r itself executes nothing. Requests repeated within or across
+// experiments stay in the list; the engine coalesces them by canonical key
+// at execution time.
 func PlanAll(r *Runner, sel []Experiment) []crow.Options {
-	var plan []crow.Options
+	rec := &Runner{Scale: r.Scale, recording: true}
 	for _, e := range sel {
-		if e.Plan != nil {
-			plan = append(plan, e.Plan(r)...)
+		if e.Kind == Analytic {
+			continue
+		}
+		// A recording Run cannot fail, and Run is Table's only source of
+		// errors.
+		if _, err := e.Table(rec); err != nil {
+			panic(fmt.Sprintf("exp: recording %s's plan: %v", e.Name, err))
 		}
 	}
-	return plan
+	return rec.recorded
 }

@@ -4,14 +4,17 @@
 // circuit and retention models; simulation experiments (Figures 8–14) run
 // the full system at a configurable scale.
 //
-// Each simulation experiment is split into a plan phase that declares the
-// runs it needs (a list of crow.Options, including the alone-run baselines
-// behind weighted speedups) and a reduce phase that assembles tables from
-// completed results. Plans execute on a bounded worker pool
-// (internal/engine) with deterministic memoization, so independent runs
-// parallelize across cores while experiments sharing runs (e.g. Figures 8
-// and 10) still pay for them once — and the reduce phase, which re-requests
-// every run it uses, produces byte-identical output at any worker count.
+// Each simulation experiment states its runs once, in the reduce function
+// that requests them (Fig8, Fig9, ...) and assembles a table from the
+// reports. The plan — the list of crow.Options to execute up front,
+// including the alone-run baselines behind weighted speedups — is recorded,
+// not declared: PlanAll calls the same reduce functions on a Runner whose
+// Run lists each request and answers with a placeholder report. Plans
+// execute on a bounded worker pool (internal/engine) with deterministic
+// memoization, so independent runs parallelize across cores while
+// experiments sharing runs (e.g. Figures 8 and 10) still pay for them once
+// — and the reduce phase, which asks for every run again, produces
+// byte-identical output at any worker count.
 package exp
 
 import (
@@ -124,6 +127,11 @@ type Runner struct {
 	verify    bool
 	telemetry int64
 	run       func(context.Context, crow.Options) (crow.Report, error)
+
+	// recording makes Run list its requests in recorded instead of
+	// simulating them; PlanAll derives plans on such a Runner.
+	recording bool
+	recorded  []crow.Options
 }
 
 // RunnerOption configures a Runner.
@@ -142,7 +150,7 @@ type runnerConfig struct {
 }
 
 // Workers sets how many simulations may execute concurrently (the
-// crowbench -j flag). Default 1: plans execute sequentially, in declaration
+// crowbench -j flag). Default 1: plans execute sequentially, in request
 // order.
 func Workers(n int) RunnerOption { return func(c *runnerConfig) { c.workers = n } }
 
@@ -317,13 +325,21 @@ func runLabel(o crow.Options) string {
 }
 
 // Run executes (or recalls) one simulation. A failed run returns its error
-// rather than panicking; the engine propagates it to the CLIs.
+// rather than panicking; the engine propagates it to the CLIs. On a
+// recording Runner nothing executes: the request is listed and the answer is
+// a placeholder whose IPC and MPKI hold one zero per workload, so a reduce
+// function can index them, while every other field is zero.
 func (r *Runner) Run(o crow.Options) (crow.Report, error) {
+	if r.recording {
+		r.recorded = append(r.recorded, o)
+		n := len(o.Workloads)
+		return crow.Report{IPC: make([]float64, n), MPKI: make([]float64, n)}, nil
+	}
 	o = r.scaled(o)
 	return r.pool.Do(r.ctx, o.Key(), runLabel(o), r.exec(o))
 }
 
-// Execute runs a declared plan: every distinct simulation in opts executes
+// Execute runs a plan: every distinct simulation in opts executes
 // once, concurrently up to the worker bound, and the results are memoized
 // for the reduce phase. Duplicate plan entries (and runs shared between
 // experiments) coalesce by canonical key. It returns the first run error.
@@ -365,34 +381,36 @@ func (r *Runner) singleApps() []trace.App {
 	return apps
 }
 
+// eachApp runs base and arm on every app of the single-core suite, the app
+// filled in as their one workload, and hands fn each pair of reports: the
+// loop behind every "arm against its baseline, averaged over the suite" row.
+func (r *Runner) eachApp(base, arm crow.Options, fn func(base, rep crow.Report)) error {
+	for _, app := range r.singleApps() {
+		base.Workloads = []string{app.Name}
+		arm.Workloads = base.Workloads
+		b, err := r.Run(base)
+		if err != nil {
+			return err
+		}
+		rep, err := r.Run(arm)
+		if err != nil {
+			return err
+		}
+		fn(b, rep)
+	}
+	return nil
+}
+
 // aloneIPC returns the app's baseline alone-run IPC under the given
 // environment options (LLC size, density, window), memoized.
 func (r *Runner) aloneIPC(app string, env crow.Options) (float64, error) {
-	rep, err := r.Run(aloneOpts(app, env))
+	env.Mechanism = crow.Baseline
+	env.Workloads = []string{app}
+	rep, err := r.Run(env)
 	if err != nil {
 		return 0, err
 	}
 	return rep.IPC[0], nil
-}
-
-// aloneOpts is the alone-run baseline configuration for one app under env;
-// plan phases declare these as dependencies of every weighted-speedup
-// figure so the recursive baseline runs parallelize too.
-func aloneOpts(app string, env crow.Options) crow.Options {
-	env.Mechanism = crow.Baseline
-	env.Workloads = []string{app}
-	return env
-}
-
-// alonePlan declares the alone-run baselines for a set of multi-core mixes.
-func alonePlan(mixes []trace.Mix, env crow.Options) []crow.Options {
-	var opts []crow.Options
-	for _, mix := range mixes {
-		for _, app := range trace.Names(mix.Apps) {
-			opts = append(opts, aloneOpts(app, env))
-		}
-	}
-	return opts
 }
 
 // ws computes the weighted speedup of a multi-core report against baseline

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"crowdram/crow"
+	"crowdram/internal/dram"
 	"crowdram/internal/metrics"
 )
 
@@ -41,45 +42,21 @@ func standardConfigs(std string) []struct {
 	}
 }
 
-// StandardPlan declares the cross-standard study's runs for one standard.
-func StandardPlan(std string) func(*Runner) []crow.Options {
-	return func(r *Runner) []crow.Options {
-		var plan []crow.Options
-		for _, cfg := range standardConfigs(std) {
-			for _, app := range r.singleApps() {
-				o := cfg.o
-				o.Workloads = []string{app.Name}
-				plan = append(plan,
-					crow.Options{Mechanism: crow.Baseline, Standard: std, Workloads: []string{app.Name}},
-					o)
-			}
-		}
-		return plan
-	}
-}
-
 // StandardStudy runs CROW-cache, CROW-ref and their combination on the named
 // standard's single-core suite, each against that standard's own baseline.
 func StandardStudy(r *Runner, std string) (StandardResult, error) {
 	res := StandardResult{Standard: std}
 	for _, cfg := range standardConfigs(std) {
 		var sp, en, hr, rh, lat []float64
-		for _, app := range r.singleApps() {
-			base, err := r.Run(crow.Options{Mechanism: crow.Baseline, Standard: std, Workloads: []string{app.Name}})
-			if err != nil {
-				return StandardResult{}, err
-			}
-			o := cfg.o
-			o.Workloads = []string{app.Name}
-			rep, err := r.Run(o)
-			if err != nil {
-				return StandardResult{}, err
-			}
+		err := r.eachApp(crow.Options{Mechanism: crow.Baseline, Standard: std}, cfg.o, func(base, rep crow.Report) {
 			sp = append(sp, metrics.Speedup(rep.IPC[0], base.IPC[0]))
 			en = append(en, rep.EnergyNJ.Total()/base.EnergyNJ.Total())
 			hr = append(hr, rep.CROWTableHitRate)
 			rh = append(rh, rep.RowHitRate)
 			lat = append(lat, rep.AvgReadLatencyNs)
+		})
+		if err != nil {
+			return StandardResult{}, err
 		}
 		res.Rows = append(res.Rows, StandardRow{
 			Name: cfg.name, Speedup: metrics.Mean(sp), HitRate: metrics.Mean(hr),
@@ -116,29 +93,18 @@ func (s StandardResult) Table() Table {
 	return t
 }
 
-// DDR4Plan declares the DDR4 cross-standard study's runs.
-func DDR4Plan(r *Runner) []crow.Options { return StandardPlan("ddr4")(r) }
-
-// DDR4Study runs the cross-standard study on DDR4-3200 (all-bank refresh,
-// 16 banks, 8 KiB rows).
-func DDR4Study(r *Runner) (StandardResult, error) { return StandardStudy(r, "ddr4") }
-
-// DDR5Plan declares the DDR5 cross-standard study's runs.
-func DDR5Plan(r *Runner) []crow.Options { return StandardPlan("ddr5")(r) }
-
-// DDR5Study runs the cross-standard study on DDR5-4800 (same-bank refresh).
-func DDR5Study(r *Runner) (StandardResult, error) { return StandardStudy(r, "ddr5") }
-
-// HBM2Plan declares the HBM2 cross-standard study's runs.
-func HBM2Plan(r *Runner) []crow.Options { return StandardPlan("hbm2")(r) }
-
-// HBM2Study runs the cross-standard study on HBM2 (pseudo-channels,
-// per-bank refresh).
-func HBM2Study(r *Runner) (StandardResult, error) { return StandardStudy(r, "hbm2") }
-
-// LPDDR5Plan declares the LPDDR5 cross-standard study's runs.
-func LPDDR5Plan(r *Runner) []crow.Options { return StandardPlan("lpddr5")(r) }
-
-// LPDDR5Study runs the cross-standard study on LPDDR5-6400 (16 banks,
-// per-bank refresh) — the mobile successor to the paper's LPDDR4 baseline.
-func LPDDR5Study(r *Runner) (StandardResult, error) { return StandardStudy(r, "lpddr5") }
+// standardExperiments returns one StandardStudy row per registered standard
+// other than LPDDR4, the paper's device, which every other experiment
+// already runs on: a standard added to internal/dram gets its experiment
+// (and needs its golden) without an edit here.
+func standardExperiments() []Experiment {
+	var exps []Experiment
+	for _, std := range dram.StandardNames() {
+		if std == "lpddr4" {
+			continue
+		}
+		exps = append(exps, Experiment{Name: std, Kind: Ablation,
+			Table: tab(func(r *Runner) (StandardResult, error) { return StandardStudy(r, std) })})
+	}
+	return exps
+}

@@ -408,26 +408,40 @@ func TestNamedExperimentJob(t *testing.T) {
 }
 
 func TestSimulationExperimentJob(t *testing.T) {
-	hook := newTestHook(false)
-	s, ts := newTestService(t, Config{Run: hook.run, EngineWorkers: 4})
-	st, _ := postJob(t, ts, `{"experiment": "fig8"}`)
-	done := waitState(t, ts, st.ID, StateDone)
-	if done.Result == nil || len(done.Result.Tables) != 1 {
-		t.Fatalf("fig8 result = %+v", done.Result)
-	}
-	if hook.execs.Load() == 0 {
-		t.Error("sim experiment must execute runs")
-	}
-	// The job's event log must show engine progress for its plan.
-	evs, _, _ := mustGetJob(t, s, st.ID).EventsSince(0)
-	var runEvents int
-	for _, e := range evs {
-		if e.Kind == KindRun {
-			runEvents++
-		}
-	}
-	if runEvents == 0 {
-		t.Error("experiment job must record run progress events")
+	for _, name := range []string{"fig8", "fig9"} {
+		t.Run(name, func(t *testing.T) {
+			hook := newTestHook(false)
+			s, ts := newTestService(t, Config{Run: hook.run, EngineWorkers: 4})
+			st, _ := postJob(t, ts, `{"experiment": "`+name+`"}`)
+			done := waitState(t, ts, st.ID, StateDone)
+			if done.Result == nil || len(done.Result.Tables) != 1 {
+				t.Fatalf("%s result = %+v", name, done.Result)
+			}
+			if hook.execs.Load() == 0 {
+				t.Error("sim experiment must execute runs")
+			}
+			// The job's event log must show engine progress for its plan.
+			// The log is filtered by the keys of exp.PlanAll, so for the
+			// four-core fig9 it must include the single-app alone runs the
+			// weighted speedups request recursively: the only baseline
+			// runs on one workload that fig9 makes.
+			evs, _, _ := mustGetJob(t, s, st.ID).EventsSince(0)
+			var runEvents, aloneEvents int
+			for _, e := range evs {
+				if e.Kind == KindRun {
+					runEvents++
+					if strings.HasPrefix(e.Run.Label, "baseline on ") && !strings.Contains(e.Run.Label, "+") {
+						aloneEvents++
+					}
+				}
+			}
+			if runEvents == 0 {
+				t.Error("experiment job must record run progress events")
+			}
+			if name == "fig9" && aloneEvents == 0 {
+				t.Error("fig9's event log carries no alone-run baseline: the derived plan lost the recursive requests")
+			}
+		})
 	}
 }
 
