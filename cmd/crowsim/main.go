@@ -40,78 +40,102 @@ func main() {
 // been printed when it is returned.
 var errVerifyFailed = errors.New("verification failed")
 
-func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
+// cli is a parsed command line: the simulation it asks for, and how to run
+// and print it.
+type cli struct {
+	opts crow.Options
+
+	compare, verbose, asJSON, list, listStds    bool
+	jobs, traceCap                              int
+	timeout                                     time.Duration
+	traceOut, cpuProfile, memProfile, execTrace string
+}
+
+// parse binds every simulation flag straight to its crow.Options field. A
+// flag left unset leaves the field zero, which means "default" exactly as it
+// does in JSON and the library, so crow.Options is the only place a default
+// is applied; the help strings merely quote it.
+func parse(args []string, stderr io.Writer) (cli, error) {
+	var c cli
+	o := &c.opts
 	fs := flag.NewFlagSet("crowsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		mech      = fs.String("mech", "baseline", "mechanism: baseline, crow-cache, crow-ref, crow-cache+ref, crow-hammer, ideal-cache, ideal-norefresh, tl-dram, salp, raidr, chargecache")
-		standard  = fs.String("standard", "lpddr4", "memory standard: "+strings.Join(crow.Standards(), ", "))
-		sched     = fs.String("sched", "", "controller scheduler: "+strings.Join(crow.Schedulers(), ", ")+" (default frfcfs-cap)")
-		rowPol    = fs.String("rowpolicy", "", "row-buffer policy: "+strings.Join(crow.RowPolicies(), ", ")+" (default timeout)")
-		mapping   = fs.String("mapping", "", "address mapping: "+strings.Join(crow.Mappings(), ", ")+" (default robarococh)")
-		loads     = fs.String("workloads", "mcf", "comma-separated workload names, one per core (1-4)")
-		traces    = fs.String("traces", "", "comma-separated trace files (tracegen format), one per core; overrides -workloads")
-		copyRows  = fs.Int("copyrows", 8, "copy rows per subarray (CROW-n)")
-		density   = fs.Int("density", 8, "DRAM chip density in Gbit: 8, 16, 32, 64")
-		llcMiB    = fs.Int("llc", 8, "LLC capacity in MiB")
-		llcKiB    = fs.Int("llc-kib", 0, "LLC capacity in KiB, overriding -llc (0 = use -llc); cache-flush attack studies need sub-MiB caches")
-		insts     = fs.Int64("insts", 500_000, "measured instructions per core")
-		warmup    = fs.Int64("warmup", 0, "warmup instructions per core (default insts/10)")
-		seed      = fs.Int64("seed", 1, "random seed")
-		prefetch  = fs.Bool("prefetch", false, "enable the stride prefetcher")
-		tlNear    = fs.Int("tl-near", 8, "TL-DRAM near-segment rows")
-		salpSub   = fs.Int("salp", 128, "SALP subarrays per bank")
-		salpOpen  = fs.Bool("salp-open", false, "SALP open-page policy")
-		hammerT   = fs.Int("hammer-threshold", 2048, "RowHammer detection threshold")
-		mitig     = fs.String("mitigation", "", "RowHammer mitigation: "+strings.Join(crow.Mitigations(), ", ")+" (default none)")
-		paraPM    = fs.Int("para-permille", 0, "PARA neighbour-refresh probability in 1/1000 per ACT (default 5 when -mitigation para)")
-		refScale  = fs.Int("refresh-scale", 0, "refresh-rate multiplier for -mitigation refresh-scale (default 4)")
-		flipHC    = fs.Int("flip-hcfirst", 0, "enable the bit-flip model with this median HC_first threshold (0 = off)")
-		flipJit   = fs.Int("flip-jitter", 0, "flip model per-row threshold jitter in percent (default 25)")
-		flipBlast = fs.Int("flip-blast", 0, "flip model distance-2 blast dose in percent of distance-1 (negative disables)")
-		flipPat   = fs.Int("flip-pattern", 0, "flip model data-pattern threshold scale in percent for the susceptible half of rows (default 75)")
-		transl    = fs.String("translation", "", "virtual-to-physical translation: "+strings.Join(crow.Translations(), ", ")+" (default hash)")
-		share     = fs.Int("table-share", 1, "CROW-table sharing group (Section 6.1)")
-		perBank   = fs.Bool("refpb", false, "use LPDDR4 per-bank refresh")
-		postpone  = fs.Int("postpone", 0, "elastic refresh postponement limit (JEDEC allows 8)")
-		verify    = fs.Bool("verify", false, "run the correctness oracle alongside the simulation and report violations")
-		compare   = fs.Bool("compare", false, "also run the baseline and report speedup/energy savings")
-		jobs      = fs.Int("j", 1, "max simulations in flight for -compare (0 = GOMAXPROCS)")
-		timeout   = fs.Duration("timeout", 0, "per-simulation wall-clock limit (0 = none)")
-		verbose   = fs.Bool("v", false, "print progress per simulation run")
-		asJSON    = fs.Bool("json", false, "emit the report as JSON")
-		list      = fs.Bool("list", false, "list available workloads and exit")
-		listStds  = fs.Bool("list-standards", false, "list registered standards, schedulers, row policies and mappings, then exit")
+	commaList := func(dst *[]string) func(string) error {
+		return func(s string) error { *dst = strings.Split(s, ","); return nil }
+	}
+	fs.StringVar((*string)(&o.Mechanism), "mech", "", "mechanism: baseline, crow-cache, crow-ref, crow-cache+ref, crow-hammer, ideal-cache, ideal-norefresh, tl-dram, salp, raidr, chargecache (default baseline)")
+	fs.StringVar(&o.Standard, "standard", "", "memory standard: "+strings.Join(crow.Standards(), ", ")+" (default lpddr4)")
+	fs.StringVar(&o.Scheduler, "sched", "", "controller scheduler: "+strings.Join(crow.Schedulers(), ", ")+" (default frfcfs-cap)")
+	fs.StringVar(&o.RowPolicy, "rowpolicy", "", "row-buffer policy: "+strings.Join(crow.RowPolicies(), ", ")+" (default timeout)")
+	fs.StringVar(&o.Mapping, "mapping", "", "address mapping: "+strings.Join(crow.Mappings(), ", ")+" (default robarococh)")
+	fs.Func("workloads", "comma-separated workload names, one per core (1-4) (default mcf)", commaList(&o.Workloads))
+	fs.Func("traces", "comma-separated trace files (tracegen format), one per core; overrides -workloads", commaList(&o.TraceFiles))
+	fs.IntVar(&o.CopyRows, "copyrows", 0, "copy rows per subarray (CROW-n) (default 8)")
+	fs.IntVar(&o.DensityGbit, "density", 0, "DRAM chip density in Gbit: 8, 16, 32, 64 (default 8)")
+	llcMiB := fs.Int("llc", 0, "LLC capacity in MiB (default 8)")
+	llcKiB := fs.Int("llc-kib", 0, "LLC capacity in KiB, overriding -llc (0 = use -llc); cache-flush attack studies need sub-MiB caches")
+	fs.Int64Var(&o.MeasureInsts, "insts", 0, "measured instructions per core (default 500000)")
+	fs.Int64Var(&o.WarmupInsts, "warmup", 0, "warmup instructions per core (default insts/10)")
+	fs.Int64Var(&o.Seed, "seed", 0, "random seed (default 1)")
+	fs.BoolVar(&o.Prefetch, "prefetch", false, "enable the stride prefetcher")
+	fs.IntVar(&o.TLDRAMNearRows, "tl-near", 0, "TL-DRAM near-segment rows (default 8)")
+	fs.IntVar(&o.SALPSubarrays, "salp", 0, "SALP subarrays per bank (default 128)")
+	fs.BoolVar(&o.SALPOpenPage, "salp-open", false, "SALP open-page policy")
+	fs.IntVar(&o.HammerThreshold, "hammer-threshold", 0, "RowHammer detection threshold (default 2048)")
+	fs.StringVar(&o.Mitigation, "mitigation", "", "RowHammer mitigation: "+strings.Join(crow.Mitigations(), ", ")+" (default none)")
+	fs.IntVar(&o.ParaPerMille, "para-permille", 0, "PARA neighbour-refresh probability in 1/1000 per ACT (default 5 when -mitigation para)")
+	fs.IntVar(&o.RefreshScale, "refresh-scale", 0, "refresh-rate multiplier for -mitigation refresh-scale (default 4)")
+	fs.IntVar(&o.FlipHCFirst, "flip-hcfirst", 0, "enable the bit-flip model with this median HC_first threshold (0 = off)")
+	fs.IntVar(&o.FlipJitterPct, "flip-jitter", 0, "flip model per-row threshold jitter in percent (default 25)")
+	fs.IntVar(&o.FlipBlastPct, "flip-blast", 0, "flip model distance-2 blast dose in percent of distance-1 (negative disables)")
+	fs.IntVar(&o.FlipPatternPct, "flip-pattern", 0, "flip model data-pattern threshold scale in percent for the susceptible half of rows (default 75)")
+	fs.StringVar(&o.Translation, "translation", "", "virtual-to-physical translation: "+strings.Join(crow.Translations(), ", ")+" (default hash)")
+	fs.IntVar(&o.TableShareGroup, "table-share", 0, "CROW-table sharing group (Section 6.1) (default 1)")
+	fs.BoolVar(&o.PerBankRefresh, "refpb", false, "use LPDDR4 per-bank refresh")
+	fs.IntVar(&o.RefreshPostpone, "postpone", 0, "elastic refresh postponement limit (JEDEC allows 8)")
+	fs.BoolVar(&o.Verify, "verify", false, "run the correctness oracle alongside the simulation and report violations")
 
-		traceOut   = fs.String("trace-out", "", "write a Chrome/Perfetto trace-event JSON of the run (open at ui.perfetto.dev)")
-		traceCap   = fs.Int("trace-cap", 1_000_000, "event-tracer ring capacity; oldest events drop beyond it")
-		cpuProfile = fs.String("cpuprofile", "", "write a Go CPU profile of the simulator process")
-		memProfile = fs.String("memprofile", "", "write a Go heap profile at exit")
-		execTrace  = fs.String("exectrace", "", "write a Go runtime execution trace")
-	)
-	if err := fs.Parse(args); err != nil {
+	fs.BoolVar(&c.compare, "compare", false, "also run the baseline and report speedup/energy savings")
+	fs.IntVar(&c.jobs, "j", 1, "max simulations in flight for -compare (0 = GOMAXPROCS)")
+	fs.DurationVar(&c.timeout, "timeout", 0, "per-simulation wall-clock limit (0 = none)")
+	fs.BoolVar(&c.verbose, "v", false, "print progress per simulation run")
+	fs.BoolVar(&c.asJSON, "json", false, "emit the report as JSON")
+	fs.BoolVar(&c.list, "list", false, "list available workloads and exit")
+	fs.BoolVar(&c.listStds, "list-standards", false, "list registered standards, schedulers, row policies and mappings, then exit")
+	fs.StringVar(&c.traceOut, "trace-out", "", "write a Chrome/Perfetto trace-event JSON of the run (open at ui.perfetto.dev)")
+	fs.IntVar(&c.traceCap, "trace-cap", 1_000_000, "event-tracer ring capacity; oldest events drop beyond it")
+	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a Go CPU profile of the simulator process")
+	fs.StringVar(&c.memProfile, "memprofile", "", "write a Go heap profile at exit")
+	fs.StringVar(&c.execTrace, "exectrace", "", "write a Go runtime execution trace")
+	err := fs.Parse(args)
+	o.LLCBytes = llcBytes(*llcMiB, *llcKiB)
+	return c, err
+}
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
+	c, err := parse(args, stderr)
+	if err != nil {
 		return err
 	}
-
-	if *list {
+	if c.list {
 		fmt.Fprintln(stdout, strings.Join(crow.Workloads(), "\n"))
 		return nil
 	}
-	if *listStds {
+	if c.listStds {
 		fmt.Fprintf(stdout, "standards:    %s\n", strings.Join(crow.Standards(), ", "))
 		fmt.Fprintf(stdout, "schedulers:   %s\n", strings.Join(crow.Schedulers(), ", "))
 		fmt.Fprintf(stdout, "row policies: %s\n", strings.Join(crow.RowPolicies(), ", "))
 		fmt.Fprintf(stdout, "mappings:     %s\n", strings.Join(crow.Mappings(), ", "))
 		return nil
 	}
-	if *traceOut != "" && *compare {
+	if c.traceOut != "" && c.compare {
 		return errors.New("-trace-out traces a single run; it cannot be combined with -compare")
 	}
-	if *traceOut != "" && *traceCap <= 0 {
+	if c.traceOut != "" && c.traceCap <= 0 {
 		return errors.New("-trace-cap must be positive")
 	}
 
-	stopProf, err := obs.StartProfiles(*cpuProfile, *memProfile, *execTrace)
+	stopProf, err := obs.StartProfiles(c.cpuProfile, c.memProfile, c.execTrace)
 	if err != nil {
 		return err
 	}
@@ -121,96 +145,64 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		}
 	}()
 
-	opts := crow.Options{
-		Mechanism:       crow.Mechanism(*mech),
-		Standard:        *standard,
-		Scheduler:       *sched,
-		RowPolicy:       *rowPol,
-		Mapping:         *mapping,
-		Workloads:       strings.Split(*loads, ","),
-		TraceFiles:      splitNonEmpty(*traces),
-		CopyRows:        *copyRows,
-		DensityGbit:     *density,
-		LLCBytes:        llcBytes(*llcMiB, *llcKiB),
-		MeasureInsts:    *insts,
-		WarmupInsts:     *warmup,
-		Seed:            *seed,
-		Prefetch:        *prefetch,
-		TLDRAMNearRows:  *tlNear,
-		SALPSubarrays:   *salpSub,
-		SALPOpenPage:    *salpOpen,
-		HammerThreshold: *hammerT,
-		Mitigation:      *mitig,
-		ParaPerMille:    *paraPM,
-		RefreshScale:    *refScale,
-		FlipHCFirst:     *flipHC,
-		FlipJitterPct:   *flipJit,
-		FlipBlastPct:    *flipBlast,
-		FlipPatternPct:  *flipPat,
-		Translation:     *transl,
-		TableShareGroup: *share,
-		PerBankRefresh:  *perBank,
-		RefreshPostpone: *postpone,
-		Verify:          *verify,
-	}
 	// Reject unknown names (standard, scheduler, …) with the registry listing
-	// up front, instead of failing deep inside a run.
-	if err := opts.Validate(); err != nil {
+	// up front, instead of failing one run of a comparison at a time.
+	if err := c.opts.Validate(); err != nil {
 		return err
 	}
 
-	if *compare {
-		c, err := compareParallel(ctx, opts, *jobs, *timeout, *verbose, stderr)
+	if c.compare {
+		cmp, err := compareParallel(ctx, c.opts, c.jobs, c.timeout, c.verbose, stderr)
 		if err != nil {
 			return err
 		}
-		if *asJSON {
-			return emitJSON(stdout, c)
+		if c.asJSON {
+			return emitJSON(stdout, cmp)
 		}
-		printReport(stdout, c.Mech)
+		printReport(stdout, cmp.Mech)
 		fmt.Fprintf(stdout, "\nvs baseline:\n")
-		fmt.Fprintf(stdout, "  weighted speedup:   %+.1f%%\n", 100*c.Speedup)
-		fmt.Fprintf(stdout, "  DRAM energy ratio:  %.3f (%+.1f%%)\n", c.EnergyRatio, 100*(c.EnergyRatio-1))
+		fmt.Fprintf(stdout, "  weighted speedup:   %+.1f%%\n", 100*cmp.Speedup)
+		fmt.Fprintf(stdout, "  DRAM energy ratio:  %.3f (%+.1f%%)\n", cmp.EnergyRatio, 100*(cmp.EnergyRatio-1))
 		return nil
 	}
 
 	// The tracer rides the run context, not Options (whose key memoizes
 	// runs): a traced simulation is the same simulation.
 	var bundle *obs.Observers
-	if *traceOut != "" {
-		bundle = &obs.Observers{TraceCapacity: *traceCap}
+	if c.traceOut != "" {
+		bundle = &obs.Observers{TraceCapacity: c.traceCap}
 		ctx = obs.With(ctx, bundle)
 	}
 
 	runCtx, cancel := ctx, context.CancelFunc(func() {})
-	if *timeout > 0 {
-		runCtx, cancel = context.WithTimeout(ctx, *timeout)
+	if c.timeout > 0 {
+		runCtx, cancel = context.WithTimeout(ctx, c.timeout)
 	}
 	defer cancel()
-	rep, err := crow.RunContext(runCtx, opts)
+	rep, err := crow.RunContext(runCtx, c.opts)
 	if err != nil {
 		return err
 	}
 	if bundle != nil {
-		if err := writeTrace(*traceOut, bundle.Tracer()); err != nil {
+		if err := writeTrace(c.traceOut, bundle.Tracer()); err != nil {
 			return err
 		}
 		if t := bundle.Tracer(); t != nil {
 			fmt.Fprintf(stderr, "crowsim: wrote %s (%d events, %d dropped)\n",
-				*traceOut, t.Len(), t.Dropped())
+				c.traceOut, t.Len(), t.Dropped())
 		}
 	}
-	if *asJSON {
+	if c.asJSON {
 		if err := emitJSON(stdout, rep); err != nil {
 			return err
 		}
-		if *verify && rep.Violations > 0 {
+		if c.opts.Verify && rep.Violations > 0 {
 			return errVerifyFailed
 		}
 		return nil
 	}
 	printReport(stdout, rep)
-	if *verify {
+	if c.opts.Verify {
 		if rep.Violations == 0 {
 			fmt.Fprintln(stdout, "verification: ok (0 oracle violations)")
 		} else {
@@ -261,24 +253,19 @@ func compareParallel(ctx context.Context, opts crow.Options, jobs int, timeout t
 	pool := engine.New(jobs, popts...)
 
 	runs := crow.CompareRuns(opts)
-	do := func(o crow.Options) (crow.Report, error) {
+	job := func(o crow.Options) (string, string, func(context.Context) (crow.Report, error)) {
 		label := fmt.Sprintf("%s on %s", o.Mechanism, strings.Join(o.Workloads, "+"))
-		return pool.Do(ctx, o.Key(), label, func(ctx context.Context) (crow.Report, error) {
+		return o.Key(), label, func(ctx context.Context) (crow.Report, error) {
 			return crow.RunContext(ctx, o)
-		})
+		}
 	}
-	if err := engine.All(ctx, pool, runs,
-		func(o crow.Options) (string, string, func(context.Context) (crow.Report, error)) {
-			label := fmt.Sprintf("%s on %s", o.Mechanism, strings.Join(o.Workloads, "+"))
-			return o.Key(), label, func(ctx context.Context) (crow.Report, error) {
-				return crow.RunContext(ctx, o)
-			}
-		}); err != nil {
+	if err := engine.All(ctx, pool, runs, job); err != nil {
 		return crow.Comparison{}, err
 	}
 	reps := make([]crow.Report, len(runs))
 	for i, o := range runs {
-		rep, err := do(o) // cache hit: All already ran it
+		key, label, fn := job(o)
+		rep, err := pool.Do(ctx, key, label, fn) // cache hit: All already ran it
 		if err != nil {
 			return crow.Comparison{}, err
 		}
@@ -355,11 +342,4 @@ func llcBytes(mib, kib int) int64 {
 		return int64(kib) << 10
 	}
 	return int64(mib) << 20
-}
-
-func splitNonEmpty(s string) []string {
-	if s == "" {
-		return nil
-	}
-	return strings.Split(s, ",")
 }

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+
+	"crowdram/crow"
 )
 
 // TestTraceOutEndToEnd is the observability acceptance test: a verified
@@ -156,5 +160,46 @@ func TestLLCBytesFlagResolution(t *testing.T) {
 		if got := llcBytes(c.mib, c.kib); got != c.want {
 			t.Errorf("llcBytes(%d, %d) = %d, want %d", c.mib, c.kib, got, c.want)
 		}
+	}
+}
+
+// TestFlagsBindToOptions pins the command line: flags write straight into
+// crow.Options, so an empty command line is the zero Options (no default is
+// typed into crowsim), a flag lands in its field, and -h lists exactly the
+// names below — dropping or renaming one breaks bench/'s command lines, and
+// should fail here rather than there.
+func TestFlagsBindToOptions(t *testing.T) {
+	c, err := parse(nil, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.opts.Key() != (crow.Options{}).Key() {
+		t.Errorf("empty command line is not the default run:\n  %s\n  %s", c.opts.Key(), crow.Options{}.Key())
+	}
+	c, err = parse(strings.Fields("-mech crow-cache+ref -workloads mcf,lbm -density 64 -insts 150000 -seed 3 -llc-kib 64 -refpb -compare -j 2 -json"), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := crow.Options{Mechanism: crow.CacheRef, Workloads: []string{"mcf", "lbm"}, DensityGbit: 64,
+		MeasureInsts: 150000, Seed: 3, LLCBytes: 64 << 10, PerBankRefresh: true}
+	if c.opts.Key() != want.Key() || !c.compare || c.jobs != 2 || !c.asJSON {
+		t.Errorf("parsed %+v (compare %v, j %d, json %v), want %+v", c.opts, c.compare, c.jobs, c.asJSON, want)
+	}
+
+	var usage bytes.Buffer
+	if _, err := parse([]string{"-h"}, &usage); err == nil {
+		t.Fatal("-h must stop the run")
+	}
+	var names []string
+	for _, m := range regexp.MustCompile(`(?m)^  -([a-z-]+)`).FindAllStringSubmatch(usage.String(), -1) {
+		names = append(names, m[1])
+	}
+	const pinned = "compare copyrows cpuprofile density exectrace flip-blast flip-hcfirst flip-jitter " +
+		"flip-pattern hammer-threshold insts j json list list-standards llc llc-kib mapping mech " +
+		"memprofile mitigation para-permille postpone prefetch refpb refresh-scale rowpolicy salp " +
+		"salp-open sched seed standard table-share timeout tl-near trace-cap trace-out traces " +
+		"translation v verify warmup workloads"
+	if got := strings.Join(names, " "); got != pinned {
+		t.Errorf("crowsim -h lists\n  %s\nwant\n  %s", got, pinned)
 	}
 }

@@ -416,7 +416,13 @@ func Run(o Options) (Report, error) {
 // polls ctx and abandons the run with its error once canceled or past its
 // deadline, so callers (the experiment engine, the CLIs) can enforce
 // per-run timeouts and interrupt whole sweeps.
+//
+// Validate is the one gate: anything it rejects is returned as an error here,
+// before any part of the system is built.
 func RunContext(ctx context.Context, o Options) (Report, error) {
+	if err := o.Validate(); err != nil {
+		return Report{}, err
+	}
 	o = o.withDefaults()
 	cfg, mech, err := build(o)
 	if err != nil {
@@ -523,17 +529,9 @@ func CompareFrom(o Options, reps []Report) (Comparison, error) {
 
 func build(o Options) (sim.Config, core.Mechanism, error) {
 	density := dram.Density(o.DensityGbit)
-	if _, ok := map[dram.Density]bool{dram.Density8Gb: true, dram.Density16Gb: true,
-		dram.Density32Gb: true, dram.Density64Gb: true}[density]; !ok {
-		return sim.Config{}, nil, fmt.Errorf("crow: unsupported density %d Gbit", o.DensityGbit)
-	}
 	std, err := dram.StandardByName(o.Standard)
 	if err != nil {
 		return sim.Config{}, nil, fmt.Errorf("crow: %w", err)
-	}
-	if o.Mechanism == SALP && o.Standard != "lpddr4" {
-		// SALP's geometry override below rebuilds an LPDDR4-shaped device.
-		return sim.Config{}, nil, fmt.Errorf("crow: salp supports only the lpddr4 standard, got %q", o.Standard)
 	}
 	copyRows := o.CopyRows
 	switch o.Mechanism {
@@ -542,16 +540,16 @@ func build(o Options) (sim.Config, core.Mechanism, error) {
 	}
 	cfg := sim.DefaultFor(std, copyRows, density, o.RefreshWindowMS)
 	cfg.LLC.SizeBytes = o.LLCBytes
-	cfg.Cap = o.ControllerCap
-	cfg.Timeout = o.RowTimeoutNs
-	cfg.PerBankRefresh = o.PerBankRefresh
+	cfg.Ctrl.Cap = o.ControllerCap
+	cfg.Ctrl.TimeoutNs = o.RowTimeoutNs
 	if o.PerBankRefresh {
-		// The legacy boolean overrides the standard's default granularity
-		// (LPDDR4's REFpb mode; on DDR5 it replaces same-bank refresh).
-		cfg.Refresh = "perbank"
+		// Overrides the standard's default granularity (LPDDR4's REFpb
+		// mode; on DDR5 it replaces same-bank refresh).
+		cfg.Ctrl.Refresh = "perbank"
 	}
-	cfg.Scheduler = o.Scheduler
-	cfg.RowPolicy = o.RowPolicy
+	cfg.Ctrl.Scheduler = o.Scheduler
+	// withDefaults has already turned SALPOpenPage into the "open" policy.
+	cfg.Ctrl.RowPolicy = o.RowPolicy
 	cfg.Mapping = o.Mapping
 	cfg.Translation = o.Translation
 	if o.FlipHCFirst > 0 {
@@ -563,7 +561,7 @@ func build(o Options) (sim.Config, core.Mechanism, error) {
 			PatternPct: o.FlipPatternPct,
 		}
 	}
-	cfg.MaxPostpone = o.RefreshPostpone
+	cfg.Ctrl.MaxPostpone = o.RefreshPostpone
 	cfg.Prefetch = o.Prefetch
 	cfg.Verify = o.Verify
 	cfg.WarmupInsts = o.WarmupInsts
@@ -609,11 +607,9 @@ func build(o Options) (sim.Config, core.Mechanism, error) {
 	case TLDRAM:
 		mech = tldram.New(cfg.Channels, cfg.Geo, cfg.T, o.TLDRAMNearRows)
 	case SALP:
-		sc := salp.Config{SubarraysPerBank: o.SALPSubarrays, OpenPage: o.SALPOpenPage}
-		cfg.Geo = sc.Geometry()
+		cfg.Geo = salp.Config{SubarraysPerBank: o.SALPSubarrays}.Geometry()
 		cfg.T = dram.LPDDR4(density, o.RefreshWindowMS, cfg.Geo)
-		cfg.MASA = true
-		cfg.OpenPage = o.SALPOpenPage
+		cfg.Ctrl.MASA = true
 		mech = &core.Baseline{T: cfg.T}
 	default:
 		return sim.Config{}, nil, fmt.Errorf("crow: unknown mechanism %q", o.Mechanism)
@@ -637,9 +633,6 @@ func build(o Options) (sim.Config, core.Mechanism, error) {
 
 func generators(o Options) ([]trace.Generator, error) {
 	if len(o.TraceFiles) > 0 {
-		if len(o.TraceFiles) > 4 {
-			return nil, fmt.Errorf("crow: want 1-4 trace files, got %d", len(o.TraceFiles))
-		}
 		gens := make([]trace.Generator, len(o.TraceFiles))
 		for i, path := range o.TraceFiles {
 			f, err := os.Open(path)
@@ -654,9 +647,6 @@ func generators(o Options) ([]trace.Generator, error) {
 			gens[i] = &trace.Replay{Records: recs}
 		}
 		return gens, nil
-	}
-	if len(o.Workloads) < 1 || len(o.Workloads) > 4 {
-		return nil, fmt.Errorf("crow: want 1-4 workloads, got %d", len(o.Workloads))
 	}
 	gens := make([]trace.Generator, len(o.Workloads))
 	for i, name := range o.Workloads {

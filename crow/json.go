@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"crowdram/internal/cache"
 	"crowdram/internal/ctrl"
 	"crowdram/internal/dram"
 	"crowdram/internal/hammer"
@@ -57,11 +58,14 @@ func DecodeOptions(data []byte) (Options, error) {
 	return o, nil
 }
 
-// Validate reports whether the options describe a runnable simulation,
-// applying the same checks Run performs at build time — mechanism, density,
-// workload names and counts — plus sign checks on the numeric knobs, so
-// callers accepting Options over the wire can reject bad requests before
-// queueing them.
+// Validate reports whether the options describe a runnable simulation: known
+// names, supported density, workload names and counts, sign checks on the
+// numeric knobs, and the few magnitudes that would otherwise panic or spin
+// while the system is built. Run calls it first, and callers accepting
+// Options over the wire call it to reject bad requests before queueing them;
+// nothing behind it re-checks. Values that are merely extreme (a run that
+// refresh-starves or takes hours) pass: MaxMeasureCycles and the caller's
+// deadline bound those.
 func (o Options) Validate() error {
 	d := o.withDefaults()
 	known := false
@@ -79,7 +83,8 @@ func (o Options) Validate() error {
 	default:
 		return fmt.Errorf("crow: unsupported density %d Gbit (want 8, 16, 32 or 64)", d.DensityGbit)
 	}
-	if _, err := dram.StandardByName(d.Standard); err != nil {
+	std, err := dram.StandardByName(d.Standard)
+	if err != nil {
 		return fmt.Errorf("crow: %w", err)
 	}
 	if _, err := ctrl.SchedulerByName(d.Scheduler); err != nil {
@@ -157,6 +162,19 @@ func (o Options) Validate() error {
 	}
 	if d.RefreshWindowMS < 0 || d.RowTimeoutNs < 0 {
 		return fmt.Errorf("crow: refresh window and row timeout must be non-negative")
+	}
+	if llc := cache.DefaultConfig(); d.LLCBytes < int64(llc.LineBytes*llc.Assoc) {
+		return fmt.Errorf("crow: LLCBytes %d is smaller than one %d-way set of %d-byte lines", d.LLCBytes, llc.Assoc, llc.LineBytes)
+	}
+	if rows := dram.Std(0).RowsPerBank; d.Mechanism == SALP && rows%d.SALPSubarrays != 0 {
+		return fmt.Errorf("crow: SALPSubarrays %d does not divide the %d rows of a bank", d.SALPSubarrays, rows)
+	}
+	g := std.Geometry(d.CopyRows)
+	if refi := std.Timing(dram.Density(d.DensityGbit), d.RefreshWindowMS, g).REFI; refi < 1 {
+		return fmt.Errorf("crow: refresh window %g ms makes tREFI %d cycles on %s", d.RefreshWindowMS, refi, d.Standard)
+	}
+	if d.WeakRowsPerSubarray > g.RowsPerSubarray {
+		return fmt.Errorf("crow: WeakRowsPerSubarray %d exceeds the %d rows of a subarray", d.WeakRowsPerSubarray, g.RowsPerSubarray)
 	}
 	return nil
 }

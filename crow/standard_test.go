@@ -53,6 +53,29 @@ func TestStandardDefaultsInKey(t *testing.T) {
 	if (Options{}).Key() != explicit.Key() {
 		t.Error("zero Options and explicit defaults must share a key")
 	}
+	// The two public booleans reach the controller as policy names, and
+	// nothing below crow.build knows them by any other.
+	for _, c := range []struct {
+		o        Options
+		row, ref string
+	}{
+		{Options{}, "timeout", "allbank"},
+		{Options{PerBankRefresh: true}, "timeout", "perbank"},
+		{Options{Standard: "ddr5"}, "timeout", "samebank"},
+		{Options{Standard: "ddr5", PerBankRefresh: true}, "timeout", "perbank"},
+		{Options{Mechanism: SALP, SALPOpenPage: true}, "open", "allbank"},
+		{Options{Mechanism: SALP, SALPOpenPage: true, RowPolicy: "closed"}, "closed", "allbank"},
+	} {
+		sys, err := construct(c.o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, row, ref := sys.Ctrls[0].Policies()
+		sys.Release()
+		if row != c.row || ref != c.ref {
+			t.Errorf("%+v: policies %s/%s, want %s/%s", c.o, row, ref, c.row, c.ref)
+		}
+	}
 }
 
 // TestCrossStandardVerifyClean is the refactor's acceptance test: CROW-cache

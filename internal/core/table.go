@@ -84,9 +84,6 @@ func NewSharedTable(channels int, g dram.Geometry, share int) *Table {
 	return t
 }
 
-// Ways returns the table's associativity (copy rows per subarray).
-func (t *Table) Ways() int { return t.Geo.CopyRows }
-
 func (t *Table) groups() int {
 	return (t.Geo.SubarraysPerBank() + t.ShareGroup - 1) / t.ShareGroup
 }
@@ -209,14 +206,6 @@ func SharedStorageBits(g dram.Geometry, specialBits, share int) int {
 	groups := (g.SubarraysPerBank() + share - 1) / share
 	sets := g.Ranks * g.Banks * groups
 	return (EntryBits(g.RowsPerSubarray, specialBits) + tagBits) * g.CopyRows * sets
-}
-
-// StorageKiB returns the per-channel CROW-table storage in KiB (1024-byte
-// units). For the paper's configuration (512 rows/subarray, 1024 subarrays,
-// 8 copy rows, 1 special bit) this is 11.0 KiB, i.e. the paper's quoted
-// "11.3 KiB" in 1000-byte kilobytes (see StorageKB).
-func StorageKiB(g dram.Geometry, specialBits int) float64 {
-	return float64(StorageBits(g, specialBits)) / 8 / 1024
 }
 
 // StorageKB returns the per-channel CROW-table storage in decimal kilobytes

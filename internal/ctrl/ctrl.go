@@ -50,12 +50,7 @@ type Config struct {
 	Cap       int // FR-FCFS-Cap: row hits served per activation
 	TimeoutNs float64
 	MASA      bool // SALP-MASA subarray-level parallelism
-	OpenPage  bool // keep rows open until a conflict (SALP open-page)
 
-	// PerBankRefresh uses LPDDR4's REFpb instead of all-bank REFab:
-	// one bank refreshes (for the shorter tRFCpb) while the others stay
-	// accessible, at 8x the command rate.
-	PerBankRefresh bool
 	// MaxPostpone allows deferring up to this many due refreshes while
 	// demand requests are queued (JEDEC permits 8), catching up when the
 	// rank idles — elastic refresh [107].
@@ -63,9 +58,8 @@ type Config struct {
 
 	// Scheduler, RowPolicy, and Refresh name the controller policies to
 	// compose, resolved from the registries in policy.go. Empty fields
-	// resolve to the Table 2 controller: "frfcfs-cap", "timeout" (or
-	// "open" when OpenPage is set), and "allbank" (or "perbank" when
-	// PerBankRefresh is set) — the legacy booleans keep working.
+	// resolve to the Table 2 controller: "frfcfs-cap", "timeout", and
+	// "allbank".
 	Scheduler string
 	RowPolicy string
 	Refresh   string
@@ -392,9 +386,8 @@ func New(cfg Config, mech core.Mechanism) *Controller {
 }
 
 // resolvePolicies looks the configured policy names up, mapping empty names
-// (and the legacy OpenPage/PerBankRefresh booleans) to the Table 2 defaults,
-// and derives the policy-dependent scalars (effCap, zero timeout for the
-// closed-page policy).
+// to the Table 2 defaults, and derives the policy-dependent scalars (effCap,
+// zero timeout for the closed-page policy).
 func (c *Controller) resolvePolicies() {
 	sname := c.Cfg.Scheduler
 	if sname == "" {
@@ -403,16 +396,10 @@ func (c *Controller) resolvePolicies() {
 	rname := c.Cfg.RowPolicy
 	if rname == "" {
 		rname = DefaultRowPolicy
-		if c.Cfg.OpenPage {
-			rname = "open"
-		}
 	}
 	fname := c.Cfg.Refresh
 	if fname == "" {
 		fname = DefaultRefreshPolicy
-		if c.Cfg.PerBankRefresh {
-			fname = "perbank"
-		}
 	}
 	var err error
 	if c.schedPol, err = SchedulerByName(sname); err != nil {
@@ -468,9 +455,11 @@ func (c *Controller) refInterval() int64 {
 	}
 	if c.refDiv > 1 {
 		iv /= int64(c.refDiv)
-		if iv < 1 {
-			iv = 1
-		}
+	}
+	if iv < 1 {
+		// Either division can round a tiny tREFI to zero, and a zero interval
+		// would never let serviceRefresh's catch-up loop end.
+		iv = 1
 	}
 	return iv
 }

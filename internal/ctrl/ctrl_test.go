@@ -163,7 +163,7 @@ func TestOpenPagePolicyKeepsRowOpen(t *testing.T) {
 	g := dram.Std(0)
 	tm := dram.LPDDR4(dram.Density8Gb, 64, g)
 	cfg := DefaultConfig(0, g, tm)
-	cfg.OpenPage = true
+	cfg.RowPolicy = "open"
 	c := New(cfg, &core.Baseline{T: tm})
 	done := false
 	c.EnqueueRead(&Request{Type: Read, Addr: dram.Addr{Row: 1}, Done: func(int64, uint64) { done = true }}, 0)
@@ -351,7 +351,9 @@ func TestRandomTrafficObeysProtocol(t *testing.T) {
 			tm := dram.LPDDR4(dram.Density8Gb, 64, g)
 			ctrlCfg := DefaultConfig(0, g, tm)
 			ctrlCfg.MASA = cfg.masa
-			ctrlCfg.OpenPage = cfg.open
+			if cfg.open {
+				ctrlCfg.RowPolicy = "open"
+			}
 			c := New(ctrlCfg, cfg.mech(g, tm))
 			c.verifyWake = true // every skipped tick re-runs the pass and must be a no-op
 			k := dram.NewChecker(c.Dev)

@@ -11,7 +11,7 @@ func TestPerBankRefreshCadence(t *testing.T) {
 	g := dram.Std(0)
 	tm := dram.LPDDR4(dram.Density8Gb, 64, g)
 	cfg := DefaultConfig(0, g, tm)
-	cfg.PerBankRefresh = true
+	cfg.Refresh = "perbank"
 	c := New(cfg, &core.Baseline{T: tm})
 	// Per-bank interval is tREFI/banks, so over 2*tREFI we expect ~16
 	// REFpb commands (vs 2 REFab).
@@ -116,7 +116,7 @@ func TestPerBankRefreshWithCROWRef(t *testing.T) {
 	mech := core.NewCROW(1, g, tm)
 	mech.Cache = true
 	cfg := DefaultConfig(0, g, tm)
-	cfg.PerBankRefresh = true
+	cfg.Refresh = "perbank"
 	c := New(cfg, mech)
 	k := dram.NewChecker(c.Dev)
 	done := 0

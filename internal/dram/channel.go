@@ -143,10 +143,10 @@ type CmdEvent struct {
 }
 
 // CommandObserver receives every command a channel issues, in issue order.
-// Unlike Checker (which re-validates intra-channel timing), an observer can
-// correlate commands across channels and against system-level state; the
-// correctness oracle in internal/oracle and the event tracer in internal/obs
-// are two.
+// The tests' timing re-validator in this package is one; the correctness
+// oracle in internal/oracle and the event tracer in internal/obs, which
+// correlate commands across channels and against system-level state, are two
+// more.
 type CommandObserver interface {
 	OnCommand(e CmdEvent)
 }
@@ -174,10 +174,6 @@ type Channel struct {
 	lastColCmd  int64 // most recent RD/WR issue cycle (tCCD)
 
 	Stats Stats
-
-	// Check, when non-nil, independently re-validates every issued
-	// command against the raw command history (used by tests).
-	Check *Checker
 
 	// obs receives every issued command, fanned out in attach order, so
 	// independent consumers (the correctness oracle, the event tracer,
@@ -350,14 +346,6 @@ func (c *Channel) OpenSubarraysAppend(buf []OpenSub) []OpenSub {
 // to without overflowing int64.
 const Horizon = int64(1) << 60
 
-// ActCycle returns the cycle at which the currently open row of a's
-// subarray was activated. Only meaningful when OpenRow(a) >= 0.
-func (c *Channel) ActCycle(a Addr) int64 { return c.sub(a).actCycle }
-
-// OpenKind returns the activation kind of the currently open row of a's
-// subarray. Only meaningful when OpenRow(a) >= 0.
-func (c *Channel) OpenKind(a Addr) ActKind { return c.sub(a).kind }
-
 // The Ready* queries answer *when* a command becomes legal; the Can* queries
 // below are `now >= Ready*`, so every timing rule exists once. Between two
 // commands nothing on the channel changes, and each rule is a plain threshold
@@ -432,9 +420,6 @@ func (c *Channel) ACT(a Addr, now int64, k ActKind, t ActTimings, copyRow int) {
 		c.Stats.ACTCopyRow++
 		c.Stats.ActRasSingle += int64(t.RAS)
 	}
-	if c.Check != nil {
-		c.Check.RecordPlanned(cmdACTBase+Command(k), a, now, t, copyRow)
-	}
 	if c.obs != nil {
 		c.emit(CmdEvent{Cmd: cmdACTBase + Command(k), Addr: a, Cycle: now, Kind: k, CopyRow: copyRow, Plan: t})
 	}
@@ -476,9 +461,6 @@ func (c *Channel) RD(a Addr, now int64) int64 {
 	s.lastUse = now
 	c.Stats.RD++
 	c.Stats.RDBusyCycles += int64(c.T.BL)
-	if c.Check != nil {
-		c.Check.record(CmdRD, a, now)
-	}
 	if c.obs != nil {
 		c.emit(CmdEvent{Cmd: CmdRD, Addr: a, Cycle: now, CopyRow: -1})
 	}
@@ -512,9 +494,6 @@ func (c *Channel) WR(a Addr, now int64) {
 	s.lastUse = now
 	c.Stats.WR++
 	c.Stats.WRBusyCycles += int64(c.T.BL)
-	if c.Check != nil {
-		c.Check.record(CmdWR, a, now)
-	}
 	if c.obs != nil {
 		c.emit(CmdEvent{Cmd: CmdWR, Addr: a, Cycle: now, CopyRow: -1})
 	}
@@ -554,9 +533,6 @@ func (c *Channel) PRE(a Addr, now int64) (fullyRestored bool) {
 	bk.open[si/64] &^= 1 << (si % 64)
 	c.cmdBusFree = now + 1
 	c.Stats.PRE++
-	if c.Check != nil {
-		c.Check.record(CmdPRE, a, now)
-	}
 	if c.obs != nil {
 		c.emit(CmdEvent{Cmd: CmdPRE, Addr: a, Cycle: now, CopyRow: -1, FullyRestored: full})
 	}
@@ -591,9 +567,6 @@ func (c *Channel) REFpb(rankID, bankID int, now int64) {
 	c.ranks[rankID].banks[bankID].refBusy = now + int64(c.T.RFCpb)
 	c.cmdBusFree = now + 1
 	c.Stats.REFpb++
-	if c.Check != nil {
-		c.Check.record(CmdREFpb, Addr{Rank: rankID, Bank: bankID}, now)
-	}
 	if c.obs != nil {
 		c.emit(CmdEvent{Cmd: CmdREFpb, Addr: Addr{Rank: rankID, Bank: bankID}, Cycle: now, CopyRow: -1})
 	}
@@ -627,9 +600,6 @@ func (c *Channel) REF(rankID int, now int64) {
 	c.ranks[rankID].refBusy = now + int64(c.T.RFC)
 	c.cmdBusFree = now + 1
 	c.Stats.REF++
-	if c.Check != nil {
-		c.Check.record(CmdREF, Addr{Rank: rankID}, now)
-	}
 	if c.obs != nil {
 		c.emit(CmdEvent{Cmd: CmdREF, Addr: Addr{Rank: rankID}, Cycle: now, CopyRow: -1})
 	}

@@ -29,15 +29,6 @@ func (c Command) isACT() bool { return c.IsACT() }
 // IsACT reports whether the command is one of the four activate variants.
 func (c Command) IsACT() bool { return c >= CmdACT && c <= CmdACTcr }
 
-// event is one recorded command issue.
-type event struct {
-	cmd     Command
-	addr    Addr
-	cycle   int64
-	plan    ActTimings // valid for activate commands
-	copyRow int        // copy-row operand of activate commands; -1 if none
-}
-
 // Checker independently re-validates a channel's command stream against the
 // raw history, using a separate implementation of the timing rules from the
 // Channel state machine. Any violation is reported through the Violations
@@ -47,7 +38,7 @@ type Checker struct {
 	T    Timing
 	MASA bool
 
-	history    []event
+	history    []CmdEvent
 	Violations []string
 }
 
@@ -57,12 +48,12 @@ type Checker struct {
 // path, so they cannot disagree.
 func NewChecker(c *Channel) *Checker {
 	k := &Checker{Geo: c.Geo, T: c.T, MASA: c.MASA}
-	c.Check = k
+	c.Attach(k)
 	return k
 }
 
-func (k *Checker) fail(e event, format string, args ...any) {
-	msg := fmt.Sprintf("%v to r%d/b%d row %d @%d: %s", e.cmd, e.addr.Rank, e.addr.Bank, e.addr.Row, e.cycle, fmt.Sprintf(format, args...))
+func (k *Checker) fail(e CmdEvent, format string, args ...any) {
+	msg := fmt.Sprintf("%v to r%d/b%d row %d @%d: %s", e.Cmd, e.Addr.Rank, e.Addr.Bank, e.Addr.Row, e.Cycle, fmt.Sprintf(format, args...))
 	k.Violations = append(k.Violations, msg)
 }
 
@@ -70,199 +61,180 @@ func sameSub(g Geometry, a, b Addr) bool {
 	return a.Rank == b.Rank && a.Bank == b.Bank && a.Subarray(g) == b.Subarray(g)
 }
 
-// record is called by the Channel on every issue. RecordACT must have stored
-// the activation plan via the channel calling record with plan embedded; for
-// simplicity the channel calls record and the checker recovers the plan for
-// activate commands from RecordPlan.
-func (k *Checker) record(cmd Command, a Addr, cycle int64) {
-	k.recordPlanned(cmd, a, cycle, ActTimings{}, -1)
-}
-
-// RecordPlanned validates and appends a command with an explicit activation
-// plan (used for the activate variants, whose effective tRCD/tRAS/tWR depend
-// on the CROW timing plan) and copy-row operand.
-func (k *Checker) RecordPlanned(cmd Command, a Addr, cycle int64, plan ActTimings, copyRow int) {
-	k.recordPlanned(cmd, a, cycle, plan, copyRow)
-}
-
-func (k *Checker) recordPlanned(cmd Command, a Addr, cycle int64, plan ActTimings, copyRow int) {
-	e := event{cmd: cmd, addr: a, cycle: cycle, plan: plan, copyRow: copyRow}
-	if cmd.isACT() && plan == (ActTimings{}) {
-		// The channel's record path does not carry the plan; recover the
-		// baseline plan so tRCD/tRAS floors are still checked loosely.
-		e.plan = ActTimings{RCD: 1, RAS: 1, WR: 1}
-	}
+// OnCommand implements CommandObserver: it validates the command against
+// the history so far and appends it.
+func (k *Checker) OnCommand(e CmdEvent) {
 	k.validate(e)
 	k.history = append(k.history, e)
 }
 
 // openACT returns the most recent ACT to the subarray of a that has not been
 // followed by a PRE of the same subarray, or nil.
-func (k *Checker) openACT(a Addr) *event {
+func (k *Checker) openACT(a Addr) *CmdEvent {
 	for i := len(k.history) - 1; i >= 0; i-- {
 		e := &k.history[i]
-		if !sameSub(k.Geo, e.addr, a) {
+		if !sameSub(k.Geo, e.Addr, a) {
 			continue
 		}
-		if e.cmd == CmdPRE {
+		if e.Cmd == CmdPRE {
 			return nil
 		}
-		if e.cmd.isACT() {
+		if e.Cmd.isACT() {
 			return e
 		}
 	}
 	return nil
 }
 
-func (k *Checker) validate(e event) {
+func (k *Checker) validate(e CmdEvent) {
 	switch {
-	case e.cmd.isACT():
+	case e.Cmd.isACT():
 		k.validateACT(e)
-	case e.cmd == CmdRD || e.cmd == CmdWR:
+	case e.Cmd == CmdRD || e.Cmd == CmdWR:
 		k.validateCol(e)
-	case e.cmd == CmdPRE:
+	case e.Cmd == CmdPRE:
 		k.validatePRE(e)
-	case e.cmd == CmdREF:
+	case e.Cmd == CmdREF:
 		k.validateREF(e)
-	case e.cmd == CmdREFpb:
+	case e.Cmd == CmdREFpb:
 		k.validateREFpb(e)
 	}
 	k.validateCmdBus(e)
 }
 
-func (k *Checker) validateCmdBus(e event) {
+func (k *Checker) validateCmdBus(e CmdEvent) {
 	if len(k.history) == 0 {
 		return
 	}
 	prev := k.history[len(k.history)-1]
 	width := int64(1)
-	if prev.cmd.isACT() && prev.cmd != CmdACT {
+	if prev.Cmd.isACT() && prev.Cmd != CmdACT {
 		width = 2 // CROW activates carry a copy-row address cycle
 	}
-	if e.cycle < prev.cycle+width {
-		k.fail(e, "command bus conflict with %v @%d", prev.cmd, prev.cycle)
+	if e.Cycle < prev.Cycle+width {
+		k.fail(e, "command bus conflict with %v @%d", prev.Cmd, prev.Cycle)
 	}
 }
 
-func (k *Checker) validateACT(e event) {
-	if open := k.openACT(e.addr); open != nil {
-		k.fail(e, "subarray already open (row %d @%d)", open.addr.Row, open.cycle)
+func (k *Checker) validateACT(e CmdEvent) {
+	if open := k.openACT(e.Addr); open != nil {
+		k.fail(e, "subarray already open (row %d @%d)", open.Addr.Row, open.Cycle)
 	}
 	// CROW activate variants carry a copy-row operand that must address one
 	// of the subarray's copy rows. (Geometries without copy rows — e.g. the
 	// idealized mechanisms — are exempt: their kinds are fictional.)
-	if e.cmd != CmdACT && k.Geo.CopyRows > 0 && (e.copyRow < 0 || e.copyRow >= k.Geo.CopyRows) {
-		k.fail(e, "copy-row operand %d out of range [0,%d)", e.copyRow, k.Geo.CopyRows)
+	if e.Cmd != CmdACT && k.Geo.CopyRows > 0 && (e.CopyRow < 0 || e.CopyRow >= k.Geo.CopyRows) {
+		k.fail(e, "copy-row operand %d out of range [0,%d)", e.CopyRow, k.Geo.CopyRows)
 	}
 	var rankACTs []int64
 	for i := len(k.history) - 1; i >= 0; i-- {
 		h := &k.history[i]
-		if h.addr.Rank != e.addr.Rank && h.cmd != CmdREF {
+		if h.Addr.Rank != e.Addr.Rank && h.Cmd != CmdREF {
 			continue
 		}
 		switch {
-		case h.cmd == CmdPRE && sameSub(k.Geo, h.addr, e.addr):
-			if e.cycle < h.cycle+int64(k.T.RP) {
-				k.fail(e, "tRP violated (PRE @%d)", h.cycle)
+		case h.Cmd == CmdPRE && sameSub(k.Geo, h.Addr, e.Addr):
+			if e.Cycle < h.Cycle+int64(k.T.RP) {
+				k.fail(e, "tRP violated (PRE @%d)", h.Cycle)
 			}
-		case h.cmd == CmdREF && h.addr.Rank == e.addr.Rank:
-			if e.cycle < h.cycle+int64(k.T.RFC) {
-				k.fail(e, "tRFC violated (REF @%d)", h.cycle)
+		case h.Cmd == CmdREF && h.Addr.Rank == e.Addr.Rank:
+			if e.Cycle < h.Cycle+int64(k.T.RFC) {
+				k.fail(e, "tRFC violated (REF @%d)", h.Cycle)
 			}
-		case h.cmd == CmdREFpb && h.addr.Rank == e.addr.Rank && h.addr.Bank == e.addr.Bank:
-			if e.cycle < h.cycle+int64(k.T.RFCpb) {
-				k.fail(e, "tRFCpb violated (REFpb @%d)", h.cycle)
+		case h.Cmd == CmdREFpb && h.Addr.Rank == e.Addr.Rank && h.Addr.Bank == e.Addr.Bank:
+			if e.Cycle < h.Cycle+int64(k.T.RFCpb) {
+				k.fail(e, "tRFCpb violated (REFpb @%d)", h.Cycle)
 			}
-		case h.cmd.isACT() && h.addr.Rank == e.addr.Rank:
-			if len(rankACTs) == 0 && e.cycle < h.cycle+int64(k.T.RRD) {
-				k.fail(e, "tRRD violated (ACT @%d)", h.cycle)
+		case h.Cmd.isACT() && h.Addr.Rank == e.Addr.Rank:
+			if len(rankACTs) == 0 && e.Cycle < h.Cycle+int64(k.T.RRD) {
+				k.fail(e, "tRRD violated (ACT @%d)", h.Cycle)
 			}
-			rankACTs = append(rankACTs, h.cycle)
+			rankACTs = append(rankACTs, h.Cycle)
 			if len(rankACTs) == 4 {
-				if e.cycle < rankACTs[3]+int64(k.T.FAW) {
+				if e.Cycle < rankACTs[3]+int64(k.T.FAW) {
 					k.fail(e, "tFAW violated (4th ACT @%d)", rankACTs[3])
 				}
 			}
-		case h.cmd.isACT() && !k.MASA && h.addr.Bank == e.addr.Bank && h.addr.Rank == e.addr.Rank:
+		case h.Cmd.isACT() && !k.MASA && h.Addr.Bank == e.Addr.Bank && h.Addr.Rank == e.Addr.Rank:
 			// handled by openACT per subarray; bank-level single-open
 			// checked below.
 		}
-		if len(rankACTs) >= 4 && h.cycle < e.cycle-int64(k.T.FAW)-int64(k.T.RFC) {
+		if len(rankACTs) >= 4 && h.Cycle < e.Cycle-int64(k.T.FAW)-int64(k.T.RFC) {
 			break
 		}
 	}
 	if !k.MASA {
 		// No other subarray of the same bank may be open.
 		for s := 0; s < k.Geo.SubarraysPerBank(); s++ {
-			probe := e.addr
+			probe := e.Addr
 			probe.Row = s * k.Geo.RowsPerSubarray
-			if probe.Subarray(k.Geo) == e.addr.Subarray(k.Geo) {
+			if probe.Subarray(k.Geo) == e.Addr.Subarray(k.Geo) {
 				continue
 			}
 			if open := k.openACT(probe); open != nil {
-				k.fail(e, "bank has another open subarray (row %d)", open.addr.Row)
+				k.fail(e, "bank has another open subarray (row %d)", open.Addr.Row)
 				break
 			}
 		}
 	}
 }
 
-func (k *Checker) validateCol(e event) {
-	open := k.openACT(e.addr)
+func (k *Checker) validateCol(e CmdEvent) {
+	open := k.openACT(e.Addr)
 	if open == nil {
 		k.fail(e, "column command to closed subarray")
 		return
 	}
-	if open.addr.Row != e.addr.Row {
-		k.fail(e, "row mismatch: open %d", open.addr.Row)
+	if open.Addr.Row != e.Addr.Row {
+		k.fail(e, "row mismatch: open %d", open.Addr.Row)
 	}
-	if open.plan.RCD > 1 && e.cycle < open.cycle+int64(open.plan.RCD) {
-		k.fail(e, "tRCD violated (ACT @%d, RCD %d)", open.cycle, open.plan.RCD)
+	if open.Plan.RCD > 1 && e.Cycle < open.Cycle+int64(open.Plan.RCD) {
+		k.fail(e, "tRCD violated (ACT @%d, RCD %d)", open.Cycle, open.Plan.RCD)
 	}
 	var lastData int64 = -1 << 62
 	for i := len(k.history) - 1; i >= 0; i-- {
 		h := &k.history[i]
-		if h.cmd == CmdRD || h.cmd == CmdWR {
-			if e.cycle < h.cycle+int64(k.T.CCD) {
-				k.fail(e, "tCCD violated (%v @%d)", h.cmd, h.cycle)
+		if h.Cmd == CmdRD || h.Cmd == CmdWR {
+			if e.Cycle < h.Cycle+int64(k.T.CCD) {
+				k.fail(e, "tCCD violated (%v @%d)", h.Cmd, h.Cycle)
 			}
-			if e.cmd == CmdRD && h.cmd == CmdWR && h.addr.Rank == e.addr.Rank {
-				wrEnd := h.cycle + int64(k.T.CWL) + int64(k.T.BL)
-				if e.cycle < wrEnd+int64(k.T.WTR) {
-					k.fail(e, "tWTR violated (WR @%d)", h.cycle)
+			if e.Cmd == CmdRD && h.Cmd == CmdWR && h.Addr.Rank == e.Addr.Rank {
+				wrEnd := h.Cycle + int64(k.T.CWL) + int64(k.T.BL)
+				if e.Cycle < wrEnd+int64(k.T.WTR) {
+					k.fail(e, "tWTR violated (WR @%d)", h.Cycle)
 				}
 			}
 			// Data-bus overlap.
 			var start int64
-			if h.cmd == CmdRD {
-				start = h.cycle + int64(k.T.CL)
+			if h.Cmd == CmdRD {
+				start = h.Cycle + int64(k.T.CL)
 			} else {
-				start = h.cycle + int64(k.T.CWL)
+				start = h.Cycle + int64(k.T.CWL)
 			}
 			end := start + int64(k.T.BL)
 			if end > lastData {
 				lastData = end
 			}
 			var myStart int64
-			if e.cmd == CmdRD {
-				myStart = e.cycle + int64(k.T.CL)
+			if e.Cmd == CmdRD {
+				myStart = e.Cycle + int64(k.T.CL)
 			} else {
-				myStart = e.cycle + int64(k.T.CWL)
+				myStart = e.Cycle + int64(k.T.CWL)
 			}
 			if myStart < end && myStart+int64(k.T.BL) > start {
-				k.fail(e, "data bus overlap with %v @%d", h.cmd, h.cycle)
+				k.fail(e, "data bus overlap with %v @%d", h.Cmd, h.Cycle)
 			}
 			break // only the most recent column command can conflict given tCCD >= ordering
 		}
 	}
 	// tWTR needs the most recent WR even if a RD intervened.
-	if e.cmd == CmdRD {
+	if e.Cmd == CmdRD {
 		for i := len(k.history) - 1; i >= 0; i-- {
 			h := &k.history[i]
-			if h.cmd == CmdWR && h.addr.Rank == e.addr.Rank {
-				wrEnd := h.cycle + int64(k.T.CWL) + int64(k.T.BL)
-				if e.cycle < wrEnd+int64(k.T.WTR) {
-					k.fail(e, "tWTR violated (WR @%d)", h.cycle)
+			if h.Cmd == CmdWR && h.Addr.Rank == e.Addr.Rank {
+				wrEnd := h.Cycle + int64(k.T.CWL) + int64(k.T.BL)
+				if e.Cycle < wrEnd+int64(k.T.WTR) {
+					k.fail(e, "tWTR violated (WR @%d)", h.Cycle)
 				}
 				break
 			}
@@ -270,48 +242,48 @@ func (k *Checker) validateCol(e event) {
 	}
 }
 
-func (k *Checker) validatePRE(e event) {
-	open := k.openACT(e.addr)
+func (k *Checker) validatePRE(e CmdEvent) {
+	open := k.openACT(e.Addr)
 	if open == nil {
 		k.fail(e, "PRE to closed subarray")
 		return
 	}
-	if open.plan.RAS > 1 && e.cycle < open.cycle+int64(open.plan.RAS) {
-		k.fail(e, "tRAS violated (ACT @%d, RAS %d)", open.cycle, open.plan.RAS)
+	if open.Plan.RAS > 1 && e.Cycle < open.Cycle+int64(open.Plan.RAS) {
+		k.fail(e, "tRAS violated (ACT @%d, RAS %d)", open.Cycle, open.Plan.RAS)
 	}
 	for i := len(k.history) - 1; i >= 0; i-- {
 		h := &k.history[i]
-		if h.cycle < open.cycle {
+		if h.Cycle < open.Cycle {
 			break
 		}
-		if !sameSub(k.Geo, h.addr, e.addr) {
+		if !sameSub(k.Geo, h.Addr, e.Addr) {
 			continue
 		}
-		if h.cmd == CmdRD && e.cycle < h.cycle+int64(k.T.RTP) {
-			k.fail(e, "tRTP violated (RD @%d)", h.cycle)
+		if h.Cmd == CmdRD && e.Cycle < h.Cycle+int64(k.T.RTP) {
+			k.fail(e, "tRTP violated (RD @%d)", h.Cycle)
 		}
-		if h.cmd == CmdWR {
-			wrEnd := h.cycle + int64(k.T.CWL) + int64(k.T.BL)
-			wr := int64(open.plan.WR)
+		if h.Cmd == CmdWR {
+			wrEnd := h.Cycle + int64(k.T.CWL) + int64(k.T.BL)
+			wr := int64(open.Plan.WR)
 			if wr <= 1 {
 				wr = int64(k.T.WR)
 			}
-			if e.cycle < wrEnd+wr {
-				k.fail(e, "write recovery violated (WR @%d)", h.cycle)
+			if e.Cycle < wrEnd+wr {
+				k.fail(e, "write recovery violated (WR @%d)", h.Cycle)
 			}
 		}
 	}
 }
 
-func (k *Checker) validateREFpb(e event) {
+func (k *Checker) validateREFpb(e CmdEvent) {
 	for i := len(k.history) - 1; i >= 0; i-- {
 		h := &k.history[i]
-		if h.addr.Rank != e.addr.Rank {
+		if h.Addr.Rank != e.Addr.Rank {
 			continue
 		}
-		if h.cmd == CmdREFpb && h.addr.Bank == e.addr.Bank {
-			if e.cycle < h.cycle+int64(k.T.RFCpb) {
-				k.fail(e, "tRFCpb back-to-back violated (REFpb @%d)", h.cycle)
+		if h.Cmd == CmdREFpb && h.Addr.Bank == e.Addr.Bank {
+			if e.Cycle < h.Cycle+int64(k.T.RFCpb) {
+				k.fail(e, "tRFCpb back-to-back violated (REFpb @%d)", h.Cycle)
 			}
 			break
 		}
@@ -319,28 +291,28 @@ func (k *Checker) validateREFpb(e event) {
 	// The bank's subarrays must be closed and past tRP.
 	for i := len(k.history) - 1; i >= 0; i-- {
 		h := &k.history[i]
-		if h.addr.Rank != e.addr.Rank || h.addr.Bank != e.addr.Bank {
+		if h.Addr.Rank != e.Addr.Rank || h.Addr.Bank != e.Addr.Bank {
 			continue
 		}
-		if h.cmd == CmdPRE {
-			if e.cycle < h.cycle+int64(k.T.RP) {
-				k.fail(e, "REFpb before tRP of PRE @%d", h.cycle)
+		if h.Cmd == CmdPRE {
+			if e.Cycle < h.Cycle+int64(k.T.RP) {
+				k.fail(e, "REFpb before tRP of PRE @%d", h.Cycle)
 			}
 			break
 		}
-		if h.cmd.isACT() {
-			k.fail(e, "REFpb with open bank (ACT row %d @%d)", h.addr.Row, h.cycle)
+		if h.Cmd.isACT() {
+			k.fail(e, "REFpb with open bank (ACT row %d @%d)", h.Addr.Row, h.Cycle)
 			break
 		}
 	}
 }
 
-func (k *Checker) validateREF(e event) {
+func (k *Checker) validateREF(e CmdEvent) {
 	for i := len(k.history) - 1; i >= 0; i-- {
 		h := &k.history[i]
-		if h.cmd == CmdREF && h.addr.Rank == e.addr.Rank {
-			if e.cycle < h.cycle+int64(k.T.RFC) {
-				k.fail(e, "tRFC back-to-back violated (REF @%d)", h.cycle)
+		if h.Cmd == CmdREF && h.Addr.Rank == e.Addr.Rank {
+			if e.Cycle < h.Cycle+int64(k.T.RFC) {
+				k.fail(e, "tRFC back-to-back violated (REF @%d)", h.Cycle)
 			}
 			break
 		}
@@ -349,22 +321,22 @@ func (k *Checker) validateREF(e event) {
 	byBankSub := map[[2]int]bool{}
 	for i := len(k.history) - 1; i >= 0; i-- {
 		h := &k.history[i]
-		if h.addr.Rank != e.addr.Rank {
+		if h.Addr.Rank != e.Addr.Rank {
 			continue
 		}
-		key := [2]int{h.addr.Bank, h.addr.Subarray(k.Geo)}
+		key := [2]int{h.Addr.Bank, h.Addr.Subarray(k.Geo)}
 		if byBankSub[key] {
 			continue
 		}
-		if h.cmd == CmdPRE {
+		if h.Cmd == CmdPRE {
 			byBankSub[key] = true
-			if e.cycle < h.cycle+int64(k.T.RP) {
-				k.fail(e, "REF before tRP of PRE @%d", h.cycle)
+			if e.Cycle < h.Cycle+int64(k.T.RP) {
+				k.fail(e, "REF before tRP of PRE @%d", h.Cycle)
 			}
 		}
-		if h.cmd.isACT() {
+		if h.Cmd.isACT() {
 			if !byBankSub[key] {
-				k.fail(e, "REF with open subarray (ACT row %d @%d)", h.addr.Row, h.cycle)
+				k.fail(e, "REF with open subarray (ACT row %d @%d)", h.Addr.Row, h.Cycle)
 			}
 			byBankSub[key] = true
 		}

@@ -51,10 +51,11 @@ type Config struct {
 	// RefreshMultiplier scales the retention window (CROW-ref runs at 2);
 	// 0 disables the refresh-deadline monitor (idealized no-refresh runs).
 	RefreshMultiplier int
-	// PerBankRefresh and MaxPostpone size the deadline slack the elastic
-	// refresh scheduler is allowed to consume.
-	PerBankRefresh bool
-	MaxPostpone    int
+	// BankRefresh (a bank-granular refresh policy: perbank or samebank)
+	// and MaxPostpone size the deadline slack the elastic refresh scheduler
+	// is allowed to consume.
+	BankRefresh bool
+	MaxPostpone int
 
 	// MaxSamples bounds how many violation descriptions are retained
 	// verbatim (counts are always complete). Default 20.
@@ -136,7 +137,7 @@ func (o *Oracle) deadline() int64 {
 	mult := int64(o.cfg.RefreshMultiplier)
 	interval := int64(o.cfg.T.REFI) * mult
 	budget := int64(o.cfg.MaxPostpone)
-	if o.cfg.PerBankRefresh {
+	if o.cfg.BankRefresh {
 		interval /= int64(o.cfg.Geo.Banks)
 		if budget == 0 {
 			budget = int64(o.cfg.Geo.Banks)

@@ -208,7 +208,7 @@ func TestPerBankRefreshSweep(t *testing.T) {
 		CopyRows: 0, RowBytes: 1024, LineBytes: 64,
 	}
 	tm := dram.LPDDR4(dram.Density8Gb, 64, g)
-	o := New(Config{Channels: 1, Geo: g, T: tm, RefreshMultiplier: 1, PerBankRefresh: true})
+	o := New(Config{Channels: 1, Geo: g, T: tm, RefreshMultiplier: 1, BankRefresh: true})
 	obs := o.Observer(0)
 	cycle := int64(0)
 	interval := int64(tm.REFI) / int64(g.Banks)

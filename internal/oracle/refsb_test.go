@@ -23,7 +23,7 @@ func ddr5Oracle(t *testing.T, banks int) (*Oracle, dram.CommandObserver, dram.Ti
 	tm := std.Timing(dram.Density8Gb, std.DefaultRefreshWindowMS(), g)
 	o := New(Config{
 		Channels: 1, Geo: g, T: tm,
-		RefreshMultiplier: 1, PerBankRefresh: true,
+		RefreshMultiplier: 1, BankRefresh: true,
 	})
 	return o, o.Observer(0), tm, g
 }

@@ -53,7 +53,3 @@ func (c Config) Geometry() dram.Geometry {
 func (c Config) ChipAreaOverhead() float64 {
 	return circuit.SALPChipOverhead(c.SubarraysPerBank)
 }
-
-// CacheCapacityRows returns the number of rows SALP can hold open at once
-// per bank (its effective in-DRAM cache capacity).
-func (c Config) CacheCapacityRows() int { return c.SubarraysPerBank }

@@ -93,13 +93,6 @@ func (q *jobQueue) Len() int {
 	return len(q.items)
 }
 
-// Closed reports whether the drain has begun.
-func (q *jobQueue) Closed() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.closed
-}
-
 // jobHeap orders by priority descending, then submission sequence
 // ascending. It keeps each job's heapIndex current so Remove is O(log n).
 type jobHeap []*Job

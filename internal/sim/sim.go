@@ -30,23 +30,11 @@ type Config struct {
 	T        dram.Timing
 	LLC      cache.Config
 	Core     cpu.Config
-	Cap      int     // FR-FCFS-Cap
-	Timeout  float64 // row-buffer timeout, ns
-	MASA     bool
-	OpenPage bool
+	// Ctrl is the template every channel's controller is built from
+	// (scheduler cap, row timeout, MASA, postponement, policy names, device
+	// features); New fills in ChannelID, Geo and T per channel.
+	Ctrl     ctrl.Config
 	Prefetch bool
-
-	// PerBankRefresh and MaxPostpone select the refresh mode (LPDDR4
-	// REFpb, elastic postponement).
-	PerBankRefresh bool
-	MaxPostpone    int
-
-	// Scheduler, RowPolicy, and Refresh name the controller policies
-	// (registries in internal/ctrl); empty strings resolve to the Table 2
-	// defaults, honouring the OpenPage/PerBankRefresh booleans above.
-	Scheduler string
-	RowPolicy string
-	Refresh   string
 
 	// Mapping names the address-mapping layout (registry in internal/dram;
 	// empty = dram.DefaultMapping).
@@ -69,10 +57,6 @@ type Config struct {
 	// LPDDR4-3200's 2:5 (1600 MHz vs 4 GHz).
 	RatioNum int
 	RatioDen int
-
-	// Features forwards standard-specific device behaviours (e.g. HBM2's
-	// per-rank data bus) to every channel.
-	Features dram.Features
 
 	// Verify attaches the correctness oracle (internal/oracle) to every
 	// channel: a shadow data memory, refresh-deadline monitor, and
@@ -107,14 +91,14 @@ type Config struct {
 // with the given per-copy-row geometry, density and refresh window.
 func Default(copyRows int, d dram.Density, refWindowMS float64) Config {
 	g := dram.Std(copyRows)
+	t := dram.LPDDR4(d, refWindowMS, g)
 	return Config{
 		Channels:     4,
 		Geo:          g,
-		T:            dram.LPDDR4(d, refWindowMS, g),
+		T:            t,
 		LLC:          cache.DefaultConfig(),
 		Core:         cpu.DefaultConfig(),
-		Cap:          16,
-		Timeout:      75,
+		Ctrl:         ctrl.DefaultConfig(0, g, t),
 		WarmupInsts:  50_000,
 		MeasureInsts: 500_000,
 		Seed:         1,
@@ -134,8 +118,8 @@ func DefaultFor(std dram.Standard, copyRows int, d dram.Density, refWindowMS flo
 	cfg.Geo = g
 	cfg.T = std.Timing(d, refWindowMS, g)
 	cfg.RatioNum, cfg.RatioDen = std.ClockRatio()
-	cfg.Refresh = std.DefaultRefresh()
-	cfg.Features = std.Features()
+	cfg.Ctrl.Refresh = std.DefaultRefresh()
+	cfg.Ctrl.Features = std.Features()
 	return cfg
 }
 
@@ -307,17 +291,8 @@ func New(cfg Config, mech core.Mechanism, gens []trace.Generator) *System {
 	}
 	s.Ctrls = make([]*ctrl.Controller, cfg.Channels)
 	for ch := range s.Ctrls {
-		ccfg := ctrl.DefaultConfig(ch, cfg.Geo, cfg.T)
-		ccfg.Cap = cfg.Cap
-		ccfg.TimeoutNs = cfg.Timeout
-		ccfg.MASA = cfg.MASA
-		ccfg.OpenPage = cfg.OpenPage
-		ccfg.PerBankRefresh = cfg.PerBankRefresh
-		ccfg.MaxPostpone = cfg.MaxPostpone
-		ccfg.Scheduler = cfg.Scheduler
-		ccfg.RowPolicy = cfg.RowPolicy
-		ccfg.Refresh = cfg.Refresh
-		ccfg.Features = cfg.Features
+		ccfg := cfg.Ctrl
+		ccfg.ChannelID, ccfg.Geo, ccfg.T = ch, cfg.Geo, cfg.T
 		s.Ctrls[ch] = ctrl.New(ccfg, mech)
 	}
 	if cfg.Verify {
@@ -328,7 +303,7 @@ func New(cfg Config, mech core.Mechanism, gens []trace.Generator) *System {
 		schedName, _, refName := s.Ctrls[0].Policies()
 		oracleCap := 0
 		if schedName == ctrl.DefaultScheduler {
-			oracleCap = cfg.Cap
+			oracleCap = cfg.Ctrl.Cap
 		}
 		s.Oracle = oracle.New(oracle.Config{
 			Channels:          cfg.Channels,
@@ -337,8 +312,8 @@ func New(cfg Config, mech core.Mechanism, gens []trace.Generator) *System {
 			Cap:               oracleCap,
 			DataChecks:        shadowDataApplies(mech),
 			RefreshMultiplier: mech.RefreshMultiplier(),
-			PerBankRefresh:    refName != ctrl.DefaultRefreshPolicy,
-			MaxPostpone:       cfg.MaxPostpone,
+			BankRefresh:       refName != ctrl.DefaultRefreshPolicy,
+			MaxPostpone:       cfg.Ctrl.MaxPostpone,
 		})
 		for ch := range s.Ctrls {
 			s.Ctrls[ch].Dev.Attach(s.Oracle.Observer(ch))

@@ -113,8 +113,8 @@ func TestWakeSkipIsNoOp(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				cfg := DefaultFor(std, m.copyRows, dram.Density8Gb, 64)
 				cfg.WarmupInsts, cfg.MeasureInsts = 2_000, 12_000
-				cfg.Scheduler, cfg.RowPolicy, cfg.Refresh = sched, row, ref
-				cfg.MaxPostpone = cell % 3 * 4 // 0, 4, 8: no, some and full elastic postponement
+				cfg.Ctrl.Scheduler, cfg.Ctrl.RowPolicy, cfg.Ctrl.Refresh = sched, row, ref
+				cfg.Ctrl.MaxPostpone = cell % 3 * 4 // 0, 4, 8: no, some and full elastic postponement
 				runWake(t, cfg, m.build(cfg), "mcf", "gcc")
 			})
 		}
@@ -131,7 +131,10 @@ func TestWakeSkipIsNoOpMASA(t *testing.T) {
 			t.Run(fmt.Sprintf("masa=%v/open=%v", masa, open), func(t *testing.T) {
 				cfg := Default(0, dram.Density8Gb, 64)
 				cfg.WarmupInsts, cfg.MeasureInsts = 2_000, 15_000
-				cfg.MASA, cfg.OpenPage = masa, open
+				cfg.Ctrl.MASA = masa
+				if open {
+					cfg.Ctrl.RowPolicy = "open"
+				}
 				runWake(t, cfg, &core.Baseline{T: cfg.T}, "mcf", "lbm", "gcc")
 			})
 		}
