@@ -136,9 +136,6 @@ type Options struct {
 	// FullRestore disables CROW-cache's early-terminated restoration as
 	// an ablation (Section 4.1.3).
 	FullRestore bool
-	// Scrub enables idle-cycle restoration scrubbing (ablation; the
-	// default lazy eviction policy makes it unnecessary).
-	Scrub bool
 	// EagerRestore uses the paper's literal Section 4.1.4 flow: a miss
 	// that would evict a partially-restored pair first fully restores it
 	// inline. The default skips the allocation instead (ablation).
@@ -588,7 +585,6 @@ func build(o Options) (sim.Config, core.Mechanism, error) {
 	case Cache, Ref, CacheRef, Hammer:
 		m := core.NewCROWShared(cfg.Channels, cfg.Geo, cfg.T, o.TableShareGroup)
 		m.FullRestore = o.FullRestore
-		m.Scrub = o.Scrub
 		m.EagerRestore = o.EagerRestore
 		if o.Mechanism == Cache || o.Mechanism == CacheRef {
 			m.Cache = true

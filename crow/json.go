@@ -87,10 +87,10 @@ func (o Options) Validate() error {
 	if err != nil {
 		return fmt.Errorf("crow: %w", err)
 	}
-	if _, err := ctrl.SchedulerByName(d.Scheduler); err != nil {
+	if err := ctrl.CheckScheduler(d.Scheduler); err != nil {
 		return fmt.Errorf("crow: %w", err)
 	}
-	if _, err := ctrl.RowPolicyByName(d.RowPolicy); err != nil {
+	if err := ctrl.CheckRowPolicy(d.RowPolicy); err != nil {
 		return fmt.Errorf("crow: %w", err)
 	}
 	if err := dram.CheckMapping(d.Mapping); err != nil {

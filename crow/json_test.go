@@ -79,6 +79,7 @@ func TestDecodeOptionsRejectsUnknownFields(t *testing.T) {
 		`{"Mitigation":"parra"}`,    // right knob, unknown mitigation
 		`{"Mitigation":"PARA"}`,     // registry names are lower-case
 		`{"Translation":"stripes"}`, // unknown translation mode
+		`{"Scrub":true}`,            // a deleted knob is rejected, not ignored
 	} {
 		if _, err := DecodeOptions([]byte(payload)); err == nil {
 			t.Errorf("DecodeOptions(%q) must fail", payload)

@@ -115,7 +115,7 @@ func TestCrossStandardVerifyClean(t *testing.T) {
 	}
 }
 
-// TestNonDefaultPoliciesVerifyClean drives the policy registries end to end
+// TestNonDefaultPoliciesVerifyClean drives the policy tables end to end
 // on every standard: an uncapped scheduler with an open-page policy and the
 // bank-interleaved mapping must still satisfy the oracle.
 func TestNonDefaultPoliciesVerifyClean(t *testing.T) {

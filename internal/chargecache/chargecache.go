@@ -32,6 +32,7 @@ type entry struct {
 // Mechanism is the ChargeCache controller policy. It satisfies
 // core.Mechanism.
 type Mechanism struct {
+	core.NoOps
 	T       dram.Timing
 	Entries int // table capacity per channel (128 in the paper)
 
@@ -121,12 +122,6 @@ func (m *Mechanism) OnPrecharge(a dram.Addr, openRow int, fullyRestored bool, cy
 	}
 	m.tables[a.Channel] = tbl
 }
-
-// OnRefreshRows implements core.Mechanism.
-func (m *Mechanism) OnRefreshRows(int, int, int, int, int) {}
-
-// RefreshMultiplier implements core.Mechanism.
-func (m *Mechanism) RefreshMultiplier() int { return 1 }
 
 // StorageKB returns the per-channel controller storage: each entry needs
 // rank+bank+row bits plus a coarse timestamp (~34 bits).

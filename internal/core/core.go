@@ -60,11 +60,48 @@ type Mechanism interface {
 	// 2 when CROW-ref extends the window, 0 to disable refresh entirely
 	// (the "no refresh" ideal).
 	RefreshMultiplier() int
+
+	// RefreshDivisor divides the refresh interval: 1 normally, N when a
+	// mitigation refreshes N times as often. The controller ignores values
+	// below 2.
+	RefreshDivisor() int
+
+	// NextCopy pops the next mechanism-initiated operation queued for the
+	// channel (an ACT-c duplication or a row-granular refresh), if any. The
+	// controller asks on every scheduling pass with no such operation in
+	// flight.
+	NextCopy(channel int) (CopyOp, bool)
 }
+
+// NoOps supplies the do-nothing form of every Mechanism hook a simple
+// mechanism has no use for; embedding it leaves Name and PlanActivate (and
+// whichever hooks the mechanism does use) to declare. A wrapper around another
+// mechanism must not embed it: every method it fails to forward would
+// silently stop reaching the wrapped mechanism.
+type NoOps struct{}
+
+// OnActivate implements Mechanism.
+func (NoOps) OnActivate(dram.Addr, ActDecision, int64) {}
+
+// OnPrecharge implements Mechanism.
+func (NoOps) OnPrecharge(dram.Addr, int, bool, int64) {}
+
+// OnRefreshRows implements Mechanism.
+func (NoOps) OnRefreshRows(int, int, int, int, int) {}
+
+// RefreshMultiplier implements Mechanism.
+func (NoOps) RefreshMultiplier() int { return 1 }
+
+// RefreshDivisor implements Mechanism.
+func (NoOps) RefreshDivisor() int { return 1 }
+
+// NextCopy implements Mechanism.
+func (NoOps) NextCopy(int) (CopyOp, bool) { return CopyOp{}, false }
 
 // Baseline is the conventional-DRAM mechanism: every activation is a plain
 // single-row ACT at standard timings.
 type Baseline struct {
+	NoOps
 	T dram.Timing
 }
 
@@ -76,23 +113,12 @@ func (b *Baseline) PlanActivate(dram.Addr, int64) ActDecision {
 	return ActDecision{Kind: dram.ActSingle, Timing: b.T.Base()}
 }
 
-// OnActivate implements Mechanism.
-func (b *Baseline) OnActivate(dram.Addr, ActDecision, int64) {}
-
-// OnPrecharge implements Mechanism.
-func (b *Baseline) OnPrecharge(dram.Addr, int, bool, int64) {}
-
-// OnRefreshRows implements Mechanism.
-func (b *Baseline) OnRefreshRows(int, int, int, int, int) {}
-
-// RefreshMultiplier implements Mechanism.
-func (b *Baseline) RefreshMultiplier() int { return 1 }
-
 // Ideal is the hypothetical configuration the paper compares against in
 // Figures 8 and 14: a CROW-cache with a 100 % CROW-table hit rate (every
 // activation is an ACT-t at reduced latency, with no copy or restore
 // overhead), optionally with refresh disabled entirely.
 type Ideal struct {
+	NoOps
 	T         dram.Timing
 	NoRefresh bool
 }
@@ -105,15 +131,6 @@ func (i *Ideal) PlanActivate(dram.Addr, int64) ActDecision {
 	crow := i.T.CROW()
 	return ActDecision{Kind: dram.ActTwo, Timing: crow.TwoFull}
 }
-
-// OnActivate implements Mechanism.
-func (i *Ideal) OnActivate(dram.Addr, ActDecision, int64) {}
-
-// OnPrecharge implements Mechanism.
-func (i *Ideal) OnPrecharge(dram.Addr, int, bool, int64) {}
-
-// OnRefreshRows implements Mechanism.
-func (i *Ideal) OnRefreshRows(int, int, int, int, int) {}
 
 // RefreshMultiplier implements Mechanism.
 func (i *Ideal) RefreshMultiplier() int {

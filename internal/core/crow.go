@@ -80,6 +80,8 @@ type TableObserver interface {
 // RowHammer mitigation pinning ways that CROW-cache then cannot use
 // (Section 8.3).
 type CROW struct {
+	NoOps // RefreshDivisor; every other hook is declared below
+
 	T     dram.Timing
 	Table *Table
 	Crow  dram.CROWTimings
@@ -104,10 +106,6 @@ type CROW struct {
 
 	base dram.ActTimings
 
-	// Scrub enables idle-cycle restoration scrubbing. With the default
-	// lazy eviction policy it is unnecessary (and costs activation
-	// energy), so it is off unless enabled for ablation.
-	Scrub bool
 	// EagerRestore performs the restore-before-evict pass inline when a
 	// miss would evict a partially-restored pair (the paper's literal
 	// Section 4.1.4 flow); by default the allocation is skipped instead
@@ -116,17 +114,12 @@ type CROW struct {
 
 	// hammer activation counters per channel: a contiguous array indexed
 	// by ((rank*Banks)+bank)*RowsPerBank+row, allocated lazily on the
-	// first counted activation of a channel (the same flattening PR 7
-	// applied to hitsServed/bankLast — maps were the last hot-path state).
+	// first counted activation of a channel (a flat slice like the
+	// controller's hitsServed: a map here was the last one on the hot path).
 	hammerCounts [][]int32
 	// pendingCopies are mechanism-initiated ACT-c operations (RowHammer
 	// victim duplication) awaiting issue, per channel.
 	pendingCopies [][]CopyOp
-	// partials lists cache entries left partially restored, per channel;
-	// the controller drains it with full-restore ACT-t passes during
-	// idle cycles so evictions rarely stall on a restore (the refresh
-	// sweep performs the same cleanup over a full retention window).
-	partials [][]dram.Addr
 }
 
 // CopyOp is a mechanism-initiated activate/precharge operation the
@@ -157,7 +150,6 @@ func NewCROWShared(channels int, g dram.Geometry, t dram.Timing, share int) *CRO
 	}
 	c.hammerCounts = make([][]int32, channels)
 	c.pendingCopies = make([][]CopyOp, channels)
-	c.partials = make([][]dram.Addr, channels)
 	return c
 }
 
@@ -294,8 +286,8 @@ func (c *CROW) PlanActivate(a dram.Addr, cycle int64) ActDecision {
 		// would corrupt data (Section 4.1.4). Under the default lazy
 		// policy we skip caching this activation instead — the partial
 		// pair becomes fully restored soon (a later long-held
-		// activation, the refresh sweep, or an idle-cycle scrub) and
-		// eviction resumes; under EagerRestore the controller performs
+		// activation or the refresh sweep) and eviction resumes; under
+		// EagerRestore the controller performs
 		// the paper's restore-before-evict pass inline.
 		if !c.EagerRestore {
 			return ActDecision{Kind: dram.ActSingle, Timing: c.base}
@@ -402,9 +394,6 @@ func (c *CROW) OnPrecharge(a dram.Addr, openRow int, fullyRestored bool, cycle i
 		}
 		if set[w].Kind == EntryCache {
 			set[w].FullyRestored = fullyRestored
-			if !fullyRestored && c.Scrub {
-				c.partials[a.Channel] = append(c.partials[a.Channel], probe)
-			}
 			return
 		}
 		if set[w].CopyPending && fullyRestored {
@@ -457,7 +446,7 @@ func (c *CROW) RefreshMultiplier() int {
 	return 1
 }
 
-// NextCopy pops a pending mechanism-initiated copy for the channel, if any.
+// NextCopy implements Mechanism: it pops a pending copy for the channel.
 // Ops whose remap entry was already copied by a demand activation (or
 // replaced outright) are stale and skipped.
 func (c *CROW) NextCopy(channel int) (CopyOp, bool) {
@@ -473,43 +462,6 @@ func (c *CROW) NextCopy(channel int) (CopyOp, bool) {
 		return op, true
 	}
 	return CopyOp{}, false
-}
-
-// NextScrub pops a partially-restored pair awaiting an idle-cycle full
-// restore. The controller calls it only when a channel is otherwise idle,
-// performing the restore as an ACT-t held to full tRAS. Stale candidates
-// (re-cached, evicted, or already restored) are skipped.
-func (c *CROW) NextScrub(channel int) (CopyOp, bool) {
-	for len(c.partials[channel]) > 0 {
-		a := c.partials[channel][0]
-		c.partials[channel] = c.partials[channel][1:]
-		w := c.Table.Lookup(a)
-		if w < 0 {
-			continue
-		}
-		set := c.Table.Set(a)
-		if set[w].Kind != EntryCache || set[w].FullyRestored {
-			continue
-		}
-		return CopyOp{
-			Addr: a, Kind: dram.ActTwo, CopyRow: w, Timing: c.Crow.TwoRestore,
-		}, true
-	}
-	return CopyOp{}, false
-}
-
-// RequeueScrub returns a scrub candidate the controller could not issue
-// this cycle; it will be revalidated on the next pop.
-func (c *CROW) RequeueScrub(channel int, a dram.Addr) {
-	c.partials[channel] = append(c.partials[channel], a)
-}
-
-// HasPendingOps reports, without mutating any queue, whether the channel may
-// have copy or scrub work pending. It may overestimate (stale candidates are
-// only filtered on pop); it never misses live work, which is what lets the
-// controller skip its scrub path, and sleep, while this is false.
-func (c *CROW) HasPendingOps(channel int) bool {
-	return len(c.pendingCopies[channel]) > 0 || len(c.partials[channel]) > 0
 }
 
 // countHammer tracks per-row activation counts within a refresh window and

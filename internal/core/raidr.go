@@ -17,6 +17,7 @@ import (
 // refresh work forever and does not compose with CROW-cache's latency
 // mechanism.
 type RAIDR struct {
+	NoOps
 	Geo     dram.Geometry
 	T       dram.Timing
 	Profile *retention.Profile
@@ -43,12 +44,6 @@ func (r *RAIDR) Name() string { return "raidr" }
 func (r *RAIDR) PlanActivate(dram.Addr, int64) ActDecision {
 	return ActDecision{Kind: dram.ActSingle, Timing: r.base}
 }
-
-// OnActivate implements Mechanism.
-func (r *RAIDR) OnActivate(dram.Addr, ActDecision, int64) {}
-
-// OnPrecharge implements Mechanism.
-func (r *RAIDR) OnPrecharge(dram.Addr, int, bool, int64) {}
 
 // OnRefreshRows implements Mechanism: the bulk REF stream covers every row
 // once per *doubled* window, so weak rows need one extra refresh per default
@@ -92,8 +87,8 @@ func (r *RAIDR) OnRefreshRows(channel, rank, bank, startRow, n int) {
 // window, like CROW-ref.
 func (r *RAIDR) RefreshMultiplier() int { return 2 }
 
-// NextCopy pops a pending weak-row refresh for the channel; the controller
-// executes it as an ACT followed by a full-tRAS PRE.
+// NextCopy implements Mechanism: it pops a pending weak-row refresh for the
+// channel; the controller executes it as an ACT followed by a full-tRAS PRE.
 func (r *RAIDR) NextCopy(channel int) (CopyOp, bool) {
 	q := r.pending[channel]
 	if len(q) == 0 {
@@ -102,12 +97,6 @@ func (r *RAIDR) NextCopy(channel int) (CopyOp, bool) {
 	op := q[0]
 	r.pending[channel] = q[1:]
 	return op, true
-}
-
-// HasPendingOps reports whether the channel has weak-row refreshes queued,
-// without popping any (hammer.Shield peeks through it when it wraps RAIDR).
-func (r *RAIDR) HasPendingOps(channel int) bool {
-	return len(r.pending[channel]) > 0
 }
 
 // RAIDRStorageKB estimates RAIDR's controller storage: Bloom filters

@@ -121,49 +121,6 @@ func TestVictimWayPrefersFullyRestored(t *testing.T) {
 	}
 }
 
-func TestScrubQueue(t *testing.T) {
-	g := dram.Std(8)
-	tm := dram.LPDDR4(dram.Density8Gb, 64, g)
-	c := NewCROWShared(1, g, tm, 1)
-	c.Cache = true
-	c.Scrub = true
-	a := dram.Addr{Row: 3}
-	d := c.PlanActivate(a, 0)
-	c.OnActivate(a, d, 0)
-	c.OnPrecharge(a, a.Row, false, 50) // partial -> queued for scrub
-
-	op, ok := c.NextScrub(0)
-	if !ok {
-		t.Fatal("a partial pair must be scheduled for scrubbing")
-	}
-	if op.Kind != dram.ActTwo || op.Addr.Row != a.Row {
-		t.Errorf("scrub op = %+v", op)
-	}
-	if op.Timing != c.Crow.TwoRestore {
-		t.Error("scrub must use the full-restore plan")
-	}
-	// Requeue, then mark restored: the stale candidate must be skipped.
-	c.RequeueScrub(0, op.Addr)
-	c.OnPrecharge(a, a.Row, true, 100)
-	if _, ok := c.NextScrub(0); ok {
-		t.Error("restored pairs must not be scrubbed")
-	}
-}
-
-func TestScrubDisabledByDefault(t *testing.T) {
-	g := dram.Std(8)
-	tm := dram.LPDDR4(dram.Density8Gb, 64, g)
-	c := NewCROW(1, g, tm)
-	c.Cache = true
-	a := dram.Addr{Row: 3}
-	d := c.PlanActivate(a, 0)
-	c.OnActivate(a, d, 0)
-	c.OnPrecharge(a, a.Row, false, 50)
-	if _, ok := c.NextScrub(0); ok {
-		t.Error("NoScrub must keep the scrub queue empty")
-	}
-}
-
 func TestFullRestoreAblation(t *testing.T) {
 	g := dram.Std(8)
 	tm := dram.LPDDR4(dram.Density8Gb, 64, g)

@@ -57,9 +57,8 @@ type Config struct {
 	MaxPostpone int
 
 	// Scheduler, RowPolicy, and Refresh name the controller policies to
-	// compose, resolved from the registries in policy.go. Empty fields
-	// resolve to the Table 2 controller: "frfcfs-cap", "timeout", and
-	// "allbank".
+	// compose; policy.go says what each name means. Empty fields resolve to
+	// the Table 2 controller: "frfcfs-cap", "timeout", and "allbank".
 	Scheduler string
 	RowPolicy string
 	Refresh   string
@@ -93,7 +92,6 @@ type Stats struct {
 	Refreshes      int64
 	TimeoutCloses  int64
 	MechCopies     int64 // mechanism-initiated ACT-c operations
-	Scrubs         int64 // idle-cycle full-restore passes
 }
 
 // Sub returns s minus b, field by field: the counters accumulated since the
@@ -106,7 +104,7 @@ func (s Stats) Sub(b Stats) Stats {
 		RowHits:        s.RowHits - b.RowHits, RowMisses: s.RowMisses - b.RowMisses,
 		RowConflicts: s.RowConflicts - b.RowConflicts, Forwarded: s.Forwarded - b.Forwarded,
 		Refreshes: s.Refreshes - b.Refreshes, TimeoutCloses: s.TimeoutCloses - b.TimeoutCloses,
-		MechCopies: s.MechCopies - b.MechCopies, Scrubs: s.Scrubs - b.Scrubs,
+		MechCopies: s.MechCopies - b.MechCopies,
 	}
 }
 
@@ -142,8 +140,6 @@ const (
 	SchedTimeoutClose
 	// SchedMechCopy is a mechanism-initiated ACT-c issue.
 	SchedMechCopy
-	// SchedScrub is an idle-cycle full-restore activation.
-	SchedScrub
 	// SchedDrainEnter and SchedDrainExit bracket write-drain mode.
 	SchedDrainEnter
 	SchedDrainExit
@@ -151,7 +147,7 @@ const (
 
 var schedNames = [...]string{
 	"row-hit", "row-miss", "row-conflict", "forward", "refresh",
-	"timeout-close", "mech-copy", "scrub", "drain-enter", "drain-exit",
+	"timeout-close", "mech-copy", "drain-enter", "drain-exit",
 }
 
 func (k SchedKind) String() string { return schedNames[k] }
@@ -223,34 +219,6 @@ func (q *eventQueue) pop() event {
 	return e
 }
 
-// copySource is implemented by mechanisms that enqueue ACT-c copy work
-// (RowHammer victim duplication, dynamic CROW-ref remaps).
-type copySource interface {
-	NextCopy(int) (core.CopyOp, bool)
-}
-
-// scrubSource is implemented by mechanisms with idle-cycle restore work.
-type scrubSource interface {
-	NextScrub(int) (core.CopyOp, bool)
-	RequeueScrub(int, dram.Addr)
-}
-
-// opPeeker lets serviceScrub ask, without mutating mechanism state, whether a
-// channel may have scrub work pending. An empty queue needs no polling: the
-// scrub path returns before NextScrub, so the controller can sleep. Mechanisms
-// implementing scrubSource without opPeeker are asked through NextScrub.
-type opPeeker interface {
-	HasPendingOps(int) bool
-}
-
-// refreshScaler is implemented by mechanisms (mitigation wrappers) that
-// scale the refresh rate up: the controller divides its refresh interval by
-// the reported divisor. Resolved once at construction; divisors below 2 are
-// ignored.
-type refreshScaler interface {
-	RefreshDivisor() int
-}
-
 // copyState tracks a mechanism-initiated ACT-c in flight.
 type copyState struct {
 	op      core.CopyOp
@@ -282,22 +250,12 @@ type Controller struct {
 
 	pendingCopy copyState
 
-	// The composed policies, resolved from the registries at construction.
-	// effCap is the scheduler's effective per-activation hit cap (0 =
-	// unlimited, for the uncapped FR-FCFS variant).
-	schedPol Scheduler
-	rowPol   RowPolicy
-	refPol   RefreshPolicy
-	effCap   int
-
-	// Cached capability assertions on Mech, resolved once at construction
-	// so the per-cycle path performs no dynamic interface checks.
-	copySrc  copySource
-	scrubSrc scrubSource
-	opPeek   opPeeker
-	// refDiv divides the refresh interval when a mitigation scales the
-	// refresh rate (see refreshScaler); 0/1 = no scaling.
-	refDiv int
+	// What the Config's policy names mean (resolvePolicies, policy.go).
+	inOrder   bool  // scheduler: serve the preferred queue's head only
+	effCap    int   // scheduler: row hits served per activation, 0 = unlimited
+	closeIdle bool  // row policy: close rows no queued request needs...
+	timeout   int64 // ...once idle this many cycles
+	perBank   bool  // refresh: bank-granular (REFpb/REFsb), not REFab
 
 	free  *Request       // request freelist (see GetRequest)
 	osBuf []dram.OpenSub // reusable open-subarray scan buffer
@@ -315,11 +273,7 @@ type Controller struct {
 	// scheduling pass and panic if the skip was not a no-op.
 	verifyWake bool
 
-	events      eventQueue
-	timeout     int64
-	lastEnqueue int64 // most recent demand arrival (gates scrubbing)
-	lastScrub   int64
-	bankLast    []int64 // last demand command per bank (gates scrubbing), by bankKey
+	events eventQueue
 
 	// ReadLatency tracks the distribution of read latencies in DRAM
 	// cycles (arrival to data), in logarithmic buckets.
@@ -350,8 +304,7 @@ func (c *Controller) sched(k SchedKind, a dram.Addr, now int64) {
 }
 
 // New builds a controller over a fresh device channel. Unknown policy names
-// panic: user-facing inputs are validated at the crow.Options layer, so an
-// unknown name here is a wiring bug.
+// panic (see resolvePolicies).
 func New(cfg Config, mech core.Mechanism) *Controller {
 	dev := dram.NewChannel(cfg.Geo, cfg.T)
 	dev.MASA = cfg.MASA
@@ -363,14 +316,9 @@ func New(cfg Config, mech core.Mechanism) *Controller {
 		Mech:        mech,
 		hitsServed:  make([]int, cfg.Geo.Ranks*cfg.Geo.Banks*subs),
 		subsPerBank: subs,
-		bankLast:    make([]int64, cfg.Geo.Ranks*cfg.Geo.Banks),
-		timeout:     int64(cfg.TimeoutNs / cfg.T.CycleTime()),
 		ReadLatency: metrics.NewHistogram(),
 	}
 	c.resolvePolicies()
-	if rs, ok := mech.(refreshScaler); ok {
-		c.refDiv = rs.RefreshDivisor()
-	}
 	c.refDue = make([]int64, cfg.Geo.Ranks)
 	c.refOwed = make([]int, cfg.Geo.Ranks)
 	c.refRow = make([]int, cfg.Geo.Ranks)
@@ -378,51 +326,8 @@ func New(cfg Config, mech core.Mechanism) *Controller {
 	for r := range c.refDue {
 		c.refDue[r] = c.refInterval()
 	}
-	c.copySrc, _ = mech.(copySource)
-	c.scrubSrc, _ = mech.(scrubSource)
-	c.opPeek, _ = mech.(opPeeker)
 	c.verifyWake = verifyWakeAll.Load()
 	return c
-}
-
-// resolvePolicies looks the configured policy names up, mapping empty names
-// to the Table 2 defaults, and derives the policy-dependent scalars (effCap,
-// zero timeout for the closed-page policy).
-func (c *Controller) resolvePolicies() {
-	sname := c.Cfg.Scheduler
-	if sname == "" {
-		sname = DefaultScheduler
-	}
-	rname := c.Cfg.RowPolicy
-	if rname == "" {
-		rname = DefaultRowPolicy
-	}
-	fname := c.Cfg.Refresh
-	if fname == "" {
-		fname = DefaultRefreshPolicy
-	}
-	var err error
-	if c.schedPol, err = SchedulerByName(sname); err != nil {
-		panic(err)
-	}
-	if c.rowPol, err = RowPolicyByName(rname); err != nil {
-		panic(err)
-	}
-	if c.refPol, err = RefreshPolicyByName(fname); err != nil {
-		panic(err)
-	}
-	if sname == DefaultScheduler {
-		c.effCap = c.Cfg.Cap
-	}
-	if rname == "closed" {
-		c.timeout = 0
-	}
-}
-
-// Policies returns the names of the composed scheduler, row policy, and
-// refresh policy (for reporting and tests).
-func (c *Controller) Policies() (scheduler, rowPolicy, refresh string) {
-	return c.schedPol.Name(), c.rowPol.Name(), c.refPol.Name()
 }
 
 // GetRequest returns a zeroed request from the controller's freelist (or a
@@ -450,11 +355,11 @@ func (c *Controller) refInterval() int64 {
 		return 1 << 62
 	}
 	iv := int64(c.Cfg.T.REFI) * int64(mult)
-	if c.refPol.PerBank() {
+	if c.perBank {
 		iv /= int64(c.Cfg.Geo.Banks)
 	}
-	if c.refDiv > 1 {
-		iv /= int64(c.refDiv)
+	if div := c.Mech.RefreshDivisor(); div > 1 {
+		iv /= int64(div)
 	}
 	if iv < 1 {
 		// Either division can round a tiny tREFI to zero, and a zero interval
@@ -492,7 +397,6 @@ func (c *Controller) EnqueueRead(r *Request, now int64) bool {
 		return false
 	}
 	r.Arrive = now
-	c.lastEnqueue = now
 	c.readQ = append(c.readQ, r)
 	c.wake = min(c.wake, now)
 	return true
@@ -505,7 +409,6 @@ func (c *Controller) EnqueueWrite(r *Request, now int64) bool {
 		return false
 	}
 	r.Arrive = now
-	c.lastEnqueue = now
 	c.writeQ = append(c.writeQ, r)
 	c.wake = min(c.wake, now)
 	if r.Done != nil {
@@ -592,9 +495,8 @@ func (c *Controller) verifySkip(now int64) {
 }
 
 // schedulePass runs refresh, mechanism-initiated copies, drain-mode
-// transitions, the composed scheduler passes, the idle-row policy, and
-// scrubbing, in that order. At most one command issues; it reports whether
-// one did.
+// transitions, the scheduler's passes, and the idle-row policy, in that order.
+// At most one command issues; it reports whether one did.
 func (c *Controller) schedulePass(now int64) bool {
 	c.nextReady, c.poll = dram.Horizon, false
 	if c.serviceRefresh(now) {
@@ -609,18 +511,15 @@ func (c *Controller) schedulePass(now int64) bool {
 	if c.draining || len(c.readQ) == 0 {
 		q, other = &c.writeQ, &c.readQ
 	}
-	if c.schedPol.Schedule(c, q, now) {
-		return true
+	var issued bool
+	if c.inOrder {
+		issued = c.scheduleInOrder(q, now)
+	} else {
+		// If the preferred queue could not issue, let the other queue's row
+		// hits through (writes never starve reads and vice versa).
+		issued = c.schedule(q, now) || c.scheduleHits(other, now)
 	}
-	// If the preferred queue could not issue, let the other queue's row
-	// hits through (writes never starve reads and vice versa).
-	if c.schedPol.ScheduleHits(c, other, now) {
-		return true
-	}
-	if c.rowPol.ServiceIdle(c, now) {
-		return true
-	}
-	return c.serviceScrub(now)
+	return issued || (c.closeIdle && c.serviceTimeout(now))
 }
 
 func (c *Controller) updateDrainMode(now int64) {
@@ -644,12 +543,10 @@ func (c *Controller) key(a dram.Addr) int {
 	return (a.Rank*c.Cfg.Geo.Banks+a.Bank)*c.subsPerBank + a.Subarray(c.Cfg.Geo)
 }
 
-func (c *Controller) bankKey(a dram.Addr) int { return a.Rank*c.Cfg.Geo.Banks + a.Bank }
-
-// serviceRefresh runs the shared refresh state machine — per-rank deadline
-// accounting with elastic postponement [107] — and delegates the granularity
-// of the refresh command itself (REFab, REFpb, REFsb) to the composed
-// RefreshPolicy; returns true if a command issued this cycle.
+// serviceRefresh runs the refresh state machine — per-rank deadline
+// accounting with elastic postponement [107] — and leaves the refresh command
+// itself (REFab, or bank-granular REFpb/REFsb) to issueRefresh; returns true
+// if a command issued this cycle.
 func (c *Controller) serviceRefresh(now int64) bool {
 	for r := 0; r < c.Cfg.Geo.Ranks; r++ {
 		for c.ready(c.refDue[r], now) {
@@ -664,7 +561,7 @@ func (c *Controller) serviceRefresh(now int64) bool {
 		if c.refOwed[r] <= c.Cfg.MaxPostpone && c.hasRankDemand(r) {
 			continue
 		}
-		done, wait := c.refPol.Issue(c, r, now)
+		done, wait := c.issueRefresh(r, now)
 		if done {
 			return true
 		}
@@ -673,6 +570,54 @@ func (c *Controller) serviceRefresh(now int64) bool {
 		}
 	}
 	return false
+}
+
+// issueRefresh tries to issue (or clear the way for) one refresh of rank r
+// once serviceRefresh has decided one is due: done means a command issued this
+// cycle, wait means the rank is blocked on device timing and the scan must
+// stop; neither means the refresh was postponed and the next rank may be
+// considered.
+func (c *Controller) issueRefresh(r int, now int64) (done, wait bool) {
+	if c.perBank {
+		// Time each refresh to bank idleness: defer while the target bank has
+		// queued demand, within the per-bank postponement budget JEDEC allows
+		// (8), so the refresh lands in a gap instead of stalling an active bank.
+		budget := c.Cfg.MaxPostpone
+		if budget == 0 {
+			budget = c.Cfg.Geo.Banks
+		}
+		if c.refOwed[r] <= budget && c.hasBankDemand(r, c.refBank[r]) {
+			return false, false
+		}
+		done = c.refreshBank(r, now)
+		return done, !done
+	}
+	if c.ready(c.Dev.ReadyREF(r), now) {
+		c.Dev.REF(r, now)
+		c.Stats.Refreshes++
+		if c.Obs != nil {
+			c.sched(SchedRefresh, dram.Addr{Channel: c.Cfg.ChannelID, Rank: r}, now)
+		}
+		start := c.refRow[r]
+		c.Mech.OnRefreshRows(c.Cfg.ChannelID, r, -1, start, c.Cfg.T.RowsPerRef)
+		c.refRow[r] = (start + c.Cfg.T.RowsPerRef) % c.Cfg.Geo.RowsPerBank
+		c.refOwed[r]--
+		return true, false
+	}
+	// Close open rows so REF can issue.
+	c.osBuf = c.Dev.OpenSubarraysAppend(c.osBuf[:0])
+	for _, os := range c.osBuf {
+		if os.Rank != r {
+			continue
+		}
+		a := dram.Addr{Channel: c.Cfg.ChannelID, Rank: os.Rank, Bank: os.Bank, Row: os.Row}
+		if c.ready(c.Dev.ReadyPRE(a), now) {
+			c.preAndNotify(a, now)
+			return true, false
+		}
+	}
+	// Blocked on tRAS/tRP; wait.
+	return false, true
 }
 
 // refreshBank issues (or clears the way for) one per-bank refresh of the
@@ -739,8 +684,8 @@ func (c *Controller) hasBankDemand(r, bank int) bool {
 // so they ask for that cycle (poll).
 func (c *Controller) serviceMechCopy(now int64) bool {
 	pc := &c.pendingCopy
-	if !pc.pending && c.copySrc != nil {
-		if op, found := c.copySrc.NextCopy(c.Cfg.ChannelID); found {
+	if !pc.pending {
+		if op, found := c.Mech.NextCopy(c.Cfg.ChannelID); found {
 			*pc = copyState{op: op, pending: true}
 			c.poll = true
 		}
@@ -962,7 +907,6 @@ func (c *Controller) progress(r *Request, now int64) bool {
 		c.Dev.ACT(a, now, d.Kind, d.Timing, copyRow)
 		c.Mech.OnActivate(a, d, now)
 		c.hitsServed[c.key(a)] = 0
-		c.bankLast[c.bankKey(a)] = now
 		c.Stats.RowMisses++
 		if c.Obs != nil {
 			c.sched(SchedRowMiss, a, now)
@@ -978,7 +922,6 @@ func (c *Controller) issueColumn(r *Request, now int64) bool {
 		if !c.ready(c.Dev.ReadyRD(r.Addr), now) {
 			return false
 		}
-		c.bankLast[c.bankKey(r.Addr)] = now
 		done := c.Dev.RD(r.Addr, now)
 		c.Stats.ReadsServed++
 		c.Stats.ReadLatencySum += done - r.Arrive
@@ -991,15 +934,14 @@ func (c *Controller) issueColumn(r *Request, now int64) bool {
 	if !c.ready(c.Dev.ReadyWR(r.Addr), now) {
 		return false
 	}
-	c.bankLast[c.bankKey(r.Addr)] = now
 	c.Dev.WR(r.Addr, now)
 	c.Stats.WritesServed++
 	return true
 }
 
 // serviceTimeout closes rows idle past the timeout with no queued requests
-// (the Table 2 timeout-based row-buffer policy; the timeout/closed row
-// policies invoke it). Returns true if it issued a command.
+// (the Table 2 timeout-based row-buffer policy, and "closed" with a zero
+// timeout). Returns true if it issued a command.
 func (c *Controller) serviceTimeout(now int64) bool {
 	c.osBuf = c.Dev.OpenSubarraysAppend(c.osBuf[:0])
 	for _, os := range c.osBuf {
@@ -1020,57 +962,6 @@ func (c *Controller) serviceTimeout(now int64) bool {
 		}
 	}
 	return false
-}
-
-// serviceScrub uses fully idle cycles (empty queues, no refresh pending) to
-// fully restore partially-restored CROW pairs with an ACT-t held to full
-// tRAS, so that later evictions rarely stall on a restore pass. The opened
-// pair is closed by the normal timeout/conflict policies, at which point it
-// reports fully restored. Over a complete retention window the refresh sweep
-// performs the same cleanup; scrubbing brings the steady state forward.
-// Returns true if it issued a command.
-//
-// The state gates come first and the two time gates go through ready, so a
-// controller with nothing to scrub never wakes for them. Past the gates the
-// path polls every cycle: a candidate that cannot issue is rotated to the
-// back of the mechanism's queue, so each cycle examines a different one.
-func (c *Controller) serviceScrub(now int64) bool {
-	if c.scrubSrc == nil || len(c.readQ) > 0 || len(c.writeQ) > 0 || c.pendingCopy.pending {
-		return false
-	}
-	if c.opPeek != nil && !c.opPeek.HasPendingOps(c.Cfg.ChannelID) {
-		return false
-	}
-	for r := range c.refOwed {
-		if c.refOwed[r] > 0 {
-			return false
-		}
-	}
-	// Only scrub after a short quiet period, at a bounded rate, and only
-	// into banks that have been cold for a while, so a bursty stream does
-	// not find its hot banks held by restore passes.
-	const quiet = 40
-	if !c.ready(max(c.lastEnqueue, c.lastScrub)+quiet, now) {
-		return false
-	}
-	op, found := c.scrubSrc.NextScrub(c.Cfg.ChannelID)
-	if !found {
-		return false
-	}
-	const bankCold = 250
-	if now-c.bankLast[c.bankKey(op.Addr)] < bankCold || !c.Dev.CanACT(op.Addr, now, op.Kind) {
-		c.scrubSrc.RequeueScrub(c.Cfg.ChannelID, op.Addr)
-		c.poll = true
-		return false
-	}
-	c.Dev.ACT(op.Addr, now, op.Kind, op.Timing, op.CopyRow)
-	c.hitsServed[c.key(op.Addr)] = 0
-	c.lastScrub = now
-	c.Stats.Scrubs++
-	if c.Obs != nil {
-		c.sched(SchedScrub, op.Addr, now)
-	}
-	return true
 }
 
 func (c *Controller) hasRequestFor(a dram.Addr) bool {

@@ -26,12 +26,9 @@ func TestPolicyRegistriesListChoices(t *testing.T) {
 		err   error
 		names []string
 	}{
-		{"scheduler", func() error { _, err := SchedulerByName("rr"); return err }(),
-			[]string{"fcfs", "frfcfs", "frfcfs-cap"}},
-		{"row policy", func() error { _, err := RowPolicyByName("adaptive"); return err }(),
-			[]string{"closed", "open", "timeout"}},
-		{"refresh policy", func() error { _, err := RefreshPolicyByName("rowgranular"); return err }(),
-			[]string{"allbank", "perbank", "samebank"}},
+		{"scheduler", CheckScheduler("rr"), []string{"fcfs", "frfcfs", "frfcfs-cap"}},
+		{"row policy", CheckRowPolicy("adaptive"), []string{"closed", "open", "timeout"}},
+		{"refresh policy", CheckRefreshPolicy("rowgranular"), []string{"allbank", "perbank", "samebank"}},
 	}
 	for _, c := range cases {
 		if c.err == nil {

@@ -3,6 +3,7 @@ package dram
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // AddressMapper decodes flat physical addresses into DRAM coordinates and
@@ -44,7 +45,7 @@ func CheckMapping(name string) error {
 	if _, ok := mappings[name]; ok {
 		return nil
 	}
-	return fmt.Errorf("dram: unknown mapping %q (registered: %s)", name, joinNames(MappingNames()))
+	return fmt.Errorf("dram: unknown mapping %q (registered: %s)", name, strings.Join(MappingNames(), ", "))
 }
 
 // MappingNames returns the registered mapping names, sorted.

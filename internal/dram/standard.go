@@ -3,6 +3,7 @@ package dram
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // Standard bundles everything that distinguishes one memory standard from
@@ -88,7 +89,7 @@ func StandardByName(name string) (Standard, error) {
 	if s, ok := standards[name]; ok {
 		return s, nil
 	}
-	return nil, fmt.Errorf("dram: unknown standard %q (registered: %s)", name, joinNames(StandardNames()))
+	return nil, fmt.Errorf("dram: unknown standard %q (registered: %s)", name, strings.Join(StandardNames(), ", "))
 }
 
 // StandardNames returns the registered standard names, sorted.
@@ -99,17 +100,6 @@ func StandardNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-func joinNames(names []string) string {
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += ", "
-		}
-		out += n
-	}
-	return out
 }
 
 // toCyclesIn rounds a nanosecond parameter to command-clock cycles of the

@@ -35,8 +35,7 @@ var (
 )
 
 // RegisterMitigation adds a mitigation to the registry; it panics on a
-// duplicate name, mirroring the dram.Standard and controller-policy
-// registries.
+// duplicate name, mirroring the dram.Standard registry.
 func RegisterMitigation(name string, f Factory) {
 	mitMu.Lock()
 	defer mitMu.Unlock()
@@ -88,7 +87,7 @@ func init() {
 		if cfg.ParaPerMille <= 0 || cfg.ParaPerMille > 1000 {
 			return nil, fmt.Errorf("para: probability %d/1000 out of range (0, 1000]", cfg.ParaPerMille)
 		}
-		return newShield(cfg, inner, cfg.ParaPerMille, 0), nil
+		return newShield(cfg, inner, cfg.ParaPerMille, 1), nil
 	})
 	RegisterMitigation("refresh-scale", func(cfg MitConfig, inner core.Mechanism) (core.Mechanism, error) {
 		if cfg.RefreshScale < 2 {
@@ -117,7 +116,9 @@ func init() {
 // drained through the controller's mechanism-copy path) and/or a scaled
 // refresh rate (RefreshDivisor shortens the controller's REF interval).
 // All delegation preserves the inner mechanism's behavior; Unwrap exposes it
-// for the type asserts that reach inside core.CROW.
+// for the type asserts that reach inside core.CROW. Shield declares every
+// core.Mechanism method itself (no embedded core.NoOps), so a method added to
+// the contract and not forwarded here fails to compile.
 type Shield struct {
 	inner core.Mechanism
 	seed  int64
@@ -126,19 +127,6 @@ type Shield struct {
 	paraPerMille int
 	refreshDiv   int
 
-	// Capability views of the inner mechanism, cached once like the
-	// controller caches its own (a nil view = capability absent).
-	innerCopy interface {
-		NextCopy(int) (core.CopyOp, bool)
-	}
-	innerScrub interface {
-		NextScrub(int) (core.CopyOp, bool)
-		RequeueScrub(int, dram.Addr)
-	}
-	innerPeek interface {
-		HasPendingOps(int) bool
-	}
-
 	chans []shieldChan
 }
 
@@ -146,11 +134,10 @@ type shieldChan struct {
 	draws uint64
 	queue []core.CopyOp
 	acts  int64
-	_     [24]byte // keep per-channel state off shared cache lines
 }
 
 func newShield(cfg MitConfig, inner core.Mechanism, paraPerMille, refreshDiv int) *Shield {
-	s := &Shield{
+	return &Shield{
 		inner:        inner,
 		seed:         cfg.Seed,
 		geo:          cfg.Geo,
@@ -158,23 +145,6 @@ func newShield(cfg MitConfig, inner core.Mechanism, paraPerMille, refreshDiv int
 		refreshDiv:   refreshDiv,
 		chans:        make([]shieldChan, cfg.Channels),
 	}
-	if c, ok := inner.(interface {
-		NextCopy(int) (core.CopyOp, bool)
-	}); ok {
-		s.innerCopy = c
-	}
-	if sc, ok := inner.(interface {
-		NextScrub(int) (core.CopyOp, bool)
-		RequeueScrub(int, dram.Addr)
-	}); ok {
-		s.innerScrub = sc
-	}
-	if p, ok := inner.(interface {
-		HasPendingOps(int) bool
-	}); ok {
-		s.innerPeek = p
-	}
-	return s
 }
 
 // Unwrap exposes the wrapped mechanism (core.Unwrap walks it).
@@ -233,20 +203,18 @@ func (s *Shield) OnRefreshRows(channel, rank, bank, startRow, n int) {
 }
 
 // RefreshMultiplier implements core.Mechanism, delegating unchanged (the
-// refresh-scale divisor is a separate controller hook, RefreshDivisor).
+// refresh-scale divisor is a separate hook, RefreshDivisor).
 func (s *Shield) RefreshMultiplier() int { return s.inner.RefreshMultiplier() }
 
-// RefreshDivisor reports the refresh-rate scaling factor the controller
-// should apply (values below 2 mean none).
-func (s *Shield) RefreshDivisor() int { return s.refreshDiv }
+// RefreshDivisor implements core.Mechanism: the refresh-scale factor (1 under
+// PARA) on top of whatever the inner mechanism asks for.
+func (s *Shield) RefreshDivisor() int { return s.refreshDiv * s.inner.RefreshDivisor() }
 
-// NextCopy drains the inner mechanism's ops first, then PARA's pending
-// neighbour refreshes.
+// NextCopy implements core.Mechanism: it drains the inner mechanism's ops
+// first, then PARA's pending neighbour refreshes.
 func (s *Shield) NextCopy(channel int) (core.CopyOp, bool) {
-	if s.innerCopy != nil {
-		if op, ok := s.innerCopy.NextCopy(channel); ok {
-			return op, true
-		}
+	if op, ok := s.inner.NextCopy(channel); ok {
+		return op, true
 	}
 	c := &s.chans[channel]
 	if len(c.queue) == 0 {
@@ -256,35 +224,6 @@ func (s *Shield) NextCopy(channel int) (core.CopyOp, bool) {
 	c.queue = c.queue[1:]
 	c.acts++
 	return op, true
-}
-
-// NextScrub delegates to the inner mechanism, if it scrubs.
-func (s *Shield) NextScrub(channel int) (core.CopyOp, bool) {
-	if s.innerScrub != nil {
-		return s.innerScrub.NextScrub(channel)
-	}
-	return core.CopyOp{}, false
-}
-
-// RequeueScrub delegates to the inner mechanism, if it scrubs.
-func (s *Shield) RequeueScrub(channel int, a dram.Addr) {
-	if s.innerScrub != nil {
-		s.innerScrub.RequeueScrub(channel, a)
-	}
-}
-
-// HasPendingOps reports whether the channel has mitigation or inner-mechanism
-// ops pending. When the inner mechanism has op sources but no peeker, it
-// reports true (un-peekable work is never assumed absent), preserving the
-// controller's contract for the wrapped case.
-func (s *Shield) HasPendingOps(channel int) bool {
-	if len(s.chans[channel].queue) > 0 {
-		return true
-	}
-	if s.innerPeek != nil {
-		return s.innerPeek.HasPendingOps(channel)
-	}
-	return s.innerCopy != nil || s.innerScrub != nil
 }
 
 // NeighborRefreshes returns how many PARA neighbour-refresh activations the

@@ -1,6 +1,7 @@
 package hammer
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -108,19 +109,16 @@ func TestShieldParaEnqueuesNeighbours(t *testing.T) {
 	}
 	s := m.(*Shield)
 	a := dram.Addr{Channel: 1, Bank: 1, Row: 10}
-	if s.HasPendingOps(1) {
+	if _, ok := s.NextCopy(1); ok {
 		t.Fatal("pending ops before any activation")
 	}
 	s.OnActivate(a, core.ActDecision{Kind: dram.ActSingle}, 0)
-	if !s.HasPendingOps(1) {
-		t.Fatal("no pending op after a guaranteed draw")
-	}
-	if s.HasPendingOps(0) {
+	if _, ok := s.NextCopy(0); ok {
 		t.Fatal("draw leaked across channels")
 	}
 	op, ok := s.NextCopy(1)
 	if !ok || op.Kind != dram.ActSingle {
-		t.Fatalf("NextCopy: %+v %v", op, ok)
+		t.Fatalf("NextCopy after a guaranteed draw: %+v %v", op, ok)
 	}
 	if op.Addr.Row != 9 && op.Addr.Row != 11 {
 		t.Fatalf("neighbour row %d, want 9 or 11", op.Addr.Row)
@@ -157,7 +155,7 @@ func TestShieldParaSkipsOutOfRangeAndCopyActs(t *testing.T) {
 	// Copy-row activations (the mitigation's own refreshes included) never
 	// draw — PARA would otherwise feed back on itself.
 	s.OnActivate(dram.Addr{Row: 10}, core.ActDecision{Kind: dram.ActCopyRow}, 100)
-	if s.HasPendingOps(0) {
+	if _, ok := s.NextCopy(0); ok {
 		t.Fatal("copy-row activation drew a neighbour refresh")
 	}
 }
@@ -188,5 +186,55 @@ func TestShieldParaDeterministicRate(t *testing.T) {
 	// 100/1000 over 2000 activations: expect ~200 hits; accept a wide band.
 	if len(a) < 120 || len(a) > 280 {
 		t.Fatalf("hit rate off: %d/2000 at 100/1000", len(a))
+	}
+}
+
+// recordingMech is a core.Mechanism that only notes which of its methods ran.
+type recordingMech struct{ saw map[string]bool }
+
+func (r recordingMech) Name() string { r.saw["Name"] = true; return "rec" }
+func (r recordingMech) PlanActivate(dram.Addr, int64) core.ActDecision {
+	r.saw["PlanActivate"] = true
+	return core.ActDecision{}
+}
+func (r recordingMech) OnActivate(dram.Addr, core.ActDecision, int64) { r.saw["OnActivate"] = true }
+func (r recordingMech) OnPrecharge(dram.Addr, int, bool, int64)       { r.saw["OnPrecharge"] = true }
+func (r recordingMech) OnRefreshRows(int, int, int, int, int)         { r.saw["OnRefreshRows"] = true }
+func (r recordingMech) RefreshMultiplier() int                        { r.saw["RefreshMultiplier"] = true; return 1 }
+func (r recordingMech) RefreshDivisor() int                           { r.saw["RefreshDivisor"] = true; return 1 }
+func (r recordingMech) NextCopy(int) (core.CopyOp, bool) {
+	r.saw["NextCopy"] = true
+	return core.CopyOp{}, false
+}
+
+// TestShieldForwardsEveryMethod calls every method of core.Mechanism on a
+// Shield, enumerated by reflection so one added later is covered unedited, and
+// requires each to reach the wrapped mechanism: a Shield that embeds
+// core.NoOps, or swallows a hook, would make the wrapped mechanism deaf to it
+// with no compile error.
+func TestShieldForwardsEveryMethod(t *testing.T) {
+	cfg := testMitCfg()
+	cfg.ParaPerMille = 5
+	rec := recordingMech{saw: map[string]bool{}}
+	m, err := NewMitigation("para", cfg, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shield := reflect.ValueOf(m)
+	if _, embeds := shield.Elem().Type().FieldByName("NoOps"); embeds {
+		t.Error("Shield embeds core.NoOps: a method it stops forwarding would compile and do nothing")
+	}
+	contract := reflect.TypeOf((*core.Mechanism)(nil)).Elem()
+	for i := 0; i < contract.NumMethod(); i++ {
+		name := contract.Method(i).Name
+		fn := shield.MethodByName(name)
+		args := make([]reflect.Value, fn.Type().NumIn())
+		for j := range args {
+			args[j] = reflect.Zero(fn.Type().In(j))
+		}
+		fn.Call(args)
+		if !rec.saw[name] {
+			t.Errorf("Shield.%s did not reach the wrapped mechanism", name)
+		}
 	}
 }

@@ -300,19 +300,14 @@ func New(cfg Config, mech core.Mechanism, gens []trace.Generator) *System {
 		// strings: the cap check only applies under the capped scheduler,
 		// and bank-granular refresh (perbank or DDR5's samebank) divides
 		// the deadline interval.
-		schedName, _, refName := s.Ctrls[0].Policies()
-		oracleCap := 0
-		if schedName == ctrl.DefaultScheduler {
-			oracleCap = cfg.Ctrl.Cap
-		}
 		s.Oracle = oracle.New(oracle.Config{
 			Channels:          cfg.Channels,
 			Geo:               cfg.Geo,
 			T:                 cfg.T,
-			Cap:               oracleCap,
+			Cap:               s.Ctrls[0].HitCap(),
 			DataChecks:        shadowDataApplies(mech),
 			RefreshMultiplier: mech.RefreshMultiplier(),
-			BankRefresh:       refName != ctrl.DefaultRefreshPolicy,
+			BankRefresh:       s.Ctrls[0].BankRefresh(),
 			MaxPostpone:       cfg.Ctrl.MaxPostpone,
 		})
 		for ch := range s.Ctrls {

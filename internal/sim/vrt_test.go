@@ -69,33 +69,3 @@ func TestVRTDynamicRemapping(t *testing.T) {
 		t.Error("with free copy rows remaining, the extended window must hold")
 	}
 }
-
-// TestScrubbingRestoresPartialPairs checks the idle-cycle scrubber: after a
-// burst leaves partial pairs behind, idle execution restores them so later
-// evictions need no restore pass.
-func TestScrubbingRestoresPartialPairs(t *testing.T) {
-	run := func(scrub bool) Result {
-		cfg := Default(8, dram.Density8Gb, 64)
-		cfg.WarmupInsts = 5_000
-		cfg.MeasureInsts = 60_000
-		mech := core.NewCROW(cfg.Channels, cfg.Geo, cfg.T)
-		mech.Cache = true
-		mech.Scrub = scrub
-		mech.EagerRestore = true
-		app, _ := trace.ByName("mcf")
-		s := New(cfg, mech, []trace.Generator{app.Gen(1)})
-		return s.Run()
-	}
-	with := run(true)
-	without := run(false)
-	if with.Ctrl.Scrubs == 0 {
-		t.Fatal("scrubbing must occur on an interleaved workload")
-	}
-	if without.Ctrl.Scrubs != 0 {
-		t.Error("scrubbing is off by default")
-	}
-	if without.CROW.RestoreOps > 0 && with.CROW.RestoreOps >= without.CROW.RestoreOps {
-		t.Errorf("scrubbing must reduce eviction-time restores: %d vs %d",
-			with.CROW.RestoreOps, without.CROW.RestoreOps)
-	}
-}

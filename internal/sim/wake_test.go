@@ -37,8 +37,8 @@ func fixedProfile(cfg Config, weakPerSubarray int) *retention.Profile {
 // wakeMechs are the mechanisms of the matrix, each with the copy rows its
 // geometry needs. Together they cover every controller hook: plain activation
 // plans, mechanism copies (crow-ref remaps, RAIDR row refreshes, crow-hammer
-// victim copies), restore-before-evict, scrubbing, a cycle-dependent plan
-// (ChargeCache), a doubled and a disabled refresh interval.
+// victim copies), restore-before-evict, a cycle-dependent plan (ChargeCache),
+// a doubled and a disabled refresh interval.
 var wakeMechs = []struct {
 	name     string
 	copyRows int
@@ -62,9 +62,9 @@ var wakeMechs = []struct {
 		m.LoadProfile(fixedProfile(cfg, 3))
 		return m
 	}},
-	{"crow-cache-scrub", 8, func(cfg Config) core.Mechanism {
+	{"crow-cache-eager", 8, func(cfg Config) core.Mechanism {
 		m := core.NewCROW(cfg.Channels, cfg.Geo, cfg.T)
-		m.Cache, m.Scrub, m.EagerRestore = true, true, true
+		m.Cache, m.EagerRestore = true, true
 		return m
 	}},
 	{"crow-hammer", 8, func(cfg Config) core.Mechanism {
@@ -77,7 +77,7 @@ var wakeMechs = []struct {
 
 // runWake runs one two-core system — a memory-bound application beside one
 // that leaves the channels idle for long stretches, so full queues, timeout
-// closes, scrubbing and idle skips all occur — and fails on a truncated run.
+// closes and idle skips all occur — and fails on a truncated run.
 func runWake(t *testing.T, cfg Config, mech core.Mechanism, apps ...string) Result {
 	t.Helper()
 	res := New(cfg, mech, appGens(t, 1, apps...)).Run()

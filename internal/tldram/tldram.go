@@ -14,6 +14,8 @@ import (
 
 // Mechanism is the TL-DRAM controller policy. It satisfies core.Mechanism.
 type Mechanism struct {
+	core.NoOps // copies always fully restore: no precharge or refresh tracking
+
 	T        dram.Timing
 	NearRows int
 	Table    *core.Table
@@ -115,13 +117,3 @@ func (m *Mechanism) OnActivate(a dram.Addr, d core.ActDecision, cycle int64) {
 		set[d.CopyRow].Touch(cycle)
 	}
 }
-
-// OnPrecharge implements core.Mechanism. TL-DRAM copies always fully
-// restore, so there is no restore-state tracking.
-func (m *Mechanism) OnPrecharge(dram.Addr, int, bool, int64) {}
-
-// OnRefreshRows implements core.Mechanism.
-func (m *Mechanism) OnRefreshRows(int, int, int, int, int) {}
-
-// RefreshMultiplier implements core.Mechanism.
-func (m *Mechanism) RefreshMultiplier() int { return 1 }
