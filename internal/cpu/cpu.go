@@ -6,7 +6,14 @@
 // once accepted (store-buffer semantics) but still occupy an MSHR on a miss.
 package cpu
 
-import "crowdram/internal/trace"
+import (
+	"fmt"
+	"math"
+	"slices"
+	"sync/atomic"
+
+	"crowdram/internal/trace"
+)
 
 // Memory is the core's port into the cache hierarchy. Access returns
 // accepted=false when the request cannot be tracked (retry next cycle) and
@@ -38,9 +45,15 @@ type Core struct {
 	Mem  Memory
 	Xlat Translator
 
-	// window ring buffer: ready flags.
-	ready       []bool
-	head, count int
+	// Instructions are numbered in program order. The window holds numbers
+	// retireSeq up to issueSeq-1, so its occupancy is their difference. Only
+	// a load can be unready, so only loads are stored: loads[loadHead:
+	// loadTail], indices taken & loadMask, is the in-order ring of the loads
+	// in the window.
+	issueSeq, retireSeq int64
+	loads               []load
+	loadHead, loadTail  uint
+	loadMask            uint
 
 	bubblesLeft int
 	rec         trace.Record
@@ -48,13 +61,11 @@ type Core struct {
 
 	outstanding int // LLC misses in flight
 
-	// loadDone holds one completion callback per window slot, built once
-	// at construction so load accesses allocate nothing. A load's slot
-	// cannot be recycled before its callback fires (retirement waits for
-	// the data), so binding the callback to the slot is safe.
+	// loadDone holds one completion callback per load-ring slot, built once
+	// at construction so load accesses allocate nothing. Loads retire in
+	// order and none retires before its callback fires, so a slot is never
+	// reused while its callback is pending.
 	loadDone []func(now int64)
-	// loadMiss marks slots whose in-flight load occupies an MSHR.
-	loadMiss []bool
 
 	// Store completions outlive their window slot (stores retire
 	// immediately), so they use a token pool instead: storeDone[t] is a
@@ -73,24 +84,40 @@ type Core struct {
 	// StallWindow / StallMSHR count issue stalls by cause.
 	StallWindow int64
 	StallMSHR   int64
+
+	// verify, set only from tests, makes every Advance check itself against
+	// the Ticks it replaces.
+	verify bool
+}
+
+// load is one load in the window: its sequence number, whether its data has
+// returned, and whether it occupies an MSHR until then.
+type load struct {
+	seq         int64
+	ready, miss bool
 }
 
 // New builds a core reading from gen.
 func New(id int, cfg Config, gen trace.Generator, mem Memory, xlat Translator) *Core {
+	slots := 1 // a power of two, so a ring index is a mask and not a divide
+	for slots < cfg.Window {
+		slots <<= 1
+	}
 	c := &Core{
 		ID: id, Cfg: cfg, Gen: gen, Mem: mem, Xlat: xlat,
-		ready:    make([]bool, cfg.Window),
-		loadDone: make([]func(now int64), cfg.Window),
-		loadMiss: make([]bool, cfg.Window),
+		loads:    make([]load, slots),
+		loadMask: uint(slots - 1),
+		loadDone: make([]func(now int64), slots),
+		verify:   verifyAll.Load(),
 	}
 	for i := range c.loadDone {
-		idx := i
-		c.loadDone[idx] = func(int64) {
-			if c.loadMiss[idx] {
-				c.loadMiss[idx] = false
+		l := &c.loads[i]
+		c.loadDone[i] = func(int64) {
+			if l.miss {
+				l.miss = false
 				c.outstanding--
 			}
-			c.ready[idx] = true
+			l.ready = true
 		}
 	}
 	return c
@@ -130,61 +157,38 @@ func (c *Core) storeToken() int {
 	return t
 }
 
-func (c *Core) push(ready bool) int {
-	idx := (c.head + c.count) % c.Cfg.Window
-	c.ready[idx] = ready
-	c.count++
-	return idx
-}
-
-// Stalled reports whether the core can make no progress on its own: nothing
-// is ready to retire and the next issue slot is blocked on the window or the
-// MSHRs. A stalled core stays stalled until an outstanding memory completion
-// callback fires, so the run loop may skip its ticks (accounting them via
-// AdvanceIdle) without changing any observable behavior.
-func (c *Core) Stalled() bool {
-	if c.count > 0 && c.ready[c.head] {
-		return false // can retire
-	}
-	if c.count >= c.Cfg.Window {
-		return true // window full
-	}
-	// Issue slot available: only an MSHR-full memory instruction blocks it
-	// (bubbles always issue, and a missing record means Tick would fetch
-	// one — a side effect, hence progress).
-	return c.bubblesLeft == 0 && c.haveRec && c.outstanding >= c.Cfg.MSHRs
-}
-
-// AdvanceIdle accounts n skipped cycles of a stalled core, replicating
-// exactly what n no-progress Ticks would have recorded. It must only be
-// called while Stalled() holds.
-func (c *Core) AdvanceIdle(n int64) {
-	c.Cycles += n
-	if c.count >= c.Cfg.Window {
-		c.StallWindow += n
-	} else {
-		c.StallMSHR += n
-	}
-}
-
 // Tick advances the core by one CPU cycle.
 func (c *Core) Tick(now int64) {
 	c.Cycles++
-	// Retire in order, up to width.
-	for i := 0; i < c.Cfg.Width && c.count > 0 && c.ready[c.head]; i++ {
-		c.head = (c.head + 1) % c.Cfg.Window
-		c.count--
-		c.Retired++
+	// Retire in order, up to width, stopping at the oldest unready load;
+	// the ready loads the retire pointer passes leave the ring.
+	end := min(c.retireSeq+int64(c.Cfg.Width), c.issueSeq)
+	for c.loadHead != c.loadTail {
+		l := &c.loads[c.loadHead&c.loadMask]
+		if l.seq >= end {
+			break
+		}
+		if !l.ready {
+			end = l.seq
+			break
+		}
+		c.loadHead++
 	}
+	c.Retired += end - c.retireSeq
+	c.retireSeq = end
 	// Issue up to width instructions into the window.
 	for i := 0; i < c.Cfg.Width; i++ {
-		if c.count >= c.Cfg.Window {
+		free := c.Cfg.Window - int(c.issueSeq-c.retireSeq)
+		if free == 0 {
 			c.StallWindow++
 			return
 		}
 		if c.bubblesLeft > 0 {
-			c.push(true)
-			c.bubblesLeft--
+			// A run of bubbles takes every slot it can in one step.
+			n := min(c.Cfg.Width-i, free, c.bubblesLeft)
+			c.issueSeq += int64(n)
+			c.bubblesLeft -= n
+			i += n - 1
 			continue
 		}
 		if !c.haveRec {
@@ -202,11 +206,11 @@ func (c *Core) Tick(now int64) {
 		}
 		addr := c.Xlat.Translate(c.ID, c.rec.Addr)
 		if c.rec.Write {
-			c.push(true) // stores retire via the store buffer
+			c.issueSeq++ // stores retire via the store buffer
 			tok := c.storeToken()
 			accepted, hit := c.Mem.Access(now, c.ID, addr, true, c.storeDone[tok])
 			if !accepted {
-				c.count-- // roll back the push
+				c.issueSeq-- // roll back the issue
 				c.storeFree = append(c.storeFree, tok)
 				c.StallMSHR++
 				return
@@ -216,18 +220,149 @@ func (c *Core) Tick(now int64) {
 				c.storeMiss[tok] = true
 			}
 		} else {
-			idx := c.push(false)
-			accepted, hit := c.Mem.Access(now, c.ID, addr, false, c.loadDone[idx])
+			// The ring entry is live before Access: a memory may complete
+			// the load from inside the call.
+			slot := c.loadTail & c.loadMask
+			l := &c.loads[slot]
+			*l = load{seq: c.issueSeq}
+			c.loadTail++
+			c.issueSeq++
+			accepted, hit := c.Mem.Access(now, c.ID, addr, false, c.loadDone[slot])
 			if !accepted {
-				c.count--
+				c.loadTail--
+				c.issueSeq--
 				c.StallMSHR++
 				return
 			}
 			if !hit {
 				c.outstanding++
-				c.loadMiss[idx] = true
+				l.miss = true
 			}
 		}
 		c.haveRec = false
+	}
+}
+
+// phase looks at the ticks ahead of the core while no completion arrives: for
+// how many of them it is certain to do exactly what it does on the next one,
+// touching nothing outside itself (no record fetched, no access), and what
+// that is. A stalled tick adds one to *stall; any other issues Width bubbles
+// and, if retire is set, retires Width instructions. The count comes as room,
+// the bubbles those ticks may issue between them. There are three phases:
+//
+//   - run: the window holds Width instructions and the oldest unready load is
+//     Width or more away. It lasts while bubbles remain and the retire
+//     pointer stays clear of that load.
+//   - fill: the oldest instruction is an unready load. It lasts while bubbles
+//     remain and the window has room for Width more.
+//   - stall: nothing retires, and the window is full or the next instruction
+//     is a memory instruction with every MSHR taken. It lasts until a
+//     completion.
+//
+// Anything else (a partial retire, a record to fetch, an access to make, an
+// empty window) is room 0: an ordinary Tick.
+func (c *Core) phase() (room int64, retire bool, stall *int64) {
+	w := int64(c.Cfg.Width)
+	occ := c.issueSeq - c.retireSeq
+	blocked := int64(math.MaxInt64) // from the retire pointer to the oldest unready load
+	for h := c.loadHead; h != c.loadTail; h++ {
+		if l := &c.loads[h&c.loadMask]; !l.ready {
+			blocked = l.seq - c.retireSeq
+			break
+		}
+	}
+	free, bubbles := int64(c.Cfg.Window)-occ, int64(c.bubblesLeft)
+	switch {
+	case occ >= w && blocked >= w:
+		return min(bubbles, blocked), true, nil
+	case occ > 0 && blocked > 0: // a partial retire
+	case free == 0:
+		return math.MaxInt64, false, &c.StallWindow
+	case bubbles == 0 && c.haveRec && c.outstanding >= c.Cfg.MSHRs:
+		return math.MaxInt64, false, &c.StallMSHR
+	case occ > 0:
+		return min(bubbles, free), false, nil
+	}
+	return 0, false, nil
+}
+
+// Horizon returns how many upcoming Ticks the caller may replace by one
+// Advance, provided no completion callback fires among them: the length of the
+// current phase, cut short so that Retired stays below `until` (the run loop
+// must see the tick that crosses an instruction target). It is math.MaxInt64
+// exactly when the core is stalled.
+func (c *Core) Horizon(until int64) int64 {
+	room, retire, stall := c.phase()
+	if stall != nil {
+		return math.MaxInt64
+	}
+	if retire {
+		room = min(room, until-1-c.Retired)
+	}
+	return room / int64(c.Cfg.Width)
+}
+
+// Advance is n Ticks in closed form, for n no greater than Horizon.
+func (c *Core) Advance(n int64) {
+	if c.verify {
+		c.verifyAdvance(n)
+		return
+	}
+	_, retire, stall := c.phase()
+	c.Cycles += n
+	if stall != nil {
+		*stall += n
+		return
+	}
+	k := n * int64(c.Cfg.Width)
+	c.issueSeq += k
+	c.bubblesLeft -= int(k)
+	if retire {
+		c.Retired += k
+		c.retireSeq += k
+		for c.loadHead != c.loadTail && c.loads[c.loadHead&c.loadMask].seq < c.retireSeq {
+			c.loadHead++
+		}
+	}
+}
+
+// verifyAll is what New copies into Core.verify.
+var verifyAll atomic.Bool
+
+// SetVerifyAdvance turns the self-checking Advance on or off for every core
+// built afterwards. It exists for tests, as ctrl.SetVerifyWake does; nothing
+// else calls it.
+func SetVerifyAdvance(on bool) { verifyAll.Store(on) }
+
+// untouchable is the generator and memory port of a core being verified.
+type untouchable struct{}
+
+func (untouchable) Next() trace.Record { panic("cpu: a tick inside an Advance fetched a record") }
+
+func (untouchable) Access(int64, int, uint64, bool, func(int64)) (bool, bool) {
+	panic("cpu: a tick inside an Advance accessed memory")
+}
+
+// verifyAdvance advances a copy of the core in closed form, really ticks the
+// core n times against a generator and a memory that panic when called, and
+// panics unless the two agree on every counter, ring index and ring entry.
+func (c *Core) verifyAdvance(n int64) {
+	want := *c
+	want.verify = false
+	want.loads = slices.Clone(c.loads)
+	want.Advance(n)
+	gen, mem := c.Gen, c.Mem
+	c.Gen, c.Mem = untouchable{}, untouchable{}
+	for i := int64(0); i < n; i++ {
+		c.Tick(0)
+	}
+	c.Gen, c.Mem = gen, mem
+	if c.Retired != want.Retired || c.Cycles != want.Cycles ||
+		c.StallWindow != want.StallWindow || c.StallMSHR != want.StallMSHR ||
+		c.issueSeq != want.issueSeq || c.retireSeq != want.retireSeq ||
+		c.loadHead != want.loadHead || c.loadTail != want.loadTail ||
+		c.bubblesLeft != want.bubblesLeft || c.haveRec != want.haveRec ||
+		c.outstanding != want.outstanding || !slices.Equal(c.loads, want.loads) {
+		panic(fmt.Sprintf("cpu: core %d: Advance(%d) is not %d Ticks", c.ID, n, n))
 	}
 }

@@ -169,6 +169,7 @@ type Channel struct {
 	Features Features
 
 	ranks       []rank
+	subShift    uint  // log2(Geo.RowsPerSubarray): a row's subarray is row >> subShift
 	cmdBusFree  int64 // next cycle the command bus is free
 	dataBusFree int64 // next cycle the data bus is free
 	lastColCmd  int64 // most recent RD/WR issue cycle (tCCD)
@@ -204,7 +205,10 @@ func (c *Channel) emit(e CmdEvent) {
 
 // NewChannel builds a closed, idle channel device.
 func NewChannel(g Geometry, t Timing) *Channel {
-	c := &Channel{Geo: g, T: t}
+	if bits.OnesCount(uint(g.RowsPerSubarray)) != 1 {
+		panic(fmt.Sprintf("dram: %d rows per subarray is not a power of two", g.RowsPerSubarray))
+	}
+	c := &Channel{Geo: g, T: t, subShift: uint(bits.TrailingZeros(uint(g.RowsPerSubarray)))}
 	const never = int64(-1) << 62
 	c.lastColCmd = never
 	c.ranks = make([]rank, g.Ranks)
@@ -225,7 +229,7 @@ func NewChannel(g Geometry, t Timing) *Channel {
 }
 
 func (c *Channel) sub(a Addr) *subState {
-	return &c.ranks[a.Rank].banks[a.Bank].subs[a.Subarray(c.Geo)]
+	return &c.ranks[a.Rank].banks[a.Bank].subs[a.Row>>c.subShift]
 }
 
 // dataFree returns the data-bus horizon governing rank r: the channel bus,
@@ -361,7 +365,7 @@ const Horizon = int64(1) << 60
 func (c *Channel) ReadyACT(a Addr) int64 {
 	rk := &c.ranks[a.Rank]
 	bk := &rk.banks[a.Bank]
-	s := &bk.subs[a.Subarray(c.Geo)]
+	s := &bk.subs[a.Row>>c.subShift]
 	if s.openRow >= 0 || (!c.MASA && bk.openCount > 0) {
 		return Horizon
 	}
@@ -388,7 +392,7 @@ func (c *Channel) ACT(a Addr, now int64, k ActKind, t ActTimings, copyRow int) {
 	}
 	rk := &c.ranks[a.Rank]
 	bk := &rk.banks[a.Bank]
-	si := a.Subarray(c.Geo)
+	si := a.Row >> c.subShift
 	s := &bk.subs[si]
 	s.openRow = a.Row
 	s.kind = k
@@ -521,7 +525,7 @@ func (c *Channel) PRE(a Addr, now int64) (fullyRestored bool) {
 		panic(fmt.Sprintf("dram: illegal PRE to ch%d/r%d/b%d at cycle %d", a.Channel, a.Rank, a.Bank, now))
 	}
 	bk := &c.ranks[a.Rank].banks[a.Bank]
-	si := a.Subarray(c.Geo)
+	si := a.Row >> c.subShift
 	s := &bk.subs[si]
 	full := now-s.actCycle >= int64(s.plan.RASFull)
 	s.openRow = -1

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"crowdram/internal/cpu"
 	"crowdram/internal/ctrl"
 )
 
@@ -21,16 +22,19 @@ var update = flag.Bool("update", false, "rewrite the golden experiment reports u
 //
 //	go test ./internal/exp -run TestGoldenReports -update
 //
-// The sweep runs with the controllers' self-checking skip on: every tick a
+// The sweep runs with both self-checks of the wake contract on: every tick a
 // controller sleeps through re-runs its scheduling pass and panics unless it
-// was a no-op, so the goldens are reproduced and every skipped cycle of all
-// 26 experiments is checked in the same run.
+// was a no-op, and every jump of a core is really ticked and compared, so the
+// goldens are reproduced and every skipped cycle of all 26 experiments is
+// checked in the same run.
 func TestGoldenReports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden regression runs the full QuickScale sweep; skipped in -short")
 	}
 	ctrl.SetVerifyWake(true)
 	defer ctrl.SetVerifyWake(false)
+	cpu.SetVerifyAdvance(true)
+	defer cpu.SetVerifyAdvance(false)
 	r := NewRunner(QuickScale(), Workers(4))
 	if err := r.Execute(PlanAll(r, Experiments())); err != nil {
 		t.Fatal(err)

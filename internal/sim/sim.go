@@ -7,6 +7,7 @@ package sim
 
 import (
 	"context"
+	"math"
 
 	"crowdram/internal/cache"
 	"crowdram/internal/core"
@@ -174,8 +175,13 @@ type System struct {
 	cpuCycle  int64
 	dramCycle int64
 	accum     int
+	polled    int64 // the cpuCycle epoch of the last context poll (canceled)
 	ratioNum  int64 // DRAM ticks per ratioDen CPU cycles
 	ratioDen  int64
+
+	// everyCycle, set only from tests, turns jump off: the run ticks every
+	// cycle, which is what a jumping run must be indistinguishable from.
+	everyCycle bool
 
 	// readDone is the one completion callback shared by every read
 	// request (built once in New): it delivers the returned line to the
@@ -373,21 +379,21 @@ func (s *System) tick() {
 	}
 }
 
-// skipIdle advances the clocks past CPU cycles that provably change nothing:
-// every core is stalled (its per-cycle accounting replicated by AdvanceIdle),
-// the LLC has no event before its reported next one, and no controller has
-// work before its reported next DRAM cycle. The skip wakes exactly at the
-// earliest of those events (converted to CPU cycles) and never crosses
-// `limit`, so a skipping run is cycle-for-cycle identical to a non-skipping
-// one — including every statistic.
-func (s *System) skipIdle(limit int64) {
-	for _, c := range s.Cores {
-		if !c.Stalled() {
-			return
-		}
+// jump advances the clocks past CPU cycles in which nothing observable
+// happens: every core stays inside its current phase (cpu.Core.Horizon; the n
+// ticks replaced by one Advance), the LLC has no event before its reported next
+// one, and no controller has work before its reported next DRAM cycle. It lands
+// one cycle short of the earliest of those events (converted to CPU cycles),
+// never crosses `limit`, and never lets a core that has not yet retired
+// `target` instructions do so: the tick on which it does is the run loop's to
+// see. A jumping run is thus cycle-for-cycle identical to one that ticks every
+// cycle — including every statistic.
+func (s *System) jump(limit, target int64) {
+	if s.everyCycle {
+		return
 	}
-	// Latest CPU cycle we may skip to is one before the next LLC event.
-	n := s.LLC.NextEvent(s.cpuCycle) - 1 - s.cpuCycle
+	// Latest CPU cycle we may jump to is one before the next LLC event.
+	n := min(limit, s.LLC.NextEvent(s.cpuCycle)-1) - s.cpuCycle
 	dnext := dram.Horizon
 	for _, c := range s.Ctrls {
 		if e := c.NextEvent(s.dramCycle); e < dnext {
@@ -400,19 +406,30 @@ func (s *System) skipIdle(limit int64) {
 		// so the normal tick performs it.
 		k := dnext - s.dramCycle
 		m := (s.ratioDen*k - int64(s.accum) + s.ratioNum - 1) / s.ratioNum
-		if m-1 < n {
-			n = m - 1
-		}
-	}
-	if rest := limit - s.cpuCycle; n > rest {
-		n = rest
+		n = min(n, m-1)
 	}
 	if n <= 0 {
 		return
 	}
+	cores, reached := int64(math.MaxInt64), true
+	for _, c := range s.Cores {
+		until := int64(math.MaxInt64)
+		if c.Retired < target {
+			until, reached = target, false
+		}
+		if cores = min(cores, c.Horizon(until)); cores <= 0 {
+			return
+		}
+	}
+	if reached && cores < math.MaxInt64 {
+		// The tick that completed warm-up is behind us: whatever is skipped
+		// here is charged to warm-up, and only all-stalled cycles ever were.
+		return
+	}
+	n = min(n, cores)
 	s.cpuCycle += n
 	for _, c := range s.Cores {
-		c.AdvanceIdle(n)
+		c.Advance(n)
 	}
 	total := int64(s.accum) + s.ratioNum*n
 	s.dramCycle += total / s.ratioDen
@@ -420,7 +437,7 @@ func (s *System) skipIdle(limit int64) {
 }
 
 // syncDevStats brings each device's delta-based cycle accounting up to the
-// present; idle skipping can leave it behind, and stats snapshots must not
+// present; a jump can leave it behind, and stats snapshots must not
 // read stale counters. Idempotent at a fixed cycle.
 func (s *System) syncDevStats() {
 	for _, c := range s.Ctrls {
@@ -443,12 +460,23 @@ func (s *System) Run() Result {
 	return res
 }
 
-// cancelCheckMask gates how often the run loop polls its context: every
-// 2^14 CPU cycles. One poll is an atomic load amortized over 16k full
-// system ticks (far below noise), while even the smallest useful runs
-// (~tens of thousands of cycles) still hit several polls, so short
-// timeouts and Ctrl-C take effect mid-run rather than after it.
-const cancelCheckMask = 1<<14 - 1
+// cancelCheckShift gates how often the run loop polls its context: once per
+// 2^14-cycle epoch of the CPU clock, on the first ticked cycle inside it (a
+// jump can step over the epoch's first cycle, never over the epoch's poll).
+// One poll is an atomic load amortized over up to 16k system ticks (far below
+// noise), while even the smallest useful runs (~tens of thousands of cycles)
+// span several epochs, so short timeouts and Ctrl-C take effect mid-run
+// rather than after it.
+const cancelCheckShift = 14
+
+// canceled reports, once per epoch, whether ctx is done.
+func (s *System) canceled(ctx context.Context) bool {
+	if e := s.cpuCycle >> cancelCheckShift; e != s.polled {
+		s.polled = e
+		return ctx.Err() != nil
+	}
+	return false
+}
 
 // RunContext is Run with cooperative cancellation: the simulation loop
 // polls ctx periodically and abandons the run (returning ctx's error) once
@@ -464,10 +492,10 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 	}
 	for !s.allReached(s.Cfg.WarmupInsts) && s.cpuCycle < warmLimit {
 		s.tick()
-		if s.cpuCycle&cancelCheckMask == 0 && ctx.Err() != nil {
+		if s.canceled(ctx) {
 			return Result{}, ctx.Err()
 		}
-		s.skipIdle(warmLimit)
+		s.jump(warmLimit, s.Cfg.WarmupInsts)
 	}
 	// Reset measurement state. Catch device accounting up to the present
 	// first, so the snapshots see current counters.
@@ -512,7 +540,7 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 			s.Cfg.Obs.TakeSnapshot(s.dramCycle)
 			snapAt = s.Cfg.Obs.NextSnapshot()
 		}
-		if s.cpuCycle&cancelCheckMask == 0 && ctx.Err() != nil {
+		if s.canceled(ctx) {
 			return Result{}, ctx.Err()
 		}
 		doneAll := true
@@ -527,7 +555,7 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 		if doneAll {
 			break
 		}
-		s.skipIdle(limit)
+		s.jump(limit, target)
 	}
 	s.syncDevStats()
 

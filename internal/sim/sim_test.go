@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"crowdram/internal/core"
@@ -244,6 +245,104 @@ func TestRunContextCancellation(t *testing.T) {
 	cancel()
 	if _, err := s.RunContext(ctx); !errors.Is(err, context.Canceled) {
 		t.Errorf("RunContext on a canceled context = %v, want context.Canceled", err)
+	}
+	t.Run("mid-run", cancelMidRun)
+}
+
+// hookGen calls hook before every record its core fetches.
+type hookGen struct {
+	trace.Generator
+	hook func()
+}
+
+func (g hookGen) Next() trace.Record {
+	g.hook()
+	return g.Generator.Next()
+}
+
+// cancelMidRun: the run loop steps over most multiples of 2^14, so the poll
+// must fire on the first ticked cycle of each 2^14-cycle epoch, not on exact
+// multiples. A context canceled from inside the run, shortly before each of
+// the first epoch boundaries in turn, must end the run inside the next epoch.
+func cancelMidRun(t *testing.T) {
+	for epoch := int64(1); epoch <= 6; epoch++ {
+		cfg := smallCfg(0)
+		cfg.MeasureInsts = 10_000_000 // far more than we let it run
+		ctx, cancel := context.WithCancel(context.Background())
+		var s *System
+		canceledAt := int64(0)
+		g := hookGen{gen("mcf", 1, t), func() {
+			if canceledAt == 0 && s.cpuCycle >= epoch<<cancelCheckShift-2_000 {
+				canceledAt = s.cpuCycle
+				cancel()
+			}
+		}}
+		s = New(cfg, &core.Baseline{T: cfg.T}, []trace.Generator{g})
+		_, err := s.RunContext(ctx)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("epoch %d: RunContext = %v, want context.Canceled", epoch, err)
+		}
+		if got, at := s.cpuCycle>>cancelCheckShift, canceledAt>>cancelCheckShift; got > at+1 {
+			t.Errorf("canceled at cycle %d (epoch %d), run stopped at cycle %d (epoch %d): a whole epoch went by unpolled",
+				canceledAt, at, s.cpuCycle, got)
+		}
+	}
+}
+
+// runBothWays runs one configuration with the jump on and with every cycle
+// ticked and requires the same Result, field for field.
+func runBothWays(t *testing.T, cfg Config, apps ...string) Result {
+	t.Helper()
+	jumped := New(cfg, &core.Baseline{T: cfg.T}, appGens(t, cfg.Seed, apps...)).Run()
+	s := New(cfg, &core.Baseline{T: cfg.T}, appGens(t, cfg.Seed, apps...))
+	s.everyCycle = true
+	if ticked := s.Run(); !reflect.DeepEqual(jumped, ticked) {
+		t.Errorf("a jumping run differs from one that ticks every cycle:\n jumped %+v\n ticked %+v", jumped, ticked)
+	}
+	return jumped
+}
+
+// TestWarmupBoundaryIsStallOnly: the warm-up loop calls jump once more after
+// the tick on which the last core reaches WarmupInsts, before the statistics
+// reset, and whatever is skipped there is charged to warm-up. Only all-stalled
+// cycles may be: with every core in the middle of a run of bubbles on that
+// tick, a jump would move measured cycles into warm-up and shift every IPC.
+func TestWarmupBoundaryIsStallOnly(t *testing.T) {
+	cfg := smallCfg(0)
+	cfg.WarmupInsts, cfg.MeasureInsts, cfg.MaxMeasureCycles, cfg.Seed = 5_000, 1_000_000, 10_000, 2
+	apps := []string{"povray", "h264-enc", "jp2-dec"}
+	// The premise, on a system ticked by hand to the boundary: a jump that
+	// knew of no target would move the clock there.
+	s := New(cfg, &core.Baseline{T: cfg.T}, appGens(t, cfg.Seed, apps...))
+	for !s.allReached(cfg.WarmupInsts) {
+		s.tick()
+	}
+	boundary := s.cpuCycle
+	if boundary >= cfg.MaxMeasureCycles {
+		t.Fatalf("warm-up took %d cycles: the cap, which bounds it too, would cut it short", boundary)
+	}
+	if s.jump(math.MaxInt64, math.MaxInt64); s.cpuCycle == boundary {
+		t.Fatal("nothing to jump over on the tick that completes warm-up: pick another configuration")
+	}
+	if res := runBothWays(t, cfg, apps...); !res.Truncated {
+		t.Error("the run was meant to end at MaxMeasureCycles")
+	}
+}
+
+// TestJumpStopsShortOfTarget: a core's finish cycle is stamped on the tick
+// where Retired first reaches the target, so a jump may not carry any core
+// across it. Cores that finish at different times must report the IPCs of the
+// run that ticks every cycle.
+func TestJumpStopsShortOfTarget(t *testing.T) {
+	cfg := smallCfg(0)
+	cfg.WarmupInsts, cfg.MeasureInsts = 2_000, 30_000
+	res := runBothWays(t, cfg, "povray", "gcc", "mcf")
+	if res.Truncated {
+		t.Fatal("run was truncated")
+	}
+	if res.IPC[0] == res.IPC[1] || res.IPC[1] == res.IPC[2] {
+		t.Errorf("cores were meant to finish at different times: IPC %v", res.IPC)
 	}
 }
 

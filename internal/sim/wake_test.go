@@ -6,6 +6,7 @@ import (
 
 	"crowdram/internal/chargecache"
 	"crowdram/internal/core"
+	"crowdram/internal/cpu"
 	"crowdram/internal/ctrl"
 	"crowdram/internal/dram"
 	"crowdram/internal/hammer"
@@ -13,18 +14,25 @@ import (
 	"crowdram/internal/tldram"
 )
 
-// These tests run whole simulations with the controllers' self-checking skip
-// on (ctrl.SetVerifyWake): every tick a controller sleeps through re-runs the
-// scheduling pass and panics unless it is a no-op — no command, no completion
-// due, no side effect, the same wake-up cycle again. The goldens prove the
-// event-driven controller produces the same bytes; this proves each skipped
-// cycle individually, on configurations the goldens do not reach.
+// These tests run whole simulations with both halves of the wake contract
+// checking themselves. Controllers (ctrl.SetVerifyWake): every tick one sleeps
+// through re-runs the scheduling pass and panics unless it is a no-op — no
+// command, no completion due, no side effect, the same wake-up cycle again.
+// Cores (cpu.SetVerifyAdvance): every jump is predicted on a copy, really
+// ticked against a generator and a memory that panic when called, and panics
+// unless every counter and ring index agrees. The goldens prove the
+// event-driven system produces the same bytes; this proves each skipped cycle
+// individually, on configurations the goldens do not reach.
 
-// verifyWake turns the self-check on for the controllers the test builds.
+// verifyWake turns both self-checks on for the systems the test builds.
 func verifyWake(t *testing.T) {
 	t.Helper()
 	ctrl.SetVerifyWake(true)
-	t.Cleanup(func() { ctrl.SetVerifyWake(false) })
+	cpu.SetVerifyAdvance(true)
+	t.Cleanup(func() {
+		ctrl.SetVerifyWake(false)
+		cpu.SetVerifyAdvance(false)
+	})
 }
 
 func fixedProfile(cfg Config, weakPerSubarray int) *retention.Profile {
