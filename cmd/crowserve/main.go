@@ -64,7 +64,6 @@ func run() error {
 		logLevel     = flag.String("log-level", "info", "log verbosity: debug, info, warn, error")
 		logFormat    = flag.String("log-format", "text", "log line format: text, json")
 		slowJob      = flag.Duration("slow-job", 0, "warn about jobs whose admission-to-done wall time exceeds this (0 = off)")
-		spanCap      = flag.Int("span-cap", 0, "per-job span ring capacity (0 = default 4096, negative = disable span tracing)")
 	)
 	flag.Parse()
 
@@ -100,7 +99,6 @@ func run() error {
 		RetainFor:         *retainFor,
 		Logger:            logger,
 		SlowJob:           *slowJob,
-		SpanCapacity:      *spanCap,
 	})
 	handler := svc.Handler()
 	if *enablePprof {

@@ -1,13 +1,10 @@
 package obs
 
 import (
-	"bufio"
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 )
 
@@ -15,8 +12,8 @@ import (
 // structured log line, and the Chrome trace export carry the same ID, so a
 // job's path through admission, queueing, the engine, and the store can be
 // reconstructed after the fact from telemetry alone. IDs are assigned at
-// admission and ride the run context (WithTrace/TraceFrom) — never
-// crow.Options, whose JSON form is the engine's memoization key.
+// admission and live on the service's Job — never in crow.Options, whose JSON
+// form is the engine's memoization key.
 type TraceID string
 
 // NewTraceID returns a fresh 16-hex-digit trace ID.
@@ -24,22 +21,6 @@ func NewTraceID() TraceID {
 	var b [8]byte
 	rand.Read(b[:]) // never fails (crypto/rand panics internally if the source does)
 	return TraceID(hex.EncodeToString(b[:]))
-}
-
-// traceKey is the context key for the trace ID.
-type traceKey struct{}
-
-// WithTrace returns a context carrying the trace ID. The service stamps the
-// run context with it so every layer below can correlate its work back to the
-// admitting request without the ID entering any memoization key.
-func WithTrace(ctx context.Context, id TraceID) context.Context {
-	return context.WithValue(ctx, traceKey{}, id)
-}
-
-// TraceFrom returns the trace ID carried by ctx, or "".
-func TraceFrom(ctx context.Context) TraceID {
-	id, _ := ctx.Value(traceKey{}).(TraceID)
-	return id
 }
 
 // Stage names one segment of a job's path through the service. The six
@@ -71,8 +52,8 @@ func Stages() []Stage {
 	return []Stage{StageHTTP, StageQueueWait, StageMemoLookup, StageStoreRead, StageExecute, StageStoreWrite}
 }
 
-// Span is one timed segment of a job's path. Spans are small and fixed-shape
-// so the recorder's ring can hold them without per-record allocation.
+// Span is one timed segment of a job's path. A job keeps its spans once, as
+// span events on its bounded event log.
 type Span struct {
 	Trace TraceID `json:"trace_id"`
 	Stage Stage   `json:"stage"`
@@ -84,98 +65,21 @@ type Span struct {
 	DurationMS float64   `json:"duration_ms"`
 }
 
-// SpanRecorder accumulates one job's spans in a bounded ring: recording
-// never grows the buffer, the oldest spans are overwritten once it is full,
-// and the overwrite count is reported so a truncated trace is never mistaken
-// for a complete one. Unlike the Tracer, it is mutex-guarded — spans arrive
-// from the HTTP goroutine, the job worker, and the engine's observer
-// delivery, which are different goroutines.
-type SpanRecorder struct {
-	mu    sync.Mutex
-	max   int
-	buf   []Span
-	next  int
-	full  bool
-	total int64
-}
-
-// DefaultSpanCapacity bounds a job's span ring when the service does not
-// choose one: enough for a whole-registry experiment job (hundreds of runs,
-// a handful of spans each) without letting a pathological job grow without
-// bound.
-const DefaultSpanCapacity = 4096
-
-// NewSpanRecorder returns a recorder with the given ring capacity
-// (<= 0 selects DefaultSpanCapacity). The buffer grows on demand up to the
-// capacity — a recorder per job must cost a typical job (a handful of spans)
-// a handful of spans, not the worst case.
-func NewSpanRecorder(capacity int) *SpanRecorder {
-	if capacity <= 0 {
-		capacity = DefaultSpanCapacity
-	}
-	return &SpanRecorder{max: capacity}
-}
-
-// Record appends one span, overwriting the oldest once the ring is full.
-func (r *SpanRecorder) Record(s Span) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.total++
-	if len(r.buf) < r.max {
-		r.buf = append(r.buf, s)
-		return
-	}
-	r.full = true
-	r.buf[r.next] = s
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-	}
-}
-
-// Spans returns a copy of the retained spans in record order (oldest first).
-func (r *SpanRecorder) Spans() []Span {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Span, 0, len(r.buf))
-	if r.full {
-		out = append(out, r.buf[r.next:]...)
-		return append(out, r.buf[:r.next]...)
-	}
-	return append(out, r.buf...)
-}
-
-// Total returns the number of spans ever recorded.
-func (r *SpanRecorder) Total() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
-// Dropped returns how many recorded spans were overwritten by newer ones.
-func (r *SpanRecorder) Dropped() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total - int64(len(r.buf))
-}
-
 // JobTracePID is the Chrome-trace process ID the job-stage track renders
 // under. It sits far above any simulated channel's pid (channels number from
 // 0), so a job trace concatenated with its runs' simulator traces loads as
 // one Perfetto timeline: job stages as their own track, sim banks below.
 const JobTracePID = 1 << 20
 
-// WriteJobTrace writes the spans as Chrome trace-event JSON (the same JSON
-// Array Format the simulator's Tracer exports): one process for the job, a
-// single "stages" thread, every span a duration slice. Timestamps are
-// microseconds relative to the earliest span's start so the trace begins at
-// zero like the simulator's. Metadata records the recorder's drop count.
+// WriteJobTrace writes the spans as Chrome trace-event JSON (the same framing
+// the simulator's Tracer exports through): one process for the job, a single
+// "stages" thread, every span a duration slice. Timestamps are microseconds
+// relative to the earliest span's start so the trace begins at zero like the
+// simulator's. dropped counts the job's spans that are no longer retained.
 func WriteJobTrace(w io.Writer, jobID string, trace TraceID, spans []Span, dropped int64) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "{\"displayTimeUnit\":\"ns\",\"otherData\":{\"job\":%q,\"trace_id\":%q,\"recorded\":%d,\"dropped\":%d},\"traceEvents\":[",
-		jobID, trace, int64(len(spans))+dropped, dropped)
-	fmt.Fprintf(bw, "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"crowserve job %s\"}}", JobTracePID, jobID)
-	fmt.Fprintf(bw, ",{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"stages\"}}", JobTracePID)
+	doc := openChrome(w, fmt.Sprintf("\"job\":%q,\"trace_id\":%q,", jobID, trace), int64(len(spans))+dropped, dropped)
+	doc.name("process_name", JobTracePID, 0, "crowserve job "+jobID)
+	doc.name("thread_name", JobTracePID, 0, "stages")
 	var base time.Time
 	for _, s := range spans {
 		if base.IsZero() || s.Start.Before(base) {
@@ -183,14 +87,13 @@ func WriteJobTrace(w io.Writer, jobID string, trace TraceID, spans []Span, dropp
 		}
 	}
 	for _, s := range spans {
-		ts := float64(s.Start.Sub(base).Nanoseconds()) / 1e3
-		fmt.Fprintf(bw, ",{\"ph\":\"X\",\"name\":%q,\"cat\":\"job\",\"pid\":%d,\"tid\":0,\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"trace_id\":%q",
-			string(s.Stage), JobTracePID, ts, s.DurationMS*1e3, s.Trace)
+		var run string
 		if s.Name != "" {
-			fmt.Fprintf(bw, ",\"run\":%q", s.Name)
+			run = fmt.Sprintf(",\"run\":%q", s.Name)
 		}
-		bw.WriteString("}}")
+		ts := float64(s.Start.Sub(base).Nanoseconds()) / 1e3
+		doc.rec("{\"ph\":\"X\",\"name\":%q,\"cat\":\"job\",\"pid\":%d,\"tid\":0,\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"trace_id\":%q%s}}",
+			string(s.Stage), JobTracePID, ts, s.DurationMS*1e3, s.Trace, run)
 	}
-	bw.WriteString("]}")
-	return bw.Flush()
+	return doc.close()
 }

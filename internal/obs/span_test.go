@@ -2,64 +2,19 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
 )
 
-func TestTraceIDContextRoundTrip(t *testing.T) {
-	if id := TraceFrom(context.Background()); id != "" {
-		t.Fatalf("empty context carries trace %q", id)
-	}
+func TestNewTraceID(t *testing.T) {
 	id := NewTraceID()
 	if len(id) != 16 {
 		t.Fatalf("trace ID %q is not 16 hex digits", id)
 	}
-	ctx := WithTrace(context.Background(), id)
-	if got := TraceFrom(ctx); got != id {
-		t.Fatalf("TraceFrom = %q, want %q", got, id)
-	}
 	if a, b := NewTraceID(), NewTraceID(); a == b {
 		t.Fatalf("two fresh trace IDs collide: %q", a)
-	}
-}
-
-func TestSpanRecorderRing(t *testing.T) {
-	r := NewSpanRecorder(4)
-	for i := 0; i < 6; i++ {
-		r.Record(Span{Stage: StageExecute, Name: fmt.Sprintf("run%d", i)})
-	}
-	if r.Total() != 6 || r.Dropped() != 2 {
-		t.Fatalf("total=%d dropped=%d, want 6/2", r.Total(), r.Dropped())
-	}
-	spans := r.Spans()
-	if len(spans) != 4 {
-		t.Fatalf("retained %d spans, want 4", len(spans))
-	}
-	// Oldest first: run2..run5 survive.
-	for i, s := range spans {
-		if want := fmt.Sprintf("run%d", i+2); s.Name != want {
-			t.Errorf("span[%d] = %q, want %q", i, s.Name, want)
-		}
-	}
-}
-
-func TestSpanRecorderDefaultCapacity(t *testing.T) {
-	r := NewSpanRecorder(0)
-	if r.max != DefaultSpanCapacity {
-		t.Fatalf("default capacity = %d, want %d", r.max, DefaultSpanCapacity)
-	}
-	if r.buf != nil {
-		t.Fatal("fresh recorder pre-allocated its ring; it must grow on demand")
-	}
-	for i := 0; i < DefaultSpanCapacity+2; i++ {
-		r.Record(Span{Stage: StageExecute})
-	}
-	if r.Dropped() != 2 || len(r.Spans()) != DefaultSpanCapacity {
-		t.Fatalf("dropped=%d retained=%d after overflowing the default ring", r.Dropped(), len(r.Spans()))
 	}
 }
 

@@ -44,43 +44,21 @@ type Event struct {
 	WriteQ int32 // ClassSched: write-queue depth at decision time
 }
 
-// Tracer records cycle-attributed events into a bounded ring buffer:
-// recording never allocates and never grows, the oldest events are
-// overwritten once the ring is full, and the overwrite count is reported so
-// a truncated export is never mistaken for a complete one. It is not
-// goroutine-safe; a simulation drives it from its single loop goroutine.
+// Tracer records cycle-attributed events into a Ring reserved up front, so
+// recording never allocates; the ring's drop count rides the export. It is
+// not goroutine-safe; a simulation drives it from its single loop goroutine.
 type Tracer struct {
-	buf   []Event
-	next  int   // ring write index
-	full  bool  // the ring has wrapped at least once
-	total int64 // events ever recorded
-
-	geo dram.Geometry
-	t   dram.Timing
+	ring Ring[Event]
+	geo  dram.Geometry
+	t    dram.Timing
 }
 
 // NewTracer returns a tracer with the given ring capacity for a system with
 // the given shape. Capacity must be positive.
 func NewTracer(capacity int, geo dram.Geometry, t dram.Timing) *Tracer {
-	if capacity <= 0 {
-		panic("obs: tracer capacity must be positive")
-	}
-	return &Tracer{buf: make([]Event, 0, capacity), geo: geo, t: t}
-}
-
-// record appends one event, overwriting the oldest once the ring is full.
-func (t *Tracer) record(e Event) {
-	t.total++
-	if len(t.buf) < cap(t.buf) {
-		t.buf = append(t.buf, e)
-		return
-	}
-	t.full = true
-	t.buf[t.next] = e
-	t.next++
-	if t.next == len(t.buf) {
-		t.next = 0
-	}
+	tr := &Tracer{ring: NewRing[Event](capacity), geo: geo, t: t}
+	tr.ring.Reserve()
+	return tr
 }
 
 // Command records one DRAM command. The event's duration is the command's
@@ -103,7 +81,7 @@ func (t *Tracer) Command(e dram.CmdEvent) {
 	case e.Cmd == dram.CmdREFpb:
 		dur = t.t.RFCpb
 	}
-	t.record(Event{
+	t.ring.Push(Event{
 		Class: ClassCmd, Cycle: e.Cycle, Ch: int32(e.Addr.Channel),
 		Cmd: e.Cmd, Rank: int32(e.Addr.Rank), Bank: int32(e.Addr.Bank),
 		Row: int32(e.Addr.Row), Dur: int32(dur),
@@ -112,7 +90,7 @@ func (t *Tracer) Command(e dram.CmdEvent) {
 
 // Sched records one controller scheduling decision.
 func (t *Tracer) Sched(e ctrl.SchedEvent) {
-	t.record(Event{
+	t.ring.Push(Event{
 		Class: ClassSched, Cycle: e.Cycle, Ch: int32(e.Addr.Channel),
 		Sub: uint8(e.Kind), Rank: int32(e.Addr.Rank), Bank: int32(e.Addr.Bank),
 		Row: int32(e.Addr.Row), ReadQ: int32(e.ReadQ), WriteQ: int32(e.WriteQ),
@@ -121,7 +99,7 @@ func (t *Tracer) Sched(e ctrl.SchedEvent) {
 
 // Table records one CROW-table event.
 func (t *Tracer) Table(e core.TableEvent) {
-	t.record(Event{
+	t.ring.Push(Event{
 		Class: ClassTable, Cycle: e.Cycle, Ch: int32(e.Addr.Channel),
 		Sub: uint8(e.Kind), Rank: int32(e.Addr.Rank), Bank: int32(e.Addr.Bank),
 		Row: int32(e.Addr.Row), Way: int32(e.Way),
@@ -129,29 +107,16 @@ func (t *Tracer) Table(e core.TableEvent) {
 }
 
 // Len returns the number of events currently held.
-func (t *Tracer) Len() int { return len(t.buf) }
+func (t *Tracer) Len() int { return t.ring.Len() }
 
 // Total returns the number of events ever recorded.
-func (t *Tracer) Total() int64 { return t.total }
+func (t *Tracer) Total() int64 { return t.ring.Total() }
 
 // Dropped returns how many recorded events were overwritten by newer ones.
-func (t *Tracer) Dropped() int64 { return t.total - int64(len(t.buf)) }
+func (t *Tracer) Dropped() int64 { return t.ring.Dropped() }
 
 // Events calls fn for every retained event in record order (oldest first).
-func (t *Tracer) Events(fn func(Event)) {
-	if t.full {
-		for _, e := range t.buf[t.next:] {
-			fn(e)
-		}
-		for _, e := range t.buf[:t.next] {
-			fn(e)
-		}
-		return
-	}
-	for _, e := range t.buf {
-		fn(e)
-	}
-}
+func (t *Tracer) Events(fn func(Event)) { t.ring.Each(fn) }
 
 // usPerCycle converts DRAM command cycles to Chrome trace timestamps
 // (microseconds; fractional values are legal and Perfetto keeps the
@@ -171,17 +136,7 @@ func (t *Tracer) trackID(rank, bank int32) int {
 // and every bank renders as its own thread with commands as duration
 // slices. Metadata records the drop count so truncated rings are visible.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "{\"displayTimeUnit\":\"ns\",\"otherData\":{\"recorded\":%d,\"dropped\":%d},\"traceEvents\":[",
-		t.total, t.Dropped())
-
-	first := true
-	sep := func() {
-		if !first {
-			bw.WriteByte(',')
-		}
-		first = false
-	}
+	doc := openChrome(w, "", t.Total(), t.Dropped())
 
 	// Metadata: name every channel process and bank/scheduler thread that
 	// appears in the retained events. Collected into sorted sets so the
@@ -219,19 +174,15 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		return tracks[i].tid < tracks[j].tid
 	})
 	for _, ch := range channels {
-		sep()
-		fmt.Fprintf(bw, "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"channel %d\"}}", ch, ch)
-		sep()
-		fmt.Fprintf(bw, "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"scheduler\"}}", ch)
+		doc.name("process_name", int(ch), 0, fmt.Sprintf("channel %d", ch))
+		doc.name("thread_name", int(ch), 0, "scheduler")
 	}
 	for _, k := range tracks {
-		sep()
-		fmt.Fprintf(bw, "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":%q}}", k.ch, k.tid, seenTrack[k])
+		doc.name("thread_name", int(k.ch), k.tid, seenTrack[k])
 	}
 
 	us := t.usPerCycle()
 	t.Events(func(e Event) {
-		sep()
 		ts := float64(e.Cycle) * us
 		switch e.Class {
 		case ClassCmd:
@@ -239,16 +190,51 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			if e.Cmd == dram.CmdREF {
 				tid = 0
 			}
-			fmt.Fprintf(bw, "{\"ph\":\"X\",\"name\":%q,\"cat\":\"cmd\",\"pid\":%d,\"tid\":%d,\"ts\":%.4f,\"dur\":%.4f,\"args\":{\"row\":%d,\"cycle\":%d}}",
+			doc.rec("{\"ph\":\"X\",\"name\":%q,\"cat\":\"cmd\",\"pid\":%d,\"tid\":%d,\"ts\":%.4f,\"dur\":%.4f,\"args\":{\"row\":%d,\"cycle\":%d}}",
 				e.Cmd.String(), e.Ch, tid, ts, float64(e.Dur)*us, e.Row, e.Cycle)
 		case ClassSched:
-			fmt.Fprintf(bw, "{\"ph\":\"i\",\"name\":%q,\"cat\":\"sched\",\"pid\":%d,\"tid\":0,\"ts\":%.4f,\"s\":\"t\",\"args\":{\"readq\":%d,\"writeq\":%d,\"bank\":%d,\"row\":%d}}",
+			doc.rec("{\"ph\":\"i\",\"name\":%q,\"cat\":\"sched\",\"pid\":%d,\"tid\":0,\"ts\":%.4f,\"s\":\"t\",\"args\":{\"readq\":%d,\"writeq\":%d,\"bank\":%d,\"row\":%d}}",
 				ctrl.SchedKind(e.Sub).String(), e.Ch, ts, e.ReadQ, e.WriteQ, e.Bank, e.Row)
 		case ClassTable:
-			fmt.Fprintf(bw, "{\"ph\":\"i\",\"name\":%q,\"cat\":\"crow-table\",\"pid\":%d,\"tid\":0,\"ts\":%.4f,\"s\":\"t\",\"args\":{\"way\":%d,\"bank\":%d,\"row\":%d}}",
+			doc.rec("{\"ph\":\"i\",\"name\":%q,\"cat\":\"crow-table\",\"pid\":%d,\"tid\":0,\"ts\":%.4f,\"s\":\"t\",\"args\":{\"way\":%d,\"bank\":%d,\"row\":%d}}",
 				"crow-"+core.TableEventKind(e.Sub).String(), e.Ch, ts, e.Way, e.Bank, e.Row)
 		}
 	})
-	bw.WriteString("]}")
-	return bw.Flush()
+	return doc.close()
+}
+
+// chromeDoc frames a Chrome trace-event document for both of the tree's
+// exports (the simulator's ring above, a job's spans in WriteJobTrace): the
+// header, whose otherData always says how much was recorded and how much of
+// it was dropped, the commas, the metadata-record shape and the close.
+type chromeDoc struct {
+	bw  *bufio.Writer
+	sep string // "" before the first record, "," after
+}
+
+// openChrome writes the header; ids is the caller's own otherData members,
+// each followed by a comma (or "").
+func openChrome(w io.Writer, ids string, recorded, dropped int64) *chromeDoc {
+	d := &chromeDoc{bw: bufio.NewWriter(w)}
+	fmt.Fprintf(d.bw, "{\"displayTimeUnit\":\"ns\",\"otherData\":{%s\"recorded\":%d,\"dropped\":%d},\"traceEvents\":[", ids, recorded, dropped)
+	return d
+}
+
+// rec writes one trace-event record.
+func (d *chromeDoc) rec(format string, args ...any) {
+	d.bw.WriteString(d.sep)
+	d.sep = ","
+	fmt.Fprintf(d.bw, format, args...)
+}
+
+// name writes the metadata record that labels a process ("process_name") or
+// a thread ("thread_name").
+func (d *chromeDoc) name(kind string, pid, tid int, label string) {
+	d.rec("{\"ph\":\"M\",\"name\":%q,\"pid\":%d,\"tid\":%d,\"args\":{\"name\":%q}}", kind, pid, tid, label)
+}
+
+// close ends the document and reports the first write error, if any.
+func (d *chromeDoc) close() error {
+	d.bw.WriteString("]}")
+	return d.bw.Flush()
 }

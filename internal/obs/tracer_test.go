@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"crowdram/internal/core"
@@ -24,27 +25,22 @@ func cmdEvent(cycle int64, cmd dram.Command, bank int) dram.CmdEvent {
 	return e
 }
 
-// TestTracerRingOverwrite: the ring keeps exactly the newest `cap` events,
-// counts the overwritten ones, and replays in record order.
+// TestTracerRingOverwrite: a wrapped tracer reports what its ring holds and
+// dropped, and replays the newest events in record order (the ring itself is
+// held to a model in TestRingModel).
 func TestTracerRingOverwrite(t *testing.T) {
 	g, tm := testShape()
 	tr := NewTracer(4, g, tm)
 	for i := 0; i < 10; i++ {
 		tr.Command(cmdEvent(int64(i), dram.CmdRD, 0))
 	}
-	if tr.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", tr.Len())
-	}
-	if tr.Total() != 10 || tr.Dropped() != 6 {
-		t.Fatalf("Total/Dropped = %d/%d, want 10/6", tr.Total(), tr.Dropped())
+	if tr.Len() != 4 || tr.Total() != 10 || tr.Dropped() != 6 {
+		t.Fatalf("Len/Total/Dropped = %d/%d/%d, want 4/10/6", tr.Len(), tr.Total(), tr.Dropped())
 	}
 	var cycles []int64
 	tr.Events(func(e Event) { cycles = append(cycles, e.Cycle) })
-	want := []int64{6, 7, 8, 9}
-	for i, c := range cycles {
-		if c != want[i] {
-			t.Fatalf("replay cycles = %v, want %v", cycles, want)
-		}
+	if want := []int64{6, 7, 8, 9}; !slices.Equal(cycles, want) {
+		t.Fatalf("replay cycles = %v, want %v", cycles, want)
 	}
 }
 

@@ -121,7 +121,8 @@ func BenchmarkWarmFromStoreSubmissions(b *testing.B) {
 }
 
 // BenchmarkSubmitQueuePop isolates the job-subsystem overhead without HTTP:
-// submit, worker pickup, instant hook run, completion wait.
+// submit, worker pickup, instant hook run, completion wait — span and event
+// logging included. It is the numerator of CI's serving-overhead gate.
 func BenchmarkSubmitQueuePop(b *testing.B) {
 	s := New(Config{
 		Scale:   exp.QuickScale(),
@@ -146,17 +147,12 @@ func BenchmarkSubmitQueuePop(b *testing.B) {
 	}
 }
 
-// benchSpans is the span-overhead A/B body behind CI's span-overhead gate:
-// each iteration submits a fresh-seeded job whose real QuickScale simulation
-// executes (never a cache or store hit), so the measured work matches what a
-// production job pays and the span plumbing's fixed per-job cost is weighed
-// against it — the same whole-run A/B scheme as the obs-smoke gate.
-func benchSpans(b *testing.B, spanCap int) {
-	s := New(Config{
-		Scale:        exp.QuickScale(),
-		Workers:      1,
-		SpanCapacity: spanCap,
-	})
+// BenchmarkColdJob is the denominator of CI's serving-overhead gate: each
+// iteration submits a fresh-seeded job whose real QuickScale simulation
+// executes (never a cache or store hit), so it prices what a production job
+// pays, and BenchmarkSubmitQueuePop's fixed per-job cost is weighed against it.
+func BenchmarkColdJob(b *testing.B) {
+	s := New(Config{Scale: exp.QuickScale(), Workers: 1})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
@@ -174,59 +170,20 @@ func benchSpans(b *testing.B, spanCap int) {
 	}
 	b.StopTimer()
 	if snap := s.EngineSnapshot(); snap.Executions != int64(b.N) {
-		b.Fatalf("span bench executed %d simulations, want %d (every job must run cold)", snap.Executions, b.N)
+		b.Fatalf("cold-job bench executed %d simulations, want %d (every job must run cold)", snap.Executions, b.N)
 	}
 }
-
-// BenchmarkSpansOn measures the job pipeline with span recording enabled.
-func BenchmarkSpansOn(b *testing.B) { benchSpans(b, 0) }
-
-// BenchmarkSpansOff measures the identical pipeline with span recording
-// disabled (SpanCapacity -1): no rings, no span events, no stage histograms.
-func BenchmarkSpansOff(b *testing.B) { benchSpans(b, -1) }
-
-// benchSpanPath isolates the serving-layer span cost with an instant hook
-// run: the absolute per-job ns the spans add (recorded artifact; the gate
-// uses the realistic BenchmarkSpans* pair above).
-func benchSpanPath(b *testing.B, spanCap int) {
-	s := New(Config{
-		Scale:        exp.QuickScale(),
-		Workers:      4,
-		SpanCapacity: spanCap,
-		Run: func(_ context.Context, o crow.Options) (crow.Report, error) {
-			return crow.Report{IPC: make([]float64, len(o.Workloads))}, nil
-		},
-	})
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		s.Drain(ctx)
-	}()
-	spec := Spec{Options: json.RawMessage(`{"Mechanism": "crow-cache", "Workloads": ["gcc"]}`)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j, err := s.Submit(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		waitTerminal(j)
-	}
-}
-
-// BenchmarkSpanPathOn measures raw serving overhead with spans enabled.
-func BenchmarkSpanPathOn(b *testing.B) { benchSpanPath(b, 0) }
-
-// BenchmarkSpanPathOff is BenchmarkSpanPathOn's spans-disabled twin.
-func BenchmarkSpanPathOff(b *testing.B) { benchSpanPath(b, -1) }
 
 // waitTerminal blocks on the job's event log until a terminal state lands.
 func waitTerminal(j *Job) {
-	n := 0
+	next := 0
 	for {
-		evs, changed, terminal := j.EventsSince(n)
-		n += len(evs)
+		evs, changed, terminal := j.EventsSince(next)
 		if terminal {
 			return
+		}
+		if len(evs) > 0 {
+			next = evs[len(evs)-1].Seq + 1
 		}
 		<-changed
 	}

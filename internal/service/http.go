@@ -5,11 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
 
+	"crowdram/internal/engine"
 	"crowdram/internal/metrics"
 	"crowdram/internal/obs"
 	"crowdram/internal/store"
@@ -30,8 +30,14 @@ import (
 // draining service 503 with Retry-After — the admission-control contract.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
+	// Every route records its wall-clock milliseconds per request under its
+	// pattern; an SSE stream records its whole lifetime.
 	handle := func(pattern string, h http.HandlerFunc) {
-		mux.Handle(pattern, s.http.instrument(pattern, h))
+		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+			start := time.Now()
+			h(w, r)
+			s.http.observe(pattern, float64(time.Since(start).Microseconds())/1000)
+		})
 	}
 	handle("POST /v1/jobs", s.handleSubmit)
 	handle("GET /v1/jobs", s.handleList)
@@ -114,9 +120,11 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleEvents streams the job's event log as Server-Sent Events: every
-// record already logged replays first, then the stream follows live until
+// record still on the log replays first, then the stream follows live until
 // the job reaches a terminal state (whose event is the last delivered) or
-// the client disconnects.
+// the client disconnects. id: is the event's absolute Seq; wherever the log
+// has dropped events the stream would have delivered next, a comment line
+// says how many, so a truncated replay is never mistaken for a complete one.
 func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, err := s.Get(r.PathValue("id"))
 	if err != nil {
@@ -138,6 +146,9 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	next := 0
 	for {
 		evs, changed, terminal := j.EventsSince(next)
+		if len(evs) > 0 && evs[0].Seq > next {
+			fmt.Fprintf(w, ": %d earlier events dropped\n\n", evs[0].Seq-next)
+		}
 		for _, e := range evs {
 			data, err := json.Marshal(e)
 			if err != nil {
@@ -146,7 +157,7 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", e.Seq, e.Kind, data)
 		}
 		if len(evs) > 0 {
-			next += len(evs)
+			next = evs[len(evs)-1].Seq + 1
 			fl.Flush()
 		}
 		if terminal {
@@ -160,7 +171,7 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleTrace serves the job's recorded spans as Chrome trace-event JSON —
+// handleTrace serves the job's retained spans as Chrome trace-event JSON —
 // loadable in Perfetto on its own, or concatenable with the simulator's
 // crowtrace export (the job track sits at its own pid above the banks).
 func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
@@ -196,17 +207,8 @@ type Metrics struct {
 		Busy  int `json:"busy"`
 	} `json:"workers"`
 	Engine struct {
-		Queued       int     `json:"queued"`
-		Inflight     int     `json:"inflight"`
-		Entries      int     `json:"entries"`
-		Executions   int64   `json:"executions"`
-		CacheHits    int64   `json:"cache_hits"`
-		StoreHits    int64   `json:"store_hits"`
-		Failures     int64   `json:"failures"`
-		HitRatio     float64 `json:"hit_ratio"`
-		QueuedTotal  int64   `json:"queued_total"`
-		StartedTotal int64   `json:"started_total"`
-		DoneTotal    int64   `json:"done_total"`
+		engine.Snapshot
+		HitRatio float64 `json:"hit_ratio"`
 	} `json:"engine"`
 	EngineWorkers int              `json:"engine_workers"`
 	Jobs          map[State]int    `json:"jobs"`
@@ -235,26 +237,13 @@ func (s *Service) Metrics() Metrics {
 	m.Queue.Draining = s.Draining()
 	m.Workers.Total = s.cfg.Workers
 	m.Workers.Busy = int(s.busy.Load())
-	es := s.pool.Snapshot()
-	m.Engine.Queued = es.Queued
-	m.Engine.Inflight = es.Inflight
-	m.Engine.Entries = es.Entries
-	m.Engine.Executions = es.Executions
-	m.Engine.CacheHits = es.CacheHits
-	m.Engine.StoreHits = es.StoreHits
-	m.Engine.Failures = es.Failures
-	m.Engine.HitRatio = es.HitRatio()
-	m.Engine.QueuedTotal = es.QueuedTotal
-	m.Engine.StartedTotal = es.StartedTotal
-	m.Engine.DoneTotal = es.DoneTotal
+	m.Engine.Snapshot = s.pool.Snapshot()
+	m.Engine.HitRatio = m.Engine.Snapshot.HitRatio()
 	if st, ok := s.cfg.Backing.(interface{ Stats() store.Stats }); ok {
 		stats := st.Stats()
 		m.Store = &stats
 	}
 	m.EngineWorkers = s.pool.Workers()
-	if m.EngineWorkers == 0 {
-		m.EngineWorkers = runtime.GOMAXPROCS(0)
-	}
 	m.Jobs = make(map[State]int)
 	for _, j := range s.Jobs() {
 		m.Jobs[j.State()]++
@@ -289,94 +278,52 @@ type Stats struct {
 	MaxMS  float64 `json:"max_ms"`
 }
 
-// httpStats tracks per-endpoint latency on the shared log-bucket histogram
-// from internal/metrics — the same primitive the simulator uses for read
-// latencies.
-type httpStats struct {
-	mu     sync.Mutex
-	routes map[string]*metrics.Histogram
+// histSet is a set of named millisecond histograms on the shared log-bucket
+// primitive from internal/metrics (the one the simulator uses for read
+// latencies). The service keeps two: request latency by route, and
+// pipeline-stage span duration by stage.
+type histSet struct {
+	mu    sync.Mutex
+	hists map[string]*metrics.Histogram
 }
 
-func newHTTPStats() *httpStats {
-	return &httpStats{routes: make(map[string]*metrics.Histogram)}
+// newHistSet registers names up front, so their /metrics series exist (at
+// zero) before the first observation; any other name registers on first use.
+func newHistSet[S ~string](names ...S) *histSet {
+	h := &histSet{hists: make(map[string]*metrics.Histogram, len(names))}
+	for _, name := range names {
+		h.hists[string(name)] = metrics.NewHistogram()
+	}
+	return h
 }
 
-// instrument wraps a handler, recording wall-clock milliseconds per request
-// under the route pattern. SSE streams record their full stream lifetime.
-func (h *httpStats) instrument(pattern string, next http.HandlerFunc) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		next(w, r)
-		ms := float64(time.Since(start).Microseconds()) / 1000
-		h.mu.Lock()
-		hist, ok := h.routes[pattern]
-		if !ok {
-			hist = metrics.NewHistogram()
-			h.routes[pattern] = hist
-		}
-		hist.Add(ms)
-		h.mu.Unlock()
-	})
-}
-
-func (h *httpStats) snapshot() (map[string]Stats, map[string]metrics.HistSnapshot) {
+func (h *histSet) observe(name string, ms float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := make(map[string]Stats, len(h.routes))
-	hists := make(map[string]metrics.HistSnapshot, len(h.routes))
-	for route, hist := range h.routes {
-		out[route] = statsOf(hist)
-		hists[route] = hist.Snapshot()
-	}
-	return out, hists
-}
-
-// statsOf summarizes one histogram into the JSON Stats shape.
-func statsOf(hist *metrics.Histogram) Stats {
-	return Stats{
-		Count:  hist.Count(),
-		MeanMS: hist.Mean(),
-		P50MS:  hist.Percentile(50),
-		P99MS:  hist.Percentile(99),
-		MaxMS:  hist.Max(),
-	}
-}
-
-// stageStats aggregates pipeline-stage span durations service-wide, one
-// histogram per stage. All stages are registered at construction so the
-// /metrics stage series exist (at zero) before any span lands.
-type stageStats struct {
-	mu     sync.Mutex
-	stages map[obs.Stage]*metrics.Histogram
-}
-
-func newStageStats() *stageStats {
-	st := &stageStats{stages: make(map[obs.Stage]*metrics.Histogram, 6)}
-	for _, stage := range obs.Stages() {
-		st.stages[stage] = metrics.NewHistogram()
-	}
-	return st
-}
-
-func (st *stageStats) observe(stage obs.Stage, ms float64) {
-	st.mu.Lock()
-	hist, ok := st.stages[stage]
+	hist, ok := h.hists[name]
 	if !ok {
 		hist = metrics.NewHistogram()
-		st.stages[stage] = hist
+		h.hists[name] = hist
 	}
 	hist.Add(ms)
-	st.mu.Unlock()
 }
 
-func (st *stageStats) snapshot() (map[string]Stats, map[string]metrics.HistSnapshot) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make(map[string]Stats, len(st.stages))
-	hists := make(map[string]metrics.HistSnapshot, len(st.stages))
-	for stage, hist := range st.stages {
-		out[string(stage)] = statsOf(hist)
-		hists[string(stage)] = hist.Snapshot()
+// snapshot returns every histogram twice: as the JSON document's Stats
+// summary and as the full distribution the Prometheus rendering needs.
+func (h *histSet) snapshot() (map[string]Stats, map[string]metrics.HistSnapshot) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	out := make(map[string]Stats, len(h.hists))
+	hists := make(map[string]metrics.HistSnapshot, len(h.hists))
+	for name, hist := range h.hists {
+		out[name] = Stats{
+			Count:  hist.Count(),
+			MeanMS: hist.Mean(),
+			P50MS:  hist.Percentile(50),
+			P99MS:  hist.Percentile(99),
+			MaxMS:  hist.Max(),
+		}
+		hists[name] = hist.Snapshot()
 	}
 	return out, hists
 }

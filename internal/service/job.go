@@ -71,8 +71,15 @@ const (
 	KindSpan  EventKind = "span"
 )
 
-// Event is one record of a job's append-only event log, the unit the SSE
-// stream delivers.
+// maxJobEvents bounds a job's event log, the one record of what happened to
+// it: the newest maxJobEvents events are kept and older ones are dropped, so
+// nothing a job holds grows with its run length. A QuickScale whole-registry
+// job logs 5 141 events and replays complete; a default-scale one logs 18 974
+// and keeps its newest 8 192.
+const maxJobEvents = 8192
+
+// Event is one record of a job's event log, the unit the SSE stream delivers.
+// Seq counts every event the job ever logged, dropped ones included.
 type Event struct {
 	Seq  int       `json:"seq"`
 	Time time.Time `json:"time"`
@@ -118,13 +125,13 @@ type Job struct {
 	finished  time.Time
 
 	trace obs.TraceID
-	spans *obs.SpanRecorder // nil when span recording is disabled
 
 	cancelRequested bool
 	cancel          func() // run-context cancel; nil until running
 
-	events  []Event
-	changed chan struct{} // closed and replaced on every append
+	events  obs.Ring[Event] // the newest maxJobEvents
+	spans   int64           // span events ever logged, retained or not
+	changed chan struct{}   // closed and replaced on every append
 }
 
 func newJob(id string, spec Spec, seq int64) *Job {
@@ -135,6 +142,7 @@ func newJob(id string, spec Spec, seq int64) *Job {
 		heapIndex: -1,
 		state:     StateQueued,
 		submitted: time.Now(),
+		events:    obs.NewRing[Event](maxJobEvents),
 		changed:   make(chan struct{}),
 	}
 	j.append(Event{Kind: KindState, State: StateQueued})
@@ -144,9 +152,9 @@ func newJob(id string, spec Spec, seq int64) *Job {
 // append records an event (mu held by caller or not needed yet); it stamps
 // sequence and time and wakes streamers.
 func (j *Job) append(e Event) {
-	e.Seq = len(j.events)
+	e.Seq = int(j.events.Total())
 	e.Time = time.Now()
-	j.events = append(j.events, e)
+	j.events.Push(e)
 	close(j.changed)
 	j.changed = make(chan struct{})
 }
@@ -171,19 +179,18 @@ func (j *Job) setState(s State, errMsg string) {
 	j.append(Event{Kind: KindState, State: s, Error: errMsg})
 }
 
-// addSpan records a completed pipeline-stage span: into the ring (backing
-// GET /v1/jobs/{id}/trace) and onto the event log (backing SSE replay and
-// follow). Spans arriving after the job went terminal are dropped, matching
-// recordRun — the terminal state event stays the last on the log. Returns
-// whether the span was recorded (false when disabled or terminal), so the
-// caller keeps service-wide aggregates consistent with the job's log.
+// addSpan logs a completed pipeline-stage span as a span event — the one copy
+// SSE, GET /v1/jobs/{id}/trace and the slow-job log all read. Spans arriving
+// after the job went terminal are dropped, matching recordRun — the terminal
+// state event stays the last on the log. Returns whether the span was logged,
+// so the caller keeps service-wide aggregates consistent with the job's log.
 func (j *Job) addSpan(sp obs.Span) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.Terminal() || j.spans == nil {
+	if j.state.Terminal() {
 		return false
 	}
-	j.spans.Record(sp)
+	j.spans++
 	j.append(Event{Kind: KindSpan, Span: &sp})
 	return true
 }
@@ -195,16 +202,17 @@ func (j *Job) Trace() obs.TraceID {
 	return j.trace
 }
 
-// TraceSpans returns a copy of the job's retained spans and the count of
-// spans the bounded ring dropped (0, 0-len when recording is disabled).
+// TraceSpans returns the spans still on the job's event log, oldest first,
+// and how many the log has dropped.
 func (j *Job) TraceSpans() (spans []obs.Span, dropped int64) {
 	j.mu.Lock()
-	rec := j.spans
-	j.mu.Unlock()
-	if rec == nil {
-		return nil, 0
-	}
-	return rec.Spans(), rec.Dropped()
+	defer j.mu.Unlock()
+	j.events.Each(func(e Event) {
+		if e.Kind == KindSpan {
+			spans = append(spans, *e.Span)
+		}
+	})
+	return spans, j.spans - int64(len(spans))
 }
 
 // recordRun appends an engine progress event.
@@ -234,16 +242,15 @@ func (j *Job) State() State {
 	return j.state
 }
 
-// EventsSince returns a copy of the log from seq on, a channel that closes
-// on the next append, and whether the job is terminal — everything an SSE
-// streamer needs to replay-then-follow without holding locks.
+// EventsSince returns a copy of the retained events with Seq >= seq, a
+// channel that closes on the next append, and whether the job is terminal —
+// everything an SSE streamer needs to replay-then-follow without holding
+// locks. A follower resumes from its last event's Seq+1; a first event whose
+// Seq is above the one asked for means the log dropped the ones between.
 func (j *Job) EventsSince(seq int) (evs []Event, changed <-chan struct{}, terminal bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if seq < len(j.events) {
-		evs = append(evs, j.events[seq:]...)
-	}
-	return evs, j.changed, j.state.Terminal()
+	return j.events.Since(int64(seq)), j.changed, j.state.Terminal()
 }
 
 // Status is the wire form of a job (GET /v1/jobs/{id}).

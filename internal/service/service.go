@@ -86,11 +86,6 @@ type Config struct {
 	// and stage breakdown pointers) for any job whose admission-to-done
 	// wall time exceeds it. 0 disables the slow-job log.
 	SlowJob time.Duration
-	// SpanCapacity bounds each job's span ring: 0 selects
-	// obs.DefaultSpanCapacity, negative disables span recording entirely
-	// (no rings, no span events, no stage histograms fed — the
-	// spans-off arm of the overhead gate).
-	SpanCapacity int
 }
 
 func (c Config) withDefaults() Config {
@@ -134,8 +129,8 @@ type Service struct {
 	workerDone sync.WaitGroup
 
 	log    *slog.Logger
-	http   *httpStats
-	stages *stageStats
+	http   *histSet // request latency by route pattern
+	stages *histSet // span duration by obs.Stage
 }
 
 // New builds the service and starts its workers.
@@ -157,8 +152,8 @@ func New(cfg Config) *Service {
 		baseCtx:   ctx,
 		forceStop: cancel,
 		log:       cfg.Logger,
-		http:      newHTTPStats(),
-		stages:    newStageStats(),
+		http:      newHistSet[string](),
+		stages:    newHistSet(obs.Stages()...),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.workerDone.Add(1)
@@ -203,9 +198,6 @@ func (s *Service) Submit(spec Spec) (*Job, error) {
 	j := newJob(id, spec, s.seq)
 	j.opts, j.exps = opts, exps
 	j.trace = obs.NewTraceID()
-	if s.cfg.SpanCapacity >= 0 {
-		j.spans = obs.NewSpanRecorder(s.cfg.SpanCapacity)
-	}
 	s.jobs[id] = j
 	s.mu.Unlock()
 
@@ -389,11 +381,10 @@ func (s *Service) runJob(j *Job) {
 	j.mu.Unlock()
 	defer cancel()
 	if alreadyCancelled {
-		j.setState(StateCancelled, "cancelled while queued")
 		s.log.Info("job cancelled", "job", j.ID, "trace_id", trace, "while", "queued")
+		j.setState(StateCancelled, "cancelled while queued")
 		return
 	}
-	ctx = obs.WithTrace(ctx, trace)
 
 	picked := time.Now()
 	s.recordSpan(j, obs.Span{
@@ -441,58 +432,54 @@ func (s *Service) runJob(j *Job) {
 		"job", j.ID, "trace_id", trace,
 		"queue_wait_ms", durMS(picked.Sub(submitted)), "runs", len(plan))
 
+	// A terminal state is published only after the log lines that describe
+	// it are written: a client the API tells "done" finds a log that says so.
 	result, err := s.execute(runner, j, plan)
 	wall := time.Since(submitted)
 	if err != nil {
 		j.mu.Lock()
 		wasCancelled := j.cancelRequested
 		j.mu.Unlock()
-		switch {
-		case wasCancelled && errors.Is(err, context.Canceled):
-			j.setState(StateCancelled, "cancelled")
+		if wasCancelled && errors.Is(err, context.Canceled) {
 			s.log.Info("job cancelled", "job", j.ID, "trace_id", trace, "while", "running")
-		case errors.Is(err, context.DeadlineExceeded):
-			j.setState(StateFailed, "deadline exceeded: "+err.Error())
-			s.log.Warn("job failed", "job", j.ID, "trace_id", trace, "error", err.Error(), "wall_ms", durMS(wall))
-		default:
-			j.setState(StateFailed, err.Error())
-			s.log.Warn("job failed", "job", j.ID, "trace_id", trace, "error", err.Error(), "wall_ms", durMS(wall))
+			j.setState(StateCancelled, "cancelled")
+			return
 		}
+		s.log.Warn("job failed", "job", j.ID, "trace_id", trace, "error", err.Error(), "wall_ms", durMS(wall))
+		msg := err.Error()
+		if errors.Is(err, context.DeadlineExceeded) {
+			msg = "deadline exceeded: " + msg
+		}
+		j.setState(StateFailed, msg)
 		return
+	}
+	s.log.Info("job done", "job", j.ID, "trace_id", trace, "wall_ms", durMS(wall))
+	if s.cfg.SlowJob > 0 && wall > s.cfg.SlowJob {
+		spans, _ := j.TraceSpans()
+		ms := map[obs.Stage]float64{}
+		for _, sp := range spans {
+			ms[sp.Stage] += sp.DurationMS
+		}
+		s.log.Warn("slow job",
+			"job", j.ID, "trace_id", trace,
+			"wall_ms", durMS(wall), "threshold_ms", durMS(s.cfg.SlowJob),
+			"queue_wait_ms", ms[obs.StageQueueWait], "execute_ms", ms[obs.StageExecute],
+			"trace_url", "/v1/jobs/"+j.ID+"/trace")
 	}
 	j.mu.Lock()
 	j.result = result
 	j.mu.Unlock()
 	j.setState(StateDone, "")
-	s.log.Info("job done", "job", j.ID, "trace_id", trace, "wall_ms", durMS(wall))
-	if s.cfg.SlowJob > 0 && wall > s.cfg.SlowJob {
-		spans, _ := j.TraceSpans()
-		var execMS, waitMS float64
-		for _, sp := range spans {
-			switch sp.Stage {
-			case obs.StageExecute:
-				execMS += sp.DurationMS
-			case obs.StageQueueWait:
-				waitMS += sp.DurationMS
-			}
-		}
-		s.log.Warn("slow job",
-			"job", j.ID, "trace_id", trace,
-			"wall_ms", durMS(wall), "threshold_ms", durMS(s.cfg.SlowJob),
-			"queue_wait_ms", waitMS, "execute_ms", execMS,
-			"trace_url", "/v1/jobs/"+j.ID+"/trace")
-	}
 }
 
 // durMS converts a duration to float milliseconds (the wire/log unit).
 func durMS(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
-// recordSpan routes one completed span to the job (ring + event log) and the
-// service-wide per-stage histograms. A nil-ring job (spans disabled) or a
-// terminal job feeds neither.
+// recordSpan routes one completed span to the job's event log and the
+// service-wide per-stage histograms. A terminal job feeds neither.
 func (s *Service) recordSpan(j *Job, sp obs.Span) {
 	if j.addSpan(sp) {
-		s.stages.observe(sp.Stage, sp.DurationMS)
+		s.stages.observe(string(sp.Stage), sp.DurationMS)
 	}
 }
 

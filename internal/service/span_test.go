@@ -5,9 +5,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -242,34 +244,149 @@ func TestSpanSSEFollow(t *testing.T) {
 	}
 }
 
-// TestSpansDisabled: SpanCapacity < 0 turns the feature off end to end — no
-// span events on the log, an empty trace export, and untouched stage
-// histograms — the spans-off arm the overhead gate compares against.
-func TestSpansDisabled(t *testing.T) {
-	hook := newTestHook(false)
-	s, ts := newTestService(t, Config{Run: hook.run, SpanCapacity: -1})
-	st, _ := postJob(t, ts, mcfCache)
-	waitState(t, ts, st.ID, StateDone)
+// sseSeqs reads an SSE body to its end and returns every event's Seq in
+// arrival order plus the body's first line. each, when set, sees every Seq as
+// it arrives.
+func sseSeqs(t *testing.T, body io.Reader, each func(seq int)) (first string, seqs []int) {
+	t.Helper()
+	sc := bufio.NewScanner(body)
+	for n := 0; sc.Scan(); n++ {
+		if n == 0 {
+			first = sc.Text()
+		}
+		id, ok := strings.CutPrefix(sc.Text(), "id: ")
+		if !ok {
+			continue
+		}
+		seq, err := strconv.Atoi(id)
+		if err != nil {
+			t.Errorf("bad SSE id line %q", sc.Text())
+		}
+		seqs = append(seqs, seq)
+		if each != nil {
+			each(seq)
+		}
+	}
+	return first, seqs
+}
 
-	_, events := fetchSpans(t, ts, st.ID)
-	if len(events) != 0 {
-		t.Errorf("spans disabled but trace export has %d spans", len(events))
-	}
-	j, err := s.Get(st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evs, _, _ := j.EventsSince(0)
-	for _, e := range evs {
-		if e.Kind == KindSpan {
-			t.Errorf("spans disabled but event log has a span event")
+// TestJobEventLogBounded: a job's event log — the one record of its spans,
+// run events and states — keeps the newest maxJobEvents and says what it
+// dropped, on every surface that reads it.
+func TestJobEventLogBounded(t *testing.T) {
+	// A job that logs 3x the cap while an SSE client follows it: the client,
+	// paced to stay within the cap of the producer, sees every Seq exactly
+	// once; afterwards the log holds exactly the cap, consecutive, terminal
+	// event last, and both exports report the truncation.
+	t.Run("overflow", func(t *testing.T) {
+		const batch = 1024
+		acks := make(chan struct{}, 3*maxJobEvents/batch) // one send per batch
+		run := func(ctx context.Context, o crow.Options) (crow.Report, error) {
+			snapshot := obs.From(ctx).OnSnapshot
+			for i := 1; i <= 3*maxJobEvents; i++ {
+				snapshot(obs.IntervalSnapshot{Cycle: int64(i)})
+				if i%batch == 0 {
+					select {
+					case <-acks: // the follower has read this many events
+					case <-ctx.Done():
+						return crow.Report{}, ctx.Err()
+					}
+				}
+			}
+			return crow.Report{Mechanism: o.Mechanism, IPC: []float64{1}, MPKI: []float64{1}}, nil
 		}
-	}
-	for stage, stats := range s.Metrics().Stages {
-		if stats.Count != 0 {
-			t.Errorf("spans disabled but stage %q histogram has %d samples", stage, stats.Count)
+		s, ts := newTestService(t, Config{Run: run, TelemetryInterval: 1})
+		st, _ := postJob(t, ts, mcfCache)
+
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/events")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		defer resp.Body.Close()
+		first, followed := sseSeqs(t, resp.Body, func(seq int) {
+			if (seq+1)%batch == 0 {
+				acks <- struct{}{}
+			}
+		})
+		if strings.HasPrefix(first, ":") {
+			t.Errorf("a follower that kept up was told of a gap: %q", first)
+		}
+		for i, seq := range followed {
+			if seq != i {
+				t.Fatalf("follower's event %d has Seq %d: every Seq must arrive exactly once, in order", i, seq)
+			}
+		}
+
+		evs, _, terminal := mustGetJob(t, s, st.ID).EventsSince(0)
+		if !terminal || len(evs) != maxJobEvents {
+			t.Fatalf("terminal=%v with %d events retained, want exactly %d", terminal, len(evs), maxJobEvents)
+		}
+		for i, e := range evs {
+			if e.Seq != evs[0].Seq+i {
+				t.Fatalf("retained event %d has Seq %d after %d: the log has a hole", i, e.Seq, evs[i-1].Seq)
+			}
+		}
+		last := evs[len(evs)-1]
+		if last.Kind != KindState || last.State != StateDone || last.Seq != len(followed)-1 {
+			t.Errorf("last retained event = %+v, want the done state the follower saw last (Seq %d)", last, len(followed)-1)
+		}
+
+		resp, err = http.Get(ts.URL + "/v1/jobs/" + st.ID + "/trace")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var doc struct {
+			OtherData   struct{ Recorded, Dropped int }
+			TraceEvents []traceEvent
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+			t.Fatal(err)
+		}
+		var slices int
+		for _, e := range doc.TraceEvents {
+			if e.Ph == "X" {
+				slices++
+			}
+		}
+		// queue-wait was logged before the flood, execute after it.
+		if od := doc.OtherData; od.Dropped < 1 || slices < 1 || od.Recorded != od.Dropped+slices {
+			t.Errorf("/trace: recorded %d, dropped %d, %d slices retained — must add up, with some of each", od.Recorded, od.Dropped, slices)
+		}
+
+		resp, err = http.Get(ts.URL + "/v1/jobs/" + st.ID + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		first, replayed := sseSeqs(t, resp.Body, nil)
+		if want := fmt.Sprintf(": %d earlier events dropped", evs[0].Seq); first != want {
+			t.Errorf("truncated replay opens with %q, want %q", first, want)
+		}
+		if len(replayed) != maxJobEvents || replayed[0] != evs[0].Seq || replayed[len(replayed)-1] != last.Seq {
+			t.Errorf("replay carries %d events, Seq %d..%d; the log holds %d, Seq %d..%d",
+				len(replayed), replayed[0], replayed[len(replayed)-1], len(evs), evs[0].Seq, last.Seq)
+		}
+	})
+
+	// The cap is chosen to cover the largest job the tree's own tests and
+	// benchmark submit: the whole registry at QuickScale replays from Seq 0.
+	t.Run("whole-registry", func(t *testing.T) {
+		hook := newTestHook(false)
+		_, ts := newTestService(t, Config{Run: hook.run, EngineWorkers: 4})
+		st, _ := postJob(t, ts, `{"experiment": "all"}`)
+		waitState(t, ts, st.ID, StateDone)
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		first, seqs := sseSeqs(t, resp.Body, nil)
+		if strings.HasPrefix(first, ":") || seqs[0] != 0 {
+			t.Fatalf("a QuickScale whole-registry job logged %d events and its replay opens %q at Seq %d: maxJobEvents (%d) no longer covers it",
+				seqs[len(seqs)-1]+1, first, seqs[0], maxJobEvents)
+		}
+	})
 }
 
 // TestStructuredLogCorrelation: every slog line the service emits for one
