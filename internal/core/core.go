@@ -39,9 +39,19 @@ type Mechanism interface {
 	// Name identifies the mechanism in reports.
 	Name() string
 
-	// PlanActivate decides how to activate regular row a.Row. The
-	// controller calls it exactly once per activation it performs.
+	// PlanActivate decides how to activate regular row a.Row, free of side
+	// effects. The controller asks on a cycle a.Row's subarray can take an ACT
+	// and issues one at once — the planned activation, or the RestoreFirst one,
+	// after which it asks again — so calls number the request activations plus
+	// the restore activations. (With RestoresAcrossSubarrays the plan is asked
+	// before the device, on every cycle a request waits for a closed subarray.)
 	PlanActivate(a dram.Addr, cycle int64) ActDecision
+
+	// RestoresAcrossSubarrays reports whether a plan's RestoreRow can lie in
+	// another subarray than the row planned for. The controller then cannot
+	// take "this subarray is not ready for an ACT" to mean the plan has
+	// nothing to issue, and consults the plan first.
+	RestoresAcrossSubarrays() bool
 
 	// OnActivate notifies the mechanism that the decision was executed.
 	OnActivate(a dram.Addr, d ActDecision, cycle int64)
@@ -79,6 +89,9 @@ type Mechanism interface {
 // mechanism must not embed it: every method it fails to forward would
 // silently stop reaching the wrapped mechanism.
 type NoOps struct{}
+
+// RestoresAcrossSubarrays implements Mechanism.
+func (NoOps) RestoresAcrossSubarrays() bool { return false }
 
 // OnActivate implements Mechanism.
 func (NoOps) OnActivate(dram.Addr, ActDecision, int64) {}

@@ -115,7 +115,8 @@ type CROW struct {
 	// hammer activation counters per channel: a contiguous array indexed
 	// by ((rank*Banks)+bank)*RowsPerBank+row, allocated lazily on the
 	// first counted activation of a channel (a flat slice like the
-	// controller's hitsServed: a map here was the last one on the hot path).
+	// controller's per-subarray state: a map here was the last one on the hot
+	// path).
 	hammerCounts [][]int32
 	// pendingCopies are mechanism-initiated ACT-c operations (RowHammer
 	// victim duplication) awaiting issue, per channel.
@@ -227,7 +228,7 @@ func (c *CROW) RemapDynamic(a dram.Addr) bool {
 		c.Stats.Fallback = true
 		return false
 	}
-	set[w] = Entry{Allocated: true, RegularRow: c.Table.Geo.RowInSubarray(a.Row), SubTag: c.Table.SubTag(a), Kind: EntryRef, FullyRestored: true, CopyPending: true}
+	set[w] = Entry{Allocated: true, RegularRow: c.Table.rowIn(a.Row), SubTag: c.Table.SubTag(a), Kind: EntryRef, FullyRestored: true, CopyPending: true}
 	c.pendingCopies[a.Channel] = append(c.pendingCopies[a.Channel], CopyOp{
 		Addr: a, Kind: dram.ActCopy, CopyRow: w, Timing: c.Crow.CopyFull,
 	})
@@ -307,6 +308,11 @@ func (c *CROW) PlanActivate(a dram.Addr, cycle int64) ActDecision {
 	return ActDecision{Kind: dram.ActCopy, CopyRow: w, Timing: copyPlan}
 }
 
+// RestoresAcrossSubarrays implements Mechanism: a restore-before-evict victim
+// found in a shared entry set may belong to any subarray of the sharing group
+// (Table.AbsoluteRow).
+func (c *CROW) RestoresAcrossSubarrays() bool { return c.EagerRestore && c.Table.ShareGroup > 1 }
+
 // tev reports one table event to the attached observer. Call sites guard
 // with `c.Obs != nil` so the disabled path costs one comparison.
 func (c *CROW) tev(k TableEventKind, a dram.Addr, way int, cycle int64) {
@@ -333,7 +339,7 @@ func (c *CROW) OnActivate(a dram.Addr, d ActDecision, cycle int64) {
 		set[d.CopyRow].lastUse = cycle
 	case dram.ActCopy:
 		if e := &set[d.CopyRow]; e.Allocated && e.Kind != EntryCache &&
-			e.RegularRow == c.Table.Geo.RowInSubarray(a.Row) && e.SubTag == c.Table.SubTag(a) {
+			e.RegularRow == c.Table.rowIn(a.Row) && e.SubTag == c.Table.SubTag(a) {
 			// A demand activation performing a pending remap copy: the
 			// entry stays a CROW-ref/RowHammer remap. CopyPending clears
 			// at precharge, once restoration of the pair completes.
@@ -358,7 +364,7 @@ func (c *CROW) OnActivate(a dram.Addr, d ActDecision, cycle int64) {
 		}
 		set[d.CopyRow] = Entry{
 			Allocated:  true,
-			RegularRow: c.Table.Geo.RowInSubarray(a.Row),
+			RegularRow: c.Table.rowIn(a.Row),
 			SubTag:     c.Table.SubTag(a),
 			Kind:       EntryCache,
 			lastUse:    cycle,
@@ -386,7 +392,7 @@ func (c *CROW) OnPrecharge(a dram.Addr, openRow int, fullyRestored bool, cycle i
 	probe := a
 	probe.Row = openRow
 	set := c.Table.Set(probe)
-	row := c.Table.Geo.RowInSubarray(openRow)
+	row := c.Table.rowIn(openRow)
 	tag := c.Table.SubTag(probe)
 	for w := range set {
 		if !set[w].Allocated || set[w].RegularRow != row || set[w].SubTag != tag {
@@ -422,7 +428,7 @@ func (c *CROW) OnRefreshRows(channel, rank, bank, startRow, n int) {
 		for row := startRow; row < startRow+n && row < g.RowsPerBank; row++ {
 			a := dram.Addr{Channel: channel, Rank: rank, Bank: b, Row: row}
 			set := c.Table.Set(a)
-			r := g.RowInSubarray(row)
+			r := c.Table.rowIn(row)
 			tag := c.Table.SubTag(a)
 			for w := range set {
 				if set[w].Allocated && set[w].Kind == EntryCache &&
@@ -456,7 +462,7 @@ func (c *CROW) NextCopy(channel int) (CopyOp, bool) {
 		set := c.Table.Set(op.Addr)
 		e := &set[op.CopyRow]
 		if !e.CopyPending || e.Kind == EntryCache ||
-			e.RegularRow != c.Table.Geo.RowInSubarray(op.Addr.Row) || e.SubTag != c.Table.SubTag(op.Addr) {
+			e.RegularRow != c.Table.rowIn(op.Addr.Row) || e.SubTag != c.Table.SubTag(op.Addr) {
 			continue
 		}
 		return op, true
@@ -518,7 +524,7 @@ func (c *CROW) countHammer(a dram.Addr, cycle int64) {
 			// and let a later activation re-trigger protection.
 			continue
 		}
-		set[w] = Entry{Allocated: true, RegularRow: g.RowInSubarray(vr), SubTag: c.Table.SubTag(victim), Kind: EntryHammer, FullyRestored: true, CopyPending: true}
+		set[w] = Entry{Allocated: true, RegularRow: c.Table.rowIn(vr), SubTag: c.Table.SubTag(victim), Kind: EntryHammer, FullyRestored: true, CopyPending: true}
 		c.pendingCopies[a.Channel] = append(c.pendingCopies[a.Channel], CopyOp{
 			Addr: victim, Kind: dram.ActCopy, CopyRow: w, Timing: c.Crow.CopyFull,
 		})

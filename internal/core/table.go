@@ -1,6 +1,10 @@
 package core
 
-import "crowdram/internal/dram"
+import (
+	"math/bits"
+
+	"crowdram/internal/dram"
+)
 
 // EntryKind records which mechanism owns a CROW-table entry (the paper's
 // Special field, Section 3.3: one bit distinguishes CROW-cache from
@@ -61,6 +65,12 @@ type Table struct {
 	ShareGroup int
 	sets       [][]Entry
 	setsPer    int // sets per channel
+	groups     int // sets per bank
+	// A row's subarray is row >> subShift and its index within it row &
+	// rowMask: RowsPerSubarray is a power of two (NewSharedTable insists), and
+	// every lookup would otherwise divide by it.
+	subShift uint
+	rowMask  int
 }
 
 // NewTable allocates an empty CROW-table for a system of identical channels.
@@ -74,38 +84,44 @@ func NewSharedTable(channels int, g dram.Geometry, share int) *Table {
 	if share < 1 {
 		share = 1
 	}
+	if bits.OnesCount(uint(g.RowsPerSubarray)) != 1 {
+		panic("core: rows per subarray is not a power of two")
+	}
 	groups := (g.SubarraysPerBank() + share - 1) / share
-	setsPer := g.Ranks * g.Banks * groups
-	t := &Table{Geo: g, Channels: channels, ShareGroup: share, setsPer: setsPer}
-	t.sets = make([][]Entry, channels*setsPer)
+	t := &Table{
+		Geo: g, Channels: channels, ShareGroup: share,
+		setsPer: g.Ranks * g.Banks * groups, groups: groups,
+		subShift: uint(bits.TrailingZeros(uint(g.RowsPerSubarray))), rowMask: g.RowsPerSubarray - 1,
+	}
+	t.sets = make([][]Entry, channels*t.setsPer)
 	for i := range t.sets {
 		t.sets[i] = make([]Entry, g.CopyRows)
 	}
 	return t
 }
 
-func (t *Table) groups() int {
-	return (t.Geo.SubarraysPerBank() + t.ShareGroup - 1) / t.ShareGroup
-}
+// rowIn returns the index of a regular row within its subarray, as entries
+// record it.
+func (t *Table) rowIn(row int) int { return row & t.rowMask }
 
 // SubTag returns the tag distinguishing a.Row's subarray within its sharing
 // group (always 0 for unshared tables).
-func (t *Table) SubTag(a dram.Addr) int { return a.Subarray(t.Geo) % t.ShareGroup }
+func (t *Table) SubTag(a dram.Addr) int { return (a.Row >> t.subShift) % t.ShareGroup }
 
 // AbsoluteRow reconstructs the bank-level regular-row index of an entry
 // found in the set of address a (inverting the Set/SubTag split).
 func (t *Table) AbsoluteRow(a dram.Addr, e Entry) int {
-	group := a.Subarray(t.Geo) / t.ShareGroup
+	group := (a.Row >> t.subShift) / t.ShareGroup
 	sub := group*t.ShareGroup + e.SubTag
-	return sub*t.Geo.RowsPerSubarray + e.RegularRow
+	return sub<<t.subShift + e.RegularRow
 }
 
 // Set returns the entries of the (group of) subarray(s) containing a.Row.
 // The returned slice aliases the table; mutations are visible.
 func (t *Table) Set(a dram.Addr) []Entry {
 	idx := a.Channel*t.setsPer +
-		(a.Rank*t.Geo.Banks+a.Bank)*t.groups() +
-		a.Subarray(t.Geo)/t.ShareGroup
+		(a.Rank*t.Geo.Banks+a.Bank)*t.groups +
+		(a.Row>>t.subShift)/t.ShareGroup
 	return t.sets[idx]
 }
 
@@ -113,7 +129,7 @@ func (t *Table) Set(a dram.Addr) []Entry {
 // tag in shared tables), returning its way index, or -1.
 func (t *Table) Lookup(a dram.Addr) int {
 	set := t.Set(a)
-	row := t.Geo.RowInSubarray(a.Row)
+	row := t.rowIn(a.Row)
 	tag := t.SubTag(a)
 	for w := range set {
 		if set[w].Allocated && set[w].RegularRow == row && set[w].SubTag == tag {

@@ -81,3 +81,48 @@ func newBenchBaseline() (*Controller, dram.Timing) {
 	t := dram.LPDDR4(dram.Density8Gb, 64, g)
 	return New(DefaultConfig(0, g, t), &core.Baseline{T: t}), t
 }
+
+// BenchmarkSchedulePass measures one scheduling pass over the state a
+// saturated channel presents: both queues full (so write-drain mode), a row
+// open in each of the eight banks, a refresh owed and waiting on them. The
+// pass is timed on the cycle a command has just issued — the command bus is
+// busy, so it examines every queued request, finds each blocked, and issues
+// nothing; the same pass repeats exactly. Run with -benchmem: the pass must
+// not allocate.
+func BenchmarkSchedulePass(b *testing.B) {
+	c, _ := newBenchBaseline()
+	fill := func(now int64) {
+		for i := 0; len(c.readQ) < c.Cfg.ReadQ || len(c.writeQ) < c.Cfg.WriteQ; i++ {
+			// Per bank: hits on row 0, conflicts in its subarray and in two others.
+			r := c.GetRequest()
+			r.Addr = dram.Addr{Bank: i % 8, Row: i / 8 % 4 * 257, Col: i % 128}
+			enqueue := c.EnqueueRead
+			if r.Type = ReqType(i / 32 % 2); r.Type == Write {
+				enqueue = c.EnqueueWrite
+			}
+			if !enqueue(r, now) {
+				c.PutRequest(r)
+			}
+		}
+	}
+	cmds := func() int64 { s := &c.Dev.Stats; return s.Activations() + s.PRE + s.RD + s.WR }
+	now := int64(0)
+	for issued := false; !issued || c.Dev.OpenBuffers() < 8; {
+		if now++; now > 100_000 {
+			b.Fatal("no cycle with eight open rows and a command just issued")
+		}
+		fill(now)
+		before := cmds()
+		c.Tick(now)
+		issued = cmds() != before
+	}
+	fill(now)
+	c.refOwed[0]++
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if c.schedulePass(now) {
+			b.Fatal("a command issued behind a busy command bus")
+		}
+	}
+}

@@ -7,6 +7,7 @@ package ctrl
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"crowdram/internal/core"
@@ -38,6 +39,10 @@ type Request struct {
 	Done   func(now int64, line uint64)
 	IsPref bool     // prefetch: scheduled behind demand requests
 	next   *Request // freelist link
+	// sub and bank name Addr's subarray (dram.Channel.SubIndex) and bank
+	// (rank*Banks+bank). The enqueue computes them, once, for everything a
+	// scheduling pass asks about the request; callers fill Addr before it.
+	sub, bank int
 }
 
 // Config parameterizes one controller instance.
@@ -227,6 +232,17 @@ type copyState struct {
 	active  bool // its activation has issued
 }
 
+// subSched is what the scheduler keeps for one subarray.
+type subSched struct {
+	hits          int32 // column commands served from the current activation (FR-FCFS-Cap)
+	reads, writes int32 // requests queued for the subarray, in readQ and in writeQ
+	// blocked, when equal to Controller.gen, says a readiness test on the
+	// subarray's PRE or ACT failed earlier in this scheduling pass: no command
+	// has issued since, so any other request's test on it would read the same
+	// device cycle, fail the same way and leave nextReady where it is.
+	blocked uint64
+}
+
 // Controller schedules one channel.
 type Controller struct {
 	Cfg  Config
@@ -236,12 +252,15 @@ type Controller struct {
 	readQ, writeQ []*Request
 	draining      bool
 
-	// hitsServed counts column commands served from the current activation,
-	// per subarray, indexed by key(). A flat slice rather than a map: the
-	// scheduler reads it on every hit-pass iteration, and the whole table is
-	// a few KiB of contiguous memory that stays cache-resident.
-	hitsServed  []int
-	subsPerBank int
+	// The scheduler's own state per subarray (at the channel's SubIndex) and
+	// per bank (at rank*Banks+bank): flat slices, a few KiB of contiguous memory
+	// a pass reads once per queued request. bankBlocked is subSched.blocked for
+	// a whole bank: without MASA, every request to a bank whose one open row
+	// cannot be precharged yet waits on it. gen numbers the scheduling passes.
+	subs        []subSched
+	bankQueued  []int32 // requests queued for the bank, both queues
+	bankBlocked []uint64
+	gen         uint64
 
 	refDue  []int64 // next refresh deadline per rank
 	refOwed []int   // refreshes due but not yet issued, per rank
@@ -252,25 +271,28 @@ type Controller struct {
 
 	// What the Config's policy names mean (resolvePolicies, policy.go).
 	inOrder   bool  // scheduler: serve the preferred queue's head only
-	effCap    int   // scheduler: row hits served per activation, 0 = unlimited
+	effCap    int32 // scheduler: row hits served per activation, 0 = unlimited
 	closeIdle bool  // row policy: close rows no queued request needs...
 	timeout   int64 // ...once idle this many cycles
 	perBank   bool  // refresh: bank-granular (REFpb/REFsb), not REFab
 
-	free  *Request       // request freelist (see GetRequest)
-	osBuf []dram.OpenSub // reusable open-subarray scan buffer
+	free *Request // request freelist (see GetRequest)
 
-	// wake is the earliest DRAM cycle at which a tick can do anything — fire
-	// a completion, issue a command, or change controller state. Tick returns
-	// at once before it. A scheduling pass that issues nothing sets it from
-	// the readiness tests that failed (nextReady) and the next completion; an
+	// passAt is the earliest DRAM cycle at which a scheduling pass can do
+	// anything — issue a command or change controller state. A pass that issues
+	// nothing sets it from the readiness tests that failed (nextReady); an
 	// issued command, or a pass with a side effect of its own (poll), sets it
-	// to the next cycle; an enqueue pulls it back to the enqueue cycle.
-	wake      int64
-	nextReady int64
-	poll      bool
-	// verifyWake, set only from tests, makes every skipped tick re-run the
-	// scheduling pass and panic if the skip was not a no-op.
+	// to the next cycle; an enqueue pulls it back to the enqueue cycle. wake is
+	// the earlier of passAt and the next completion: Tick returns at once
+	// before it, and between the two fires completions only.
+	wake, passAt int64
+	nextReady    int64
+	poll         bool
+	// verifyWake, set only from tests, makes every shortcut of the wake
+	// contract and of the scheduling pass check itself: a skipped pass is
+	// re-run and must be a no-op, a request skipped on a blocked mark is put
+	// through progress the long way, and every 256th pass audits the queued
+	// counts and the open list.
 	verifyWake bool
 
 	events eventQueue
@@ -309,13 +331,14 @@ func New(cfg Config, mech core.Mechanism) *Controller {
 	dev := dram.NewChannel(cfg.Geo, cfg.T)
 	dev.MASA = cfg.MASA
 	dev.Features = cfg.Features
-	subs := cfg.Geo.SubarraysPerBank()
+	banks := cfg.Geo.Ranks * cfg.Geo.Banks
 	c := &Controller{
 		Cfg:         cfg,
 		Dev:         dev,
 		Mech:        mech,
-		hitsServed:  make([]int, cfg.Geo.Ranks*cfg.Geo.Banks*subs),
-		subsPerBank: subs,
+		subs:        make([]subSched, banks*cfg.Geo.SubarraysPerBank()),
+		bankQueued:  make([]int32, banks),
+		bankBlocked: make([]uint64, banks),
 		ReadLatency: metrics.NewHistogram(),
 	}
 	c.resolvePolicies()
@@ -381,24 +404,25 @@ func (c *Controller) Idle() bool {
 // EnqueueRead accepts a read request, or returns false if the queue is full.
 // Reads matching a queued write are forwarded and complete immediately.
 func (c *Controller) EnqueueRead(r *Request, now int64) bool {
-	for _, w := range c.writeQ {
-		if w.Addr == r.Addr {
-			c.Stats.Forwarded++
-			c.Stats.ReadsServed++
-			if c.Obs != nil {
-				c.sched(SchedForward, r.Addr, now)
+	c.index(r)
+	if c.subs[r.sub].writes > 0 {
+		for _, w := range c.writeQ {
+			if w.Addr == r.Addr {
+				c.Stats.Forwarded++
+				c.Stats.ReadsServed++
+				if c.Obs != nil {
+					c.sched(SchedForward, r.Addr, now)
+				}
+				c.events.push(event{at: now + 1, req: r})
+				c.wake = min(c.wake, now+1)
+				return true
 			}
-			c.events.push(event{at: now + 1, req: r})
-			c.wake = min(c.wake, now+1)
-			return true
 		}
 	}
 	if len(c.readQ) >= c.Cfg.ReadQ {
 		return false
 	}
-	r.Arrive = now
-	c.readQ = append(c.readQ, r)
-	c.wake = min(c.wake, now)
+	c.enqueue(&c.readQ, r, now)
 	return true
 }
 
@@ -408,13 +432,48 @@ func (c *Controller) EnqueueWrite(r *Request, now int64) bool {
 	if len(c.writeQ) >= c.Cfg.WriteQ {
 		return false
 	}
-	r.Arrive = now
-	c.writeQ = append(c.writeQ, r)
-	c.wake = min(c.wake, now)
+	c.index(r)
+	c.enqueue(&c.writeQ, r, now)
 	if r.Done != nil {
 		r.Done(now, r.Line)
 	}
 	return true
+}
+
+// index names the request's subarray and bank.
+func (c *Controller) index(r *Request) {
+	r.sub = c.Dev.SubIndex(r.Addr)
+	r.bank = r.Addr.Rank*c.Cfg.Geo.Banks + r.Addr.Bank
+}
+
+// count is the queued-request counter of subarray i for queue q.
+func (c *Controller) count(q *[]*Request, i int) *int32 {
+	if q == &c.writeQ {
+		return &c.subs[i].writes
+	}
+	return &c.subs[i].reads
+}
+
+// enqueue appends an indexed request to q and pulls the next pass back to now.
+func (c *Controller) enqueue(q *[]*Request, r *Request, now int64) {
+	r.Arrive = now
+	*q = append(*q, r)
+	*c.count(q, r.sub)++
+	c.bankQueued[r.bank]++
+	c.passAt = min(c.passAt, now)
+	c.wake = min(c.wake, now)
+}
+
+// dequeue removes (*q)[i], whose column command has just issued. The counts
+// come off before PutRequest, which zeroes the request.
+func (c *Controller) dequeue(q *[]*Request, i int) {
+	r := (*q)[i]
+	*q = append((*q)[:i], (*q)[i+1:]...)
+	*c.count(q, r.sub)--
+	c.bankQueued[r.bank]--
+	if r.Type == Write {
+		c.PutRequest(r) // reads recycle at completion-event pop
+	}
 }
 
 // NextEvent returns the earliest DRAM cycle after `now` at which Tick could
@@ -424,13 +483,14 @@ func (c *Controller) NextEvent(now int64) int64 { return max(c.wake, now+1) }
 
 // Tick advances the controller by one DRAM cycle: it brings the device's
 // per-cycle accounting up to `now`, fires every completion event due, in heap
-// order, recycling each finished request after its callback returns, then
-// runs one scheduling pass (at most one command) and sets the next wake-up
-// cycle. Before the wake-up cycle it returns at once.
+// order, recycling each finished request after its callback returns, then — if
+// the pass cycle has come, which a callback's enqueue can make it — runs one
+// scheduling pass (at most one command) and sets the next one. Before the
+// wake-up cycle it returns at once.
 func (c *Controller) Tick(now int64) {
 	if now < c.wake {
 		if c.verifyWake {
-			c.verifySkip(now)
+			c.verifyNoPass(now)
 		}
 		return
 	}
@@ -442,11 +502,21 @@ func (c *Controller) Tick(now int64) {
 		}
 		c.PutRequest(e.req)
 	}
-	if c.schedulePass(now) {
-		c.wake = now + 1
-		return
+	switch {
+	case now < c.passAt:
+		// Woken by a completion alone, which changes nothing a pass looks at.
+		if c.verifyWake {
+			c.verifyNoPass(now)
+		}
+	case c.schedulePass(now) || c.poll:
+		c.passAt = now + 1
+	default:
+		c.passAt = c.nextReady
 	}
-	c.wake = c.sleepUntil(now)
+	c.wake = c.passAt
+	if len(c.events) > 0 {
+		c.wake = min(c.wake, c.events[0].at)
+	}
 }
 
 // ready is the one readiness test of the scheduling pass: it reports whether
@@ -464,33 +534,19 @@ func (c *Controller) ready(at, now int64) bool {
 	return false
 }
 
-// sleepUntil returns the wake-up cycle after a pass at `now` that issued
-// nothing: the next cycle if the pass had a side effect of its own, otherwise
-// the smallest failed readiness cycle or the next completion.
-func (c *Controller) sleepUntil(now int64) int64 {
-	if c.poll {
-		return now + 1
-	}
-	if len(c.events) > 0 {
-		return min(c.nextReady, c.events[0].at)
-	}
-	return c.nextReady
-}
-
-// verifySkip checks both halves of a cycle the wake-up contract skipped: no
-// completion may be due, and re-running the scheduling pass must be the no-op
-// the contract promised — no command, no side effect, and the same wake-up
-// cycle again. It panics otherwise.
-func (c *Controller) verifySkip(now int64) {
+// verifyNoPass checks a cycle the wake contract gave no scheduling pass: no
+// completion may be left due, and re-running the pass must be the no-op the
+// contract promised — no command, no side effect, and the same next pass cycle
+// again. It panics otherwise.
+func (c *Controller) verifyNoPass(now int64) {
 	if len(c.events) > 0 && c.events[0].at <= now {
 		panic(fmt.Sprintf("ctrl: ch%d slept through cycle %d (wake %d) with a completion due at %d",
 			c.Cfg.ChannelID, now, c.wake, c.events[0].at))
 	}
 	draining := c.draining
-	issued := c.schedulePass(now)
-	if w := c.sleepUntil(now); issued || c.poll || draining != c.draining || w != c.wake {
-		panic(fmt.Sprintf("ctrl: ch%d slept through cycle %d (wake %d) but the pass was not a no-op: issued=%v poll=%v drain %v->%v next wake %d",
-			c.Cfg.ChannelID, now, c.wake, issued, c.poll, draining, c.draining, w))
+	if issued := c.schedulePass(now); issued || c.poll || draining != c.draining || c.nextReady != c.passAt {
+		panic(fmt.Sprintf("ctrl: ch%d skipped the pass of cycle %d (next pass %d) but it was not a no-op: issued=%v poll=%v drain %v->%v next pass %d",
+			c.Cfg.ChannelID, now, c.passAt, issued, c.poll, draining, c.draining, c.nextReady))
 	}
 }
 
@@ -499,6 +555,10 @@ func (c *Controller) verifySkip(now int64) {
 // At most one command issues; it reports whether one did.
 func (c *Controller) schedulePass(now int64) bool {
 	c.nextReady, c.poll = dram.Horizon, false
+	c.gen++
+	if c.verifyWake && c.gen%256 == 0 {
+		c.audit()
+	}
 	if c.serviceRefresh(now) {
 		return true
 	}
@@ -515,9 +575,10 @@ func (c *Controller) schedulePass(now int64) bool {
 	if c.inOrder {
 		issued = c.scheduleInOrder(q, now)
 	} else {
-		// If the preferred queue could not issue, let the other queue's row
-		// hits through (writes never starve reads and vice versa).
-		issued = c.schedule(q, now) || c.scheduleHits(other, now)
+		// FR-FCFS: row hits, then the oldest request that can progress. If the
+		// preferred queue could not issue, let the other queue's row hits
+		// through (writes never starve reads and vice versa).
+		issued = c.scheduleHits(q, now) || c.scheduleOldest(q, now) || c.scheduleHits(other, now)
 	}
 	return issued || (c.closeIdle && c.serviceTimeout(now))
 }
@@ -537,10 +598,6 @@ func (c *Controller) updateDrainMode(now int64) {
 			c.sched(SchedDrainExit, dram.Addr{Channel: c.Cfg.ChannelID}, now)
 		}
 	}
-}
-
-func (c *Controller) key(a dram.Addr) int {
-	return (a.Rank*c.Cfg.Geo.Banks+a.Bank)*c.subsPerBank + a.Subarray(c.Cfg.Geo)
 }
 
 // serviceRefresh runs the refresh state machine — per-rank deadline
@@ -604,20 +661,31 @@ func (c *Controller) issueRefresh(r int, now int64) (done, wait bool) {
 		c.refOwed[r]--
 		return true, false
 	}
-	// Close open rows so REF can issue.
-	c.osBuf = c.Dev.OpenSubarraysAppend(c.osBuf[:0])
-	for _, os := range c.osBuf {
-		if os.Rank != r {
-			continue
-		}
-		a := dram.Addr{Channel: c.Cfg.ChannelID, Rank: os.Rank, Bank: os.Bank, Row: os.Row}
-		if c.ready(c.Dev.ReadyPRE(a), now) {
-			c.preAndNotify(a, now)
-			return true, false
+	// Close the rank's open rows so REF can issue; blocked on tRAS/tRP, wait.
+	done = c.closeOne(dram.Addr{Rank: r}, dram.Addr{Rank: r + 1}, now)
+	return done, !done
+}
+
+// closeOne precharges the first open row, in (rank, bank, subarray) order,
+// from address `from` up to but not including `to`, that can be precharged this
+// cycle; it reports whether one could.
+func (c *Controller) closeOne(from, to dram.Addr, now int64) bool {
+	lo, hi := c.Dev.SubIndex(from), c.Dev.SubIndex(to)
+	for _, i := range c.Dev.Open() {
+		if i >= lo && i < hi && c.ready(c.Dev.ReadyPREAt(i), now) {
+			c.preAndNotify(c.openAddr(i), now)
+			return true
 		}
 	}
-	// Blocked on tRAS/tRP; wait.
-	return false, true
+	return false
+}
+
+// openAddr is the address of the open row of subarray i, for the one row a
+// walk of the open list precharges.
+func (c *Controller) openAddr(i int) dram.Addr {
+	a := c.Dev.OpenAddrAt(i)
+	a.Channel = c.Cfg.ChannelID
+	return a
 }
 
 // refreshBank issues (or clears the way for) one per-bank refresh of the
@@ -640,42 +708,18 @@ func (c *Controller) refreshBank(r int, now int64) bool {
 		return true
 	}
 	// Close open rows of this bank only; the rest keep serving.
-	c.osBuf = c.Dev.OpenSubarraysAppend(c.osBuf[:0])
-	for _, os := range c.osBuf {
-		if os.Rank != r || os.Bank != bank {
-			continue
-		}
-		a := dram.Addr{Channel: c.Cfg.ChannelID, Rank: os.Rank, Bank: os.Bank, Row: os.Row}
-		if c.ready(c.Dev.ReadyPRE(a), now) {
-			c.preAndNotify(a, now)
-			return true
-		}
-	}
-	return false
+	return c.closeOne(dram.Addr{Rank: r, Bank: bank}, dram.Addr{Rank: r, Bank: bank + 1}, now)
 }
 
 // hasRankDemand reports whether any queued request targets the rank.
 func (c *Controller) hasRankDemand(r int) bool {
-	for _, q := range [][]*Request{c.readQ, c.writeQ} {
-		for _, req := range q {
-			if req.Addr.Rank == r {
-				return true
-			}
-		}
-	}
-	return false
+	banks := c.bankQueued[r*c.Cfg.Geo.Banks : (r+1)*c.Cfg.Geo.Banks]
+	return slices.ContainsFunc(banks, func(n int32) bool { return n > 0 })
 }
 
 // hasBankDemand reports whether any queued request targets the bank.
 func (c *Controller) hasBankDemand(r, bank int) bool {
-	for _, q := range [][]*Request{c.readQ, c.writeQ} {
-		for _, req := range q {
-			if req.Addr.Rank == r && req.Addr.Bank == bank {
-				return true
-			}
-		}
-	}
-	return false
+	return c.bankQueued[r*c.Cfg.Geo.Banks+bank] > 0
 }
 
 // serviceMechCopy executes mechanism-initiated ACT-c operations (RowHammer
@@ -745,64 +789,70 @@ func (c *Controller) serviceMechCopy(now int64) bool {
 // preAndNotify precharges the subarray holding a.Row and informs the
 // mechanism of the restore outcome.
 func (c *Controller) preAndNotify(a dram.Addr, now int64) {
-	open := c.Dev.OpenRow(a)
+	i := c.Dev.SubIndex(a)
+	open := c.Dev.OpenRowAt(i)
 	full := c.Dev.PRE(a, now)
 	c.Mech.OnPrecharge(a, open, full, now)
-	c.hitsServed[c.key(a)] = 0
-}
-
-// schedule runs the FR-FCFS-Cap passes over a queue; returns true if a
-// command was issued.
-func (c *Controller) schedule(q *[]*Request, now int64) bool {
-	if c.scheduleHits(q, now) {
-		return true
-	}
-	return c.scheduleOldest(q, now)
+	c.subs[i].hits = 0
 }
 
 // scheduleHits serves the oldest row-buffer hit under the per-activation
 // cap, demand requests before prefetches.
 func (c *Controller) scheduleHits(q *[]*Request, now int64) bool {
-	for pass := 0; pass < 2; pass++ {
+	for _, pref := range [...]bool{false, true} {
+		mixed := false
 		for i, r := range *q {
-			if (r.IsPref) != (pass == 1) {
+			if r.IsPref != pref {
+				mixed = true
 				continue
 			}
-			if c.Dev.OpenRow(r.Addr) != r.Addr.Row {
+			if c.Dev.OpenRowAt(r.sub) != r.Addr.Row {
 				continue
 			}
-			k := c.key(r.Addr)
-			if c.effCap > 0 && c.hitsServed[k] >= c.effCap {
+			if c.effCap > 0 && c.subs[r.sub].hits >= c.effCap {
 				continue
 			}
-			if c.issueColumn(r, now) {
-				c.hitsServed[k]++
-				c.Stats.RowHits++
-				if c.Obs != nil {
-					c.sched(SchedRowHit, r.Addr, now)
-				}
-				*q = append((*q)[:i], (*q)[i+1:]...)
-				if r.Type == Write {
-					c.PutRequest(r) // reads recycle at completion-event pop
-				}
+			if c.serveHit(q, i, now) {
 				return true
 			}
+		}
+		if !mixed {
+			break // no request of the other kind: its sub-pass would skip them all
 		}
 	}
 	return false
 }
 
+// serveHit issues the column command of (*q)[i], whose row is open, and takes
+// the request off the queue; it reports whether the command could issue.
+func (c *Controller) serveHit(q *[]*Request, i int, now int64) bool {
+	r := (*q)[i]
+	if !c.issueColumn(r, now) {
+		return false
+	}
+	c.subs[r.sub].hits++
+	c.Stats.RowHits++
+	if c.Obs != nil {
+		c.sched(SchedRowHit, r.Addr, now)
+	}
+	c.dequeue(q, i)
+	return true
+}
+
 // scheduleOldest progresses the oldest request that can make progress:
 // precharge a conflicting row, or activate a closed one.
 func (c *Controller) scheduleOldest(q *[]*Request, now int64) bool {
-	for pass := 0; pass < 2; pass++ {
+	for _, pref := range [...]bool{false, true} {
+		mixed := false
 		for _, r := range *q {
-			if (r.IsPref) != (pass == 1) {
-				continue
-			}
-			if c.progress(r, now) {
+			if r.IsPref != pref {
+				mixed = true
+			} else if c.progress(r, now) {
 				return true
 			}
+		}
+		if !mixed {
+			break // as in scheduleHits
 		}
 	}
 	return false
@@ -816,104 +866,110 @@ func (c *Controller) scheduleInOrder(q *[]*Request, now int64) bool {
 		return false
 	}
 	r := (*q)[0]
-	if c.Dev.OpenRow(r.Addr) == r.Addr.Row {
-		if c.issueColumn(r, now) {
-			c.hitsServed[c.key(r.Addr)]++
-			c.Stats.RowHits++
-			if c.Obs != nil {
-				c.sched(SchedRowHit, r.Addr, now)
-			}
-			*q = append((*q)[:0], (*q)[1:]...)
-			if r.Type == Write {
-				c.PutRequest(r) // reads recycle at completion-event pop
-			}
-			return true
-		}
-		return false
+	if c.Dev.OpenRowAt(r.sub) == r.Addr.Row {
+		return c.serveHit(q, 0, now)
 	}
 	return c.progress(r, now)
 }
 
 // progress tries to issue the next command the request needs; returns true
-// if a command was issued.
+// if a command was issued. A request whose subarray or bank an older request
+// of this pass already found blocked is not examined again.
 func (c *Controller) progress(r *Request, now int64) bool {
-	a := r.Addr
-	open := c.Dev.OpenRow(a)
-	if open == a.Row {
-		// Row open but over the hit cap: FR-FCFS-Cap treats it as a
-		// conflict and recycles the row [81].
-		if c.effCap > 0 && c.hitsServed[c.key(a)] >= c.effCap && c.ready(c.Dev.ReadyPRE(a), now) {
-			c.Stats.RowConflicts++
-			if c.Obs != nil {
-				c.sched(SchedRowConflict, a, now)
-			}
-			c.preAndNotify(a, now)
-			return true
-		}
-		return false
+	if c.subs[r.sub].blocked != c.gen && c.bankBlocked[r.bank] != c.gen {
+		return c.advance(r, now)
 	}
+	if before := c.nextReady; c.verifyWake && (c.advance(r, now) || c.nextReady != before) {
+		panic(fmt.Sprintf("ctrl: ch%d cycle %d: a request to row %d of r%d/b%d was skipped as blocked, but examining it issued a command or moved the next pass %d -> %d",
+			c.Cfg.ChannelID, now, r.Addr.Row, r.Addr.Rank, r.Addr.Bank, before, c.nextReady))
+	}
+	return false
+}
+
+// advance is progress for a request not known to be blocked.
+func (c *Controller) advance(r *Request, now int64) bool {
+	a, i := r.Addr, r.sub
+	open := c.Dev.OpenRowAt(i)
+	if open == a.Row {
+		// Row open but over the hit cap: FR-FCFS-Cap treats it as a conflict
+		// and recycles the row [81]. Under the cap it is a hit waiting for its
+		// column command, and says nothing about the subarray: no mark.
+		return c.effCap > 0 && c.subs[i].hits >= c.effCap && c.evict(a, i, now)
+	}
+	victim := dram.Addr{Channel: a.Channel, Rank: a.Rank, Bank: a.Bank, Row: open}
 	if open >= 0 {
 		// Conflict in this subarray.
-		victim := dram.Addr{Channel: a.Channel, Rank: a.Rank, Bank: a.Bank, Row: open}
-		if c.ready(c.Dev.ReadyPRE(victim), now) {
-			c.Stats.RowConflicts++
-			if c.Obs != nil {
-				c.sched(SchedRowConflict, victim, now)
-			}
-			c.preAndNotify(victim, now)
-			return true
-		}
-		return false
+		return c.evict(victim, i, now)
 	}
 	if !c.Cfg.MASA {
 		// Another subarray of the bank may hold the bank's one open row.
-		if row := c.Dev.OpenRowInBank(a.Rank, a.Bank); row >= 0 {
-			victim := dram.Addr{Channel: a.Channel, Rank: a.Rank, Bank: a.Bank, Row: row}
-			if c.ready(c.Dev.ReadyPRE(victim), now) {
-				c.Stats.RowConflicts++
-				if c.Obs != nil {
-					c.sched(SchedRowConflict, victim, now)
-				}
-				c.preAndNotify(victim, now)
+		if victim.Row = c.Dev.OpenRowInBank(a.Rank, a.Bank); victim.Row >= 0 {
+			if c.evict(victim, c.Dev.SubIndex(victim), now) {
 				return true
 			}
+			c.bankBlocked[r.bank] = c.gen
 			return false
 		}
 	}
-	// Subarray (and bank, if required) closed: activate.
+	// Subarray (and bank, if required) closed: activate. The device is asked
+	// before the mechanism, so a plan is made only on the cycle its ACT issues
+	// — unless the plan may send a restore to another subarray, whose ACT can
+	// be ready when this one's is not: then the plan comes first and a failed
+	// test marks nothing.
+	tested := !c.Mech.RestoresAcrossSubarrays()
+	if tested && !c.ready(c.Dev.ReadyACT(a), now) {
+		c.subs[i].blocked = c.gen
+		return false
+	}
 	d := c.Mech.PlanActivate(a, now)
 	if d.RestoreFirst {
 		ra := dram.Addr{Channel: a.Channel, Rank: a.Rank, Bank: a.Bank, Row: d.RestoreRow}
-		if c.ready(c.Dev.ReadyACT(ra), now) {
-			c.Dev.ACT(ra, now, dram.ActTwo, d.RestoreTiming, d.RestoreCopyRow)
-			c.Mech.OnActivate(ra, core.ActDecision{
-				Kind: dram.ActTwo, CopyRow: d.RestoreCopyRow,
-				Timing: d.RestoreTiming, RestoreFirst: true,
-				RestoreCopyRow: d.RestoreCopyRow,
-			}, now)
-			c.hitsServed[c.key(ra)] = 0
-			return true
+		if !tested && !c.ready(c.Dev.ReadyACT(ra), now) {
+			return false
 		}
-		return false
-	}
-	if c.ready(c.Dev.ReadyACT(a), now) {
-		copyRow := d.CopyRow
-		if d.Kind == dram.ActSingle {
-			// Single-row activations carry no copy-row operand. (TL-DRAM
-			// reuses CopyRow to name its near row, but that is mechanism
-			// bookkeeping, not part of the command.)
-			copyRow = -1
-		}
-		c.Dev.ACT(a, now, d.Kind, d.Timing, copyRow)
-		c.Mech.OnActivate(a, d, now)
-		c.hitsServed[c.key(a)] = 0
-		c.Stats.RowMisses++
-		if c.Obs != nil {
-			c.sched(SchedRowMiss, a, now)
-		}
+		c.Dev.ACT(ra, now, dram.ActTwo, d.RestoreTiming, d.RestoreCopyRow)
+		c.Mech.OnActivate(ra, core.ActDecision{
+			Kind: dram.ActTwo, CopyRow: d.RestoreCopyRow,
+			Timing: d.RestoreTiming, RestoreFirst: true,
+			RestoreCopyRow: d.RestoreCopyRow,
+		}, now)
+		c.subs[c.Dev.SubIndex(ra)].hits = 0
 		return true
 	}
-	return false
+	if !tested && !c.ready(c.Dev.ReadyACT(a), now) {
+		return false
+	}
+	copyRow := d.CopyRow
+	if d.Kind == dram.ActSingle {
+		// Single-row activations carry no copy-row operand. (TL-DRAM
+		// reuses CopyRow to name its near row, but that is mechanism
+		// bookkeeping, not part of the command.)
+		copyRow = -1
+	}
+	c.Dev.ACT(a, now, d.Kind, d.Timing, copyRow)
+	c.Mech.OnActivate(a, d, now)
+	c.subs[i].hits = 0
+	c.Stats.RowMisses++
+	if c.Obs != nil {
+		c.sched(SchedRowMiss, a, now)
+	}
+	return true
+}
+
+// evict precharges the open row of subarray i — victim — as a row conflict. If
+// the row cannot close yet the subarray is marked blocked for the rest of the
+// pass: whatever another request wants of it waits on this same PRE.
+func (c *Controller) evict(victim dram.Addr, i int, now int64) bool {
+	if !c.ready(c.Dev.ReadyPREAt(i), now) {
+		c.subs[i].blocked = c.gen
+		return false
+	}
+	c.Stats.RowConflicts++
+	if c.Obs != nil {
+		c.sched(SchedRowConflict, victim, now)
+	}
+	c.preAndNotify(victim, now)
+	return true
 }
 
 // issueColumn issues the RD or WR for a request whose row is open.
@@ -943,16 +999,12 @@ func (c *Controller) issueColumn(r *Request, now int64) bool {
 // (the Table 2 timeout-based row-buffer policy, and "closed" with a zero
 // timeout). Returns true if it issued a command.
 func (c *Controller) serviceTimeout(now int64) bool {
-	c.osBuf = c.Dev.OpenSubarraysAppend(c.osBuf[:0])
-	for _, os := range c.osBuf {
-		if !c.ready(os.LastUse+c.timeout, now) {
+	for _, i := range c.Dev.Open() {
+		if !c.ready(c.Dev.LastUseAt(i)+c.timeout, now) || c.hasRequestFor(i) {
 			continue
 		}
-		a := dram.Addr{Channel: c.Cfg.ChannelID, Rank: os.Rank, Bank: os.Bank, Row: os.Row}
-		if c.hasRequestFor(a) {
-			continue
-		}
-		if c.ready(c.Dev.ReadyPRE(a), now) {
+		if c.ready(c.Dev.ReadyPREAt(i), now) {
+			a := c.openAddr(i)
 			c.Stats.TimeoutCloses++
 			if c.Obs != nil {
 				c.sched(SchedTimeoutClose, a, now)
@@ -964,16 +1016,54 @@ func (c *Controller) serviceTimeout(now int64) bool {
 	return false
 }
 
-func (c *Controller) hasRequestFor(a dram.Addr) bool {
-	for _, r := range c.readQ {
-		if r.Addr.Row == a.Row && r.Addr.Bank == a.Bank && r.Addr.Rank == a.Rank {
-			return true
+// hasRequestFor reports whether a queued request targets the open row of
+// subarray i; the queues are looked at only if the subarray's counts say one
+// of their requests is for it at all.
+func (c *Controller) hasRequestFor(i int) bool {
+	row := c.Dev.OpenRowAt(i)
+	for _, q := range []*[]*Request{&c.readQ, &c.writeQ} {
+		if *c.count(q, i) == 0 {
+			continue
 		}
-	}
-	for _, r := range c.writeQ {
-		if r.Addr.Row == a.Row && r.Addr.Bank == a.Bank && r.Addr.Rank == a.Rank {
-			return true
+		for _, r := range *q {
+			if r.sub == i && r.Addr.Row == row {
+				return true
+			}
 		}
 	}
 	return false
+}
+
+// audit compares what is kept incrementally — each request's index, the queued
+// counts, the channel's open list — with a scan of both queues and every
+// subarray, and panics on a difference.
+func (c *Controller) audit() {
+	subs, banks := make([]subSched, len(c.subs)), make([]int32, len(c.bankQueued))
+	for _, q := range []*[]*Request{&c.readQ, &c.writeQ} {
+		for _, r := range *q {
+			if r.sub != c.Dev.SubIndex(r.Addr) || r.bank != r.Addr.Rank*c.Cfg.Geo.Banks+r.Addr.Bank {
+				panic(fmt.Sprintf("ctrl: ch%d: queued request for %+v carries subarray %d, bank %d", c.Cfg.ChannelID, r.Addr, r.sub, r.bank))
+			}
+			banks[r.bank]++
+			if q == &c.writeQ {
+				subs[r.sub].writes++
+			} else {
+				subs[r.sub].reads++
+			}
+		}
+	}
+	var open []int
+	for i, s := range c.subs {
+		if c.Dev.OpenRowAt(i) >= 0 {
+			open = append(open, i)
+		}
+		if s.reads != subs[i].reads || s.writes != subs[i].writes {
+			panic(fmt.Sprintf("ctrl: ch%d: subarray %d counts %d reads and %d writes queued, the queues hold %d and %d",
+				c.Cfg.ChannelID, i, s.reads, s.writes, subs[i].reads, subs[i].writes))
+		}
+	}
+	if !slices.Equal(open, c.Dev.Open()) || !slices.Equal(banks, c.bankQueued) {
+		panic(fmt.Sprintf("ctrl: ch%d: open list %v and per-bank counts %v, a scan of every subarray and both queues says %v and %v",
+			c.Cfg.ChannelID, c.Dev.Open(), c.bankQueued, open, banks))
+	}
 }

@@ -426,3 +426,60 @@ func TestStatsSubCoversEveryField(t *testing.T) {
 		}
 	}
 }
+
+// planCounter counts PlanActivate calls on their way to the wrapped mechanism.
+type planCounter struct {
+	core.Mechanism
+	calls int64
+}
+
+func (p *planCounter) PlanActivate(a dram.Addr, cycle int64) core.ActDecision {
+	p.calls++
+	return p.Mechanism.PlanActivate(a, cycle)
+}
+
+// TestPlanActivateOncePerActivation pins core.Mechanism's contract for
+// PlanActivate: the controller asks on the cycle the ACT issues, so calls equal
+// the activations performed for requests plus the restore-before-evict ones. A
+// conflict-heavy stream keeps both queues full — the state in which the
+// controller used to ask for every waiting request on every pass, 8.3 times an
+// activation — under crow-cache with two copy rows and eager restore, so plans
+// of every kind (ACT-t, ACT-c, restore-first, plain ACT) occur.
+func TestPlanActivateOncePerActivation(t *testing.T) {
+	g := dram.Std(2)
+	tm := dram.LPDDR4(dram.Density8Gb, 64, g)
+	crow := core.NewCROW(1, g, tm)
+	crow.Cache, crow.EagerRestore = true, true
+	mech := &planCounter{Mechanism: crow}
+	c := New(DefaultConfig(0, g, tm), mech)
+
+	rng := rand.New(rand.NewSource(7))
+	const total = 4000
+	sent, done := 0, 0
+	for now := int64(1); done < total && now < 4_000_000; now++ {
+		for sent < total {
+			// Eight rows of one subarray per bank: two copy rows cannot hold them.
+			a := dram.Addr{Bank: rng.Intn(8), Row: rng.Intn(8), Col: rng.Intn(128)}
+			if rng.Intn(3) == 0 {
+				if !c.EnqueueWrite(&Request{Type: Write, Addr: a}, now) {
+					break
+				}
+				done++
+			} else if !c.EnqueueRead(&Request{Type: Read, Addr: a, Done: func(int64, uint64) { done++ }}, now) {
+				break
+			}
+			sent++
+		}
+		c.Tick(now)
+	}
+	if done < total {
+		t.Fatalf("only %d/%d requests completed", done, total)
+	}
+	if crow.Stats.RestoreOps == 0 || crow.Stats.Hits == 0 || crow.Stats.Copies == 0 {
+		t.Fatalf("stream must exercise restores, ACT-t and ACT-c: %+v", crow.Stats)
+	}
+	if want := c.Stats.RowMisses + crow.Stats.RestoreOps; mech.calls != want {
+		t.Errorf("PlanActivate called %d times for %d request activations + %d restore activations",
+			mech.calls, c.Stats.RowMisses, crow.Stats.RestoreOps)
+	}
+}

@@ -122,7 +122,7 @@ func (c *Controller) resolvePolicies() {
 	s, r := schedulers[cfg.Scheduler], rowPolicies[cfg.RowPolicy]
 	c.inOrder = s.inOrder
 	if s.capped {
-		c.effCap = cfg.Cap
+		c.effCap = int32(cfg.Cap)
 	}
 	c.closeIdle = r.closeIdle
 	c.timeout = int64(cfg.TimeoutNs / cfg.T.CycleTime())
@@ -140,7 +140,7 @@ func (c *Controller) Policies() (scheduler, rowPolicy, refresh string) {
 
 // HitCap returns the per-activation row-hit cap the scheduler enforces (0 =
 // none). With BankRefresh it is what the oracle needs to know of the policies.
-func (c *Controller) HitCap() int { return c.effCap }
+func (c *Controller) HitCap() int { return int(c.effCap) }
 
 // BankRefresh reports whether refreshes are bank-granular (REFpb/REFsb).
 func (c *Controller) BankRefresh() bool { return c.perBank }

@@ -2,18 +2,19 @@ package dram
 
 import "testing"
 
-// benchChannel builds a standard channel with a few rows opened across
-// banks, the state the controller's scan paths see in steady state.
-func benchChannel(openBanks int) (*Channel, Timing) {
+// benchChannel builds a standard MASA channel with the given number of rows
+// open, spread round-robin over the banks.
+func benchChannel(openRows int) (*Channel, Timing) {
 	g := Std(8)
 	tm := LPDDR4(Density8Gb, 64, g)
 	c := NewChannel(g, tm)
 	c.MASA = true
 	base := tm.Base()
 	now := int64(0)
-	for b := 0; b < openBanks; b++ {
-		c.ACT(Addr{Bank: b % g.Banks, Row: b * 512}, now, ActSingle, base, -1)
-		now += int64(tm.RRD)
+	for i := 0; i < openRows; i++ {
+		a := Addr{Bank: i % g.Banks, Row: i / g.Banks * g.RowsPerSubarray}
+		now = c.ReadyACT(a)
+		c.ACT(a, now, ActSingle, base, -1)
 	}
 	return c, tm
 }
@@ -40,30 +41,33 @@ func BenchmarkChannelCommandLoop(b *testing.B) {
 	}
 }
 
-// BenchmarkOpenSubarraysAppend measures the open-row scan with a reused
-// buffer, as the controller's refresh and timeout paths call it.
-func BenchmarkOpenSubarraysAppend(b *testing.B) {
-	c, _ := benchChannel(8)
-	var buf []OpenSub
+// BenchmarkOpenList measures what keeping the open list sorted costs a
+// command: an ACT inserting into, and a PRE deleting from, the middle of a
+// list of 256 open subarrays under MASA. The controller reads the list in
+// place, so this is the whole price of it.
+func BenchmarkOpenList(b *testing.B) {
+	c, tm := benchChannel(256)
+	a := Addr{Bank: c.Geo.Banks / 2, Row: 40 * c.Geo.RowsPerSubarray}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = c.OpenSubarraysAppend(buf[:0])
+		c.ACT(a, c.ReadyACT(a), ActSingle, tm.Base(), -1)
+		c.PRE(a, c.ReadyPRE(a))
 	}
-	if len(buf) == 0 {
-		b.Fatal("expected open subarrays")
+	if c.OpenBuffers() != 256 {
+		b.Fatalf("%d open rows, want 256", c.OpenBuffers())
 	}
 }
 
 // BenchmarkOpenRowInBank measures the per-request open-row lookup on the
-// non-MASA scheduling path.
+// non-MASA scheduling path, with the bank's row found among 256 open ones.
 func BenchmarkOpenRowInBank(b *testing.B) {
-	c, _ := benchChannel(1)
+	c, _ := benchChannel(256)
 	var sink int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink = c.OpenRowInBank(0, 0)
+		sink = c.OpenRowInBank(0, i%c.Geo.Banks)
 	}
 	if sink < 0 {
 		b.Fatal("expected an open row")

@@ -20,26 +20,13 @@ type subState struct {
 	lastUse  int64 // last ACT/RD/WR cycle (for timeout row policy)
 }
 
-// bank groups the subarray states of one bank, with the two summaries that
-// keep whole-bank questions off the per-subarray arrays: which subarrays hold
-// an open row, and when the last of them is past its precharge recovery.
+// bank holds the two summaries that keep whole-bank questions off the
+// per-subarray states: how many of its subarrays hold an open row, and when the
+// last of them is past its precharge recovery.
 type bank struct {
-	subs      []subState
-	open      []uint64 // bitmap over subs: bit s set iff subs[s].openRow >= 0
 	openCount int
-	actReady  int64 // max over subs of subState.actReady
+	actReady  int64 // max over the bank's subarrays of subState.actReady
 	refBusy   int64 // per-bank refresh in progress until this cycle
-}
-
-// firstOpen returns the lowest-numbered subarray holding an open row.
-// Callers check openCount > 0 first.
-func (bk *bank) firstOpen() int {
-	for w, word := range bk.open {
-		if word != 0 {
-			return w*64 + bits.TrailingZeros64(word)
-		}
-	}
-	return -1
 }
 
 // rank tracks rank-level activation and refresh constraints.
@@ -168,7 +155,14 @@ type Channel struct {
 	// is the conventional LPDDR4/DDR5 shared-bus channel.
 	Features Features
 
-	ranks       []rank
+	ranks []rank
+	// subs is the state of every subarray, in (rank, bank, subarray) order: a
+	// subarray's position in it is its name (SubIndex), which the controller's
+	// per-subarray state shares. open lists the indices holding an open row,
+	// ascending — the order in which refresh and the row policy close rows.
+	subs        []subState
+	open        []int
+	subsPerBank int
 	subShift    uint  // log2(Geo.RowsPerSubarray): a row's subarray is row >> subShift
 	cmdBusFree  int64 // next cycle the command bus is free
 	dataBusFree int64 // next cycle the data bus is free
@@ -208,7 +202,11 @@ func NewChannel(g Geometry, t Timing) *Channel {
 	if bits.OnesCount(uint(g.RowsPerSubarray)) != 1 {
 		panic(fmt.Sprintf("dram: %d rows per subarray is not a power of two", g.RowsPerSubarray))
 	}
-	c := &Channel{Geo: g, T: t, subShift: uint(bits.TrailingZeros(uint(g.RowsPerSubarray)))}
+	c := &Channel{
+		Geo: g, T: t,
+		subsPerBank: g.SubarraysPerBank(),
+		subShift:    uint(bits.TrailingZeros(uint(g.RowsPerSubarray))),
+	}
 	const never = int64(-1) << 62
 	c.lastColCmd = never
 	c.ranks = make([]rank, g.Ranks)
@@ -216,21 +214,24 @@ func NewChannel(g Geometry, t Timing) *Channel {
 		c.ranks[r].lastACT = never
 		c.ranks[r].wrDataEnd = never
 		c.ranks[r].banks = make([]bank, g.Banks)
-		for b := range c.ranks[r].banks {
-			subs := make([]subState, g.SubarraysPerBank())
-			for s := range subs {
-				subs[s].openRow = -1
-			}
-			c.ranks[r].banks[b].subs = subs
-			c.ranks[r].banks[b].open = make([]uint64, (len(subs)+63)/64)
-		}
 	}
+	c.subs = make([]subState, g.Ranks*g.Banks*c.subsPerBank)
+	for i := range c.subs {
+		c.subs[i].openRow = -1
+	}
+	c.open = make([]int, 0, g.Ranks*g.Banks)
 	return c
 }
 
-func (c *Channel) sub(a Addr) *subState {
-	return &c.ranks[a.Rank].banks[a.Bank].subs[a.Row>>c.subShift]
+// SubIndex names the subarray containing a.Row: its position in the channel's
+// (rank, bank, subarray) order. The *At accessors take it in place of an
+// address, so a caller that asks about one subarray many times (the
+// controller, once per queued request per scheduling pass) computes it once.
+func (c *Channel) SubIndex(a Addr) int {
+	return (a.Rank*c.Geo.Banks+a.Bank)*c.subsPerBank + a.Row>>c.subShift
 }
+
+func (c *Channel) sub(a Addr) *subState { return &c.subs[c.SubIndex(a)] }
 
 // dataFree returns the data-bus horizon governing rank r: the channel bus,
 // or the rank's own when the standard has per-rank data buses.
@@ -262,7 +263,7 @@ func (c *Channel) Tick(now int64) {
 	}
 	prev := c.lastTick
 	c.lastTick = now
-	open := int64(c.OpenBuffers())
+	open := int64(len(c.open))
 	c.Stats.OpenBufferCycles += open * delta
 	if open > 0 {
 		c.Stats.ActiveStandbyCycles += delta
@@ -279,71 +280,55 @@ func (c *Channel) Tick(now int64) {
 }
 
 // OpenBuffers returns the number of open local row buffers on the channel.
-func (c *Channel) OpenBuffers() int {
-	n := 0
-	for r := range c.ranks {
-		for b := range c.ranks[r].banks {
-			n += c.ranks[r].banks[b].openCount
-		}
-	}
-	return n
-}
+func (c *Channel) OpenBuffers() int { return len(c.open) }
+
+// Open returns the SubIndex of every open local row buffer, ascending — (rank,
+// bank, subarray) order. The slice is the channel's own: read it in place, and
+// not across an ACT or PRE.
+func (c *Channel) Open() []int { return c.open }
 
 // OpenRow returns the open regular-row index of the subarray containing
 // a.Row, or -1 if that subarray's buffer is closed.
 func (c *Channel) OpenRow(a Addr) int { return c.sub(a).openRow }
 
+// OpenRowAt is OpenRow for the subarray at SubIndex i.
+func (c *Channel) OpenRowAt(i int) int { return c.subs[i].openRow }
+
+// OpenAddrAt is the address (rank, bank, open row) of the row held open by the
+// subarray at SubIndex i: the inverse of SubIndex, for the one row a walk of
+// the open list goes on to precharge.
+func (c *Channel) OpenAddrAt(i int) Addr {
+	b := i / c.subsPerBank
+	return Addr{Rank: b / c.Geo.Banks, Bank: b % c.Geo.Banks, Row: c.subs[i].openRow}
+}
+
 // OpenRowInBank reports the open row of bank (rank,bank) in non-MASA mode,
 // or -1 if the bank is fully closed. With MASA, use OpenRow per subarray.
 func (c *Channel) OpenRowInBank(rankID, bankID int) int {
-	bk := &c.ranks[rankID].banks[bankID]
-	if bk.openCount == 0 {
+	if c.ranks[rankID].banks[bankID].openCount == 0 {
 		return -1
 	}
-	return bk.subs[bk.firstOpen()].openRow
+	return c.subs[c.open[c.openPos((rankID*c.Geo.Banks+bankID)*c.subsPerBank)]].openRow
 }
 
-// LastUse returns the cycle of the most recent ACT/RD/WR to the subarray
-// containing a.Row (for the timeout row-buffer policy).
-func (c *Channel) LastUse(a Addr) int64 { return c.sub(a).lastUse }
-
-// OpenSub describes one open local row buffer.
-type OpenSub struct {
-	Rank, Bank, Subarray, Row int
-	LastUse                   int64
-}
-
-// OpenSubarrays returns every open local row buffer on the channel, in
-// (rank, bank, subarray) order.
-func (c *Channel) OpenSubarrays() []OpenSub {
-	return c.OpenSubarraysAppend(nil)
-}
-
-// OpenSubarraysAppend appends every open local row buffer to buf, in
-// (rank, bank, subarray) order, and returns the extended slice. It walks the
-// banks' open bitmaps, so the cost follows the number of open rows, not the
-// number of subarrays. Callers on the scheduling path pass a reused buffer
-// (buf[:0]) to avoid allocating.
-func (c *Channel) OpenSubarraysAppend(buf []OpenSub) []OpenSub {
-	for r := range c.ranks {
-		for b := range c.ranks[r].banks {
-			bk := &c.ranks[r].banks[b]
-			if bk.openCount == 0 {
-				continue
-			}
-			for w, word := range bk.open {
-				for ; word != 0; word &= word - 1 {
-					s := w*64 + bits.TrailingZeros64(word)
-					buf = append(buf, OpenSub{
-						Rank: r, Bank: b, Subarray: s,
-						Row: bk.subs[s].openRow, LastUse: bk.subs[s].lastUse,
-					})
-				}
-			}
+// openPos returns the position in the open list of the first index not below
+// i: where subarray i is, or belongs. (By hand: slices.BinarySearch, Insert and
+// Delete cost an ACT/PRE pair 40 ns on the benchmark host, this 8.)
+func (c *Channel) openPos(i int) int {
+	lo, hi := 0, len(c.open)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); c.open[m] < i {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
-	return buf
+	return lo
 }
+
+// LastUseAt returns the cycle of the most recent ACT/RD/WR to the subarray at
+// SubIndex i (for the timeout row-buffer policy).
+func (c *Channel) LastUseAt(i int) int64 { return c.subs[i].lastUse }
 
 // Horizon is a sentinel cycle meaning "no event scheduled": far enough in
 // the future that no simulation reaches it, yet safe to add small offsets
@@ -365,7 +350,7 @@ const Horizon = int64(1) << 60
 func (c *Channel) ReadyACT(a Addr) int64 {
 	rk := &c.ranks[a.Rank]
 	bk := &rk.banks[a.Bank]
-	s := &bk.subs[a.Row>>c.subShift]
+	s := c.sub(a)
 	if s.openRow >= 0 || (!c.MASA && bk.openCount > 0) {
 		return Horizon
 	}
@@ -391,9 +376,8 @@ func (c *Channel) ACT(a Addr, now int64, k ActKind, t ActTimings, copyRow int) {
 		panic(fmt.Sprintf("dram: illegal %v to ch%d/r%d/b%d row %d at cycle %d", k, a.Channel, a.Rank, a.Bank, a.Row, now))
 	}
 	rk := &c.ranks[a.Rank]
-	bk := &rk.banks[a.Bank]
-	si := a.Row >> c.subShift
-	s := &bk.subs[si]
+	i := c.SubIndex(a)
+	s := &c.subs[i]
 	s.openRow = a.Row
 	s.kind = k
 	s.plan = t
@@ -401,8 +385,11 @@ func (c *Channel) ACT(a Addr, now int64, k ActKind, t ActTimings, copyRow int) {
 	s.rdReady = now + int64(t.RCD)
 	s.preReady = now + int64(t.RAS)
 	s.lastUse = now
-	bk.openCount++
-	bk.open[si/64] |= 1 << (si % 64)
+	rk.banks[a.Bank].openCount++
+	p := c.openPos(i)
+	c.open = append(c.open, 0)
+	copy(c.open[p+1:], c.open[p:])
+	c.open[p] = i
 	rk.lastACT = now
 	rk.actTimes[rk.actHead] = now
 	rk.actHead = (rk.actHead + 1) % 4
@@ -505,8 +492,11 @@ func (c *Channel) WR(a Addr, now int64) {
 
 // ReadyPRE returns the earliest cycle the subarray holding a.Row may be
 // precharged, or Horizon while it is closed.
-func (c *Channel) ReadyPRE(a Addr) int64 {
-	s := c.sub(a)
+func (c *Channel) ReadyPRE(a Addr) int64 { return c.ReadyPREAt(c.SubIndex(a)) }
+
+// ReadyPREAt is ReadyPRE for the subarray at SubIndex i.
+func (c *Channel) ReadyPREAt(i int) int64 {
+	s := &c.subs[i]
 	if s.openRow < 0 {
 		return Horizon
 	}
@@ -525,8 +515,8 @@ func (c *Channel) PRE(a Addr, now int64) (fullyRestored bool) {
 		panic(fmt.Sprintf("dram: illegal PRE to ch%d/r%d/b%d at cycle %d", a.Channel, a.Rank, a.Bank, now))
 	}
 	bk := &c.ranks[a.Rank].banks[a.Bank]
-	si := a.Row >> c.subShift
-	s := &bk.subs[si]
+	i := c.SubIndex(a)
+	s := &c.subs[i]
 	full := now-s.actCycle >= int64(s.plan.RASFull)
 	s.openRow = -1
 	if ready := now + int64(c.T.RP); ready > s.actReady {
@@ -534,7 +524,8 @@ func (c *Channel) PRE(a Addr, now int64) (fullyRestored bool) {
 		bk.actReady = max(bk.actReady, ready)
 	}
 	bk.openCount--
-	bk.open[si/64] &^= 1 << (si % 64)
+	p := c.openPos(i)
+	c.open = append(c.open[:p], c.open[p+1:]...)
 	c.cmdBusFree = now + 1
 	c.Stats.PRE++
 	if c.obs != nil {

@@ -2,6 +2,7 @@ package dram
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -128,7 +129,7 @@ func TestRandomCommandStream(t *testing.T) {
 // shadow is the test's own model of which row each subarray holds open,
 // updated only by the commands the driver issues. It is what "only a state
 // change can unblock this command" is judged against, independently of the
-// channel's bitmaps and counters.
+// channel's open list and counters.
 type shadow struct {
 	g    Geometry
 	masa bool
@@ -200,8 +201,8 @@ func contractOps(c *Channel, tm Timing) []contractOp {
 // command is illegal at every cycle before Ready*, legal at it and from then
 // on (nothing changes until the next command), issuing it a cycle early
 // panics, and Ready* is Horizon exactly when the shadow model says only a
-// state change can help. It also checks the per-bank summaries the Ready*
-// answers rest on against a scan of every subarray.
+// state change can help. It also checks the open list and the per-bank
+// summaries the Ready* answers rest on against a scan of every subarray.
 func checkReadyContract(t *testing.T, c *Channel, m *shadow, addrs ...Addr) {
 	t.Helper()
 	for _, op := range contractOps(c, c.T) {
@@ -236,29 +237,37 @@ func checkReadyContract(t *testing.T, c *Channel, m *shadow, addrs ...Addr) {
 			}()
 		}
 	}
-	var scanned []OpenSub
-	for r := range c.ranks {
-		for b := range c.ranks[r].banks {
-			bk := &c.ranks[r].banks[b]
-			var actReady int64
-			for s := range bk.subs {
-				actReady = max(actReady, bk.subs[s].actReady)
-				if bk.subs[s].openRow >= 0 {
-					scanned = append(scanned, OpenSub{Rank: r, Bank: b, Subarray: s, Row: bk.subs[s].openRow, LastUse: bk.subs[s].lastUse})
+	// The open list — order included — and every bank summary, against a scan
+	// of every subarray; the index accessors against the addressed ones.
+	var scanned []int
+	for b := 0; b*c.subsPerBank < len(c.subs); b++ {
+		r, bankID := b/c.Geo.Banks, b%c.Geo.Banks
+		bk := &c.ranks[r].banks[bankID]
+		var actReady int64
+		firstOpen := -1
+		for i := b * c.subsPerBank; i < (b+1)*c.subsPerBank; i++ {
+			actReady = max(actReady, c.subs[i].actReady)
+			if c.subs[i].openRow >= 0 {
+				scanned = append(scanned, i)
+				if firstOpen < 0 {
+					firstOpen = c.subs[i].openRow
 				}
 			}
-			if actReady != bk.actReady {
-				t.Fatalf("bank %d: tracked actReady %d, scan says %d", b, bk.actReady, actReady)
-			}
+		}
+		if actReady != bk.actReady {
+			t.Fatalf("bank %d: tracked actReady %d, scan says %d", bankID, bk.actReady, actReady)
+		}
+		if got := c.OpenRowInBank(r, bankID); got != firstOpen {
+			t.Fatalf("bank %d: OpenRowInBank %d, scan says %d", bankID, got, firstOpen)
 		}
 	}
-	got := c.OpenSubarrays()
-	if len(got) != len(scanned) || len(got) != len(m.open) {
-		t.Fatalf("open subarrays: tracked %v, scan %v, shadow %v", got, scanned, m.open)
+	if !slices.Equal(c.Open(), scanned) || len(scanned) != len(m.open) || c.OpenBuffers() != len(scanned) {
+		t.Fatalf("open subarrays: list %v (OpenBuffers %d), scan %v, shadow %v", c.Open(), c.OpenBuffers(), scanned, m.open)
 	}
-	for i := range got {
-		if got[i] != scanned[i] {
-			t.Fatalf("open subarrays: tracked %v, scan %v", got, scanned)
+	for _, a := range addrs {
+		i := c.SubIndex(a)
+		if c.OpenRowAt(i) != c.OpenRow(a) || c.LastUseAt(i) != c.sub(a).lastUse || c.ReadyPREAt(i) != c.ReadyPRE(a) {
+			t.Fatalf("b%d row %d: the accessors at index %d disagree with the addressed ones", a.Bank, a.Row, i)
 		}
 	}
 }

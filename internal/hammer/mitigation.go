@@ -164,6 +164,9 @@ func (s *Shield) PlanActivate(a dram.Addr, cycle int64) core.ActDecision {
 	return s.inner.PlanActivate(a, cycle)
 }
 
+// RestoresAcrossSubarrays implements core.Mechanism, delegating unchanged.
+func (s *Shield) RestoresAcrossSubarrays() bool { return s.inner.RestoresAcrossSubarrays() }
+
 // OnActivate implements core.Mechanism: after delegating, PARA draws once
 // per regular-row activation and, on a hit, enqueues a refresh activation of
 // a random immediate neighbour. The draw is a seeded hash of a per-channel
