@@ -152,7 +152,7 @@ type Options struct {
 	// while demand is queued (JEDEC permits 8; elastic refresh [107]).
 	RefreshPostpone int
 
-	// Mitigation selects the RowHammer mitigation policy (registry in
+	// Mitigation selects the RowHammer mitigation policy (the list in
 	// internal/hammer): "none" (default), "para" (probabilistic neighbour
 	// refresh), "refresh-scale" (multiplied refresh rate), or
 	// "crow-hammer" (the paper's Section 4.3 victim remap; requires a
@@ -244,7 +244,7 @@ func (o Options) withDefaults() Options {
 		// names keep the LPDDR4 default here and are rejected by Validate.
 		o.RefreshWindowMS = 64
 		if std, err := dram.StandardByName(o.Standard); err == nil {
-			o.RefreshWindowMS = std.DefaultRefreshWindowMS()
+			o.RefreshWindowMS = std.RefWindowMS
 		}
 	}
 	if o.WeakRowsPerSubarray == 0 {
@@ -566,6 +566,13 @@ func build(o Options) (sim.Config, core.Mechanism, error) {
 	cfg.MaxMeasureCycles = o.MaxMeasureCycles
 	cfg.Seed = o.Seed
 
+	// weakRows is the retention profile RAIDR and CROW-ref both consult.
+	weakRows := func() *retention.Profile {
+		return retention.FixedProfile(retention.Geometry{
+			Channels: cfg.Channels, Ranks: cfg.Geo.Ranks, Banks: cfg.Geo.Banks,
+			Subarrays: cfg.Geo.SubarraysPerBank(), RowsPerSubarray: cfg.Geo.RowsPerSubarray,
+		}, o.WeakRowsPerSubarray, o.Seed)
+	}
 	var mech core.Mechanism
 	switch o.Mechanism {
 	case Baseline:
@@ -577,11 +584,7 @@ func build(o Options) (sim.Config, core.Mechanism, error) {
 	case ChargeCache:
 		mech = chargecache.New(cfg.Channels, cfg.T, 128)
 	case RAIDR:
-		mech = core.NewRAIDR(cfg.Channels, cfg.Geo, cfg.T,
-			retention.FixedProfile(retention.Geometry{
-				Channels: cfg.Channels, Ranks: cfg.Geo.Ranks, Banks: cfg.Geo.Banks,
-				Subarrays: cfg.Geo.SubarraysPerBank(), RowsPerSubarray: cfg.Geo.RowsPerSubarray,
-			}, o.WeakRowsPerSubarray, o.Seed))
+		mech = core.NewRAIDR(cfg.Channels, cfg.Geo, cfg.T, weakRows())
 	case Cache, Ref, CacheRef, Hammer:
 		m := core.NewCROWShared(cfg.Channels, cfg.Geo, cfg.T, o.TableShareGroup)
 		m.FullRestore = o.FullRestore
@@ -591,10 +594,7 @@ func build(o Options) (sim.Config, core.Mechanism, error) {
 		}
 		if o.Mechanism == Ref || o.Mechanism == CacheRef {
 			m.Ref = true
-			m.LoadProfile(retention.FixedProfile(retention.Geometry{
-				Channels: cfg.Channels, Ranks: cfg.Geo.Ranks, Banks: cfg.Geo.Banks,
-				Subarrays: cfg.Geo.SubarraysPerBank(), RowsPerSubarray: cfg.Geo.RowsPerSubarray,
-			}, o.WeakRowsPerSubarray, o.Seed))
+			m.LoadProfile(weakRows())
 		}
 		if o.Mechanism == Hammer {
 			m.HammerThreshold = o.HammerThreshold

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
+	"strings"
 
 	"crowdram/internal/cache"
 	"crowdram/internal/ctrl"
@@ -115,10 +117,8 @@ func (o Options) Validate() error {
 	if d.Mitigation == "refresh-scale" && d.RefreshScale < 2 {
 		return fmt.Errorf("crow: RefreshScale must be >= 2, got %d", d.RefreshScale)
 	}
-	switch d.Translation {
-	case "hash", "rowstripe":
-	default:
-		return fmt.Errorf("crow: unknown translation %q (want hash or rowstripe)", d.Translation)
+	if !slices.Contains(Translations(), d.Translation) {
+		return fmt.Errorf("crow: unknown translation %q (want %s)", d.Translation, strings.Join(Translations(), " or "))
 	}
 	if len(o.TraceFiles) > 0 {
 		if len(o.TraceFiles) > 4 {

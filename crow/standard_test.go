@@ -1,26 +1,43 @@
 package crow
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"crowdram/internal/ctrl"
+	"crowdram/internal/dram"
 )
 
-// TestRegistryHelpers pins the public registry listings the CLIs print.
+// TestRegistryHelpers pins the public name listings the CLIs print, and the
+// two properties every list must keep when a row is added to its table (what
+// the duplicate-registration panics used to guard): strictly increasing, so
+// sorted and duplicate-free, and containing the name an empty option resolves
+// to.
 func TestRegistryHelpers(t *testing.T) {
 	for _, c := range []struct {
 		kind string
 		got  []string
 		want string
+		def  string
 	}{
-		{"Standards", Standards(), "ddr4,ddr5,hbm2,lpddr4,lpddr5"},
-		{"Mitigations", Mitigations(), "crow-hammer,none,para,refresh-scale"},
-		{"Translations", Translations(), "hash,rowstripe"},
-		{"Schedulers", Schedulers(), "fcfs,frfcfs,frfcfs-cap"},
-		{"RowPolicies", RowPolicies(), "closed,open,timeout"},
-		{"Mappings", Mappings(), "robarococh,rocobarach"},
+		{"Standards", Standards(), "ddr4,ddr5,hbm2,lpddr4,lpddr5", "lpddr4"},
+		{"Mitigations", Mitigations(), "crow-hammer,none,para,refresh-scale", "none"},
+		{"Translations", Translations(), "hash,rowstripe", "hash"},
+		{"Schedulers", Schedulers(), "fcfs,frfcfs,frfcfs-cap", ctrl.DefaultScheduler},
+		{"RowPolicies", RowPolicies(), "closed,open,timeout", ctrl.DefaultRowPolicy},
+		{"Mappings", Mappings(), "robarococh,rocobarach", dram.DefaultMapping},
 	} {
 		if got := strings.Join(c.got, ","); got != c.want {
 			t.Errorf("%s() = %s, want %s", c.kind, got, c.want)
+		}
+		for i := 1; i < len(c.got); i++ {
+			if c.got[i-1] >= c.got[i] {
+				t.Errorf("%s(): %q before %q, want strictly increasing", c.kind, c.got[i-1], c.got[i])
+			}
+		}
+		if !slices.Contains(c.got, c.def) {
+			t.Errorf("%s() = %v lacks the default %q", c.kind, c.got, c.def)
 		}
 	}
 }

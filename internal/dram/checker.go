@@ -24,8 +24,6 @@ var cmdNames = [...]string{"ACT", "ACT-t", "ACT-c", "ACT-copyrow", "PRE", "RD", 
 
 func (c Command) String() string { return cmdNames[c] }
 
-func (c Command) isACT() bool { return c.IsACT() }
-
 // IsACT reports whether the command is one of the four activate variants.
 func (c Command) IsACT() bool { return c >= CmdACT && c <= CmdACTcr }
 
@@ -79,7 +77,7 @@ func (k *Checker) openACT(a Addr) *CmdEvent {
 		if e.Cmd == CmdPRE {
 			return nil
 		}
-		if e.Cmd.isACT() {
+		if e.Cmd.IsACT() {
 			return e
 		}
 	}
@@ -88,7 +86,7 @@ func (k *Checker) openACT(a Addr) *CmdEvent {
 
 func (k *Checker) validate(e CmdEvent) {
 	switch {
-	case e.Cmd.isACT():
+	case e.Cmd.IsACT():
 		k.validateACT(e)
 	case e.Cmd == CmdRD || e.Cmd == CmdWR:
 		k.validateCol(e)
@@ -108,7 +106,7 @@ func (k *Checker) validateCmdBus(e CmdEvent) {
 	}
 	prev := k.history[len(k.history)-1]
 	width := int64(1)
-	if prev.Cmd.isACT() && prev.Cmd != CmdACT {
+	if prev.Cmd.IsACT() && prev.Cmd != CmdACT {
 		width = 2 // CROW activates carry a copy-row address cycle
 	}
 	if e.Cycle < prev.Cycle+width {
@@ -145,7 +143,7 @@ func (k *Checker) validateACT(e CmdEvent) {
 			if e.Cycle < h.Cycle+int64(k.T.RFCpb) {
 				k.fail(e, "tRFCpb violated (REFpb @%d)", h.Cycle)
 			}
-		case h.Cmd.isACT() && h.Addr.Rank == e.Addr.Rank:
+		case h.Cmd.IsACT() && h.Addr.Rank == e.Addr.Rank:
 			if len(rankACTs) == 0 && e.Cycle < h.Cycle+int64(k.T.RRD) {
 				k.fail(e, "tRRD violated (ACT @%d)", h.Cycle)
 			}
@@ -155,7 +153,7 @@ func (k *Checker) validateACT(e CmdEvent) {
 					k.fail(e, "tFAW violated (4th ACT @%d)", rankACTs[3])
 				}
 			}
-		case h.Cmd.isACT() && !k.MASA && h.Addr.Bank == e.Addr.Bank && h.Addr.Rank == e.Addr.Rank:
+		case h.Cmd.IsACT() && !k.MASA && h.Addr.Bank == e.Addr.Bank && h.Addr.Rank == e.Addr.Rank:
 			// handled by openACT per subarray; bank-level single-open
 			// checked below.
 		}
@@ -300,7 +298,7 @@ func (k *Checker) validateREFpb(e CmdEvent) {
 			}
 			break
 		}
-		if h.Cmd.isACT() {
+		if h.Cmd.IsACT() {
 			k.fail(e, "REFpb with open bank (ACT row %d @%d)", h.Addr.Row, h.Cycle)
 			break
 		}
@@ -334,7 +332,7 @@ func (k *Checker) validateREF(e CmdEvent) {
 				k.fail(e, "REF before tRP of PRE @%d", h.Cycle)
 			}
 		}
-		if h.Cmd.isACT() {
+		if h.Cmd.IsACT() {
 			if !byBankSub[key] {
 				k.fail(e, "REF with open subarray (ACT row %d @%d)", h.Addr.Row, h.Cycle)
 			}

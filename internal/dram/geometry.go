@@ -26,19 +26,9 @@ type Geometry struct {
 	LineBytes       int // cache line (column access) size in bytes
 }
 
-// Std returns the CROW paper's simulated geometry (Table 2) with the given
-// number of copy rows per subarray.
-func Std(copyRows int) Geometry {
-	return Geometry{
-		Ranks:           1,
-		Banks:           8,
-		RowsPerBank:     64 * 1024,
-		RowsPerSubarray: 512,
-		CopyRows:        copyRows,
-		RowBytes:        8 * 1024,
-		LineBytes:       64,
-	}
-}
+// Std returns the CROW paper's simulated geometry (Table 2, the lpddr4
+// standard's) with the given number of copy rows per subarray.
+func Std(copyRows int) Geometry { return lpddr4.Geometry(copyRows) }
 
 // SubarraysPerBank returns the number of subarrays in each bank.
 func (g Geometry) SubarraysPerBank() int { return g.RowsPerBank / g.RowsPerSubarray }
@@ -71,72 +61,6 @@ type Addr struct {
 // Subarray returns the subarray index of the address within its bank.
 func (a Addr) Subarray(g Geometry) int { return g.Subarray(a.Row) }
 
-// Mapper decodes flat physical addresses into DRAM coordinates.
-//
-// The bit layout, from least to most significant, is
-//
-//	[line offset | channel | column | bank | rank | row]
-//
-// which interleaves consecutive cache lines across channels and then across
-// the columns of one row (the "RoBaRaCoCh" mapping used as the Ramulator
-// default). Streaming accesses therefore hit the same row repeatedly while
-// spreading load over all channels.
-type Mapper struct {
-	Channels int
-	Geo      Geometry
-
-	chBits, colBits, bankBits, rankBits, rowBits, lineBits uint
-}
-
-// NewMapper builds a Mapper for a system of `channels` identical channels.
-// All geometry dimensions must be powers of two.
-func NewMapper(channels int, g Geometry) *Mapper {
-	m := &Mapper{Channels: channels, Geo: g}
-	m.lineBits = log2(g.LineBytes)
-	m.chBits = log2(channels)
-	m.colBits = log2(g.ColumnsPerRow())
-	m.bankBits = log2(g.Banks)
-	m.rankBits = log2(g.Ranks)
-	m.rowBits = log2(g.RowsPerBank)
-	return m
-}
-
-// Bits returns the total number of significant physical address bits.
-func (m *Mapper) Bits() uint {
-	return m.lineBits + m.chBits + m.colBits + m.bankBits + m.rankBits + m.rowBits
-}
-
-// Capacity returns the total regular-row byte capacity across all channels.
-func (m *Mapper) Capacity() int64 { return int64(m.Channels) * m.Geo.ChannelBytes() }
-
-// Decode splits a physical address into DRAM coordinates. Address bits above
-// Bits() are ignored, so callers may pass arbitrary 64-bit addresses.
-func (m *Mapper) Decode(phys uint64) Addr {
-	p := phys >> m.lineBits
-	var a Addr
-	a.Channel = int(p & mask(m.chBits))
-	p >>= m.chBits
-	a.Col = int(p & mask(m.colBits))
-	p >>= m.colBits
-	a.Bank = int(p & mask(m.bankBits))
-	p >>= m.bankBits
-	a.Rank = int(p & mask(m.rankBits))
-	p >>= m.rankBits
-	a.Row = int(p & mask(m.rowBits))
-	return a
-}
-
-// Encode is the inverse of Decode; it reconstructs the canonical physical
-// address of a coordinate (with a zero line offset).
-func (m *Mapper) Encode(a Addr) uint64 {
-	p := uint64(a.Row)
-	p = p<<m.rankBits | uint64(a.Rank)
-	p = p<<m.bankBits | uint64(a.Bank)
-	p = p<<m.colBits | uint64(a.Col)
-	p = p<<m.chBits | uint64(a.Channel)
-	return p << m.lineBits
-}
-
 func log2(v int) uint {
 	var b uint
 	for 1<<b < v {
@@ -147,5 +71,3 @@ func log2(v int) uint {
 	}
 	return b
 }
-
-func mask(bits uint) uint64 { return 1<<bits - 1 }

@@ -36,8 +36,17 @@ func TestSubarrayIndexing(t *testing.T) {
 	}
 }
 
+func mustMapper(t *testing.T, layout string, channels int, g Geometry) *Mapper {
+	t.Helper()
+	m, err := NewMapperFor(layout, channels, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestMapperBits(t *testing.T) {
-	m := NewMapper(4, Std(8))
+	m := mustMapper(t, DefaultMapping, 4, Std(8))
 	// 6 offset + 2 channel + 7 column + 3 bank + 0 rank + 16 row = 34 bits.
 	if got := m.Bits(); got != 34 {
 		t.Errorf("Bits = %d, want 34", got)
@@ -48,7 +57,7 @@ func TestMapperBits(t *testing.T) {
 }
 
 func TestMapperDecodeFields(t *testing.T) {
-	m := NewMapper(4, Std(8))
+	m := mustMapper(t, DefaultMapping, 4, Std(8))
 	// Consecutive cache lines must interleave across channels first.
 	a0 := m.Decode(0)
 	a1 := m.Decode(64)
@@ -68,7 +77,7 @@ func TestMapperDecodeFields(t *testing.T) {
 // TestMapperRoundTrip checks Encode∘Decode is the identity on the canonical
 // address bits, as a property over random addresses.
 func TestMapperRoundTrip(t *testing.T) {
-	m := NewMapper(4, Std(8))
+	m := mustMapper(t, DefaultMapping, 4, Std(8))
 	f := func(phys uint64) bool {
 		canon := phys & ((1 << m.Bits()) - 1) &^ uint64(m.Geo.LineBytes-1)
 		a := m.Decode(phys)
@@ -82,7 +91,7 @@ func TestMapperRoundTrip(t *testing.T) {
 // TestMapperDecodeInRange checks all decoded coordinates are within the
 // geometry, as a property.
 func TestMapperDecodeInRange(t *testing.T) {
-	m := NewMapper(4, Std(8))
+	m := mustMapper(t, DefaultMapping, 4, Std(8))
 	g := m.Geo
 	f := func(phys uint64) bool {
 		a := m.Decode(phys)

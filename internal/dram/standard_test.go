@@ -20,33 +20,33 @@ func TestStandardTimingSanity(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Run(name, func(t *testing.T) {
-			if std.Name() != name {
-				t.Errorf("Name() = %q, registered as %q", std.Name(), name)
+			if std.Name != name {
+				t.Errorf("Name = %q, listed as %q", std.Name, name)
 			}
-			if std.CycleNs() <= 0 {
-				t.Fatalf("CycleNs() = %v, want positive", std.CycleNs())
+			if std.CycleNs <= 0 {
+				t.Fatalf("CycleNs = %v, want positive", std.CycleNs)
 			}
-			if std.Channels() <= 0 {
-				t.Errorf("Channels() = %d, want positive", std.Channels())
+			if std.Channels <= 0 {
+				t.Errorf("Channels = %d, want positive", std.Channels)
 			}
-			if std.DefaultRefreshWindowMS() <= 0 {
-				t.Errorf("DefaultRefreshWindowMS() = %v, want positive", std.DefaultRefreshWindowMS())
+			if std.RefWindowMS <= 0 {
+				t.Errorf("RefWindowMS = %v, want positive", std.RefWindowMS)
 			}
-			switch std.DefaultRefresh() {
+			switch std.Refresh {
 			case "allbank", "perbank", "samebank":
 			default:
-				t.Errorf("DefaultRefresh() = %q, not a registered granularity", std.DefaultRefresh())
+				t.Errorf("Refresh = %q, not a registered granularity", std.Refresh)
 			}
 
 			// The clock ratio and the cycle time must describe the same
 			// clock: num command ticks per den core cycles.
-			num, den := std.ClockRatio()
+			num, den := std.RatioNum, std.RatioDen
 			if num <= 0 || den <= 0 || num > den {
-				t.Fatalf("ClockRatio() = %d:%d, want 0 < num <= den", num, den)
+				t.Fatalf("clock ratio = %d:%d, want 0 < num <= den", num, den)
 			}
-			cmdGHz := 1 / std.CycleNs()
+			cmdGHz := 1 / std.CycleNs
 			if got, want := float64(num)/float64(den), cmdGHz/coreGHz; math.Abs(got-want) > 1e-9 {
-				t.Errorf("ClockRatio() = %d:%d (%.6f), but CycleNs implies %.6f", num, den, got, want)
+				t.Errorf("clock ratio = %d:%d (%.6f), but CycleNs implies %.6f", num, den, got, want)
 			}
 
 			g := std.Geometry(8)
@@ -61,9 +61,9 @@ func TestStandardTimingSanity(t *testing.T) {
 			}
 
 			for _, d := range densities {
-				tm := std.Timing(d, std.DefaultRefreshWindowMS(), g)
-				if tm.CycleTime() != std.CycleNs() {
-					t.Errorf("density %d: CycleTime() = %v, standard says %v", d, tm.CycleTime(), std.CycleNs())
+				tm := std.Timing(d, std.RefWindowMS, g)
+				if tm.CycleTime() != std.CycleNs {
+					t.Errorf("density %d: CycleTime() = %v, standard says %v", d, tm.CycleTime(), std.CycleNs)
 				}
 				for _, f := range []struct {
 					name string
@@ -106,7 +106,7 @@ func TestStandardTimingSanity(t *testing.T) {
 				}
 				// The window in wall-clock terms matches the requested
 				// milliseconds (to within one cycle of rounding).
-				wantNs := std.DefaultRefreshWindowMS() * 1e6
+				wantNs := std.RefWindowMS * 1e6
 				if gotNs := float64(tm.RefWindow) * tm.CycleTime(); math.Abs(gotNs-wantNs) > tm.CycleTime() {
 					t.Errorf("density %d: RefWindow = %.0f ns, want %.0f ns", d, gotNs, wantNs)
 				}
@@ -154,7 +154,7 @@ func TestMappingsRoundTrip(t *testing.T) {
 		std, _ := StandardByName(sname)
 		g := std.Geometry(0)
 		for _, mname := range MappingNames() {
-			m, err := NewMapperFor(mname, std.Channels(), g)
+			m, err := NewMapperFor(mname, std.Channels, g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,7 +168,7 @@ func TestMappingsRoundTrip(t *testing.T) {
 					t.Errorf("%s/%s: Encode(Decode(%#x)) = %#x", sname, mname, phys, back)
 				}
 				if a.Bank >= g.Banks || a.Rank >= g.Ranks || a.Row >= g.RowsPerBank ||
-					a.Channel >= std.Channels() || a.Col >= g.ColumnsPerRow() {
+					a.Channel >= std.Channels || a.Col >= g.ColumnsPerRow() {
 					t.Errorf("%s/%s: Decode(%#x) = %+v out of range", sname, mname, phys, a)
 				}
 			}

@@ -80,34 +80,11 @@ var rfcNanos = map[Density]float64{
 // RFCNanos returns the all-bank refresh cycle time for the density.
 func (d Density) RFCNanos() float64 { return rfcNanos[d] }
 
-func toCycles(ns float64) int { return int(ns/Cycle + 0.5) }
-
-// LPDDR4 returns the baseline timing parameter set for a chip of the given
-// density with the given refresh window (use 64 ms, the paper's CROW-ref
-// baseline; CROW-ref doubles it to 128 ms).
+// LPDDR4 returns the paper's baseline timing table (the lpddr4 standard's)
+// for a chip of the given density with the given refresh window (use 64 ms,
+// the paper's CROW-ref baseline; CROW-ref doubles it to 128 ms).
 func LPDDR4(d Density, refWindowMS float64, g Geometry) Timing {
-	const refsPerWindow = 8192
-	window := int64(refWindowMS * 1e6 / Cycle)
-	return Timing{
-		RCD:        29,
-		RAS:        67,
-		RP:         29,
-		WR:         29,
-		RTP:        12,
-		WTR:        16,
-		CCD:        8,
-		RRD:        16,
-		FAW:        64,
-		CL:         28,
-		CWL:        14,
-		BL:         8,
-		RFC:        toCycles(d.RFCNanos()),
-		RFCpb:      toCycles(d.RFCNanos() / 2),
-		REFI:       int(window / refsPerWindow),
-		RefWindow:  window,
-		RowsPerRef: g.RowsPerBank / refsPerWindow,
-		CycleNs:    Cycle,
-	}
+	return lpddr4.Timing(d, refWindowMS, g)
 }
 
 // ActKind distinguishes the activation command variants that CROW adds.

@@ -1,6 +1,6 @@
 // Package hammer is the RowHammer attack/defense workbench: a deterministic
 // bit-flip model driven by the DRAM command stream (the same observer bus
-// the correctness oracle rides), and a registry of pluggable mitigations
+// the correctness oracle rides), and a handful of named mitigations
 // (PARA, CROW-hammer remap, refresh-rate scaling) that wrap a core.Mechanism
 // at the controller's activation-decision point.
 //

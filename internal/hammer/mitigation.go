@@ -2,14 +2,12 @@ package hammer
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"crowdram/internal/core"
 	"crowdram/internal/dram"
 )
 
-// MitConfig carries everything a mitigation factory may need.
+// MitConfig carries everything a mitigation may need.
 type MitConfig struct {
 	Channels int
 	Geo      dram.Geometry
@@ -24,78 +22,42 @@ type MitConfig struct {
 	HammerThreshold int
 }
 
-// Factory builds a mitigation around an inner mechanism. It may wrap the
-// mechanism (PARA, refresh scaling) or configure and return it unchanged
-// (CROW-hammer, which lives inside core.CROW).
-type Factory func(cfg MitConfig, inner core.Mechanism) (core.Mechanism, error)
+// mitigations lists the names NewMitigation's switch builds, sorted. To add
+// one, add the name here and a case there: TestMitigationRegistry builds
+// every listed name.
+var mitigations = []string{"crow-hammer", "none", "para", "refresh-scale"}
 
-var (
-	mitMu sync.RWMutex
-	mits  = map[string]Factory{}
-)
-
-// RegisterMitigation adds a mitigation to the registry; it panics on a
-// duplicate name, mirroring the dram.Standard registry.
-func RegisterMitigation(name string, f Factory) {
-	mitMu.Lock()
-	defer mitMu.Unlock()
-	if _, dup := mits[name]; dup {
-		panic(fmt.Sprintf("hammer: duplicate mitigation %q", name))
-	}
-	mits[name] = f
-}
-
-// MitigationNames lists the registered mitigations, sorted.
-func MitigationNames() []string {
-	mitMu.RLock()
-	defer mitMu.RUnlock()
-	names := make([]string, 0, len(mits))
-	for n := range mits {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+// MitigationNames lists the mitigations, sorted.
+func MitigationNames() []string { return append([]string(nil), mitigations...) }
 
 // CheckMitigation validates a mitigation name without instantiating it.
 func CheckMitigation(name string) error {
-	mitMu.RLock()
-	_, ok := mits[name]
-	mitMu.RUnlock()
-	if !ok {
-		return fmt.Errorf("unknown mitigation %q (have %v)", name, MitigationNames())
+	for _, n := range mitigations {
+		if n == name {
+			return nil
+		}
 	}
-	return nil
+	return fmt.Errorf("unknown mitigation %q (have %v)", name, mitigations)
 }
 
-// NewMitigation instantiates a registered mitigation around inner.
+// NewMitigation builds the named mitigation around an inner mechanism: it may
+// wrap the mechanism (PARA, refresh scaling) or configure and return it
+// unchanged (CROW-hammer, which lives inside core.CROW).
 func NewMitigation(name string, cfg MitConfig, inner core.Mechanism) (core.Mechanism, error) {
-	mitMu.RLock()
-	f, ok := mits[name]
-	mitMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("unknown mitigation %q (have %v)", name, MitigationNames())
-	}
-	return f(cfg, inner)
-}
-
-func init() {
-	RegisterMitigation("none", func(cfg MitConfig, inner core.Mechanism) (core.Mechanism, error) {
+	switch name {
+	case "none":
 		return inner, nil
-	})
-	RegisterMitigation("para", func(cfg MitConfig, inner core.Mechanism) (core.Mechanism, error) {
+	case "para":
 		if cfg.ParaPerMille <= 0 || cfg.ParaPerMille > 1000 {
 			return nil, fmt.Errorf("para: probability %d/1000 out of range (0, 1000]", cfg.ParaPerMille)
 		}
 		return newShield(cfg, inner, cfg.ParaPerMille, 1), nil
-	})
-	RegisterMitigation("refresh-scale", func(cfg MitConfig, inner core.Mechanism) (core.Mechanism, error) {
+	case "refresh-scale":
 		if cfg.RefreshScale < 2 {
 			return nil, fmt.Errorf("refresh-scale: divisor %d must be >= 2", cfg.RefreshScale)
 		}
 		return newShield(cfg, inner, 0, cfg.RefreshScale), nil
-	})
-	RegisterMitigation("crow-hammer", func(cfg MitConfig, inner core.Mechanism) (core.Mechanism, error) {
+	case "crow-hammer":
 		cw, ok := core.Unwrap(inner).(*core.CROW)
 		if !ok {
 			return nil, fmt.Errorf("crow-hammer: requires a crow-* mechanism (have %s)", inner.Name())
@@ -107,7 +69,9 @@ func init() {
 			return nil, fmt.Errorf("crow-hammer: hammer threshold must be positive")
 		}
 		return inner, nil
-	})
+	default:
+		return nil, fmt.Errorf("unknown mitigation %q (have %v)", name, mitigations)
+	}
 }
 
 // Shield wraps a mechanism with controller-side RowHammer countermeasures:

@@ -27,6 +27,15 @@ func TestMitigationRegistry(t *testing.T) {
 	if _, err := NewMitigation("parra", testMitCfg(), &core.Baseline{}); err == nil {
 		t.Fatal("NewMitigation accepted unknown name")
 	}
+	// Every listed name has a case in NewMitigation's switch.
+	cfg := testMitCfg()
+	cfg.ParaPerMille, cfg.RefreshScale, cfg.HammerThreshold = 5, 2, 128
+	for _, name := range names {
+		cw := core.NewCROW(2, testGeo(), dram.Timing{RowsPerRef: 64})
+		if m, err := NewMitigation(name, cfg, cw); err != nil || m == nil {
+			t.Errorf("listed mitigation %q does not build: %v", name, err)
+		}
+	}
 }
 
 func TestNoneMitigationPassesThrough(t *testing.T) {

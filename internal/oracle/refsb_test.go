@@ -20,7 +20,7 @@ func ddr5Oracle(t *testing.T, banks int) (*Oracle, dram.CommandObserver, dram.Ti
 		Ranks: 1, Banks: banks, RowsPerBank: 8192, RowsPerSubarray: 512,
 		CopyRows: 0, RowBytes: 1024, LineBytes: 64,
 	}
-	tm := std.Timing(dram.Density8Gb, std.DefaultRefreshWindowMS(), g)
+	tm := std.Timing(dram.Density8Gb, std.RefWindowMS, g)
 	o := New(Config{
 		Channels: 1, Geo: g, T: tm,
 		RefreshMultiplier: 1, BankRefresh: true,

@@ -37,7 +37,7 @@ type Config struct {
 	Ctrl     ctrl.Config
 	Prefetch bool
 
-	// Mapping names the address-mapping layout (registry in internal/dram;
+	// Mapping names the address-mapping layout (a row of internal/dram's table;
 	// empty = dram.DefaultMapping).
 	Mapping string
 
@@ -112,15 +112,15 @@ func Default(copyRows int, d dram.Density, refWindowMS float64) Config {
 // the result is field-for-field what Default returns (the explicit
 // RatioNum/RatioDen and Refresh values resolve to the same behaviour as the
 // zero values).
-func DefaultFor(std dram.Standard, copyRows int, d dram.Density, refWindowMS float64) Config {
+func DefaultFor(std *dram.Standard, copyRows int, d dram.Density, refWindowMS float64) Config {
 	cfg := Default(copyRows, d, refWindowMS)
 	g := std.Geometry(copyRows)
-	cfg.Channels = std.Channels()
+	cfg.Channels = std.Channels
 	cfg.Geo = g
 	cfg.T = std.Timing(d, refWindowMS, g)
-	cfg.RatioNum, cfg.RatioDen = std.ClockRatio()
-	cfg.Ctrl.Refresh = std.DefaultRefresh()
-	cfg.Ctrl.Features = std.Features()
+	cfg.RatioNum, cfg.RatioDen = std.RatioNum, std.RatioDen
+	cfg.Ctrl.Refresh = std.Refresh
+	cfg.Ctrl.Features = std.Features
 	return cfg
 }
 
@@ -167,7 +167,7 @@ type System struct {
 	Cores  []*cpu.Core
 	LLC    *cache.Cache
 	Ctrls  []*ctrl.Controller
-	Mapper dram.AddressMapper
+	Mapper *dram.Mapper
 	Pref   *prefetch.Prefetcher
 	Oracle *oracle.Oracle // nil unless Cfg.Verify
 	Flips  *hammer.Model  // nil unless Cfg.FlipModel

@@ -117,7 +117,7 @@ func TestWakeSkipIsNoOp(t *testing.T) {
 			row := rows[cell/len(scheds)%len(rows)]
 			ref := refs[cell/(len(scheds)*len(rows))%len(refs)]
 			cell++
-			name := fmt.Sprintf("%s/%s/%s/%s/%s", m.name, std.Name(), sched, row, ref)
+			name := fmt.Sprintf("%s/%s/%s/%s/%s", m.name, std.Name, sched, row, ref)
 			t.Run(name, func(t *testing.T) {
 				cfg := DefaultFor(std, m.copyRows, dram.Density8Gb, 64)
 				cfg.WarmupInsts, cfg.MeasureInsts = 2_000, 12_000
@@ -189,7 +189,7 @@ func TestWakeSkipIsNoOpHammerMitigations(t *testing.T) {
 	}
 }
 
-func mustStandard(t *testing.T, name string) dram.Standard {
+func mustStandard(t *testing.T, name string) *dram.Standard {
 	t.Helper()
 	std, err := dram.StandardByName(name)
 	if err != nil {
