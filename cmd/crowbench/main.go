@@ -21,7 +21,6 @@ import (
 	"crowdram/internal/engine"
 	"crowdram/internal/exp"
 	"crowdram/internal/obs"
-	"crowdram/internal/trace"
 )
 
 func main() {
@@ -62,6 +61,14 @@ func run() error {
 	)
 	flag.Parse()
 
+	scale := exp.Scale{Insts: *insts, Warmup: *insts / 10, MixesPerGroup: *mixes, Seed: *seed}
+	if *apps != "" {
+		scale.SingleApps = strings.Split(*apps, ",")
+	}
+	if err := scale.Validate(); err != nil {
+		return err
+	}
+
 	stopProf, err := obs.StartProfiles(*cpuProfile, *memProfile, *execTrace)
 	if err != nil {
 		return err
@@ -71,16 +78,6 @@ func run() error {
 			fmt.Fprintln(os.Stderr, "crowbench:", perr)
 		}
 	}()
-
-	scale := exp.Scale{Insts: *insts, Warmup: *insts / 10, MixesPerGroup: *mixes, Seed: *seed}
-	if *apps != "" {
-		scale.SingleApps = strings.Split(*apps, ",")
-		for _, name := range scale.SingleApps {
-			if _, err := trace.ByName(name); err != nil {
-				return err
-			}
-		}
-	}
 
 	sel, err := exp.Select(strings.Split(*which, ","))
 	if err != nil {

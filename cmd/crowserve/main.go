@@ -67,6 +67,11 @@ func run() error {
 	)
 	flag.Parse()
 
+	scale := exp.Scale{Insts: *insts, Warmup: *insts / 10, MixesPerGroup: *mixes, Seed: *seed}
+	if err := scale.Validate(); err != nil {
+		return err
+	}
+
 	logger, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
 		return err
@@ -86,7 +91,7 @@ func run() error {
 	}
 
 	svc := service.New(service.Config{
-		Scale:             exp.Scale{Insts: *insts, Warmup: *insts / 10, MixesPerGroup: *mixes, Seed: *seed},
+		Scale:             scale,
 		Workers:           *workers,
 		EngineWorkers:     *jobs,
 		QueueDepth:        *queueDepth,

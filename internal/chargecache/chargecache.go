@@ -122,7 +122,3 @@ func (m *Mechanism) OnPrecharge(a dram.Addr, openRow int, fullyRestored bool, cy
 	}
 	m.tables[a.Channel] = tbl
 }
-
-// StorageKB returns the per-channel controller storage: each entry needs
-// rank+bank+row bits plus a coarse timestamp (~34 bits).
-func (m *Mechanism) StorageKB() float64 { return float64(m.Entries) * 34 / 8 / 1000 }

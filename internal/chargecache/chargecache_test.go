@@ -91,7 +91,4 @@ func TestMechanismInterface(t *testing.T) {
 	if m.RefreshMultiplier() != 1 {
 		t.Error("ChargeCache does not change refresh")
 	}
-	if m.StorageKB() <= 0 {
-		t.Error("storage estimate must be positive")
-	}
 }

@@ -36,20 +36,20 @@ func TestTableSharingAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != 4 {
+	rows := res.Table().Rows
+	if len(rows) != 4 {
 		t.Fatalf("want 4 sharing points")
 	}
 	// Storage must shrink monotonically with sharing.
-	for i := 1; i < len(res.Points); i++ {
-		if res.Points[i].StorageKB >= res.Points[i-1].StorageKB {
+	for i := 1; i < len(rows); i++ {
+		if res.At(rows[i][0], "table KB/channel") >= res.At(rows[i-1][0], "table KB/channel") {
 			t.Error("sharing must reduce table storage")
 		}
 	}
 	// Dedicated sets must be at least as fast as heavy sharing (allowing
 	// small-scale noise).
-	if res.Point(1).Speedup < res.Point(8).Speedup-0.02 {
-		t.Errorf("share=1 (%.3f) should not trail share=8 (%.3f) by much",
-			res.Point(1).Speedup, res.Point(8).Speedup)
+	if one, eight := res.At("1", "avg speedup"), res.At("8", "avg speedup"); one < eight-0.02 {
+		t.Errorf("share=1 (%.3f) should not trail share=8 (%.3f) by much", one, eight)
 	}
 }
 
@@ -80,19 +80,16 @@ func TestRefComparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr := res.Row("crow-ref")
-	ra := res.Row("raidr")
-	if cr.Speedup <= 0 || ra.Speedup <= 0 {
-		t.Errorf("both refresh mechanisms must speed up at 64 Gbit: crow-ref %+.3f, raidr %+.3f",
-			cr.Speedup, ra.Speedup)
+	if cr, ra := res.At("crow-ref", "speedup"), res.At("raidr", "speedup"); cr <= 0 || ra <= 0 {
+		t.Errorf("both refresh mechanisms must speed up at 64 Gbit: crow-ref %+.3f, raidr %+.3f", cr, ra)
 	}
-	if ra.RowRefreshOps == 0 {
+	if res.At("raidr", "row refreshes") == 0 {
 		t.Error("RAIDR must perform row-granular weak refreshes")
 	}
-	if cr.RowRefreshOps != 0 {
+	if res.At("crow-ref", "row refreshes") != 0 {
 		t.Error("CROW-ref performs no row-granular refreshes")
 	}
-	if ra.CapacityOvh != 0 || cr.CapacityOvh == 0 {
+	if res.At("raidr", "capacity ovh") != 0 || res.At("crow-ref", "capacity ovh") == 0 {
 		t.Error("capacity costs: RAIDR none, CROW-ref copy rows")
 	}
 }
@@ -106,12 +103,13 @@ func TestSchedulerSensitivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 5 {
-		t.Fatalf("want 5 sensitivity rows, got %d", len(res.Rows))
+	rows := res.Table().Rows
+	if len(rows) != 5 {
+		t.Fatalf("want 5 sensitivity rows, got %d", len(rows))
 	}
-	for _, row := range res.Rows {
-		if row.Speedup < -0.5 || row.Speedup > 0.5 {
-			t.Errorf("%s: implausible sensitivity %+.3f", row.Name, row.Speedup)
+	for _, row := range rows {
+		if sp := res.At(row[0], "speedup vs default"); sp < -0.5 || sp > 0.5 {
+			t.Errorf("%s: implausible sensitivity %+.3f", row[0], sp)
 		}
 	}
 }

@@ -59,8 +59,8 @@ func Fig6() Table {
 		for _, p := range c.Points {
 			t.Rows = append(t.Rows, []string{
 				fmt.Sprint(c.Rows),
-				fmt.Sprintf("%.3f", p.RAS/circuit.BaseRAS),
-				fmt.Sprintf("%.3f", p.RCD/circuit.BaseRCD),
+				dec3(p.RAS / circuit.BaseRAS),
+				dec3(p.RCD / circuit.BaseRCD),
 			})
 		}
 	}
@@ -117,9 +117,9 @@ func Overhead() Table {
 		o := crow.OverheadsFor(n)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(n),
-			fmt.Sprintf("%.2f", o.CROWTableKB),
-			fmt.Sprintf("%.3f", o.CROWTableAccessNs),
-			fmt.Sprintf("%.1f", o.DecoderArea),
+			dec2(o.CROWTableKB),
+			dec3(o.CROWTableAccessNs),
+			dec1(o.DecoderArea),
 			pct2(o.DecoderOverhead),
 			pct2(o.ChipArea),
 			pct2(o.Capacity),

@@ -54,7 +54,7 @@ func Fig8(r *Runner) (Fig8Result, error) {
 			if err != nil {
 				return Fig8Result{}, err
 			}
-			res.Speedup[c][app.Name] = metrics.Speedup(rep.IPC[0], base.IPC[0])
+			res.Speedup[c][app.Name] = ipcGain(base, rep)
 			res.HitRate[c][app.Name] = rep.CROWTableHitRate
 			if c == 1 {
 				restoreOps += rep.RestoreOps
@@ -65,7 +65,7 @@ func Fig8(r *Runner) (Fig8Result, error) {
 		if err != nil {
 			return Fig8Result{}, err
 		}
-		res.Ideal[app.Name] = metrics.Speedup(ideal.IPC[0], base.IPC[0])
+		res.Ideal[app.Name] = ipcGain(base, ideal)
 	}
 	res.AvgSpeedup = map[int]float64{}
 	res.AvgHitRate = map[int]float64{}
@@ -104,7 +104,7 @@ func (f Fig8Result) Table() Table {
 	}
 	for _, a := range f.Apps {
 		t.Rows = append(t.Rows, []string{
-			a, fmt.Sprintf("%.1f", f.MPKI[a]),
+			a, dec1(f.MPKI[a]),
 			pct(f.Speedup[1][a]), pct(f.Speedup[8][a]), pct(f.Speedup[256][a]), pct(f.Ideal[a]),
 			pct2(f.HitRate[1][a]), pct2(f.HitRate[8][a]), pct2(f.HitRate[256][a]),
 		})
@@ -123,12 +123,10 @@ type Fig9Result struct {
 	Stats   map[string]map[string]GroupStat
 }
 
-func fig9Opts() map[string]crow.Options {
-	return map[string]crow.Options{
-		"CROW-1": {Mechanism: crow.Cache, CopyRows: 1},
-		"CROW-8": {Mechanism: crow.Cache, CopyRows: 8},
-		"Ideal":  {Mechanism: crow.IdealCache},
-	}
+var fig9Arms = []arm{
+	{name: "CROW-1", o: crow.Options{Mechanism: crow.Cache, CopyRows: 1}},
+	{name: "CROW-8", o: crow.Options{Mechanism: crow.Cache, CopyRows: 8}},
+	{name: "Ideal", o: crow.Options{Mechanism: crow.IdealCache}},
 }
 
 // fig9Mixes returns the group's mixes (Figure 10 reuses them).
@@ -138,44 +136,23 @@ func fig9Mixes(r *Runner, gi int, classes []trace.Class) []trace.Mix {
 
 // Fig9 runs the four-core CROW-cache evaluation.
 func Fig9(r *Runner) (Fig9Result, error) {
-	res := Fig9Result{
-		Configs: []string{"CROW-1", "CROW-8", "Ideal"},
-		Stats:   map[string]map[string]GroupStat{},
+	res := Fig9Result{Stats: map[string]map[string]GroupStat{}}
+	for _, a := range fig9Arms {
+		res.Configs = append(res.Configs, a.name)
 	}
-	opts := fig9Opts()
 	for gi, classes := range trace.Groups {
 		gname := trace.GroupName(classes)
 		res.Groups = append(res.Groups, gname)
-		mixes := fig9Mixes(r, gi, classes)
-		sp := map[string][]float64{}
-		for _, mix := range mixes {
-			apps := trace.Names(mix.Apps)
-			env := crow.Options{}
-			baseRep, err := r.Run(crow.Options{Mechanism: crow.Baseline, Workloads: apps})
-			if err != nil {
-				return Fig9Result{}, err
-			}
-			wsBase, err := r.ws(baseRep, apps, env)
-			if err != nil {
-				return Fig9Result{}, err
-			}
-			for name, o := range opts {
-				o.Workloads = apps
-				rep, err := r.Run(o)
-				if err != nil {
-					return Fig9Result{}, err
-				}
-				wsMech, err := r.ws(rep, apps, env)
-				if err != nil {
-					return Fig9Result{}, err
-				}
-				sp[name] = append(sp[name], metrics.Speedup(wsMech, wsBase))
-			}
+		sp := make([][]float64, len(fig9Arms))
+		err := r.eachMix(fig9Mixes(r, gi, classes), crow.Options{}, fig9Arms,
+			func(i int, _, _ crow.Report, gain float64) { sp[i] = append(sp[i], gain) })
+		if err != nil {
+			return Fig9Result{}, err
 		}
 		res.Stats[gname] = map[string]GroupStat{}
-		for name, vals := range sp {
-			min, max := metrics.MinMax(vals)
-			res.Stats[gname][name] = GroupStat{Avg: metrics.Mean(vals), Min: min, Max: max}
+		for i, a := range fig9Arms {
+			min, max := metrics.MinMax(sp[i])
+			res.Stats[gname][a.name] = GroupStat{Avg: metrics.Mean(sp[i]), Min: min, Max: max}
 		}
 	}
 	return res, nil
@@ -222,7 +199,7 @@ func Fig10(r *Runner) (Fig10Result, error) {
 	var single []float64
 	err := r.eachApp(crow.Options{Mechanism: crow.Baseline},
 		crow.Options{Mechanism: crow.Cache, CopyRows: 8}, func(base, rep crow.Report) {
-			single = append(single, rep.EnergyNJ.Total()/base.EnergyNJ.Total())
+			single = append(single, energyRatio(base, rep))
 		})
 	if err != nil {
 		return Fig10Result{}, err
@@ -244,7 +221,7 @@ func Fig10(r *Runner) (Fig10Result, error) {
 			if err != nil {
 				return Fig10Result{}, err
 			}
-			four = append(four, rep.EnergyNJ.Total()/base.EnergyNJ.Total())
+			four = append(four, energyRatio(base, rep))
 		}
 	}
 	res.FourCore = metrics.Mean(four)
@@ -257,88 +234,36 @@ func (f Fig10Result) Table() Table {
 		Title:  "Figure 10: DRAM energy with CROW-cache (normalized to baseline)",
 		Header: []string{"workloads", "normalized energy", "paper"},
 		Rows: [][]string{
-			{"single-core", fmt.Sprintf("%.3f", f.SingleCore), "0.918 (-8.2%)"},
-			{"four-core", fmt.Sprintf("%.3f", f.FourCore), "0.931 (-6.9%)"},
+			{"single-core", dec3(f.SingleCore), "0.918 (-8.2%)"},
+			{"four-core", dec3(f.FourCore), "0.931 (-6.9%)"},
 		},
 	}
 }
 
-// Fig11Row is one in-DRAM caching design point.
-type Fig11Row struct {
-	Name        string
-	Speedup     float64 // avg single-core speedup vs baseline
-	EnergyRatio float64
-	AreaOvh     float64
-}
-
-// Fig11Result holds Figure 11's comparison of CROW-cache with TL-DRAM and
-// SALP.
-type Fig11Result struct{ Rows []Fig11Row }
-
-func fig11Configs() []struct {
-	name string
-	o    crow.Options
-} {
-	return []struct {
-		name string
-		o    crow.Options
-	}{
-		{"CROW-1", crow.Options{Mechanism: crow.Cache, CopyRows: 1}},
-		{"CROW-8", crow.Options{Mechanism: crow.Cache, CopyRows: 8}},
-		{"TL-DRAM-1", crow.Options{Mechanism: crow.TLDRAM, TLDRAMNearRows: 1}},
-		{"TL-DRAM-8", crow.Options{Mechanism: crow.TLDRAM, TLDRAMNearRows: 8}},
-		{"SALP-128", crow.Options{Mechanism: crow.SALP, SALPSubarrays: 128}},
-		{"SALP-128-O", crow.Options{Mechanism: crow.SALP, SALPSubarrays: 128, SALPOpenPage: true}},
-		{"SALP-256-O", crow.Options{Mechanism: crow.SALP, SALPSubarrays: 256, SALPOpenPage: true}},
-	}
-}
-
-// Fig11 runs the baseline-comparison evaluation.
-func Fig11(r *Runner) (Fig11Result, error) {
-	var res Fig11Result
-	for _, cfg := range fig11Configs() {
-		var sp, en []float64
-		var area float64
-		err := r.eachApp(crow.Options{Mechanism: crow.Baseline}, cfg.o, func(base, rep crow.Report) {
-			sp = append(sp, metrics.Speedup(rep.IPC[0], base.IPC[0]))
-			en = append(en, rep.EnergyNJ.Total()/base.EnergyNJ.Total())
-			area = rep.ChipAreaOverhead
-		})
-		if err != nil {
-			return Fig11Result{}, err
-		}
-		res.Rows = append(res.Rows, Fig11Row{
-			Name: cfg.name, Speedup: metrics.Mean(sp),
-			EnergyRatio: metrics.Mean(en), AreaOvh: area,
-		})
-	}
-	return res, nil
-}
-
-// Row returns the named design point.
-func (f Fig11Result) Row(name string) Fig11Row {
-	for _, r := range f.Rows {
-		if r.Name == name {
-			return r
-		}
-	}
-	return Fig11Row{}
-}
-
-// Table renders Figure 11.
-func (f Fig11Result) Table() Table {
-	t := Table{
-		Title:  "Figure 11: CROW-cache vs TL-DRAM vs SALP (single-core)",
-		Header: []string{"config", "speedup", "energy ratio", "chip area ovh"},
-		Notes: []string{
+// Fig11 runs the baseline-comparison evaluation: CROW-cache against TL-DRAM
+// and SALP, each on the single-core suite.
+func Fig11(r *Runner) (Study, error) {
+	return r.study(Study{
+		title: "Figure 11: CROW-cache vs TL-DRAM vs SALP (single-core)",
+		key:   "config",
+		notes: []string{
 			"paper: CROW-8 +7.1% / -8.2% energy / 0.48% area;",
 			"TL-DRAM-8 +13.8% speedup but 6.9% area; SALP-256-O +58.4% energy, 28.9% area",
 		},
-	}
-	for _, r := range f.Rows {
-		t.Rows = append(t.Rows, []string{r.Name, pct(r.Speedup), fmt.Sprintf("%.3f", r.EnergyRatio), pct2(r.AreaOvh)})
-	}
-	return t
+		arms: []arm{
+			{name: "CROW-1", o: crow.Options{Mechanism: crow.Cache, CopyRows: 1}},
+			{name: "CROW-8", o: crow.Options{Mechanism: crow.Cache, CopyRows: 8}},
+			{name: "TL-DRAM-1", o: crow.Options{Mechanism: crow.TLDRAM, TLDRAMNearRows: 1}},
+			{name: "TL-DRAM-8", o: crow.Options{Mechanism: crow.TLDRAM, TLDRAMNearRows: 8}},
+			{name: "SALP-128", o: crow.Options{Mechanism: crow.SALP, SALPSubarrays: 128}},
+			{name: "SALP-128-O", o: crow.Options{Mechanism: crow.SALP, SALPSubarrays: 128, SALPOpenPage: true}},
+			{name: "SALP-256-O", o: crow.Options{Mechanism: crow.SALP, SALPSubarrays: 256, SALPOpenPage: true}},
+		},
+		cols: []col{
+			speedup("speedup"), energy("energy ratio"),
+			{head: "chip area ovh", of: func(_, rep crow.Report) float64 { return rep.ChipAreaOverhead }, show: pct2, fold: last},
+		},
+	}, crow.Options{Mechanism: crow.Baseline})
 }
 
 // Fig12Row is one application's prefetcher interaction data.
@@ -387,14 +312,10 @@ func Fig12(r *Runner) (Fig12Result, error) {
 		if err != nil {
 			return Fig12Result{}, err
 		}
-		row := Fig12Row{
-			App:  app,
-			Pref: metrics.Speedup(pref.IPC[0], base.IPC[0]),
-			CROW: metrics.Speedup(cache.IPC[0], base.IPC[0]),
-			Both: metrics.Speedup(both.IPC[0], base.IPC[0]),
-		}
-		res.Rows = append(res.Rows, row)
-		gains = append(gains, metrics.Speedup(both.IPC[0], pref.IPC[0]))
+		res.Rows = append(res.Rows, Fig12Row{
+			App: app, Pref: ipcGain(base, pref), CROW: ipcGain(base, cache), Both: ipcGain(base, both),
+		})
+		gains = append(gains, ipcGain(pref, both))
 	}
 	res.AvgGain = metrics.Mean(gains)
 	return res, nil
@@ -438,15 +359,12 @@ func Fig13(r *Runner) (Fig13Result, error) {
 	var res Fig13Result
 	hhhh := fig13Mixes(r)
 	for _, d := range fig13Densities {
-		var p Fig13Point
-		p.DensityGbit = d
-		env := crow.Options{DensityGbit: d}
-
-		var sp, en []float64
+		p := Fig13Point{DensityGbit: d}
+		var sp, en, fsp, fen []float64
 		err := r.eachApp(crow.Options{Mechanism: crow.Baseline, DensityGbit: d},
 			crow.Options{Mechanism: crow.Ref, DensityGbit: d}, func(base, rep crow.Report) {
-				sp = append(sp, metrics.Speedup(rep.IPC[0], base.IPC[0]))
-				en = append(en, rep.EnergyNJ.Total()/base.EnergyNJ.Total())
+				sp = append(sp, ipcGain(base, rep))
+				en = append(en, energyRatio(base, rep))
 			})
 		if err != nil {
 			return Fig13Result{}, err
@@ -454,27 +372,13 @@ func Fig13(r *Runner) (Fig13Result, error) {
 		p.SingleSpeedup = metrics.Mean(sp)
 		p.SingleEnergy = metrics.Mean(en)
 
-		var fsp, fen []float64
-		for _, mix := range hhhh {
-			apps := trace.Names(mix.Apps)
-			base, err := r.Run(crow.Options{Mechanism: crow.Baseline, DensityGbit: d, Workloads: apps})
-			if err != nil {
-				return Fig13Result{}, err
-			}
-			rep, err := r.Run(crow.Options{Mechanism: crow.Ref, DensityGbit: d, Workloads: apps})
-			if err != nil {
-				return Fig13Result{}, err
-			}
-			wsBase, err := r.ws(base, apps, env)
-			if err != nil {
-				return Fig13Result{}, err
-			}
-			wsMech, err := r.ws(rep, apps, env)
-			if err != nil {
-				return Fig13Result{}, err
-			}
-			fsp = append(fsp, metrics.Speedup(wsMech, wsBase))
-			fen = append(fen, rep.EnergyNJ.Total()/base.EnergyNJ.Total())
+		ref := []arm{{o: crow.Options{Mechanism: crow.Ref, DensityGbit: d}}}
+		err = r.eachMix(hhhh, crow.Options{DensityGbit: d}, ref, func(_ int, base, rep crow.Report, gain float64) {
+			fsp = append(fsp, gain)
+			fen = append(fen, energyRatio(base, rep))
+		})
+		if err != nil {
+			return Fig13Result{}, err
 		}
 		p.FourSpeedup = metrics.Mean(fsp)
 		p.FourEnergy = metrics.Mean(fen)
@@ -503,8 +407,8 @@ func (f Fig13Result) Table() Table {
 	for _, p := range f.Points {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d Gbit", p.DensityGbit),
-			pct(p.SingleSpeedup), fmt.Sprintf("%.3f", p.SingleEnergy),
-			pct(p.FourSpeedup), fmt.Sprintf("%.3f", p.FourEnergy),
+			pct(p.SingleSpeedup), dec3(p.SingleEnergy),
+			pct(p.FourSpeedup), dec3(p.FourEnergy),
 		})
 	}
 	return t
@@ -526,68 +430,47 @@ type Fig14Result struct {
 
 var fig14LLCMiB = []int{1, 8, 32}
 
-func fig14Opts() map[string]crow.Options {
-	return map[string]crow.Options{
-		"cache":     {Mechanism: crow.Cache},
-		"ref":       {Mechanism: crow.Ref},
-		"cache+ref": {Mechanism: crow.CacheRef},
-		"ideal":     {Mechanism: crow.IdealNoRefresh},
-	}
+var fig14Arms = []arm{
+	{name: "cache", o: crow.Options{Mechanism: crow.Cache}},
+	{name: "ref", o: crow.Options{Mechanism: crow.Ref}},
+	{name: "cache+ref", o: crow.Options{Mechanism: crow.CacheRef}},
+	{name: "ideal", o: crow.Options{Mechanism: crow.IdealNoRefresh}},
 }
 
 // fig14Mixes returns Figure 14's HHHH + MMHH mixes.
 func fig14Mixes(r *Runner) []trace.Mix {
-	mixes := trace.MakeMixes([]trace.Class{trace.High, trace.High, trace.High, trace.High},
-		r.Scale.MixesPerGroup, r.Scale.Seed+4)
-	return append(mixes, trace.MakeMixes([]trace.Class{trace.Medium, trace.Medium, trace.High, trace.High},
+	return append(fig13Mixes(r), trace.MakeMixes([]trace.Class{trace.Medium, trace.Medium, trace.High, trace.High},
 		r.Scale.MixesPerGroup, r.Scale.Seed+7)...)
 }
 
 // Fig14 runs the combined CROW-cache + CROW-ref evaluation across LLC
 // capacities on four-core mixes at 64 Gbit density.
 func Fig14(r *Runner) (Fig14Result, error) {
-	res := Fig14Result{
-		LLCMiB: fig14LLCMiB,
-		Mechs:  []string{"cache", "ref", "cache+ref", "ideal"},
-		Cells:  map[int]map[string]Fig14Point{},
-	}
-	opts := fig14Opts()
+	res := Fig14Result{LLCMiB: fig14LLCMiB, Cells: map[int]map[string]Fig14Point{}}
 	mixes := fig14Mixes(r)
 	for _, mib := range res.LLCMiB {
-		llc := int64(mib) << 20
-		env := crow.Options{DensityGbit: 64, LLCBytes: llc}
-		sp := map[string][]float64{}
-		en := map[string][]float64{}
-		for _, mix := range mixes {
-			apps := trace.Names(mix.Apps)
-			base, err := r.Run(crow.Options{Mechanism: crow.Baseline, DensityGbit: 64, LLCBytes: llc, Workloads: apps})
-			if err != nil {
-				return Fig14Result{}, err
-			}
-			wsBase, err := r.ws(base, apps, env)
-			if err != nil {
-				return Fig14Result{}, err
-			}
-			for name, o := range opts {
-				o.DensityGbit = 64
-				o.LLCBytes = llc
-				o.Workloads = apps
-				rep, err := r.Run(o)
-				if err != nil {
-					return Fig14Result{}, err
-				}
-				wsMech, err := r.ws(rep, apps, env)
-				if err != nil {
-					return Fig14Result{}, err
-				}
-				sp[name] = append(sp[name], metrics.Speedup(wsMech, wsBase))
-				en[name] = append(en[name], rep.EnergyNJ.Total()/base.EnergyNJ.Total())
-			}
+		env := crow.Options{DensityGbit: 64, LLCBytes: int64(mib) << 20}
+		arms := make([]arm, len(fig14Arms))
+		for i, a := range fig14Arms {
+			arms[i] = arm{name: a.name, o: env}
+			arms[i].o.Mechanism = a.o.Mechanism
+		}
+		sp := make([][]float64, len(arms))
+		en := make([][]float64, len(arms))
+		err := r.eachMix(mixes, env, arms, func(i int, base, rep crow.Report, gain float64) {
+			sp[i] = append(sp[i], gain)
+			en[i] = append(en[i], energyRatio(base, rep))
+		})
+		if err != nil {
+			return Fig14Result{}, err
 		}
 		res.Cells[mib] = map[string]Fig14Point{}
-		for _, m := range res.Mechs {
-			res.Cells[mib][m] = Fig14Point{Speedup: metrics.Mean(sp[m]), Energy: metrics.Mean(en[m])}
+		for i, a := range arms {
+			res.Cells[mib][a.name] = Fig14Point{Speedup: metrics.Mean(sp[i]), Energy: metrics.Mean(en[i])}
 		}
+	}
+	for _, a := range fig14Arms {
+		res.Mechs = append(res.Mechs, a.name)
 	}
 	return res, nil
 }
@@ -605,8 +488,8 @@ func (f Fig14Result) Table() Table {
 			fmt.Sprintf("%d MiB", mib),
 			pct(c["cache"].Speedup), pct(c["ref"].Speedup),
 			pct(c["cache+ref"].Speedup), pct(c["ideal"].Speedup),
-			fmt.Sprintf("%.3f", c["cache+ref"].Energy),
-			fmt.Sprintf("%.3f", c["ideal"].Energy),
+			dec3(c["cache+ref"].Energy),
+			dec3(c["ideal"].Energy),
 		})
 	}
 	return t

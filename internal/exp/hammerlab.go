@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 
 	"crowdram/crow"
 	"crowdram/internal/metrics"
@@ -31,137 +32,90 @@ func hammerLabEnv() crow.Options {
 	}
 }
 
-// hammerLabArms returns the frontier's design points: unmitigated, PARA at
-// a low and a protective probability, the CROW-hammer remap, and refresh
-// rate scaling, all under the same attacker and flip model.
-func hammerLabArms() []struct {
-	name string
-	o    crow.Options
-} {
-	mk := func(mut func(*crow.Options)) crow.Options {
-		o := hammerLabEnv()
-		o.Mechanism = crow.Baseline
-		mut(&o)
-		return o
+// mitigationArms returns the named mitigation arms over env, all under the
+// same attacker and flip model: unmitigated, PARA at a low and a protective
+// probability, the CROW-hammer remap, and refresh-rate scaling.
+func mitigationArms(env crow.Options, names ...string) []arm {
+	env.Mechanism = crow.Baseline
+	arms := make([]arm, len(names))
+	for i, name := range names {
+		o := env
+		switch name {
+		case "unmitigated":
+		case "para 1/1000":
+			o.Mitigation, o.ParaPerMille = "para", 1
+		case "para 100/1000":
+			o.Mitigation, o.ParaPerMille = "para", 100
+		case "crow-hammer":
+			o.Mechanism, o.Mitigation, o.HammerThreshold = crow.Hammer, "crow-hammer", 128
+		case "refresh x32":
+			o.Mitigation, o.RefreshScale = "refresh-scale", 32
+		default:
+			panic("exp: unknown mitigation arm " + name)
+		}
+		arms[i] = arm{name: name, o: o}
 	}
-	return []struct {
-		name string
-		o    crow.Options
-	}{
-		{"unmitigated", mk(func(o *crow.Options) {})},
-		{"para 1/1000", mk(func(o *crow.Options) {
-			o.Mitigation = "para"
-			o.ParaPerMille = 1
-		})},
-		{"para 100/1000", mk(func(o *crow.Options) {
-			o.Mitigation = "para"
-			o.ParaPerMille = 100
-		})},
-		{"crow-hammer", mk(func(o *crow.Options) {
-			o.Mechanism = crow.Hammer
-			o.Mitigation = "crow-hammer"
-			o.HammerThreshold = 128
-		})},
-		{"refresh x32", mk(func(o *crow.Options) {
-			o.Mitigation = "refresh-scale"
-			o.RefreshScale = 32
-		})},
-	}
-}
-
-// HammerLabRow is one mitigation's point on the flips-vs-overhead frontier.
-type HammerLabRow struct {
-	Name       string
-	Flips      int64 // exposed bit-flip-threshold crossings
-	Shielded   int64 // crossings absorbed by a CROW-hammer remap
-	VictimRows int   // distinct flipped rows
-	Remaps     int64 // CROW-hammer victim remaps
-	ParaRef    int64 // PARA neighbour-refresh activations
-	REF        int64 // refresh commands issued
-	IPC        float64
-	Slowdown   float64 // vs the unmitigated arm
-	EnergyX    float64 // energy vs the unmitigated arm
-}
-
-// HammerLabResult holds the flips-vs-overhead frontier.
-type HammerLabResult struct {
-	Rows []HammerLabRow
+	return arms
 }
 
 // HammerLab runs every mitigation arm against the same double-sided
 // attacker and reports protection (flips) against cost (slowdown, energy,
-// extra refresh work) relative to the unmitigated run.
-func HammerLab(r *Runner) (HammerLabResult, error) {
-	arms := hammerLabArms()
-	base, err := r.Run(arms[0].o)
-	if err != nil {
-		return HammerLabResult{}, err
-	}
-	var res HammerLabResult
-	for _, arm := range arms {
-		rep, err := r.Run(arm.o)
-		if err != nil {
-			return HammerLabResult{}, err
-		}
-		res.Rows = append(res.Rows, HammerLabRow{
-			Name:       arm.name,
-			Flips:      rep.Flips,
-			Shielded:   rep.ShieldedFlips,
-			VictimRows: rep.FlipVictimRows,
-			Remaps:     rep.HammerRemaps,
-			ParaRef:    rep.MitigationRefreshes,
-			REF:        rep.REF,
-			IPC:        rep.IPC[0],
-			Slowdown:   metrics.Speedup(base.IPC[0], rep.IPC[0]),
-			EnergyX:    rep.EnergyNJ.Total() / base.EnergyNJ.Total(),
-		})
-	}
-	return res, nil
-}
-
-// Row returns the named frontier arm.
-func (h HammerLabResult) Row(name string) HammerLabRow {
-	for _, row := range h.Rows {
-		if row.Name == name {
-			return row
-		}
-	}
-	return HammerLabRow{}
-}
-
-// Table renders the flips-vs-overhead frontier.
-func (h HammerLabResult) Table() Table {
-	t := Table{
-		Title: "RowHammer lab: flips vs mitigation overhead (double-sided attacker)",
-		Header: []string{"mitigation", "flips", "shielded", "victim rows",
-			"remaps", "para refreshes", "REF", "IPC", "slowdown", "energy x"},
-		Notes: []string{
+// extra refresh work) relative to the unmitigated run, the first arm.
+func HammerLab(r *Runner) (Study, error) {
+	s := Study{
+		title: "RowHammer lab: flips vs mitigation overhead (double-sided attacker)",
+		key:   "mitigation",
+		notes: []string{
 			"same attacker and flip model in every row; only the mitigation changes;",
 			"slowdown and energy are relative to the unmitigated run",
 		},
+		arms: mitigationArms(hammerLabEnv(), "unmitigated", "para 1/1000", "para 100/1000", "crow-hammer", "refresh x32"),
+		cols: []col{
+			tally("flips", func(rep crow.Report) int64 { return rep.Flips }),
+			tally("shielded", func(rep crow.Report) int64 { return rep.ShieldedFlips }),
+			tally("victim rows", func(rep crow.Report) int64 { return int64(rep.FlipVictimRows) }),
+			tally("remaps", func(rep crow.Report) int64 { return rep.HammerRemaps }),
+			tally("para refreshes", func(rep crow.Report) int64 { return rep.MitigationRefreshes }),
+			tally("REF", func(rep crow.Report) int64 { return rep.REF }),
+			{head: "IPC", of: func(_, rep crow.Report) float64 { return rep.IPC[0] }, show: dec3},
+			{head: "slowdown", of: slowdown, show: func(v float64) string {
+				if math.IsInf(v, 1) {
+					return "stalled"
+				}
+				return pct(v)
+			}},
+			energy("energy x"),
+		},
 	}
-	for _, row := range h.Rows {
-		slow := pct(row.Slowdown)
-		if row.IPC == 0 {
-			// A starved arm (refresh scaling past the bandwidth cliff)
-			// makes no forward progress; its slowdown ratio is undefined,
-			// not zero.
-			slow = "stalled"
+	base, err := r.Run(s.arms[0].o)
+	if err != nil {
+		return Study{}, err
+	}
+	return r.against(s, base)
+}
+
+// against fills s in from one run of each arm as it stands (the lab's arms
+// name their own workloads), every column sampled against the one report
+// base.
+func (r *Runner) against(s Study, base crow.Report) (Study, error) {
+	for i, a := range s.arms {
+		rep, err := r.Run(a.o)
+		if err != nil {
+			return Study{}, err
 		}
-		t.Rows = append(t.Rows, []string{
-			row.Name,
-			fmt.Sprint(row.Flips),
-			fmt.Sprint(row.Shielded),
-			fmt.Sprint(row.VictimRows),
-			fmt.Sprint(row.Remaps),
-			fmt.Sprint(row.ParaRef),
-			fmt.Sprint(row.REF),
-			fmt.Sprintf("%.3f", row.IPC),
-			slow,
-			fmt.Sprintf("%.3f", row.EnergyX),
-		})
+		s.observe(i, base, rep)
 	}
-	return t
+	return s, nil
+}
+
+// slowdown is base's IPC over rep's. A starved arm (refresh scaling past the
+// bandwidth cliff) makes no forward progress: its slowdown is unbounded, not
+// the zero metrics.Speedup answers for a zero divisor.
+func slowdown(base, rep crow.Report) float64 {
+	if rep.IPC[0] == 0 {
+		return math.Inf(1)
+	}
+	return metrics.Speedup(base.IPC[0], rep.IPC[0])
 }
 
 // tenantEnv is the two-tenant scenario's shared environment: an attacker
@@ -174,35 +128,6 @@ func tenantEnv() crow.Options {
 	return o
 }
 
-// tenantArms returns the scenario's mitigation arms (a subset of the
-// frontier: unmitigated, one probabilistic and one deterministic defense).
-func tenantArms() []struct {
-	name string
-	o    crow.Options
-} {
-	mk := func(mut func(*crow.Options)) crow.Options {
-		o := tenantEnv()
-		o.Mechanism = crow.Baseline
-		mut(&o)
-		return o
-	}
-	return []struct {
-		name string
-		o    crow.Options
-	}{
-		{"unmitigated", mk(func(o *crow.Options) {})},
-		{"para 100/1000", mk(func(o *crow.Options) {
-			o.Mitigation = "para"
-			o.ParaPerMille = 100
-		})},
-		{"crow-hammer", mk(func(o *crow.Options) {
-			o.Mechanism = crow.Hammer
-			o.Mitigation = "crow-hammer"
-			o.HammerThreshold = 128
-		})},
-	}
-}
-
 // tenantVictimAlone is the victim's no-attacker baseline: the same
 // environment with only the victim running.
 func tenantVictimAlone() crow.Options {
@@ -212,83 +137,41 @@ func tenantVictimAlone() crow.Options {
 	return o
 }
 
-// TenantRow is one mitigation's outcome in the two-tenant scenario.
-type TenantRow struct {
-	Name          string
-	AttackerFlips int64 // flips landing in the attacker's own rows
-	VictimFlips   int64 // cross-tenant flips in the victim's rows
-	Shielded      int64
-	VictimIPC     float64
-	Slowdown      float64 // victim slowdown vs running alone
-}
-
-// TenantResult holds the two-tenant cross-tenant-flip study.
-type TenantResult struct {
-	VictimAloneIPC float64
-	Rows           []TenantRow
-}
-
-// Tenant runs the attacker next to a traced victim under each mitigation
-// and splits the flips by owning tenant: under the rowstripe translation
-// the victim's rows interleave with the attacker's, so a double-sided
-// attack flips rows the attacker never touched.
-func Tenant(r *Runner) (TenantResult, error) {
+// Tenant runs the attacker next to a traced victim under each mitigation (a
+// subset of the frontier's: unmitigated, one probabilistic and one
+// deterministic defense) and splits the flips by owning tenant: under the
+// rowstripe translation the victim's rows interleave with the attacker's, so
+// a double-sided attack flips rows the attacker never touched. The baseline
+// of every arm is the victim running alone.
+func Tenant(r *Runner) (Study, error) {
 	alone, err := r.Run(tenantVictimAlone())
 	if err != nil {
-		return TenantResult{}, err
+		return Study{}, err
 	}
-	res := TenantResult{VictimAloneIPC: alone.IPC[0]}
-	for _, arm := range tenantArms() {
-		rep, err := r.Run(arm.o)
-		if err != nil {
-			return TenantResult{}, err
-		}
-		row := TenantRow{
-			Name:      arm.name,
-			Shielded:  rep.ShieldedFlips,
-			VictimIPC: rep.IPC[1],
-			Slowdown:  metrics.Speedup(alone.IPC[0], rep.IPC[1]),
-		}
-		if len(rep.FlipsByCore) == 2 {
-			row.AttackerFlips = rep.FlipsByCore[0]
-			row.VictimFlips = rep.FlipsByCore[1]
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
-}
-
-// Row returns the named tenant arm.
-func (t TenantResult) Row(name string) TenantRow {
-	for _, row := range t.Rows {
-		if row.Name == name {
-			return row
+	flipsOf := func(core int) func(crow.Report) int64 {
+		return func(rep crow.Report) int64 {
+			if len(rep.FlipsByCore) != 2 {
+				return 0
+			}
+			return rep.FlipsByCore[core]
 		}
 	}
-	return TenantRow{}
-}
-
-// Table renders the two-tenant scenario.
-func (t TenantResult) Table() Table {
-	tbl := Table{
-		Title: "RowHammer lab: two-tenant attack (attacker + mcf victim, shared channels)",
-		Header: []string{"mitigation", "attacker-row flips", "victim-row flips",
-			"shielded", "victim IPC", "victim slowdown"},
-		Notes: []string{
+	return r.against(Study{
+		title: "RowHammer lab: two-tenant attack (attacker + mcf victim, shared channels)",
+		key:   "mitigation",
+		notes: []string{
 			"rowstripe translation interleaves tenants' rows, so double-sided",
 			"aggressors flip the neighbouring tenant's rows; slowdown is vs the",
-			fmt.Sprintf("victim running alone (IPC %.3f)", t.VictimAloneIPC),
+			fmt.Sprintf("victim running alone (IPC %.3f)", alone.IPC[0]),
 		},
-	}
-	for _, row := range t.Rows {
-		tbl.Rows = append(tbl.Rows, []string{
-			row.Name,
-			fmt.Sprint(row.AttackerFlips),
-			fmt.Sprint(row.VictimFlips),
-			fmt.Sprint(row.Shielded),
-			fmt.Sprintf("%.3f", row.VictimIPC),
-			pct(row.Slowdown),
-		})
-	}
-	return tbl
+		arms: mitigationArms(tenantEnv(), "unmitigated", "para 100/1000", "crow-hammer"),
+		cols: []col{
+			tally("attacker-row flips", flipsOf(0)),
+			tally("victim-row flips", flipsOf(1)),
+			tally("shielded", func(rep crow.Report) int64 { return rep.ShieldedFlips }),
+			{head: "victim IPC", of: func(_, rep crow.Report) float64 { return rep.IPC[1] }, show: dec3},
+			{head: "victim slowdown", show: pct,
+				of: func(alone, rep crow.Report) float64 { return metrics.Speedup(alone.IPC[0], rep.IPC[1]) }},
+		},
+	}, alone)
 }

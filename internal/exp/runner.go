@@ -61,6 +61,27 @@ type Scale struct {
 	Seed       int64
 }
 
+// Validate reports the first thing about s that no experiment can run at,
+// naming the command-line flag that sets it. The CLIs call it before they
+// build anything: past this point a bad scale is a panic (an unknown app in
+// singleApps, a negative mix count in trace.MakeMixes) or a table of zeros.
+func (s Scale) Validate() error {
+	switch {
+	case s.Insts < 1:
+		return fmt.Errorf("exp: -insts %d: need at least 1 measured instruction", s.Insts)
+	case s.Warmup < 0:
+		return fmt.Errorf("exp: warm-up of %d instructions is negative", s.Warmup)
+	case s.MixesPerGroup < 1:
+		return fmt.Errorf("exp: -mixes %d: need at least 1 mix per workload group", s.MixesPerGroup)
+	}
+	for _, name := range s.SingleApps {
+		if _, err := trace.ByName(name); err != nil {
+			return fmt.Errorf("exp: -apps: %w", err)
+		}
+	}
+	return nil
+}
+
 // DefaultScale is the crowbench default.
 func DefaultScale() Scale {
 	return Scale{Insts: 300_000, Warmup: 30_000, MixesPerGroup: 3, Seed: 1}
@@ -118,6 +139,9 @@ func (t Table) String() string {
 
 func pct(v float64) string  { return fmt.Sprintf("%+.1f%%", 100*v) }
 func pct2(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }
+func dec1(v float64) string { return fmt.Sprintf("%.1f", v) }
+func dec2(v float64) string { return fmt.Sprintf("%.2f", v) }
+func dec3(v float64) string { return fmt.Sprintf("%.3f", v) }
 
 // Runner executes and memoizes simulation runs on a bounded worker pool.
 type Runner struct {
@@ -353,8 +377,8 @@ func (r *Runner) Execute(opts []crow.Options) error {
 
 // singleApps returns the single-core experiment suite: every non-synthetic
 // app (or the configured subset), sorted by descending memory intensity.
-// An unknown name in Scale.SingleApps panics: it is a configuration error,
-// caught by CLI flag validation before a Runner exists.
+// An unknown name in Scale.SingleApps panics: it is a configuration error
+// that Scale.Validate catches before a Runner exists.
 func (r *Runner) singleApps() []trace.App {
 	var apps []trace.App
 	if r.Scale.SingleApps != nil {
@@ -397,6 +421,41 @@ func (r *Runner) eachApp(base, arm crow.Options, fn func(base, rep crow.Report))
 			return err
 		}
 		fn(b, rep)
+	}
+	return nil
+}
+
+// eachMix runs the baseline under env and then every arm on every mix, and
+// hands fn each arm's report beside the baseline's with the arm's weighted
+// speedup over it: the loop behind every four-core figure. An arm's options
+// already hold env (density, LLC size); the alone runs behind the weights are
+// baseline runs under env.
+func (r *Runner) eachMix(mixes []trace.Mix, env crow.Options, arms []arm,
+	fn func(i int, base, rep crow.Report, gain float64)) error {
+	env.Mechanism = crow.Baseline
+	for _, mix := range mixes {
+		apps := trace.Names(mix.Apps)
+		env.Workloads = apps
+		base, err := r.Run(env)
+		if err != nil {
+			return err
+		}
+		wsBase, err := r.ws(base, apps, env)
+		if err != nil {
+			return err
+		}
+		for i, a := range arms {
+			a.o.Workloads = apps
+			rep, err := r.Run(a.o)
+			if err != nil {
+				return err
+			}
+			wsArm, err := r.ws(rep, apps, env)
+			if err != nil {
+				return err
+			}
+			fn(i, base, rep, metrics.Speedup(wsArm, wsBase))
+		}
 	}
 	return nil
 }

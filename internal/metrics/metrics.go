@@ -3,8 +3,6 @@
 // workloads, plus MPKI-based memory-intensity classification.
 package metrics
 
-import "math"
-
 // WeightedSpeedup returns Σ IPC_shared[i] / IPC_alone[i] (Snavely &
 // Tullsen [104]): the job-throughput metric used for all multi-core
 // figures. IPC_alone is measured on the baseline system with the
@@ -30,19 +28,6 @@ func Speedup(mech, base float64) float64 {
 		return 0
 	}
 	return mech/base - 1
-}
-
-// GeoMean returns the geometric mean of positive values (used to average
-// per-workload speedup ratios).
-func GeoMean(vals []float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	prod := 1.0
-	for _, v := range vals {
-		prod *= v
-	}
-	return pow(prod, 1/float64(len(vals)))
 }
 
 // Mean returns the arithmetic mean.
@@ -73,5 +58,3 @@ func MinMax(vals []float64) (min, max float64) {
 	}
 	return min, max
 }
-
-func pow(x, y float64) float64 { return math.Pow(x, y) }

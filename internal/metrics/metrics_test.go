@@ -36,15 +36,6 @@ func TestSpeedup(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{2, 8}); math.Abs(got-4) > 1e-9 {
-		t.Errorf("GeoMean = %f, want 4", got)
-	}
-	if GeoMean(nil) != 0 {
-		t.Error("empty geomean is 0")
-	}
-}
-
 func TestMeanMinMax(t *testing.T) {
 	vals := []float64{3, 1, 2}
 	if Mean(vals) != 2 {

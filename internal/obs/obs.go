@@ -81,14 +81,6 @@ func (o *Observers) Tracer() *Tracer {
 	return o.tracer
 }
 
-// Telemetry returns the bound telemetry collector, or nil when disabled.
-func (o *Observers) Telemetry() *Telemetry {
-	if o == nil {
-		return nil
-	}
-	return o.telem
-}
-
 // cmdAdapter stamps the channel (REF/REFpb events carry no Channel in their
 // Addr) and forwards one channel's command stream to the bound consumers.
 type cmdAdapter struct {

@@ -17,7 +17,7 @@ func TestObserversNilSafe(t *testing.T) {
 	}
 	g, tm := testShape()
 	o.Bind(1, g, tm) // must not panic
-	if o.Tracer() != nil || o.Telemetry() != nil {
+	if o.Tracer() != nil {
 		t.Fatal("nil bundle returned a consumer")
 	}
 	if o.CommandObserver(0) != nil || o.SchedObserver(0) != nil || o.TableObserver() != nil {
@@ -104,7 +104,7 @@ func TestObserversSnapshotSchedule(t *testing.T) {
 	if len(snaps) != 2 {
 		t.Fatal("Finish delivered an empty interval")
 	}
-	o.Telemetry().Command(cmdEvent(530, dram.CmdACT, 0))
+	o.telem.Command(cmdEvent(530, dram.CmdACT, 0))
 	o.Finish(550)
 	if len(snaps) != 3 || snaps[2].Cycle != 550 {
 		t.Fatalf("Finish did not flush the active trailing interval: %d snaps", len(snaps))

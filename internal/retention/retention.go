@@ -1,7 +1,7 @@
 // Package retention models DRAM data-retention behaviour: the statistics of
-// weak cells (Section 4.2.1, Equations 1 and 2), Monte-Carlo sampling of
-// weak rows per subarray, variable retention time (VRT) cells, and a
-// retention-time profiler in the style the paper relies on (REAPER [87]).
+// weak cells (Section 4.2.1, Equations 1 and 2), fixed weak-row profiles
+// (the paper's three weak rows per subarray, Section 8.2), and variable
+// retention time (VRT) cells.
 package retention
 
 import (
@@ -58,38 +58,10 @@ type Profile struct {
 	Weak [][][][][]int
 }
 
-// Geometry mirrors the fields of dram.Geometry that the sampler needs,
+// Geometry mirrors the fields of dram.Geometry that a profile needs,
 // avoiding a dependency on the device package.
 type Geometry struct {
 	Channels, Ranks, Banks, Subarrays, RowsPerSubarray int
-}
-
-// SampleProfile draws a weak-row profile with each row independently weak
-// with probability pRow (the paper's experimentally-supported uniform-random
-// model), using the given seed for reproducibility.
-func SampleProfile(g Geometry, pRow float64, seed int64) *Profile {
-	rng := rand.New(rand.NewSource(seed))
-	p := &Profile{}
-	p.Weak = make([][][][][]int, g.Channels)
-	for c := range p.Weak {
-		p.Weak[c] = make([][][][]int, g.Ranks)
-		for r := range p.Weak[c] {
-			p.Weak[c][r] = make([][][]int, g.Banks)
-			for b := range p.Weak[c][r] {
-				p.Weak[c][r][b] = make([][]int, g.Subarrays)
-				for s := range p.Weak[c][r][b] {
-					var weak []int
-					for row := 0; row < g.RowsPerSubarray; row++ {
-						if rng.Float64() < pRow {
-							weak = append(weak, row)
-						}
-					}
-					p.Weak[c][r][b][s] = weak
-				}
-			}
-		}
-	}
-	return p
 }
 
 // FixedProfile marks the first n rows of every subarray weak. The paper's

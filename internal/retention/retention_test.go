@@ -58,29 +58,6 @@ func smallGeo() Geometry {
 	return Geometry{Channels: 2, Ranks: 1, Banks: 4, Subarrays: 8, RowsPerSubarray: 64}
 }
 
-func TestSampleProfileDeterministic(t *testing.T) {
-	g := smallGeo()
-	a := SampleProfile(g, 0.05, 42)
-	b := SampleProfile(g, 0.05, 42)
-	if a.TotalWeak() != b.TotalWeak() {
-		t.Error("same seed must give the same profile")
-	}
-	c := SampleProfile(g, 0.05, 43)
-	if a.TotalWeak() == 0 || c.TotalWeak() == 0 {
-		t.Error("with p=0.05 over 4096 rows, some weak rows are expected")
-	}
-}
-
-func TestSampleProfileRate(t *testing.T) {
-	g := Geometry{Channels: 1, Ranks: 1, Banks: 8, Subarrays: 16, RowsPerSubarray: 512}
-	p := SampleProfile(g, 0.01, 7)
-	total := 8 * 16 * 512
-	got := float64(p.TotalWeak()) / float64(total)
-	if got < 0.005 || got > 0.02 {
-		t.Errorf("weak rate = %.4f, want ≈ 0.01", got)
-	}
-}
-
 func TestFixedProfile(t *testing.T) {
 	g := smallGeo()
 	p := FixedProfile(g, 3, 1)

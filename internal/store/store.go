@@ -126,9 +126,6 @@ func Open[V any](dir, schema string, opts ...Option) (*Store[V], error) {
 	return s, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store[V]) Dir() string { return s.dir }
-
 // scan walks the directory, counting result files and deleting stale temp
 // files; it initializes the incremental footprint counters.
 func (s *Store[V]) scan() error {
