@@ -138,8 +138,39 @@ func (s *channelState) connected(a dram.Addr, act *openAct) []*rowData {
 	}
 }
 
+// outside reports whether e names something the configuration does not have:
+// a rank, bank, row, column or copy row past the geometry, or an activation
+// kind the model does not know. The copy-row operand counts only under
+// DataChecks: the idealized mechanisms name copy rows no geometry holds.
+func (s *channelState) outside(e *dram.CmdEvent) bool {
+	g, a := &s.o.cfg.Geo, &e.Addr
+	in := func(v, n int) bool { return uint(v) < uint(n) }
+	switch e.Cmd {
+	case dram.CmdREF:
+		return !in(a.Rank, g.Ranks)
+	case dram.CmdREFpb:
+		return !in(a.Rank, g.Ranks) || !in(a.Bank, g.Banks)
+	case dram.CmdRD, dram.CmdWR:
+		return !in(a.Rank, g.Ranks) || !in(a.Bank, g.Banks) || !in(a.Row, g.RowsPerBank) || !in(a.Col, g.ColumnsPerRow())
+	case dram.CmdPRE:
+		return !in(a.Rank, g.Ranks) || !in(a.Bank, g.Banks) || !in(a.Row, g.RowsPerBank)
+	case dram.CmdACT, dram.CmdACTt, dram.CmdACTc, dram.CmdACTcr:
+		return !in(a.Rank, g.Ranks) || !in(a.Bank, g.Banks) || !in(a.Row, g.RowsPerBank) ||
+			!in(int(e.Kind), int(dram.ActCopyRow)+1) ||
+			s.o.cfg.DataChecks && e.Kind != dram.ActSingle && !in(e.CopyRow, g.CopyRows)
+	}
+	return false
+}
+
 // OnCommand implements dram.CommandObserver.
 func (s *channelState) OnCommand(e dram.CmdEvent) {
+	if s.outside(&e) {
+		// The device indexes its state by these operands and would have
+		// panicked, so the oracle is watching a device of another shape.
+		s.o.violate(s.ch, "oracle-desync", "%v of r%d/b%d/%d col %d, copy row %d, is outside the geometry, at cycle %d",
+			e.Cmd, e.Addr.Rank, e.Addr.Bank, e.Addr.Row, e.Addr.Col, e.CopyRow, e.Cycle)
+		return
+	}
 	switch e.Cmd {
 	case dram.CmdACT, dram.CmdACTt, dram.CmdACTc, dram.CmdACTcr:
 		s.onACT(e)
@@ -264,6 +295,12 @@ func (s *channelState) onColumn(e dram.CmdEvent) {
 		// so this can only mean the oracle missed the activation.
 		s.o.violate(s.ch, "oracle-desync", "%v to closed subarray r%d/b%d at cycle %d",
 			e.Cmd, e.Addr.Rank, e.Addr.Bank, e.Cycle)
+		return
+	}
+	if act.row != e.Addr.Row {
+		// Likewise: the device serves column commands to the open row only.
+		s.o.violate(s.ch, "oracle-desync", "%v of r%d/b%d/%d while row %d is the one open, at cycle %d",
+			e.Cmd, e.Addr.Rank, e.Addr.Bank, e.Addr.Row, act.row, e.Cycle)
 		return
 	}
 	act.cols++
