@@ -122,6 +122,31 @@ func TestTraceCapMustBePositive(t *testing.T) {
 	}
 }
 
+// TestCompareOfIdleRuns: with -insts 1 no run issues a DRAM command in its
+// measured interval, so both energies are 0. The comparison must still print
+// (ratio 1, not NaN) and -json must still encode.
+func TestCompareOfIdleRuns(t *testing.T) {
+	args := []string{
+		"-mech", "crow-cache+ref", "-workloads", "mcf,lbm,omnetpp,stream-copy",
+		"-density", "64", "-insts", "1", "-compare",
+	}
+	var stdout, stderr bytes.Buffer
+	if err := run(context.Background(), args, &stdout, &stderr); err != nil {
+		t.Fatalf("text mode: %v\nstderr: %s", err, stderr.String())
+	}
+	if out := stdout.String(); !strings.Contains(out, "DRAM energy ratio:  1.000 (+0.0%)") {
+		t.Errorf("text mode does not report ratio 1:\n%s", out)
+	}
+	stdout.Reset()
+	if err := run(context.Background(), append(args, "-json"), &stdout, &stderr); err != nil {
+		t.Fatalf("-json: %v\nstderr: %s", err, stderr.String())
+	}
+	var cmp crow.Comparison
+	if err := json.Unmarshal(stdout.Bytes(), &cmp); err != nil || cmp.EnergyRatio != 1 {
+		t.Errorf("-json: EnergyRatio %v, decode error %v; want 1, nil\n%s", cmp.EnergyRatio, err, stdout.String())
+	}
+}
+
 func keys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {

@@ -516,11 +516,20 @@ func CompareFrom(o Options, reps []Report) (Comparison, error) {
 	}
 	wsBase := metrics.WeightedSpeedup(base.IPC, alone)
 	wsMech := metrics.WeightedSpeedup(mech.IPC, alone)
+	// A measured interval too short to issue a DRAM command consumes no DRAM
+	// energy: two such runs compare equal, a spending mechanism against a
+	// baseline that spent nothing does not compare.
+	energyRatio := 1.0
+	if be, me := base.EnergyNJ.Total(), mech.EnergyNJ.Total(); be != 0 {
+		energyRatio = me / be
+	} else if me != 0 {
+		return Comparison{}, fmt.Errorf("crow: no energy ratio: the baseline consumed no DRAM energy, %s %g nJ", mech.Mechanism, me)
+	}
 	return Comparison{
 		Base:        base,
 		Mech:        mech,
 		Speedup:     metrics.Speedup(wsMech, wsBase),
-		EnergyRatio: mech.EnergyNJ.Total() / base.EnergyNJ.Total(),
+		EnergyRatio: energyRatio,
 	}, nil
 }
 

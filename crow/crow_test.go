@@ -82,6 +82,27 @@ func TestCompareSingleCore(t *testing.T) {
 	}
 }
 
+// TestCompareFromZeroEnergy: runs whose measured interval issued no DRAM
+// command consumed no DRAM energy. Two of them compare at ratio 1 (not 0/0),
+// and a mechanism that spent energy against a baseline that spent none is an
+// error, not +Inf.
+func TestCompareFromZeroEnergy(t *testing.T) {
+	o := Options{Mechanism: Cache, Workloads: []string{"mcf"}}
+	idle := Report{IPC: []float64{1}}
+	c, err := CompareFrom(o, []Report{idle, idle})
+	if err != nil || c.EnergyRatio != 1 || c.Speedup != 0 {
+		t.Errorf("two idle runs: ratio %v, speedup %v, err %v; want 1, 0, nil", c.EnergyRatio, c.Speedup, err)
+	}
+	busy := idle
+	busy.Mechanism, busy.EnergyNJ.Background = Cache, 5
+	if c, err := CompareFrom(o, []Report{idle, busy}); err == nil {
+		t.Errorf("idle baseline against a spending mechanism: ratio %v, want an error", c.EnergyRatio)
+	}
+	if c, err := CompareFrom(o, []Report{busy, idle}); err != nil || c.EnergyRatio != 0 {
+		t.Errorf("spending baseline against an idle mechanism: ratio %v, err %v; want 0, nil", c.EnergyRatio, err)
+	}
+}
+
 func TestBaselineMechanisms(t *testing.T) {
 	for _, m := range []Mechanism{TLDRAM, SALP, IdealCache, IdealNoRefresh} {
 		r, err := Run(fast(Options{Mechanism: m, Workloads: []string{"soplex"}}))

@@ -26,7 +26,8 @@ var update = flag.Bool("update", false, "rewrite the golden experiment reports u
 // controller sleeps through re-runs its scheduling pass and panics unless it
 // was a no-op, and every jump of a core is really ticked and compared, so the
 // goldens are reproduced and every skipped cycle of all 26 experiments is
-// checked in the same run.
+// checked in the same run. The correctness oracle watches every run too: one
+// violation in any of them fails its run, and with it the sweep.
 func TestGoldenReports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden regression runs the full QuickScale sweep; skipped in -short")
@@ -35,7 +36,7 @@ func TestGoldenReports(t *testing.T) {
 	defer ctrl.SetVerifyWake(false)
 	cpu.SetVerifyAdvance(true)
 	defer cpu.SetVerifyAdvance(false)
-	r := NewRunner(QuickScale(), Workers(4))
+	r := NewRunner(QuickScale(), Workers(4), Verify())
 	if err := r.Execute(PlanAll(r, Experiments())); err != nil {
 		t.Fatal(err)
 	}

@@ -1,47 +1,85 @@
 package oracle
 
-import "crowdram/internal/dram"
+import (
+	"slices"
 
-// subKey identifies one subarray (the unit that holds one open activation).
-type subKey struct{ rank, bank, sub int }
+	"crowdram/internal/dram"
+)
 
-// rowKey identifies one physical row of a bank. Regular rows use their bank
-// row index; copy rows are encoded past the regular rows (see copyID).
-type rowKey struct{ rank, bank, row int }
+// cell is one written column of a row: the version of the last write to it.
+type cell struct {
+	col int32
+	ver uint32
+}
 
-// openAct is the oracle's view of one in-flight activation.
-type openAct struct {
-	row     int // the addressed regular row
-	kind    dram.ActKind
-	copyRow int
-	plan    dram.ActTimings
-	cols    int // column commands served so far
+// versions is a row's column → write-version store: the written columns in
+// ascending order, none at version 0 (a column absent from it holds its initial
+// data), so two rows hold the same data exactly when their stores are equal. It
+// is nil until the row's first write; most rows are only ever read.
+type versions []cell
+
+// find returns col's position in v, or the one it would be inserted at.
+func (v versions) find(col int) (int, bool) {
+	for i, c := range v {
+		if int(c.col) >= col {
+			return i, int(c.col) == col
+		}
+	}
+	return len(v), false
+}
+
+func (v versions) get(col int) uint32 {
+	if i, ok := v.find(col); ok {
+		return v[i].ver
+	}
+	return 0
+}
+
+// set makes ver the version of col; version 0 returns it to its initial data.
+func (v *versions) set(col int, ver uint32) {
+	switch i, found := v.find(col); {
+	case found && ver != 0:
+		(*v)[i].ver = ver
+	case found:
+		*v = slices.Delete(*v, i, i+1)
+	case ver != 0:
+		*v = slices.Insert(*v, i, cell{int32(col), ver})
+	}
 }
 
 // rowData is the shadow content of one physical row: which logical (regular)
 // row's data it holds, the write version of each column it holds, and whether
-// its cells are only partially restored.
+// its cells are only partially restored. A regular row's entry also carries
+// the device-level truth for its own logical address — the version of the last
+// write to each column — whichever physical row that write reached.
 type rowData struct {
-	valid   bool // meaningful for copy rows; regular rows are always valid
-	owner   int  // logical regular-row index whose data this row holds
+	owner   int32 // logical row whose data this row holds; -1: a copy row nothing was copied into yet
 	partial bool
-	cells   map[int]uint64 // column -> write version (absent = initial data)
+	cells   versions
+	want    versions // regular rows only: the logical row's write log
 }
 
-// logState is the device-level truth for one logical (regular-row) address:
-// the version of the last write to each column.
-type logState struct {
-	want    map[int]uint64
-	written bool
+// copyFrom makes r a duplicate of regular row reg, whose address is row.
+func (r *rowData) copyFrom(reg *rowData, row int) {
+	r.owner, r.partial = int32(row), reg.partial
+	r.cells = append(r.cells[:0], reg.cells...)
 }
 
-// statCounts mirrors the command-count fields of dram.Stats.
-type statCounts struct {
-	ACT, ACTTwo, ACTCopy, ACTCopyRow int64
-	PRE, RD, WR, REF, REFpb          int64
-	ActRasSingle, ActRasMRA          int64
-	RDBusy, WRBusy                   int64
+// openAct is the oracle's view of one subarray's in-flight activation. The ACT
+// resolves, once, the physical rows it wires to the row buffer — serving (the
+// regular row, or the copy row when it is activated alone) and, for a two-row
+// activation, second — and the regular row's entry, which holds the write log;
+// column commands and the precharge follow these pointers. All three are nil
+// when DataChecks is off.
+type openAct struct {
+	open                 bool
+	row                  int // the addressed regular row
+	cols                 int // column commands served so far
+	serving, second, log *rowData
 }
+
+// slabRows is how many rowData entries one allocation holds.
+const slabRows = 256
 
 // channelState is the oracle's model of one channel. It implements
 // dram.CommandObserver.
@@ -49,93 +87,47 @@ type channelState struct {
 	o  *Oracle
 	ch int
 
-	open map[subKey]*openAct
-	rows map[rowKey]*rowData
-	logs map[rowKey]*logState
+	// open holds every subarray's activation, in (rank, bank, subarray) order.
+	// rows finds a physical row's shadow state by rowKey; entries are carved
+	// from slab and never move.
+	open []openAct
+	rows map[int]*rowData
+	slab []rowData
 
-	// Refresh sweep replica: next row window per rank, per-bank round-robin
-	// pointer, and the cycle each row group was last refreshed (all rows
-	// count as refreshed at cycle 0, the boot instant).
+	// Refresh sweep replica: next row window per rank, and per bank (in
+	// (rank, bank) order) the cycle each row group was last refreshed, grown
+	// to the highest group the sweep has reached: the groups past its length,
+	// like all rows at the boot instant, count as refreshed at cycle 0.
 	refRow  []int
-	refBank int
-	lastRef [][][]int64 // [rank][bank][group]
+	lastRef [][]int64
 
-	stats statCounts
+	// stats mirrors the dram.Stats fields a command stream determines.
+	stats dram.Stats
 }
 
-// copyID encodes the physical row index of copy row `way` of subarray `sub`.
-func (s *channelState) copyID(sub, way int) int {
-	g := s.o.cfg.Geo
-	return g.RowsPerBank + sub*g.CopyRows + way
-}
+// rowKey packs a bank (rank*Banks + bank) and a physical row index of it into
+// the key of rows. Regular rows use their bank row index; copy row `way` of
+// subarray `sub` follows them at RowsPerBank + sub*CopyRows + way.
+func (s *channelState) rowKey(bank, physRow int) int { return bank*s.o.rowsPerBank + physRow }
 
-// reg returns the shadow state of a regular row, creating the default state
-// (valid, owning its own address, clean) on first touch.
-func (s *channelState) reg(a dram.Addr) *rowData {
-	k := rowKey{a.Rank, a.Bank, a.Row}
-	r := s.rows[k]
+// row returns the shadow state of the physical row at key, creating it on
+// first touch holding logical row owner's data, clean.
+func (s *channelState) row(key int, owner int) *rowData {
+	r := s.rows[key]
 	if r == nil {
-		r = &rowData{valid: true, owner: a.Row, cells: map[int]uint64{}}
-		s.rows[k] = r
-	}
-	return r
-}
-
-// cp returns the shadow state of copy row `way` of a's subarray, creating
-// the default state (invalid: content unknown until copied into) on first
-// touch.
-func (s *channelState) cp(a dram.Addr, way int) *rowData {
-	k := rowKey{a.Rank, a.Bank, s.copyID(a.Subarray(s.o.cfg.Geo), way)}
-	r := s.rows[k]
-	if r == nil {
-		r = &rowData{owner: -1, cells: map[int]uint64{}}
-		s.rows[k] = r
-	}
-	return r
-}
-
-// log returns the device-level write log of logical row a.Row.
-func (s *channelState) log(a dram.Addr) *logState {
-	k := rowKey{a.Rank, a.Bank, a.Row}
-	l := s.logs[k]
-	if l == nil {
-		l = &logState{want: map[int]uint64{}}
-		s.logs[k] = l
-	}
-	return l
-}
-
-func cloneCells(m map[int]uint64) map[int]uint64 {
-	c := make(map[int]uint64, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
-}
-
-func cellsEqual(a, b map[int]uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
+		if len(s.slab) == cap(s.slab) {
+			s.slab = make([]rowData, 0, slabRows)
 		}
+		s.slab = append(s.slab, rowData{owner: int32(owner)})
+		r = &s.slab[len(s.slab)-1]
+		s.rows[key] = r
 	}
-	return true
+	return r
 }
 
-// connected returns the physical rows wired to the row buffer by the open
-// activation: the regular row, the copy row, or both.
-func (s *channelState) connected(a dram.Addr, act *openAct) []*rowData {
-	switch act.kind {
-	case dram.ActTwo, dram.ActCopy:
-		return []*rowData{s.reg(dram.Addr{Rank: a.Rank, Bank: a.Bank, Row: act.row}), s.cp(a, act.copyRow)}
-	case dram.ActCopyRow:
-		return []*rowData{s.cp(a, act.copyRow)}
-	default:
-		return []*rowData{s.reg(dram.Addr{Rank: a.Rank, Bank: a.Bank, Row: act.row})}
-	}
+// act returns the activation slot of the subarray containing a.Row.
+func (s *channelState) act(a *dram.Addr) *openAct {
+	return &s.open[(a.Rank*s.o.cfg.Geo.Banks+a.Bank)*s.o.subsPerBank+a.Row>>s.o.subShift]
 }
 
 // outside reports whether e names something the configuration does not have:
@@ -151,7 +143,7 @@ func (s *channelState) outside(e *dram.CmdEvent) bool {
 	case dram.CmdREFpb:
 		return !in(a.Rank, g.Ranks) || !in(a.Bank, g.Banks)
 	case dram.CmdRD, dram.CmdWR:
-		return !in(a.Rank, g.Ranks) || !in(a.Bank, g.Banks) || !in(a.Row, g.RowsPerBank) || !in(a.Col, g.ColumnsPerRow())
+		return !in(a.Rank, g.Ranks) || !in(a.Bank, g.Banks) || !in(a.Row, g.RowsPerBank) || !in(a.Col, s.o.columns)
 	case dram.CmdPRE:
 		return !in(a.Rank, g.Ranks) || !in(a.Bank, g.Banks) || !in(a.Row, g.RowsPerBank)
 	case dram.CmdACT, dram.CmdACTt, dram.CmdACTc, dram.CmdACTcr:
@@ -173,19 +165,19 @@ func (s *channelState) OnCommand(e dram.CmdEvent) {
 	}
 	switch e.Cmd {
 	case dram.CmdACT, dram.CmdACTt, dram.CmdACTc, dram.CmdACTcr:
-		s.onACT(e)
+		s.onACT(&e)
 	case dram.CmdRD, dram.CmdWR:
-		s.onColumn(e)
+		s.onColumn(&e)
 	case dram.CmdPRE:
-		s.onPRE(e)
+		s.onPRE(&e)
 	case dram.CmdREF:
-		s.onREF(e)
+		s.onREF(&e)
 	case dram.CmdREFpb:
-		s.onREFpb(e)
+		s.onREFpb(&e)
 	}
 }
 
-func (s *channelState) onACT(e dram.CmdEvent) {
+func (s *channelState) onACT(e *dram.CmdEvent) {
 	switch e.Kind {
 	case dram.ActSingle:
 		s.stats.ACT++
@@ -201,14 +193,20 @@ func (s *channelState) onACT(e dram.CmdEvent) {
 		s.stats.ActRasSingle += int64(e.Plan.RAS)
 	}
 
-	k := subKey{e.Addr.Rank, e.Addr.Bank, e.Addr.Subarray(s.o.cfg.Geo)}
-	act := &openAct{row: e.Addr.Row, kind: e.Kind, copyRow: e.CopyRow, plan: e.Plan}
-	s.open[k] = act
+	act := s.act(&e.Addr)
+	*act = openAct{open: true, row: e.Addr.Row}
 	if !s.o.cfg.DataChecks {
 		return
 	}
 
-	reg := s.reg(e.Addr)
+	g := &s.o.cfg.Geo
+	bank := e.Addr.Rank*g.Banks + e.Addr.Bank
+	reg := s.row(s.rowKey(bank, e.Addr.Row), e.Addr.Row)
+	var cp *rowData
+	if e.Kind != dram.ActSingle {
+		cp = s.row(s.rowKey(bank, g.RowsPerBank+e.Addr.Row>>s.o.subShift*g.CopyRows+e.CopyRow), -1)
+	}
+	act.serving, act.log = reg, reg
 	switch e.Kind {
 	case dram.ActSingle:
 		// A single-row activation senses the regular row alone; if its
@@ -220,15 +218,14 @@ func (s *channelState) onACT(e dram.CmdEvent) {
 				e.Addr.Rank, e.Addr.Bank, e.Addr.Row, e.Cycle)
 		}
 	case dram.ActTwo:
-		cp := s.cp(e.Addr, e.CopyRow)
-		if !cp.valid || cp.owner != e.Addr.Row || !cellsEqual(reg.cells, cp.cells) {
+		act.second = cp
+		if int(cp.owner) != e.Addr.Row || !slices.Equal(reg.cells, cp.cells) {
 			s.o.violate(s.ch, "incoherent-pair",
 				"ACT-t of row r%d/b%d/%d with copy row %d holding row %d data (valid=%v) at cycle %d",
-				e.Addr.Rank, e.Addr.Bank, e.Addr.Row, e.CopyRow, cp.owner, cp.valid, e.Cycle)
+				e.Addr.Rank, e.Addr.Bank, e.Addr.Row, e.CopyRow, cp.owner, cp.owner >= 0, e.Cycle)
 			// Resync the shadow pair so one bug is one violation, not a
 			// cascade.
-			cp.valid, cp.owner, cp.cells = true, e.Addr.Row, cloneCells(reg.cells)
-			cp.partial = reg.partial
+			cp.copyFrom(reg, e.Addr.Row)
 		}
 		// A partially-restored pair holds weakened charge; activating it
 		// with the fully-restored sensing latency is a data hazard
@@ -239,36 +236,33 @@ func (s *channelState) onACT(e dram.CmdEvent) {
 				e.Addr.Rank, e.Addr.Bank, e.Addr.Row, e.CopyRow, e.Plan.RCD, s.o.crow.TwoPartial.RCD, e.Cycle)
 		}
 	case dram.ActCopy:
+		act.second = cp
 		if reg.partial {
 			s.o.violate(s.ch, "copy-from-partial",
 				"ACT-c copies partially-restored row r%d/b%d/%d at cycle %d",
 				e.Addr.Rank, e.Addr.Bank, e.Addr.Row, e.Cycle)
 		}
-		cp := s.cp(e.Addr, e.CopyRow)
-		cp.valid, cp.owner, cp.cells = true, e.Addr.Row, cloneCells(reg.cells)
-		cp.partial = reg.partial
+		cp.copyFrom(reg, e.Addr.Row)
 	case dram.ActCopyRow:
-		cp := s.cp(e.Addr, e.CopyRow)
+		act.serving = cp
 		switch {
-		case !cp.valid:
-			if !s.log(e.Addr).written && !reg.partial && len(reg.cells) == 0 {
+		case cp.owner < 0:
+			if len(reg.want) == 0 && !reg.partial && len(reg.cells) == 0 {
 				// Boot-time remap: a profile-loaded CROW-ref mapping
 				// installed before the first access. The copy row holds
 				// whatever the row held at boot; adopt it.
-				cp.valid, cp.owner = true, e.Addr.Row
+				cp.owner = int32(e.Addr.Row)
 			} else {
 				s.o.violate(s.ch, "stale-remap",
 					"redirect of row r%d/b%d/%d to never-copied copy row %d at cycle %d",
 					e.Addr.Rank, e.Addr.Bank, e.Addr.Row, e.CopyRow, e.Cycle)
-				cp.valid, cp.owner, cp.cells = true, e.Addr.Row, cloneCells(reg.cells)
-				cp.partial = reg.partial
+				cp.copyFrom(reg, e.Addr.Row)
 			}
-		case cp.owner != e.Addr.Row:
+		case int(cp.owner) != e.Addr.Row:
 			s.o.violate(s.ch, "stale-remap",
 				"redirect of row r%d/b%d/%d to copy row %d holding row %d data at cycle %d",
 				e.Addr.Rank, e.Addr.Bank, e.Addr.Row, e.CopyRow, cp.owner, e.Cycle)
-			cp.owner, cp.cells = e.Addr.Row, cloneCells(reg.cells)
-			cp.partial = reg.partial
+			cp.copyFrom(reg, e.Addr.Row)
 		}
 		if cp.partial {
 			s.o.violate(s.ch, "partial-single-activation",
@@ -278,19 +272,18 @@ func (s *channelState) onACT(e dram.CmdEvent) {
 	}
 }
 
-func (s *channelState) onColumn(e dram.CmdEvent) {
+func (s *channelState) onColumn(e *dram.CmdEvent) {
 	bl := int64(s.o.cfg.T.BL)
 	if e.Cmd == dram.CmdRD {
 		s.stats.RD++
-		s.stats.RDBusy += bl
+		s.stats.RDBusyCycles += bl
 	} else {
 		s.stats.WR++
-		s.stats.WRBusy += bl
+		s.stats.WRBusyCycles += bl
 	}
 
-	k := subKey{e.Addr.Rank, e.Addr.Bank, e.Addr.Subarray(s.o.cfg.Geo)}
-	act := s.open[k]
-	if act == nil {
+	act := s.act(&e.Addr)
+	if !act.open {
 		// The device itself panics on column commands to a closed bank,
 		// so this can only mean the oracle missed the activation.
 		s.o.violate(s.ch, "oracle-desync", "%v to closed subarray r%d/b%d at cycle %d",
@@ -313,37 +306,36 @@ func (s *channelState) onColumn(e dram.CmdEvent) {
 		return
 	}
 
-	logi := s.log(e.Addr)
+	col := e.Addr.Col
 	if e.Cmd == dram.CmdWR {
-		logi.want[e.Addr.Col]++
-		logi.written = true
-		for _, r := range s.connected(e.Addr, act) {
-			r.cells[e.Addr.Col] = logi.want[e.Addr.Col]
+		ver := act.log.want.get(col) + 1
+		act.log.want.set(col, ver)
+		act.serving.cells.set(col, ver)
+		if act.second != nil {
+			act.second.cells.set(col, ver)
 		}
 		return
 	}
 	// RD: the row buffer serves whatever the connected rows hold; all
 	// connected rows agree (they were sensed together), so check the first.
-	serving := s.connected(e.Addr, act)[0]
-	if have, want := serving.cells[e.Addr.Col], logi.want[e.Addr.Col]; have != want {
+	if have, want := act.serving.cells.get(col), act.log.want.get(col); have != want {
 		s.o.violate(s.ch, "stale-read",
 			"RD r%d/b%d/%d col %d returns version %d, last write was %d, at cycle %d",
-			e.Addr.Rank, e.Addr.Bank, e.Addr.Row, e.Addr.Col, have, want, e.Cycle)
-		serving.cells[e.Addr.Col] = want // resync
+			e.Addr.Rank, e.Addr.Bank, e.Addr.Row, col, have, want, e.Cycle)
+		act.serving.cells.set(col, want) // resync
 	}
 }
 
-func (s *channelState) onPRE(e dram.CmdEvent) {
+func (s *channelState) onPRE(e *dram.CmdEvent) {
 	s.stats.PRE++
-	k := subKey{e.Addr.Rank, e.Addr.Bank, e.Addr.Subarray(s.o.cfg.Geo)}
-	act := s.open[k]
-	delete(s.open, k)
-	if act == nil || !s.o.cfg.DataChecks {
-		return
+	act := s.act(&e.Addr)
+	if act.open && s.o.cfg.DataChecks {
+		act.serving.partial = !e.FullyRestored
+		if act.second != nil {
+			act.second.partial = !e.FullyRestored
+		}
 	}
-	for _, r := range s.connected(e.Addr, act) {
-		r.partial = !e.FullyRestored
-	}
+	act.open = false
 }
 
 // refreshWindow models the architectural effect of refreshing rows
@@ -351,42 +343,48 @@ func (s *channelState) onPRE(e dram.CmdEvent) {
 // rows (and any copy rows holding their data — CROW refreshes pairs
 // together, Section 4.1.4) come out fully restored.
 func (s *channelState) refreshWindow(rank, bank, start, n int, cycle int64) {
-	g := s.o.cfg.Geo
+	g := &s.o.cfg.Geo
+	bi := rank*g.Banks + bank
 	if rpr := s.o.cfg.T.RowsPerRef; rpr > 0 {
 		dl := s.o.deadline()
-		for g0 := start / rpr; g0 <= (start+n-1)/rpr && g0 < len(s.lastRef[rank][bank]); g0++ {
-			if s.o.cfg.RefreshMultiplier > 0 && cycle-s.lastRef[rank][bank][g0] > dl {
+		last := s.lastRef[bi]
+		for g0 := start / rpr; g0 <= (start+n-1)/rpr && g0 < s.o.groups; g0++ {
+			for len(last) <= g0 {
+				last = append(last, 0)
+			}
+			if s.o.cfg.RefreshMultiplier > 0 && cycle-last[g0] > dl {
 				s.o.violate(s.ch, "refresh-deadline",
 					"r%d/b%d rows %d..%d refreshed @%d, %d cycles after previous refresh @%d (deadline %d)",
 					rank, bank, g0*rpr, (g0+1)*rpr-1, cycle,
-					cycle-s.lastRef[rank][bank][g0], s.lastRef[rank][bank][g0], dl)
+					cycle-last[g0], last[g0], dl)
 			}
-			s.lastRef[rank][bank][g0] = cycle
+			last[g0] = cycle
 		}
+		s.lastRef[bi] = last
 	}
 	if !s.o.cfg.DataChecks {
 		return
 	}
 	for row := start; row < start+n && row < g.RowsPerBank; row++ {
-		if r := s.rows[rowKey{rank, bank, row}]; r != nil {
+		if r := s.rows[s.rowKey(bi, row)]; r != nil {
 			r.partial = false
 		}
 	}
 	// Copy rows live in the same subarray as the regular rows they pair
 	// with, so only the touched subarrays need scanning.
-	for sub := g.Subarray(start); sub <= g.Subarray(start+n-1); sub++ {
+	for sub := start >> s.o.subShift; sub <= (start+n-1)>>s.o.subShift; sub++ {
 		for way := 0; way < g.CopyRows; way++ {
-			r := s.rows[rowKey{rank, bank, s.copyID(sub, way)}]
-			if r != nil && r.valid && r.owner >= start && r.owner < start+n {
+			r := s.rows[s.rowKey(bi, g.RowsPerBank+sub*g.CopyRows+way)]
+			if r != nil && int(r.owner) >= start && int(r.owner) < start+n {
 				r.partial = false
 			}
 		}
 	}
 }
 
-func (s *channelState) onREF(e dram.CmdEvent) {
+func (s *channelState) onREF(e *dram.CmdEvent) {
 	s.stats.REF++
-	g := s.o.cfg.Geo
+	g := &s.o.cfg.Geo
 	rpr := s.o.cfg.T.RowsPerRef
 	start := s.refRow[e.Addr.Rank]
 	for b := 0; b < g.Banks; b++ {
@@ -395,9 +393,9 @@ func (s *channelState) onREF(e dram.CmdEvent) {
 	s.refRow[e.Addr.Rank] = (start + rpr) % g.RowsPerBank
 }
 
-func (s *channelState) onREFpb(e dram.CmdEvent) {
+func (s *channelState) onREFpb(e *dram.CmdEvent) {
 	s.stats.REFpb++
-	g := s.o.cfg.Geo
+	g := &s.o.cfg.Geo
 	rpr := s.o.cfg.T.RowsPerRef
 	start := s.refRow[e.Addr.Rank]
 	s.refreshWindow(e.Addr.Rank, e.Addr.Bank, start, rpr, e.Cycle)

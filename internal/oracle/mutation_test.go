@@ -97,9 +97,9 @@ func verdict(rec *recording, events [][]dram.CmdEvent) oracle.Findings {
 	return o.Findings()
 }
 
-// context is what a mutation's eligibility test may ask about event i of one
+// stream is what a mutation's eligibility test may ask about event i of one
 // channel's stream beyond the event itself.
-type context struct {
+type stream struct {
 	evs []dram.CmdEvent
 	// actOf[i] is the index of the activation a column command or precharge
 	// belongs to (the last ACT of its subarray), -1 for anything else.
@@ -113,10 +113,10 @@ type context struct {
 	written, prevPartial []bool
 }
 
-func newContext(evs []dram.CmdEvent, g dram.Geometry) *context {
+func newStream(evs []dram.CmdEvent, g dram.Geometry) *stream {
 	type sub struct{ rank, bank, sub int }
 	type row struct{ rank, bank, row int }
-	c := &context{evs: evs, actOf: make([]int, len(evs)), nextKind: make([]dram.ActKind, len(evs)),
+	c := &stream{evs: evs, actOf: make([]int, len(evs)), nextKind: make([]dram.ActKind, len(evs)),
 		written: make([]bool, len(evs)), prevPartial: make([]bool, len(evs))}
 	open := map[sub]int{}
 	wrote, partial := map[row]bool{}, map[row]bool{}
@@ -159,7 +159,7 @@ func newContext(evs []dram.CmdEvent, g dram.Geometry) *context {
 // seeded choice among the events ok accepts, it returns the corrupted stream.
 type mutation struct {
 	name  string
-	ok    func(c *context, i int) bool
+	ok    func(c *stream, i int) bool
 	apply func(rec *recording, evs []dram.CmdEvent, i int) []dram.CmdEvent
 }
 
@@ -175,22 +175,19 @@ func drop(_ *recording, evs []dram.CmdEvent, i int) []dram.CmdEvent {
 	return append(evs[:i], evs[i+1:]...)
 }
 
-func isCmd(cmd dram.Command) func(*context, int) bool {
-	return func(c *context, i int) bool { return c.evs[i].Cmd == cmd }
+func isCmd(cmd dram.Command) func(*stream, int) bool {
+	return func(c *stream, i int) bool { return c.evs[i].Cmd == cmd }
 }
 
 var mutations = []mutation{
 	{"ACT-t names the next copy row", isCmd(dram.CmdACTt),
 		edit(func(rec *recording, e *dram.CmdEvent) { e.CopyRow = (e.CopyRow + 1) % rec.cfg.Geo.CopyRows })},
 	{"ACT-t of a partial pair becomes ACT-c",
-		func(c *context, i int) bool {
-			e := c.evs[i]
-			return e.Cmd == dram.CmdACTt && e.Plan.RASFull > e.Plan.RAS && c.prevPartial[i]
-		},
+		func(c *stream, i int) bool { return c.evs[i].Cmd == dram.CmdACTt && c.prevPartial[i] },
 		edit(func(_ *recording, e *dram.CmdEvent) { e.Cmd, e.Kind = dram.CmdACTc, dram.ActCopy })},
 	{"a WR is dropped", isCmd(dram.CmdWR), drop},
 	{"PRE of a pair reports partial restoration",
-		func(c *context, i int) bool {
+		func(c *stream, i int) bool {
 			e := c.evs[i]
 			return e.Cmd == dram.CmdPRE && e.FullyRestored && c.actOf[i] >= 0 && c.nextKind[c.actOf[i]] == dram.ActTwo
 		},
@@ -205,11 +202,11 @@ var mutations = []mutation{
 			return append(out, evs[i+1:]...)
 		}},
 	{"ACT-t of a written row becomes ACT-copyrow to the next way",
-		func(c *context, i int) bool { return c.evs[i].Cmd == dram.CmdACTt && c.written[i] },
+		func(c *stream, i int) bool { return c.evs[i].Cmd == dram.CmdACTt && c.written[i] },
 		edit(func(rec *recording, e *dram.CmdEvent) {
 			e.Cmd, e.Kind, e.CopyRow = dram.CmdACTcr, dram.ActCopyRow, (e.CopyRow+1)%rec.cfg.Geo.CopyRows
 		})},
-	{"ACT names a row past the bank", func(c *context, i int) bool { return c.evs[i].Cmd.IsACT() },
+	{"ACT names a row past the bank", func(c *stream, i int) bool { return c.evs[i].Cmd.IsACT() },
 		edit(func(rec *recording, e *dram.CmdEvent) { e.Addr.Row += rec.cfg.Geo.RowsPerBank })},
 	{"ACT-t names a copy row past the subarray", isCmd(dram.CmdACTt),
 		edit(func(rec *recording, e *dram.CmdEvent) { e.CopyRow = rec.cfg.Geo.CopyRows })},
@@ -245,13 +242,13 @@ func mutationReport(t *testing.T, rec *recording) []byte {
 	rng := rand.New(rand.NewSource(23))
 	for _, m := range mutations {
 		// Start at a seeded channel; move on while a stream has no such event.
-		ch, c, eligible := rng.Intn(len(rec.events)), (*context)(nil), []int(nil)
+		ch, c, eligible := rng.Intn(len(rec.events)), (*stream)(nil), []int(nil)
 		for tries := 0; len(eligible) == 0; tries++ {
 			if tries == len(rec.events) {
 				t.Fatalf("%s: no channel's stream has an eligible event", m.name)
 			}
 			ch = (ch + 1) % len(rec.events)
-			c = newContext(rec.events[ch], rec.cfg.Geo)
+			c = newStream(rec.events[ch], rec.cfg.Geo)
 			for i := range c.evs {
 				if m.ok(c, i) {
 					eligible = append(eligible, i)

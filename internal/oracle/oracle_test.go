@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -242,6 +243,97 @@ func TestCheckStats(t *testing.T) {
 	bad.RD = 2 // a dropped/duplicated energy event
 	o.CheckStats(0, bad)
 	wantViolations(t, o, "stats-mismatch", 1)
+}
+
+// TestCheckStatsCoversEveryField drives a device through every command kind
+// with the oracle attached and walks dram.Stats by reflection: a field is
+// either listed as cycle-integral or non-zero on the device, equal in the
+// oracle's mirror, and named by a stats-mismatch once the report is off by
+// one. A counter added to dram.Stats that the oracle neither mirrors nor
+// lists fails here.
+func TestCheckStatsCoversEveryField(t *testing.T) {
+	g := testGeo()
+	tm := dram.LPDDR4(dram.Density8Gb, 64, g)
+	crow := tm.CROW()
+	dev := dram.NewChannel(g, tm)
+	o := New(Config{Channels: 1, Geo: g, T: tm, DataChecks: true, MaxSamples: 100})
+	dev.Attach(o.Observer(0))
+	now := int64(0)
+	at := func(ready int64) int64 {
+		now = max(now+1, ready)
+		dev.Tick(now)
+		return now
+	}
+	a := dram.Addr{Row: 5, Col: 3}
+	for _, k := range []struct {
+		kind    dram.ActKind
+		plan    dram.ActTimings
+		copyRow int
+	}{{dram.ActCopy, crow.CopyFull, 0}, {dram.ActTwo, crow.TwoFull, 0}, {dram.ActSingle, tm.Base(), -1}, {dram.ActCopyRow, tm.Base(), 0}} {
+		dev.ACT(a, at(dev.ReadyACT(a)), k.kind, k.plan, k.copyRow)
+		dev.WR(a, at(dev.ReadyWR(a)))
+		dev.RD(a, at(dev.ReadyRD(a)))
+		dev.PRE(a, at(dev.ReadyPRE(a)+int64(k.plan.RASFull)))
+	}
+	dev.REF(0, at(dev.ReadyREF(0)))
+	dev.REFpb(0, 1, at(dev.ReadyREFpb(0, 1)))
+	o.CheckStats(0, dev.Stats)
+	if f := o.Findings(); f.Total() != 0 {
+		t.Fatalf("the device's own stats flagged: %v; samples: %v", f.Counts, f.Samples)
+	}
+	st := reflect.TypeOf(dev.Stats)
+	for name := range cycleIntegral {
+		if _, ok := st.FieldByName(name); !ok {
+			t.Errorf("cycleIntegral lists %s, which dram.Stats does not have", name)
+		}
+	}
+	for i := 0; i < st.NumField(); i++ {
+		name := st.Field(i).Name
+		if cycleIntegral[name] {
+			continue
+		}
+		if reflect.ValueOf(dev.Stats).Field(i).Int() == 0 {
+			t.Errorf("dram.Stats.%s stayed 0 over every command kind: mirror it in the oracle (and drive it here) or list it in cycleIntegral", name)
+		}
+		off := dev.Stats
+		f := reflect.ValueOf(&off).Elem().Field(i)
+		f.SetInt(f.Int() + 1)
+		before := o.Findings().Total()
+		o.CheckStats(0, off)
+		got := o.Findings()
+		if got.Total() != before+1 || !strings.Contains(got.Samples[len(got.Samples)-1], " "+name+": ") {
+			t.Errorf("%s off by one: %d new violations, samples %v", name, got.Total()-before, got.Samples)
+		}
+	}
+}
+
+// TestTouchedRowsAllocateNothing: once its rows and columns have been touched,
+// a stream of re-activations of every kind, reads, writes and precharges
+// leaves the heap alone.
+func TestTouchedRowsAllocateNothing(t *testing.T) {
+	o, obs := testOracle(t, nil)
+	tm := dram.LPDDR4(dram.Density8Gb, 64, testGeo())
+	crow := tm.CROW()
+	round := func() {
+		for _, k := range []struct {
+			row, copyRow int
+			kind         dram.ActKind
+			plan         dram.ActTimings
+		}{{5, 0, dram.ActCopy, crow.CopyFull}, {5, 0, dram.ActTwo, crow.TwoFull}, {20, -1, dram.ActSingle, tm.Base()}, {9, 1, dram.ActCopyRow, tm.Base()}} {
+			act(obs, k.row, k.kind, k.copyRow, k.plan, 0)
+			col(obs, dram.CmdWR, k.row, 3, 0)
+			col(obs, dram.CmdRD, k.row, 3, 0)
+			col(obs, dram.CmdRD, k.row, 4, 0)
+			pre(obs, k.row, true, 0)
+		}
+	}
+	round()
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Errorf("a round over touched rows allocates %v times, want 0", n)
+	}
+	if f := o.Findings(); f.Total() != 0 {
+		t.Fatalf("the stream raised violations: %v; samples: %v", f.Counts, f.Samples)
+	}
 }
 
 func TestSampleBound(t *testing.T) {
