@@ -87,7 +87,7 @@ func parse(args []string, stderr io.Writer) (cli, error) {
 	fs.IntVar(&o.RefreshScale, "refresh-scale", 0, "refresh-rate multiplier for -mitigation refresh-scale (default 4)")
 	fs.IntVar(&o.FlipHCFirst, "flip-hcfirst", 0, "enable the bit-flip model with this median HC_first threshold (0 = off)")
 	fs.IntVar(&o.FlipJitterPct, "flip-jitter", 0, "flip model per-row threshold jitter in percent (default 25)")
-	fs.IntVar(&o.FlipBlastPct, "flip-blast", 0, "flip model distance-2 blast dose in percent of distance-1 (negative disables)")
+	fs.IntVar(&o.FlipBlastPct, "flip-blast", 0, "flip model distance-2 blast dose in percent of distance-1 (default 25; negative disables)")
 	fs.IntVar(&o.FlipPatternPct, "flip-pattern", 0, "flip model data-pattern threshold scale in percent for the susceptible half of rows (default 75)")
 	fs.StringVar(&o.Translation, "translation", "", "virtual-to-physical translation: "+strings.Join(crow.Translations(), ", ")+" (default hash)")
 	fs.IntVar(&o.TableShareGroup, "table-share", 0, "CROW-table sharing group (Section 6.1) (default 1)")
@@ -108,6 +108,13 @@ func parse(args []string, stderr io.Writer) (cli, error) {
 	fs.StringVar(&c.memProfile, "memprofile", "", "write a Go heap profile at exit")
 	fs.StringVar(&c.execTrace, "exectrace", "", "write a Go runtime execution trace")
 	err := fs.Parse(args)
+	// Zero selects the default the help text quotes, so an explicit 0 on such
+	// a flag would run that default without a word.
+	fs.Visit(func(f *flag.Flag) {
+		if _, def, ok := strings.Cut(f.Usage, "(default "); ok && err == nil && f.DefValue == "0" && f.Value.String() == "0" {
+			err = fmt.Errorf("-%s 0 would run the default (%s: leave the flag out for that, or give another value", f.Name, def)
+		}
+	})
 	o.LLCBytes = llcBytes(*llcMiB, *llcKiB)
 	return c, err
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -165,6 +166,42 @@ func TestRemovedShardsFlagIsUsageError(t *testing.T) {
 	}
 	if stdout.Len() != 0 {
 		t.Errorf("a rejected command line ran a simulation:\n%s", stdout.String())
+	}
+}
+
+// TestExplicitZeroIsUsageError: an unset flag is a zero field, which selects
+// the default its help text quotes, so an explicit 0 on such a flag is refused
+// with that default named — it used to run the default without a word
+// (`-copyrows 0` printed the report of `-copyrows 8`). Leaving the flag out
+// still runs the default, and the flags where 0 means something take it.
+func TestExplicitZeroIsUsageError(t *testing.T) {
+	base := []string{"-mech", "crow-cache", "-workloads", "mcf", "-insts", "3000"}
+	out := func(args ...string) (string, error) {
+		var stdout bytes.Buffer
+		err := run(context.Background(), args, &stdout, io.Discard)
+		return stdout.String(), err
+	}
+	for _, c := range []struct{ flag, def string }{
+		{"-copyrows", "(8)"}, {"-insts", "(500000)"}, {"-seed", "(1)"}, {"-llc", "(8)"},
+		{"-warmup", "(insts/10)"}, {"-density", "(8)"}, {"-flip-blast", "(25;"},
+	} {
+		got, err := out(append(slices.Clone(base), c.flag, "0")...)
+		if err == nil || !strings.Contains(err.Error(), c.flag+" 0 would run the default "+c.def) {
+			t.Errorf("%s 0: err = %v, want a usage error naming the default %s", c.flag, err, c.def)
+		}
+		if got != "" {
+			t.Errorf("%s 0 ran a simulation:\n%s", c.flag, got)
+		}
+	}
+	unset, err := out(base...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if set, err := out(append(slices.Clone(base), "-copyrows", "8", "-seed", "1", "-density", "8")...); err != nil || set != unset {
+		t.Errorf("unset flags do not run the defaults (err %v):\n%s\nvs\n%s", err, unset, set)
+	}
+	if _, err := out(append(slices.Clone(base), "-flip-hcfirst", "0", "-llc-kib", "0", "-j", "0", "-timeout", "0", "-postpone", "0")...); err != nil {
+		t.Errorf("a meaningful 0 was refused: %v", err)
 	}
 }
 

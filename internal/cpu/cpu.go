@@ -61,6 +61,10 @@ type Core struct {
 
 	outstanding int // LLC misses in flight
 
+	// clock is the last cycle the core has executed: Tick(now) sets it,
+	// Advance(n) adds n. It may lag the run loop's by up to the Horizon.
+	clock int64
+
 	// loadDone holds one completion callback per load-ring slot, built once
 	// at construction so load accesses allocate nothing. Loads retire in
 	// order and none retires before its callback fires, so a slot is never
@@ -112,7 +116,8 @@ func New(id int, cfg Config, gen trace.Generator, mem Memory, xlat Translator) *
 	}
 	for i := range c.loadDone {
 		l := &c.loads[i]
-		c.loadDone[i] = func(int64) {
+		c.loadDone[i] = func(now int64) {
+			c.CatchUp(now)
 			if l.miss {
 				l.miss = false
 				c.outstanding--
@@ -147,7 +152,8 @@ func (c *Core) storeToken() int {
 	}
 	t := len(c.storeDone)
 	c.storeMiss = append(c.storeMiss, false)
-	c.storeDone = append(c.storeDone, func(int64) {
+	c.storeDone = append(c.storeDone, func(now int64) {
+		c.CatchUp(now)
 		if c.storeMiss[t] {
 			c.storeMiss[t] = false
 			c.outstanding--
@@ -157,8 +163,11 @@ func (c *Core) storeToken() int {
 	return t
 }
 
-// Tick advances the core by one CPU cycle.
+// Tick executes cycle now, after catching the core up to the cycle before.
+// The clock moves first: a memory may complete an access from inside Access.
 func (c *Core) Tick(now int64) {
+	c.CatchUp(now - 1)
+	c.clock = now
 	c.Cycles++
 	// Retire in order, up to width, stopping at the oldest unready load;
 	// the ready loads the retire pointer passes leave the ring.
@@ -309,6 +318,7 @@ func (c *Core) Advance(n int64) {
 		return
 	}
 	_, retire, stall := c.phase()
+	c.clock += n
 	c.Cycles += n
 	if stall != nil {
 		*stall += n
@@ -325,6 +335,18 @@ func (c *Core) Advance(n int64) {
 		}
 	}
 }
+
+// CatchUp brings the core through cycle now in closed form, as one Advance. A
+// completion does so before it changes anything, and the run loop before it
+// reads the core's counters; both stay within the Horizon the core last gave.
+func (c *Core) CatchUp(now int64) {
+	if now > c.clock {
+		c.Advance(now - c.clock)
+	}
+}
+
+// Clock returns the last cycle the core has executed.
+func (c *Core) Clock() int64 { return c.clock }
 
 // verifyAll is what New copies into Core.verify.
 var verifyAll atomic.Bool
@@ -354,10 +376,10 @@ func (c *Core) verifyAdvance(n int64) {
 	gen, mem := c.Gen, c.Mem
 	c.Gen, c.Mem = untouchable{}, untouchable{}
 	for i := int64(0); i < n; i++ {
-		c.Tick(0)
+		c.Tick(c.clock + 1)
 	}
 	c.Gen, c.Mem = gen, mem
-	if c.Retired != want.Retired || c.Cycles != want.Cycles ||
+	if c.clock != want.clock || c.Retired != want.Retired || c.Cycles != want.Cycles ||
 		c.StallWindow != want.StallWindow || c.StallMSHR != want.StallMSHR ||
 		c.issueSeq != want.issueSeq || c.retireSeq != want.retireSeq ||
 		c.loadHead != want.loadHead || c.loadTail != want.loadTail ||

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -90,7 +91,7 @@ func TestLoadBlocksRetirement(t *testing.T) {
 	if c.StallWindow == 0 {
 		t.Error("window-full stalls must be counted")
 	}
-	mem.completeAll(51)
+	mem.completeAll(50) // after the tick of the cycle, as the LLC delivers
 	for i := int64(51); i <= 100; i++ {
 		c.Tick(i)
 	}
@@ -117,7 +118,7 @@ func TestMSHRLimitStallsIssue(t *testing.T) {
 	if c.StallMSHR == 0 {
 		t.Error("MSHR stalls must be counted")
 	}
-	mem.completeAll(51)
+	mem.completeAll(50)
 	c.Tick(51)
 	c.Tick(52)
 	if mem.count <= cfg.MSHRs {
@@ -158,7 +159,7 @@ func TestHitsDoNotConsumeMSHRs(t *testing.T) {
 	}
 	// Complete all hits; outstanding must never go negative (would panic
 	// on a later underflow or misbehave). Verified by continuing to run.
-	mem.completeAll(11)
+	mem.completeAll(10)
 	for i := int64(11); i <= 30; i++ {
 		c.Tick(i)
 	}
@@ -419,10 +420,12 @@ func bubbles(n int, line byte) []byte { return []byte{byte(n), byte(n >> 8), lin
 
 // FuzzCoreAdvance drives the reference core and the new one with one scripted
 // trace and one scripted memory each. The reference ticks every cycle; the new
-// core jumps whenever it reports a horizon, as far as the next completion
-// allows, with its self-check on, and must never carry Retired across `until`
-// inside a jump. After every step the two must agree on every exported counter
-// and on every access they made: cycle, address and direction.
+// core is ticked as the run loop ticks it, only when its horizon runs out, and
+// a completion that comes first reaches it however far behind it is (and must
+// catch it up, without carrying Retired across `until`). Its self-check is on,
+// so every catch-up is re-ticked. After every step the two must agree on every
+// exported counter and on every access they made: cycle, address and
+// direction.
 func FuzzCoreAdvance(f *testing.F) {
 	// Trap (a): records fetched mid-tick, their bubbles starting one slot on.
 	f.Add(slices.Concat(bubbles(1, 1), bubbles(2, 2), bubbles(3, 3), bubbles(5, 4), bubbles(7, 5)), []byte{0x0f}, byte(120), byte(3), byte(7), uint16(90))
@@ -432,6 +435,11 @@ func FuzzCoreAdvance(f *testing.F) {
 	f.Add(slices.Concat(bubbles(1000, 1), bubbles(997, 2), bubbles(640, 3)), []byte{0x3c, 0x0f}, byte(120), byte(3), byte(7), uint16(1501))
 	// Misses out of order under a small window and two MSHRs; stores.
 	f.Add(slices.Concat(bubbles(0, 1), bubbles(0, 2), []byte{4, 4, 3}, bubbles(30, 4), bubbles(0, 5), bubbles(200, 6)), []byte{0xf9, 0x09, 0x31, 0x0d, 0x00, 0x51}, byte(0), byte(1), byte(1), uint16(300))
+	// Completions reaching a lagging core: a 94-cycle miss under a one-wide
+	// core whose window takes 127 cycles to fill behind it, and a 10-cycle
+	// miss issued in the middle of a run of bubbles the core is skipping.
+	f.Add(slices.Concat(bubbles(0, 1), bubbles(1000, 2), bubbles(1000, 3)), []byte{0xf9}, byte(120), byte(0), byte(7), uint16(2000))
+	f.Add(slices.Concat(bubbles(300, 1), bubbles(1000, 2), bubbles(1000, 3)), []byte{0x19}, byte(120), byte(3), byte(7), uint16(2000))
 	f.Fuzz(func(t *testing.T, trc, script []byte, window, width, mshrs byte, until uint16) {
 		recs := fuzzRecords(trc)
 		if len(recs) == 0 || len(script) == 0 {
@@ -443,41 +451,172 @@ func FuzzCoreAdvance(f *testing.F) {
 		ref := newRefCore(0, cfg, &scriptGen{recs: recs}, refMem, idXlat{})
 		c := New(0, cfg, &scriptGen{recs: recs}, mem, idXlat{})
 		c.verify = true // and every Advance against the Ticks it stands for, ring included
-		for now, jumps, seen := int64(0), 0, 0; now < 6_000; {
+		for now, steps, seen := int64(0), 0, 0; now < 6_000; steps++ {
 			stop := int64(math.MaxInt64)
 			if c.Retired < target {
 				stop = target
 			}
-			n := min(c.Horizon(stop), mem.next()-now-1, 6_000-now)
-			if n > 0 {
-				before := c.Retired
-				c.Advance(n)
-				if before < target && c.Retired >= target {
-					t.Fatalf("cycle %d: Advance(%d) carried Retired %d -> %d across %d", now, n, before, c.Retired, target)
-				}
-				jumps++
-			} else {
-				n = 1
-				c.Tick(now + 1)
-				mem.deliver(now + 1)
+			due := now + min(c.Horizon(stop), 6_000) + 1
+			at := min(due, mem.next(), 6_000)
+			before := c.Retired
+			if at == due {
+				c.Tick(at)
 			}
-			for i := int64(1); i <= n; i++ {
-				ref.Tick(now + i)
-				refMem.deliver(now + i)
+			mem.deliver(at)
+			if at < due && before < target && c.Retired >= target {
+				t.Fatalf("cycle %d: a completion caught the core up from %d, carrying Retired %d -> %d across %d", at, now, before, c.Retired, target)
 			}
-			now += n
-			if c.Retired != ref.Retired || c.Cycles != ref.Cycles ||
+			c.CatchUp(at) // the end of the run, when nothing reached the core
+			for i := now + 1; i <= at; i++ {
+				ref.Tick(i)
+				refMem.deliver(i)
+			}
+			if c.Clock() != at || c.Retired != ref.Retired || c.Cycles != ref.Cycles ||
 				c.StallWindow != ref.StallWindow || c.StallMSHR != ref.StallMSHR {
-				t.Fatalf("cycle %d, after %d jumps (last step %d cycles): retired/cycles/stallWindow/stallMSHR = %d/%d/%d/%d, reference %d/%d/%d/%d",
-					now, jumps, n, c.Retired, c.Cycles, c.StallWindow, c.StallMSHR,
+				t.Fatalf("cycle %d, step %d (%d cycles): clock/retired/cycles/stallWindow/stallMSHR = %d/%d/%d/%d/%d, reference %d/%d/%d/%d",
+					at, steps, at-now, c.Clock(), c.Retired, c.Cycles, c.StallWindow, c.StallMSHR,
 					ref.Retired, ref.Cycles, ref.StallWindow, ref.StallMSHR)
 			}
+			now = at
 			if !slices.Equal(mem.log[seen:], refMem.log[seen:]) {
 				t.Fatalf("cycle %d: accesses %v, reference %v", now, mem.log[seen:], refMem.log[seen:])
 			}
 			seen = len(mem.log)
 		}
 	})
+}
+
+// state is everything about a core that a tick or a completion can change.
+func state(c *Core) []any {
+	return []any{c.clock, c.Retired, c.Cycles, c.StallWindow, c.StallMSHR,
+		c.issueSeq, c.retireSeq, c.loadHead, c.loadTail, slices.Clone(c.loads),
+		c.bubblesLeft, c.rec, c.haveRec, c.outstanding, slices.Clone(c.storeMiss), slices.Clone(c.storeFree)}
+}
+
+// TestCompletionCatchesUp: a completion that reaches a core k cycles behind
+// is k Ticks followed by the completion, in each phase a core can be left
+// behind in — a run of bubbles past an outstanding load or store, a window
+// filling behind one, a stall — for every k its horizon allows.
+func TestCompletionCatchesUp(t *testing.T) {
+	cases := []struct {
+		name string
+		recs []trace.Record
+		warm int64 // cycles ticked before the lazy core is left behind
+	}{
+		{"run past a load", []trace.Record{{Bubbles: 300, Addr: 64}, {Bubbles: 1000, Addr: 128}}, 80},
+		{"run past a store", []trace.Record{{Bubbles: 300, Addr: 64, Write: true}, {Bubbles: 1000, Addr: 128}}, 80},
+		{"fill", []trace.Record{{Bubbles: 0, Addr: 64}, {Bubbles: 1000, Addr: 128}}, 2},
+		{"stall", []trace.Record{{Bubbles: 0, Addr: 64}, {Bubbles: 1000, Addr: 128}}, 40},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// Two cores ticked alike through warm; the lazy one checks its
+			// catch-up against the Ticks it stands for.
+			pair := func() (eager, lazy *Core, eagerMem, lazyMem *scriptMem) {
+				eagerMem, lazyMem = &scriptMem{accept: true}, &scriptMem{accept: true}
+				eager = New(0, DefaultConfig(), &scriptGen{recs: tc.recs}, eagerMem, idXlat{})
+				lazy = New(0, DefaultConfig(), &scriptGen{recs: tc.recs}, lazyMem, idXlat{})
+				lazy.verify = true
+				for now := int64(1); now <= tc.warm; now++ {
+					eager.Tick(now)
+					lazy.Tick(now)
+				}
+				return
+			}
+			_, probe, _, probeMem := pair()
+			h := min(probe.Horizon(math.MaxInt64), 64)
+			if len(probeMem.pending) == 0 || h < 1 {
+				t.Fatalf("%d accesses outstanding, horizon %d: nothing to leave the core behind for", len(probeMem.pending), h)
+			}
+			for _, k := range []int64{1, 2, 3, 8, 21, h} {
+				if k > h {
+					continue
+				}
+				eager, lazy, eagerMem, lazyMem := pair()
+				for now := tc.warm + 1; now <= tc.warm+k; now++ {
+					eager.Tick(now)
+				}
+				eagerMem.completeAll(tc.warm + k)
+				lazyMem.completeAll(tc.warm + k)
+				for now := tc.warm + k + 1; now <= tc.warm+k+200; now++ {
+					if !reflect.DeepEqual(state(lazy), state(eager)) {
+						t.Fatalf("%d behind, cycle %d: lazy %v, ticked %v", k, now-1, state(lazy), state(eager))
+					}
+					eager.Tick(now)
+					lazy.Tick(now)
+				}
+			}
+		})
+	}
+}
+
+// memFunc is a Memory made of a function.
+type memFunc func(now int64, core int, addr uint64, write bool, done func(int64)) (bool, bool)
+
+func (f memFunc) Access(now int64, core int, addr uint64, write bool, done func(int64)) (bool, bool) {
+	return f(now, core, addr, write, done)
+}
+
+// TestCompletionInsideAccess: a core ticked only when its horizon runs out
+// (the catch-up inside Tick), under a memory that completes every access from
+// inside Access, finds its clock already at the present there and stays the
+// core that is ticked every cycle.
+func TestCompletionInsideAccess(t *testing.T) {
+	recs := []trace.Record{{Bubbles: 37, Addr: 64}, {Bubbles: 5, Addr: 128, Write: true}, {Bubbles: 400, Addr: 192}, {Bubbles: 90, Addr: 256}}
+	var lazy *Core
+	hits := 0
+	inside := memFunc(func(now int64, _ int, _ uint64, _ bool, done func(int64)) (bool, bool) {
+		if lazy.Clock() != now {
+			t.Fatalf("Access at cycle %d found the clock at %d", now, lazy.Clock())
+		}
+		hits++
+		done(now)
+		return true, true
+	})
+	eager := New(0, DefaultConfig(), &scriptGen{recs: recs}, hitMem{}, idXlat{})
+	lazy = New(0, DefaultConfig(), &scriptGen{recs: recs}, inside, idXlat{})
+	lazy.verify = true
+	for now, lazyTicks := int64(0), 0; now < 2_000; lazyTicks++ {
+		due := lazy.Clock() + lazy.Horizon(math.MaxInt64) + 1
+		for ; now < due; now++ {
+			eager.Tick(now + 1)
+		}
+		lazy.Tick(due)
+		if !reflect.DeepEqual(state(lazy), state(eager)) {
+			t.Fatalf("cycle %d, after %d lazy ticks: lazy %v, ticked %v", now, lazyTicks, state(lazy), state(eager))
+		}
+	}
+	if hits < 4 {
+		t.Fatalf("%d accesses: the script never reached memory", hits)
+	}
+}
+
+// BenchmarkCoreCompletionBehind is a store completion reaching a core 64
+// cycles into a run of bubbles it is being left behind in, then its Horizon;
+// then the ticks that end the run, issue the next store and start the next
+// run. Zero allocations.
+func BenchmarkCoreCompletionBehind(b *testing.B) {
+	var pending func(int64)
+	mem := memFunc(func(_ int64, _ int, _ uint64, _ bool, done func(int64)) (bool, bool) {
+		pending = done
+		return true, false
+	})
+	c := New(0, DefaultConfig(), &scriptGen{recs: []trace.Record{{Bubbles: 1000, Addr: 64, Write: true}}}, mem, idXlat{})
+	next := func() { // to 64 cycles into the run after the next store
+		for pending = nil; pending == nil || c.Horizon(math.MaxInt64) < 64; {
+			c.Tick(c.Clock() + c.Horizon(math.MaxInt64) + 1)
+		}
+	}
+	next()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pending(c.Clock() + 64)
+		if c.Horizon(math.MaxInt64) <= 0 {
+			b.Fatal("the completion left the run")
+		}
+		next()
+	}
 }
 
 // hitMem is the always-hit memory of bench's layer ladder: the completion

@@ -29,14 +29,14 @@ func NewHistogram() *Histogram {
 	return h
 }
 
-// Add records one value (values < 1 land in bucket 0).
+// Add records one value (values < 1 land in bucket 0). The bucket is
+// floor(log2 v), read off the binary exponent (v = f·2^e, f in [0.5, 1)): exact
+// where math.Log2 rounds 2^k−1 up to k for k ≥ 49, and no logarithm taken.
 func (h *Histogram) Add(v float64) {
 	b := 0
 	if v >= 1 {
-		b = int(math.Floor(math.Log2(v)))
-		if b >= histBuckets {
-			b = histBuckets - 1
-		}
+		_, e := math.Frexp(v)
+		b = min(e-1, histBuckets-1)
 	}
 	h.buckets[b]++
 	h.count++

@@ -79,6 +79,37 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
+// TestHistogramBucketIsFloorLog2: Add's bucket is the one floor(math.Log2(v))
+// picked before it read the exponent instead — for every integer below 2^24,
+// and for 2^k−1, 2^k and 2^k+1 up to 2^48 — and the exact floor at 2^k−1 for
+// k ≥ 49, where Log2 rounds up to k.
+func TestHistogramBucketIsFloorLog2(t *testing.T) {
+	h := NewHistogram()
+	check := func(v float64, want int) {
+		if h.Add(v); h.buckets[want] != 1 {
+			t.Fatalf("Add(%v) missed bucket %d: %v", v, want, h.buckets)
+		}
+		h.buckets[want] = 0
+	}
+	logFloor := func(v float64) int { return int(math.Floor(math.Log2(v))) }
+	for v := 1; v < 1<<24; v++ {
+		check(float64(v), logFloor(float64(v)))
+	}
+	for k := 25; k <= 48; k++ {
+		p := uint64(1) << k
+		for _, v := range []float64{float64(p - 1), float64(p), float64(p + 1)} {
+			check(v, logFloor(v))
+		}
+	}
+	for k := 49; k < histBuckets; k++ {
+		p := uint64(1) << k
+		if v := float64(p - 1); v < float64(p) { // up to 2^53, where 2^k−1 is still a float64
+			check(v, k-1)
+		}
+		check(float64(p), k)
+	}
+}
+
 // TestHistogramOverflowBucketClamp: values beyond the last bucket's range
 // clamp into the final bucket instead of indexing out of bounds.
 func TestHistogramOverflowBucketClamp(t *testing.T) {

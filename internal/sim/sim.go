@@ -8,6 +8,7 @@ package sim
 import (
 	"context"
 	"math"
+	"slices"
 
 	"crowdram/internal/cache"
 	"crowdram/internal/core"
@@ -179,8 +180,15 @@ type System struct {
 	ratioNum  int64 // DRAM ticks per ratioDen CPU cycles
 	ratioDen  int64
 
-	// everyCycle, set only from tests, turns jump off: the run ticks every
-	// cycle, which is what a jumping run must be indistinguishable from.
+	// due[i] is core i's next real tick: its clock + Horizon(until) + 1, or
+	// MaxInt64 while it is stalled. A core that is not due is left behind
+	// and caught up by whatever reaches it first (cpu.Core.CatchUp). target
+	// is the instruction count the current phase runs each core to.
+	due    []int64
+	target int64
+
+	// everyCycle, set only from tests, turns jump off and ticks every core on
+	// every cycle, which is what a jumping run must be indistinguishable from.
 	everyCycle bool
 
 	// readDone is the one completion callback shared by every read
@@ -348,7 +356,7 @@ func New(cfg Config, mech core.Mechanism, gens []trace.Generator) *System {
 	if cfg.Prefetch {
 		s.Pref = prefetch.New(prefetch.DefaultConfig(), len(gens))
 	}
-	s.Cores = make([]*cpu.Core, len(gens))
+	s.Cores, s.due = make([]*cpu.Core, len(gens)), make([]int64, len(gens))
 	for i, g := range gens {
 		s.Cores[i] = cpu.New(i, cfg.Core, g, llcPort{s}, s)
 	}
@@ -361,12 +369,20 @@ func New(cfg Config, mech core.Mechanism, gens []trace.Generator) *System {
 // the system afterwards.
 func (s *System) Release() { s.LLC.Release() }
 
+// tick executes one CPU cycle: the cores due on it in core order, the LLC if
+// it has an event, the controllers on a DRAM cycle. A core that ticked or that
+// a completion caught up (its clock reads the present) is rescheduled, its
+// horizon cut at the target so that the tick reaching it is a real one.
 func (s *System) tick() {
 	s.cpuCycle++
-	for _, c := range s.Cores {
-		c.Tick(s.cpuCycle)
+	for i, c := range s.Cores {
+		if s.everyCycle || s.due[i] <= s.cpuCycle {
+			c.Tick(s.cpuCycle)
+		}
 	}
-	s.LLC.Tick(s.cpuCycle)
+	if s.LLC.NextEvent(s.cpuCycle-1) <= s.cpuCycle {
+		s.LLC.Tick(s.cpuCycle)
+	}
 	// ratioNum DRAM command cycles per ratioDen CPU cycles (2:5 for
 	// LPDDR4-3200's 1600 MHz vs 4 GHz; 3:5 for DDR5-4800; 1:4 for HBM2).
 	s.accum += int(s.ratioNum)
@@ -377,23 +393,39 @@ func (s *System) tick() {
 			c.Tick(s.dramCycle)
 		}
 	}
+	for i, c := range s.Cores {
+		if c.Clock() != s.cpuCycle {
+			continue
+		}
+		until := int64(math.MaxInt64)
+		if c.Retired < s.target {
+			until = s.target
+		}
+		s.due[i] = math.MaxInt64
+		if h := c.Horizon(until); h < math.MaxInt64 {
+			s.due[i] = s.cpuCycle + h + 1
+		}
+	}
 }
 
-// jump advances the clocks past CPU cycles in which nothing observable
-// happens: every core stays inside its current phase (cpu.Core.Horizon; the n
-// ticks replaced by one Advance), the LLC has no event before its reported next
-// one, and no controller has work before its reported next DRAM cycle. It lands
-// one cycle short of the earliest of those events (converted to CPU cycles),
-// never crosses `limit`, and never lets a core that has not yet retired
-// `target` instructions do so: the tick on which it does is the run loop's to
-// see. A jumping run is thus cycle-for-cycle identical to one that ticks every
-// cycle — including every statistic.
-func (s *System) jump(limit, target int64) {
+// jump advances the system clocks past CPU cycles in which nothing observable
+// happens: no core is due, the LLC has no event before its reported next one,
+// and no controller has work before its reported next DRAM cycle. It lands one
+// cycle short of the earliest of those events (converted to CPU cycles) and
+// never crosses `limit`. The cores it passes are left behind. A jumping run is
+// thus cycle-for-cycle identical to one that ticks every cycle — including
+// every statistic.
+func (s *System) jump(limit int64) {
 	if s.everyCycle {
 		return
 	}
-	// Latest CPU cycle we may jump to is one before the next LLC event.
-	n := min(limit, s.LLC.NextEvent(s.cpuCycle)-1) - s.cpuCycle
+	next := slices.Min(s.due)
+	if next < math.MaxInt64 && s.allReached() {
+		// The tick that completed warm-up is behind us: whatever is skipped
+		// here is charged to warm-up, and only all-stalled cycles ever were.
+		return
+	}
+	n := min(limit, s.LLC.NextEvent(s.cpuCycle)-1, next-1) - s.cpuCycle
 	dnext := dram.Horizon
 	for _, c := range s.Ctrls {
 		if e := c.NextEvent(s.dramCycle); e < dnext {
@@ -411,26 +443,7 @@ func (s *System) jump(limit, target int64) {
 	if n <= 0 {
 		return
 	}
-	cores, reached := int64(math.MaxInt64), true
-	for _, c := range s.Cores {
-		until := int64(math.MaxInt64)
-		if c.Retired < target {
-			until, reached = target, false
-		}
-		if cores = min(cores, c.Horizon(until)); cores <= 0 {
-			return
-		}
-	}
-	if reached && cores < math.MaxInt64 {
-		// The tick that completed warm-up is behind us: whatever is skipped
-		// here is charged to warm-up, and only all-stalled cycles ever were.
-		return
-	}
-	n = min(n, cores)
 	s.cpuCycle += n
-	for _, c := range s.Cores {
-		c.Advance(n)
-	}
 	total := int64(s.accum) + s.ratioNum*n
 	s.dramCycle += total / s.ratioDen
 	s.accum = int(total % s.ratioDen)
@@ -445,9 +458,9 @@ func (s *System) syncDevStats() {
 	}
 }
 
-func (s *System) allReached(target int64) bool {
+func (s *System) allReached() bool {
 	for _, c := range s.Cores {
-		if c.Retired < target {
+		if c.Retired < s.target {
 			return false
 		}
 	}
@@ -490,12 +503,13 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 		// spin out the full warmup allowance before the cap even applies.
 		warmLimit = s.Cfg.MaxMeasureCycles
 	}
-	for !s.allReached(s.Cfg.WarmupInsts) && s.cpuCycle < warmLimit {
+	s.target = s.Cfg.WarmupInsts
+	for !s.allReached() && s.cpuCycle < warmLimit {
 		s.tick()
 		if s.canceled(ctx) {
 			return Result{}, ctx.Err()
 		}
-		s.jump(warmLimit, s.Cfg.WarmupInsts)
+		s.jump(warmLimit)
 	}
 	// Reset measurement state. Catch device accounting up to the present
 	// first, so the snapshots see current counters.
@@ -521,14 +535,16 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 	}
 	s.LLC.ResetStats()
 	for _, c := range s.Cores {
+		c.CatchUp(s.cpuCycle)
 		c.ResetStats()
 	}
+	clear(s.due) // a new target: every core ticks first, then is rescheduled
 
 	// Measurement: run until every core retires the target; cores that
 	// finish early keep running (and keep interfering), per Section 7.
-	target := s.Cfg.MeasureInsts
+	s.target = s.Cfg.MeasureInsts
 	finish := make([]int64, len(s.Cores))
-	limit := s.cpuCycle + target*int64(len(s.Cores))*10_000 + 50_000_000
+	limit := s.cpuCycle + s.target*int64(len(s.Cores))*10_000 + 50_000_000
 	if s.Cfg.MaxMeasureCycles > 0 {
 		limit = s.cpuCycle + s.Cfg.MaxMeasureCycles
 	}
@@ -545,7 +561,7 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 		}
 		doneAll := true
 		for i, c := range s.Cores {
-			if finish[i] == 0 && c.Retired >= target {
+			if finish[i] == 0 && c.Retired >= s.target {
 				finish[i] = c.Cycles
 			}
 			if finish[i] == 0 {
@@ -555,7 +571,7 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 		if doneAll {
 			break
 		}
-		s.jump(limit, target)
+		s.jump(limit)
 	}
 	s.syncDevStats()
 
@@ -563,7 +579,8 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 	res.DRAMCycles = s.dramCycle - startDRAM
 	insts := make([]int64, len(s.Cores))
 	for i, c := range s.Cores {
-		cyc, retired := finish[i], target
+		c.CatchUp(s.cpuCycle)
+		cyc, retired := finish[i], s.target
 		if cyc == 0 {
 			// The loop hit its cycle limit before this core retired the
 			// target. Its IPC uses the instructions it actually retired;

@@ -5,11 +5,14 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"crowdram/internal/core"
+	"crowdram/internal/cpu"
 	"crowdram/internal/ctrl"
 	"crowdram/internal/dram"
+	"crowdram/internal/hammer"
 	"crowdram/internal/retention"
 	"crowdram/internal/trace"
 )
@@ -315,14 +318,15 @@ func TestWarmupBoundaryIsStallOnly(t *testing.T) {
 	// The premise, on a system ticked by hand to the boundary: a jump that
 	// knew of no target would move the clock there.
 	s := New(cfg, &core.Baseline{T: cfg.T}, appGens(t, cfg.Seed, apps...))
-	for !s.allReached(cfg.WarmupInsts) {
+	for s.target = cfg.WarmupInsts; !s.allReached(); {
 		s.tick()
 	}
 	boundary := s.cpuCycle
 	if boundary >= cfg.MaxMeasureCycles {
 		t.Fatalf("warm-up took %d cycles: the cap, which bounds it too, would cut it short", boundary)
 	}
-	if s.jump(math.MaxInt64, math.MaxInt64); s.cpuCycle == boundary {
+	s.target = math.MaxInt64
+	if s.jump(math.MaxInt64); s.cpuCycle == boundary {
 		t.Fatal("nothing to jump over on the tick that completes warm-up: pick another configuration")
 	}
 	if res := runBothWays(t, cfg, apps...); !res.Truncated {
@@ -343,6 +347,69 @@ func TestJumpStopsShortOfTarget(t *testing.T) {
 	}
 	if res.IPC[0] == res.IPC[1] || res.IPC[1] == res.IPC[2] {
 		t.Errorf("cores were meant to finish at different times: IPC %v", res.IPC)
+	}
+}
+
+// TestLazyCoresMatchEveryCycle: a run that ticks a core only when it is due,
+// and leaves it behind otherwise, is — Result field for field — the run that
+// ticks every core on every cycle, while every catch-up (a completion reaching
+// a core behind, a due core's own Tick, the syncs at the warm-up boundary and
+// at the end) is re-ticked against a generator and a memory that panic.
+func TestLazyCoresMatchEveryCycle(t *testing.T) {
+	cpu.SetVerifyAdvance(true)
+	t.Cleanup(func() { cpu.SetVerifyAdvance(false) })
+	cases := []struct {
+		name     string
+		apps     []string
+		set      func(*Config)
+		boundary bool // one core stalled at the warm-up boundary, the others inside a run
+	}{
+		{"1 core", []string{"gcc"}, nil, false},
+		{"2 cores", []string{"povray", "mcf"}, nil, false},
+		{"3 cores", []string{"povray", "gcc", "mcf"}, nil, false},
+		{"4 cores", []string{"povray", "gcc", "h264-enc", "jp2-dec"}, nil, false},
+		{"truncated inside a run", []string{"povray", "gcc"}, func(c *Config) { c.MaxMeasureCycles = 12_345 }, false},
+		{"warm-up boundary", []string{"mcf", "povray", "h264-enc"}, func(c *Config) { c.Seed = 2 }, true},
+		{"prefetch", []string{"libq", "povray"}, func(c *Config) { c.Prefetch = true }, false},
+		{"rowstripe hammer", []string{"hammer-double", "mcf"}, func(c *Config) {
+			c.LLC.SizeBytes, c.Translation = 64<<10, "rowstripe"
+			c.FlipModel = &hammer.Config{Seed: 1, HCFirst: 512}
+		}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallCfg(0)
+			cfg.MeasureInsts = 20_000
+			if tc.set != nil {
+				tc.set(&cfg)
+			}
+			if tc.boundary {
+				s := New(cfg, &core.Baseline{T: cfg.T}, appGens(t, cfg.Seed, tc.apps...))
+				for s.target = cfg.WarmupInsts; !s.allReached(); {
+					s.tick()
+				}
+				stalled := 0
+				for i := range s.Cores {
+					if s.due[i] == math.MaxInt64 {
+						stalled++
+					} else if s.due[i] <= s.cpuCycle+1 {
+						t.Fatalf("core %d is due on the cycle after the boundary, not inside a run: due %v at %d", i, s.due, s.cpuCycle)
+					}
+				}
+				if stalled != 1 {
+					t.Fatalf("%d cores stalled at the boundary, want 1: due %v", stalled, s.due)
+				}
+			}
+			res := runBothWays(t, cfg, tc.apps...)
+			if res.Truncated != (cfg.MaxMeasureCycles > 0) {
+				t.Fatalf("Truncated = %v", res.Truncated)
+			}
+			for i := 1; i < len(res.IPC); i++ {
+				if slices.Contains(res.IPC[:i], res.IPC[i]) {
+					t.Errorf("cores were meant to finish at different times: IPC %v", res.IPC)
+				}
+			}
+		})
 	}
 }
 
