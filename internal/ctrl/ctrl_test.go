@@ -318,22 +318,24 @@ func TestMechCopyExecution(t *testing.T) {
 }
 
 // TestRandomTrafficObeysProtocol drives random requests through every
-// mechanism configuration with the independent checker attached, and makes
-// sure all requests complete and no timing constraint is ever violated.
+// mechanism configuration, and CROW-cache through every other standard with
+// its own refresh granularity, with the independent checker attached, and
+// makes sure all requests complete and no timing constraint is ever violated.
 func TestRandomTrafficObeysProtocol(t *testing.T) {
+	crowCache := func(g dram.Geometry, tm dram.Timing) core.Mechanism {
+		m := core.NewCROW(1, g, tm)
+		m.Cache = true
+		return m
+	}
 	configs := []struct {
-		name string
-		mech func(g dram.Geometry, tm dram.Timing) core.Mechanism
-		masa bool
-		open bool
+		name, std, refresh string
+		mech               func(g dram.Geometry, tm dram.Timing) core.Mechanism
+		masa               bool
+		open               bool
 	}{
-		{"baseline", func(g dram.Geometry, tm dram.Timing) core.Mechanism { return &core.Baseline{T: tm} }, false, false},
-		{"crow-cache", func(g dram.Geometry, tm dram.Timing) core.Mechanism {
-			m := core.NewCROW(1, g, tm)
-			m.Cache = true
-			return m
-		}, false, false},
-		{"crow-cache+ref", func(g dram.Geometry, tm dram.Timing) core.Mechanism {
+		{"baseline", "lpddr4", "", func(g dram.Geometry, tm dram.Timing) core.Mechanism { return &core.Baseline{T: tm} }, false, false},
+		{"crow-cache", "lpddr4", "", crowCache, false, false},
+		{"crow-cache+ref", "lpddr4", "", func(g dram.Geometry, tm dram.Timing) core.Mechanism {
 			m := core.NewCROW(1, g, tm)
 			m.Cache = true
 			m.Ref = true
@@ -342,15 +344,23 @@ func TestRandomTrafficObeysProtocol(t *testing.T) {
 			}, 3, 11))
 			return m
 		}, false, false},
-		{"ideal", func(g dram.Geometry, tm dram.Timing) core.Mechanism { return &core.Ideal{T: tm} }, false, false},
-		{"salp-masa", func(g dram.Geometry, tm dram.Timing) core.Mechanism { return &core.Baseline{T: tm} }, true, true},
+		{"ideal", "lpddr4", "", func(g dram.Geometry, tm dram.Timing) core.Mechanism { return &core.Ideal{T: tm} }, false, false},
+		{"salp-masa", "lpddr4", "", func(g dram.Geometry, tm dram.Timing) core.Mechanism { return &core.Baseline{T: tm} }, true, true},
+		{"ddr4", "ddr4", "allbank", crowCache, false, false},
+		{"ddr5/samebank", "ddr5", "samebank", crowCache, false, false},
+		{"hbm2/perbank", "hbm2", "perbank", crowCache, false, false},
+		{"lpddr5/perbank", "lpddr5", "perbank", crowCache, false, false},
 	}
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
-			g := dram.Std(8)
-			tm := dram.LPDDR4(dram.Density8Gb, 64, g)
+			s, err := dram.StandardByName(cfg.std)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := s.Geometry(8)
+			tm := s.Timing(dram.Density8Gb, s.RefWindowMS, g)
 			ctrlCfg := DefaultConfig(0, g, tm)
-			ctrlCfg.MASA = cfg.masa
+			ctrlCfg.MASA, ctrlCfg.Refresh, ctrlCfg.Features = cfg.masa, cfg.refresh, s.Features
 			if cfg.open {
 				ctrlCfg.RowPolicy = "open"
 			}
@@ -369,6 +379,10 @@ func TestRandomTrafficObeysProtocol(t *testing.T) {
 						Row:  rng.Intn(64), // few rows: force reuse + conflicts
 						Col:  rng.Intn(128),
 					}
+					if g.Ranks > 1 {
+						a.Rank = rng.Intn(g.Ranks)
+					}
+					a.Col %= g.ColumnsPerRow()
 					if rng.Intn(4) == 0 {
 						if c.EnqueueWrite(&Request{Type: Write, Addr: a}, now) {
 							issued++

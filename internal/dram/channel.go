@@ -412,7 +412,7 @@ func (c *Channel) ACT(a Addr, now int64, k ActKind, t ActTimings, copyRow int) {
 		c.Stats.ActRasSingle += int64(t.RAS)
 	}
 	if c.obs != nil {
-		c.emit(CmdEvent{Cmd: cmdACTBase + Command(k), Addr: a, Cycle: now, Kind: k, CopyRow: copyRow, Plan: t})
+		c.emit(CmdEvent{Cmd: CmdACT + Command(k), Addr: a, Cycle: now, Kind: k, CopyRow: copyRow, Plan: t})
 	}
 }
 

@@ -25,12 +25,13 @@ func commandPlans(tm Timing) []struct {
 	}
 }
 
-// TestRandomCommandStream drives the device with randomly chosen commands,
-// issuing each one only when the device reports it legal, and lets the
-// independent checker validate the whole stream. This exercises corner
-// interleavings (refresh vs activation, MRA plans, per-bank refresh, MASA)
-// that the targeted tests do not. After every issued command the Ready*/Can*
-// contract is checked in the state that command left.
+// TestRandomCommandStream drives the device of every standard, with and
+// without MASA, with randomly chosen commands, issuing each one only when the
+// device reports it legal, and lets the independent checker validate the whole
+// stream. This exercises corner interleavings (refresh vs activation, MRA
+// plans, per-bank refresh, per-rank data buses, MASA) that the targeted tests
+// do not. After every issued command the Ready*/Can* contract is checked in
+// the state that command left.
 func TestRandomCommandStream(t *testing.T) {
 	for _, masa := range []bool{false, true} {
 		name := "conventional"
@@ -38,135 +39,77 @@ func TestRandomCommandStream(t *testing.T) {
 			name = "masa"
 		}
 		t.Run(name, func(t *testing.T) {
-			g := Std(8)
-			tm := LPDDR4(Density8Gb, 64, g)
-			c := NewChannel(g, tm)
-			c.MASA = masa
-			k := NewChecker(c)
-			m := newShadow(c)
-			rng := rand.New(rand.NewSource(99))
-			plans := commandPlans(tm)
+			for _, std := range StandardNames() {
+				t.Run(std, func(t *testing.T) {
+					c := stdChannel(t, std, 8, masa)
+					g := c.Geo
+					k := NewChecker(c)
+					rng := rand.New(rand.NewSource(99))
+					plans := commandPlans(c.T)
 
-			issued, checked := 0, 0
-			for now := int64(0); issued < 400 && now < 2_000_000; now++ {
-				c.Tick(now)
-				if checked < issued {
-					checked = issued
-					probe := Addr{Bank: rng.Intn(g.Banks), Row: rng.Intn(64), Col: rng.Intn(g.ColumnsPerRow())}
-					if open := c.OpenRow(probe); open >= 0 && rng.Intn(2) == 0 {
-						probe.Row = open
-					}
-					checkReadyContract(t, c, m, probe)
-				}
-				a := Addr{
-					Bank: rng.Intn(g.Banks),
-					Row:  rng.Intn(64),
-					Col:  rng.Intn(g.ColumnsPerRow()),
-				}
-				switch rng.Intn(6) {
-				case 0:
-					p := plans[rng.Intn(len(plans))]
-					if c.CanACT(a, now, p.kind) {
-						copyRow := -1
-						if p.kind != ActSingle {
-							copyRow = rng.Intn(g.CopyRows)
+					issued, checked := 0, 0
+					for now := int64(0); issued < 1000 && now < 2_000_000; now++ {
+						c.Tick(now)
+						// Rows from four subarrays of a bank, so MASA and the
+						// bank-level rules matter.
+						a := Addr{
+							Rank: rng.Intn(g.Ranks),
+							Bank: rng.Intn(g.Banks),
+							Row:  rng.Intn(4)*g.RowsPerSubarray + rng.Intn(16),
+							Col:  rng.Intn(g.ColumnsPerRow()),
 						}
-						c.ACT(a, now, p.kind, p.t, copyRow)
-						m.act(a)
-						issued++
-					}
-				case 1:
-					if open := c.OpenRow(a); open >= 0 {
-						a.Row = open
-						if c.CanRD(a, now) {
-							c.RD(a, now)
-							issued++
+						if checked < issued {
+							checked = issued
+							probe := a
+							if open := c.OpenRow(probe); open >= 0 && rng.Intn(2) == 0 {
+								probe.Row = open
+							}
+							checkReadyContract(t, c, k, probe)
 						}
-					}
-				case 2:
-					if open := c.OpenRow(a); open >= 0 {
-						a.Row = open
-						if c.CanWR(a, now) {
-							c.WR(a, now)
-							issued++
-						}
-					}
-				case 3:
-					if open := c.OpenRow(a); open >= 0 {
-						a.Row = open
-						if c.CanPRE(a, now) {
-							c.PRE(a, now)
-							m.pre(a)
-							issued++
+						switch rng.Intn(6) {
+						case 0:
+							p := plans[rng.Intn(len(plans))]
+							if c.CanACT(a, now, p.kind) {
+								copyRow := -1
+								if p.kind != ActSingle {
+									copyRow = rng.Intn(g.CopyRows)
+								}
+								c.ACT(a, now, p.kind, p.t, copyRow)
+								issued++
+							}
+						case 1, 2, 3:
+							if open := c.OpenRow(a); open >= 0 {
+								a.Row = open
+								// RD, WR or PRE to the open row.
+								if op := contractOps(c, c.T)[rng.Intn(3)+1]; op.can(a, now) {
+									op.issue(a, now)
+									issued++
+								}
+							}
+						case 4:
+							if c.CanREF(a.Rank, now) && rng.Intn(50) == 0 {
+								c.REF(a.Rank, now)
+								issued++
+							}
+						case 5:
+							if c.CanREFpb(a.Rank, a.Bank, now) && rng.Intn(50) == 0 {
+								c.REFpb(a.Rank, a.Bank, now)
+								issued++
+							}
 						}
 					}
-				case 4:
-					if c.CanREF(0, now) && rng.Intn(50) == 0 {
-						c.REF(0, now)
-						issued++
+					if issued < 1000 {
+						t.Fatalf("only %d commands issued; device livelocked?", issued)
 					}
-				case 5:
-					b := rng.Intn(g.Banks)
-					if c.CanREFpb(0, b, now) && rng.Intn(50) == 0 {
-						c.REFpb(0, b, now)
-						issued++
+					for _, v := range k.Violations {
+						t.Errorf("checker: %s", v)
 					}
-				}
-			}
-			if issued < 400 {
-				t.Fatalf("only %d commands issued; device livelocked?", issued)
-			}
-			for _, v := range k.Violations {
-				t.Errorf("checker: %s", v)
-			}
-			if c.Stats.Activations() == 0 || c.Stats.PRE == 0 {
-				t.Error("stream must include activity")
+					if c.Stats.Activations() == 0 || c.Stats.PRE == 0 || c.Stats.RD == 0 || c.Stats.WR == 0 {
+						t.Errorf("stream must include activity: %+v", c.Stats)
+					}
+				})
 			}
 		})
-	}
-}
-
-// shadow is the test's own model of which row each subarray holds open,
-// updated only by the commands the driver issues. It is what "only a state
-// change can unblock this command" is judged against, independently of the
-// channel's open list and counters.
-type shadow struct {
-	g    Geometry
-	masa bool
-	open map[[2]int]int // (bank, subarray) -> open row
-}
-
-func newShadow(c *Channel) *shadow {
-	return &shadow{g: c.Geo, masa: c.MASA, open: map[[2]int]int{}}
-}
-
-func (m *shadow) act(a Addr) { m.open[[2]int{a.Bank, a.Subarray(m.g)}] = a.Row }
-func (m *shadow) pre(a Addr) { delete(m.open, [2]int{a.Bank, a.Subarray(m.g)}) }
-
-func (m *shadow) openInBank(bank int) int {
-	n := 0
-	for k := range m.open {
-		if k[0] == bank {
-			n++
-		}
-	}
-	return n
-}
-
-// stateBlocked reports whether no passage of time can make the command legal.
-func (m *shadow) stateBlocked(cmd Command, a Addr) bool {
-	row, isOpen := m.open[[2]int{a.Bank, a.Subarray(m.g)}]
-	switch cmd {
-	case CmdACT:
-		return isOpen || (!m.masa && m.openInBank(a.Bank) > 0)
-	case CmdRD, CmdWR:
-		return !isOpen || row != a.Row
-	case CmdPRE:
-		return !isOpen
-	case CmdREFpb:
-		return m.openInBank(a.Bank) > 0
-	default: // CmdREF
-		return len(m.open) > 0
 	}
 }
 
@@ -200,16 +143,17 @@ func contractOps(c *Channel, tm Timing) []contractOp {
 // channel's current state, for every command over each given address: the
 // command is illegal at every cycle before Ready*, legal at it and from then
 // on (nothing changes until the next command), issuing it a cycle early
-// panics, and Ready* is Horizon exactly when the shadow model says only a
-// state change can help. It also checks the open list and the per-bank
-// summaries the Ready* answers rest on against a scan of every subarray.
-func checkReadyContract(t *testing.T, c *Channel, m *shadow, addrs ...Addr) {
+// panics, and Ready* is Horizon exactly when the checker, which has seen
+// every command, names a state rule that only a state change can satisfy. It
+// also checks the open list and the per-bank summaries the Ready* answers
+// rest on against a scan of every subarray, and against the checker.
+func checkReadyContract(t *testing.T, c *Channel, k *Checker, addrs ...Addr) {
 	t.Helper()
 	for _, op := range contractOps(c, c.T) {
 		for _, a := range addrs {
 			at := op.ready(a)
-			if blocked := m.stateBlocked(op.cmd, a); (at == Horizon) != blocked {
-				t.Fatalf("%v b%d row %d: ready %d, but state-blocked = %v", op.cmd, a.Bank, a.Row, at, blocked)
+			if why := k.Blocked(op.cmd, a); (at == Horizon) != (why != "") {
+				t.Fatalf("%v r%d/b%d row %d: ready %d, but the checker's state rules say %q", op.cmd, a.Rank, a.Bank, a.Row, at, why)
 			}
 			if at == Horizon {
 				if op.can(a, 0) || op.can(a, Horizon-1) {
@@ -240,6 +184,7 @@ func checkReadyContract(t *testing.T, c *Channel, m *shadow, addrs ...Addr) {
 	// The open list — order included — and every bank summary, against a scan
 	// of every subarray; the index accessors against the addressed ones.
 	var scanned []int
+	checkerOpen := 0
 	for b := 0; b*c.subsPerBank < len(c.subs); b++ {
 		r, bankID := b/c.Geo.Banks, b%c.Geo.Banks
 		bk := &c.ranks[r].banks[bankID]
@@ -253,6 +198,9 @@ func checkReadyContract(t *testing.T, c *Channel, m *shadow, addrs ...Addr) {
 					firstOpen = c.subs[i].openRow
 				}
 			}
+			if k.Blocked(CmdPRE, Addr{Rank: r, Bank: bankID, Row: (i - b*c.subsPerBank) * c.Geo.RowsPerSubarray}) == "" {
+				checkerOpen++
+			}
 		}
 		if actReady != bk.actReady {
 			t.Fatalf("bank %d: tracked actReady %d, scan says %d", bankID, bk.actReady, actReady)
@@ -261,8 +209,8 @@ func checkReadyContract(t *testing.T, c *Channel, m *shadow, addrs ...Addr) {
 			t.Fatalf("bank %d: OpenRowInBank %d, scan says %d", bankID, got, firstOpen)
 		}
 	}
-	if !slices.Equal(c.Open(), scanned) || len(scanned) != len(m.open) || c.OpenBuffers() != len(scanned) {
-		t.Fatalf("open subarrays: list %v (OpenBuffers %d), scan %v, shadow %v", c.Open(), c.OpenBuffers(), scanned, m.open)
+	if !slices.Equal(c.Open(), scanned) || len(scanned) != checkerOpen || c.OpenBuffers() != len(scanned) {
+		t.Fatalf("open subarrays: list %v (OpenBuffers %d), scan %v, %d open to the checker", c.Open(), c.OpenBuffers(), scanned, checkerOpen)
 	}
 	for _, a := range addrs {
 		i := c.SubIndex(a)
@@ -273,7 +221,8 @@ func checkReadyContract(t *testing.T, c *Channel, m *shadow, addrs ...Addr) {
 }
 
 // driveCommandStream interprets data as a command script against a fresh
-// channel: every three bytes pick a time advance, a command, and an address.
+// channel: the first byte picks the standard and MASA, then every three bytes
+// pick a time advance, a command, and an address.
 // Before each command the device's Ready*/Can* contract is checked in the
 // state the prefix left; then the command issues at the later of the script's
 // cycle and its ready cycle — so most commands issue on the exact cycle the
@@ -286,13 +235,11 @@ func driveCommandStream(t *testing.T, data []byte) {
 	if len(data) < 4 {
 		return
 	}
-	g := Std(8)
-	tm := LPDDR4(Density8Gb, 64, g)
-	c := NewChannel(g, tm)
-	c.MASA = data[0]&1 != 0
+	stds := StandardNames()
+	c := stdChannel(t, stds[int(data[0]>>1)%len(stds)], 8, data[0]&1 != 0)
+	g := c.Geo
 	k := NewChecker(c)
-	m := newShadow(c)
-	plans := commandPlans(tm)
+	plans := commandPlans(c.T)
 
 	now := int64(0)
 	for i := 1; i+2 < len(data); i += 3 {
@@ -301,15 +248,16 @@ func driveCommandStream(t *testing.T, data []byte) {
 		// write recovery) can clear within short inputs.
 		now += 1 + int64(adv)*4
 		a := Addr{
+			Rank: int(op/6) % g.Ranks,
 			Bank: int(sel) % g.Banks,
-			Row:  int(sel>>3) % 64,
+			Row:  int(sel>>3)%4*g.RowsPerSubarray + int(sel>>5),
 			Col:  int(op>>3) % g.ColumnsPerRow(),
 		}
 		probe := a
 		if open := c.OpenRow(a); open >= 0 {
 			probe.Row = open
 		}
-		checkReadyContract(t, c, m, a, probe)
+		checkReadyContract(t, c, k, a, probe)
 		// at returns the issue cycle for a command ready at `ready`, moving
 		// the script's clock to it; ok is false when time cannot help.
 		at := func(ready int64) (int64, bool) {
@@ -329,7 +277,6 @@ func driveCommandStream(t *testing.T, data []byte) {
 					copyRow = int(adv) % g.CopyRows
 				}
 				c.ACT(a, now, p.kind, p.t, copyRow)
-				m.act(a)
 			}
 		case 1:
 			if now, ok := at(c.ReadyRD(probe)); ok {
@@ -342,16 +289,14 @@ func driveCommandStream(t *testing.T, data []byte) {
 		case 3:
 			if now, ok := at(c.ReadyPRE(probe)); ok {
 				c.PRE(probe, now)
-				m.pre(probe)
 			}
 		case 4:
-			if now, ok := at(c.ReadyREF(0)); ok {
-				c.REF(0, now)
+			if now, ok := at(c.ReadyREF(a.Rank)); ok {
+				c.REF(a.Rank, now)
 			}
 		case 5:
-			b := int(sel) % g.Banks
-			if now, ok := at(c.ReadyREFpb(0, b)); ok {
-				c.REFpb(0, b, now)
+			if now, ok := at(c.ReadyREFpb(a.Rank, a.Bank)); ok {
+				c.REFpb(a.Rank, a.Bank, now)
 			}
 		}
 	}
@@ -360,15 +305,21 @@ func driveCommandStream(t *testing.T, data []byte) {
 	}
 }
 
-// FuzzCommandStream fuzzes the device/checker pair with arbitrary command
-// scripts (go test -fuzz=FuzzCommandStream ./internal/dram).
+// FuzzCommandStream fuzzes the device/checker pair of every standard with
+// arbitrary command scripts (go test -fuzz=FuzzCommandStream ./internal/dram).
 func FuzzCommandStream(f *testing.F) {
-	// Seed corpus: an activate-read-precharge burst, a refresh-heavy
-	// script, a MASA multi-open script, and CROW activate mixes.
-	f.Add([]byte{0x00, 0x00, 0x09, 0x10, 0x01, 0x09, 0x20, 0x03, 0x09, 0x30})
-	f.Add([]byte{0x00, 0x04, 0x00, 0xff, 0x05, 0x01, 0xff, 0x04, 0x02, 0xff})
-	f.Add([]byte{0x01, 0x00, 0x08, 0x20, 0x00, 0x10, 0x20, 0x01, 0x08, 0x20})
-	f.Add([]byte{0x00, 0x00, 0x01, 0x40, 0x00, 0x02, 0x40, 0x00, 0x03, 0x40, 0x01, 0x0b, 0x40})
+	// Seed corpus, on every standard with and without MASA: an
+	// activate-read-precharge burst, a refresh-heavy script, a multi-open
+	// script, and CROW activate mixes reaching HBM2's second rank.
+	for std := range StandardNames() {
+		for masa := range 2 {
+			cfg := byte(std<<1 | masa)
+			f.Add([]byte{cfg, 0x00, 0x09, 0x10, 0x01, 0x09, 0x20, 0x03, 0x09, 0x30})
+			f.Add([]byte{cfg, 0x04, 0x00, 0xff, 0x05, 0x01, 0xff, 0x04, 0x02, 0xff})
+			f.Add([]byte{cfg, 0x00, 0x08, 0x20, 0x00, 0x10, 0x20, 0x01, 0x08, 0x20})
+			f.Add([]byte{cfg, 0x00, 0x01, 0x40, 0x06, 0x02, 0x40, 0x00, 0x03, 0x40, 0x01, 0x0b, 0x40, 0x07, 0x0b, 0x40})
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		driveCommandStream(t, data)
 	})

@@ -1,7 +1,7 @@
 // Package oracle is an end-to-end correctness oracle for the simulator: it
 // watches the raw command stream of every channel (via dram.CommandObserver)
-// and independently validates cross-layer invariants that the per-channel
-// timing checker (dram.Checker) cannot see:
+// and independently validates cross-layer invariants that dram.Checker, one
+// channel's timing rules as a table of command-pair rows, cannot see:
 //
 //  1. A shadow data memory tracks a per-row data token through writes, ACT-c
 //     copies, copy-row remaps, and refresh, and asserts that every RD
