@@ -24,6 +24,7 @@ import (
 	"os"
 
 	"crowdram/internal/chargecache"
+	"crowdram/internal/circuit"
 	"crowdram/internal/core"
 	"crowdram/internal/ctrl"
 	"crowdram/internal/dram"
@@ -335,10 +336,11 @@ type Report struct {
 	// EnergyNJ is the DRAM energy breakdown over the measured interval.
 	EnergyNJ EnergyBreakdown
 
-	// CROWTableHitRate is the CROW-table (or TL-DRAM near-segment) hit
-	// rate; zero for mechanisms without a table.
+	// CROWTableHitRate is the mechanism's table hit rate (CROW-table, TL-DRAM
+	// near segment, ChargeCache); 1 for the ideal, zero with no table. It and
+	// every counter below cover the measured interval, as IPC does.
 	CROWTableHitRate float64
-	// Substrate statistics.
+	// Substrate statistics, one counter of the mechanism's core.Stats each.
 	Hits, Misses, Copies, Evictions, RestoreOps int64
 	RefRemaps, HammerRemaps                     int64
 
@@ -350,7 +352,8 @@ type Report struct {
 	Mitigation string
 	// Flips counts bit-flip-threshold crossings on exposed rows;
 	// ShieldedFlips counts crossings absorbed by a CROW-hammer remap
-	// (the data had been moved to a copy row).
+	// (the data had been moved to a copy row). The flip findings alone cover
+	// the whole run: a row's dose accumulates across the warm-up boundary.
 	Flips, ShieldedFlips int64
 	// FlipVictimRows is the number of distinct rows that flipped, and
 	// FlipRows lists them (sorted by channel, rank, bank, row).
@@ -439,7 +442,7 @@ func RunContext(ctx context.Context, o Options) (Report, error) {
 	if err != nil {
 		return Report{}, fmt.Errorf("crow: %s on %v: %w", o.Mechanism, o.Workloads, err)
 	}
-	return report(o, cfg, mech, res), nil
+	return report(o, cfg, res), nil
 }
 
 // Comparison is the outcome of Compare: a mechanism versus the baseline on
@@ -664,7 +667,7 @@ func generators(o Options) ([]trace.Generator, error) {
 	return gens, nil
 }
 
-func report(o Options, cfg sim.Config, mech core.Mechanism, res sim.Result) Report {
+func report(o Options, cfg sim.Config, res sim.Result) Report {
 	r := Report{
 		Mechanism: o.Mechanism,
 		IPC:       res.IPC,
@@ -699,34 +702,26 @@ func report(o Options, cfg sim.Config, mech core.Mechanism, res sim.Result) Repo
 	r.FlipVictimRows = len(res.Flips.Rows)
 	r.FlipRows = res.Flips.Rows
 	r.FlipsByCore = res.FlipsByCore
-	if sh, ok := mech.(*hammer.Shield); ok {
-		r.MitigationRefreshes = sh.NeighborRefreshes()
-	}
-	switch m := core.Unwrap(mech).(type) {
-	case *core.CROW:
-		r.CROWTableHitRate = res.CROW.HitRate()
-		r.Hits, r.Misses = res.CROW.Hits, res.CROW.Misses
-		r.Copies, r.Evictions = res.CROW.Copies, res.CROW.Evictions
-		r.RestoreOps = res.CROW.RestoreOps
-		r.RefRemaps, r.HammerRemaps = res.CROW.RefRemaps, res.CROW.HamRemaps
-		r.ChipAreaOverhead = overheadFor(o.CopyRows)
+	m := res.Mech
+	r.CROWTableHitRate = m.HitRate()
+	r.Hits, r.Misses = m[core.TableHit], m[core.TableMiss]
+	r.Copies, r.Evictions = m[core.TableCopy], m[core.TableEviction]
+	r.RestoreOps = m[core.TableRestore]
+	r.RefRemaps, r.HammerRemaps = m[core.TableRefRemap], m[core.TableHamRemap]
+	r.RowRefreshOps = m[core.TableRowRefresh]
+	r.MitigationRefreshes = m[core.TableNeighborRefresh]
+	// What the counters cannot say is static configuration.
+	switch o.Mechanism {
+	case Cache, Ref, CacheRef, Hammer:
+		r.ChipAreaOverhead = circuit.ChipOverhead(o.CopyRows)
 		r.CapacityOverhead = float64(o.CopyRows) / float64(cfg.Geo.RowsPerSubarray)
-	case *tldram.Mechanism:
-		r.CROWTableHitRate = m.Stats.HitRate()
-		r.Hits, r.Misses, r.Copies = m.Stats.Hits, m.Stats.Misses, m.Stats.Copies
-		r.ChipAreaOverhead = m.ChipAreaOverhead()
+	case TLDRAM:
+		r.ChipAreaOverhead = circuit.TLDRAMChipOverhead(o.TLDRAMNearRows)
 		r.CapacityOverhead = float64(o.TLDRAMNearRows) / float64(cfg.Geo.RowsPerSubarray)
-	case *core.RAIDR:
-		r.RowRefreshOps = m.RowRefreshes
-	case *chargecache.Mechanism:
-		r.CROWTableHitRate = m.HitRate()
-		r.Hits, r.Misses = m.Hits, m.Misses
-	case *core.Ideal:
+	case IdealCache, IdealNoRefresh:
 		r.CROWTableHitRate = 1
-	case *core.Baseline:
-		if o.Mechanism == SALP {
-			r.ChipAreaOverhead = salp.Config{SubarraysPerBank: o.SALPSubarrays}.ChipAreaOverhead()
-		}
+	case SALP:
+		r.ChipAreaOverhead = salp.Config{SubarraysPerBank: o.SALPSubarrays}.ChipAreaOverhead()
 	}
 	return r
 }

@@ -62,10 +62,10 @@ func DecodeOptions(data []byte) (Options, error) {
 
 // Validate reports whether the options describe a runnable simulation: known
 // names, supported density, workload names and counts, sign checks on the
-// numeric knobs, and the few magnitudes that would otherwise panic or spin
-// while the system is built. Run calls it first, and callers accepting
-// Options over the wire call it to reject bad requests before queueing them;
-// nothing behind it re-checks. Values that are merely extreme (a run that
+// numeric knobs, and the few magnitudes that would otherwise panic, spin or
+// exhaust memory while the system is built. Run calls it first, and callers
+// accepting Options over the wire call it to reject bad requests before
+// queueing them; nothing behind it re-checks. Values that are merely extreme (a run that
 // refresh-starves or takes hours) pass: MaxMeasureCycles and the caller's
 // deadline bound those.
 func (o Options) Validate() error {
@@ -134,30 +134,38 @@ func (o Options) Validate() error {
 			}
 		}
 	}
+	// Every count is non-negative; those a run allocates in proportion to are
+	// bounded above too (max 0: unbounded).
+	g := std.Geometry(d.CopyRows)
+	subRows := int64(g.RowsPerSubarray)
 	for _, f := range []struct {
-		name string
-		v    int64
+		name   string
+		v, max int64
+		of     string
 	}{
-		{"CopyRows", int64(d.CopyRows)},
-		{"WeakRowsPerSubarray", int64(d.WeakRowsPerSubarray)},
-		{"LLCBytes", d.LLCBytes},
-		{"TLDRAMNearRows", int64(d.TLDRAMNearRows)},
-		{"SALPSubarrays", int64(d.SALPSubarrays)},
-		{"HammerThreshold", int64(d.HammerThreshold)},
-		{"TableShareGroup", int64(d.TableShareGroup)},
-		{"ControllerCap", int64(d.ControllerCap)},
-		{"RefreshPostpone", int64(d.RefreshPostpone)},
-		{"MeasureInsts", d.MeasureInsts},
-		{"WarmupInsts", d.WarmupInsts},
-		{"MaxMeasureCycles", d.MaxMeasureCycles},
-		{"ParaPerMille", int64(d.ParaPerMille)},
-		{"RefreshScale", int64(d.RefreshScale)},
-		{"FlipHCFirst", int64(d.FlipHCFirst)},
-		{"FlipJitterPct", int64(d.FlipJitterPct)},
-		{"FlipPatternPct", int64(d.FlipPatternPct)},
+		{"CopyRows", int64(d.CopyRows), subRows, "rows of a subarray"},
+		{"WeakRowsPerSubarray", int64(d.WeakRowsPerSubarray), subRows, "rows of a subarray"},
+		{"LLCBytes", d.LLCBytes, maxLLCBytes, "bytes (1 GiB) an LLC may have"},
+		{"TLDRAMNearRows", int64(d.TLDRAMNearRows), subRows, "rows of a subarray"},
+		{"SALPSubarrays", int64(d.SALPSubarrays), 0, ""},
+		{"HammerThreshold", int64(d.HammerThreshold), 0, ""},
+		{"TableShareGroup", int64(d.TableShareGroup), 0, ""},
+		{"ControllerCap", int64(d.ControllerCap), 0, ""},
+		{"RefreshPostpone", int64(d.RefreshPostpone), 0, ""},
+		{"MeasureInsts", d.MeasureInsts, 0, ""},
+		{"WarmupInsts", d.WarmupInsts, 0, ""},
+		{"MaxMeasureCycles", d.MaxMeasureCycles, 0, ""},
+		{"ParaPerMille", int64(d.ParaPerMille), 0, ""},
+		{"RefreshScale", int64(d.RefreshScale), 0, ""},
+		{"FlipHCFirst", int64(d.FlipHCFirst), 0, ""},
+		{"FlipJitterPct", int64(d.FlipJitterPct), 0, ""},
+		{"FlipPatternPct", int64(d.FlipPatternPct), 0, ""},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("crow: %s must be non-negative, got %d", f.name, f.v)
+		}
+		if f.max > 0 && f.v > f.max {
+			return fmt.Errorf("crow: %s %d exceeds the %d %s", f.name, f.v, f.max, f.of)
 		}
 	}
 	if d.RefreshWindowMS < 0 || d.RowTimeoutNs < 0 {
@@ -169,12 +177,13 @@ func (o Options) Validate() error {
 	if rows := dram.Std(0).RowsPerBank; d.Mechanism == SALP && rows%d.SALPSubarrays != 0 {
 		return fmt.Errorf("crow: SALPSubarrays %d does not divide the %d rows of a bank", d.SALPSubarrays, rows)
 	}
-	g := std.Geometry(d.CopyRows)
 	if refi := std.Timing(dram.Density(d.DensityGbit), d.RefreshWindowMS, g).REFI; refi < 1 {
 		return fmt.Errorf("crow: refresh window %g ms makes tREFI %d cycles on %s", d.RefreshWindowMS, refi, d.Standard)
 	}
-	if d.WeakRowsPerSubarray > g.RowsPerSubarray {
-		return fmt.Errorf("crow: WeakRowsPerSubarray %d exceeds the %d rows of a subarray", d.WeakRowsPerSubarray, g.RowsPerSubarray)
-	}
 	return nil
 }
+
+// maxLLCBytes bounds Options.LLCBytes: 32 times Figure 14's largest LLC, and a
+// run at it stays near half a GiB of memory. Beyond it a request is an
+// allocation failure, not a simulation.
+const maxLLCBytes = 1 << 30

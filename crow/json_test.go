@@ -122,6 +122,11 @@ var badOptions = []struct {
 	{"salp subarrays", Options{Mechanism: SALP, SALPSubarrays: 3}, "does not divide"},
 	{"refresh window", Options{RefreshWindowMS: 1e-9}, "makes tREFI 0 cycles on lpddr4"},
 	{"weak rows", Options{Mechanism: Ref, WeakRowsPerSubarray: 100000}, "exceeds the 512 rows"},
+	// Accepted at the parent, and an out-of-memory kill (or a makeslice panic)
+	// of the process behind the gate: crowserve's every queued job with it.
+	{"llc over 1 GiB", Options{LLCBytes: 1e9 << 20}, "LLCBytes 1048576000000000 exceeds the 1073741824 bytes (1 GiB)"},
+	{"copy rows", Options{Mechanism: Cache, CopyRows: 1_000_000}, "CopyRows 1000000 exceeds the 512 rows"},
+	{"near rows", Options{Mechanism: TLDRAM, TLDRAMNearRows: 1_000_000}, "TLDRAMNearRows 1000000 exceeds the 512 rows"},
 }
 
 func TestValidate(t *testing.T) {
@@ -154,6 +159,9 @@ func TestValidate(t *testing.T) {
 		{RefreshWindowMS: 0.0052},
 		{Mechanism: SALP, SALPSubarrays: 65536},
 		{Mechanism: Ref, WeakRowsPerSubarray: 512},
+		{LLCBytes: maxLLCBytes},
+		{Mechanism: Cache, CopyRows: 512},
+		{Mechanism: TLDRAM, TLDRAMNearRows: 512},
 	}
 	for i, o := range good {
 		if err := o.Validate(); err != nil {

@@ -45,8 +45,6 @@ func OverheadsFor(n int) Overheads {
 	}
 }
 
-func overheadFor(copyRows int) float64 { return circuit.ChipOverhead(copyRows) }
-
 // WeakRowProbabilities evaluates the paper's Equations 1 and 2: the
 // probability that a row is weak at the given bit error rate, and that any
 // subarray in the Table 2 chip exceeds n weak rows.

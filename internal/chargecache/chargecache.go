@@ -33,15 +33,13 @@ type entry struct {
 // core.Mechanism.
 type Mechanism struct {
 	core.NoOps
-	T       dram.Timing
-	Entries int // table capacity per channel (128 in the paper)
+	core.Tally // TableHit: an activation found its row highly charged
+	T          dram.Timing
+	Entries    int // table capacity per channel (128 in the paper)
 
 	base, charged dram.ActTimings
 	window        int64
 	tables        [][]entry // FIFO per channel
-
-	// Stats.
-	Hits, Misses int64
 }
 
 // New builds the mechanism with the given per-channel table capacity.
@@ -68,15 +66,6 @@ func New(channels int, t dram.Timing, entries int) *Mechanism {
 // Name implements core.Mechanism.
 func (m *Mechanism) Name() string { return "chargecache" }
 
-// HitRate returns the fraction of activations that found a highly-charged
-// row.
-func (m *Mechanism) HitRate() float64 {
-	if m.Hits+m.Misses == 0 {
-		return 0
-	}
-	return float64(m.Hits) / float64(m.Hits+m.Misses)
-}
-
 // PlanActivate implements core.Mechanism: rows precharged within the window
 // activate at reduced latency.
 func (m *Mechanism) PlanActivate(a dram.Addr, cycle int64) core.ActDecision {
@@ -95,11 +84,11 @@ func (m *Mechanism) PlanActivate(a dram.Addr, cycle int64) core.ActDecision {
 
 // OnActivate implements core.Mechanism.
 func (m *Mechanism) OnActivate(a dram.Addr, d core.ActDecision, cycle int64) {
+	k := core.TableMiss
 	if d.Timing == m.charged {
-		m.Hits++
-	} else {
-		m.Misses++
+		k = core.TableHit
 	}
+	m.Count(k, a, -1, cycle)
 }
 
 // OnPrecharge implements core.Mechanism: the closed row becomes highly

@@ -20,7 +20,7 @@ func TestColdActivationUsesBaseTimings(t *testing.T) {
 		t.Errorf("cold row must use base timings: %+v", d.Timing)
 	}
 	m.OnActivate(dram.Addr{Row: 5}, d, 0)
-	if m.Misses != 1 {
+	if m.Stats[core.TableMiss] != 1 {
 		t.Error("cold activation is a miss")
 	}
 }
@@ -37,7 +37,7 @@ func TestRecentlyPrechargedRowIsFast(t *testing.T) {
 		t.Error("charged timings must be reduced")
 	}
 	m.OnActivate(a, d, 200)
-	if m.Hits != 1 {
+	if m.Stats[core.TableHit] != 1 {
 		t.Error("hit must be counted")
 	}
 }

@@ -62,9 +62,9 @@ type Mechanism interface {
 	OnPrecharge(a dram.Addr, openRow int, fullyRestored bool, cycle int64)
 
 	// OnRefreshRows notifies the mechanism that rows
-	// [startRow, startRow+n) were refreshed in every bank of the rank
+	// [startRow, startRow+n) were refreshed at cycle in every bank of the rank
 	// (bank == -1, all-bank REFab) or in one bank (per-bank REFpb).
-	OnRefreshRows(channel, rank, bank, startRow, n int)
+	OnRefreshRows(channel, rank, bank, startRow, n int, cycle int64)
 
 	// RefreshMultiplier scales the refresh interval: 1 for the baseline,
 	// 2 when CROW-ref extends the window, 0 to disable refresh entirely
@@ -80,14 +80,101 @@ type Mechanism interface {
 	// channel (an ACT-c duplication or a row-granular refresh), if any. The
 	// controller asks on every scheduling pass with no such operation in
 	// flight.
-	NextCopy(channel int) (CopyOp, bool)
+	NextCopy(channel int, cycle int64) (CopyOp, bool)
+
+	// Counters returns where the mechanism counts its events: sim attaches
+	// the table observer there and snapshots the counters at the warm-up
+	// boundary. A mechanism answers with the Tally it embeds; a wrapper
+	// forwards to the mechanism it wraps.
+	Counters() *Tally
 }
+
+// Stats counts a mechanism's events, one counter per TableEventKind.
+type Stats [numTableEventKinds]int64
+
+// Sub returns s minus b, counter by counter: the events since the snapshot b
+// was taken.
+func (s Stats) Sub(b Stats) Stats {
+	for k := range s {
+		s[k] -= b[k]
+	}
+	return s
+}
+
+// HitRate returns the table hit rate over cache-eligible activations.
+func (s Stats) HitRate() float64 {
+	total := s[TableHit] + s[TableMiss]
+	if total == 0 {
+		return 0
+	}
+	return float64(s[TableHit]) / float64(total)
+}
+
+// TableEventKind classifies one mechanism event; it indexes Stats.
+type TableEventKind uint8
+
+// Event kinds. A hit is an activation served fast by the mechanism's table (a
+// CROW ACT-t, a TL-DRAM near row, a ChargeCache highly-charged row); a miss is
+// one it could have served and did not.
+const (
+	TableHit             TableEventKind = iota
+	TableMiss                           // activation with no matching entry
+	TableCopy                           // ACT-c duplication into a copy row
+	TableEviction                       // cache entry replaced
+	TableRestore                        // full restore before eviction (4.1.4)
+	TableRefRemap                       // activation redirected to a CROW-ref copy row
+	TableHamRemap                       // victim row remapped by CROW's RowHammer mitigation
+	TableRowRefresh                     // RAIDR weak-row refresh queued
+	TableNeighborRefresh                // PARA neighbour refresh handed to the controller
+	numTableEventKinds
+)
+
+var tableEventNames = [...]string{
+	"hit", "miss", "copy", "eviction", "restore", "ref-remap", "ham-remap",
+	"row-refresh", "neighbor-refresh",
+}
+
+func (k TableEventKind) String() string { return tableEventNames[k] }
+
+// TableEvent is one mechanism event, cycle-attributed.
+type TableEvent struct {
+	Kind  TableEventKind
+	Cycle int64
+	Addr  dram.Addr
+	Way   int // copy-row way involved, -1 when none applies
+}
+
+// TableObserver receives mechanism events in issue order. Implementations
+// must be cheap: they run on the activation path.
+type TableObserver interface {
+	OnTableEvent(e TableEvent)
+}
+
+// Tally is where a mechanism counts its events: the counters, and the
+// observer each counted event is reported to. Embedding it answers
+// Mechanism.Counters.
+type Tally struct {
+	Stats Stats
+	Obs   TableObserver // nil: counting only
+}
+
+// Count records one event of kind k.
+func (t *Tally) Count(k TableEventKind, a dram.Addr, way int, cycle int64) {
+	t.Stats[k]++
+	if t.Obs != nil {
+		t.Obs.OnTableEvent(TableEvent{Kind: k, Cycle: cycle, Addr: a, Way: way})
+	}
+}
+
+// Counters implements Mechanism.
+func (t *Tally) Counters() *Tally { return t }
 
 // NoOps supplies the do-nothing form of every Mechanism hook a simple
 // mechanism has no use for; embedding it leaves Name and PlanActivate (and
-// whichever hooks the mechanism does use) to declare. A wrapper around another
-// mechanism must not embed it: every method it fails to forward would
-// silently stop reaching the wrapped mechanism.
+// whichever hooks the mechanism does use) to declare, and Counters to an
+// embedded Tally. A wrapper around another mechanism must not embed it: every
+// method it fails to forward would silently stop reaching the wrapped
+// mechanism.
 type NoOps struct{}
 
 // RestoresAcrossSubarrays implements Mechanism.
@@ -100,7 +187,7 @@ func (NoOps) OnActivate(dram.Addr, ActDecision, int64) {}
 func (NoOps) OnPrecharge(dram.Addr, int, bool, int64) {}
 
 // OnRefreshRows implements Mechanism.
-func (NoOps) OnRefreshRows(int, int, int, int, int) {}
+func (NoOps) OnRefreshRows(int, int, int, int, int, int64) {}
 
 // RefreshMultiplier implements Mechanism.
 func (NoOps) RefreshMultiplier() int { return 1 }
@@ -109,12 +196,13 @@ func (NoOps) RefreshMultiplier() int { return 1 }
 func (NoOps) RefreshDivisor() int { return 1 }
 
 // NextCopy implements Mechanism.
-func (NoOps) NextCopy(int) (CopyOp, bool) { return CopyOp{}, false }
+func (NoOps) NextCopy(int, int64) (CopyOp, bool) { return CopyOp{}, false }
 
 // Baseline is the conventional-DRAM mechanism: every activation is a plain
 // single-row ACT at standard timings.
 type Baseline struct {
 	NoOps
+	Tally
 	T dram.Timing
 }
 
@@ -132,6 +220,7 @@ func (b *Baseline) PlanActivate(dram.Addr, int64) ActDecision {
 // overhead), optionally with refresh disabled entirely.
 type Ideal struct {
 	NoOps
+	Tally
 	T         dram.Timing
 	NoRefresh bool
 }

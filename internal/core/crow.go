@@ -5,74 +5,6 @@ import (
 	"crowdram/internal/retention"
 )
 
-// Stats counts CROW-table events.
-type Stats struct {
-	Hits       int64 // ACT-t activations of an existing duplicate
-	Misses     int64 // activations with no matching entry
-	Copies     int64 // ACT-c duplications into a copy row
-	Evictions  int64 // cache entries replaced
-	RestoreOps int64 // full-restore activations before eviction (4.1.4)
-	RefRemaps  int64 // activations redirected to a CROW-ref copy row
-	HamRemaps  int64 // victim rows remapped by the RowHammer mitigation
-	Fallback   bool  // CROW-ref fell back to the default refresh interval
-}
-
-// Sub returns s minus b, counter by counter: the events since the snapshot b
-// was taken. Fallback is a state, not a count, and carries s's value.
-// TestStatsSubCoversEveryField fails if a field added to Stats is not added
-// here.
-func (s Stats) Sub(b Stats) Stats {
-	return Stats{
-		Hits: s.Hits - b.Hits, Misses: s.Misses - b.Misses,
-		Copies: s.Copies - b.Copies, Evictions: s.Evictions - b.Evictions,
-		RestoreOps: s.RestoreOps - b.RestoreOps, RefRemaps: s.RefRemaps - b.RefRemaps,
-		HamRemaps: s.HamRemaps - b.HamRemaps, Fallback: s.Fallback,
-	}
-}
-
-// HitRate returns the CROW-table hit rate over cache-eligible activations.
-func (s *Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
-// TableEventKind classifies one CROW-table event for observers.
-type TableEventKind uint8
-
-// CROW-table event kinds, mirroring the Stats counters one-to-one.
-const (
-	TableHit TableEventKind = iota
-	TableMiss
-	TableCopy
-	TableEviction
-	TableRestore
-	TableRefRemap
-	TableHamRemap
-)
-
-var tableEventNames = [...]string{
-	"hit", "miss", "copy", "eviction", "restore", "ref-remap", "ham-remap",
-}
-
-func (k TableEventKind) String() string { return tableEventNames[k] }
-
-// TableEvent is one CROW-table state change, cycle-attributed.
-type TableEvent struct {
-	Kind  TableEventKind
-	Cycle int64
-	Addr  dram.Addr
-	Way   int // copy-row way involved, -1 when none applies
-}
-
-// TableObserver receives CROW-table events in issue order. Implementations
-// must be cheap: they run on the activation path.
-type TableObserver interface {
-	OnTableEvent(e TableEvent)
-}
-
 // CROW is the combined CROW-substrate mechanism. Enabling Cache gives
 // CROW-cache (Section 4.1); attaching a weak-row profile gives CROW-ref
 // (Section 4.2); setting HammerThreshold enables the RowHammer mitigation
@@ -80,7 +12,7 @@ type TableObserver interface {
 // RowHammer mitigation pinning ways that CROW-cache then cannot use
 // (Section 8.3).
 type CROW struct {
-	NoOps // RefreshDivisor; every other hook is declared below
+	NoOps // RefreshDivisor; Counters comes from Tally, every other hook is below
 
 	T     dram.Timing
 	Table *Table
@@ -99,10 +31,11 @@ type CROW struct {
 	// but the tRAS and tWR reductions are forfeited.
 	FullRestore bool
 
-	Stats Stats
+	Tally // every table event, counted and observed
 
-	// Obs, when non-nil, receives a TableEvent for every Stats increment.
-	Obs TableObserver
+	// Fallback records that CROW-ref fell back to the default refresh
+	// interval: a subarray had more weak rows than copy rows.
+	Fallback bool
 
 	base dram.ActTimings
 
@@ -184,7 +117,7 @@ func (c *CROW) LoadProfile(p *retention.Profile) {
 					for _, row := range weak {
 						w := FreeWay(set)
 						if w < 0 {
-							c.Stats.Fallback = true
+							c.Fallback = true
 							break
 						}
 						set[w] = Entry{Allocated: true, RegularRow: row, SubTag: c.Table.SubTag(a), Kind: EntryRef, FullyRestored: true}
@@ -225,7 +158,7 @@ func (c *CROW) RemapDynamic(a dram.Addr) bool {
 	}
 	w := FreeWay(set)
 	if w < 0 {
-		c.Stats.Fallback = true
+		c.Fallback = true
 		return false
 	}
 	set[w] = Entry{Allocated: true, RegularRow: c.Table.rowIn(a.Row), SubTag: c.Table.SubTag(a), Kind: EntryRef, FullyRestored: true, CopyPending: true}
@@ -313,29 +246,17 @@ func (c *CROW) PlanActivate(a dram.Addr, cycle int64) ActDecision {
 // (Table.AbsoluteRow).
 func (c *CROW) RestoresAcrossSubarrays() bool { return c.EagerRestore && c.Table.ShareGroup > 1 }
 
-// tev reports one table event to the attached observer. Call sites guard
-// with `c.Obs != nil` so the disabled path costs one comparison.
-func (c *CROW) tev(k TableEventKind, a dram.Addr, way int, cycle int64) {
-	c.Obs.OnTableEvent(TableEvent{Kind: k, Cycle: cycle, Addr: a, Way: way})
-}
-
 // OnActivate implements Mechanism.
 func (c *CROW) OnActivate(a dram.Addr, d ActDecision, cycle int64) {
 	set := c.Table.Set(a)
 	switch d.Kind {
 	case dram.ActTwo:
 		if d.RestoreFirst {
-			c.Stats.RestoreOps++
-			if c.Obs != nil {
-				c.tev(TableRestore, a, d.RestoreCopyRow, cycle)
-			}
+			c.Count(TableRestore, a, d.RestoreCopyRow, cycle)
 			set[d.RestoreCopyRow].lastUse = cycle
 			break
 		}
-		c.Stats.Hits++
-		if c.Obs != nil {
-			c.tev(TableHit, a, d.CopyRow, cycle)
-		}
+		c.Count(TableHit, a, d.CopyRow, cycle)
 		set[d.CopyRow].lastUse = cycle
 	case dram.ActCopy:
 		if e := &set[d.CopyRow]; e.Allocated && e.Kind != EntryCache &&
@@ -343,24 +264,14 @@ func (c *CROW) OnActivate(a dram.Addr, d ActDecision, cycle int64) {
 			// A demand activation performing a pending remap copy: the
 			// entry stays a CROW-ref/RowHammer remap. CopyPending clears
 			// at precharge, once restoration of the pair completes.
-			c.Stats.Copies++
-			if c.Obs != nil {
-				c.tev(TableCopy, a, d.CopyRow, cycle)
-			}
+			c.Count(TableCopy, a, d.CopyRow, cycle)
 			e.lastUse = cycle
 			break
 		}
-		c.Stats.Misses++
-		c.Stats.Copies++
-		if c.Obs != nil {
-			c.tev(TableMiss, a, d.CopyRow, cycle)
-			c.tev(TableCopy, a, d.CopyRow, cycle)
-		}
+		c.Count(TableMiss, a, d.CopyRow, cycle)
+		c.Count(TableCopy, a, d.CopyRow, cycle)
 		if set[d.CopyRow].Allocated {
-			c.Stats.Evictions++
-			if c.Obs != nil {
-				c.tev(TableEviction, a, d.CopyRow, cycle)
-			}
+			c.Count(TableEviction, a, d.CopyRow, cycle)
 		}
 		set[d.CopyRow] = Entry{
 			Allocated:  true,
@@ -370,16 +281,10 @@ func (c *CROW) OnActivate(a dram.Addr, d ActDecision, cycle int64) {
 			lastUse:    cycle,
 		}
 	case dram.ActCopyRow:
-		c.Stats.RefRemaps++
-		if c.Obs != nil {
-			c.tev(TableRefRemap, a, d.CopyRow, cycle)
-		}
+		c.Count(TableRefRemap, a, d.CopyRow, cycle)
 	case dram.ActSingle:
 		if c.Cache && !d.RestoreFirst {
-			c.Stats.Misses++
-			if c.Obs != nil {
-				c.tev(TableMiss, a, -1, cycle)
-			}
+			c.Count(TableMiss, a, -1, cycle)
 		}
 	}
 	if c.HammerThreshold > 0 && d.Kind != dram.ActCopyRow {
@@ -418,7 +323,7 @@ func (c *CROW) OnPrecharge(a dram.Addr, openRow int, fullyRestored bool, cycle i
 // rows, so any CROW-cache pair in the refreshed range becomes fully
 // restored; a wrap of the refresh counter also closes one RowHammer
 // counting window.
-func (c *CROW) OnRefreshRows(channel, rank, bank, startRow, n int) {
+func (c *CROW) OnRefreshRows(channel, rank, bank, startRow, n int, _ int64) {
 	g := c.Table.Geo
 	lo, hi := 0, g.Banks
 	if bank >= 0 {
@@ -446,7 +351,7 @@ func (c *CROW) OnRefreshRows(channel, rank, bank, startRow, n int) {
 // RefreshMultiplier implements Mechanism: CROW-ref doubles the refresh
 // window (64 ms → 128 ms) unless a subarray overflowed its copy rows.
 func (c *CROW) RefreshMultiplier() int {
-	if c.Ref && !c.Stats.Fallback {
+	if c.Ref && !c.Fallback {
 		return 2
 	}
 	return 1
@@ -455,7 +360,7 @@ func (c *CROW) RefreshMultiplier() int {
 // NextCopy implements Mechanism: it pops a pending copy for the channel.
 // Ops whose remap entry was already copied by a demand activation (or
 // replaced outright) are stale and skipped.
-func (c *CROW) NextCopy(channel int) (CopyOp, bool) {
+func (c *CROW) NextCopy(channel int, _ int64) (CopyOp, bool) {
 	for len(c.pendingCopies[channel]) > 0 {
 		op := c.pendingCopies[channel][0]
 		c.pendingCopies[channel] = c.pendingCopies[channel][1:]
@@ -505,10 +410,7 @@ func (c *CROW) countHammer(a dram.Addr, cycle int64) {
 				continue
 			}
 			set[w].Kind = EntryHammer
-			c.Stats.HamRemaps++
-			if c.Obs != nil {
-				c.tev(TableHamRemap, victim, w, cycle)
-			}
+			c.Count(TableHamRemap, victim, w, cycle)
 			continue
 		}
 		w := FreeWay(set)
@@ -528,9 +430,6 @@ func (c *CROW) countHammer(a dram.Addr, cycle int64) {
 		c.pendingCopies[a.Channel] = append(c.pendingCopies[a.Channel], CopyOp{
 			Addr: victim, Kind: dram.ActCopy, CopyRow: w, Timing: c.Crow.CopyFull,
 		})
-		c.Stats.HamRemaps++
-		if c.Obs != nil {
-			c.tev(TableHamRemap, victim, w, cycle)
-		}
+		c.Count(TableHamRemap, victim, w, cycle)
 	}
 }

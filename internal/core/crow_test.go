@@ -51,7 +51,7 @@ func TestCacheMissThenHit(t *testing.T) {
 	if d3.Timing != c.Crow.TwoFull {
 		t.Errorf("fully-restored hit must use TwoFull timings (-38%% tRCD)")
 	}
-	if c.Stats.Hits != 1 || c.Stats.Misses != 1 || c.Stats.Copies != 1 {
+	if c.Stats[TableHit] != 1 || c.Stats[TableMiss] != 1 || c.Stats[TableCopy] != 1 {
 		t.Errorf("stats = %+v", c.Stats)
 	}
 }
@@ -101,8 +101,8 @@ func TestCacheEvictionRequiresRestoreOfPartialVictim(t *testing.T) {
 	restore := ActDecision{Kind: dram.ActTwo, CopyRow: d2.RestoreCopyRow, Timing: d2.RestoreTiming, RestoreFirst: true}
 	c.OnActivate(a, restore, 100)
 	c.OnPrecharge(a, a.Row, true, 200)
-	if c.Stats.RestoreOps != 1 {
-		t.Errorf("RestoreOps = %d, want 1", c.Stats.RestoreOps)
+	if c.Stats[TableRestore] != 1 {
+		t.Errorf("RestoreOps = %d, want 1", c.Stats[TableRestore])
 	}
 
 	// Retry: now the victim is fully restored and evictable.
@@ -111,8 +111,8 @@ func TestCacheEvictionRequiresRestoreOfPartialVictim(t *testing.T) {
 		t.Fatalf("after restore, activation of b must be ACT-c, got %+v", d3)
 	}
 	c.OnActivate(b, d3, 300)
-	if c.Stats.Evictions != 1 {
-		t.Errorf("Evictions = %d, want 1", c.Stats.Evictions)
+	if c.Stats[TableEviction] != 1 {
+		t.Errorf("Evictions = %d, want 1", c.Stats[TableEviction])
 	}
 	if c.Table.Lookup(a) != -1 {
 		t.Error("a must be evicted")
@@ -207,7 +207,7 @@ func TestRefFallbackWhenSubarrayOverflows(t *testing.T) {
 	c := NewCROW(1, g, tm)
 	c.Ref = true
 	c.LoadProfile(retention.FixedProfile(retGeo(g, 1), 3, 7)) // 3 weak > 2 ways
-	if !c.Stats.Fallback {
+	if !c.Fallback {
 		t.Error("overflowing a subarray must trigger the fallback")
 	}
 	if c.RefreshMultiplier() != 1 {
@@ -260,8 +260,8 @@ func TestHammerRemapsVictims(t *testing.T) {
 		d := c.PlanActivate(hammered, int64(i))
 		c.OnActivate(hammered, d, int64(i))
 	}
-	if c.Stats.HamRemaps != 2 {
-		t.Fatalf("HamRemaps = %d, want 2 (rows 99 and 101)", c.Stats.HamRemaps)
+	if c.Stats[TableHamRemap] != 2 {
+		t.Fatalf("HamRemaps = %d, want 2 (rows 99 and 101)", c.Stats[TableHamRemap])
 	}
 	// Until the ACT-c data copy executes, the copy row is stale: victim
 	// activations must perform the copy, not redirect to the copy row.
@@ -274,7 +274,7 @@ func TestHammerRemapsVictims(t *testing.T) {
 	// The data copies must be queued for the controller.
 	ops := 0
 	for {
-		op, ok := c.NextCopy(0)
+		op, ok := c.NextCopy(0, 0)
 		if !ok {
 			break
 		}
@@ -294,7 +294,7 @@ func TestHammerRemapsVictims(t *testing.T) {
 		}
 	}
 	// Counters reset when the refresh counter wraps.
-	c.OnRefreshRows(0, 0, -1, 0, 8)
+	c.OnRefreshRows(0, 0, -1, 0, 8, 0)
 	for i, n := range c.hammerCounts[0] {
 		if n != 0 {
 			t.Errorf("hammer counter %d = %d after the refresh-window boundary, want 0", i, n)
@@ -313,8 +313,8 @@ func TestHammerAtBankEdge(t *testing.T) {
 		d := c.PlanActivate(edge, int64(i))
 		c.OnActivate(edge, d, int64(i))
 	}
-	if c.Stats.HamRemaps != 1 {
-		t.Errorf("HamRemaps = %d, want 1 (row -1 does not exist)", c.Stats.HamRemaps)
+	if c.Stats[TableHamRemap] != 1 {
+		t.Errorf("HamRemaps = %d, want 1 (row -1 does not exist)", c.Stats[TableHamRemap])
 	}
 }
 
@@ -325,7 +325,7 @@ func TestRefreshRestoresCachedPairs(t *testing.T) {
 	d := c.PlanActivate(a, 0)
 	c.OnActivate(a, d, 0)
 	c.OnPrecharge(a, a.Row, false, 50) // partial
-	c.OnRefreshRows(0, 0, -1, 0, 8)    // refreshes rows 0..7
+	c.OnRefreshRows(0, 0, -1, 0, 8, 0) // refreshes rows 0..7
 	d2 := c.PlanActivate(a, 100)
 	if d2.Timing != c.Crow.TwoFull {
 		t.Error("refresh must fully restore in-range cached pairs")
@@ -348,11 +348,11 @@ func TestDynamicRemap(t *testing.T) {
 	if d.Kind != dram.ActCopy {
 		t.Errorf("remapped row with pending copy must plan ACT-c, got %v", d.Kind)
 	}
-	op, ok := c.NextCopy(0)
+	op, ok := c.NextCopy(0, 0)
 	if !ok || op.Addr.Row != 77 {
 		t.Fatal("dynamic remap must queue exactly one data copy")
 	}
-	if _, ok := c.NextCopy(0); ok {
+	if _, ok := c.NextCopy(0, 0); ok {
 		t.Error("no second pending copy expected")
 	}
 	// Complete the copy: the remapped row then redirects to its copy row.
@@ -392,7 +392,8 @@ func TestBaselineMechanism(t *testing.T) {
 }
 
 func TestHitRate(t *testing.T) {
-	s := Stats{Hits: 3, Misses: 1}
+	var s Stats
+	s[TableHit], s[TableMiss] = 3, 1
 	if s.HitRate() != 0.75 {
 		t.Errorf("HitRate = %f, want 0.75", s.HitRate())
 	}
@@ -426,37 +427,46 @@ func findStrongRowExcept(t *testing.T, c *CROW, sub, except int) int {
 	return -1
 }
 
-// TestStatsSubCoversEveryField sets every int64 field of two Stats to distinct
-// values and requires Sub to subtract each from its own counterpart: a counter
-// added to Stats but not to Sub would otherwise report its whole-run value for
-// the measured interval, silently. Fallback is the one field that is not a
-// count — whether CROW-ref fell back to the default refresh interval — so the
-// difference carries the receiver's (latest) value, whatever the snapshot held.
+// TestStatsSubCoversEveryField: Sub subtracts every counter from its own
+// counterpart, and every event kind has a name, so a kind added to the list is
+// cut at the warm-up boundary and named in a trace with no edit elsewhere.
 func TestStatsSubCoversEveryField(t *testing.T) {
 	var a, b Stats
-	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
-	for i := 0; i < av.NumField(); i++ {
-		switch name := av.Type().Field(i).Name; {
-		case av.Field(i).Kind() == reflect.Int64:
-			av.Field(i).SetInt(int64(1000 * (i + 1)))
-			bv.Field(i).SetInt(int64(i + 1))
-		case name != "Fallback":
-			t.Fatalf("Stats.%s is not an int64: decide how Sub treats it and extend this test", name)
+	for k := range a {
+		a[k], b[k] = int64(1000*(k+1)), int64(k+1)
+	}
+	for k, got := range a.Sub(b) {
+		if want := int64(999 * (k + 1)); got != want {
+			t.Errorf("Sub: %s = %d, want %d", TableEventKind(k), got, want)
 		}
 	}
-	diff := reflect.ValueOf(a.Sub(b))
-	for i := 0; i < av.NumField(); i++ {
-		if av.Field(i).Kind() != reflect.Int64 {
-			continue
-		}
-		if got, want := diff.Field(i).Int(), int64(999*(i+1)); got != want {
-			t.Errorf("Sub: %s = %d, want %d", av.Type().Field(i).Name, got, want)
-		}
+	if len(tableEventNames) != len(a) {
+		t.Errorf("%d event names for %d kinds", len(tableEventNames), len(a))
 	}
-	for _, c := range []struct{ latest, snapshot bool }{{true, false}, {true, true}, {false, true}, {false, false}} {
-		a.Fallback, b.Fallback = c.latest, c.snapshot
-		if got := a.Sub(b).Fallback; got != c.latest {
-			t.Errorf("Sub: Fallback = %v with latest %v and snapshot %v, want the latest", got, c.latest, c.snapshot)
-		}
+}
+
+type eventLog []TableEvent
+
+func (l *eventLog) OnTableEvent(e TableEvent) { *l = append(*l, e) }
+
+// TestTallyCountsWhatItReports: a count without an observer only counts, and
+// with one attached every count is one event, carrying its arguments.
+func TestTallyCountsWhatItReports(t *testing.T) {
+	var tl Tally
+	a := dram.Addr{Channel: 1, Bank: 2, Row: 3}
+	tl.Count(TableHit, a, 4, 5)
+	var log eventLog
+	tl.Obs = &log
+	tl.Count(TableHit, a, 4, 6)
+	tl.Count(TableNeighborRefresh, a, -1, 7)
+	if tl.Stats[TableHit] != 2 || tl.Stats[TableNeighborRefresh] != 1 {
+		t.Errorf("counters %v", tl.Stats)
+	}
+	want := eventLog{{TableHit, 6, a, 4}, {TableNeighborRefresh, 7, a, -1}}
+	if !reflect.DeepEqual(log, want) {
+		t.Errorf("events %v, want %v", log, want)
+	}
+	if tl.Counters() != &tl {
+		t.Error("Counters does not answer with the embedded Tally")
 	}
 }

@@ -18,13 +18,10 @@ import (
 // mechanism.
 type RAIDR struct {
 	NoOps
+	Tally   // TableRowRefresh: each weak-row refresh queued to a controller
 	Geo     dram.Geometry
 	T       dram.Timing
 	Profile *retention.Profile
-
-	// RowRefreshes counts the row-granular weak-row refresh operations
-	// queued to the controllers.
-	RowRefreshes int64
 
 	base    dram.ActTimings
 	pending [][]CopyOp
@@ -52,7 +49,7 @@ func (r *RAIDR) PlanActivate(dram.Addr, int64) ActDecision {
 // rows half a bank ahead (i.e. half a window away in time) are refreshed
 // individually, giving every weak row the default cadence with the work
 // spread evenly.
-func (r *RAIDR) OnRefreshRows(channel, rank, bank, startRow, n int) {
+func (r *RAIDR) OnRefreshRows(channel, rank, bank, startRow, n int, cycle int64) {
 	half := r.Geo.RowsPerBank / 2
 	lo := (startRow + half) % r.Geo.RowsPerBank
 	hi := lo + n
@@ -72,12 +69,9 @@ func (r *RAIDR) OnRefreshRows(channel, rank, bank, startRow, n int) {
 				if !inRange(abs) {
 					continue
 				}
-				r.pending[channel] = append(r.pending[channel], CopyOp{
-					Addr:   dram.Addr{Channel: channel, Rank: rank, Bank: b, Row: abs},
-					Kind:   dram.ActSingle,
-					Timing: r.base,
-				})
-				r.RowRefreshes++
+				a := dram.Addr{Channel: channel, Rank: rank, Bank: b, Row: abs}
+				r.pending[channel] = append(r.pending[channel], CopyOp{Addr: a, Kind: dram.ActSingle, Timing: r.base})
+				r.Count(TableRowRefresh, a, -1, cycle)
 			}
 		}
 	}
@@ -89,7 +83,7 @@ func (r *RAIDR) RefreshMultiplier() int { return 2 }
 
 // NextCopy implements Mechanism: it pops a pending weak-row refresh for the
 // channel; the controller executes it as an ACT followed by a full-tRAS PRE.
-func (r *RAIDR) NextCopy(channel int) (CopyOp, bool) {
+func (r *RAIDR) NextCopy(channel int, _ int64) (CopyOp, bool) {
 	q := r.pending[channel]
 	if len(q) == 0 {
 		return CopyOp{}, false

@@ -160,13 +160,13 @@ func TestRAIDRMechanism(t *testing.T) {
 	// Simulate the bulk refresh stream covering a full window: every
 	// weak row must receive exactly one interleaved row refresh.
 	for rows := 0; rows < g.RowsPerBank; rows += tm.RowsPerRef {
-		r.OnRefreshRows(0, 0, -1, rows, tm.RowsPerRef)
+		r.OnRefreshRows(0, 0, -1, rows, tm.RowsPerRef, 0)
 	}
 	wantOps := int64(g.Banks * g.SubarraysPerBank()) // 1 weak row each
-	if r.RowRefreshes != wantOps {
-		t.Fatalf("RowRefreshes = %d, want %d after a full sweep", r.RowRefreshes, wantOps)
+	if got := r.Stats[TableRowRefresh]; got != wantOps {
+		t.Fatalf("row refreshes = %d, want %d after a full sweep", got, wantOps)
 	}
-	op, ok := r.NextCopy(0)
+	op, ok := r.NextCopy(0, 0)
 	if !ok || op.Kind != dram.ActSingle {
 		t.Fatalf("pending op = %+v, ok=%v", op, ok)
 	}

@@ -656,7 +656,7 @@ func (c *Controller) issueRefresh(r int, now int64) (done, wait bool) {
 			c.sched(SchedRefresh, dram.Addr{Channel: c.Cfg.ChannelID, Rank: r}, now)
 		}
 		start := c.refRow[r]
-		c.Mech.OnRefreshRows(c.Cfg.ChannelID, r, -1, start, c.Cfg.T.RowsPerRef)
+		c.Mech.OnRefreshRows(c.Cfg.ChannelID, r, -1, start, c.Cfg.T.RowsPerRef, now)
 		c.refRow[r] = (start + c.Cfg.T.RowsPerRef) % c.Cfg.Geo.RowsPerBank
 		c.refOwed[r]--
 		return true, false
@@ -699,7 +699,7 @@ func (c *Controller) refreshBank(r int, now int64) bool {
 			c.sched(SchedRefresh, dram.Addr{Channel: c.Cfg.ChannelID, Rank: r, Bank: bank}, now)
 		}
 		start := c.refRow[r]
-		c.Mech.OnRefreshRows(c.Cfg.ChannelID, r, bank, start, c.Cfg.T.RowsPerRef)
+		c.Mech.OnRefreshRows(c.Cfg.ChannelID, r, bank, start, c.Cfg.T.RowsPerRef, now)
 		c.refBank[r] = (bank + 1) % c.Cfg.Geo.Banks
 		if c.refBank[r] == 0 {
 			c.refRow[r] = (start + c.Cfg.T.RowsPerRef) % c.Cfg.Geo.RowsPerBank
@@ -729,7 +729,7 @@ func (c *Controller) hasBankDemand(r, bank int) bool {
 func (c *Controller) serviceMechCopy(now int64) bool {
 	pc := &c.pendingCopy
 	if !pc.pending {
-		if op, found := c.Mech.NextCopy(c.Cfg.ChannelID); found {
+		if op, found := c.Mech.NextCopy(c.Cfg.ChannelID, now); found {
 			*pc = copyState{op: op, pending: true}
 			c.poll = true
 		}

@@ -289,8 +289,8 @@ func TestCROWCacheEndToEnd(t *testing.T) {
 	if c.Dev.Stats.ACTTwo < 1 {
 		t.Errorf("ACT-t count = %d, want >= 1 (row 1 re-activation)", c.Dev.Stats.ACTTwo)
 	}
-	if mech.Stats.Hits < 1 {
-		t.Errorf("CROW-table hits = %d, want >= 1", mech.Stats.Hits)
+	if mech.Stats[core.TableHit] < 1 {
+		t.Errorf("CROW-table hits = %d, want >= 1", mech.Stats[core.TableHit])
 	}
 	for _, v := range k.Violations {
 		t.Errorf("checker: %s", v)
@@ -489,11 +489,11 @@ func TestPlanActivateOncePerActivation(t *testing.T) {
 	if done < total {
 		t.Fatalf("only %d/%d requests completed", done, total)
 	}
-	if crow.Stats.RestoreOps == 0 || crow.Stats.Hits == 0 || crow.Stats.Copies == 0 {
+	if crow.Stats[core.TableRestore] == 0 || crow.Stats[core.TableHit] == 0 || crow.Stats[core.TableCopy] == 0 {
 		t.Fatalf("stream must exercise restores, ACT-t and ACT-c: %+v", crow.Stats)
 	}
-	if want := c.Stats.RowMisses + crow.Stats.RestoreOps; mech.calls != want {
+	if want := c.Stats.RowMisses + crow.Stats[core.TableRestore]; mech.calls != want {
 		t.Errorf("PlanActivate called %d times for %d request activations + %d restore activations",
-			mech.calls, c.Stats.RowMisses, crow.Stats.RestoreOps)
+			mech.calls, c.Stats.RowMisses, crow.Stats[core.TableRestore])
 	}
 }

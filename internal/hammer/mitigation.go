@@ -97,7 +97,6 @@ type Shield struct {
 type shieldChan struct {
 	draws uint64
 	queue []core.CopyOp
-	acts  int64
 }
 
 func newShield(cfg MitConfig, inner core.Mechanism, paraPerMille, refreshDiv int) *Shield {
@@ -165,8 +164,8 @@ func (s *Shield) OnPrecharge(a dram.Addr, openRow int, fullyRestored bool, cycle
 }
 
 // OnRefreshRows implements core.Mechanism.
-func (s *Shield) OnRefreshRows(channel, rank, bank, startRow, n int) {
-	s.inner.OnRefreshRows(channel, rank, bank, startRow, n)
+func (s *Shield) OnRefreshRows(channel, rank, bank, startRow, n int, cycle int64) {
+	s.inner.OnRefreshRows(channel, rank, bank, startRow, n, cycle)
 }
 
 // RefreshMultiplier implements core.Mechanism, delegating unchanged (the
@@ -178,9 +177,10 @@ func (s *Shield) RefreshMultiplier() int { return s.inner.RefreshMultiplier() }
 func (s *Shield) RefreshDivisor() int { return s.refreshDiv * s.inner.RefreshDivisor() }
 
 // NextCopy implements core.Mechanism: it drains the inner mechanism's ops
-// first, then PARA's pending neighbour refreshes.
-func (s *Shield) NextCopy(channel int) (core.CopyOp, bool) {
-	if op, ok := s.inner.NextCopy(channel); ok {
+// first, then PARA's pending neighbour refreshes, each counted as a
+// TableNeighborRefresh in the inner mechanism's counters.
+func (s *Shield) NextCopy(channel int, cycle int64) (core.CopyOp, bool) {
+	if op, ok := s.inner.NextCopy(channel, cycle); ok {
 		return op, true
 	}
 	c := &s.chans[channel]
@@ -189,16 +189,10 @@ func (s *Shield) NextCopy(channel int) (core.CopyOp, bool) {
 	}
 	op := c.queue[0]
 	c.queue = c.queue[1:]
-	c.acts++
+	s.inner.Counters().Count(core.TableNeighborRefresh, op.Addr, -1, cycle)
 	return op, true
 }
 
-// NeighborRefreshes returns how many PARA neighbour-refresh activations the
-// controller issued, summed across channels after the run has quiesced.
-func (s *Shield) NeighborRefreshes() int64 {
-	var n int64
-	for i := range s.chans {
-		n += s.chans[i].acts
-	}
-	return n
-}
+// Counters implements core.Mechanism, delegating: the shield counts into the
+// wrapped mechanism's counters.
+func (s *Shield) Counters() *core.Tally { return s.inner.Counters() }

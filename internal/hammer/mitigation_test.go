@@ -118,14 +118,14 @@ func TestShieldParaEnqueuesNeighbours(t *testing.T) {
 	}
 	s := m.(*Shield)
 	a := dram.Addr{Channel: 1, Bank: 1, Row: 10}
-	if _, ok := s.NextCopy(1); ok {
+	if _, ok := s.NextCopy(1, 0); ok {
 		t.Fatal("pending ops before any activation")
 	}
 	s.OnActivate(a, core.ActDecision{Kind: dram.ActSingle}, 0)
-	if _, ok := s.NextCopy(0); ok {
+	if _, ok := s.NextCopy(0, 0); ok {
 		t.Fatal("draw leaked across channels")
 	}
-	op, ok := s.NextCopy(1)
+	op, ok := s.NextCopy(1, 0)
 	if !ok || op.Kind != dram.ActSingle {
 		t.Fatalf("NextCopy after a guaranteed draw: %+v %v", op, ok)
 	}
@@ -135,11 +135,11 @@ func TestShieldParaEnqueuesNeighbours(t *testing.T) {
 	if op.Addr.Channel != 1 || op.Addr.Bank != 1 {
 		t.Fatalf("neighbour bank/channel wrong: %+v", op.Addr)
 	}
-	if _, ok := s.NextCopy(1); ok {
+	if _, ok := s.NextCopy(1, 0); ok {
 		t.Fatal("queue drained twice")
 	}
-	if s.NeighborRefreshes() != 1 {
-		t.Fatalf("issued count %d, want 1", s.NeighborRefreshes())
+	if n := s.Counters().Stats[core.TableNeighborRefresh]; n != 1 {
+		t.Fatalf("issued count %d, want 1", n)
 	}
 }
 
@@ -153,7 +153,7 @@ func TestShieldParaSkipsOutOfRangeAndCopyActs(t *testing.T) {
 		s.OnActivate(dram.Addr{Row: 0}, core.ActDecision{Kind: dram.ActSingle}, int64(i))
 	}
 	for {
-		op, ok := s.NextCopy(0)
+		op, ok := s.NextCopy(0, 0)
 		if !ok {
 			break
 		}
@@ -164,7 +164,7 @@ func TestShieldParaSkipsOutOfRangeAndCopyActs(t *testing.T) {
 	// Copy-row activations (the mitigation's own refreshes included) never
 	// draw — PARA would otherwise feed back on itself.
 	s.OnActivate(dram.Addr{Row: 10}, core.ActDecision{Kind: dram.ActCopyRow}, 100)
-	if _, ok := s.NextCopy(0); ok {
+	if _, ok := s.NextCopy(0, 0); ok {
 		t.Fatal("copy-row activation drew a neighbour refresh")
 	}
 }
@@ -177,7 +177,7 @@ func TestShieldParaDeterministicRate(t *testing.T) {
 		s := m.(*Shield)
 		for i := 0; i < 2000; i++ {
 			s.OnActivate(dram.Addr{Row: 10}, core.ActDecision{Kind: dram.ActSingle}, int64(i))
-			if op, ok := s.NextCopy(0); ok {
+			if op, ok := s.NextCopy(0, 0); ok {
 				rows = append(rows, op.Addr.Row)
 			}
 		}
@@ -212,10 +212,11 @@ func (r recordingMech) RestoresAcrossSubarrays() bool {
 }
 func (r recordingMech) OnActivate(dram.Addr, core.ActDecision, int64) { r.saw["OnActivate"] = true }
 func (r recordingMech) OnPrecharge(dram.Addr, int, bool, int64)       { r.saw["OnPrecharge"] = true }
-func (r recordingMech) OnRefreshRows(int, int, int, int, int)         { r.saw["OnRefreshRows"] = true }
+func (r recordingMech) OnRefreshRows(int, int, int, int, int, int64)  { r.saw["OnRefreshRows"] = true }
 func (r recordingMech) RefreshMultiplier() int                        { r.saw["RefreshMultiplier"] = true; return 1 }
 func (r recordingMech) RefreshDivisor() int                           { r.saw["RefreshDivisor"] = true; return 1 }
-func (r recordingMech) NextCopy(int) (core.CopyOp, bool) {
+func (r recordingMech) Counters() *core.Tally                         { r.saw["Counters"] = true; return &core.Tally{} }
+func (r recordingMech) NextCopy(int, int64) (core.CopyOp, bool) {
 	r.saw["NextCopy"] = true
 	return core.CopyOp{}, false
 }

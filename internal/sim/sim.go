@@ -69,7 +69,7 @@ type Config struct {
 
 	// Obs, when non-nil and enabled, attaches the observability bundle
 	// (event tracer, interval telemetry — internal/obs) to every channel,
-	// controller, and the CROW mechanism. It composes with Verify: the
+	// controller, and the mechanism's counters. It composes with Verify: the
 	// oracle and the obs consumers ride the same command fan-out. Not part
 	// of the memoization key (see obs.With); a bundle serves one run.
 	Obs *obs.Observers
@@ -134,7 +134,7 @@ type Result struct {
 	Energy     energy.Breakdown
 	DRAM       dram.Stats // summed over channels, measured interval
 	Ctrl       ctrl.Stats // summed over channels
-	CROW       core.Stats // zero-valued for non-CROW mechanisms
+	Mech       core.Stats // the mechanism's counters, measured interval
 	LLC        cache.Stats
 	AvgReadNs  float64
 	// ReadP50Ns/ReadP99Ns bound the 50th/99th-percentile demand read
@@ -342,9 +342,7 @@ func New(cfg Config, mech core.Mechanism, gens []trace.Generator) *System {
 			}
 			s.Ctrls[ch].Obs = cfg.Obs.SchedObserver(ch)
 		}
-		if cw, ok := core.Unwrap(mech).(*core.CROW); ok {
-			cw.Obs = cfg.Obs.TableObserver()
-		}
+		mech.Counters().Obs = cfg.Obs.TableObserver()
 	}
 	s.LLC = cache.New(cfg.LLC, memPort{s}, len(gens))
 	// Completion callbacks run in DRAM-cycle context; deliver to the CPU
@@ -526,10 +524,7 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 		devSnap = append(devSnap, c.Dev.Stats)
 		ctrlSnap = append(ctrlSnap, c.Stats)
 	}
-	var crowSnap core.Stats
-	if cw, ok := core.Unwrap(s.Mech).(*core.CROW); ok {
-		crowSnap = cw.Stats
-	}
+	mechSnap := s.Mech.Counters().Stats
 	for _, c := range s.Ctrls {
 		c.ReadLatency.Reset()
 	}
@@ -612,9 +607,7 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 	}
 	res.ReadP50Ns = allLat.Percentile(50) * s.Cfg.T.CycleTime()
 	res.ReadP99Ns = allLat.Percentile(99) * s.Cfg.T.CycleTime()
-	if cw, ok := core.Unwrap(s.Mech).(*core.CROW); ok {
-		res.CROW = cw.Stats.Sub(crowSnap)
-	}
+	res.Mech = s.Mech.Counters().Stats.Sub(mechSnap)
 	s.Cfg.Obs.Finish(s.dramCycle)
 	if s.Oracle != nil {
 		s.Oracle.Finish(s.dramCycle)

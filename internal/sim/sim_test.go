@@ -90,10 +90,10 @@ func TestCROWCacheSpeedsUpRowReuseWorkload(t *testing.T) {
 	cs := New(cfg, mech, []trace.Generator{gen("mcf", 1, t)})
 	crowRes := cs.Run()
 
-	if crowRes.CROW.Hits == 0 {
+	if crowRes.Mech[core.TableHit] == 0 {
 		t.Fatal("CROW-cache must register hits on a row-reuse workload")
 	}
-	hitRate := crowRes.CROW.HitRate()
+	hitRate := crowRes.Mech.HitRate()
 	if hitRate <= 0.2 {
 		t.Errorf("CROW-8 hit rate = %.2f, expected substantial reuse", hitRate)
 	}
@@ -422,7 +422,7 @@ func TestDeterminism(t *testing.T) {
 		return s.Run()
 	}
 	a, b := run(), run()
-	if a.IPC[0] != b.IPC[0] || a.DRAM != b.DRAM || a.CROW != b.CROW {
+	if a.IPC[0] != b.IPC[0] || a.DRAM != b.DRAM || a.Mech != b.Mech {
 		t.Error("identical configurations must produce identical results")
 	}
 }

@@ -15,6 +15,7 @@ import (
 // Mechanism is the TL-DRAM controller policy. It satisfies core.Mechanism.
 type Mechanism struct {
 	core.NoOps // copies always fully restore: no precharge or refresh tracking
+	core.Tally // near-segment hits, misses, copies and evictions
 
 	T        dram.Timing
 	NearRows int
@@ -23,8 +24,6 @@ type Mechanism struct {
 	near dram.ActTimings // activation of a caching near row
 	far  dram.ActTimings // activation of an uncached far row
 	copy dram.ActTimings // far activation + near-row copy
-
-	Stats core.Stats
 }
 
 // New derives the near/far timings for the given near-segment size from the
@@ -70,10 +69,6 @@ func New(channels int, g dram.Geometry, t dram.Timing, nearRows int) *Mechanism 
 // Name implements core.Mechanism.
 func (m *Mechanism) Name() string { return "tl-dram" }
 
-// ChipAreaOverhead returns the DRAM die overhead of the isolation
-// transistors plus the near-segment decoder (6.9 % for 8 near rows).
-func (m *Mechanism) ChipAreaOverhead() float64 { return circuit.TLDRAMChipOverhead(m.NearRows) }
-
 // PlanActivate implements core.Mechanism: near-segment hits activate only
 // the fast near row; misses copy the far row into the LRU near row.
 func (m *Mechanism) PlanActivate(a dram.Addr, cycle int64) core.ActDecision {
@@ -97,16 +92,16 @@ func (m *Mechanism) OnActivate(a dram.Addr, d core.ActDecision, cycle int64) {
 	switch d.Kind {
 	case dram.ActSingle:
 		if d.Timing == m.near {
-			m.Stats.Hits++
+			m.Count(core.TableHit, a, d.CopyRow, cycle)
 			set[d.CopyRow].Touch(cycle)
 		} else {
-			m.Stats.Misses++
+			m.Count(core.TableMiss, a, -1, cycle)
 		}
 	case dram.ActCopy:
-		m.Stats.Misses++
-		m.Stats.Copies++
+		m.Count(core.TableMiss, a, d.CopyRow, cycle)
+		m.Count(core.TableCopy, a, d.CopyRow, cycle)
 		if set[d.CopyRow].Allocated {
-			m.Stats.Evictions++
+			m.Count(core.TableEviction, a, d.CopyRow, cycle)
 		}
 		set[d.CopyRow] = core.Entry{
 			Allocated:     true,

@@ -3,6 +3,7 @@ package tldram
 import (
 	"testing"
 
+	"crowdram/internal/circuit"
 	"crowdram/internal/core"
 	"crowdram/internal/dram"
 )
@@ -45,7 +46,7 @@ func TestMissCopyThenNearHit(t *testing.T) {
 		t.Fatalf("cached row must activate as a near row: %+v", d2)
 	}
 	m.OnActivate(a, d2, 10)
-	if m.Stats.Hits != 1 || m.Stats.Copies != 1 {
+	if m.Stats[core.TableHit] != 1 || m.Stats[core.TableCopy] != 1 {
 		t.Errorf("stats: %+v", m.Stats)
 	}
 }
@@ -65,14 +66,13 @@ func TestLRUEvictionNoRestoreNeeded(t *testing.T) {
 	if m.Table.Lookup(a) != -1 || m.Table.Lookup(b) == -1 {
 		t.Error("LRU eviction broken")
 	}
-	if m.Stats.Evictions != 1 {
-		t.Errorf("Evictions = %d, want 1", m.Stats.Evictions)
+	if m.Stats[core.TableEviction] != 1 {
+		t.Errorf("Evictions = %d, want 1", m.Stats[core.TableEviction])
 	}
 }
 
 func TestAreaOverhead(t *testing.T) {
-	m := newTL(8)
-	got := m.ChipAreaOverhead()
+	got := circuit.TLDRAMChipOverhead(newTL(8).NearRows)
 	if got < 0.065 || got > 0.073 {
 		t.Errorf("TL-DRAM-8 area overhead = %.4f, want ≈ 0.069", got)
 	}
