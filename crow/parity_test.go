@@ -17,10 +17,10 @@ var update = flag.Bool("update", false, "rewrite crow/testdata/scheduler_parity.
 // parityRuns are small runs chosen for the scheduler decisions the goldens
 // and the benchmark workloads do not reach: every scheduler, row policy and
 // refresh policy away from Table 2's, MASA, two ranks with their own data
-// buses, prefetches in the queues, every mechanism's activation plan, the
-// mechanism-copy path, and restore-before-evict with a shared CROW-table — the
-// one configuration where a restore activation lands in another subarray than
-// the request that asked for it. Refresh windows are shortened so refreshes,
+// buses and their own refresh postponement, prefetches in the queues, every
+// mechanism's activation plan, the mechanism-copy path, and restore-before-evict
+// with a shared CROW-table — the one configuration where a restore activation
+// lands in another subarray than the request that asked for it. Refresh windows are shortened so refreshes,
 // postponement and catch-up all occur inside 30 K instructions.
 var parityRuns = []struct {
 	name string
@@ -54,6 +54,8 @@ var parityRuns = []struct {
 	{"prefetch", Options{Mechanism: Cache, Prefetch: true, Workloads: []string{"lbm", "libq", "mcf"},
 		RefreshWindowMS: 8}},
 	{"hbm2", Options{Mechanism: CacheRef, Standard: "hbm2", Workloads: []string{"mcf", "lbm", "omnetpp", "gcc"}}},
+	{"hbm2-postpone8", Options{Mechanism: CacheRef, Standard: "hbm2", RefreshPostpone: 8, RefreshWindowMS: 4,
+		Workloads: []string{"mcf", "lbm", "omnetpp", "gcc"}}},
 	{"crow-hammer", Options{Mechanism: Hammer, HammerThreshold: 64, Translation: "rowstripe",
 		LLCBytes: 64 << 10, Workloads: []string{"hammer-double", "mcf"}}},
 	{"para", Options{Mechanism: Cache, Mitigation: "para", ParaPerMille: 100, Translation: "rowstripe",
