@@ -61,10 +61,10 @@ type Mechanism interface {
 	// whether the activation lasted long enough to fully restore it.
 	OnPrecharge(a dram.Addr, openRow int, fullyRestored bool, cycle int64)
 
-	// OnRefreshRows notifies the mechanism that rows
-	// [startRow, startRow+n) were refreshed at cycle in every bank of the rank
-	// (bank == -1, all-bank REFab) or in one bank (per-bank REFpb).
-	OnRefreshRows(channel, rank, bank, startRow, n int, cycle int64)
+	// OnRefreshRows notifies the mechanism that rows [startRow, startRow+n)
+	// were refreshed at cycle in banks [lo, hi) of the rank: every bank for
+	// an all-bank REFab, one bank for a per-bank REFpb.
+	OnRefreshRows(channel, rank, lo, hi, startRow, n int, cycle int64)
 
 	// RefreshMultiplier scales the refresh interval: 1 for the baseline,
 	// 2 when CROW-ref extends the window, 0 to disable refresh entirely
@@ -187,7 +187,7 @@ func (NoOps) OnActivate(dram.Addr, ActDecision, int64) {}
 func (NoOps) OnPrecharge(dram.Addr, int, bool, int64) {}
 
 // OnRefreshRows implements Mechanism.
-func (NoOps) OnRefreshRows(int, int, int, int, int, int64) {}
+func (NoOps) OnRefreshRows(int, int, int, int, int, int, int64) {}
 
 // RefreshMultiplier implements Mechanism.
 func (NoOps) RefreshMultiplier() int { return 1 }

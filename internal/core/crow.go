@@ -323,12 +323,8 @@ func (c *CROW) OnPrecharge(a dram.Addr, openRow int, fullyRestored bool, cycle i
 // rows, so any CROW-cache pair in the refreshed range becomes fully
 // restored; a wrap of the refresh counter also closes one RowHammer
 // counting window.
-func (c *CROW) OnRefreshRows(channel, rank, bank, startRow, n int, _ int64) {
+func (c *CROW) OnRefreshRows(channel, rank, lo, hi, startRow, n int, _ int64) {
 	g := c.Table.Geo
-	lo, hi := 0, g.Banks
-	if bank >= 0 {
-		lo, hi = bank, bank+1
-	}
 	for b := lo; b < hi; b++ {
 		for row := startRow; row < startRow+n && row < g.RowsPerBank; row++ {
 			a := dram.Addr{Channel: channel, Rank: rank, Bank: b, Row: row}

@@ -294,7 +294,7 @@ func TestHammerRemapsVictims(t *testing.T) {
 		}
 	}
 	// Counters reset when the refresh counter wraps.
-	c.OnRefreshRows(0, 0, -1, 0, 8, 0)
+	c.OnRefreshRows(0, 0, 0, c.Table.Geo.Banks, 0, 8, 0)
 	for i, n := range c.hammerCounts[0] {
 		if n != 0 {
 			t.Errorf("hammer counter %d = %d after the refresh-window boundary, want 0", i, n)
@@ -324,8 +324,8 @@ func TestRefreshRestoresCachedPairs(t *testing.T) {
 	a := dram.Addr{Row: 3}
 	d := c.PlanActivate(a, 0)
 	c.OnActivate(a, d, 0)
-	c.OnPrecharge(a, a.Row, false, 50) // partial
-	c.OnRefreshRows(0, 0, -1, 0, 8, 0) // refreshes rows 0..7
+	c.OnPrecharge(a, a.Row, false, 50)                   // partial
+	c.OnRefreshRows(0, 0, 0, c.Table.Geo.Banks, 0, 8, 0) // refreshes rows 0..7
 	d2 := c.PlanActivate(a, 100)
 	if d2.Timing != c.Crow.TwoFull {
 		t.Error("refresh must fully restore in-range cached pairs")

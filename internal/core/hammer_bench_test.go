@@ -30,7 +30,7 @@ func BenchmarkHammerCounting(b *testing.B) {
 		c.OnActivate(a, c.PlanActivate(a, int64(i)), int64(i))
 		if i%4096 == 0 {
 			// Refresh-sweep wrap: reset the window's counters.
-			c.OnRefreshRows(0, 0, 0, 0, t.RowsPerRef, 0)
+			c.OnRefreshRows(0, 0, 0, 1, 0, t.RowsPerRef, 0)
 		}
 	}
 }

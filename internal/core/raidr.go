@@ -49,21 +49,18 @@ func (r *RAIDR) PlanActivate(dram.Addr, int64) ActDecision {
 // rows half a bank ahead (i.e. half a window away in time) are refreshed
 // individually, giving every weak row the default cadence with the work
 // spread evenly.
-func (r *RAIDR) OnRefreshRows(channel, rank, bank, startRow, n int, cycle int64) {
+func (r *RAIDR) OnRefreshRows(channel, rank, lo, hi, startRow, n int, cycle int64) {
 	half := r.Geo.RowsPerBank / 2
-	lo := (startRow + half) % r.Geo.RowsPerBank
-	hi := lo + n
+	from := (startRow + half) % r.Geo.RowsPerBank
+	to := from + n
 	inRange := func(row int) bool {
-		if hi <= r.Geo.RowsPerBank {
-			return row >= lo && row < hi
+		if to <= r.Geo.RowsPerBank {
+			return row >= from && row < to
 		}
-		return row >= lo || row < hi-r.Geo.RowsPerBank
+		return row >= from || row < to-r.Geo.RowsPerBank
 	}
-	for b, subs := range r.Profile.Weak[channel][rank] {
-		if bank >= 0 && b != bank {
-			continue
-		}
-		for sa, weak := range subs {
+	for b := lo; b < hi; b++ {
+		for sa, weak := range r.Profile.Weak[channel][rank][b] {
 			for _, row := range weak {
 				abs := sa*r.Geo.RowsPerSubarray + row
 				if !inRange(abs) {

@@ -160,7 +160,7 @@ func TestRAIDRMechanism(t *testing.T) {
 	// Simulate the bulk refresh stream covering a full window: every
 	// weak row must receive exactly one interleaved row refresh.
 	for rows := 0; rows < g.RowsPerBank; rows += tm.RowsPerRef {
-		r.OnRefreshRows(0, 0, -1, rows, tm.RowsPerRef, 0)
+		r.OnRefreshRows(0, 0, 0, g.Banks, rows, tm.RowsPerRef, 0)
 	}
 	wantOps := int64(g.Banks * g.SubarraysPerBank()) // 1 weak row each
 	if got := r.Stats[TableRowRefresh]; got != wantOps {

@@ -6,6 +6,7 @@
 package ctrl
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -600,11 +601,12 @@ func (c *Controller) updateDrainMode(now int64) {
 	}
 }
 
-// serviceRefresh runs the refresh state machine — per-rank deadline
-// accounting with elastic postponement [107] — and leaves the refresh command
-// itself (REFab, or bank-granular REFpb/REFsb) to issueRefresh; returns true
-// if a command issued this cycle.
+// serviceRefresh runs the refresh state machine: per-rank deadline accounting
+// with elastic postponement [107], then one refresh of the rank's target — the
+// whole rank for REFab, the next bank of its round-robin order for
+// bank-granular REFpb/REFsb. It returns true if a command issued this cycle.
 func (c *Controller) serviceRefresh(now int64) bool {
+	banks := c.Cfg.Geo.Banks
 	for r := 0; r < c.Cfg.Geo.Ranks; r++ {
 		for c.ready(c.refDue[r], now) {
 			c.refOwed[r]++
@@ -615,55 +617,44 @@ func (c *Controller) serviceRefresh(now int64) bool {
 		}
 		// Elastic refresh: defer while demand is queued, unless the
 		// owed count has reached the postponement limit.
-		if c.refOwed[r] <= c.Cfg.MaxPostpone && c.hasRankDemand(r) {
+		if c.refOwed[r] <= c.Cfg.MaxPostpone && c.hasDemand(r, 0, banks) {
 			continue
 		}
-		done, wait := c.issueRefresh(r, now)
-		if done {
-			return true
+		lo, hi := 0, banks
+		if c.perBank {
+			// Time each refresh to bank idleness: defer while the target bank
+			// has queued demand, within the per-bank postponement budget JEDEC
+			// allows (8), so the refresh lands in a gap instead of stalling an
+			// active bank.
+			lo, hi = c.refBank[r], c.refBank[r]+1
+			if c.refOwed[r] <= cmp.Or(c.Cfg.MaxPostpone, banks) && c.hasDemand(r, lo, hi) {
+				continue
+			}
 		}
-		if wait {
-			return false
+		if !c.ready(c.Dev.ReadyRefresh(r, lo, hi), now) {
+			// Close one of the target's open rows so the refresh can issue;
+			// other banks keep serving. Either way the scan stops at this rank.
+			return c.closeOne(dram.Addr{Rank: r, Bank: lo}, dram.Addr{Rank: r, Bank: hi}, now)
 		}
-	}
-	return false
-}
-
-// issueRefresh tries to issue (or clear the way for) one refresh of rank r
-// once serviceRefresh has decided one is due: done means a command issued this
-// cycle, wait means the rank is blocked on device timing and the scan must
-// stop; neither means the refresh was postponed and the next rank may be
-// considered.
-func (c *Controller) issueRefresh(r int, now int64) (done, wait bool) {
-	if c.perBank {
-		// Time each refresh to bank idleness: defer while the target bank has
-		// queued demand, within the per-bank postponement budget JEDEC allows
-		// (8), so the refresh lands in a gap instead of stalling an active bank.
-		budget := c.Cfg.MaxPostpone
-		if budget == 0 {
-			budget = c.Cfg.Geo.Banks
+		if c.perBank {
+			c.Dev.REFpb(r, lo, now)
+		} else {
+			c.Dev.REF(r, now)
 		}
-		if c.refOwed[r] <= budget && c.hasBankDemand(r, c.refBank[r]) {
-			return false, false
-		}
-		done = c.refreshBank(r, now)
-		return done, !done
-	}
-	if c.ready(c.Dev.ReadyREF(r), now) {
-		c.Dev.REF(r, now)
 		c.Stats.Refreshes++
 		if c.Obs != nil {
-			c.sched(SchedRefresh, dram.Addr{Channel: c.Cfg.ChannelID, Rank: r}, now)
+			c.sched(SchedRefresh, dram.Addr{Channel: c.Cfg.ChannelID, Rank: r, Bank: lo}, now)
 		}
 		start := c.refRow[r]
-		c.Mech.OnRefreshRows(c.Cfg.ChannelID, r, -1, start, c.Cfg.T.RowsPerRef, now)
-		c.refRow[r] = (start + c.Cfg.T.RowsPerRef) % c.Cfg.Geo.RowsPerBank
+		c.Mech.OnRefreshRows(c.Cfg.ChannelID, r, lo, hi, start, c.Cfg.T.RowsPerRef, now)
+		// The rank's rows advance once every bank has refreshed them.
+		if c.refBank[r] = hi % banks; c.refBank[r] == 0 {
+			c.refRow[r] = (start + c.Cfg.T.RowsPerRef) % c.Cfg.Geo.RowsPerBank
+		}
 		c.refOwed[r]--
-		return true, false
+		return true
 	}
-	// Close the rank's open rows so REF can issue; blocked on tRAS/tRP, wait.
-	done = c.closeOne(dram.Addr{Rank: r}, dram.Addr{Rank: r + 1}, now)
-	return done, !done
+	return false
 }
 
 // closeOne precharges the first open row, in (rank, bank, subarray) order,
@@ -688,38 +679,10 @@ func (c *Controller) openAddr(i int) dram.Addr {
 	return a
 }
 
-// refreshBank issues (or clears the way for) one per-bank refresh of the
-// next bank in the rank's round-robin order.
-func (c *Controller) refreshBank(r int, now int64) bool {
-	bank := c.refBank[r]
-	if c.ready(c.Dev.ReadyREFpb(r, bank), now) {
-		c.Dev.REFpb(r, bank, now)
-		c.Stats.Refreshes++
-		if c.Obs != nil {
-			c.sched(SchedRefresh, dram.Addr{Channel: c.Cfg.ChannelID, Rank: r, Bank: bank}, now)
-		}
-		start := c.refRow[r]
-		c.Mech.OnRefreshRows(c.Cfg.ChannelID, r, bank, start, c.Cfg.T.RowsPerRef, now)
-		c.refBank[r] = (bank + 1) % c.Cfg.Geo.Banks
-		if c.refBank[r] == 0 {
-			c.refRow[r] = (start + c.Cfg.T.RowsPerRef) % c.Cfg.Geo.RowsPerBank
-		}
-		c.refOwed[r]--
-		return true
-	}
-	// Close open rows of this bank only; the rest keep serving.
-	return c.closeOne(dram.Addr{Rank: r, Bank: bank}, dram.Addr{Rank: r, Bank: bank + 1}, now)
-}
-
-// hasRankDemand reports whether any queued request targets the rank.
-func (c *Controller) hasRankDemand(r int) bool {
-	banks := c.bankQueued[r*c.Cfg.Geo.Banks : (r+1)*c.Cfg.Geo.Banks]
+// hasDemand reports whether any queued request targets banks [lo, hi) of rank r.
+func (c *Controller) hasDemand(r, lo, hi int) bool {
+	banks := c.bankQueued[r*c.Cfg.Geo.Banks+lo : r*c.Cfg.Geo.Banks+hi]
 	return slices.ContainsFunc(banks, func(n int32) bool { return n > 0 })
-}
-
-// hasBankDemand reports whether any queued request targets the bank.
-func (c *Controller) hasBankDemand(r, bank int) bool {
-	return c.bankQueued[r*c.Cfg.Geo.Banks+bank] > 0
 }
 
 // serviceMechCopy executes mechanism-initiated ACT-c operations (RowHammer

@@ -140,7 +140,7 @@ type CommandObserver interface {
 
 // Channel is the cycle-accurate device model of one DRAM channel.
 //
-// The controller drives it with Can*/issue method pairs; the device enforces
+// The controller drives it with Ready*/issue method pairs; the device enforces
 // every intra-device timing constraint and panics on protocol violations
 // (issuing a command the device reported illegal is a controller bug).
 type Channel struct {
@@ -335,8 +335,9 @@ func (c *Channel) LastUseAt(i int) int64 { return c.subs[i].lastUse }
 // to without overflowing int64.
 const Horizon = int64(1) << 60
 
-// The Ready* queries answer *when* a command becomes legal; the Can* queries
-// below are `now >= Ready*`, so every timing rule exists once. Between two
+// The Ready* queries answer *when* a command becomes legal: a command is legal
+// at `now` exactly when `now >= Ready*`, which is also the test each command
+// makes before it issues, so every timing rule exists once. Between two
 // commands nothing on the channel changes, and each rule is a plain threshold
 // on the cycle number, so a Ready* value stays exact until the next command
 // issues: the command is illegal at every earlier cycle and legal from that
@@ -361,10 +362,6 @@ func (c *Channel) ReadyACT(a Addr) int64 {
 	return at
 }
 
-// CanACT reports whether an activation of kind k targeting a.Row's subarray
-// may issue at cycle `now`.
-func (c *Channel) CanACT(a Addr, now int64, k ActKind) bool { return now >= c.ReadyACT(a) }
-
 // ACT issues an activation of kind k with per-activation timings t.
 //
 // copyRow is the copy-row operand carried by CROW's two-row and copy-row
@@ -372,7 +369,7 @@ func (c *Channel) CanACT(a Addr, now int64, k ActKind) bool { return now >= c.Re
 // activation involves no copy row. The device itself only records it — the
 // mechanism and the oracle give it meaning.
 func (c *Channel) ACT(a Addr, now int64, k ActKind, t ActTimings, copyRow int) {
-	if !c.CanACT(a, now, k) {
+	if now < c.ReadyACT(a) {
 		panic(fmt.Sprintf("dram: illegal %v to ch%d/r%d/b%d row %d at cycle %d", k, a.Channel, a.Rank, a.Bank, a.Row, now))
 	}
 	rk := &c.ranks[a.Rank]
@@ -433,12 +430,9 @@ func (c *Channel) ReadyRD(a Addr) int64 {
 	return max(c.readyCol(a, c.T.CL), c.ranks[a.Rank].wrDataEnd+int64(c.T.WTR))
 }
 
-// CanRD reports whether a read of a.Col from the open row a.Row may issue.
-func (c *Channel) CanRD(a Addr, now int64) bool { return now >= c.ReadyRD(a) }
-
 // RD issues a read and returns the cycle at which the data burst completes.
 func (c *Channel) RD(a Addr, now int64) int64 {
-	if !c.CanRD(a, now) {
+	if now < c.ReadyRD(a) {
 		panic(fmt.Sprintf("dram: illegal RD to ch%d/r%d/b%d row %d at cycle %d", a.Channel, a.Rank, a.Bank, a.Row, now))
 	}
 	s := c.sub(a)
@@ -462,14 +456,11 @@ func (c *Channel) RD(a Addr, now int64) int64 {
 // may issue, or Horizon while another row (or none) is open.
 func (c *Channel) ReadyWR(a Addr) int64 { return c.readyCol(a, c.T.CWL) }
 
-// CanWR reports whether a write to a.Col of the open row a.Row may issue.
-func (c *Channel) CanWR(a Addr, now int64) bool { return now >= c.ReadyWR(a) }
-
 // WR issues a write. The write-recovery time applied before a PRE of this
 // subarray is the per-activation plan's WR (writes to an MRA-opened pair
 // restore two cells; Table 1).
 func (c *Channel) WR(a Addr, now int64) {
-	if !c.CanWR(a, now) {
+	if now < c.ReadyWR(a) {
 		panic(fmt.Sprintf("dram: illegal WR to ch%d/r%d/b%d row %d at cycle %d", a.Channel, a.Rank, a.Bank, a.Row, now))
 	}
 	rk := &c.ranks[a.Rank]
@@ -503,15 +494,12 @@ func (c *Channel) ReadyPREAt(i int) int64 {
 	return max(c.cmdBusFree, s.preReady)
 }
 
-// CanPRE reports whether the subarray holding a.Row may be precharged.
-func (c *Channel) CanPRE(a Addr, now int64) bool { return now >= c.ReadyPRE(a) }
-
 // PRE closes the open row of a.Row's subarray and returns whether the
 // activation was held open for at least the plan's full-restoration time,
 // which is what decides the isFullyRestored state of a CROW pair
 // (Section 4.1.4).
 func (c *Channel) PRE(a Addr, now int64) (fullyRestored bool) {
-	if !c.CanPRE(a, now) {
+	if now < c.ReadyPRE(a) {
 		panic(fmt.Sprintf("dram: illegal PRE to ch%d/r%d/b%d at cycle %d", a.Channel, a.Rank, a.Bank, now))
 	}
 	bk := &c.ranks[a.Rank].banks[a.Bank]
@@ -534,29 +522,29 @@ func (c *Channel) PRE(a Addr, now int64) (fullyRestored bool) {
 	return full
 }
 
-// ReadyREFpb returns the earliest cycle a per-bank refresh of one bank may
-// issue: that bank's subarrays must be past precharge recovery and no other
-// refresh may be in progress on the rank. It returns Horizon while the bank
-// holds an open row. Other banks remain accessible — the point of LPDDR4's
-// per-bank refresh mode.
-func (c *Channel) ReadyREFpb(rankID, bankID int) int64 {
+// ReadyRefresh returns the earliest cycle a refresh of banks [lo, hi) of the
+// rank may issue: REF refreshes the whole rank, REFpb one bank. Every bank in
+// the range must be past its precharge recovery and any refresh of its own,
+// and no all-bank refresh may be in progress on the rank. It returns Horizon
+// while any bank in the range holds an open row. Banks outside the range stay
+// accessible — the point of per-bank refresh.
+func (c *Channel) ReadyRefresh(rankID, lo, hi int) int64 {
 	rk := &c.ranks[rankID]
-	bk := &rk.banks[bankID]
-	if bk.openCount > 0 {
-		return Horizon
+	at := max(c.cmdBusFree, rk.refBusy)
+	for b := lo; b < hi; b++ {
+		bk := &rk.banks[b]
+		if bk.openCount > 0 {
+			return Horizon
+		}
+		at = max(at, bk.refBusy, bk.actReady)
 	}
-	return max(c.cmdBusFree, rk.refBusy, bk.refBusy, bk.actReady)
-}
-
-// CanREFpb reports whether a per-bank refresh of one bank may issue.
-func (c *Channel) CanREFpb(rankID, bankID int, now int64) bool {
-	return now >= c.ReadyREFpb(rankID, bankID)
+	return at
 }
 
 // REFpb issues a per-bank refresh, blocking only that bank for tRFCpb (the
 // refBusy horizon every activation and refresh of the bank checks).
 func (c *Channel) REFpb(rankID, bankID int, now int64) {
-	if !c.CanREFpb(rankID, bankID, now) {
+	if now < c.ReadyRefresh(rankID, bankID, bankID+1) {
 		panic(fmt.Sprintf("dram: illegal REFpb to rank %d bank %d at cycle %d", rankID, bankID, now))
 	}
 	c.ranks[rankID].banks[bankID].refBusy = now + int64(c.T.RFCpb)
@@ -567,29 +555,10 @@ func (c *Channel) REFpb(rankID, bankID int, now int64) {
 	}
 }
 
-// ReadyREF returns the earliest cycle an all-bank refresh of the rank may
-// issue: every bank must be past its precharge recovery and any refresh of
-// its own. It returns Horizon while any subarray of the rank is open.
-func (c *Channel) ReadyREF(rankID int) int64 {
-	rk := &c.ranks[rankID]
-	at := max(c.cmdBusFree, rk.refBusy)
-	for b := range rk.banks {
-		bk := &rk.banks[b]
-		if bk.openCount > 0 {
-			return Horizon
-		}
-		at = max(at, bk.refBusy, bk.actReady)
-	}
-	return at
-}
-
-// CanREF reports whether an all-bank refresh of the rank may issue.
-func (c *Channel) CanREF(rankID int, now int64) bool { return now >= c.ReadyREF(rankID) }
-
 // REF issues an all-bank refresh, blocking the rank for tRFC (the refBusy
 // horizon every activation and refresh of the rank checks).
 func (c *Channel) REF(rankID int, now int64) {
-	if !c.CanREF(rankID, now) {
+	if now < c.ReadyRefresh(rankID, 0, c.Geo.Banks) {
 		panic(fmt.Sprintf("dram: illegal REF to rank %d at cycle %d", rankID, now))
 	}
 	c.ranks[rankID].refBusy = now + int64(c.T.RFC)

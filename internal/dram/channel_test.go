@@ -26,19 +26,16 @@ func TestActivateReadPrechargeSequence(t *testing.T) {
 	a := Addr{Bank: 0, Row: 100, Col: 5}
 	base := c.T.Base()
 
-	if !c.CanACT(a, 0, ActSingle) {
-		t.Fatal("ACT to idle bank must be legal at cycle 0")
+	if at := c.ReadyACT(a); at != 0 {
+		t.Fatalf("ACT to an idle bank ready at %d, want cycle 0", at)
 	}
 	c.ACT(a, 0, ActSingle, base, -1)
 
 	if c.OpenRow(a) != 100 {
 		t.Errorf("OpenRow = %d, want 100", c.OpenRow(a))
 	}
-	if c.CanRD(a, int64(c.T.RCD)-1) {
-		t.Error("RD must be illegal before tRCD")
-	}
-	if !c.CanRD(a, int64(c.T.RCD)) {
-		t.Fatal("RD must be legal at tRCD")
+	if at := c.ReadyRD(a); at != int64(c.T.RCD) {
+		t.Fatalf("RD ready at %d, want tRCD %d", at, c.T.RCD)
 	}
 	done := c.RD(a, int64(c.T.RCD))
 	wantDone := int64(c.T.RCD + c.T.CL + c.T.BL)
@@ -46,11 +43,8 @@ func TestActivateReadPrechargeSequence(t *testing.T) {
 		t.Errorf("RD data done = %d, want %d", done, wantDone)
 	}
 
-	if c.CanPRE(a, int64(c.T.RAS)-1) {
-		t.Error("PRE must be illegal before tRAS")
-	}
-	if !c.CanPRE(a, int64(c.T.RAS)) {
-		t.Fatal("PRE must be legal at tRAS")
+	if at := c.ReadyPRE(a); at != int64(c.T.RAS) {
+		t.Fatalf("PRE ready at %d, want tRAS %d", at, c.T.RAS)
 	}
 	if full := c.PRE(a, int64(c.T.RAS)); !full {
 		t.Error("PRE at default tRAS counts as fully restored")
@@ -61,11 +55,8 @@ func TestActivateReadPrechargeSequence(t *testing.T) {
 
 	// Next ACT must wait tRP.
 	preAt := int64(c.T.RAS)
-	if c.CanACT(a, preAt+int64(c.T.RP)-1, ActSingle) {
-		t.Error("ACT must be illegal before tRP")
-	}
-	if !c.CanACT(a, preAt+int64(c.T.RP), ActSingle) {
-		t.Error("ACT must be legal at PRE+tRP")
+	if at, want := c.ReadyACT(a), preAt+int64(c.T.RP); at != want {
+		t.Errorf("ACT ready at %d, want PRE+tRP %d", at, want)
 	}
 	requireClean(t, k)
 }
@@ -73,7 +64,7 @@ func TestActivateReadPrechargeSequence(t *testing.T) {
 func TestReadToWrongRowIllegal(t *testing.T) {
 	c, _ := testChannel(t, 0)
 	c.ACT(Addr{Row: 1}, 0, ActSingle, c.T.Base(), -1)
-	if c.CanRD(Addr{Row: 2}, 100) {
+	if c.ReadyRD(Addr{Row: 2}) != Horizon {
 		t.Error("RD to a row other than the open one must be illegal")
 	}
 }
@@ -82,12 +73,12 @@ func TestSingleOpenRowPerBank(t *testing.T) {
 	c, _ := testChannel(t, 0)
 	c.ACT(Addr{Row: 0}, 0, ActSingle, c.T.Base(), -1)
 	// Another subarray of the same bank: illegal without MASA.
-	if c.CanACT(Addr{Row: 512}, 1000, ActSingle) {
+	if c.ReadyACT(Addr{Row: 512}) != Horizon {
 		t.Error("second open row in one bank must be illegal without MASA")
 	}
-	// Another bank: legal (after tRRD).
-	if !c.CanACT(Addr{Bank: 1, Row: 0}, 1000, ActSingle) {
-		t.Error("ACT to another bank must be legal")
+	// Another bank: legal after tRRD.
+	if at := c.ReadyACT(Addr{Bank: 1, Row: 0}); at != int64(c.T.RRD) {
+		t.Errorf("ACT to another bank ready at %d, want tRRD %d", at, c.T.RRD)
 	}
 }
 
@@ -100,8 +91,8 @@ func TestMASAAllowsMultipleOpenSubarrays(t *testing.T) {
 
 	c.ACT(Addr{Row: 0}, 0, ActSingle, tm.Base(), -1)
 	other := Addr{Row: 512} // different subarray, same bank
-	if !c.CanACT(other, int64(tm.RRD), ActSingle) {
-		t.Fatal("MASA must allow a second subarray activation in the same bank")
+	if at := c.ReadyACT(other); at != int64(tm.RRD) {
+		t.Fatalf("MASA must allow a second subarray activation in the same bank at tRRD, ready at %d", at)
 	}
 	c.ACT(other, int64(tm.RRD), ActSingle, tm.Base(), -1)
 	if c.OpenRow(Addr{Row: 0}) != 0 || c.OpenRow(other) != 512 {
@@ -111,7 +102,7 @@ func TestMASAAllowsMultipleOpenSubarrays(t *testing.T) {
 		t.Errorf("OpenBuffers = %d, want 2", c.OpenBuffers())
 	}
 	// Same subarray still at most one row.
-	if c.CanACT(Addr{Row: 1}, 1000, ActSingle) {
+	if c.ReadyACT(Addr{Row: 1}) != Horizon {
 		t.Error("same subarray must not open a second row")
 	}
 	requireClean(t, k)
@@ -129,18 +120,15 @@ func TestTRRDAndTFAW(t *testing.T) {
 	rrd := int64(tm.RRD)
 
 	c.ACT(Addr{Bank: 0, Row: 0}, 0, ActSingle, base, -1)
-	if c.CanACT(Addr{Bank: 1, Row: 0}, rrd-1, ActSingle) {
-		t.Error("tRRD must gate back-to-back ACTs")
+	if at := c.ReadyACT(Addr{Bank: 1, Row: 0}); at != rrd {
+		t.Errorf("back-to-back ACT ready at %d, want tRRD %d", at, rrd)
 	}
 	c.ACT(Addr{Bank: 1, Row: 0}, rrd, ActSingle, base, -1)
 	c.ACT(Addr{Bank: 2, Row: 0}, 2*rrd, ActSingle, base, -1)
 	c.ACT(Addr{Bank: 3, Row: 0}, 3*rrd, ActSingle, base, -1)
 	// Fifth ACT within tFAW of the first must be illegal.
-	if c.CanACT(Addr{Bank: 4, Row: 0}, 4*rrd, ActSingle) {
-		t.Error("tFAW must gate the fifth ACT")
-	}
-	if !c.CanACT(Addr{Bank: 4, Row: 0}, int64(tm.FAW), ActSingle) {
-		t.Error("fifth ACT at tFAW must be legal")
+	if at := c.ReadyACT(Addr{Bank: 4, Row: 0}); at != int64(tm.FAW) {
+		t.Errorf("fifth ACT ready at %d, want tFAW %d", at, tm.FAW)
 	}
 	c.ACT(Addr{Bank: 4, Row: 0}, int64(tm.FAW), ActSingle, base, -1)
 	requireClean(t, k)
@@ -154,11 +142,8 @@ func TestWriteRecoveryGatesPrecharge(t *testing.T) {
 	c.WR(a, wrAt)
 	dataEnd := wrAt + int64(c.T.CWL) + int64(c.T.BL)
 	preOK := dataEnd + int64(c.T.WR)
-	if c.CanPRE(a, preOK-1) {
-		t.Error("PRE must be illegal before write recovery completes")
-	}
-	if !c.CanPRE(a, preOK) {
-		t.Error("PRE must be legal after write recovery")
+	if at := c.ReadyPRE(a); at != preOK {
+		t.Errorf("PRE ready at %d, want the end of write recovery %d", at, preOK)
 	}
 	c.PRE(a, preOK)
 	requireClean(t, k)
@@ -173,11 +158,8 @@ func TestMRAWriteRecoveryUsesPlan(t *testing.T) {
 	c.WR(a, wrAt)
 	dataEnd := wrAt + int64(c.T.CWL) + int64(c.T.BL)
 	preOK := dataEnd + int64(crow.TwoPartial.WR)
-	if c.CanPRE(a, preOK-1) {
-		t.Error("PRE must respect the MRA plan's reduced tWR, not the default")
-	}
-	if !c.CanPRE(a, preOK) {
-		t.Error("PRE must be legal after the plan's write recovery")
+	if at := c.ReadyPRE(a); at != preOK {
+		t.Errorf("PRE ready at %d, want %d: the MRA plan's reduced tWR, not the default", at, preOK)
 	}
 }
 
@@ -200,15 +182,12 @@ func TestPartialRestoreDetection(t *testing.T) {
 
 func TestRefreshBlocksRank(t *testing.T) {
 	c, k := testChannel(t, 0)
-	if !c.CanREF(0, 0) {
-		t.Fatal("REF to idle rank must be legal")
+	if at := c.ReadyRefresh(0, 0, c.Geo.Banks); at != 0 {
+		t.Fatalf("REF to an idle rank ready at %d, want cycle 0", at)
 	}
 	c.REF(0, 0)
-	if c.CanACT(Addr{Row: 0}, int64(c.T.RFC)-1, ActSingle) {
-		t.Error("ACT during tRFC must be illegal")
-	}
-	if !c.CanACT(Addr{Row: 0}, int64(c.T.RFC), ActSingle) {
-		t.Error("ACT at tRFC must be legal")
+	if at := c.ReadyACT(Addr{Row: 0}); at != int64(c.T.RFC) {
+		t.Errorf("ACT after REF ready at %d, want tRFC %d", at, c.T.RFC)
 	}
 	requireClean(t, k)
 }
@@ -216,16 +195,15 @@ func TestRefreshBlocksRank(t *testing.T) {
 func TestRefreshRequiresClosedBanks(t *testing.T) {
 	c, _ := testChannel(t, 0)
 	c.ACT(Addr{Row: 0}, 0, ActSingle, c.T.Base(), -1)
-	if c.CanREF(0, 1000) {
+	if c.ReadyRefresh(0, 0, c.Geo.Banks) != Horizon {
 		t.Error("REF with an open row must be illegal")
 	}
-	c.PRE(Addr{Row: 0}, int64(c.T.RAS))
-	preAt := int64(c.T.RAS)
-	if c.CanREF(0, preAt+int64(c.T.RP)-1) {
-		t.Error("REF before tRP must be illegal")
+	if at := c.ReadyRefresh(0, 1, 2); at != 1 {
+		t.Errorf("REFpb of another bank ready at %d, want cycle 1, when the command bus frees", at)
 	}
-	if !c.CanREF(0, preAt+int64(c.T.RP)) {
-		t.Error("REF after tRP must be legal")
+	c.PRE(Addr{Row: 0}, int64(c.T.RAS))
+	if at, want := c.ReadyRefresh(0, 0, c.Geo.Banks), int64(c.T.RAS+c.T.RP); at != want {
+		t.Errorf("REF ready at %d, want PRE+tRP %d", at, want)
 	}
 }
 
@@ -235,11 +213,6 @@ func TestCROWCommandBusOccupancy(t *testing.T) {
 	c.ACT(Addr{Bank: 0, Row: 0}, 0, ActTwo, crow.TwoFull, 0)
 	// The CROW activate holds the command bus for two cycles, so even a
 	// command to another bank cannot issue in the next cycle.
-	if c.CanACT(Addr{Bank: 1, Row: 0}, int64(c.T.RRD), ActSingle) {
-		// tRRD(16) > 2 so bus is free; use PRE path instead: nothing open.
-		// Check bus directly with a RD after opening: covered below.
-		_ = c
-	}
 	if c.cmdBusFree != 2 {
 		t.Errorf("cmdBusFree = %d, want 2 after ACT-t", c.cmdBusFree)
 	}
@@ -261,11 +234,8 @@ func TestDataBusConflictAcrossBanks(t *testing.T) {
 	c.RD(Addr{Bank: 0, Row: 0}, rd1)
 	// A second RD must wait tCCD (which equals BL here, so the bus is
 	// contiguous with no overlap).
-	if c.CanRD(Addr{Bank: 1, Row: 0}, rd1+int64(c.T.CCD)-1) {
-		t.Error("tCCD must gate back-to-back reads")
-	}
-	if !c.CanRD(Addr{Bank: 1, Row: 0}, rd1+int64(c.T.CCD)) {
-		t.Error("RD at tCCD must be legal")
+	if at, want := c.ReadyRD(Addr{Bank: 1, Row: 0}), rd1+int64(c.T.CCD); at != want {
+		t.Errorf("back-to-back RD ready at %d, want tCCD after the first, %d", at, want)
 	}
 	c.RD(Addr{Bank: 1, Row: 0}, rd1+int64(c.T.CCD))
 	requireClean(t, k)
@@ -279,11 +249,8 @@ func TestWriteToReadTurnaround(t *testing.T) {
 	c.WR(Addr{Bank: 0, Row: 0}, wrAt)
 	dataEnd := wrAt + int64(c.T.CWL) + int64(c.T.BL)
 	rdOK := dataEnd + int64(c.T.WTR)
-	if c.CanRD(Addr{Bank: 0, Row: 0}, rdOK-1) {
-		t.Error("tWTR must gate WR->RD")
-	}
-	if !c.CanRD(Addr{Bank: 0, Row: 0}, rdOK) {
-		t.Error("RD after tWTR must be legal")
+	if at := c.ReadyRD(Addr{Bank: 0, Row: 0}); at != rdOK {
+		t.Errorf("RD after WR ready at %d, want tWTR after the write data, %d", at, rdOK)
 	}
 	c.RD(Addr{Bank: 0, Row: 0}, rdOK)
 	requireClean(t, k)

@@ -30,8 +30,8 @@ func commandPlans(tm Timing) []struct {
 // device reports it legal, and lets the independent checker validate the whole
 // stream. This exercises corner interleavings (refresh vs activation, MRA
 // plans, per-bank refresh, per-rank data buses, MASA) that the targeted tests
-// do not. After every issued command the Ready*/Can* contract is checked in
-// the state that command left.
+// do not. After every issued command the Ready* contract is checked in the
+// state that command left.
 func TestRandomCommandStream(t *testing.T) {
 	for _, masa := range []bool{false, true} {
 		name := "conventional"
@@ -69,7 +69,7 @@ func TestRandomCommandStream(t *testing.T) {
 						switch rng.Intn(6) {
 						case 0:
 							p := plans[rng.Intn(len(plans))]
-							if c.CanACT(a, now, p.kind) {
+							if now >= c.ReadyACT(a) {
 								copyRow := -1
 								if p.kind != ActSingle {
 									copyRow = rng.Intn(g.CopyRows)
@@ -81,18 +81,18 @@ func TestRandomCommandStream(t *testing.T) {
 							if open := c.OpenRow(a); open >= 0 {
 								a.Row = open
 								// RD, WR or PRE to the open row.
-								if op := contractOps(c, c.T)[rng.Intn(3)+1]; op.can(a, now) {
+								if op := contractOps(c, c.T)[rng.Intn(3)+1]; now >= op.ready(a) {
 									op.issue(a, now)
 									issued++
 								}
 							}
 						case 4:
-							if c.CanREF(a.Rank, now) && rng.Intn(50) == 0 {
+							if now >= c.ReadyRefresh(a.Rank, 0, g.Banks) && rng.Intn(50) == 0 {
 								c.REF(a.Rank, now)
 								issued++
 							}
 						case 5:
-							if c.CanREFpb(a.Rank, a.Bank, now) && rng.Intn(50) == 0 {
+							if now >= c.ReadyRefresh(a.Rank, a.Bank, a.Bank+1) && rng.Intn(50) == 0 {
 								c.REFpb(a.Rank, a.Bank, now)
 								issued++
 							}
@@ -113,40 +113,34 @@ func TestRandomCommandStream(t *testing.T) {
 	}
 }
 
-// contractOp is one command as a (ready, can, issue) triple over an address,
-// so the contract below is stated once for all six.
+// contractOp is one command as a (ready, issue) pair over an address, so the
+// contract below is stated once for all six.
 type contractOp struct {
 	cmd   Command
 	ready func(a Addr) int64
-	can   func(a Addr, now int64) bool
 	issue func(a Addr, now int64)
 }
 
 func contractOps(c *Channel, tm Timing) []contractOp {
 	return []contractOp{
-		{CmdACT, c.ReadyACT,
-			func(a Addr, now int64) bool { return c.CanACT(a, now, ActSingle) },
-			func(a Addr, now int64) { c.ACT(a, now, ActSingle, tm.Base(), -1) }},
-		{CmdRD, c.ReadyRD, c.CanRD, func(a Addr, now int64) { c.RD(a, now) }},
-		{CmdWR, c.ReadyWR, c.CanWR, c.WR},
-		{CmdPRE, c.ReadyPRE, c.CanPRE, func(a Addr, now int64) { c.PRE(a, now) }},
-		{CmdREF, func(a Addr) int64 { return c.ReadyREF(a.Rank) },
-			func(a Addr, now int64) bool { return c.CanREF(a.Rank, now) },
+		{CmdACT, c.ReadyACT, func(a Addr, now int64) { c.ACT(a, now, ActSingle, tm.Base(), -1) }},
+		{CmdRD, c.ReadyRD, func(a Addr, now int64) { c.RD(a, now) }},
+		{CmdWR, c.ReadyWR, c.WR},
+		{CmdPRE, c.ReadyPRE, func(a Addr, now int64) { c.PRE(a, now) }},
+		{CmdREF, func(a Addr) int64 { return c.ReadyRefresh(a.Rank, 0, c.Geo.Banks) },
 			func(a Addr, now int64) { c.REF(a.Rank, now) }},
-		{CmdREFpb, func(a Addr) int64 { return c.ReadyREFpb(a.Rank, a.Bank) },
-			func(a Addr, now int64) bool { return c.CanREFpb(a.Rank, a.Bank, now) },
+		{CmdREFpb, func(a Addr) int64 { return c.ReadyRefresh(a.Rank, a.Bank, a.Bank+1) },
 			func(a Addr, now int64) { c.REFpb(a.Rank, a.Bank, now) }},
 	}
 }
 
 // checkReadyContract asserts the device's when-not-whether contract in the
-// channel's current state, for every command over each given address: the
-// command is illegal at every cycle before Ready*, legal at it and from then
-// on (nothing changes until the next command), issuing it a cycle early
-// panics, and Ready* is Horizon exactly when the checker, which has seen
-// every command, names a state rule that only a state change can satisfy. It
-// also checks the open list and the per-bank summaries the Ready* answers
-// rest on against a scan of every subarray, and against the checker.
+// channel's current state, for every command over each given address: issuing
+// it a cycle before Ready* panics (at any cycle, when Ready* is Horizon), and
+// Ready* is Horizon exactly when the checker, which has seen every command,
+// names a state rule that only a state change can satisfy. It also checks the
+// open list and the per-bank summaries the Ready* answers rest on against a
+// scan of every subarray, and against the checker.
 func checkReadyContract(t *testing.T, c *Channel, k *Checker, addrs ...Addr) {
 	t.Helper()
 	for _, op := range contractOps(c, c.T) {
@@ -154,22 +148,6 @@ func checkReadyContract(t *testing.T, c *Channel, k *Checker, addrs ...Addr) {
 			at := op.ready(a)
 			if why := k.Blocked(op.cmd, a); (at == Horizon) != (why != "") {
 				t.Fatalf("%v r%d/b%d row %d: ready %d, but the checker's state rules say %q", op.cmd, a.Rank, a.Bank, a.Row, at, why)
-			}
-			if at == Horizon {
-				if op.can(a, 0) || op.can(a, Horizon-1) {
-					t.Fatalf("%v b%d row %d: legal at some cycle though only a state change can unblock it", op.cmd, a.Bank, a.Row)
-				}
-				continue
-			}
-			for _, now := range []int64{at - 1000, at - 1} {
-				if op.can(a, now) {
-					t.Fatalf("%v b%d row %d: legal at %d, before its ready cycle %d", op.cmd, a.Bank, a.Row, now, at)
-				}
-			}
-			for _, now := range []int64{at, at + 1, at + 1000} {
-				if !op.can(a, now) {
-					t.Fatalf("%v b%d row %d: illegal at %d, at or after its ready cycle %d", op.cmd, a.Bank, a.Row, now, at)
-				}
 			}
 			func() {
 				defer func() {
@@ -223,7 +201,7 @@ func checkReadyContract(t *testing.T, c *Channel, k *Checker, addrs ...Addr) {
 // driveCommandStream interprets data as a command script against a fresh
 // channel: the first byte picks the standard and MASA, then every three bytes
 // pick a time advance, a command, and an address.
-// Before each command the device's Ready*/Can* contract is checked in the
+// Before each command the device's Ready* contract is checked in the
 // state the prefix left; then the command issues at the later of the script's
 // cycle and its ready cycle — so most commands issue on the exact cycle the
 // device first calls legal — unless only a state change could unblock it. The
@@ -291,11 +269,11 @@ func driveCommandStream(t *testing.T, data []byte) {
 				c.PRE(probe, now)
 			}
 		case 4:
-			if now, ok := at(c.ReadyREF(a.Rank)); ok {
+			if now, ok := at(c.ReadyRefresh(a.Rank, 0, g.Banks)); ok {
 				c.REF(a.Rank, now)
 			}
 		case 5:
-			if now, ok := at(c.ReadyREFpb(a.Rank, a.Bank)); ok {
+			if now, ok := at(c.ReadyRefresh(a.Rank, a.Bank, a.Bank+1)); ok {
 				c.REFpb(a.Rank, a.Bank, now)
 			}
 		}

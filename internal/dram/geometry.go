@@ -3,9 +3,9 @@
 // commands (ACT-c and ACT-t) and with SALP-MASA-style subarray-level
 // parallelism for the baseline comparisons.
 //
-// The device is a passive state machine: a memory controller queries command
-// legality with the Can* methods and advances state with the corresponding
-// issue methods. All times are in DRAM command-clock cycles (1600 MHz for
+// The device is a passive state machine: a memory controller asks when each
+// command becomes legal with the Ready* methods and advances state with the
+// corresponding issue methods. All times are in DRAM command-clock cycles (1600 MHz for
 // LPDDR4-3200, i.e. 0.625 ns per cycle).
 package dram
 

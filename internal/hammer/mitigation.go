@@ -164,8 +164,8 @@ func (s *Shield) OnPrecharge(a dram.Addr, openRow int, fullyRestored bool, cycle
 }
 
 // OnRefreshRows implements core.Mechanism.
-func (s *Shield) OnRefreshRows(channel, rank, bank, startRow, n int, cycle int64) {
-	s.inner.OnRefreshRows(channel, rank, bank, startRow, n, cycle)
+func (s *Shield) OnRefreshRows(channel, rank, lo, hi, startRow, n int, cycle int64) {
+	s.inner.OnRefreshRows(channel, rank, lo, hi, startRow, n, cycle)
 }
 
 // RefreshMultiplier implements core.Mechanism, delegating unchanged (the

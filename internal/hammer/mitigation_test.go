@@ -212,10 +212,12 @@ func (r recordingMech) RestoresAcrossSubarrays() bool {
 }
 func (r recordingMech) OnActivate(dram.Addr, core.ActDecision, int64) { r.saw["OnActivate"] = true }
 func (r recordingMech) OnPrecharge(dram.Addr, int, bool, int64)       { r.saw["OnPrecharge"] = true }
-func (r recordingMech) OnRefreshRows(int, int, int, int, int, int64)  { r.saw["OnRefreshRows"] = true }
-func (r recordingMech) RefreshMultiplier() int                        { r.saw["RefreshMultiplier"] = true; return 1 }
-func (r recordingMech) RefreshDivisor() int                           { r.saw["RefreshDivisor"] = true; return 1 }
-func (r recordingMech) Counters() *core.Tally                         { r.saw["Counters"] = true; return &core.Tally{} }
+func (r recordingMech) OnRefreshRows(int, int, int, int, int, int, int64) {
+	r.saw["OnRefreshRows"] = true
+}
+func (r recordingMech) RefreshMultiplier() int { r.saw["RefreshMultiplier"] = true; return 1 }
+func (r recordingMech) RefreshDivisor() int    { r.saw["RefreshDivisor"] = true; return 1 }
+func (r recordingMech) Counters() *core.Tally  { r.saw["Counters"] = true; return &core.Tally{} }
 func (r recordingMech) NextCopy(int, int64) (core.CopyOp, bool) {
 	r.saw["NextCopy"] = true
 	return core.CopyOp{}, false

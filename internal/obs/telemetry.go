@@ -75,11 +75,11 @@ func (s *IntervalSnapshot) Empty() bool {
 }
 
 // bankState is the persistent (cross-interval) per-bank state telemetry
-// needs to integrate residency: when the bank's open row was activated and
-// whether one is open now.
+// needs to integrate residency: how many of the bank's subarrays hold an open
+// row (several, under SALP-MASA) and since when at least one has.
 type bankState struct {
 	openSince int64
-	open      bool
+	open      int
 }
 
 // Telemetry collects per-bank and per-channel interval counters from the
@@ -128,16 +128,21 @@ func (m *Telemetry) Command(e dram.CmdEvent) {
 		default:
 			b.ACT++
 		}
-		m.state[i] = bankState{openSince: e.Cycle, open: true}
+		if st := &m.state[i]; st.open == 0 {
+			st.openSince = e.Cycle
+		}
+		m.state[i].open++
 	case e.Cmd == dram.CmdRD:
 		b.RD++
 	case e.Cmd == dram.CmdWR:
 		b.WR++
 	case e.Cmd == dram.CmdPRE:
 		b.PRE++
-		if st := &m.state[i]; st.open {
-			b.ActiveCycles += e.Cycle - st.openSince
-			st.open = false
+		if st := &m.state[i]; st.open > 0 {
+			st.open--
+			if st.open == 0 {
+				b.ActiveCycles += e.Cycle - st.openSince
+			}
 		}
 	case e.Cmd == dram.CmdREFpb:
 		b.REF++
@@ -193,7 +198,7 @@ func (m *Telemetry) Snapshot(cycle int64) IntervalSnapshot {
 			for bk := 0; bk < m.geo.Banks; bk++ {
 				i := m.idx(ch, r, bk)
 				b := m.banks[i]
-				if st := &m.state[i]; st.open {
+				if st := &m.state[i]; st.open > 0 {
 					// Credit the open span so far and restart the
 					// residency accounting at the cut.
 					b.ActiveCycles += cycle - st.openSince

@@ -74,6 +74,26 @@ func TestTelemetryOpenRowSpansBoundary(t *testing.T) {
 	}
 }
 
+// TestTelemetryResidencyUnderMASA: with SALP-MASA one bank holds several open
+// subarrays at once, and the bank counts as active while any of them is open —
+// not from the latest ACT to the first PRE.
+func TestTelemetryResidencyUnderMASA(t *testing.T) {
+	g, tm := testShape()
+	m := NewTelemetry(1, g, tm)
+	at := func(cycle int64, cmd dram.Command, row int) {
+		e := cmdEvent(cycle, cmd, 0)
+		e.Addr.Row = row
+		m.Command(e)
+	}
+	at(100, dram.CmdACT, 1)
+	at(150, dram.CmdACT, g.RowsPerSubarray+1) // a second subarray of bank 0
+	at(200, dram.CmdPRE, 1)
+	at(300, dram.CmdPRE, g.RowsPerSubarray+1)
+	if got := bankAt(t, m.Snapshot(400), 0).ActiveCycles; got != 200 {
+		t.Fatalf("ActiveCycles = %d, want 200 (a row open over cycles 100..300)", got)
+	}
+}
+
 // TestTelemetryRefreshAttribution: all-bank REF counts on the channel,
 // REFpb on its bank with tRFCpb of blocked cycles.
 func TestTelemetryRefreshAttribution(t *testing.T) {

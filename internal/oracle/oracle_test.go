@@ -275,8 +275,8 @@ func TestCheckStatsCoversEveryField(t *testing.T) {
 		dev.RD(a, at(dev.ReadyRD(a)))
 		dev.PRE(a, at(dev.ReadyPRE(a)+int64(k.plan.RASFull)))
 	}
-	dev.REF(0, at(dev.ReadyREF(0)))
-	dev.REFpb(0, 1, at(dev.ReadyREFpb(0, 1)))
+	dev.REF(0, at(dev.ReadyRefresh(0, 0, g.Banks)))
+	dev.REFpb(0, 1, at(dev.ReadyRefresh(0, 1, 2)))
 	o.CheckStats(0, dev.Stats)
 	if f := o.Findings(); f.Total() != 0 {
 		t.Fatalf("the device's own stats flagged: %v; samples: %v", f.Counts, f.Samples)
