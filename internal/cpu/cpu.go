@@ -80,10 +80,8 @@ type Core struct {
 	storeMiss []bool
 	storeFree []int
 
-	// Retired counts completed instructions; Cycles counts elapsed core
-	// cycles (both reset at the end of warmup).
+	// Retired counts completed instructions (reset at the end of warmup).
 	Retired int64
-	Cycles  int64
 
 	// StallWindow / StallMSHR count issue stalls by cause.
 	StallWindow int64
@@ -130,16 +128,7 @@ func New(id int, cfg Config, gen trace.Generator, mem Memory, xlat Translator) *
 
 // ResetStats zeroes the measurement counters (end of warmup).
 func (c *Core) ResetStats() {
-	c.Retired, c.Cycles = 0, 0
-	c.StallWindow, c.StallMSHR = 0, 0
-}
-
-// IPC returns retired instructions per cycle over the measured interval.
-func (c *Core) IPC() float64 {
-	if c.Cycles == 0 {
-		return 0
-	}
-	return float64(c.Retired) / float64(c.Cycles)
+	c.Retired, c.StallWindow, c.StallMSHR = 0, 0, 0
 }
 
 // storeToken reserves a completion token for a store access, growing the
@@ -168,7 +157,6 @@ func (c *Core) storeToken() int {
 func (c *Core) Tick(now int64) {
 	c.CatchUp(now - 1)
 	c.clock = now
-	c.Cycles++
 	// Retire in order, up to width, stopping at the oldest unready load;
 	// the ready loads the retire pointer passes leave the ring.
 	end := min(c.retireSeq+int64(c.Cfg.Width), c.issueSeq)
@@ -319,7 +307,6 @@ func (c *Core) Advance(n int64) {
 	}
 	_, retire, stall := c.phase()
 	c.clock += n
-	c.Cycles += n
 	if stall != nil {
 		*stall += n
 		return
@@ -379,7 +366,7 @@ func (c *Core) verifyAdvance(n int64) {
 		c.Tick(c.clock + 1)
 	}
 	c.Gen, c.Mem = gen, mem
-	if c.clock != want.clock || c.Retired != want.Retired || c.Cycles != want.Cycles ||
+	if c.clock != want.clock || c.Retired != want.Retired ||
 		c.StallWindow != want.StallWindow || c.StallMSHR != want.StallMSHR ||
 		c.issueSeq != want.issueSeq || c.retireSeq != want.retireSeq ||
 		c.loadHead != want.loadHead || c.loadTail != want.loadTail ||

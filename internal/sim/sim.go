@@ -417,13 +417,7 @@ func (s *System) jump(limit int64) {
 	if s.everyCycle {
 		return
 	}
-	next := slices.Min(s.due)
-	if next < math.MaxInt64 && s.allReached() {
-		// The tick that completed warm-up is behind us: whatever is skipped
-		// here is charged to warm-up, and only all-stalled cycles ever were.
-		return
-	}
-	n := min(limit, s.LLC.NextEvent(s.cpuCycle)-1, next-1) - s.cpuCycle
+	n := min(limit, s.LLC.NextEvent(s.cpuCycle)-1, slices.Min(s.due)-1) - s.cpuCycle
 	dnext := dram.Horizon
 	for _, c := range s.Ctrls {
 		if e := c.NextEvent(s.dramCycle); e < dnext {
@@ -456,15 +450,6 @@ func (s *System) syncDevStats() {
 	}
 }
 
-func (s *System) allReached() bool {
-	for _, c := range s.Cores {
-		if c.Retired < s.target {
-			return false
-		}
-	}
-	return true
-}
-
 // Run executes warmup then measurement and returns the results.
 func (s *System) Run() Result {
 	res, _ := s.RunContext(context.Background())
@@ -489,11 +474,45 @@ func (s *System) canceled(ctx context.Context) bool {
 	return false
 }
 
+// runTo is the run loop; nothing else advances the system clock. Each pass
+// ticks, takes the interval snapshots due from DRAM cycle snapAt on (0: none),
+// polls ctx, stamps the cores that reached target on this tick, and stops once
+// every core has, or else jumps. Stopping on the crossing tick itself, before
+// any jump, ends a phase on the same cycle whether or not the run jumps. The
+// loop also stops at cycle limit. Every phase starts with each core at Retired
+// 0, so a target of 0 runs no tick. finish[i] is the number of cycles from the
+// call to the tick on which core i reached target, 0 if it never did.
+func (s *System) runTo(ctx context.Context, target, limit, snapAt int64) ([]int64, error) {
+	s.target = target
+	clear(s.due) // a new target: every core ticks first, then is rescheduled
+	start, finish, left := s.cpuCycle, make([]int64, len(s.Cores)), len(s.Cores)
+	for target > 0 && left > 0 && s.cpuCycle < limit {
+		s.tick()
+		if snapAt > 0 && s.dramCycle >= snapAt {
+			s.syncDevStats()
+			s.Cfg.Obs.TakeSnapshot(s.dramCycle)
+			snapAt = s.Cfg.Obs.NextSnapshot()
+		}
+		if s.canceled(ctx) {
+			return nil, ctx.Err()
+		}
+		for i, c := range s.Cores {
+			if finish[i] == 0 && c.Retired >= target {
+				finish[i] = s.cpuCycle - start
+				left--
+			}
+		}
+		if left > 0 {
+			s.jump(limit)
+		}
+	}
+	return finish, nil
+}
+
 // RunContext is Run with cooperative cancellation: the simulation loop
 // polls ctx periodically and abandons the run (returning ctx's error) once
 // it is canceled or past its deadline.
 func (s *System) RunContext(ctx context.Context) (Result, error) {
-	// Warmup.
 	warmLimit := s.Cfg.WarmupInsts*int64(len(s.Cores))*10_000 + 10_000_000
 	if s.Cfg.MaxMeasureCycles > 0 && warmLimit > s.Cfg.MaxMeasureCycles {
 		// A capped run bounds warmup too: a configuration that can make no
@@ -501,13 +520,8 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 		// spin out the full warmup allowance before the cap even applies.
 		warmLimit = s.Cfg.MaxMeasureCycles
 	}
-	s.target = s.Cfg.WarmupInsts
-	for !s.allReached() && s.cpuCycle < warmLimit {
-		s.tick()
-		if s.canceled(ctx) {
-			return Result{}, ctx.Err()
-		}
-		s.jump(warmLimit)
+	if _, err := s.runTo(ctx, s.Cfg.WarmupInsts, warmLimit, 0); err != nil {
+		return Result{}, err
 	}
 	// Reset measurement state. Catch device accounting up to the present
 	// first, so the snapshots see current counters.
@@ -517,7 +531,7 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 		// start clean at the measurement boundary.
 		s.Cfg.Obs.TakeSnapshot(s.dramCycle)
 	}
-	startDRAM := s.dramCycle
+	start, startDRAM := s.cpuCycle, s.dramCycle
 	var devSnap []dram.Stats
 	var ctrlSnap []ctrl.Stats
 	for _, c := range s.Ctrls {
@@ -533,59 +547,34 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 		c.CatchUp(s.cpuCycle)
 		c.ResetStats()
 	}
-	clear(s.due) // a new target: every core ticks first, then is rescheduled
 
 	// Measurement: run until every core retires the target; cores that
 	// finish early keep running (and keep interfering), per Section 7.
-	s.target = s.Cfg.MeasureInsts
-	finish := make([]int64, len(s.Cores))
-	limit := s.cpuCycle + s.target*int64(len(s.Cores))*10_000 + 50_000_000
+	limit := start + s.Cfg.MeasureInsts*int64(len(s.Cores))*10_000 + 50_000_000
 	if s.Cfg.MaxMeasureCycles > 0 {
-		limit = s.cpuCycle + s.Cfg.MaxMeasureCycles
+		limit = start + s.Cfg.MaxMeasureCycles
 	}
-	snapAt := s.Cfg.Obs.NextSnapshot()
-	for s.cpuCycle < limit {
-		s.tick()
-		if snapAt > 0 && s.dramCycle >= snapAt {
-			s.syncDevStats()
-			s.Cfg.Obs.TakeSnapshot(s.dramCycle)
-			snapAt = s.Cfg.Obs.NextSnapshot()
-		}
-		if s.canceled(ctx) {
-			return Result{}, ctx.Err()
-		}
-		doneAll := true
-		for i, c := range s.Cores {
-			if finish[i] == 0 && c.Retired >= s.target {
-				finish[i] = c.Cycles
-			}
-			if finish[i] == 0 {
-				doneAll = false
-			}
-		}
-		if doneAll {
-			break
-		}
-		s.jump(limit)
+	finish, err := s.runTo(ctx, s.Cfg.MeasureInsts, limit, s.Cfg.Obs.NextSnapshot())
+	if err != nil {
+		return Result{}, err
 	}
 	s.syncDevStats()
 
 	res := Result{RefreshMult: s.Mech.RefreshMultiplier()}
-	res.DRAMCycles = s.dramCycle - startDRAM
+	res.Cycles, res.DRAMCycles = s.cpuCycle-start, s.dramCycle-startDRAM
 	insts := make([]int64, len(s.Cores))
 	for i, c := range s.Cores {
 		c.CatchUp(s.cpuCycle)
-		cyc, retired := finish[i], s.target
+		cyc, retired := finish[i], s.Cfg.MeasureInsts
 		if cyc == 0 {
 			// The loop hit its cycle limit before this core retired the
 			// target. Its IPC uses the instructions it actually retired;
-			// the old target/Cycles formula overstated it.
-			cyc, retired = c.Cycles, c.Retired
+			// target/cycles would overstate it.
+			cyc, retired = res.Cycles, c.Retired
 			res.Truncated = true
 		}
 		res.IPC = append(res.IPC, float64(retired)/float64(cyc))
 		insts[i] = c.Retired
-		res.Cycles = c.Cycles // all cores share the clock
 	}
 	res.MPKI = s.LLC.MPKI(insts)
 	res.LLC = s.LLC.Stats

@@ -307,50 +307,6 @@ func runBothWays(t *testing.T, cfg Config, apps ...string) Result {
 	return jumped
 }
 
-// TestWarmupBoundaryIsStallOnly: the warm-up loop calls jump once more after
-// the tick on which the last core reaches WarmupInsts, before the statistics
-// reset, and whatever is skipped there is charged to warm-up. Only all-stalled
-// cycles may be: with every core in the middle of a run of bubbles on that
-// tick, a jump would move measured cycles into warm-up and shift every IPC.
-func TestWarmupBoundaryIsStallOnly(t *testing.T) {
-	cfg := smallCfg(0)
-	cfg.WarmupInsts, cfg.MeasureInsts, cfg.MaxMeasureCycles, cfg.Seed = 5_000, 1_000_000, 10_000, 2
-	apps := []string{"povray", "h264-enc", "jp2-dec"}
-	// The premise, on a system ticked by hand to the boundary: a jump that
-	// knew of no target would move the clock there.
-	s := New(cfg, &core.Baseline{T: cfg.T}, appGens(t, cfg.Seed, apps...))
-	for s.target = cfg.WarmupInsts; !s.allReached(); {
-		s.tick()
-	}
-	boundary := s.cpuCycle
-	if boundary >= cfg.MaxMeasureCycles {
-		t.Fatalf("warm-up took %d cycles: the cap, which bounds it too, would cut it short", boundary)
-	}
-	s.target = math.MaxInt64
-	if s.jump(math.MaxInt64); s.cpuCycle == boundary {
-		t.Fatal("nothing to jump over on the tick that completes warm-up: pick another configuration")
-	}
-	if res := runBothWays(t, cfg, apps...); !res.Truncated {
-		t.Error("the run was meant to end at MaxMeasureCycles")
-	}
-}
-
-// TestJumpStopsShortOfTarget: a core's finish cycle is stamped on the tick
-// where Retired first reaches the target, so a jump may not carry any core
-// across it. Cores that finish at different times must report the IPCs of the
-// run that ticks every cycle.
-func TestJumpStopsShortOfTarget(t *testing.T) {
-	cfg := smallCfg(0)
-	cfg.WarmupInsts, cfg.MeasureInsts = 2_000, 30_000
-	res := runBothWays(t, cfg, "povray", "gcc", "mcf")
-	if res.Truncated {
-		t.Fatal("run was truncated")
-	}
-	if res.IPC[0] == res.IPC[1] || res.IPC[1] == res.IPC[2] {
-		t.Errorf("cores were meant to finish at different times: IPC %v", res.IPC)
-	}
-}
-
 // TestLazyCoresMatchEveryCycle: a run that ticks a core only when it is due,
 // and leaves it behind otherwise, is — Result field for field — the run that
 // ticks every core on every cycle, while every catch-up (a completion reaching
@@ -360,30 +316,52 @@ func TestLazyCoresMatchEveryCycle(t *testing.T) {
 	cpu.SetVerifyAdvance(true)
 	t.Cleanup(func() { cpu.SetVerifyAdvance(false) })
 	type lazyCase struct {
-		name     string
-		apps     []string
-		set      func(*Config)
-		boundary bool // one core stalled at the warm-up boundary, the others inside a run
+		name string
+		apps []string
+		set  func(*Config)
+		// boundary: on the tick that completes warm-up, `stalled` cores are
+		// stalled and the others inside a run, so a jump from there would move
+		// measured cycles into warm-up and shift every IPC.
+		boundary bool
+		stalled  int
 	}
 	cases := []lazyCase{
-		{"1 core", []string{"gcc"}, nil, false},
-		{"2 cores", []string{"povray", "mcf"}, nil, false},
-		{"3 cores", []string{"povray", "gcc", "mcf"}, nil, false},
-		{"4 cores", []string{"povray", "gcc", "h264-enc", "jp2-dec"}, nil, false},
-		{"truncated inside a run", []string{"povray", "gcc"}, func(c *Config) { c.MaxMeasureCycles = 12_345 }, false},
-		{"warm-up boundary", []string{"mcf", "povray", "h264-enc"}, func(c *Config) { c.Seed = 2 }, true},
-		{"prefetch", []string{"libq", "povray"}, func(c *Config) { c.Prefetch = true }, false},
+		{"1 core", []string{"gcc"}, nil, false, 0},
+		{"2 cores", []string{"povray", "mcf"}, nil, false, 0},
+		{"3 cores", []string{"povray", "gcc", "mcf"}, nil, false, 0},
+		{"4 cores", []string{"povray", "gcc", "h264-enc", "jp2-dec"}, nil, false, 0},
+		{"truncated inside a run", []string{"povray", "gcc"}, func(c *Config) { c.MaxMeasureCycles = 12_345 }, false, 0},
+		{"warm-up boundary", []string{"mcf", "povray", "h264-enc"}, func(c *Config) { c.Seed = 2 }, true, 1},
+		{"warm-up boundary truncated", []string{"povray", "h264-enc", "jp2-dec"}, func(c *Config) {
+			c.WarmupInsts, c.MeasureInsts, c.MaxMeasureCycles, c.Seed = 5_000, 1_000_000, 10_000, 2
+		}, true, 2},
+		// A core's finish cycle is stamped on the tick where Retired first
+		// reaches the target, so a jump may not carry any core across it.
+		{"finish at different times", []string{"povray", "gcc", "mcf"}, func(c *Config) {
+			c.WarmupInsts, c.MeasureInsts = 2_000, 30_000
+		}, false, 0},
+		{"prefetch", []string{"libq", "povray"}, func(c *Config) { c.Prefetch = true }, false, 0},
 	}
-	// The rowstripe hammer mix over seeds 1-8: its measured interval is where
-	// a lazy run once drifted from the ticked one by a cycle or two.
-	for seed := int64(1); seed <= 8; seed++ {
-		cases = append(cases, lazyCase{fmt.Sprintf("rowstripe hammer seed %d", seed), []string{"hammer-double", "mcf"}, func(c *Config) {
+	// The rowstripe hammer mix over seeds 1-8 (1-3 under -short): its measured
+	// interval is where a lazy run once drifted from the ticked one by a cycle
+	// or two, first at seed 3.
+	seeds := int64(8)
+	if testing.Short() {
+		seeds = 3
+	}
+	for seed := int64(1); seed <= seeds; seed++ {
+		name := "rowstripe hammer"
+		if seed > 1 {
+			name += fmt.Sprintf(" seed %d", seed)
+		}
+		cases = append(cases, lazyCase{name, []string{"hammer-double", "mcf"}, func(c *Config) {
 			c.LLC.SizeBytes, c.Translation, c.Seed = 64<<10, "rowstripe", seed
 			c.FlipModel = &hammer.Config{Seed: 1, HCFirst: 512}
-		}, false})
+		}, false, 0})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
 			cfg := smallCfg(0)
 			cfg.MeasureInsts = 20_000
 			if tc.set != nil {
@@ -391,19 +369,26 @@ func TestLazyCoresMatchEveryCycle(t *testing.T) {
 			}
 			if tc.boundary {
 				s := New(cfg, &core.Baseline{T: cfg.T}, appGens(t, cfg.Seed, tc.apps...))
-				for s.target = cfg.WarmupInsts; !s.allReached(); {
-					s.tick()
+				if _, err := s.runTo(context.Background(), cfg.WarmupInsts, math.MaxInt64, 0); err != nil {
+					t.Fatal(err)
+				}
+				boundary := s.cpuCycle
+				if cfg.MaxMeasureCycles > 0 && boundary >= cfg.MaxMeasureCycles {
+					t.Fatalf("warm-up took %d cycles: the cap, which bounds it too, would cut it short", boundary)
 				}
 				stalled := 0
 				for i := range s.Cores {
 					if s.due[i] == math.MaxInt64 {
 						stalled++
-					} else if s.due[i] <= s.cpuCycle+1 {
-						t.Fatalf("core %d is due on the cycle after the boundary, not inside a run: due %v at %d", i, s.due, s.cpuCycle)
+					} else if s.due[i] <= boundary+1 {
+						t.Fatalf("core %d is due on the cycle after the boundary, not inside a run: due %v at %d", i, s.due, boundary)
 					}
 				}
-				if stalled != 1 {
-					t.Fatalf("%d cores stalled at the boundary, want 1: due %v", stalled, s.due)
+				if stalled != tc.stalled {
+					t.Fatalf("%d cores stalled at the boundary, want %d: due %v", stalled, tc.stalled, s.due)
+				}
+				if s.jump(math.MaxInt64); s.cpuCycle == boundary {
+					t.Fatal("nothing to jump over on the tick that completes warm-up: pick another configuration")
 				}
 			}
 			res := runBothWays(t, cfg, tc.apps...)
@@ -417,6 +402,32 @@ func TestLazyCoresMatchEveryCycle(t *testing.T) {
 			}
 		})
 	}
+}
+
+// lazyApps span the three MPKI classes (H: mcf, lbm, libq; M: zeusmp, astar;
+// L: gcc, povray, h264-enc) and the RowHammer attacker.
+var lazyApps = []string{"mcf", "lbm", "libq", "zeusmp", "astar", "gcc", "povray", "h264-enc", "hammer-double"}
+
+// FuzzLazyCores: TestLazyCoresMatchEveryCycle as a property. Over a seed, two
+// of lazyApps, either translation, an LLC of 64 KiB to 8 MiB, the flip model
+// on or off and a measurement cap (0: none), the jumping run is the run that
+// ticks every cycle, Result field for field.
+func FuzzLazyCores(f *testing.F) {
+	f.Add(int64(3), byte(8), byte(0), true, byte(0), true, uint16(0)) // the table's rowstripe hammer seed 3
+	f.Add(int64(5), byte(6), byte(3), false, byte(7), false, uint16(12_345))
+	f.Fuzz(func(t *testing.T, seed int64, a, b byte, rowstripe bool, llc byte, flips bool, maxCycles uint16) {
+		cfg := smallCfg(0)
+		cfg.MeasureInsts, cfg.Seed = 20_000, seed
+		cfg.LLC.SizeBytes = 64 << 10 << (llc % 8)
+		if rowstripe {
+			cfg.Translation = "rowstripe"
+		}
+		if flips {
+			cfg.FlipModel = &hammer.Config{Seed: 1, HCFirst: 512}
+		}
+		cfg.MaxMeasureCycles = int64(maxCycles)
+		runBothWays(t, cfg, lazyApps[int(a)%len(lazyApps)], lazyApps[int(b)%len(lazyApps)])
+	})
 }
 
 func TestDeterminism(t *testing.T) {
@@ -482,11 +493,14 @@ func TestTruncatedRunReportsHonestIPC(t *testing.T) {
 	if c.Retired >= cfg.MeasureInsts {
 		t.Fatalf("core retired %d >= target %d; cap too generous for this test", c.Retired, cfg.MeasureInsts)
 	}
-	want := float64(c.Retired) / float64(c.Cycles)
+	if res.Cycles != cfg.MaxMeasureCycles {
+		t.Errorf("truncated run measured %d cycles, want the cap %d", res.Cycles, cfg.MaxMeasureCycles)
+	}
+	want := float64(c.Retired) / float64(res.Cycles)
 	if res.IPC[0] != want {
 		t.Errorf("truncated IPC = %g, want retired/cycles = %g", res.IPC[0], want)
 	}
-	overstated := float64(cfg.MeasureInsts) / float64(c.Cycles)
+	overstated := float64(cfg.MeasureInsts) / float64(res.Cycles)
 	if res.IPC[0] >= overstated {
 		t.Errorf("truncated IPC %g not below the old target/cycles value %g", res.IPC[0], overstated)
 	}
