@@ -72,6 +72,12 @@ const (
 	ChargeCache Mechanism = "chargecache"
 )
 
+// isCROW reports whether the mechanism is built on CROW's copy rows: only
+// these get copy rows, a CROW-table and its overheads.
+func (m Mechanism) isCROW() bool {
+	return m == Cache || m == Ref || m == CacheRef || m == Hammer
+}
+
 // Options configures one simulation. The zero value of every field selects
 // the paper's defaults (Table 2).
 type Options struct {
@@ -542,10 +548,9 @@ func build(o Options) (sim.Config, core.Mechanism, error) {
 	if err != nil {
 		return sim.Config{}, nil, fmt.Errorf("crow: %w", err)
 	}
-	copyRows := o.CopyRows
-	switch o.Mechanism {
-	case Baseline, TLDRAM, SALP, IdealCache, IdealNoRefresh, RAIDR, ChargeCache:
-		copyRows = 0
+	copyRows := 0
+	if o.Mechanism.isCROW() {
+		copyRows = o.CopyRows
 	}
 	cfg := sim.DefaultFor(std, copyRows, density, o.RefreshWindowMS)
 	cfg.LLC.SizeBytes = o.LLCBytes
@@ -597,7 +602,17 @@ func build(o Options) (sim.Config, core.Mechanism, error) {
 		mech = chargecache.New(cfg.Channels, cfg.T, 128)
 	case RAIDR:
 		mech = core.NewRAIDR(cfg.Channels, cfg.Geo, cfg.T, weakRows())
-	case Cache, Ref, CacheRef, Hammer:
+	case TLDRAM:
+		mech = tldram.New(cfg.Channels, cfg.Geo, cfg.T, o.TLDRAMNearRows)
+	case SALP:
+		cfg.Geo = salp.Config{SubarraysPerBank: o.SALPSubarrays}.Geometry()
+		cfg.T = dram.LPDDR4(density, o.RefreshWindowMS, cfg.Geo)
+		cfg.Ctrl.MASA = true
+		mech = &core.Baseline{T: cfg.T}
+	default:
+		if !o.Mechanism.isCROW() {
+			return sim.Config{}, nil, fmt.Errorf("crow: unknown mechanism %q", o.Mechanism)
+		}
 		m := core.NewCROWShared(cfg.Channels, cfg.Geo, cfg.T, o.TableShareGroup)
 		m.FullRestore = o.FullRestore
 		m.EagerRestore = o.EagerRestore
@@ -612,15 +627,6 @@ func build(o Options) (sim.Config, core.Mechanism, error) {
 			m.HammerThreshold = o.HammerThreshold
 		}
 		mech = m
-	case TLDRAM:
-		mech = tldram.New(cfg.Channels, cfg.Geo, cfg.T, o.TLDRAMNearRows)
-	case SALP:
-		cfg.Geo = salp.Config{SubarraysPerBank: o.SALPSubarrays}.Geometry()
-		cfg.T = dram.LPDDR4(density, o.RefreshWindowMS, cfg.Geo)
-		cfg.Ctrl.MASA = true
-		mech = &core.Baseline{T: cfg.T}
-	default:
-		return sim.Config{}, nil, fmt.Errorf("crow: unknown mechanism %q", o.Mechanism)
 	}
 	if o.Mitigation != "" && o.Mitigation != "none" {
 		wrapped, err := hammer.NewMitigation(o.Mitigation, hammer.MitConfig{
@@ -711,10 +717,11 @@ func report(o Options, cfg sim.Config, res sim.Result) Report {
 	r.RowRefreshOps = m[core.TableRowRefresh]
 	r.MitigationRefreshes = m[core.TableNeighborRefresh]
 	// What the counters cannot say is static configuration.
-	switch o.Mechanism {
-	case Cache, Ref, CacheRef, Hammer:
+	if o.Mechanism.isCROW() {
 		r.ChipAreaOverhead = circuit.ChipOverhead(o.CopyRows)
 		r.CapacityOverhead = float64(o.CopyRows) / float64(cfg.Geo.RowsPerSubarray)
+	}
+	switch o.Mechanism {
 	case TLDRAM:
 		r.ChipAreaOverhead = circuit.TLDRAMChipOverhead(o.TLDRAMNearRows)
 		r.CapacityOverhead = float64(o.TLDRAMNearRows) / float64(cfg.Geo.RowsPerSubarray)

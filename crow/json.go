@@ -104,12 +104,8 @@ func (o Options) Validate() error {
 	if err := hammer.CheckMitigation(d.Mitigation); err != nil {
 		return fmt.Errorf("crow: %w", err)
 	}
-	if d.Mitigation == "crow-hammer" {
-		switch d.Mechanism {
-		case Cache, Ref, CacheRef, Hammer:
-		default:
-			return fmt.Errorf("crow: mitigation crow-hammer requires a crow-* mechanism, got %q", d.Mechanism)
-		}
+	if d.Mitigation == "crow-hammer" && !d.Mechanism.isCROW() {
+		return fmt.Errorf("crow: mitigation crow-hammer requires a crow-* mechanism, got %q", d.Mechanism)
 	}
 	if d.Mitigation == "para" && (d.ParaPerMille <= 0 || d.ParaPerMille > 1000) {
 		return fmt.Errorf("crow: ParaPerMille must be in (0, 1000], got %d", d.ParaPerMille)

@@ -87,7 +87,7 @@ func TestStandardDefaultsInKey(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, row, ref := sys.Ctrls[0].Policies()
+		row, ref := sys.Ctrls[0].Cfg.RowPolicy, sys.Ctrls[0].Cfg.Refresh
 		sys.Release()
 		if row != c.row || ref != c.ref {
 			t.Errorf("%+v: policies %s/%s, want %s/%s", c.o, row, ref, c.row, c.ref)

@@ -63,9 +63,6 @@ func New(channels int, t dram.Timing, entries int) *Mechanism {
 	return m
 }
 
-// Name implements core.Mechanism.
-func (m *Mechanism) Name() string { return "chargecache" }
-
 // PlanActivate implements core.Mechanism: rows precharged within the window
 // activate at reduced latency.
 func (m *Mechanism) PlanActivate(a dram.Addr, cycle int64) core.ActDecision {

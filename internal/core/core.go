@@ -36,9 +36,6 @@ type ActDecision struct {
 // mechanism. Implementations must be deterministic and are called from a
 // single goroutine; one instance serves every channel of a system.
 type Mechanism interface {
-	// Name identifies the mechanism in reports.
-	Name() string
-
 	// PlanActivate decides how to activate regular row a.Row, free of side
 	// effects. The controller asks on a cycle a.Row's subarray can take an ACT
 	// and issues one at once — the planned activation, or the RestoreFirst one,
@@ -170,8 +167,8 @@ func (t *Tally) Count(k TableEventKind, a dram.Addr, way int, cycle int64) {
 func (t *Tally) Counters() *Tally { return t }
 
 // NoOps supplies the do-nothing form of every Mechanism hook a simple
-// mechanism has no use for; embedding it leaves Name and PlanActivate (and
-// whichever hooks the mechanism does use) to declare, and Counters to an
+// mechanism has no use for; embedding it leaves PlanActivate (and whichever
+// hooks the mechanism does use) to declare, and Counters to an
 // embedded Tally. A wrapper around another mechanism must not embed it: every
 // method it fails to forward would silently stop reaching the wrapped
 // mechanism.
@@ -206,9 +203,6 @@ type Baseline struct {
 	T dram.Timing
 }
 
-// Name implements Mechanism.
-func (b *Baseline) Name() string { return "baseline" }
-
 // PlanActivate implements Mechanism.
 func (b *Baseline) PlanActivate(dram.Addr, int64) ActDecision {
 	return ActDecision{Kind: dram.ActSingle, Timing: b.T.Base()}
@@ -225,9 +219,6 @@ type Ideal struct {
 	NoRefresh bool
 }
 
-// Name implements Mechanism.
-func (i *Ideal) Name() string { return "ideal" }
-
 // PlanActivate implements Mechanism.
 func (i *Ideal) PlanActivate(dram.Addr, int64) ActDecision {
 	crow := i.T.CROW()
@@ -242,10 +233,9 @@ func (i *Ideal) RefreshMultiplier() int {
 	return 1
 }
 
-// Unwrap peels mechanism wrappers (mitigation shields and the like) that
-// expose their inner mechanism via an Unwrap method, returning the innermost
-// mechanism. Type asserts against concrete mechanisms (e.g. *CROW) should go
-// through it so wrapping stays transparent.
+// Unwrap peels mechanism wrappers (mitigation shields) that expose their
+// inner mechanism via an Unwrap method, returning the innermost mechanism, so
+// a type switch on a mechanism sees through a shield.
 func Unwrap(m Mechanism) Mechanism {
 	for {
 		u, ok := m.(interface{ Unwrap() Mechanism })

@@ -58,7 +58,7 @@ type CROW struct {
 
 // CopyOp is a mechanism-initiated activate/precharge operation the
 // controller must perform at the next opportunity: an ACT-c row duplication
-// (RowHammer victim protection, dynamic CROW-ref remaps) or a plain
+// (RowHammer victim protection) or a plain
 // row-granular refresh activation (the RAIDR baseline).
 type CopyOp struct {
 	Addr    dram.Addr    // regular row to operate on (Col unused)
@@ -87,21 +87,6 @@ func NewCROWShared(channels int, g dram.Geometry, t dram.Timing, share int) *CRO
 	return c
 }
 
-// Name implements Mechanism.
-func (c *CROW) Name() string {
-	switch {
-	case c.Cache && c.Ref:
-		return "crow-cache+ref"
-	case c.Cache:
-		return "crow-cache"
-	case c.Ref:
-		return "crow-ref"
-	case c.HammerThreshold > 0:
-		return "crow-hammer"
-	}
-	return "crow"
-}
-
 // LoadProfile installs a retention profile, remapping every weak regular row
 // to a strong copy row (Section 4.2.2). If any subarray has more weak rows
 // than available copy rows, CROW-ref falls back to the default refresh
@@ -126,46 +111,6 @@ func (c *CROW) LoadProfile(p *retention.Profile) {
 			}
 		}
 	}
-}
-
-// RemapDynamic remaps one newly-discovered weak row at runtime
-// (Section 4.2.3, VRT support). It allocates a free copy row, queues the
-// ACT-c data copy, and returns false if the subarray is out of copy rows
-// (triggering the refresh-interval fallback).
-func (c *CROW) RemapDynamic(a dram.Addr) bool {
-	set := c.Table.Set(a)
-	if w := c.Table.Lookup(a); w >= 0 {
-		switch set[w].Kind {
-		case EntryRef, EntryHammer:
-			return true // already remapped
-		case EntryCache:
-			// The row is already duplicated by CROW-cache: convert the
-			// entry in place (allocating a second way for the same row
-			// would leave two entries racing for lookups). A fully
-			// restored pair is already a coherent duplicate; a partial
-			// one still needs the ACT-c.
-			set[w].Kind = EntryRef
-			if set[w].FullyRestored {
-				return true
-			}
-			set[w].FullyRestored = true
-			set[w].CopyPending = true
-			c.pendingCopies[a.Channel] = append(c.pendingCopies[a.Channel], CopyOp{
-				Addr: a, Kind: dram.ActCopy, CopyRow: w, Timing: c.Crow.CopyFull,
-			})
-			return true
-		}
-	}
-	w := FreeWay(set)
-	if w < 0 {
-		c.Fallback = true
-		return false
-	}
-	set[w] = Entry{Allocated: true, RegularRow: c.Table.rowIn(a.Row), SubTag: c.Table.SubTag(a), Kind: EntryRef, FullyRestored: true, CopyPending: true}
-	c.pendingCopies[a.Channel] = append(c.pendingCopies[a.Channel], CopyOp{
-		Addr: a, Kind: dram.ActCopy, CopyRow: w, Timing: c.Crow.CopyFull,
-	})
-	return true
 }
 
 // PlanActivate implements Mechanism.

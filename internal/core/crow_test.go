@@ -332,37 +332,6 @@ func TestRefreshRestoresCachedPairs(t *testing.T) {
 	}
 }
 
-func TestDynamicRemap(t *testing.T) {
-	g := dram.Std(8)
-	tm := dram.LPDDR4(dram.Density8Gb, 64, g)
-	c := NewCROW(1, g, tm)
-	c.Ref = true
-	a := dram.Addr{Row: 77}
-	if !c.RemapDynamic(a) {
-		t.Fatal("dynamic remap must succeed with free ways")
-	}
-	if !c.RemapDynamic(a) {
-		t.Error("remapping an already-remapped row is a no-op success")
-	}
-	d := c.PlanActivate(a, 0)
-	if d.Kind != dram.ActCopy {
-		t.Errorf("remapped row with pending copy must plan ACT-c, got %v", d.Kind)
-	}
-	op, ok := c.NextCopy(0, 0)
-	if !ok || op.Addr.Row != 77 {
-		t.Fatal("dynamic remap must queue exactly one data copy")
-	}
-	if _, ok := c.NextCopy(0, 0); ok {
-		t.Error("no second pending copy expected")
-	}
-	// Complete the copy: the remapped row then redirects to its copy row.
-	c.OnPrecharge(op.Addr, op.Addr.Row, true, 100)
-	d = c.PlanActivate(a, 200)
-	if d.Kind != dram.ActCopyRow {
-		t.Errorf("remapped row must redirect after the copy, got %v", d.Kind)
-	}
-}
-
 func TestIdealMechanism(t *testing.T) {
 	tm := dram.LPDDR4(dram.Density8Gb, 64, dram.Std(8))
 	i := &Ideal{T: tm}

@@ -34,9 +34,6 @@ func NewRAIDR(channels int, g dram.Geometry, t dram.Timing, p *retention.Profile
 	return r
 }
 
-// Name implements Mechanism.
-func (r *RAIDR) Name() string { return "raidr" }
-
 // PlanActivate implements Mechanism: RAIDR leaves row placement untouched.
 func (r *RAIDR) PlanActivate(dram.Addr, int64) ActDecision {
 	return ActDecision{Kind: dram.ActSingle, Timing: r.base}

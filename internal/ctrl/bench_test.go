@@ -107,7 +107,7 @@ func BenchmarkSchedulePass(b *testing.B) {
 	}
 	cmds := func() int64 { s := &c.Dev.Stats; return s.Activations() + s.PRE + s.RD + s.WR }
 	now := int64(0)
-	for issued := false; !issued || c.Dev.OpenBuffers() < 8; {
+	for issued := false; !issued || len(c.Dev.Open()) < 8; {
 		if now++; now > 100_000 {
 			b.Fatal("no cycle with eight open rows and a command just issued")
 		}

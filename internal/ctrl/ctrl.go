@@ -393,9 +393,6 @@ func (c *Controller) refInterval() int64 {
 	return iv
 }
 
-// QueueLens returns the current read and write queue occupancy.
-func (c *Controller) QueueLens() (int, int) { return len(c.readQ), len(c.writeQ) }
-
 // Idle reports whether the controller has no queued work or in-flight
 // events (used to drain simulations).
 func (c *Controller) Idle() bool {

@@ -244,7 +244,7 @@ func TestWriteDrainAndForwarding(t *testing.T) {
 		t.Errorf("Forwarded = %d, want 1", c.Stats.Forwarded)
 	}
 	// Draining must eventually write everything back.
-	run(t, c, 50000, func() bool { _, w := c.QueueLens(); return w == 0 })
+	run(t, c, 50000, func() bool { return len(c.writeQ) == 0 })
 	if c.Stats.WritesServed != 50 {
 		t.Errorf("WritesServed = %d, want 50", c.Stats.WritesServed)
 	}
@@ -297,15 +297,29 @@ func TestCROWCacheEndToEnd(t *testing.T) {
 	}
 }
 
+// copyOnce is a baseline that queues one ACT-c data copy, the way CROW's
+// RowHammer remaps queue theirs.
+type copyOnce struct {
+	core.Baseline
+	op     core.CopyOp
+	queued bool
+}
+
+func (m *copyOnce) NextCopy(int, int64) (core.CopyOp, bool) {
+	if !m.queued {
+		return core.CopyOp{}, false
+	}
+	m.queued = false
+	return m.op, true
+}
+
 func TestMechCopyExecution(t *testing.T) {
 	g := dram.Std(8)
 	tm := dram.LPDDR4(dram.Density8Gb, 64, g)
-	mech := core.NewCROW(1, g, tm)
-	mech.Ref = true
+	mech := &copyOnce{Baseline: core.Baseline{T: tm}, queued: true, op: core.CopyOp{
+		Addr: dram.Addr{Row: 9}, Kind: dram.ActCopy, Timing: tm.CROW().CopyFull,
+	}}
 	c := New(DefaultConfig(0, g, tm), mech)
-	if !mech.RemapDynamic(dram.Addr{Row: 9}) {
-		t.Fatal("remap failed")
-	}
 	run(t, c, 2000, func() bool {
 		return c.Stats.MechCopies == 1 && c.Dev.OpenRow(dram.Addr{Row: 9}) == -1
 	})

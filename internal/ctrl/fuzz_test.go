@@ -56,7 +56,7 @@ func script(cfg [4]byte, steps ...[]byte) []byte {
 // fuzzMechs.
 func config(sched, rowPolicy, refresh string, masa bool, hitCap, postpone, queue, mech int) [4]byte {
 	b0 := slices.Index(SchedulerNames(), sched) | slices.Index(RowPolicyNames(), rowPolicy)<<2 |
-		slices.Index(RefreshPolicyNames(), refresh)<<4
+		slices.Index(sortedKeys(refreshPolicies), refresh)<<4
 	if masa {
 		b0 |= 1 << 7
 	}
@@ -91,7 +91,7 @@ func driveSchedule(t *testing.T, data []byte) {
 		mech = cw
 	}
 	cfg := DefaultConfig(0, g, tm)
-	scheds, rows, refs := SchedulerNames(), RowPolicyNames(), RefreshPolicyNames()
+	scheds, rows, refs := SchedulerNames(), RowPolicyNames(), sortedKeys(refreshPolicies)
 	cfg.Scheduler = scheds[int(data[0]&3)%len(scheds)]
 	cfg.RowPolicy = rows[int(data[0]>>2&3)%len(rows)]
 	cfg.Refresh = refs[int(data[0]>>4&3)%len(refs)]

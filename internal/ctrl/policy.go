@@ -68,9 +68,6 @@ func SchedulerNames() []string { return sortedKeys(schedulers) }
 // RowPolicyNames returns the row-policy names, sorted.
 func RowPolicyNames() []string { return sortedKeys(rowPolicies) }
 
-// RefreshPolicyNames returns the refresh-policy names, sorted.
-func RefreshPolicyNames() []string { return sortedKeys(refreshPolicies) }
-
 // CheckScheduler reports whether name is a scheduler; the error lists the
 // choices.
 func CheckScheduler(name string) error { return check("scheduler", schedulers, name) }
@@ -130,12 +127,6 @@ func (c *Controller) resolvePolicies() {
 		c.timeout = 0
 	}
 	c.perBank = refreshPolicies[cfg.Refresh]
-}
-
-// Policies returns the names of the composed scheduler, row policy, and
-// refresh policy (for reporting and tests).
-func (c *Controller) Policies() (scheduler, rowPolicy, refresh string) {
-	return c.Cfg.Scheduler, c.Cfg.RowPolicy, c.Cfg.Refresh
 }
 
 // HitCap returns the per-activation row-hit cap the scheduler enforces (0 =

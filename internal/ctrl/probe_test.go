@@ -90,7 +90,7 @@ func (p *probe) run(t *testing.T, stop func() bool, feed func()) {
 func (p *probe) stream(depth int, addr func(i int) dram.Addr, done *[]int64) func() {
 	i := 0
 	return func() {
-		for rq, _ := p.QueueLens(); rq < depth; rq++ {
+		for rq := len(p.readQ); rq < depth; rq++ {
 			p.read(addr(i), done)
 			i++
 		}

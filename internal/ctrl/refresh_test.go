@@ -94,7 +94,7 @@ func TestRefreshPostponement(t *testing.T) {
 			horizon := int64(tm.REFI)*3 + 100
 			for now := int64(1); now <= horizon; now++ {
 				c.Tick(now)
-				if rq, _ := c.QueueLens(); rq < 2 {
+				if len(c.readQ) < 2 {
 					refill(now)
 				}
 			}
@@ -142,7 +142,7 @@ func TestPostponementLimitForcesRefresh(t *testing.T) {
 	horizon := int64(tm.REFI)*4 + 200
 	for now := int64(1); now <= horizon; now++ {
 		c.Tick(now)
-		if rq, _ := c.QueueLens(); rq < 2 {
+		if len(c.readQ) < 2 {
 			refill(now)
 		}
 	}

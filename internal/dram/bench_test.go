@@ -54,8 +54,8 @@ func BenchmarkOpenList(b *testing.B) {
 		c.ACT(a, c.ReadyACT(a), ActSingle, tm.Base(), -1)
 		c.PRE(a, c.ReadyPRE(a))
 	}
-	if c.OpenBuffers() != 256 {
-		b.Fatalf("%d open rows, want 256", c.OpenBuffers())
+	if len(c.open) != 256 {
+		b.Fatalf("%d open rows, want 256", len(c.open))
 	}
 }
 

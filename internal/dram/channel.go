@@ -279,9 +279,6 @@ func (c *Channel) Tick(now int64) {
 	}
 }
 
-// OpenBuffers returns the number of open local row buffers on the channel.
-func (c *Channel) OpenBuffers() int { return len(c.open) }
-
 // Open returns the SubIndex of every open local row buffer, ascending — (rank,
 // bank, subarray) order. The slice is the channel's own: read it in place, and
 // not across an ACT or PRE.

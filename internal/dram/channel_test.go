@@ -98,8 +98,8 @@ func TestMASAAllowsMultipleOpenSubarrays(t *testing.T) {
 	if c.OpenRow(Addr{Row: 0}) != 0 || c.OpenRow(other) != 512 {
 		t.Error("both subarrays must be open")
 	}
-	if c.OpenBuffers() != 2 {
-		t.Errorf("OpenBuffers = %d, want 2", c.OpenBuffers())
+	if len(c.open) != 2 {
+		t.Errorf("%d open local row buffers, want 2", len(c.open))
 	}
 	// Same subarray still at most one row.
 	if c.ReadyACT(Addr{Row: 1}) != Horizon {

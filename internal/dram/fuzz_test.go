@@ -187,8 +187,8 @@ func checkReadyContract(t *testing.T, c *Channel, k *Checker, addrs ...Addr) {
 			t.Fatalf("bank %d: OpenRowInBank %d, scan says %d", bankID, got, firstOpen)
 		}
 	}
-	if !slices.Equal(c.Open(), scanned) || len(scanned) != checkerOpen || c.OpenBuffers() != len(scanned) {
-		t.Fatalf("open subarrays: list %v (OpenBuffers %d), scan %v, %d open to the checker", c.Open(), c.OpenBuffers(), scanned, checkerOpen)
+	if !slices.Equal(c.Open(), scanned) || len(scanned) != checkerOpen {
+		t.Fatalf("open subarrays: list %v, scan %v, %d open to the checker", c.Open(), scanned, checkerOpen)
 	}
 	for _, a := range addrs {
 		i := c.SubIndex(a)

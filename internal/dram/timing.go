@@ -110,11 +110,6 @@ var actKindNames = [...]string{"ACT", "ACT-t", "ACT-c", "ACT-copyrow"}
 
 func (k ActKind) String() string { return actKindNames[k] }
 
-// IsMRA reports whether the activation drives two wordlines (and therefore
-// needs the extra command-bus cycle for the copy-row address and draws the
-// higher MRA activation power).
-func (k ActKind) IsMRA() bool { return k == ActTwo || k == ActCopy }
-
 // CmdCycles returns the command-bus occupancy of the activation. CROW's new
 // commands carry a copy-row address and take one extra cycle on the
 // command/address bus (Section 4.1.5, footnote 3).

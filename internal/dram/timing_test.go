@@ -82,12 +82,6 @@ func TestCROWTimingsTable1(t *testing.T) {
 }
 
 func TestActKind(t *testing.T) {
-	if ActSingle.IsMRA() || ActCopyRow.IsMRA() {
-		t.Error("single-row activations must not be MRA")
-	}
-	if !ActTwo.IsMRA() || !ActCopy.IsMRA() {
-		t.Error("ACT-t and ACT-c are MRA")
-	}
 	if ActSingle.CmdCycles() != 1 {
 		t.Error("ACT takes one command cycle")
 	}

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"crowdram/crow"
 	"crowdram/internal/dram"
 	"crowdram/internal/engine"
 )
@@ -276,5 +277,44 @@ func TestFig13Shape(t *testing.T) {
 	}
 	if hi.SingleEnergy >= lo.SingleEnergy {
 		t.Errorf("CROW-ref energy savings must grow with density")
+	}
+}
+
+// TestRunLabel pins the progress label of a run: an LLC below 1 MiB prints in
+// KiB, and a mitigation prints with its parameter, so the arms of hammerlab
+// and tenant, which differ only there, carry distinct labels.
+func TestRunLabel(t *testing.T) {
+	for _, c := range []struct {
+		o    crow.Options
+		want string
+	}{
+		{crow.Options{Mechanism: crow.Cache, Workloads: []string{"mcf"}}, "crow-cache on mcf"},
+		{crow.Options{Mechanism: crow.Cache, Workloads: []string{"mcf", "lbm"}, CopyRows: 8, DensityGbit: 64, LLCBytes: 8 << 20},
+			"crow-cache on mcf+lbm n=8 64Gb llc=8MiB"},
+		{crow.Options{Mechanism: crow.Baseline, Workloads: []string{"hammer-double"}, LLCBytes: 64 << 10},
+			"baseline on hammer-double llc=64KiB"},
+		{crow.Options{Mechanism: crow.Baseline, Workloads: []string{"gcc"}, LLCBytes: 1536 << 10}, "baseline on gcc llc=1536KiB"},
+		{crow.Options{Mechanism: crow.Baseline, Workloads: []string{"gcc"}, Mitigation: "none"}, "baseline on gcc"},
+		{crow.Options{Mechanism: crow.Baseline, Workloads: []string{"gcc"}, Mitigation: "para", ParaPerMille: 100}, "baseline on gcc para=100‰"},
+		{crow.Options{Mechanism: crow.Baseline, Workloads: []string{"gcc"}, Mitigation: "refresh-scale", RefreshScale: 32}, "baseline on gcc refx32"},
+		{crow.Options{Mechanism: crow.Hammer, Workloads: []string{"gcc"}, Mitigation: "crow-hammer", HammerThreshold: 128},
+			"crow-hammer on gcc crow-hammer=128"},
+	} {
+		if got := runLabel(c.o); got != c.want {
+			t.Errorf("runLabel = %q, want %q", got, c.want)
+		}
+	}
+	sel, err := Select([]string{"hammerlab", "tenant"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(QuickScale())
+	keys := map[string]string{}
+	for _, o := range PlanAll(r, sel) {
+		label := runLabel(o)
+		if k, seen := keys[label]; seen && k != o.Key() {
+			t.Errorf("two runs share the label %q", label)
+		}
+		keys[label] = o.Key()
 	}
 }

@@ -320,7 +320,7 @@ func (r *Runner) exec(o crow.Options) func(context.Context) (crow.Report, error)
 
 // runLabel is the human-readable job description carried by observer
 // events: mechanism, workloads, and whatever non-default knobs tell apart
-// the sweep points of a figure (copy rows, density, LLC size, ...).
+// the sweep points of a figure (copy rows, density, LLC size, mitigation, ...).
 func runLabel(o crow.Options) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s on %s", o.Mechanism, strings.Join(o.Workloads, "+"))
@@ -330,8 +330,18 @@ func runLabel(o crow.Options) string {
 	if o.DensityGbit != 0 {
 		fmt.Fprintf(&b, " %dGb", o.DensityGbit)
 	}
-	if o.LLCBytes != 0 {
+	if o.LLCBytes%(1<<20) != 0 {
+		fmt.Fprintf(&b, " llc=%dKiB", o.LLCBytes>>10)
+	} else if o.LLCBytes != 0 {
 		fmt.Fprintf(&b, " llc=%dMiB", o.LLCBytes>>20)
+	}
+	switch o.Mitigation {
+	case "para":
+		fmt.Fprintf(&b, " para=%d‰", o.ParaPerMille)
+	case "refresh-scale":
+		fmt.Fprintf(&b, " refx%d", o.RefreshScale)
+	case "crow-hammer":
+		fmt.Fprintf(&b, " crow-hammer=%d", o.HammerThreshold)
 	}
 	if o.Prefetch {
 		b.WriteString(" +pf")

@@ -58,9 +58,9 @@ func NewMitigation(name string, cfg MitConfig, inner core.Mechanism) (core.Mecha
 		}
 		return newShield(cfg, inner, 0, cfg.RefreshScale), nil
 	case "crow-hammer":
-		cw, ok := core.Unwrap(inner).(*core.CROW)
+		cw, ok := inner.(*core.CROW)
 		if !ok {
-			return nil, fmt.Errorf("crow-hammer: requires a crow-* mechanism (have %s)", inner.Name())
+			return nil, fmt.Errorf("crow-hammer: requires a crow-* mechanism (have %T)", inner)
 		}
 		if cfg.HammerThreshold > 0 {
 			cw.HammerThreshold = cfg.HammerThreshold
@@ -80,7 +80,7 @@ func NewMitigation(name string, cfg MitConfig, inner core.Mechanism) (core.Mecha
 // drained through the controller's mechanism-copy path) and/or a scaled
 // refresh rate (RefreshDivisor shortens the controller's REF interval).
 // All delegation preserves the inner mechanism's behavior; Unwrap exposes it
-// for the type asserts that reach inside core.CROW. Shield declares every
+// to core.Unwrap. Shield declares every
 // core.Mechanism method itself (no embedded core.NoOps), so a method added to
 // the contract and not forwarded here fails to compile.
 type Shield struct {
@@ -112,15 +112,6 @@ func newShield(cfg MitConfig, inner core.Mechanism, paraPerMille, refreshDiv int
 
 // Unwrap exposes the wrapped mechanism (core.Unwrap walks it).
 func (s *Shield) Unwrap() core.Mechanism { return s.inner }
-
-// Name implements core.Mechanism.
-func (s *Shield) Name() string {
-	suffix := "+para"
-	if s.refreshDiv > 1 {
-		suffix = "+refx" + fmt.Sprint(s.refreshDiv)
-	}
-	return s.inner.Name() + suffix
-}
 
 // PlanActivate implements core.Mechanism, delegating unchanged.
 func (s *Shield) PlanActivate(a dram.Addr, cycle int64) core.ActDecision {

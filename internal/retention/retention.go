@@ -1,7 +1,6 @@
 // Package retention models DRAM data-retention behaviour: the statistics of
-// weak cells (Section 4.2.1, Equations 1 and 2), fixed weak-row profiles
-// (the paper's three weak rows per subarray, Section 8.2), and variable
-// retention time (VRT) cells.
+// weak cells (Section 4.2.1, Equations 1 and 2) and fixed weak-row profiles
+// (the paper's three weak rows per subarray, Section 8.2).
 package retention
 
 import (
@@ -98,112 +97,4 @@ func FixedProfile(g Geometry, n int, seed int64) *Profile {
 		}
 	}
 	return p
-}
-
-// MaxWeakPerSubarray returns the largest weak-row count of any subarray.
-func (p *Profile) MaxWeakPerSubarray() int {
-	max := 0
-	for _, ch := range p.Weak {
-		for _, rk := range ch {
-			for _, bk := range rk {
-				for _, sa := range bk {
-					if len(sa) > max {
-						max = len(sa)
-					}
-				}
-			}
-		}
-	}
-	return max
-}
-
-// TotalWeak returns the total number of weak rows in the profile.
-func (p *Profile) TotalWeak() int {
-	n := 0
-	for _, ch := range p.Weak {
-		for _, rk := range ch {
-			for _, bk := range rk {
-				for _, sa := range bk {
-					n += len(sa)
-				}
-			}
-		}
-	}
-	return n
-}
-
-// VRTCell models one variable-retention-time cell that nondeterministically
-// transitions between a high- and a low-retention state (Section 4.2.3).
-type VRTCell struct {
-	Channel, Rank, Bank, Subarray, Row int
-	LowRetention                       bool // currently weak
-}
-
-// VRTModel flips a population of VRT cells between retention states; a
-// periodic profiling pass (the paper's [41, 87, 88]) observes the current
-// state and drives dynamic remapping.
-type VRTModel struct {
-	Cells []VRTCell
-	// FlipProb is the per-profiling-interval probability that a cell
-	// toggles between its high- and low-retention states.
-	FlipProb float64
-	rng      *rand.Rand
-}
-
-// NewVRTModel places n VRT cells uniformly at random.
-func NewVRTModel(g Geometry, n int, flipProb float64, seed int64) *VRTModel {
-	rng := rand.New(rand.NewSource(seed))
-	cells := make([]VRTCell, n)
-	for i := range cells {
-		cells[i] = VRTCell{
-			Channel:  rng.Intn(g.Channels),
-			Rank:     rng.Intn(g.Ranks),
-			Bank:     rng.Intn(g.Banks),
-			Subarray: rng.Intn(g.Subarrays),
-			Row:      rng.Intn(g.RowsPerSubarray),
-		}
-	}
-	return &VRTModel{Cells: cells, FlipProb: flipProb, rng: rng}
-}
-
-// Step advances one profiling interval, toggling cell states.
-func (v *VRTModel) Step() {
-	for i := range v.Cells {
-		if v.rng.Float64() < v.FlipProb {
-			v.Cells[i].LowRetention = !v.Cells[i].LowRetention
-		}
-	}
-}
-
-// NewlyWeak returns the cells currently in the low-retention state that are
-// not already covered by the profile.
-func (v *VRTModel) NewlyWeak(p *Profile) []VRTCell {
-	var out []VRTCell
-	for _, c := range v.Cells {
-		if !c.LowRetention {
-			continue
-		}
-		covered := false
-		for _, w := range p.Weak[c.Channel][c.Rank][c.Bank][c.Subarray] {
-			if w == c.Row {
-				covered = true
-				break
-			}
-		}
-		if !covered {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// Add records a newly discovered weak row in the profile (idempotent).
-func (p *Profile) Add(c VRTCell) {
-	weak := p.Weak[c.Channel][c.Rank][c.Bank][c.Subarray]
-	for _, w := range weak {
-		if w == c.Row {
-			return
-		}
-	}
-	p.Weak[c.Channel][c.Rank][c.Bank][c.Subarray] = append(weak, c.Row)
 }

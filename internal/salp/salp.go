@@ -6,14 +6,10 @@
 // The device-side behaviour (multiple open subarrays per bank) is
 // implemented by dram.Channel's MASA mode and the controller's per-subarray
 // hit detection; this package supplies the configuration surface: the
-// subarrays-per-bank geometry transform, the area model, and the row-buffer
-// policy variants the paper evaluates (timeout and open-page, the latter
-// written SALP-N-O in Figure 11).
+// subarrays-per-bank geometry transform and the area model.
 package salp
 
 import (
-	"fmt"
-
 	"crowdram/internal/circuit"
 	"crowdram/internal/dram"
 )
@@ -24,17 +20,6 @@ type Config struct {
 	// and SALP-512 halve/quarter the rows per subarray to add sense-
 	// amplifier stripes (and area) in exchange for more cached rows.
 	SubarraysPerBank int
-	// OpenPage keeps local row buffers open until a conflict instead of
-	// the 75 ns timeout ("-O" configurations).
-	OpenPage bool
-}
-
-// Name renders the paper's notation, e.g. "SALP-256-O".
-func (c Config) Name() string {
-	if c.OpenPage {
-		return fmt.Sprintf("SALP-%d-O", c.SubarraysPerBank)
-	}
-	return fmt.Sprintf("SALP-%d", c.SubarraysPerBank)
 }
 
 // Geometry reshapes the Table 2 geometry for this subarray count. DRAM

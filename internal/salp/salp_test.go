@@ -15,15 +15,6 @@ func TestGeometryReshape(t *testing.T) {
 	}
 }
 
-func TestNames(t *testing.T) {
-	if got := (Config{SubarraysPerBank: 128}).Name(); got != "SALP-128" {
-		t.Errorf("Name = %s", got)
-	}
-	if got := (Config{SubarraysPerBank: 256, OpenPage: true}).Name(); got != "SALP-256-O" {
-		t.Errorf("Name = %s", got)
-	}
-}
-
 func TestAreaOverheadPaperPoints(t *testing.T) {
 	cases := map[int]float64{128: 0.006, 256: 0.289, 512: 0.845}
 	for s, want := range cases {

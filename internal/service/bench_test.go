@@ -66,7 +66,7 @@ func BenchmarkWarmCacheSubmissions(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/sec")
-	if snap := s.EngineSnapshot(); snap.Executions != 1 {
+	if snap := s.pool.Snapshot(); snap.Executions != 1 {
 		b.Fatalf("warm-cache bench executed %d simulations, want 1", snap.Executions)
 	}
 }
@@ -113,7 +113,7 @@ func BenchmarkWarmFromStoreSubmissions(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/sec")
-	snap := s.EngineSnapshot()
+	snap := s.pool.Snapshot()
 	if execs != 0 || snap.Executions != 0 || snap.StoreHits != int64(b.N) {
 		b.Fatalf("store-warm bench: %d hook execs, engine %+v, want 0 executions and %d store hits",
 			execs, snap, b.N)
@@ -169,7 +169,7 @@ func BenchmarkColdJob(b *testing.B) {
 		waitTerminal(j)
 	}
 	b.StopTimer()
-	if snap := s.EngineSnapshot(); snap.Executions != int64(b.N) {
+	if snap := s.pool.Snapshot(); snap.Executions != int64(b.N) {
 		b.Fatalf("cold-job bench executed %d simulations, want %d (every job must run cold)", snap.Executions, b.N)
 	}
 }

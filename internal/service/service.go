@@ -330,9 +330,6 @@ func (s *Service) Drain(ctx context.Context) error {
 // Draining reports whether shutdown has begun.
 func (s *Service) Draining() bool { return s.draining.Load() }
 
-// EngineSnapshot exposes the shared pool's gauges and counters.
-func (s *Service) EngineSnapshot() engine.Snapshot { return s.pool.Snapshot() }
-
 // worker services jobs until the queue closes and drains.
 func (s *Service) worker() {
 	defer s.workerDone.Done()

@@ -192,7 +192,7 @@ func TestConcurrentDedup(t *testing.T) {
 	if !bytes.Equal(ja, jb) {
 		t.Errorf("deduped results differ:\n  %s\n  %s", ja, jb)
 	}
-	if snap := s.EngineSnapshot(); snap.Executions != 1 || snap.CacheHits < 1 {
+	if snap := s.pool.Snapshot(); snap.Executions != 1 || snap.CacheHits < 1 {
 		t.Errorf("engine snapshot = %+v, want 1 execution and >=1 cache hit", snap)
 	}
 	// A third, later submission is a warm cache hit.
@@ -250,7 +250,7 @@ func TestCancelMidRun(t *testing.T) {
 	if n := hook.execs.Load(); n != 2 {
 		t.Errorf("resubmission after cancel must re-execute (executions = %d, want 2)", n)
 	}
-	if snap := s.EngineSnapshot(); snap.Failures != 1 {
+	if snap := s.pool.Snapshot(); snap.Failures != 1 {
 		t.Errorf("engine must count the cancelled run as a failure: %+v", snap)
 	}
 }

@@ -67,7 +67,7 @@ func TestStoreRestartSurvival(t *testing.T) {
 		if n := hook2.execs.Load(); n != 0 {
 			t.Errorf("warm-from-store run executions = %d, want 0", n)
 		}
-		snap := s.EngineSnapshot()
+		snap := s.pool.Snapshot()
 		if snap.Executions != 0 || snap.StoreHits != 1 {
 			t.Errorf("engine after restart = %+v, want 0 executions, 1 store hit", snap)
 		}

@@ -141,9 +141,8 @@ type Result struct {
 	// latency (log-bucket upper bounds), aggregated over channels for
 	// the measured interval only (the latency histograms reset at
 	// measurement start, like every other stat).
-	ReadP50Ns   float64
-	ReadP99Ns   float64
-	RefreshMult int
+	ReadP50Ns float64
+	ReadP99Ns float64
 	// Truncated reports that the measurement loop hit its cycle limit
 	// before every core retired MeasureInsts. IPC for the unfinished cores
 	// is computed from their actual retired counts, so it stays honest,
@@ -560,7 +559,7 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 	}
 	s.syncDevStats()
 
-	res := Result{RefreshMult: s.Mech.RefreshMultiplier()}
+	var res Result
 	res.Cycles, res.DRAMCycles = s.cpuCycle-start, s.dramCycle-startDRAM
 	insts := make([]int64, len(s.Cores))
 	for i, c := range s.Cores {

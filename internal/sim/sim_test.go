@@ -107,7 +107,7 @@ func TestCROWCacheSpeedsUpRowReuseWorkload(t *testing.T) {
 }
 
 func TestCROWRefReducesRefreshes(t *testing.T) {
-	mk := func(ref bool) Result {
+	mk := func(ref bool) (Result, *core.CROW) {
 		cfg := smallCfg(8)
 		cfg.T = dram.LPDDR4(dram.Density64Gb, 64, cfg.Geo)
 		mech := core.NewCROW(cfg.Channels, cfg.Geo, cfg.T)
@@ -119,12 +119,12 @@ func TestCROWRefReducesRefreshes(t *testing.T) {
 			}, 3, 7))
 		}
 		s := New(cfg, mech, []trace.Generator{gen("mcf", 1, t)})
-		return s.Run()
+		return s.Run(), mech
 	}
-	base := mk(false)
-	ref := mk(true)
-	if ref.RefreshMult != 2 {
-		t.Fatalf("refresh multiplier = %d, want 2", ref.RefreshMult)
+	base, _ := mk(false)
+	ref, refMech := mk(true)
+	if m := refMech.RefreshMultiplier(); m != 2 {
+		t.Fatalf("refresh multiplier = %d, want 2", m)
 	}
 	// Normalize refresh counts per DRAM cycle (runtimes differ).
 	baseRate := float64(base.Ctrl.Refreshes) / float64(base.DRAMCycles)

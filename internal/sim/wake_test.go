@@ -104,7 +104,8 @@ func runWake(t *testing.T, cfg Config, mech core.Mechanism, apps ...string) Resu
 // of each axis.
 func TestWakeSkipIsNoOp(t *testing.T) {
 	verifyWake(t)
-	scheds, rows, refs := ctrl.SchedulerNames(), ctrl.RowPolicyNames(), ctrl.RefreshPolicyNames()
+	// ctrl's TestPolicyNamesSorted pins the refresh policy names.
+	scheds, rows, refs := ctrl.SchedulerNames(), ctrl.RowPolicyNames(), []string{"allbank", "perbank", "samebank"}
 	stds := dram.StandardNames()
 	if testing.Short() {
 		stds = stds[:2]

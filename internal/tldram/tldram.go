@@ -66,9 +66,6 @@ func New(channels int, g dram.Geometry, t dram.Timing, nearRows int) *Mechanism 
 	return m
 }
 
-// Name implements core.Mechanism.
-func (m *Mechanism) Name() string { return "tl-dram" }
-
 // PlanActivate implements core.Mechanism: near-segment hits activate only
 // the fast near row; misses copy the far row into the LRU near row.
 func (m *Mechanism) PlanActivate(a dram.Addr, cycle int64) core.ActDecision {

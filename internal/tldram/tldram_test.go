@@ -84,7 +84,4 @@ func TestMechanismInterface(t *testing.T) {
 	if m.RefreshMultiplier() != 1 {
 		t.Error("TL-DRAM does not change refresh")
 	}
-	if m.Name() != "tl-dram" {
-		t.Error("name")
-	}
 }
