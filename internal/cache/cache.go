@@ -23,12 +23,26 @@ func DefaultConfig() Config {
 	}
 }
 
+// line is one way of a set in 16 bytes: word is tag<<2 | lineDirty |
+// lineValid, where the tag is the line address (58 bits with 64-byte lines).
 type line struct {
-	tag     uint64
-	valid   bool
-	dirty   bool
+	word    uint64
 	lastUse int64
 }
+
+const lineValid, lineDirty = 1, 2
+
+// resident is the valid line holding tag.
+func resident(tag uint64, dirty bool, lastUse int64) line {
+	ln := line{word: tag<<2 | lineValid, lastUse: lastUse}
+	if dirty {
+		ln.word |= lineDirty
+	}
+	return ln
+}
+
+func (l line) tag() uint64 { return l.word >> 2 }
+func (l line) valid() bool { return l.word&lineValid != 0 }
 
 type waiter struct {
 	write bool
@@ -184,8 +198,9 @@ func (c *Cache) Release() {
 
 func (c *Cache) find(lineAddr uint64) *line {
 	set := c.set(lineAddr)
+	want := resident(lineAddr, false, 0).word
 	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
+		if set[i].word&^lineDirty == want {
 			return &set[i]
 		}
 	}
@@ -231,9 +246,10 @@ func (c *Cache) Access(now int64, core int, addr uint64, write bool, done func(n
 		c.Stats.CoreAccesses[core]++
 		ln.lastUse = now
 		if write {
-			ln.dirty = true
+			ln.word |= lineDirty
 		}
-		if c.prefetched[la] {
+		// The map is empty unless a prefetcher runs.
+		if len(c.prefetched) > 0 && c.prefetched[la] {
 			delete(c.prefetched, la)
 			c.Stats.PrefUseful++
 		}
@@ -309,7 +325,7 @@ func (c *Cache) Fill(now int64, addr uint64) {
 	set := c.set(la)
 	victim := 0
 	for i := range set {
-		if !set[i].valid {
+		if !set[i].valid() {
 			victim = i
 			break
 		}
@@ -317,15 +333,15 @@ func (c *Cache) Fill(now int64, addr uint64) {
 			victim = i
 		}
 	}
-	if set[victim].valid && set[victim].dirty {
+	if old := set[victim]; old.word&lineDirty != 0 { // only a valid line is dirty
 		c.Stats.Writebacks++
-		wb := set[victim].tag << c.lineBits
+		wb := old.tag() << c.lineBits
 		if !c.Mem.SendWrite(wb) {
 			c.wbQ = append(c.wbQ, wb)
 		}
 	}
-	if set[victim].valid {
-		delete(c.prefetched, set[victim].tag)
+	if len(c.prefetched) > 0 && set[victim].valid() {
+		delete(c.prefetched, set[victim].tag())
 	}
 	dirty := false
 	if m != nil {
@@ -342,7 +358,7 @@ func (c *Cache) Fill(now int64, addr uint64) {
 		}
 		c.releaseMSHR(m)
 	}
-	set[victim] = line{tag: la, valid: true, dirty: dirty, lastUse: now}
+	set[victim] = resident(la, dirty, now)
 }
 
 // Tick fires due hit callbacks and retries rejected downstream sends.

@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // fakeMem is a scriptable memory backend. It records accepted reads and
@@ -329,5 +330,26 @@ func TestWritebackRetryQueueKeepsItsArray(t *testing.T) {
 	}
 	if mem.writes != fills || c.Pending() != 0 {
 		t.Errorf("%d of %d write-backs delivered, %d pending", mem.writes, fills, c.Pending())
+	}
+}
+
+// TestLinePacking: a line's tag shares its word with the valid and dirty
+// flags. Prefill bounds a tag at 53 bits; both ends of that range must come
+// back unchanged with either dirty state, and the zero line is invalid.
+func TestLinePacking(t *testing.T) {
+	if size := unsafe.Sizeof(line{}); size != 16 {
+		t.Errorf("a line is %d bytes, want 16", size)
+	}
+	if (line{}).valid() {
+		t.Error("the zero line must be invalid")
+	}
+	for _, tag := range []uint64{0, 1<<53 - 1} {
+		for _, dirty := range []bool{false, true} {
+			ln := resident(tag, dirty, -7)
+			if got := ln.word&lineDirty != 0; ln.tag() != tag || !ln.valid() || got != dirty || ln.lastUse != -7 {
+				t.Errorf("resident(%#x, %v) reads back tag %#x valid %v dirty %v lastUse %d",
+					tag, dirty, ln.tag(), ln.valid(), got, ln.lastUse)
+			}
+		}
 	}
 }

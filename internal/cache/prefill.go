@@ -23,17 +23,12 @@ func (c *Cache) Prefill(lineAddrBits uint, dirtyFrac float64, seed int64) {
 	})
 	lines := c.lines[:len(img)]
 	for i, p := range img {
-		lines[i] = line{
-			tag:     p >> imageTagShift,
-			valid:   true,
-			dirty:   p&imageDirty != 0,
-			lastUse: int64(p&imageAgeMask) - 1000,
-		}
+		lines[i] = resident(p>>imageTagShift, p&imageDirty != 0, int64(p&imageAgeMask)-1000)
 	}
 }
 
 // An image packs one prefilled line per uint64 — 1 MiB for the Table 2 LLC
-// where the lines themselves are 3: the age lastUse+1000 (0..999) in the low
+// where the lines themselves are 2: the age lastUse+1000 (0..999) in the low
 // ten bits, the dirty flag above it, the tag in the remaining 53.
 const (
 	imageAgeMask  = 1<<10 - 1

@@ -18,12 +18,8 @@ func referencePrefill(sets, assoc int, lineAddrBits uint, dirtyFrac float64, see
 		for w := 0; w < assoc; w++ {
 			la := rng.Uint64() & mask
 			la = la&^setMask | uint64(si)
-			lines = append(lines, line{
-				tag:     la,
-				valid:   true,
-				dirty:   rng.Float64() < dirtyFrac,
-				lastUse: int64(-1000 + rng.Intn(1000)),
-			})
+			dirty := rng.Float64() < dirtyFrac
+			lines = append(lines, resident(la, dirty, int64(-1000+rng.Intn(1000))))
 		}
 	}
 	return lines

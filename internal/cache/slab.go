@@ -3,12 +3,12 @@ package cache
 import "sync"
 
 // A simulation is short and a process runs hundreds of them, nearly all
-// behind an LLC of the same size, so a finished run's line array (3 MiB for
+// behind an LLC of the same size, so a finished run's line array (2 MiB for
 // the Table 2 LLC) goes to the next run instead of to the garbage collector.
 //
 // The pool is process-wide and holds arrays of one length at a time, the
 // length released last: a sweep over LLC sizes runs one size after another,
-// and an array kept for a size no run uses any more (12.6 MB for a 32 MiB
+// and an array kept for a size no run uses any more (8.4 MB for a 32 MiB
 // LLC) is live heap the collector doubles. maxSlabs only has to cover the
 // runs that finish before the next one starts; a worker that finishes a run
 // begins another at once, so arrays are in use far more than they wait here.

@@ -45,11 +45,10 @@ type CROW struct {
 	// and the pair is restored off the critical path.
 	EagerRestore bool
 
-	// hammer activation counters per channel: a contiguous array indexed
-	// by ((rank*Banks)+bank)*RowsPerBank+row, allocated lazily on the
-	// first counted activation of a channel (a flat slice like the
-	// controller's per-subarray state: a map here was the last one on the hot
-	// path).
+	// hammerCounts holds the RowHammer activation counters, one slice per
+	// subarray, indexed ((channel*Ranks+rank)*Banks+bank)*subarrays +
+	// subarray, each allocated on its subarray's first counted activation: an
+	// attack touches a few subarrays.
 	hammerCounts [][]int32
 	// pendingCopies are mechanism-initiated ACT-c operations (RowHammer
 	// victim duplication) awaiting issue, per channel.
@@ -82,7 +81,6 @@ func NewCROWShared(channels int, g dram.Geometry, t dram.Timing, share int) *CRO
 		Crow:  t.CROW(),
 		base:  t.Base(),
 	}
-	c.hammerCounts = make([][]int32, channels)
 	c.pendingCopies = make([][]CopyOp, channels)
 	return c
 }
@@ -93,22 +91,21 @@ func NewCROWShared(channels int, g dram.Geometry, t dram.Timing, share int) *CRO
 // interval for the whole system (Section 4.2.1) but still remaps what fits.
 func (c *CROW) LoadProfile(p *retention.Profile) {
 	g := c.Table.Geo
-	for ch, chw := range p.Weak {
-		for rk, rkw := range chw {
-			for bk, bkw := range rkw {
-				for sa, weak := range bkw {
-					a := dram.Addr{Channel: ch, Rank: rk, Bank: bk, Row: sa * g.RowsPerSubarray}
-					set := c.Table.Set(a)
-					for _, row := range weak {
-						w := FreeWay(set)
-						if w < 0 {
-							c.Fallback = true
-							break
-						}
-						set[w] = Entry{Allocated: true, RegularRow: row, SubTag: c.Table.SubTag(a), Kind: EntryRef, FullyRestored: true}
-					}
-				}
+	nsub := g.SubarraysPerBank()
+	for i, weak := range p.Weak {
+		if len(weak) == 0 {
+			continue
+		}
+		bank := i / nsub
+		a := dram.Addr{Channel: bank / (g.Ranks * g.Banks), Rank: bank / g.Banks % g.Ranks, Bank: bank % g.Banks, Row: i % nsub * g.RowsPerSubarray}
+		set := c.Table.WriteSet(a)
+		for _, row := range weak {
+			w := FreeWay(set)
+			if w < 0 {
+				c.Fallback = true
+				break
 			}
+			set[w] = Entry{Allocated: true, RegularRow: row, SubTag: c.Table.SubTag(a), Kind: EntryRef, FullyRestored: true}
 		}
 	}
 }
@@ -193,9 +190,9 @@ func (c *CROW) RestoresAcrossSubarrays() bool { return c.EagerRestore && c.Table
 
 // OnActivate implements Mechanism.
 func (c *CROW) OnActivate(a dram.Addr, d ActDecision, cycle int64) {
-	set := c.Table.Set(a)
 	switch d.Kind {
 	case dram.ActTwo:
+		set := c.Table.Set(a) // the pair's entry is in it
 		if d.RestoreFirst {
 			c.Count(TableRestore, a, d.RestoreCopyRow, cycle)
 			set[d.RestoreCopyRow].lastUse = cycle
@@ -204,6 +201,7 @@ func (c *CROW) OnActivate(a dram.Addr, d ActDecision, cycle int64) {
 		c.Count(TableHit, a, d.CopyRow, cycle)
 		set[d.CopyRow].lastUse = cycle
 	case dram.ActCopy:
+		set := c.Table.WriteSet(a)
 		if e := &set[d.CopyRow]; e.Allocated && e.Kind != EntryCache &&
 			e.RegularRow == c.Table.rowIn(a.Row) && e.SubTag == c.Table.SubTag(a) {
 			// A demand activation performing a pending remap copy: the
@@ -266,8 +264,8 @@ func (c *CROW) OnPrecharge(a dram.Addr, openRow int, fullyRestored bool, cycle i
 
 // OnRefreshRows implements Mechanism. Refresh fully restores the refreshed
 // rows, so any CROW-cache pair in the refreshed range becomes fully
-// restored; a wrap of the refresh counter also closes one RowHammer
-// counting window.
+// restored; a wrap of the refresh counter also closes the refreshed banks'
+// RowHammer counting window.
 func (c *CROW) OnRefreshRows(channel, rank, lo, hi, startRow, n int, _ int64) {
 	g := c.Table.Geo
 	for b := lo; b < hi; b++ {
@@ -284,8 +282,12 @@ func (c *CROW) OnRefreshRows(channel, rank, lo, hi, startRow, n int, _ int64) {
 			}
 		}
 	}
-	if startRow == 0 && c.hammerCounts[channel] != nil {
-		clear(c.hammerCounts[channel])
+	if startRow == 0 && c.hammerCounts != nil {
+		nsub := g.SubarraysPerBank()
+		from := ((channel*g.Ranks+rank)*g.Banks + lo) * nsub
+		for _, counts := range c.hammerCounts[from : from+(hi-lo)*nsub] {
+			clear(counts)
+		}
 	}
 }
 
@@ -320,16 +322,20 @@ func (c *CROW) NextCopy(channel int, _ int64) (CopyOp, bool) {
 // remaps the neighbours of a hammered row once it crosses the threshold.
 func (c *CROW) countHammer(a dram.Addr, cycle int64) {
 	g := c.Table.Geo
-	m := c.hammerCounts[a.Channel]
-	if m == nil {
-		m = make([]int32, g.Ranks*g.Banks*g.RowsPerBank)
-		c.hammerCounts[a.Channel] = m
+	if c.hammerCounts == nil {
+		c.hammerCounts = make([][]int32, c.Table.Channels*g.Ranks*g.Banks*g.SubarraysPerBank())
 	}
-	idx := ((a.Rank*g.Banks)+a.Bank)*g.RowsPerBank + a.Row
-	m[idx]++
+	sub := ((a.Channel*g.Ranks+a.Rank)*g.Banks+a.Bank)*g.SubarraysPerBank() + a.Row>>c.Table.subShift
+	m := c.hammerCounts[sub]
+	if m == nil {
+		m = make([]int32, g.RowsPerSubarray)
+		c.hammerCounts[sub] = m
+	}
+	r := c.Table.rowIn(a.Row)
+	m[r]++
 	// Trigger at the threshold and periodically after, so a victim whose
 	// protection was deferred (no safe copy row at the time) is retried.
-	if n := int(m[idx]); n < c.HammerThreshold || n%c.HammerThreshold != 0 {
+	if n := int(m[r]); n < c.HammerThreshold || n%c.HammerThreshold != 0 {
 		return
 	}
 	for _, vr := range []int{a.Row - 1, a.Row + 1} {
@@ -367,6 +373,7 @@ func (c *CROW) countHammer(a dram.Addr, cycle int64) {
 			// and let a later activation re-trigger protection.
 			continue
 		}
+		set = c.Table.WriteSet(victim)
 		set[w] = Entry{Allocated: true, RegularRow: c.Table.rowIn(vr), SubTag: c.Table.SubTag(victim), Kind: EntryHammer, FullyRestored: true, CopyPending: true}
 		c.pendingCopies[a.Channel] = append(c.pendingCopies[a.Channel], CopyOp{
 			Addr: victim, Kind: dram.ActCopy, CopyRow: w, Timing: c.Crow.CopyFull,

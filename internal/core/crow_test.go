@@ -177,7 +177,7 @@ func TestRefRemapRedirectsActivation(t *testing.T) {
 	prof := retention.FixedProfile(retGeo(g, 1), 3, 7)
 	c.LoadProfile(prof)
 
-	weakRow := prof.Weak[0][0][0][0][0]
+	weakRow := prof.Weak[0][0]
 	a := dram.Addr{Row: weakRow}
 	d := c.PlanActivate(a, 0)
 	if d.Kind != dram.ActCopyRow {
@@ -191,7 +191,7 @@ func TestRefRemapRedirectsActivation(t *testing.T) {
 	}
 	// A strong row activates normally.
 	strong := dram.Addr{Row: 500}
-	for _, w := range prof.Weak[0][0][0][0] {
+	for _, w := range prof.Weak[0] {
 		if w == 500 {
 			t.Skip("unlucky profile")
 		}
@@ -295,11 +295,29 @@ func TestHammerRemapsVictims(t *testing.T) {
 	}
 	// Counters reset when the refresh counter wraps.
 	c.OnRefreshRows(0, 0, 0, c.Table.Geo.Banks, 0, 8, 0)
-	for i, n := range c.hammerCounts[0] {
-		if n != 0 {
-			t.Errorf("hammer counter %d = %d after the refresh-window boundary, want 0", i, n)
-			break
+	for sub, counts := range c.hammerCounts {
+		for i, n := range counts {
+			if n != 0 {
+				t.Fatalf("hammer counter %d of subarray %d = %d after the refresh-window boundary, want 0", i, sub, n)
+			}
 		}
+	}
+}
+
+// TestHammerWrapClearsOnlyRefreshedBanks: a refresh counter wrap closes the
+// counting window of the banks it refreshed and no other. Under REFpb each
+// bank wraps on its own, and on HBM2 each rank does.
+func TestHammerWrapClearsOnlyRefreshedBanks(t *testing.T) {
+	c := newTestCROW(8)
+	c.HammerThreshold = 5
+	hammered := dram.Addr{Bank: 0, Row: 100}
+	for i := 0; i < 4; i++ {
+		c.OnActivate(hammered, c.PlanActivate(hammered, int64(i)), int64(i))
+	}
+	c.OnRefreshRows(0, 0, 1, 2, 0, 8, 10) // bank 1's rows 0..7: a wrap of bank 1 only
+	c.OnActivate(hammered, c.PlanActivate(hammered, 20), 20)
+	if c.Stats[TableHamRemap] != 2 {
+		t.Errorf("HamRemaps = %d, want 2: bank 1's wrap cleared bank 0's counts", c.Stats[TableHamRemap])
 	}
 }
 

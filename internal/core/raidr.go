@@ -56,17 +56,17 @@ func (r *RAIDR) OnRefreshRows(channel, rank, lo, hi, startRow, n int, cycle int6
 		}
 		return row >= from || row < to-r.Geo.RowsPerBank
 	}
-	for b := lo; b < hi; b++ {
-		for sa, weak := range r.Profile.Weak[channel][rank][b] {
-			for _, row := range weak {
-				abs := sa*r.Geo.RowsPerSubarray + row
-				if !inRange(abs) {
-					continue
-				}
-				a := dram.Addr{Channel: channel, Rank: rank, Bank: b, Row: abs}
-				r.pending[channel] = append(r.pending[channel], CopyOp{Addr: a, Kind: dram.ActSingle, Timing: r.base})
-				r.Count(TableRowRefresh, a, -1, cycle)
+	nsub := r.Geo.SubarraysPerBank()
+	first := ((channel*r.Geo.Ranks+rank)*r.Geo.Banks + lo) * nsub
+	for i, weak := range r.Profile.Weak[first : first+(hi-lo)*nsub] {
+		for _, row := range weak {
+			abs := i%nsub*r.Geo.RowsPerSubarray + row
+			if !inRange(abs) {
+				continue
 			}
+			a := dram.Addr{Channel: channel, Rank: rank, Bank: lo + i/nsub, Row: abs}
+			r.pending[channel] = append(r.pending[channel], CopyOp{Addr: a, Kind: dram.ActSingle, Timing: r.base})
+			r.Count(TableRowRefresh, a, -1, cycle)
 		}
 	}
 }

@@ -14,10 +14,10 @@ func TestSharedTableIndexing(t *testing.T) {
 	a0 := dram.Addr{Row: 0}                     // subarray 0
 	a3 := dram.Addr{Row: 3 * g.RowsPerSubarray} // subarray 3
 	a4 := dram.Addr{Row: 4 * g.RowsPerSubarray} // subarray 4
-	if &tb.Set(a0)[0] != &tb.Set(a3)[0] {
+	if &tb.WriteSet(a0)[0] != &tb.WriteSet(a3)[0] {
 		t.Error("subarrays 0 and 3 must share a set at group 4")
 	}
-	if &tb.Set(a0)[0] == &tb.Set(a4)[0] {
+	if &tb.WriteSet(a0)[0] == &tb.WriteSet(a4)[0] {
 		t.Error("subarray 4 must use a different set")
 	}
 	if tb.SubTag(a0) != 0 || tb.SubTag(a3) != 3 || tb.SubTag(a4) != 0 {
@@ -30,7 +30,7 @@ func TestSharedLookupDisambiguatesSubarrays(t *testing.T) {
 	tb := NewSharedTable(1, g, 4)
 	// Row 5 of subarray 1 cached.
 	a := dram.Addr{Row: 1*g.RowsPerSubarray + 5}
-	tb.Set(a)[0] = Entry{Allocated: true, RegularRow: 5, SubTag: 1, Kind: EntryCache}
+	tb.WriteSet(a)[0] = Entry{Allocated: true, RegularRow: 5, SubTag: 1, Kind: EntryCache}
 	if tb.Lookup(a) != 0 {
 		t.Error("lookup must hit the cached row")
 	}

@@ -63,9 +63,14 @@ type Table struct {
 	// ShareGroup is the number of adjacent subarrays sharing one entry
 	// set (1 = dedicated sets).
 	ShareGroup int
-	sets       [][]Entry
-	setsPer    int // sets per channel
-	groups     int // sets per bank
+	// idx holds, per set, 1 + the position of its entries in sets, or 0 for
+	// a set no entry was ever written to: a run writes to few of them, and a
+	// set is CopyRows entries (10 KiB at CROW-256).
+	idx     []int32
+	sets    [][]Entry
+	empty   []Entry // what an unwritten set reads as; nothing writes to it
+	setsPer int     // sets per channel
+	groups  int     // sets per bank
 	// A row's subarray is row >> subShift and its index within it row &
 	// rowMask: RowsPerSubarray is a power of two (NewSharedTable insists), and
 	// every lookup would otherwise divide by it.
@@ -79,7 +84,8 @@ func NewTable(channels int, g dram.Geometry) *Table {
 }
 
 // NewSharedTable allocates a CROW-table whose entry sets are shared across
-// groups of `share` adjacent subarrays.
+// groups of `share` adjacent subarrays. A set's entries are allocated by the
+// first WriteSet that reaches it.
 func NewSharedTable(channels int, g dram.Geometry, share int) *Table {
 	if share < 1 {
 		share = 1
@@ -90,12 +96,9 @@ func NewSharedTable(channels int, g dram.Geometry, share int) *Table {
 	groups := (g.SubarraysPerBank() + share - 1) / share
 	t := &Table{
 		Geo: g, Channels: channels, ShareGroup: share,
+		idx: make([]int32, channels*g.Ranks*g.Banks*groups), empty: make([]Entry, g.CopyRows),
 		setsPer: g.Ranks * g.Banks * groups, groups: groups,
 		subShift: uint(bits.TrailingZeros(uint(g.RowsPerSubarray))), rowMask: g.RowsPerSubarray - 1,
-	}
-	t.sets = make([][]Entry, channels*t.setsPer)
-	for i := range t.sets {
-		t.sets[i] = make([]Entry, g.CopyRows)
 	}
 	return t
 }
@@ -116,13 +119,31 @@ func (t *Table) AbsoluteRow(a dram.Addr, e Entry) int {
 	return sub<<t.subShift + e.RegularRow
 }
 
-// Set returns the entries of the (group of) subarray(s) containing a.Row.
-// The returned slice aliases the table; mutations are visible.
-func (t *Table) Set(a dram.Addr) []Entry {
-	idx := a.Channel*t.setsPer +
+func (t *Table) setIndex(a dram.Addr) int {
+	return a.Channel*t.setsPer +
 		(a.Rank*t.Geo.Banks+a.Bank)*t.groups +
 		(a.Row>>t.subShift)/t.ShareGroup
-	return t.sets[idx]
+}
+
+// Set returns the entries of the (group of) subarray(s) containing a.Row,
+// for reading. An entry found in it may be updated in place, but a way is
+// claimed through WriteSet: a set never written to reads as free ways shared
+// with every other such set.
+func (t *Table) Set(a dram.Addr) []Entry {
+	if i := t.idx[t.setIndex(a)]; i > 0 {
+		return t.sets[i-1]
+	}
+	return t.empty
+}
+
+// WriteSet returns the set containing a.Row for writing, allocating its
+// entries the first time.
+func (t *Table) WriteSet(a dram.Addr) []Entry {
+	if si := t.setIndex(a); t.idx[si] == 0 {
+		t.sets = append(t.sets, make([]Entry, t.Geo.CopyRows))
+		t.idx[si] = int32(len(t.sets))
+	}
+	return t.Set(a)
 }
 
 // Lookup finds the allocated entry matching a.Row (including its subarray

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -44,7 +45,7 @@ func TestTableSetIndependence(t *testing.T) {
 	b := dram.Addr{Channel: 1, Bank: 0, Row: 0}
 	c := dram.Addr{Channel: 0, Bank: 1, Row: 0}
 	d := dram.Addr{Channel: 0, Bank: 0, Row: g.RowsPerSubarray} // next subarray
-	tb.Set(a)[0] = Entry{Allocated: true, RegularRow: 0, Kind: EntryCache}
+	tb.WriteSet(a)[0] = Entry{Allocated: true, RegularRow: 0, Kind: EntryCache}
 	for _, other := range []dram.Addr{b, c, d} {
 		if tb.Set(other)[0].Allocated {
 			t.Errorf("sets must be independent; %+v aliases %+v", other, a)
@@ -63,7 +64,7 @@ func TestLookupMatchesRowWithinSubarray(t *testing.T) {
 	tb := NewTable(1, g)
 	// Row 1000 lives in subarray 1, index 488.
 	a := dram.Addr{Row: 1000}
-	tb.Set(a)[2] = Entry{Allocated: true, RegularRow: 488, Kind: EntryCache}
+	tb.WriteSet(a)[2] = Entry{Allocated: true, RegularRow: 488, Kind: EntryCache}
 	if got := tb.Lookup(a); got != 2 {
 		t.Errorf("Lookup = %d, want 2", got)
 	}
@@ -110,5 +111,65 @@ func TestEntryBitsMonotonic(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// allocatedBy returns the bytes f allocates; no test of this package runs in
+// parallel with another.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestTableStartsEmpty: a CROW-256 table of the default system was 42 MB
+// when its 4 096 sets were allocated up front; now a set is allocated by its
+// first write.
+func TestTableStartsEmpty(t *testing.T) {
+	var tb *Table
+	if got := allocatedBy(func() { tb = NewTable(4, dram.Std(256)) }); got >= 64<<10 {
+		t.Errorf("an unwritten CROW-256 table allocates %d bytes, want under 64 KiB", got)
+	}
+	if len(tb.sets) != 0 {
+		t.Errorf("%d sets allocated before any write", len(tb.sets))
+	}
+}
+
+// TestUntouchedSetReadsAllocateNothing: every read of a set no entry was
+// written to sees free ways, allocates nothing and leaves it unallocated.
+func TestUntouchedSetReadsAllocateNothing(t *testing.T) {
+	c := newTestCROW(8)
+	c.Cache = true
+	g := c.Table.Geo
+	var a dram.Addr
+	n := 0
+	allocs := testing.AllocsPerRun(10, func() {
+		n++ // a set no earlier run read
+		a = dram.Addr{Bank: n % g.Banks, Row: n*g.RowsPerSubarray + 5}
+		if c.Table.Lookup(a) != -1 || FreeWay(c.Table.Set(a)) != 0 {
+			t.Fatal("an untouched set must read as free ways")
+		}
+		if d := c.PlanActivate(a, 0); d.Kind != dram.ActCopy || d.CopyRow != 0 {
+			t.Fatalf("a CROW-cache miss in an untouched set plans %+v, want ACT-c into way 0", d)
+		}
+		c.OnPrecharge(a, a.Row, true, 0)
+		c.OnRefreshRows(0, 0, 0, g.Banks, a.Row-8, 16, 0)
+	})
+	if allocs != 0 {
+		t.Errorf("reading an untouched set allocates %.0f times, want 0", allocs)
+	}
+	if len(c.Table.sets) != 0 {
+		t.Errorf("reads allocated %d sets", len(c.Table.sets))
+	}
+	c.OnActivate(a, c.PlanActivate(a, 0), 0)
+	if len(c.Table.sets) != 1 || c.Table.Lookup(a) != 0 {
+		t.Errorf("the first write must allocate its set: %d sets, lookup %d", len(c.Table.sets), c.Table.Lookup(a))
+	}
+	for _, e := range c.Table.empty {
+		if e != (Entry{}) {
+			t.Fatalf("the shared unwritten set was written: %+v", e)
+		}
 	}
 }

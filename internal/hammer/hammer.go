@@ -18,6 +18,7 @@ package hammer
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"crowdram/internal/dram"
@@ -83,17 +84,10 @@ type Model struct {
 
 // New builds a flip model for a system of identical channels.
 func New(cfg Config, channels int, g dram.Geometry, t dram.Timing) *Model {
-	if cfg.JitterPct < 0 {
-		cfg.JitterPct = 0
-	}
-	if cfg.JitterPct > 99 {
-		cfg.JitterPct = 99
-	}
+	cfg.JitterPct = min(max(cfg.JitterPct, 0), 99)
+	cfg.BlastPct = max(cfg.BlastPct, 0)
 	if cfg.PatternPct <= 0 {
 		cfg.PatternPct = 100
-	}
-	if cfg.BlastPct < 0 {
-		cfg.BlastPct = 0
 	}
 	m := &Model{cfg: cfg, geo: g, rpr: t.RowsPerRef, chans: make([]*chanModel, channels)}
 	for ch := range m.chans {
@@ -110,8 +104,10 @@ func New(cfg Config, channels int, g dram.Geometry, t dram.Timing) *Model {
 // Observer returns the command observer for one channel.
 func (m *Model) Observer(ch int) dram.CommandObserver { return m.chans[ch] }
 
-// Findings merges the per-channel tallies (channels in index order, rows
-// sorted within each bank), after the run has quiesced.
+// Findings merges the per-channel tallies after the run has quiesced:
+// channels, then banks in index order (rank-major), then rows sorted within
+// each bank, which is the (channel, rank, bank, row) order with no sort of
+// its own.
 func (m *Model) Findings() Findings {
 	var f Findings
 	for _, c := range m.chans {
@@ -132,19 +128,6 @@ func (m *Model) Findings() Findings {
 			}
 		}
 	}
-	sort.Slice(f.Rows, func(i, j int) bool {
-		a, b := f.Rows[i], f.Rows[j]
-		if a.Channel != b.Channel {
-			return a.Channel < b.Channel
-		}
-		if a.Rank != b.Rank {
-			return a.Rank < b.Rank
-		}
-		if a.Bank != b.Bank {
-			return a.Bank < b.Bank
-		}
-		return a.Row < b.Row
-	})
 	return f
 }
 
@@ -153,10 +136,10 @@ func (f Findings) String() string {
 	return fmt.Sprintf("flips=%d shielded=%d victim-rows=%d", f.Flips, f.Shielded, len(f.Rows))
 }
 
-// chanModel is one channel's replica: disturbance accumulators, lazily drawn
-// thresholds, the CROW-hammer shield map, and the refresh-sweep pointer
-// mirrored from the controller's command stream (the same replica the
-// oracle's refresh-deadline monitor keeps).
+// chanModel is one channel's replica: disturbance accumulators, the
+// CROW-hammer shield map, and the refresh-sweep pointer mirrored from the
+// controller's command stream (the same replica the oracle's
+// refresh-deadline monitor keeps).
 type chanModel struct {
 	m        *Model
 	ch       int
@@ -167,32 +150,58 @@ type chanModel struct {
 }
 
 type bankState struct {
-	idx     int     // rank*Banks+bank, part of every per-row draw's key
-	disturb []int32 // accumulated dose per row, doseUnit fixed-point
-	thr     []int32 // per-row threshold, drawn lazily (0 = undrawn)
-	flipped []bool  // row already flipped in the current charge interval
-	// shield maps (subarray, copy-row way) -> regular row + 1 whose data
-	// the way holds after an ACT-c remap; 0 = none.
-	shield  []int32
+	idx int // rank*Banks+bank, part of every per-row draw's key
+	// subs holds each subarray's row state, allocated on its first dose or
+	// ACT-c: an attack reaches a few subarrays of a bank, and a nil one
+	// reads as undosed, unflipped and unshielded.
+	subs    []*subState
 	flipLog map[int]int64
+}
+
+type subState struct {
+	rows []rowState
+	// shield maps a copy-row way to the regular row + 1 whose data the way
+	// holds after an ACT-c remap; 0 = none.
+	shield []int32
+}
+
+type rowState struct {
+	dose    int32 // accumulated since the last restore, doseUnit fixed-point
+	flipped bool  // already flipped in the current charge interval
 }
 
 func (c *chanModel) bank(rank, bank int) *bankState {
 	b := c.banks[rank*c.m.geo.Banks+bank]
 	if b == nil {
 		g := c.m.geo
-		nsub := (g.RowsPerBank + g.RowsPerSubarray - 1) / g.RowsPerSubarray
 		b = &bankState{
 			idx:     rank*g.Banks + bank,
-			disturb: make([]int32, g.RowsPerBank),
-			thr:     make([]int32, g.RowsPerBank),
-			flipped: make([]bool, g.RowsPerBank),
-			shield:  make([]int32, nsub*max(g.CopyRows, 1)),
+			subs:    make([]*subState, g.SubarraysPerBank()),
 			flipLog: map[int]int64{},
 		}
 		c.banks[rank*c.m.geo.Banks+bank] = b
 	}
 	return b
+}
+
+// sub returns the state of the subarray holding row, allocating it.
+func (c *chanModel) sub(b *bankState, row int) *subState {
+	g := c.m.geo
+	s := b.subs[g.Subarray(row)]
+	if s == nil {
+		s = &subState{rows: make([]rowState, g.RowsPerSubarray), shield: make([]int32, g.CopyRows)}
+		b.subs[g.Subarray(row)] = s
+	}
+	return s
+}
+
+// restore returns a row's charge: its dose and flip latch reset. A subarray
+// never dosed has nothing to reset.
+func (c *chanModel) restore(b *bankState, row int) {
+	g := c.m.geo
+	if s := b.subs[g.Subarray(row)]; s != nil {
+		s.rows[g.RowInSubarray(row)] = rowState{}
+	}
 }
 
 // OnCommand implements dram.CommandObserver.
@@ -227,8 +236,7 @@ func (c *chanModel) refreshWindow(rank, bank, start, n int) {
 		return
 	}
 	for r := start; r < start+n && r < c.m.geo.RowsPerBank; r++ {
-		b.disturb[r] = 0
-		b.flipped[r] = false
+		c.restore(b, r)
 	}
 }
 
@@ -236,14 +244,11 @@ func (c *chanModel) refreshWindow(rank, bank, start, n int) {
 // activated row's own charge is restored, its neighbours take a dose, and an
 // ACT-c additionally records that the copy-row way now shields the row.
 func (c *chanModel) onACT(e dram.CmdEvent) {
-	g := c.m.geo
 	b := c.bank(e.Addr.Rank, e.Addr.Bank)
 	row := e.Addr.Row
-	b.disturb[row] = 0
-	b.flipped[row] = false
-	if e.Cmd == dram.CmdACTc && e.CopyRow >= 0 && g.CopyRows > 0 {
-		sub := g.Subarray(row)
-		b.shield[sub*g.CopyRows+e.CopyRow] = int32(row) + 1
+	c.restore(b, row)
+	if e.Cmd == dram.CmdACTc && e.CopyRow >= 0 && c.m.geo.CopyRows > 0 {
+		c.sub(b, row).shield[e.CopyRow] = int32(row) + 1
 	}
 	c.dose(b, row-1, doseUnit)
 	c.dose(b, row+1, doseUnit)
@@ -259,23 +264,14 @@ func (c *chanModel) dose(b *bankState, row int, amount int32) {
 	if row < 0 || row >= c.m.geo.RowsPerBank {
 		return
 	}
-	d := b.disturb[row] + amount
-	if d > doseCap {
-		d = doseCap
-	}
-	b.disturb[row] = d
-	if b.flipped[row] {
+	s := c.sub(b, row)
+	rs := &s.rows[c.m.geo.RowInSubarray(row)]
+	rs.dose = min(rs.dose+amount, doseCap)
+	if rs.flipped || rs.dose < c.threshold(b, row) {
 		return
 	}
-	thr := b.thr[row]
-	if thr == 0 {
-		thr = c.threshold(b, row)
-	}
-	if d < thr {
-		return
-	}
-	b.flipped[row] = true
-	if c.shieldedRow(b, row) {
+	rs.flipped = true
+	if slices.Contains(s.shield, int32(row)+1) {
 		c.shielded++
 		return
 	}
@@ -283,25 +279,9 @@ func (c *chanModel) dose(b *bankState, row int, amount int32) {
 	b.flipLog[row]++
 }
 
-// shieldedRow reports whether a CROW-hammer remap currently holds the row's
-// data in a copy row of its subarray.
-func (c *chanModel) shieldedRow(b *bankState, row int) bool {
-	g := c.m.geo
-	if g.CopyRows == 0 {
-		return false
-	}
-	sub := g.Subarray(row)
-	want := int32(row) + 1
-	for _, s := range b.shield[sub*g.CopyRows : (sub+1)*g.CopyRows] {
-		if s == want {
-			return true
-		}
-	}
-	return false
-}
-
-// threshold draws the row's HC_first lazily: nominal HCFirst, uniform
-// ±JitterPct, scaled by PatternPct for the seeded worst-pattern half.
+// threshold is the row's HC_first, a pure function of the seed and the row's
+// address: nominal HCFirst, uniform ±JitterPct, scaled by PatternPct for the
+// seeded worst-pattern half.
 func (c *chanModel) threshold(b *bankState, row int) int32 {
 	cfg := c.m.cfg
 	h := mix(uint64(cfg.Seed) ^ uint64(c.ch)<<48 ^ uint64(b.idx)<<32 ^ uint64(row))
@@ -313,15 +293,7 @@ func (c *chanModel) threshold(b *bankState, row int) int32 {
 	if cfg.PatternPct < 100 && (h>>33)&1 == 0 {
 		pat = cfg.PatternPct
 	}
-	thr := int64(cfg.HCFirst) * int64(jit) * int64(pat) / 100
-	if thr < doseUnit {
-		thr = doseUnit
-	}
-	if thr > doseCap {
-		thr = doseCap
-	}
-	b.thr[row] = int32(thr)
-	return int32(thr)
+	return int32(min(max(int64(cfg.HCFirst)*int64(jit)*int64(pat)/100, doseUnit), doseCap))
 }
 
 // mix is splitmix64's finalizer: a cheap, well-distributed hash.

@@ -2,6 +2,7 @@ package hammer
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"crowdram/internal/dram"
@@ -204,5 +205,28 @@ func TestZeroHCFirstFloorsAtOneActivation(t *testing.T) {
 	act(m, 0, dram.Addr{Row: 10})
 	if f := m.Findings(); f.Flips != 2 {
 		t.Fatalf("want immediate flips with floor threshold, got %+v", f)
+	}
+}
+
+// TestHammerStateFollowsTheAttack: the model keeps per-row state only for
+// the subarrays an attack doses. A double-sided hammer on one bank of the
+// default system allocated 590 KB per bank when every row of a touched bank
+// had its dose, threshold and flip latch.
+func TestHammerStateFollowsTheAttack(t *testing.T) {
+	g := dram.Std(8)
+	tm := dram.LPDDR4(dram.Density8Gb, 64, g)
+	cfg := Config{Seed: 1, HCFirst: 1000, JitterPct: 10, BlastPct: 20, PatternPct: 80}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := New(cfg, 4, g, tm)
+	for i := 0; i < 5000; i++ {
+		act(m, 0, dram.Addr{Bank: 2, Row: 1000 + 2*(i%2)})
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Errorf("a double-sided hammer on one bank allocates %d bytes of model state, want under 64 KiB", got)
+	}
+	if f := m.Findings(); f.Flips == 0 {
+		t.Errorf("the hammer must flip its victim: %+v", f)
 	}
 }

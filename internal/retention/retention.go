@@ -6,6 +6,7 @@ package retention
 import (
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // DefaultBER is the bit error rate the paper calculates for a 256 ms refresh
@@ -50,11 +51,11 @@ func PAnySubarrayMoreThan(n, rows int, pRow float64, numSubarrays int) float64 {
 	return -math.Expm1(float64(numSubarrays) * math.Log1p(-p))
 }
 
-// Profile records the weak rows of every subarray in a DRAM system, indexed
-// as [channel][rank][bank][subarray] -> weak regular-row indices within the
-// subarray.
+// Profile records the weak rows of every subarray in a DRAM system: Weak[i]
+// holds the weak regular-row indices, within the subarray, of global subarray
+// i = ((channel*Ranks+rank)*Banks+bank)*Subarrays + subarray.
 type Profile struct {
-	Weak [][][][][]int
+	Weak [][]int
 }
 
 // Geometry mirrors the fields of dram.Geometry that a profile needs,
@@ -63,38 +64,23 @@ type Geometry struct {
 	Channels, Ranks, Banks, Subarrays, RowsPerSubarray int
 }
 
-// FixedProfile marks the first n rows of every subarray weak. The paper's
-// CROW-ref evaluation conservatively assumes three weak rows per subarray
-// (Section 8.2), far more than the statistical expectation.
+// FixedProfile marks n distinct random rows of every subarray weak. The
+// paper's CROW-ref evaluation conservatively assumes three weak rows per
+// subarray (Section 8.2), far more than the statistical expectation.
 func FixedProfile(g Geometry, n int, seed int64) *Profile {
 	rng := rand.New(rand.NewSource(seed))
-	p := &Profile{}
-	p.Weak = make([][][][][]int, g.Channels)
-	for c := range p.Weak {
-		p.Weak[c] = make([][][][]int, g.Ranks)
-		for r := range p.Weak[c] {
-			p.Weak[c][r] = make([][][]int, g.Banks)
-			for b := range p.Weak[c][r] {
-				p.Weak[c][r][b] = make([][]int, g.Subarrays)
-				for s := range p.Weak[c][r][b] {
-					weak := make([]int, 0, n)
-					for len(weak) < n {
-						row := rng.Intn(g.RowsPerSubarray)
-						dup := false
-						for _, w := range weak {
-							if w == row {
-								dup = true
-								break
-							}
-						}
-						if !dup {
-							weak = append(weak, row)
-						}
-					}
-					p.Weak[c][r][b][s] = weak
-				}
+	subs := g.Channels * g.Ranks * g.Banks * g.Subarrays
+	rows := make([]int, subs*n) // every subarray's rows, back to back
+	p := &Profile{Weak: make([][]int, subs)}
+	for s := range p.Weak {
+		weak := rows[s*n : s*n : (s+1)*n]
+		for len(weak) < n {
+			row := rng.Intn(g.RowsPerSubarray)
+			if !slices.Contains(weak, row) {
+				weak = append(weak, row)
 			}
 		}
+		p.Weak[s] = weak
 	}
 	return p
 }

@@ -63,23 +63,17 @@ func TestFixedProfile(t *testing.T) {
 	p := FixedProfile(g, 3, 1)
 	// Every subarray holds exactly three weak rows, all distinct.
 	subarrays := 0
-	for _, ch := range p.Weak {
-		for _, rk := range ch {
-			for _, bk := range rk {
-				for _, sa := range bk {
-					subarrays++
-					if len(sa) != 3 {
-						t.Fatalf("subarray has %d weak rows, want 3", len(sa))
-					}
-					seen := map[int]bool{}
-					for _, r := range sa {
-						if seen[r] {
-							t.Fatal("duplicate weak row in subarray")
-						}
-						seen[r] = true
-					}
-				}
+	for _, sa := range p.Weak {
+		subarrays++
+		if len(sa) != 3 {
+			t.Fatalf("subarray has %d weak rows, want 3", len(sa))
+		}
+		seen := map[int]bool{}
+		for _, r := range sa {
+			if seen[r] {
+				t.Fatal("duplicate weak row in subarray")
 			}
+			seen[r] = true
 		}
 	}
 	if subarrays != 2*1*4*8 {

@@ -85,16 +85,16 @@ func (m *Mechanism) PlanActivate(a dram.Addr, cycle int64) core.ActDecision {
 
 // OnActivate implements core.Mechanism.
 func (m *Mechanism) OnActivate(a dram.Addr, d core.ActDecision, cycle int64) {
-	set := m.Table.Set(a)
 	switch d.Kind {
 	case dram.ActSingle:
 		if d.Timing == m.near {
 			m.Count(core.TableHit, a, d.CopyRow, cycle)
-			set[d.CopyRow].Touch(cycle)
+			m.Table.Set(a)[d.CopyRow].Touch(cycle)
 		} else {
 			m.Count(core.TableMiss, a, -1, cycle)
 		}
 	case dram.ActCopy:
+		set := m.Table.WriteSet(a)
 		m.Count(core.TableMiss, a, d.CopyRow, cycle)
 		m.Count(core.TableCopy, a, d.CopyRow, cycle)
 		if set[d.CopyRow].Allocated {
