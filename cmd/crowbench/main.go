@@ -18,6 +18,7 @@ import (
 	"strings"
 	"time"
 
+	"crowdram/crow"
 	"crowdram/internal/engine"
 	"crowdram/internal/exp"
 	"crowdram/internal/obs"
@@ -88,16 +89,7 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	ropts := []exp.RunnerOption{exp.Workers(*jobs), exp.WithContext(ctx)}
-	if *timeout > 0 {
-		ropts = append(ropts, exp.Timeout(*timeout))
-	}
-	if *verify {
-		ropts = append(ropts, exp.Verify())
-	}
-	if *verbose {
-		ropts = append(ropts, exp.Observe(progress))
-	}
+	popts := []engine.Option[crow.Report]{engine.WithTimeout[crow.Report](*timeout)}
 	if *storeDir != "" {
 		st, err := exp.OpenStore(*storeDir, *storeMaxMB<<20)
 		if err != nil {
@@ -107,7 +99,14 @@ func run() error {
 			fmt.Fprintf(os.Stderr, "  [result store %s: %d results, %.1f MiB]\n",
 				*storeDir, stats.Files, float64(stats.Bytes)/(1<<20))
 		}
-		ropts = append(ropts, exp.Backed(st))
+		popts = append(popts, engine.WithBacking[crow.Report](st))
+	}
+	ropts := []exp.RunnerOption{exp.UsePool(engine.New(*jobs, popts...)), exp.WithContext(ctx)}
+	if *verify {
+		ropts = append(ropts, exp.Verify())
+	}
+	if *verbose {
+		ropts = append(ropts, exp.Observe(progress))
 	}
 	r := exp.NewRunner(scale, ropts...)
 

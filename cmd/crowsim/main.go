@@ -80,7 +80,6 @@ func parse(args []string, stderr io.Writer) (cli, error) {
 	fs.BoolVar(&o.Prefetch, "prefetch", false, "enable the stride prefetcher")
 	fs.IntVar(&o.TLDRAMNearRows, "tl-near", 0, "TL-DRAM near-segment rows (default 8)")
 	fs.IntVar(&o.SALPSubarrays, "salp", 0, "SALP subarrays per bank (default 128)")
-	fs.BoolVar(&o.SALPOpenPage, "salp-open", false, "SALP open-page policy")
 	fs.IntVar(&o.HammerThreshold, "hammer-threshold", 0, "RowHammer detection threshold (default 2048)")
 	fs.StringVar(&o.Mitigation, "mitigation", "", "RowHammer mitigation: "+strings.Join(crow.Mitigations(), ", ")+" (default none)")
 	fs.IntVar(&o.ParaPerMille, "para-permille", 0, "PARA neighbour-refresh probability in 1/1000 per ACT (default 5 when -mitigation para)")

@@ -259,7 +259,7 @@ func TestFlagsBindToOptions(t *testing.T) {
 	const pinned = "compare copyrows cpuprofile density exectrace flip-blast flip-hcfirst flip-jitter " +
 		"flip-pattern hammer-threshold insts j json list list-standards llc llc-kib mapping mech " +
 		"memprofile mitigation para-permille postpone prefetch refpb refresh-scale rowpolicy salp " +
-		"salp-open sched seed standard table-share timeout tl-near trace-cap trace-out traces " +
+		"sched seed standard table-share timeout tl-near trace-cap trace-out traces " +
 		"translation v verify warmup workloads"
 	if got := strings.Join(names, " "); got != pinned {
 		t.Errorf("crowsim -h lists\n  %s\nwant\n  %s", got, pinned)

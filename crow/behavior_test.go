@@ -40,7 +40,7 @@ func TestSALPOpenPageEnergyPenalty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	salpO, _ := Run(med(Options{Mechanism: SALP, SALPOpenPage: true, Workloads: w}))
+	salpO, _ := Run(med(Options{Mechanism: SALP, RowPolicy: "open", Workloads: w}))
 	if salpO.IPC[0] <= base.IPC[0] {
 		t.Errorf("SALP-O must beat the baseline: %.3f vs %.3f", salpO.IPC[0], base.IPC[0])
 	}

@@ -32,7 +32,6 @@ import (
 	"crowdram/internal/metrics"
 	"crowdram/internal/obs"
 	"crowdram/internal/retention"
-	"crowdram/internal/salp"
 	"crowdram/internal/sim"
 	"crowdram/internal/tldram"
 	"crowdram/internal/trace"
@@ -95,7 +94,7 @@ type Options struct {
 	Scheduler string
 	// RowPolicy selects the row-buffer management policy: "timeout"
 	// (Table 2's 75 ns idle close, the default), "open", or "closed". See
-	// crow.RowPolicies(). (SALP with SALPOpenPage defaults to "open".)
+	// crow.RowPolicies(). SALP-MASA's open-page arm ("-O") is "open".
 	RowPolicy string
 	// Mapping selects the physical-address bit layout: "robarococh"
 	// (row-streaming, the default) or "rocobarach" (bank-interleaved). See
@@ -131,8 +130,6 @@ type Options struct {
 	TLDRAMNearRows int
 	// SALPSubarrays sets SALP's subarrays per bank. Default 128.
 	SALPSubarrays int
-	// SALPOpenPage selects SALP's open-page row policy ("-O").
-	SALPOpenPage bool
 	// HammerThreshold is the activations-per-window detection threshold
 	// for the RowHammer mitigation. Default 2048.
 	HammerThreshold int
@@ -229,9 +226,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RowPolicy == "" {
 		o.RowPolicy = ctrl.DefaultRowPolicy
-		if o.Mechanism == SALP && o.SALPOpenPage {
-			o.RowPolicy = "open"
-		}
 	}
 	if o.Mapping == "" {
 		o.Mapping = dram.DefaultMapping
@@ -562,7 +556,6 @@ func build(o Options) (sim.Config, core.Mechanism, error) {
 		cfg.Ctrl.Refresh = "perbank"
 	}
 	cfg.Ctrl.Scheduler = o.Scheduler
-	// withDefaults has already turned SALPOpenPage into the "open" policy.
 	cfg.Ctrl.RowPolicy = o.RowPolicy
 	cfg.Mapping = o.Mapping
 	cfg.Translation = o.Translation
@@ -605,7 +598,8 @@ func build(o Options) (sim.Config, core.Mechanism, error) {
 	case TLDRAM:
 		mech = tldram.New(cfg.Channels, cfg.Geo, cfg.T, o.TLDRAMNearRows)
 	case SALP:
-		cfg.Geo = salp.Config{SubarraysPerBank: o.SALPSubarrays}.Geometry()
+		// Validate admits only lpddr4 and a count dividing a bank's rows.
+		cfg.Geo.RowsPerSubarray = cfg.Geo.RowsPerBank / o.SALPSubarrays
 		cfg.T = dram.LPDDR4(density, o.RefreshWindowMS, cfg.Geo)
 		cfg.Ctrl.MASA = true
 		mech = &core.Baseline{T: cfg.T}
@@ -728,7 +722,7 @@ func report(o Options, cfg sim.Config, res sim.Result) Report {
 	case IdealCache, IdealNoRefresh:
 		r.CROWTableHitRate = 1
 	case SALP:
-		r.ChipAreaOverhead = salp.Config{SubarraysPerBank: o.SALPSubarrays}.ChipAreaOverhead()
+		r.ChipAreaOverhead = circuit.SALPChipOverhead(o.SALPSubarrays)
 	}
 	return r
 }

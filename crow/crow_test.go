@@ -115,8 +115,18 @@ func TestBaselineMechanisms(t *testing.T) {
 	}
 }
 
+// TestSALPOpenPageGeometry: SALP-256 reshapes the bank into 256 subarrays at
+// the same capacity, turns MASA on and reports the paper's 28.9 % area.
 func TestSALPOpenPageGeometry(t *testing.T) {
-	r, err := Run(fast(Options{Mechanism: SALP, SALPSubarrays: 256, SALPOpenPage: true, Workloads: []string{"soplex"}}))
+	cfg, _, err := build(Options{Mechanism: SALP, SALPSubarrays: 256, RowPolicy: "open"}.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := cfg.Geo; g.RowsPerSubarray != 256 || g.SubarraysPerBank() != 256 || g.RowsPerBank != 64*1024 || !cfg.Ctrl.MASA {
+		t.Errorf("SALP-256 geometry %+v (MASA %v), want 256 subarrays of 256 rows, 64 Ki rows a bank, MASA on",
+			g, cfg.Ctrl.MASA)
+	}
+	r, err := Run(fast(Options{Mechanism: SALP, SALPSubarrays: 256, RowPolicy: "open", Workloads: []string{"soplex"}}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ var roundTripCases = []Options{
 	{Mechanism: CacheRef, Workloads: []string{"gcc"}, DensityGbit: 32,
 		RefreshWindowMS: 128, Prefetch: true, PerBankRefresh: true,
 		RefreshPostpone: 8, TableShareGroup: 4, Verify: true},
-	{Mechanism: SALP, SALPSubarrays: 64, SALPOpenPage: true, Seed: 7},
+	{Mechanism: SALP, SALPSubarrays: 64, RowPolicy: "open", Seed: 7},
 	{Mechanism: TLDRAM, TLDRAMNearRows: 16, LLCBytes: 16 << 20,
 		MeasureInsts: 123_456, WarmupInsts: 12_000},
 	{Workloads: []string{"hammer-double"}, Translation: "rowstripe",

@@ -36,7 +36,7 @@ var parityRuns = []struct {
 		Workloads: []string{"mcf", "lbm", "omnetpp", "gcc"}, DensityGbit: 64}},
 	{"salp-masa", Options{Mechanism: SALP, SALPSubarrays: 8, Workloads: []string{"mcf", "lbm", "gcc"},
 		RefreshWindowMS: 16}},
-	{"salp-masa-open", Options{Mechanism: SALP, SALPOpenPage: true, Workloads: []string{"mcf", "lbm"},
+	{"salp-masa-open", Options{Mechanism: SALP, RowPolicy: "open", Workloads: []string{"mcf", "lbm"},
 		RefreshWindowMS: 8}},
 	{"fcfs", Options{Mechanism: Cache, Scheduler: "fcfs", Workloads: []string{"mcf", "lbm"}, RefreshWindowMS: 8}},
 	{"frfcfs", Options{Mechanism: CacheRef, Scheduler: "frfcfs", Workloads: []string{"lbm", "mcf"},

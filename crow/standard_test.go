@@ -80,8 +80,8 @@ func TestStandardDefaultsInKey(t *testing.T) {
 		{Options{PerBankRefresh: true}, "timeout", "perbank"},
 		{Options{Standard: "ddr5"}, "timeout", "samebank"},
 		{Options{Standard: "ddr5", PerBankRefresh: true}, "timeout", "perbank"},
-		{Options{Mechanism: SALP, SALPOpenPage: true}, "open", "allbank"},
-		{Options{Mechanism: SALP, SALPOpenPage: true, RowPolicy: "closed"}, "closed", "allbank"},
+		{Options{Mechanism: SALP, RowPolicy: "open"}, "open", "allbank"},
+		{Options{Mechanism: SALP, RowPolicy: "closed"}, "closed", "allbank"},
 	} {
 		sys, err := construct(c.o)
 		if err != nil {

@@ -3,6 +3,8 @@
 // write-allocate, and MSHR-based miss handling with request merging.
 package cache
 
+import "crowdram/internal/timeq"
+
 // Config parameterizes the LLC.
 type Config struct {
 	SizeBytes  int64
@@ -82,55 +84,6 @@ type Stats struct {
 	CoreMisses   []int64
 }
 
-type delayed struct {
-	at   int64
-	done func(now int64)
-}
-
-// delayQueue is a hand-rolled min-heap on `at`; container/heap would box
-// every pushed entry into an interface, allocating once per LLC hit. The
-// sift directions replicate container/heap's strict-less comparisons, so pop
-// order (ties included) is unchanged.
-type delayQueue []delayed
-
-func (q *delayQueue) push(d delayed) {
-	h := append(*q, d)
-	for i := len(h) - 1; i > 0; {
-		p := (i - 1) / 2
-		if h[p].at <= h[i].at {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-	*q = h
-}
-
-func (q *delayQueue) pop() delayed {
-	h := *q
-	d := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = delayed{}
-	h = h[:n]
-	for i := 0; ; {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if r := j + 1; r < n && h[r].at < h[j].at {
-			j = r
-		}
-		if h[i].at <= h[j].at {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-	*q = h
-	return d
-}
-
 // Cache is the shared LLC.
 type Cache struct {
 	Cfg Config
@@ -150,8 +103,8 @@ type Cache struct {
 	// first: Tick retries them in allocation order, so which one takes a
 	// freed queue slot does not depend on map iteration order.
 	unsent  []*mshr
-	wbQ     []uint64 // writebacks the memory rejected, to retry
-	delayed delayQueue
+	wbQ     []uint64                     // writebacks the memory rejected, to retry
+	delayed timeq.Queue[func(now int64)] // hit callbacks, due at At
 
 	setMask  uint64
 	lineBits uint
@@ -254,7 +207,7 @@ func (c *Cache) Access(now int64, core int, addr uint64, write bool, done func(n
 			c.Stats.PrefUseful++
 		}
 		if done != nil {
-			c.delayed.push(delayed{at: now + c.Cfg.HitLatency, done: done})
+			c.delayed.Push(now+c.Cfg.HitLatency, done)
 		}
 		return true, true
 	}
@@ -363,9 +316,8 @@ func (c *Cache) Fill(now int64, addr uint64) {
 
 // Tick fires due hit callbacks and retries rejected downstream sends.
 func (c *Cache) Tick(now int64) {
-	for len(c.delayed) > 0 && c.delayed[0].at <= now {
-		d := c.delayed.pop()
-		d.done(now)
+	for len(c.delayed) > 0 && c.delayed[0].At <= now {
+		c.delayed.Pop()(now)
 	}
 	n := 0
 	for n < len(c.wbQ) && c.Mem.SendWrite(c.wbQ[n]) {
@@ -398,7 +350,7 @@ func (c *Cache) NextEvent(now int64) int64 {
 		return now + 1
 	}
 	if len(c.delayed) > 0 {
-		if at := c.delayed[0].at; at > now {
+		if at := c.delayed[0].At; at > now {
 			return at
 		}
 		return now + 1
@@ -408,10 +360,6 @@ func (c *Cache) NextEvent(now int64) int64 {
 
 // Horizon mirrors dram.Horizon: a sentinel "no event scheduled" cycle.
 const Horizon = int64(1) << 60
-
-// Pending reports outstanding misses plus undelivered hit callbacks (used to
-// drain simulations).
-func (c *Cache) Pending() int { return len(c.mshrs) + len(c.delayed) + len(c.wbQ) }
 
 // MPKI returns per-core LLC misses per kilo-instruction given retired
 // instruction counts.

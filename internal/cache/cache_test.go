@@ -318,8 +318,8 @@ func TestWritebackRetryQueueKeepsItsArray(t *testing.T) {
 			c.Fill(now, 1<<40|uint64(fills)<<6) // a tag no set holds, one set each
 		}
 		c.Tick(now) // still stalled: nothing leaves
-		if c.Pending() != perStall {
-			t.Fatalf("%d write-backs queued, want %d", c.Pending(), perStall)
+		if len(c.wbQ) != perStall {
+			t.Fatalf("%d write-backs queued, want %d", len(c.wbQ), perStall)
 		}
 		mem.rejectWrites = false
 		c.Tick(now)
@@ -328,8 +328,8 @@ func TestWritebackRetryQueueKeepsItsArray(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, stall); allocs != 0 {
 		t.Errorf("a reject/accept/reject cycle allocates %.0f times, want 0", allocs)
 	}
-	if mem.writes != fills || c.Pending() != 0 {
-		t.Errorf("%d of %d write-backs delivered, %d pending", mem.writes, fills, c.Pending())
+	if mem.writes != fills || len(c.wbQ) != 0 {
+		t.Errorf("%d of %d write-backs delivered, %d pending", mem.writes, fills, len(c.wbQ))
 	}
 }
 

@@ -44,19 +44,12 @@ type Mechanism struct {
 
 // New builds the mechanism with the given per-channel table capacity.
 func New(channels int, t dram.Timing, entries int) *Mechanism {
-	scale := func(base int, d float64) int {
-		v := int(float64(base)*(1+d) + 0.5)
-		if v < 1 {
-			v = 1
-		}
-		return v
-	}
-	ras := scale(t.RAS, RASDelta)
+	ras := dram.Scale(t.RAS, RASDelta)
 	m := &Mechanism{
 		T:       t,
 		Entries: entries,
 		base:    t.Base(),
-		charged: dram.ActTimings{RCD: scale(t.RCD, RCDDelta), RAS: ras, RASFull: ras, WR: t.WR},
+		charged: dram.ActTimings{RCD: dram.Scale(t.RCD, RCDDelta), RAS: ras, RASFull: ras, WR: t.WR},
 		window:  int64(WindowNs / t.CycleTime()),
 		tables:  make([][]entry, channels),
 	}

@@ -89,15 +89,6 @@ type Mechanism interface {
 // Stats counts a mechanism's events, one counter per TableEventKind.
 type Stats [numTableEventKinds]int64
 
-// Sub returns s minus b, counter by counter: the events since the snapshot b
-// was taken.
-func (s Stats) Sub(b Stats) Stats {
-	for k := range s {
-		s[k] -= b[k]
-	}
-	return s
-}
-
 // HitRate returns the table hit rate over cache-eligible activations.
 func (s Stats) HitRate() float64 {
 	total := s[TableHit] + s[TableMiss]

@@ -414,21 +414,11 @@ func findStrongRowExcept(t *testing.T, c *CROW, sub, except int) int {
 	return -1
 }
 
-// TestStatsSubCoversEveryField: Sub subtracts every counter from its own
-// counterpart, and every event kind has a name, so a kind added to the list is
-// cut at the warm-up boundary and named in a trace with no edit elsewhere.
-func TestStatsSubCoversEveryField(t *testing.T) {
-	var a, b Stats
-	for k := range a {
-		a[k], b[k] = int64(1000*(k+1)), int64(k+1)
-	}
-	for k, got := range a.Sub(b) {
-		if want := int64(999 * (k + 1)); got != want {
-			t.Errorf("Sub: %s = %d, want %d", TableEventKind(k), got, want)
-		}
-	}
-	if len(tableEventNames) != len(a) {
-		t.Errorf("%d event names for %d kinds", len(tableEventNames), len(a))
+// TestEveryEventKindHasAName: a kind added to the list is named in a trace
+// with no edit elsewhere (metrics.Sub cuts it at the warm-up boundary).
+func TestEveryEventKindHasAName(t *testing.T) {
+	if len(tableEventNames) != len(Stats{}) {
+		t.Errorf("%d event names for %d kinds", len(tableEventNames), len(Stats{}))
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"crowdram/internal/core"
 	"crowdram/internal/dram"
 	"crowdram/internal/metrics"
+	"crowdram/internal/timeq"
 )
 
 // ReqType distinguishes reads from writes.
@@ -100,23 +101,6 @@ type Stats struct {
 	MechCopies     int64 // mechanism-initiated ACT-c operations
 }
 
-// Sub returns s minus b, field by field: the counters accumulated since the
-// snapshot b was taken. TestStatsSubCoversEveryField fails if a field added
-// to Stats is not added here.
-func (s Stats) Sub(b Stats) Stats {
-	return Stats{
-		ReadsServed: s.ReadsServed - b.ReadsServed, WritesServed: s.WritesServed - b.WritesServed,
-		ReadLatencySum: s.ReadLatencySum - b.ReadLatencySum,
-		RowHits:        s.RowHits - b.RowHits, RowMisses: s.RowMisses - b.RowMisses,
-		RowConflicts: s.RowConflicts - b.RowConflicts, Forwarded: s.Forwarded - b.Forwarded,
-		Refreshes: s.Refreshes - b.Refreshes, TimeoutCloses: s.TimeoutCloses - b.TimeoutCloses,
-		MechCopies: s.MechCopies - b.MechCopies,
-	}
-}
-
-// Add returns s plus b, field by field (summing channels).
-func (s Stats) Add(b Stats) Stats { return s.Sub(Stats{}.Sub(b)) }
-
 // AvgReadLatencyNs returns the mean read latency in nanoseconds, given the
 // command-clock cycle time of the standard the controller ran.
 func (s *Stats) AvgReadLatencyNs(cycleNs float64) float64 {
@@ -173,56 +157,6 @@ type SchedEvent struct {
 // decision order. Implementations must be cheap: they run on the tick path.
 type SchedObserver interface {
 	OnSched(e SchedEvent)
-}
-
-// event is a scheduled completion callback.
-type event struct {
-	at  int64
-	req *Request
-}
-
-// eventQueue is a hand-rolled min-heap on `at`. container/heap would box
-// every pushed event into an interface — one allocation per read completion
-// on the hot path. The sift directions replicate container/heap's strict-less
-// comparisons exactly, so pop order (ties included) is unchanged.
-type eventQueue []event
-
-func (q *eventQueue) push(e event) {
-	h := append(*q, e)
-	for i := len(h) - 1; i > 0; {
-		p := (i - 1) / 2
-		if h[p].at <= h[i].at {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-	*q = h
-}
-
-func (q *eventQueue) pop() event {
-	h := *q
-	e := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = event{}
-	h = h[:n]
-	for i := 0; ; {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if r := j + 1; r < n && h[r].at < h[j].at {
-			j = r
-		}
-		if h[i].at <= h[j].at {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-	*q = h
-	return e
 }
 
 // copyState tracks a mechanism-initiated ACT-c in flight.
@@ -296,7 +230,7 @@ type Controller struct {
 	// counts and the open list.
 	verifyWake bool
 
-	events eventQueue
+	events timeq.Queue[*Request] // read completions, due at At
 
 	// ReadLatency tracks the distribution of read latencies in DRAM
 	// cycles (arrival to data), in logarithmic buckets.
@@ -411,7 +345,7 @@ func (c *Controller) EnqueueRead(r *Request, now int64) bool {
 				if c.Obs != nil {
 					c.sched(SchedForward, r.Addr, now)
 				}
-				c.events.push(event{at: now + 1, req: r})
+				c.events.Push(now+1, r)
 				c.wake = min(c.wake, now+1)
 				return true
 			}
@@ -493,12 +427,12 @@ func (c *Controller) Tick(now int64) {
 		return
 	}
 	c.Dev.Tick(now)
-	for len(c.events) > 0 && c.events[0].at <= now {
-		e := c.events.pop()
-		if e.req.Done != nil {
-			e.req.Done(now, e.req.Line)
+	for len(c.events) > 0 && c.events[0].At <= now {
+		r := c.events.Pop()
+		if r.Done != nil {
+			r.Done(now, r.Line)
 		}
-		c.PutRequest(e.req)
+		c.PutRequest(r)
 	}
 	switch {
 	case now < c.passAt:
@@ -513,7 +447,7 @@ func (c *Controller) Tick(now int64) {
 	}
 	c.wake = c.passAt
 	if len(c.events) > 0 {
-		c.wake = min(c.wake, c.events[0].at)
+		c.wake = min(c.wake, c.events[0].At)
 	}
 }
 
@@ -537,9 +471,9 @@ func (c *Controller) ready(at, now int64) bool {
 // contract promised — no command, no side effect, and the same next pass cycle
 // again. It panics otherwise.
 func (c *Controller) verifyNoPass(now int64) {
-	if len(c.events) > 0 && c.events[0].at <= now {
+	if len(c.events) > 0 && c.events[0].At <= now {
 		panic(fmt.Sprintf("ctrl: ch%d slept through cycle %d (wake %d) with a completion due at %d",
-			c.Cfg.ChannelID, now, c.wake, c.events[0].at))
+			c.Cfg.ChannelID, now, c.wake, c.events[0].At))
 	}
 	draining := c.draining
 	if issued := c.schedulePass(now); issued || c.poll || draining != c.draining || c.nextReady != c.passAt {
@@ -944,7 +878,7 @@ func (c *Controller) issueColumn(r *Request, now int64) bool {
 		if !r.IsPref {
 			c.ReadLatency.Add(float64(done - r.Arrive))
 		}
-		c.events.push(event{at: done, req: r})
+		c.events.Push(done, r)
 		return true
 	}
 	if !c.ready(c.Dev.ReadyWR(r.Addr), now) {

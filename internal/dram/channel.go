@@ -91,27 +91,6 @@ type Stats struct {
 // Activations returns the total number of activate commands of all kinds.
 func (s *Stats) Activations() int64 { return s.ACT + s.ACTTwo + s.ACTCopy + s.ACTCopyRow }
 
-// Sub returns s minus b, field by field: the counters accumulated since the
-// snapshot b was taken. TestStatsSubCoversEveryField fails if a field added
-// to Stats is not added here.
-func (s Stats) Sub(b Stats) Stats {
-	return Stats{
-		ACT: s.ACT - b.ACT, ACTTwo: s.ACTTwo - b.ACTTwo, ACTCopy: s.ACTCopy - b.ACTCopy,
-		ACTCopyRow: s.ACTCopyRow - b.ACTCopyRow, PRE: s.PRE - b.PRE,
-		RD: s.RD - b.RD, WR: s.WR - b.WR, REF: s.REF - b.REF, REFpb: s.REFpb - b.REFpb,
-		ActRasSingle:        s.ActRasSingle - b.ActRasSingle,
-		ActRasMRA:           s.ActRasMRA - b.ActRasMRA,
-		OpenBufferCycles:    s.OpenBufferCycles - b.OpenBufferCycles,
-		ActiveStandbyCycles: s.ActiveStandbyCycles - b.ActiveStandbyCycles,
-		RefreshBusyCycles:   s.RefreshBusyCycles - b.RefreshBusyCycles,
-		RDBusyCycles:        s.RDBusyCycles - b.RDBusyCycles,
-		WRBusyCycles:        s.WRBusyCycles - b.WRBusyCycles,
-	}
-}
-
-// Add returns s plus b, field by field (summing channels).
-func (s Stats) Add(b Stats) Stats { return s.Sub(Stats{}.Sub(b)) }
-
 // CmdEvent describes one command issued by the channel, as seen on the
 // command bus. It carries everything an external monitor needs to replay the
 // device's visible behaviour: the command, its full address (including the
@@ -184,9 +163,6 @@ type Channel struct {
 func (c *Channel) Attach(o CommandObserver) {
 	c.obs = append(c.obs, o)
 }
-
-// Observers returns the number of attached command observers.
-func (c *Channel) Observers() int { return len(c.obs) }
 
 // emit fans one command event out to every attached observer. Callers guard
 // with `c.obs != nil` so the disabled path costs one comparison and the

@@ -17,8 +17,8 @@ func TestObserverFanOut(t *testing.T) {
 	first, second := &recorder{}, &recorder{}
 	c.Attach(first)
 	c.Attach(second)
-	if c.Observers() != 3 { // testChannel's checker rides the same fan-out
-		t.Fatalf("Observers() = %d, want 3", c.Observers())
+	if len(c.obs) != 3 { // testChannel's checker rides the same fan-out
+		t.Fatalf("%d observers attached, want 3", len(c.obs))
 	}
 
 	a := Addr{Bank: 0, Row: 100, Col: 5}

@@ -179,7 +179,10 @@ const (
 	FullWRDelta        = +0.14
 )
 
-func scale(base int, delta float64) int {
+// Scale stretches a timing parameter of base cycles by the fractional delta
+// (-0.38 is 38 % shorter), rounded to the nearest cycle and never below one.
+// Every latency mechanism derives its activation timings with it.
+func Scale(base int, delta float64) int {
 	v := int(float64(base)*(1+delta) + 0.5)
 	if v < 1 {
 		v = 1
@@ -191,38 +194,38 @@ func scale(base int, delta float64) int {
 // RASFull of the two-row plans is the time to fully restore both cells
 // (tRAS −7 %); for ACT-c it is the full-restoration copy time (tRAS +18 %).
 func (t Timing) CROW() CROWTimings {
-	twoFullRestore := scale(t.RAS, TwoRestoreRASDelta)
-	copyFullRestore := scale(t.RAS, CopyFullRASDelta)
+	twoFullRestore := Scale(t.RAS, TwoRestoreRASDelta)
+	copyFullRestore := Scale(t.RAS, CopyFullRASDelta)
 	return CROWTimings{
 		TwoFull: ActTimings{
-			RCD:     scale(t.RCD, TwoFullRCDDelta),
-			RAS:     scale(t.RAS, TwoFullRASDelta),
+			RCD:     Scale(t.RCD, TwoFullRCDDelta),
+			RAS:     Scale(t.RAS, TwoFullRASDelta),
 			RASFull: twoFullRestore,
-			WR:      scale(t.WR, EarlyWRDelta),
+			WR:      Scale(t.WR, EarlyWRDelta),
 		},
 		TwoPartial: ActTimings{
-			RCD:     scale(t.RCD, TwoPartialRCDDelta),
-			RAS:     scale(t.RAS, TwoPartialRASDelta),
+			RCD:     Scale(t.RCD, TwoPartialRCDDelta),
+			RAS:     Scale(t.RAS, TwoPartialRASDelta),
 			RASFull: twoFullRestore,
-			WR:      scale(t.WR, EarlyWRDelta),
+			WR:      Scale(t.WR, EarlyWRDelta),
 		},
 		TwoRestore: ActTimings{
-			RCD:     scale(t.RCD, TwoPartialRCDDelta),
+			RCD:     Scale(t.RCD, TwoPartialRCDDelta),
 			RAS:     twoFullRestore,
 			RASFull: twoFullRestore,
-			WR:      scale(t.WR, FullWRDelta),
+			WR:      Scale(t.WR, FullWRDelta),
 		},
 		Copy: ActTimings{
 			RCD:     t.RCD,
-			RAS:     scale(t.RAS, CopyEarlyRASDelta),
+			RAS:     Scale(t.RAS, CopyEarlyRASDelta),
 			RASFull: copyFullRestore,
-			WR:      scale(t.WR, EarlyWRDelta),
+			WR:      Scale(t.WR, EarlyWRDelta),
 		},
 		CopyFull: ActTimings{
 			RCD:     t.RCD,
 			RAS:     copyFullRestore,
 			RASFull: copyFullRestore,
-			WR:      scale(t.WR, FullWRDelta),
+			WR:      Scale(t.WR, FullWRDelta),
 		},
 	}
 }

@@ -96,7 +96,7 @@ func TestActKind(t *testing.T) {
 // baseline value, as a property.
 func TestScaleNeverBelowOne(t *testing.T) {
 	f := func(base uint8, centiDelta int8) bool {
-		return scale(int(base), float64(centiDelta)/100) >= 1
+		return Scale(int(base), float64(centiDelta)/100) >= 1
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -62,18 +62,6 @@ func (b Breakdown) Total() float64 {
 	return b.ActPre + b.Read + b.Write + b.Refresh + b.Background
 }
 
-// Add accumulates another breakdown (e.g. across channels).
-func (b Breakdown) Add(o Breakdown) Breakdown {
-	return Breakdown{
-		ActPre:           b.ActPre + o.ActPre,
-		Read:             b.Read + o.Read,
-		Write:            b.Write + o.Write,
-		Refresh:          b.Refresh + o.Refresh,
-		Background:       b.Background + o.Background,
-		ExtraOpenStandby: b.ExtraOpenStandby + o.ExtraOpenStandby,
-	}
-}
-
 // Compute derives the energy breakdown of one channel from its command
 // statistics over `cycles` DRAM clock cycles.
 func Compute(s dram.Stats, t dram.Timing, cycles int64, p Params) Breakdown {

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"crowdram/internal/dram"
+	"crowdram/internal/metrics"
 )
 
 func baseTiming() dram.Timing { return dram.LPDDR4(dram.Density8Gb, 64, dram.Std(8)) }
@@ -82,7 +83,7 @@ func TestSALPExtraOpenBuffersCost(t *testing.T) {
 
 func TestAdd(t *testing.T) {
 	a := Breakdown{ActPre: 1, Read: 2, Write: 3, Refresh: 4, Background: 5, ExtraOpenStandby: 1}
-	b := a.Add(a)
+	b := metrics.Add(a, a)
 	if b.Total() != 2*a.Total() || b.ExtraOpenStandby != 2 {
 		t.Errorf("Add broken: %+v", b)
 	}

@@ -110,7 +110,7 @@ func TestAbandonZeroWaiters(t *testing.T) {
 	}
 	release()
 
-	if _, ok := p.Get("k"); ok {
+	if _, ok := memoized(p, "k"); ok {
 		t.Error("abandoned entry must be forgotten")
 	}
 	v, err := p.Do(context.Background(), "k", "k", func(context.Context) (int, error) { return 7, nil })

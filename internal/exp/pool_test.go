@@ -57,8 +57,11 @@ func TestKeyOfMatchesPoolKeys(t *testing.T) {
 	if _, err := r.Run(o); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := pool.Get(r.KeyOf(o)); !ok {
-		t.Error("KeyOf must name the pool's cache entry for the run")
+	rerun := func(context.Context) (crow.Report, error) {
+		return crow.Report{}, errors.New("executed again")
+	}
+	if _, err := pool.Do(context.Background(), r.KeyOf(o), "", rerun); err != nil {
+		t.Errorf("KeyOf must name the pool's cache entry for the run: %v", err)
 	}
 	other := NewRunner(QuickScale(), UsePool(pool), RunWith(hook))
 	if r.KeyOf(o) != other.KeyOf(o) {

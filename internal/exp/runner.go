@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"crowdram/crow"
 	"crowdram/internal/engine"
@@ -163,13 +162,11 @@ type RunnerOption func(*runnerConfig)
 
 type runnerConfig struct {
 	workers   int
-	timeout   time.Duration
 	observer  engine.Observer
 	ctx       context.Context
 	verify    bool
 	telemetry int64
 	pool      *engine.Pool[crow.Report]
-	backing   engine.Backing[crow.Report]
 	run       func(context.Context, crow.Options) (crow.Report, error)
 }
 
@@ -177,10 +174,6 @@ type runnerConfig struct {
 // crowbench -j flag). Default 1: plans execute sequentially, in request
 // order.
 func Workers(n int) RunnerOption { return func(c *runnerConfig) { c.workers = n } }
-
-// Timeout bounds each simulation's wall-clock time; a run past its deadline
-// fails with context.DeadlineExceeded. Zero (the default) means no limit.
-func Timeout(d time.Duration) RunnerOption { return func(c *runnerConfig) { c.timeout = d } }
 
 // Observe attaches a structured per-run event observer (queued, started,
 // finished, cache-hit) for live progress output.
@@ -207,22 +200,16 @@ func Telemetry(every int64) RunnerOption {
 }
 
 // UsePool makes the Runner execute on an existing engine pool instead of
-// constructing its own, so independent Runners (e.g. per-request runners in
-// the crowserve service) share one memoization cache: a run any of them has
-// completed is a cache hit for all of them. The pool's own worker bound and
-// timeout apply; Workers and Timeout options are ignored. An Observe option
-// subscribes to the shared pool permanently — callers needing a scoped
-// subscription use Pool().AddObserver's remove function instead.
+// constructing its own. It is how a Runner gets a per-run timeout or a
+// persistent result tier (engine.WithTimeout, engine.WithBacking), and how
+// independent Runners (e.g. per-request runners in the crowserve service)
+// share one memoization cache: a run any of them has completed is a cache hit
+// for all of them. The pool's own worker bound applies; a Workers option is
+// ignored. An Observe option subscribes to the shared pool permanently —
+// callers needing a scoped subscription use Pool().AddObserver's remove
+// function instead.
 func UsePool(p *engine.Pool[crow.Report]) RunnerOption {
 	return func(c *runnerConfig) { c.pool = p }
-}
-
-// Backed attaches a persistent result tier (typically the disk store from
-// OpenStore) to the pool the Runner constructs: misses consult it before
-// executing, successes populate it. Ignored with UsePool — a shared pool's
-// backing is configured where the pool is built.
-func Backed(b engine.Backing[crow.Report]) RunnerOption {
-	return func(c *runnerConfig) { c.backing = b }
 }
 
 // RunWith substitutes the function that executes one simulation (default
@@ -242,14 +229,7 @@ func NewRunner(s Scale, opts ...RunnerOption) *Runner {
 	}
 	pool := cfg.pool
 	if pool == nil {
-		var popts []engine.Option[crow.Report]
-		if cfg.timeout > 0 {
-			popts = append(popts, engine.WithTimeout[crow.Report](cfg.timeout))
-		}
-		if cfg.backing != nil {
-			popts = append(popts, engine.WithBacking(cfg.backing))
-		}
-		pool = engine.New(cfg.workers, popts...)
+		pool = engine.New[crow.Report](cfg.workers)
 	}
 	if cfg.observer != nil {
 		pool.AddObserver(cfg.observer)
@@ -319,11 +299,15 @@ func (r *Runner) exec(o crow.Options) func(context.Context) (crow.Report, error)
 }
 
 // runLabel is the human-readable job description carried by observer
-// events: mechanism, workloads, and whatever non-default knobs tell apart
-// the sweep points of a figure (copy rows, density, LLC size, mitigation, ...).
+// events: mechanism, workloads, and every knob a study sets (standard, copy
+// rows, density, LLC size, mitigation, controller policy, ...), so that no two
+// runs of the registry share a label (TestRunLabel).
 func runLabel(o crow.Options) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s on %s", o.Mechanism, strings.Join(o.Workloads, "+"))
+	if o.Standard != "" {
+		b.WriteString(" " + o.Standard)
+	}
 	if o.CopyRows != 0 {
 		fmt.Fprintf(&b, " n=%d", o.CopyRows)
 	}
@@ -354,6 +338,27 @@ func runLabel(o crow.Options) string {
 	}
 	if o.TableShareGroup > 1 {
 		fmt.Fprintf(&b, " share=%d", o.TableShareGroup)
+	}
+	if o.EagerRestore {
+		b.WriteString(" eager")
+	}
+	if o.FullRestore {
+		b.WriteString(" full-restore")
+	}
+	if o.TLDRAMNearRows != 0 {
+		fmt.Fprintf(&b, " near=%d", o.TLDRAMNearRows)
+	}
+	if o.SALPSubarrays != 0 {
+		fmt.Fprintf(&b, " subarrays=%d", o.SALPSubarrays)
+	}
+	if o.RowPolicy != "" {
+		b.WriteString(" " + o.RowPolicy)
+	}
+	if o.ControllerCap != 0 {
+		fmt.Fprintf(&b, " cap=%d", o.ControllerCap)
+	}
+	if o.RowTimeoutNs != 0 {
+		fmt.Fprintf(&b, " timeout=%gns", o.RowTimeoutNs)
 	}
 	return b.String()
 }

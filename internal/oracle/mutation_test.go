@@ -38,7 +38,11 @@ func (r *recorder) OnCommand(e dram.CmdEvent) { r.events = append(r.events, e) }
 // that run was shown, with the oracle configured the way sim.New does it.
 func record(tb testing.TB) *recording {
 	tb.Helper()
-	cfg := sim.Default(8, dram.Density(64), 64)
+	std, err := dram.StandardByName("lpddr4")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := sim.DefaultFor(std, 8, dram.Density(64), 64)
 	cfg.WarmupInsts, cfg.MeasureInsts = 10_000, 100_000
 	mech := core.NewCROW(cfg.Channels, cfg.Geo, cfg.T)
 	mech.Cache, mech.Ref = true, true

@@ -14,7 +14,7 @@ import (
 // allocation budget — the read path is pooled and must not allocate per
 // request.
 func BenchmarkRunBaseline(b *testing.B) {
-	cfg := Default(0, dram.Density8Gb, 64)
+	cfg := DefaultFor(lpddr4, 0, dram.Density8Gb, 64)
 	cfg.WarmupInsts = 2_000
 	cfg.MeasureInsts = 20_000
 	app, err := trace.ByName("mcf")
@@ -35,7 +35,7 @@ func BenchmarkRunBaseline(b *testing.B) {
 // jp2-dec: MPKI below 1) on four cores per iteration: runs of bubbles on every
 // core, between which the loop steps only the core that is due.
 func BenchmarkRunCPUBound(b *testing.B) {
-	cfg := Default(0, dram.Density8Gb, 64)
+	cfg := DefaultFor(lpddr4, 0, dram.Density8Gb, 64)
 	cfg.WarmupInsts = 2_000
 	cfg.MeasureInsts = 20_000
 	var apps []trace.App

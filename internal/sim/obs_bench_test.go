@@ -13,7 +13,7 @@ import (
 // given observer bundle (nil = observability absent entirely).
 func benchRun(b *testing.B, bundle *obs.Observers) {
 	b.Helper()
-	cfg := Default(8, dram.Density8Gb, 64)
+	cfg := DefaultFor(lpddr4, 8, dram.Density8Gb, 64)
 	cfg.WarmupInsts = 2_000
 	cfg.MeasureInsts = 20_000
 	cfg.Obs = bundle

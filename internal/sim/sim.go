@@ -89,40 +89,28 @@ type Config struct {
 	Seed int64
 }
 
-// Default returns the Table 2 system configuration (4 channels, 8 MiB LLC)
-// with the given per-copy-row geometry, density and refresh window.
-func Default(copyRows int, d dram.Density, refWindowMS float64) Config {
-	g := dram.Std(copyRows)
-	t := dram.LPDDR4(d, refWindowMS, g)
+// DefaultFor returns the Table 2 system configuration (8 MiB LLC) on the
+// given memory standard, with the given copy rows per subarray, density and
+// refresh window: the standard's channel count, geometry, timing table, clock
+// ratio, refresh granularity and device features.
+func DefaultFor(std *dram.Standard, copyRows int, d dram.Density, refWindowMS float64) Config {
+	g := std.Geometry(copyRows)
+	t := std.Timing(d, refWindowMS, g)
+	cc := ctrl.DefaultConfig(0, g, t)
+	cc.Refresh, cc.Features = std.Refresh, std.Features
 	return Config{
-		Channels:     4,
+		Channels:     std.Channels,
 		Geo:          g,
 		T:            t,
+		RatioNum:     std.RatioNum,
+		RatioDen:     std.RatioDen,
 		LLC:          cache.DefaultConfig(),
 		Core:         cpu.DefaultConfig(),
-		Ctrl:         ctrl.DefaultConfig(0, g, t),
+		Ctrl:         cc,
 		WarmupInsts:  50_000,
 		MeasureInsts: 500_000,
 		Seed:         1,
 	}
-}
-
-// DefaultFor returns the Table 2 system configuration retargeted to the
-// given memory standard: its channel count, geometry, timing table, clock
-// ratio, refresh granularity, and device features. For the LPDDR4 standard
-// the result is field-for-field what Default returns (the explicit
-// RatioNum/RatioDen and Refresh values resolve to the same behaviour as the
-// zero values).
-func DefaultFor(std *dram.Standard, copyRows int, d dram.Density, refWindowMS float64) Config {
-	cfg := Default(copyRows, d, refWindowMS)
-	g := std.Geometry(copyRows)
-	cfg.Channels = std.Channels
-	cfg.Geo = g
-	cfg.T = std.Timing(d, refWindowMS, g)
-	cfg.RatioNum, cfg.RatioDen = std.RatioNum, std.RatioDen
-	cfg.Ctrl.Refresh = std.Refresh
-	cfg.Ctrl.Features = std.Features
-	return cfg
 }
 
 // Result reports the outcome of one simulation run.
@@ -580,10 +568,10 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 
 	params := energy.DefaultParams()
 	for i, c := range s.Ctrls {
-		dev := c.Dev.Stats.Sub(devSnap[i])
-		res.DRAM = res.DRAM.Add(dev)
-		res.Ctrl = res.Ctrl.Add(c.Stats.Sub(ctrlSnap[i]))
-		res.Energy = res.Energy.Add(energy.Compute(dev, s.Cfg.T, res.DRAMCycles, params))
+		dev := metrics.Sub(c.Dev.Stats, devSnap[i])
+		res.DRAM = metrics.Add(res.DRAM, dev)
+		res.Ctrl = metrics.Add(res.Ctrl, metrics.Sub(c.Stats, ctrlSnap[i]))
+		res.Energy = metrics.Add(res.Energy, energy.Compute(dev, s.Cfg.T, res.DRAMCycles, params))
 	}
 	// Mean read latency weighted by each channel's read count. Averaging
 	// the per-channel means would let a nearly idle channel's handful of
@@ -595,7 +583,7 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 	}
 	res.ReadP50Ns = allLat.Percentile(50) * s.Cfg.T.CycleTime()
 	res.ReadP99Ns = allLat.Percentile(99) * s.Cfg.T.CycleTime()
-	res.Mech = s.Mech.Counters().Stats.Sub(mechSnap)
+	res.Mech = metrics.Sub(s.Mech.Counters().Stats, mechSnap)
 	s.Cfg.Obs.Finish(s.dramCycle)
 	if s.Oracle != nil {
 		s.Oracle.Finish(s.dramCycle)

@@ -14,12 +14,16 @@ import (
 	"crowdram/internal/ctrl"
 	"crowdram/internal/dram"
 	"crowdram/internal/hammer"
+	"crowdram/internal/metrics"
 	"crowdram/internal/retention"
 	"crowdram/internal/trace"
 )
 
+// lpddr4 is the paper's Table 2 standard, the one most tests build on.
+var lpddr4, _ = dram.StandardByName("lpddr4")
+
 func smallCfg(copyRows int) Config {
-	cfg := Default(copyRows, dram.Density8Gb, 64)
+	cfg := DefaultFor(lpddr4, copyRows, dram.Density8Gb, 64)
 	cfg.WarmupInsts = 5_000
 	cfg.MeasureInsts = 40_000
 	return cfg
@@ -451,7 +455,7 @@ func TestDeterminism(t *testing.T) {
 func TestAvgReadNsWeightsByChannelLoad(t *testing.T) {
 	hot := ctrl.Stats{ReadsServed: 1_000_000, ReadLatencySum: 40_000_000} // mean 40 cycles
 	idle := ctrl.Stats{ReadsServed: 4, ReadLatencySum: 4_000}             // mean 1000 cycles
-	sum := hot.Add(idle)
+	sum := metrics.Add(hot, idle)
 	want := float64(hot.ReadLatencySum+idle.ReadLatencySum) /
 		float64(hot.ReadsServed+idle.ReadsServed) * dram.Cycle
 	if got := sum.AvgReadLatencyNs(dram.Cycle); got != want {

@@ -13,7 +13,7 @@ import (
 // gives the end-to-end verify-mode overhead of a full system run (controller,
 // device, and oracle together rather than the raw channel loop).
 func benchVerify(b *testing.B, verify bool) {
-	cfg := Default(8, dram.Density8Gb, 64)
+	cfg := DefaultFor(lpddr4, 8, dram.Density8Gb, 64)
 	cfg.Verify = verify
 	cfg.WarmupInsts = 2_000
 	cfg.MeasureInsts = 20_000

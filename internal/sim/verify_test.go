@@ -9,7 +9,7 @@ import (
 )
 
 func verifyConfig(insts int64) Config {
-	cfg := Default(8, dram.Density8Gb, 64)
+	cfg := DefaultFor(lpddr4, 8, dram.Density8Gb, 64)
 	cfg.Verify = true
 	cfg.WarmupInsts = insts / 10
 	cfg.MeasureInsts = insts

@@ -138,7 +138,7 @@ func TestWakeSkipIsNoOpMASA(t *testing.T) {
 	for _, masa := range []bool{false, true} {
 		for _, open := range []bool{false, true} {
 			t.Run(fmt.Sprintf("masa=%v/open=%v", masa, open), func(t *testing.T) {
-				cfg := Default(0, dram.Density8Gb, 64)
+				cfg := DefaultFor(lpddr4, 0, dram.Density8Gb, 64)
 				cfg.WarmupInsts, cfg.MeasureInsts = 2_000, 15_000
 				cfg.Ctrl.MASA = masa
 				if open {
@@ -166,7 +166,7 @@ func TestWakeSkipIsNoOpHammerMitigations(t *testing.T) {
 				if inner == "crow-cache" {
 					copyRows = 8
 				}
-				cfg := Default(copyRows, dram.Density8Gb, 64)
+				cfg := DefaultFor(lpddr4, copyRows, dram.Density8Gb, 64)
 				cfg.WarmupInsts, cfg.MeasureInsts = 2_000, 15_000
 				cfg.LLC.SizeBytes = 64 << 10 // the attack must reach DRAM
 				cfg.Translation = "rowstripe"

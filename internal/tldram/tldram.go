@@ -36,27 +36,20 @@ func New(channels int, g dram.Geometry, t dram.Timing, nearRows int) *Mechanism 
 	m := &Mechanism{T: t, NearRows: nearRows, Table: core.NewTable(channels, gNear)}
 
 	rcdD, rasD, farD := circuit.Default().TLDRAMTimings(nearRows)
-	scale := func(base int, d float64) int {
-		v := int(float64(base)*(1+d) + 0.5)
-		if v < 1 {
-			v = 1
-		}
-		return v
-	}
 	m.near = dram.ActTimings{
-		RCD:     scale(t.RCD, rcdD),
-		RAS:     scale(t.RAS, rasD),
-		RASFull: scale(t.RAS, rasD),
-		WR:      scale(t.WR, rasD), // restoring against the short bitline
+		RCD:     dram.Scale(t.RCD, rcdD),
+		RAS:     dram.Scale(t.RAS, rasD),
+		RASFull: dram.Scale(t.RAS, rasD),
+		WR:      dram.Scale(t.WR, rasD), // restoring against the short bitline
 	}
-	farRAS := scale(t.RAS, farD)
+	farRAS := dram.Scale(t.RAS, farD)
 	m.far = dram.ActTimings{
-		RCD:     scale(t.RCD, farD),
+		RCD:     dram.Scale(t.RCD, farD),
 		RAS:     farRAS,
 		RASFull: farRAS,
 		WR:      t.WR,
 	}
-	copyRAS := scale(farRAS, dram.CopyFullRASDelta)
+	copyRAS := dram.Scale(farRAS, dram.CopyFullRASDelta)
 	m.copy = dram.ActTimings{
 		RCD:     m.far.RCD,
 		RAS:     copyRAS,
