@@ -2,10 +2,12 @@ package ctrl
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"crowdram/internal/core"
 	"crowdram/internal/dram"
+	"crowdram/internal/metrics"
 	"crowdram/internal/retention"
 )
 
@@ -482,5 +484,31 @@ func TestPlanActivateOncePerActivation(t *testing.T) {
 	if want := c.Stats.RowMisses + crow.Stats[core.TableRestore]; mech.calls != want {
 		t.Errorf("PlanActivate called %d times for %d request activations + %d restore activations",
 			mech.calls, c.Stats.RowMisses, crow.Stats[core.TableRestore])
+	}
+}
+
+// TestStatsSubCoversEveryField sets every int64 field of two Stats to distinct
+// values and requires metrics.Sub and metrics.Add to combine each with its own
+// counterpart: a counter added to Stats but skipped by the arithmetic would
+// otherwise report its whole-run value for the measured interval, silently.
+func TestStatsSubCoversEveryField(t *testing.T) {
+	var a, b Stats
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		if av.Field(i).Kind() != reflect.Int64 {
+			t.Fatalf("Stats.%s is not an int64: decide how metrics.Sub treats it and extend this test", av.Type().Field(i).Name)
+		}
+		av.Field(i).SetInt(int64(1000 * (i + 1)))
+		bv.Field(i).SetInt(int64(i + 1))
+	}
+	diff, sum := reflect.ValueOf(metrics.Sub(a, b)), reflect.ValueOf(metrics.Add(a, b))
+	for i := 0; i < av.NumField(); i++ {
+		name := av.Type().Field(i).Name
+		if got, want := diff.Field(i).Int(), int64(999*(i+1)); got != want {
+			t.Errorf("Sub: %s = %d, want %d", name, got, want)
+		}
+		if got, want := sum.Field(i).Int(), int64(1001*(i+1)); got != want {
+			t.Errorf("Add: %s = %d, want %d", name, got, want)
+		}
 	}
 }
