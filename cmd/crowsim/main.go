@@ -245,9 +245,8 @@ func writeTrace(path string, t *obs.Tracer) error {
 	return nil
 }
 
-// compareParallel runs the mechanism, baseline, and (for multi-core options)
-// alone-run simulations behind crow.Compare concurrently on an engine pool,
-// then assembles the comparison from the memoized results.
+// compareParallel runs the simulations behind crow.Compare concurrently on an
+// engine pool, then assembles the comparison from the memoized results.
 func compareParallel(ctx context.Context, opts crow.Options, jobs int, timeout time.Duration, verbose bool, stderr io.Writer) (crow.Comparison, error) {
 	popts := []engine.Option[crow.Report]{}
 	if timeout > 0 {
@@ -258,26 +257,23 @@ func compareParallel(ctx context.Context, opts crow.Options, jobs int, timeout t
 	}
 	pool := engine.New(jobs, popts...)
 
-	runs := crow.CompareRuns(opts)
 	job := func(o crow.Options) (string, string, func(context.Context) (crow.Report, error)) {
-		label := fmt.Sprintf("%s on %s", o.Mechanism, strings.Join(o.Workloads, "+"))
+		cores := o.Workloads
+		if len(o.TraceFiles) > 0 {
+			cores = o.TraceFiles
+		}
+		label := fmt.Sprintf("%s on %s", o.Mechanism, strings.Join(cores, "+"))
 		return o.Key(), label, func(ctx context.Context) (crow.Report, error) {
 			return crow.RunContext(ctx, o)
 		}
 	}
-	if err := engine.All(ctx, pool, runs, job); err != nil {
+	if err := engine.All(ctx, pool, crow.CompareRuns(opts), job); err != nil {
 		return crow.Comparison{}, err
 	}
-	reps := make([]crow.Report, len(runs))
-	for i, o := range runs {
+	return crow.Compare(opts, func(o crow.Options) (crow.Report, error) {
 		key, label, fn := job(o)
-		rep, err := pool.Do(ctx, key, label, fn) // cache hit: All already ran it
-		if err != nil {
-			return crow.Comparison{}, err
-		}
-		reps[i] = rep
-	}
-	return crow.CompareFrom(opts, reps)
+		return pool.Do(ctx, key, label, fn) // cache hit: All already ran it
+	})
 }
 
 // progress renders engine events as one stderr line each.

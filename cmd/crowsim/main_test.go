@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -145,6 +146,40 @@ func TestCompareOfIdleRuns(t *testing.T) {
 	var cmp crow.Comparison
 	if err := json.Unmarshal(stdout.Bytes(), &cmp); err != nil || cmp.EnergyRatio != 1 {
 		t.Errorf("-json: EnergyRatio %v, decode error %v; want 1, nil\n%s", cmp.EnergyRatio, err, stdout.String())
+	}
+}
+
+// TestCompareTraceFiles: with -traces the cores are the trace files (the
+// Workloads default of one mcf core does not apply), so the comparison makes
+// one alone run per file and weighs two IPCs against two.
+func TestCompareTraceFiles(t *testing.T) {
+	dir := t.TempDir()
+	var files []string
+	for i, stride := range []int{64, 4096} {
+		var b strings.Builder
+		for r := 0; r < 500; r++ {
+			fmt.Fprintf(&b, "%d 0x%x\n", 10+i, r*stride)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("t%d.txt", i))
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, path)
+	}
+	var stdout, stderr bytes.Buffer
+	err := run(context.Background(), []string{
+		"-mech", "crow-cache", "-traces", strings.Join(files, ","),
+		"-insts", "4000", "-compare", "-json",
+	}, &stdout, &stderr)
+	if err != nil {
+		t.Fatalf("%v\nstderr: %s", err, stderr.String())
+	}
+	var cmp crow.Comparison
+	if err := json.Unmarshal(stdout.Bytes(), &cmp); err != nil {
+		t.Fatal(err)
+	}
+	if len(cmp.Base.IPC) != 2 || len(cmp.Mech.IPC) != 2 {
+		t.Errorf("IPCs: base %v, mechanism %v; want two each", cmp.Base.IPC, cmp.Mech.IPC)
 	}
 }
 

@@ -13,14 +13,20 @@
 //
 // runs a four-core simulation of the combined CROW-cache + CROW-ref
 // configuration and reports IPC, DRAM energy, and CROW-table statistics.
-// Compare runs a mechanism against the conventional-DRAM baseline and
-// computes weighted speedup and energy savings the way the paper does.
+//
+//	cmp, err := crow.Compare(o, crow.Run)
+//
+// runs a configuration o against the conventional-DRAM baseline (and each
+// application alone on it) and computes weighted speedup and energy
+// savings the way the paper does. It is the tree's one comparison: crowsim
+// and the experiments pass their own memoizing runner in place of Run.
 package crow
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 
 	"crowdram/internal/chargecache"
@@ -458,16 +464,14 @@ type Comparison struct {
 }
 
 // Compare runs the baseline and the given configuration on the same
-// workloads and reports weighted speedup and relative DRAM energy.
-//
-// It is the sequential composition of CompareRuns and CompareFrom; callers
-// with an execution engine run CompareRuns' simulations concurrently and
-// assemble the result themselves.
-func Compare(o Options) (Comparison, error) {
+// workloads and reports weighted speedup and relative DRAM energy. run
+// executes one simulation: Run, or a caller's memoizing engine, which may
+// have executed CompareRuns(o) concurrently beforehand.
+func Compare(o Options, run func(Options) (Report, error)) (Comparison, error) {
 	runs := CompareRuns(o)
 	reps := make([]Report, len(runs))
 	for i, ro := range runs {
-		rep, err := Run(ro)
+		rep, err := run(ro)
 		if err != nil {
 			return Comparison{}, err
 		}
@@ -478,21 +482,44 @@ func Compare(o Options) (Comparison, error) {
 
 // CompareRuns declares the independent simulations Compare needs, in order:
 // the baseline on the full workload mix, the mechanism itself, and — for
-// multi-core mixes — one alone-run baseline per application (the
-// weighted-speedup denominators [104]). Every run is independent of the
-// others, so they parallelize freely.
+// multi-core mixes — one alone-run baseline per core (the weighted-speedup
+// denominators [104]). Every run is independent of the others, so they
+// parallelize freely.
+//
+// The baseline is o with Mechanism Baseline and every field only another
+// mechanism reads left zero, so the arms of one environment (CROW-1, CROW-8,
+// ...) share it. An alone run is that baseline on one core's workload or
+// trace file at o's own seed: one per app and environment, wherever the app
+// sits in the mix. Nothing is defaulted, so a caller that pins fields later
+// (exp's scale seed) keys the runs as it keys its own.
 func CompareRuns(o Options) []Options {
-	o = o.withDefaults()
-	baseOpts := o
-	baseOpts.Mechanism = Baseline
-	runs := []Options{baseOpts, o}
-	if len(o.Workloads) > 1 {
-		for i, w := range o.Workloads {
-			aOpts := baseOpts
-			aOpts.Workloads = []string{w}
-			aOpts.Seed = o.Seed + int64(i)
-			runs = append(runs, aOpts)
-		}
+	base := o
+	base.Mechanism = Baseline
+	base.CopyRows, base.TableShareGroup = 0, 0
+	base.FullRestore, base.EagerRestore = false, false
+	base.WeakRowsPerSubarray, base.TLDRAMNearRows, base.SALPSubarrays, base.HammerThreshold = 0, 0, 0, 0
+	if base.Mitigation == "crow-hammer" {
+		base.Mitigation = ""
+	}
+	runs := []Options{base, o}
+	if alone := base.perCore(); len(alone) > 1 {
+		runs = append(runs, alone...)
+	}
+	return runs
+}
+
+// perCore splits o into one single-core run per core: one per trace file
+// when trace files are given (they override Workloads), else one per
+// workload. Unset Workloads is the one-core default: no split.
+func (o Options) perCore() []Options {
+	field, cores := &o.Workloads, o.Workloads
+	if len(o.TraceFiles) > 0 {
+		field, cores = &o.TraceFiles, o.TraceFiles
+	}
+	runs := make([]Options, len(cores))
+	for i, c := range cores {
+		*field = []string{c}
+		runs[i] = o
 	}
 	return runs
 }
@@ -500,40 +527,48 @@ func CompareRuns(o Options) []Options {
 // CompareFrom assembles a Comparison from completed reports for
 // CompareRuns(o), given in the same order.
 func CompareFrom(o Options, reps []Report) (Comparison, error) {
-	o = o.withDefaults()
 	want := 2
-	if len(o.Workloads) > 1 {
-		want += len(o.Workloads)
+	if n := len(o.perCore()); n > 1 {
+		want += n
 	}
 	if len(reps) != want {
 		return Comparison{}, fmt.Errorf("crow: CompareFrom wants %d reports (see CompareRuns), got %d", want, len(reps))
 	}
 	base, mech := reps[0], reps[1]
-	alone := make([]float64, len(o.Workloads))
-	if len(o.Workloads) == 1 {
-		alone[0] = base.IPC[0]
-	} else {
-		for i := range o.Workloads {
-			alone[i] = reps[2+i].IPC[0]
-		}
+	aloneReps := reps[2:]
+	if len(aloneReps) == 0 {
+		aloneReps = reps[:1] // one core: the baseline is its alone run
 	}
-	wsBase := metrics.WeightedSpeedup(base.IPC, alone)
-	wsMech := metrics.WeightedSpeedup(mech.IPC, alone)
-	// A measured interval too short to issue a DRAM command consumes no DRAM
-	// energy: two such runs compare equal, a spending mechanism against a
-	// baseline that spent nothing does not compare.
-	energyRatio := 1.0
-	if be, me := base.EnergyNJ.Total(), mech.EnergyNJ.Total(); be != 0 {
-		energyRatio = me / be
-	} else if me != 0 {
-		return Comparison{}, fmt.Errorf("crow: no energy ratio: the baseline consumed no DRAM energy, %s %g nJ", mech.Mechanism, me)
+	alone := make([]float64, len(aloneReps))
+	for i, r := range aloneReps {
+		alone[i] = r.IPC[0]
+	}
+	energy, err := EnergyRatio(base, mech)
+	if err != nil {
+		return Comparison{}, err
 	}
 	return Comparison{
 		Base:        base,
 		Mech:        mech,
-		Speedup:     metrics.Speedup(wsMech, wsBase),
-		EnergyRatio: energyRatio,
+		Speedup:     metrics.Speedup(metrics.WeightedSpeedup(mech.IPC, alone), metrics.WeightedSpeedup(base.IPC, alone)),
+		EnergyRatio: energy,
 	}, nil
+}
+
+// EnergyRatio is mech's DRAM energy over base's, the one energy comparison
+// of the tree. A measured interval too short to issue a DRAM command
+// consumes no DRAM energy: two such runs compare equal (1). A spending
+// mechanism against a baseline that spent nothing has no ratio: NaN and an
+// error.
+func EnergyRatio(base, mech Report) (float64, error) {
+	be, me := base.EnergyNJ.Total(), mech.EnergyNJ.Total()
+	switch {
+	case be != 0:
+		return me / be, nil
+	case me != 0:
+		return math.NaN(), fmt.Errorf("crow: no energy ratio: the baseline consumed no DRAM energy, %s %g nJ", mech.Mechanism, me)
+	}
+	return 1, nil
 }
 
 func build(o Options) (sim.Config, core.Mechanism, error) {

@@ -70,7 +70,7 @@ func TestRunValidation(t *testing.T) {
 }
 
 func TestCompareSingleCore(t *testing.T) {
-	c, err := Compare(fast(Options{Mechanism: Cache, Workloads: []string{"mcf"}}))
+	c, err := Compare(fast(Options{Mechanism: Cache, Workloads: []string{"mcf"}}), Run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,6 +100,54 @@ func TestCompareFromZeroEnergy(t *testing.T) {
 	}
 	if c, err := CompareFrom(o, []Report{busy, idle}); err != nil || c.EnergyRatio != 0 {
 		t.Errorf("spending baseline against an idle mechanism: ratio %v, err %v; want 0, nil", c.EnergyRatio, err)
+	}
+}
+
+// TestCompareRunsCanonicalBaseline: CompareRuns runs nothing, so its rule is
+// checked on the options alone. Every comparison Validate admits asks only
+// for runs Validate admits (a crow-hammer mitigation is not inherited by the
+// baseline); the arms of one environment share one baseline; and an app has
+// one alone run per environment wherever it sits in the mix.
+func TestCompareRunsCanonicalBaseline(t *testing.T) {
+	mix := []string{"gems", "libq", "mcf", "mcf"}
+	for _, m := range Mechanisms() {
+		for _, mit := range Mitigations() {
+			o := Options{Mechanism: m, Mitigation: mit, Workloads: mix}
+			if o.Validate() != nil {
+				continue
+			}
+			for i, ro := range CompareRuns(o) {
+				if err := ro.Validate(); err != nil {
+					t.Errorf("%s/%s: run %d of the comparison: %v", m, mit, i, err)
+				}
+			}
+		}
+	}
+
+	baseKeys := map[string]bool{}
+	for _, n := range []int{1, 8, 256} {
+		o := Options{Mechanism: Cache, CopyRows: n, DensityGbit: 64, Workloads: mix}
+		baseKeys[CompareRuns(o)[0].Key()] = true
+	}
+	if len(baseKeys) != 1 {
+		t.Errorf("CROW-1, CROW-8 and CROW-256 ask for %d baselines, want 1", len(baseKeys))
+	}
+
+	alone := map[string]map[string]bool{}
+	for _, ro := range CompareRuns(Options{Mechanism: Cache, Workloads: mix})[2:] {
+		app := ro.Workloads[0]
+		if alone[app] == nil {
+			alone[app] = map[string]bool{}
+		}
+		alone[app][ro.Key()] = true
+	}
+	if len(alone) != 3 {
+		t.Errorf("alone runs cover %d apps, want 3 (gems, libq, mcf)", len(alone))
+	}
+	for app, keys := range alone {
+		if len(keys) != 1 {
+			t.Errorf("%s has %d distinct alone runs, want 1", app, len(keys))
+		}
 	}
 }
 

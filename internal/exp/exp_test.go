@@ -178,6 +178,31 @@ func TestPlanAllRecords(t *testing.T) {
 	}
 }
 
+// TestNoNaNAtOneInstruction: at one measured instruction no run issues a DRAM
+// command, so baseline and mechanism both spend no DRAM energy. Every energy
+// cell goes through crow.EnergyRatio and reads 1, as crowsim -compare does,
+// not 0/0.
+func TestNoNaNAtOneInstruction(t *testing.T) {
+	r := NewRunner(Scale{Insts: 1, MixesPerGroup: 1, SingleApps: []string{"mcf"}, Seed: 1}, Workers(2))
+	if err := r.Execute(PlanAll(r, Experiments())); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range Experiments() {
+		tbl, err := e.Table(r)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		for _, row := range tbl.Rows {
+			for _, cell := range row {
+				if strings.Contains(cell, "NaN") {
+					t.Errorf("%s: row %q has a NaN cell", e.Name, row)
+					break
+				}
+			}
+		}
+	}
+}
+
 // TestRegistryHygiene: names are unique, goldens and registry rows pair up
 // one to one (an orphaned golden would otherwise pass silently), and the
 // cross-standard rows track the standards registry.

@@ -144,8 +144,8 @@ func Fig9(r *Runner) (Fig9Result, error) {
 		gname := trace.GroupName(classes)
 		res.Groups = append(res.Groups, gname)
 		sp := make([][]float64, len(fig9Arms))
-		err := r.eachMix(fig9Mixes(r, gi, classes), crow.Options{}, fig9Arms,
-			func(i int, _, _ crow.Report, gain float64) { sp[i] = append(sp[i], gain) })
+		err := r.eachMix(fig9Mixes(r, gi, classes), fig9Arms,
+			func(i int, c crow.Comparison) { sp[i] = append(sp[i], c.Speedup) })
 		if err != nil {
 			return Fig9Result{}, err
 		}
@@ -373,9 +373,9 @@ func Fig13(r *Runner) (Fig13Result, error) {
 		p.SingleEnergy = metrics.Mean(en)
 
 		ref := []arm{{o: crow.Options{Mechanism: crow.Ref, DensityGbit: d}}}
-		err = r.eachMix(hhhh, crow.Options{DensityGbit: d}, ref, func(_ int, base, rep crow.Report, gain float64) {
-			fsp = append(fsp, gain)
-			fen = append(fen, energyRatio(base, rep))
+		err = r.eachMix(hhhh, ref, func(_ int, c crow.Comparison) {
+			fsp = append(fsp, c.Speedup)
+			fen = append(fen, c.EnergyRatio)
 		})
 		if err != nil {
 			return Fig13Result{}, err
@@ -457,9 +457,9 @@ func Fig14(r *Runner) (Fig14Result, error) {
 		}
 		sp := make([][]float64, len(arms))
 		en := make([][]float64, len(arms))
-		err := r.eachMix(mixes, env, arms, func(i int, base, rep crow.Report, gain float64) {
-			sp[i] = append(sp[i], gain)
-			en[i] = append(en[i], energyRatio(base, rep))
+		err := r.eachMix(mixes, arms, func(i int, c crow.Comparison) {
+			sp[i] = append(sp[i], c.Speedup)
+			en[i] = append(en[i], c.EnergyRatio)
 		})
 		if err != nil {
 			return Fig14Result{}, err

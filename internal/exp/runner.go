@@ -440,63 +440,20 @@ func (r *Runner) eachApp(base, arm crow.Options, fn func(base, rep crow.Report))
 	return nil
 }
 
-// eachMix runs the baseline under env and then every arm on every mix, and
-// hands fn each arm's report beside the baseline's with the arm's weighted
-// speedup over it: the loop behind every four-core figure. An arm's options
-// already hold env (density, LLC size); the alone runs behind the weights are
-// baseline runs under env.
-func (r *Runner) eachMix(mixes []trace.Mix, env crow.Options, arms []arm,
-	fn func(i int, base, rep crow.Report, gain float64)) error {
-	env.Mechanism = crow.Baseline
+// eachMix compares every arm against the baseline on every mix through
+// crow.Compare, and hands fn each arm's comparison: the loop behind every
+// four-core figure. The baseline is the arm's options with no mechanism
+// (density and LLC size kept), and so are the alone runs behind the weights.
+func (r *Runner) eachMix(mixes []trace.Mix, arms []arm, fn func(i int, c crow.Comparison)) error {
 	for _, mix := range mixes {
-		apps := trace.Names(mix.Apps)
-		env.Workloads = apps
-		base, err := r.Run(env)
-		if err != nil {
-			return err
-		}
-		wsBase, err := r.ws(base, apps, env)
-		if err != nil {
-			return err
-		}
 		for i, a := range arms {
-			a.o.Workloads = apps
-			rep, err := r.Run(a.o)
+			a.o.Workloads = trace.Names(mix.Apps)
+			c, err := crow.Compare(a.o, r.Run)
 			if err != nil {
 				return err
 			}
-			wsArm, err := r.ws(rep, apps, env)
-			if err != nil {
-				return err
-			}
-			fn(i, base, rep, metrics.Speedup(wsArm, wsBase))
+			fn(i, c)
 		}
 	}
 	return nil
-}
-
-// aloneIPC returns the app's baseline alone-run IPC under the given
-// environment options (LLC size, density, window), memoized.
-func (r *Runner) aloneIPC(app string, env crow.Options) (float64, error) {
-	env.Mechanism = crow.Baseline
-	env.Workloads = []string{app}
-	rep, err := r.Run(env)
-	if err != nil {
-		return 0, err
-	}
-	return rep.IPC[0], nil
-}
-
-// ws computes the weighted speedup of a multi-core report against baseline
-// alone runs under env.
-func (r *Runner) ws(rep crow.Report, apps []string, env crow.Options) (float64, error) {
-	alone := make([]float64, len(apps))
-	for i, a := range apps {
-		ipc, err := r.aloneIPC(a, env)
-		if err != nil {
-			return 0, err
-		}
-		alone[i] = ipc
-	}
-	return metrics.WeightedSpeedup(rep.IPC, alone), nil
 }

@@ -111,8 +111,10 @@ func (s Study) Table() Table {
 
 func ipcGain(base, rep crow.Report) float64 { return metrics.Speedup(rep.IPC[0], base.IPC[0]) }
 
+// energyRatio is crow.EnergyRatio as a column; a cell with no ratio reads NaN.
 func energyRatio(base, rep crow.Report) float64 {
-	return rep.EnergyNJ.Total() / base.EnergyNJ.Total()
+	v, _ := crow.EnergyRatio(base, rep)
+	return v
 }
 
 func speedup(head string) col { return col{head: head, of: ipcGain, show: pct} }
