@@ -37,18 +37,12 @@ type ActDecision struct {
 // single goroutine; one instance serves every channel of a system.
 type Mechanism interface {
 	// PlanActivate decides how to activate regular row a.Row, free of side
-	// effects. The controller asks on a cycle a.Row's subarray can take an ACT
-	// and issues one at once — the planned activation, or the RestoreFirst one,
-	// after which it asks again — so calls number the request activations plus
-	// the restore activations. (With RestoresAcrossSubarrays the plan is asked
-	// before the device, on every cycle a request waits for a closed subarray.)
+	// effects. The controller asks on a cycle a.Row's row buffer can take an
+	// ACT and issues one at once — the planned activation, or the RestoreFirst
+	// one, after which it asks again — so calls number the request activations
+	// plus the restore activations. (Under MASA a RestoreRow in another
+	// subarray's row buffer may not be ready yet: then nothing issues.)
 	PlanActivate(a dram.Addr, cycle int64) ActDecision
-
-	// RestoresAcrossSubarrays reports whether a plan's RestoreRow can lie in
-	// another subarray than the row planned for. The controller then cannot
-	// take "this subarray is not ready for an ACT" to mean the plan has
-	// nothing to issue, and consults the plan first.
-	RestoresAcrossSubarrays() bool
 
 	// OnActivate notifies the mechanism that the decision was executed.
 	OnActivate(a dram.Addr, d ActDecision, cycle int64)
@@ -164,9 +158,6 @@ func (t *Tally) Counters() *Tally { return t }
 // method it fails to forward would silently stop reaching the wrapped
 // mechanism.
 type NoOps struct{}
-
-// RestoresAcrossSubarrays implements Mechanism.
-func (NoOps) RestoresAcrossSubarrays() bool { return false }
 
 // OnActivate implements Mechanism.
 func (NoOps) OnActivate(dram.Addr, ActDecision, int64) {}

@@ -183,11 +183,6 @@ func (c *CROW) PlanActivate(a dram.Addr, cycle int64) ActDecision {
 	return ActDecision{Kind: dram.ActCopy, CopyRow: w, Timing: copyPlan}
 }
 
-// RestoresAcrossSubarrays implements Mechanism: a restore-before-evict victim
-// found in a shared entry set may belong to any subarray of the sharing group
-// (Table.AbsoluteRow).
-func (c *CROW) RestoresAcrossSubarrays() bool { return c.EagerRestore && c.Table.ShareGroup > 1 }
-
 // OnActivate implements Mechanism.
 func (c *CROW) OnActivate(a dram.Addr, d ActDecision, cycle int64) {
 	switch d.Kind {

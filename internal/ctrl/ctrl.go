@@ -41,7 +41,7 @@ type Request struct {
 	Done   func(now int64, line uint64)
 	IsPref bool     // prefetch: scheduled behind demand requests
 	next   *Request // freelist link
-	// sub and bank name Addr's subarray (dram.Channel.SubIndex) and bank
+	// sub and bank name Addr's row buffer (dram.Channel.SubIndex) and bank
 	// (rank*Banks+bank). The enqueue computes them, once, for everything a
 	// scheduling pass asks about the request; callers fill Addr before it.
 	sub, bank int
@@ -167,12 +167,12 @@ type copyState struct {
 	active  bool // its activation has issued
 }
 
-// subSched is what the scheduler keeps for one subarray.
+// subSched is what the scheduler keeps for one row buffer.
 type subSched struct {
 	hits          int32 // column commands served from the current activation (FR-FCFS-Cap)
-	reads, writes int32 // requests queued for the subarray, in readQ and in writeQ
+	reads, writes int32 // requests queued for the row buffer, in readQ and in writeQ
 	// blocked, when equal to Controller.gen, says a readiness test on the
-	// subarray's PRE or ACT failed earlier in this scheduling pass: no command
+	// row buffer's PRE or ACT failed earlier in this scheduling pass: no command
 	// has issued since, so any other request's test on it would read the same
 	// device cycle, fail the same way and leave nextReady where it is.
 	blocked uint64
@@ -187,15 +187,12 @@ type Controller struct {
 	readQ, writeQ []*Request
 	draining      bool
 
-	// The scheduler's own state per subarray (at the channel's SubIndex) and
+	// The scheduler's own state per row buffer (at the channel's SubIndex) and
 	// per bank (at rank*Banks+bank): flat slices, a few KiB of contiguous memory
-	// a pass reads once per queued request. bankBlocked is subSched.blocked for
-	// a whole bank: without MASA, every request to a bank whose one open row
-	// cannot be precharged yet waits on it. gen numbers the scheduling passes.
-	subs        []subSched
-	bankQueued  []int32 // requests queued for the bank, both queues
-	bankBlocked []uint64
-	gen         uint64
+	// a pass reads once per queued request. gen numbers the scheduling passes.
+	subs       []subSched
+	bankQueued []int32 // requests queued for the bank, both queues
+	gen        uint64
 
 	refDue  []int64 // next refresh deadline per rank
 	refOwed []int   // refreshes due but not yet issued, per rank
@@ -266,14 +263,12 @@ func New(cfg Config, mech core.Mechanism) *Controller {
 	dev := dram.NewChannel(cfg.Geo, cfg.T)
 	dev.MASA = cfg.MASA
 	dev.Features = cfg.Features
-	banks := cfg.Geo.Ranks * cfg.Geo.Banks
 	c := &Controller{
 		Cfg:         cfg,
 		Dev:         dev,
 		Mech:        mech,
-		subs:        make([]subSched, banks*cfg.Geo.SubarraysPerBank()),
-		bankQueued:  make([]int32, banks),
-		bankBlocked: make([]uint64, banks),
+		subs:        make([]subSched, dev.SubIndex(dram.Addr{Rank: cfg.Geo.Ranks})),
+		bankQueued:  make([]int32, cfg.Geo.Ranks*cfg.Geo.Banks),
 		ReadLatency: metrics.NewHistogram(),
 	}
 	c.resolvePolicies()
@@ -372,13 +367,13 @@ func (c *Controller) EnqueueWrite(r *Request, now int64) bool {
 	return true
 }
 
-// index names the request's subarray and bank.
+// index names the request's row buffer and bank.
 func (c *Controller) index(r *Request) {
 	r.sub = c.Dev.SubIndex(r.Addr)
 	r.bank = r.Addr.Rank*c.Cfg.Geo.Banks + r.Addr.Bank
 }
 
-// count is the queued-request counter of subarray i for queue q.
+// count is the queued-request counter of row buffer i for queue q.
 func (c *Controller) count(q *[]*Request, i int) *int32 {
 	if q == &c.writeQ {
 		return &c.subs[i].writes
@@ -602,7 +597,7 @@ func (c *Controller) closeOne(from, to dram.Addr, now int64) bool {
 	return false
 }
 
-// openAddr is the address of the open row of subarray i, for the one row a
+// openAddr is the address of the open row of row buffer i, for the one row a
 // walk of the open list precharges.
 func (c *Controller) openAddr(i int) dram.Addr {
 	a := c.Dev.OpenAddrAt(i)
@@ -680,7 +675,7 @@ func (c *Controller) serviceMechCopy(now int64) bool {
 	return false
 }
 
-// preAndNotify precharges the subarray holding a.Row and informs the
+// preAndNotify precharges the row buffer holding a.Row and informs the
 // mechanism of the restore outcome.
 func (c *Controller) preAndNotify(a dram.Addr, now int64) {
 	i := c.Dev.SubIndex(a)
@@ -767,10 +762,10 @@ func (c *Controller) scheduleInOrder(q *[]*Request, now int64) bool {
 }
 
 // progress tries to issue the next command the request needs; returns true
-// if a command was issued. A request whose subarray or bank an older request
-// of this pass already found blocked is not examined again.
+// if a command was issued. A request whose row buffer an older request of this
+// pass already found blocked is not examined again.
 func (c *Controller) progress(r *Request, now int64) bool {
-	if c.subs[r.sub].blocked != c.gen && c.bankBlocked[r.bank] != c.gen {
+	if c.subs[r.sub].blocked != c.gen {
 		return c.advance(r, now)
 	}
 	if before := c.nextReady; c.verifyWake && (c.advance(r, now) || c.nextReady != before) {
@@ -787,38 +782,25 @@ func (c *Controller) advance(r *Request, now int64) bool {
 	if open == a.Row {
 		// Row open but over the hit cap: FR-FCFS-Cap treats it as a conflict
 		// and recycles the row [81]. Under the cap it is a hit waiting for its
-		// column command, and says nothing about the subarray: no mark.
+		// column command, and says nothing about the row buffer: no mark.
 		return c.effCap > 0 && c.subs[i].hits >= c.effCap && c.evict(a, i, now)
 	}
-	victim := dram.Addr{Channel: a.Channel, Rank: a.Rank, Bank: a.Bank, Row: open}
 	if open >= 0 {
-		// Conflict in this subarray.
-		return c.evict(victim, i, now)
+		// Conflict in this row buffer.
+		return c.evict(dram.Addr{Channel: a.Channel, Rank: a.Rank, Bank: a.Bank, Row: open}, i, now)
 	}
-	if !c.Cfg.MASA {
-		// Another subarray of the bank may hold the bank's one open row.
-		if victim.Row = c.Dev.OpenRowInBank(a.Rank, a.Bank); victim.Row >= 0 {
-			if c.evict(victim, c.Dev.SubIndex(victim), now) {
-				return true
-			}
-			c.bankBlocked[r.bank] = c.gen
-			return false
-		}
-	}
-	// Subarray (and bank, if required) closed: activate. The device is asked
-	// before the mechanism, so a plan is made only on the cycle its ACT issues
-	// — unless the plan may send a restore to another subarray, whose ACT can
-	// be ready when this one's is not: then the plan comes first and a failed
-	// test marks nothing.
-	tested := !c.Mech.RestoresAcrossSubarrays()
-	if tested && !c.ready(c.Dev.ReadyACT(a), now) {
+	// Row buffer closed: activate. The device is asked before the mechanism,
+	// so a plan is made only on the cycle its ACT issues.
+	if !c.ready(c.Dev.ReadyACT(a), now) {
 		c.subs[i].blocked = c.gen
 		return false
 	}
 	d := c.Mech.PlanActivate(a, now)
 	if d.RestoreFirst {
+		// Under MASA a shared-table restore row may lie in another row buffer,
+		// not ready when this one is: a failed test there marks nothing.
 		ra := dram.Addr{Channel: a.Channel, Rank: a.Rank, Bank: a.Bank, Row: d.RestoreRow}
-		if !tested && !c.ready(c.Dev.ReadyACT(ra), now) {
+		if !c.ready(c.Dev.ReadyACT(ra), now) {
 			return false
 		}
 		c.Dev.ACT(ra, now, dram.ActTwo, d.RestoreTiming, d.RestoreCopyRow)
@@ -829,9 +811,6 @@ func (c *Controller) advance(r *Request, now int64) bool {
 		}, now)
 		c.subs[c.Dev.SubIndex(ra)].hits = 0
 		return true
-	}
-	if !tested && !c.ready(c.Dev.ReadyACT(a), now) {
-		return false
 	}
 	copyRow := d.CopyRow
 	if d.Kind == dram.ActSingle {
@@ -850,8 +829,8 @@ func (c *Controller) advance(r *Request, now int64) bool {
 	return true
 }
 
-// evict precharges the open row of subarray i — victim — as a row conflict. If
-// the row cannot close yet the subarray is marked blocked for the rest of the
+// evict precharges the open row of row buffer i — victim — as a row conflict.
+// If the row cannot close yet the buffer is marked blocked for the rest of the
 // pass: whatever another request wants of it waits on this same PRE.
 func (c *Controller) evict(victim dram.Addr, i int, now int64) bool {
 	if !c.ready(c.Dev.ReadyPREAt(i), now) {
@@ -911,7 +890,7 @@ func (c *Controller) serviceTimeout(now int64) bool {
 }
 
 // hasRequestFor reports whether a queued request targets the open row of
-// subarray i; the queues are looked at only if the subarray's counts say one
+// row buffer i; the queues are looked at only if the buffer's counts say one
 // of their requests is for it at all.
 func (c *Controller) hasRequestFor(i int) bool {
 	row := c.Dev.OpenRowAt(i)
@@ -930,13 +909,13 @@ func (c *Controller) hasRequestFor(i int) bool {
 
 // audit compares what is kept incrementally — each request's index, the queued
 // counts, the channel's open list — with a scan of both queues and every
-// subarray, and panics on a difference.
+// row buffer, and panics on a difference.
 func (c *Controller) audit() {
 	subs, banks := make([]subSched, len(c.subs)), make([]int32, len(c.bankQueued))
 	for _, q := range []*[]*Request{&c.readQ, &c.writeQ} {
 		for _, r := range *q {
 			if r.sub != c.Dev.SubIndex(r.Addr) || r.bank != r.Addr.Rank*c.Cfg.Geo.Banks+r.Addr.Bank {
-				panic(fmt.Sprintf("ctrl: ch%d: queued request for %+v carries subarray %d, bank %d", c.Cfg.ChannelID, r.Addr, r.sub, r.bank))
+				panic(fmt.Sprintf("ctrl: ch%d: queued request for %+v carries row buffer %d, bank %d", c.Cfg.ChannelID, r.Addr, r.sub, r.bank))
 			}
 			banks[r.bank]++
 			if q == &c.writeQ {
@@ -952,12 +931,12 @@ func (c *Controller) audit() {
 			open = append(open, i)
 		}
 		if s.reads != subs[i].reads || s.writes != subs[i].writes {
-			panic(fmt.Sprintf("ctrl: ch%d: subarray %d counts %d reads and %d writes queued, the queues hold %d and %d",
+			panic(fmt.Sprintf("ctrl: ch%d: row buffer %d counts %d reads and %d writes queued, the queues hold %d and %d",
 				c.Cfg.ChannelID, i, s.reads, s.writes, subs[i].reads, subs[i].writes))
 		}
 	}
 	if !slices.Equal(open, c.Dev.Open()) || !slices.Equal(banks, c.bankQueued) {
-		panic(fmt.Sprintf("ctrl: ch%d: open list %v and per-bank counts %v, a scan of every subarray and both queues says %v and %v",
+		panic(fmt.Sprintf("ctrl: ch%d: open list %v and per-bank counts %v, a scan of every row buffer and both queues says %v and %v",
 			c.Cfg.ChannelID, c.Dev.Open(), c.bankQueued, open, banks))
 	}
 }

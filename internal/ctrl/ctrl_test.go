@@ -332,6 +332,29 @@ func TestMechCopyExecution(t *testing.T) {
 	}
 }
 
+// TestMechCopyEvictsBankOpenRow: a mechanism's copy to a closed subarray of a
+// bank whose one row buffer holds another row precharges that row, as a demand
+// activation would. (Finding 2(iii): it waited for something else to close the
+// row, under the open row policy the next refresh, thousands of cycles on.)
+func TestMechCopyEvictsBankOpenRow(t *testing.T) {
+	var mech *copyOnce
+	p := newProbe(t, "lpddr4", 0, func(c *Config) { c.RowPolicy = "open" }, func(g dram.Geometry, tm dram.Timing) core.Mechanism {
+		mech = &copyOnce{Baseline: core.Baseline{T: tm}, op: core.CopyOp{Addr: dram.Addr{Row: g.RowsPerSubarray + 5}, Kind: dram.ActSingle}}
+		return mech
+	})
+	var done []int64
+	p.read(dram.Addr{Row: 5}, &done)
+	p.run(t, func() bool { return len(done) == 1 }, nil)
+	mech.queued = true
+	wake := p.now
+	p.read(dram.Addr{Row: 5}, &done) // the pass it wakes picks the copy up
+	copied := func() bool { return p.acts[len(p.acts)-1].Addr.Row == mech.op.Addr.Row }
+	p.run(t, copied, nil)
+	if at, bound := p.acts[len(p.acts)-1].Cycle, wake+int64(p.tm.RTP+p.tm.RP)+4; at > bound {
+		t.Errorf("the copy's ACT issued at cycle %d, %d after the wake-up: want it by %d (tRTP + tRP and a few)", at, at-wake, bound)
+	}
+}
+
 // TestRandomTrafficObeysProtocol drives random requests through every
 // mechanism configuration, and CROW-cache through every other standard with
 // its own refresh granularity, with the independent checker attached, and

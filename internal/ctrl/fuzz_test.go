@@ -172,11 +172,14 @@ func FuzzSchedulePass(f *testing.F) {
 		rd(1, 0, 1, 0), rd(1, 0, 2, 0), rd(1, 0, 3, 0), rd(0, 0, 1, 0), rd(0, 1, 0, 0), gap(800)))
 	// Restore-before-evict over a shared table: one copy row for four subarrays,
 	// so a miss in subarray 1 or 2 restores (and resets the hit count of) a row
-	// of another subarray, whose ACT can be ready when its own is not.
-	f.Add(script(config("frfcfs-cap", "timeout", "allbank", false, 4, 0, 16, 3),
-		rd(0, 0, 0, 7), rd(0, 2, 0, 7), step(stepWrite, 0, 3, 1, 7, false),
-		rd(0, 0, 1, 0), rd(0, 3, 0, 0), rd(0, 2, 2, 0), gap(1600),
-		rd(0, 1, 0, 0), rd(0, 2, 0, 3), rd(0, 0, 0, 0), gap(800)))
+	// of another subarray — under MASA another row buffer, whose ACT need not be
+	// ready when the request's own is.
+	for _, masa := range []bool{false, true} {
+		f.Add(script(config("frfcfs-cap", "timeout", "allbank", masa, 4, 0, 16, 3),
+			rd(0, 0, 0, 7), rd(0, 2, 0, 7), step(stepWrite, 0, 3, 1, 7, false),
+			rd(0, 0, 1, 0), rd(0, 3, 0, 0), rd(0, 2, 2, 0), gap(1600),
+			rd(0, 1, 0, 0), rd(0, 2, 0, 3), rd(0, 0, 0, 0), gap(800)))
+	}
 	// A write-back enqueued from inside a completion callback, on a cycle that
 	// only the completion woke the controller for: the pass must run after all.
 	f.Add(script(config("frfcfs-cap", "timeout", "allbank", false, 4, 0, 16, 0),

@@ -128,10 +128,9 @@ func probeRowHits(t *testing.T, std string) {
 }
 
 // (b) Two rows in different subarrays of one bank, one read per activation
-// (hit cap 1, closed page): a conventional bank serves one read per
-// tRAS + tRP. Finding 2(i): without MASA the device enforces tRP only within
-// the precharged subarray, so the activation of the other one issues a cycle
-// after the PRE and the bank runs faster than the closed form.
+// (hit cap 1, closed page): a conventional bank is one row buffer, so a PRE's
+// tRP holds back the activation of the other subarray too, and the bank serves
+// one read per tRAS + tRP (finding 2(i), closed).
 func probeSubarrayPingPong(t *testing.T, std string) {
 	p := newProbe(t, std, 0, func(c *Config) { c.RowPolicy, c.Cap = "closed", 1 }, nil)
 	rows := [2]int{0, p.Cfg.Geo.RowsPerSubarray}
@@ -140,9 +139,8 @@ func probeSubarrayPingPong(t *testing.T, std string) {
 	p.run(t, func() bool { return len(done) == 40 }, feed)
 	reads, span := int64(32), done[39]-done[7]
 	want := reads * int64(p.tm.RAS+p.tm.RP)
-	t.Logf("%d reads in %d cycles: %.1f a read, closed form tRAS + tRP = %d", reads, span, float64(span)/float64(reads), p.tm.RAS+p.tm.RP)
-	if span >= want {
-		t.Errorf("the bank now serves one read per tRAS + tRP: finding 2(i) is fixed — assert this row straight")
+	if span != want {
+		t.Errorf("%d reads took %d cycles, want %d (one per tRAS + tRP = %d)", reads, span, want, p.tm.RAS+p.tm.RP)
 	}
 }
 

@@ -58,18 +58,3 @@ func BenchmarkOpenList(b *testing.B) {
 		b.Fatalf("%d open rows, want 256", len(c.open))
 	}
 }
-
-// BenchmarkOpenRowInBank measures the per-request open-row lookup on the
-// non-MASA scheduling path, with the bank's row found among 256 open ones.
-func BenchmarkOpenRowInBank(b *testing.B) {
-	c, _ := benchChannel(256)
-	var sink int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink = c.OpenRowInBank(0, i%c.Geo.Banks)
-	}
-	if sink < 0 {
-		b.Fatal("expected an open row")
-	}
-}

@@ -5,10 +5,9 @@ import (
 	"math/bits"
 )
 
-// subState tracks the activation state of one subarray's local row buffer.
-//
-// In conventional DRAM at most one subarray per bank holds an open row; with
-// SALP-MASA enabled (Section 8.1.4 baseline), every subarray may hold one.
+// subState tracks the activation state of one row buffer: a bank's, or with
+// SALP-MASA (the Section 8.1.4 baseline) a subarray's, whose local row buffers
+// then hold open rows, and precharge, independently.
 type subState struct {
 	openRow  int // regular-row index within the bank; -1 when closed
 	kind     ActKind
@@ -20,13 +19,10 @@ type subState struct {
 	lastUse  int64 // last ACT/RD/WR cycle (for timeout row policy)
 }
 
-// bank holds the two summaries that keep whole-bank questions off the
-// per-subarray states: how many of its subarrays hold an open row, and when the
-// last of them is past its precharge recovery.
+// bank holds what a refresh asks of a bank beside its row buffers' states.
 type bank struct {
-	openCount int
-	actReady  int64 // max over the bank's subarrays of subState.actReady
-	refBusy   int64 // per-bank refresh in progress until this cycle
+	actReady int64 // max over the bank's row buffers of subState.actReady
+	refBusy  int64 // per-bank refresh in progress until this cycle
 }
 
 // rank tracks rank-level activation and refresh constraints.
@@ -126,8 +122,9 @@ type Channel struct {
 	Geo Geometry
 	T   Timing
 
-	// MASA enables SALP-MASA subarray-level parallelism: multiple
-	// subarrays of the same bank may hold open rows concurrently.
+	// MASA enables SALP-MASA subarray-level parallelism: every subarray of a
+	// bank is a row buffer of its own (SubIndex), so several may hold open
+	// rows concurrently. Set it before the first command.
 	MASA bool
 
 	// Features selects standard-specific device behaviours; the zero value
@@ -135,9 +132,9 @@ type Channel struct {
 	Features Features
 
 	ranks []rank
-	// subs is the state of every subarray, in (rank, bank, subarray) order: a
-	// subarray's position in it is its name (SubIndex), which the controller's
-	// per-subarray state shares. open lists the indices holding an open row,
+	// subs is the state of every row buffer, in (rank, bank, subarray) order: a
+	// row buffer's position in it is its name (SubIndex), which the controller's
+	// per-buffer state shares. open lists the indices holding an open row,
 	// ascending — the order in which refresh and the row policy close rows.
 	subs        []subState
 	open        []int
@@ -191,7 +188,7 @@ func NewChannel(g Geometry, t Timing) *Channel {
 		c.ranks[r].wrDataEnd = never
 		c.ranks[r].banks = make([]bank, g.Banks)
 	}
-	c.subs = make([]subState, g.Ranks*g.Banks*c.subsPerBank)
+	c.subs = make([]subState, g.Ranks*g.Banks*c.subsPerBank) // MASA's buffers; without MASA, a prefix
 	for i := range c.subs {
 		c.subs[i].openRow = -1
 	}
@@ -199,12 +196,17 @@ func NewChannel(g Geometry, t Timing) *Channel {
 	return c
 }
 
-// SubIndex names the subarray containing a.Row: its position in the channel's
-// (rank, bank, subarray) order. The *At accessors take it in place of an
-// address, so a caller that asks about one subarray many times (the
-// controller, once per queued request per scheduling pass) computes it once.
+// SubIndex names the row buffer a.Row is read through: its bank's, rank*Banks
+// + bank, or with MASA its subarray's, in (rank, bank, subarray) order. The *At
+// accessors take it in place of an address, so a caller that asks about one row
+// buffer many times (the controller, once per queued request per scheduling
+// pass) computes it once. SubIndex(Addr{Rank: Geo.Ranks}) counts the buffers.
 func (c *Channel) SubIndex(a Addr) int {
-	return (a.Rank*c.Geo.Banks+a.Bank)*c.subsPerBank + a.Row>>c.subShift
+	b := a.Rank*c.Geo.Banks + a.Bank
+	if !c.MASA {
+		return b
+	}
+	return b*c.subsPerBank + a.Row>>c.subShift
 }
 
 func (c *Channel) sub(a Addr) *subState { return &c.subs[c.SubIndex(a)] }
@@ -255,37 +257,31 @@ func (c *Channel) Tick(now int64) {
 	}
 }
 
-// Open returns the SubIndex of every open local row buffer, ascending — (rank,
-// bank, subarray) order. The slice is the channel's own: read it in place, and
+// Open returns the SubIndex of every open row buffer, ascending — (rank, bank,
+// subarray) order. The slice is the channel's own: read it in place, and
 // not across an ACT or PRE.
 func (c *Channel) Open() []int { return c.open }
 
-// OpenRow returns the open regular-row index of the subarray containing
-// a.Row, or -1 if that subarray's buffer is closed.
+// OpenRow returns the open regular-row index of the row buffer a.Row is read
+// through, or -1 if that buffer is closed.
 func (c *Channel) OpenRow(a Addr) int { return c.sub(a).openRow }
 
-// OpenRowAt is OpenRow for the subarray at SubIndex i.
+// OpenRowAt is OpenRow for the row buffer at SubIndex i.
 func (c *Channel) OpenRowAt(i int) int { return c.subs[i].openRow }
 
 // OpenAddrAt is the address (rank, bank, open row) of the row held open by the
-// subarray at SubIndex i: the inverse of SubIndex, for the one row a walk of
+// row buffer at SubIndex i: the inverse of SubIndex, for the one row a walk of
 // the open list goes on to precharge.
 func (c *Channel) OpenAddrAt(i int) Addr {
-	b := i / c.subsPerBank
+	b := i
+	if c.MASA {
+		b /= c.subsPerBank
+	}
 	return Addr{Rank: b / c.Geo.Banks, Bank: b % c.Geo.Banks, Row: c.subs[i].openRow}
 }
 
-// OpenRowInBank reports the open row of bank (rank,bank) in non-MASA mode,
-// or -1 if the bank is fully closed. With MASA, use OpenRow per subarray.
-func (c *Channel) OpenRowInBank(rankID, bankID int) int {
-	if c.ranks[rankID].banks[bankID].openCount == 0 {
-		return -1
-	}
-	return c.subs[c.open[c.openPos((rankID*c.Geo.Banks+bankID)*c.subsPerBank)]].openRow
-}
-
 // openPos returns the position in the open list of the first index not below
-// i: where subarray i is, or belongs. (By hand: slices.BinarySearch, Insert and
+// i: where row buffer i is, or belongs. (By hand: slices.BinarySearch, Insert and
 // Delete cost an ACT/PRE pair 40 ns on the benchmark host, this 8.)
 func (c *Channel) openPos(i int) int {
 	lo, hi := 0, len(c.open)
@@ -299,7 +295,7 @@ func (c *Channel) openPos(i int) int {
 	return lo
 }
 
-// LastUseAt returns the cycle of the most recent ACT/RD/WR to the subarray at
+// LastUseAt returns the cycle of the most recent ACT/RD/WR to the row buffer at
 // SubIndex i (for the timeout row-buffer policy).
 func (c *Channel) LastUseAt(i int) int64 { return c.subs[i].lastUse }
 
@@ -317,18 +313,16 @@ const Horizon = int64(1) << 60
 // cycle on. A command that only a state change can unblock (a closed row for
 // RD/WR/PRE, an open one for ACT/REF) reports Horizon.
 
-// ReadyACT returns the earliest cycle an activation targeting a.Row's
-// subarray may issue, or Horizon while that subarray (or, without MASA, any
-// subarray of the bank) holds an open row. The activation kind does not
+// ReadyACT returns the earliest cycle an activation of a.Row may issue, or
+// Horizon while its row buffer holds an open row. The activation kind does not
 // enter: every variant obeys the same issue rules.
 func (c *Channel) ReadyACT(a Addr) int64 {
 	rk := &c.ranks[a.Rank]
-	bk := &rk.banks[a.Bank]
 	s := c.sub(a)
-	if s.openRow >= 0 || (!c.MASA && bk.openCount > 0) {
+	if s.openRow >= 0 {
 		return Horizon
 	}
-	at := max(c.cmdBusFree, s.actReady, rk.refBusy, bk.refBusy, rk.lastACT+int64(c.T.RRD))
+	at := max(c.cmdBusFree, s.actReady, rk.refBusy, rk.banks[a.Bank].refBusy, rk.lastACT+int64(c.T.RRD))
 	if rk.actCount == 4 {
 		at = max(at, rk.actTimes[rk.actHead]+int64(c.T.FAW))
 	}
@@ -355,7 +349,6 @@ func (c *Channel) ACT(a Addr, now int64, k ActKind, t ActTimings, copyRow int) {
 	s.rdReady = now + int64(t.RCD)
 	s.preReady = now + int64(t.RAS)
 	s.lastUse = now
-	rk.banks[a.Bank].openCount++
 	p := c.openPos(i)
 	c.open = append(c.open, 0)
 	copy(c.open[p+1:], c.open[p:])
@@ -430,7 +423,7 @@ func (c *Channel) RD(a Addr, now int64) int64 {
 func (c *Channel) ReadyWR(a Addr) int64 { return c.readyCol(a, c.T.CWL) }
 
 // WR issues a write. The write-recovery time applied before a PRE of this
-// subarray is the per-activation plan's WR (writes to an MRA-opened pair
+// row buffer is the per-activation plan's WR (writes to an MRA-opened pair
 // restore two cells; Table 1).
 func (c *Channel) WR(a Addr, now int64) {
 	if now < c.ReadyWR(a) {
@@ -454,11 +447,11 @@ func (c *Channel) WR(a Addr, now int64) {
 	}
 }
 
-// ReadyPRE returns the earliest cycle the subarray holding a.Row may be
-// precharged, or Horizon while it is closed.
+// ReadyPRE returns the earliest cycle the row buffer a.Row is read through may
+// be precharged, or Horizon while it is closed.
 func (c *Channel) ReadyPRE(a Addr) int64 { return c.ReadyPREAt(c.SubIndex(a)) }
 
-// ReadyPREAt is ReadyPRE for the subarray at SubIndex i.
+// ReadyPREAt is ReadyPRE for the row buffer at SubIndex i.
 func (c *Channel) ReadyPREAt(i int) int64 {
 	s := &c.subs[i]
 	if s.openRow < 0 {
@@ -467,7 +460,7 @@ func (c *Channel) ReadyPREAt(i int) int64 {
 	return max(c.cmdBusFree, s.preReady)
 }
 
-// PRE closes the open row of a.Row's subarray and returns whether the
+// PRE closes the open row of a.Row's row buffer and returns whether the
 // activation was held open for at least the plan's full-restoration time,
 // which is what decides the isFullyRestored state of a CROW pair
 // (Section 4.1.4).
@@ -484,7 +477,6 @@ func (c *Channel) PRE(a Addr, now int64) (fullyRestored bool) {
 		s.actReady = ready
 		bk.actReady = max(bk.actReady, ready)
 	}
-	bk.openCount--
 	p := c.openPos(i)
 	c.open = append(c.open[:p], c.open[p+1:]...)
 	c.cmdBusFree = now + 1
@@ -502,13 +494,13 @@ func (c *Channel) PRE(a Addr, now int64) (fullyRestored bool) {
 // while any bank in the range holds an open row. Banks outside the range stay
 // accessible — the point of per-bank refresh.
 func (c *Channel) ReadyRefresh(rankID, lo, hi int) int64 {
+	from, to := c.SubIndex(Addr{Rank: rankID, Bank: lo}), c.SubIndex(Addr{Rank: rankID, Bank: hi})
+	if p := c.openPos(from); p < len(c.open) && c.open[p] < to {
+		return Horizon
+	}
 	rk := &c.ranks[rankID]
 	at := max(c.cmdBusFree, rk.refBusy)
-	for b := lo; b < hi; b++ {
-		bk := &rk.banks[b]
-		if bk.openCount > 0 {
-			return Horizon
-		}
+	for _, bk := range rk.banks[lo:hi] {
 		at = max(at, bk.refBusy, bk.actReady)
 	}
 	return at

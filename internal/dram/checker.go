@@ -33,7 +33,7 @@ const (
 	perChannel = iota
 	perRank
 	perBank
-	perSub
+	perBuf  // the row buffer: the bank, or with MASA the subarray (Channel.SubIndex)
 	dataBus // the channel's data bus, or the rank's with Features.PerRankDataBus
 
 	actSet = 1<<CmdACT | 1<<CmdACTt | 1<<CmdACTc | 1<<CmdACTcr
@@ -56,13 +56,11 @@ type rule struct {
 
 // rules is the device's timing as data: one row per term of channel.go's Ready*.
 var rules = []rule{
-	// Not a timing rule: each subarray's last ACT or PRE, its open activation.
-	{"state", actSet | preSet, 0, perSub, 1, nil},
+	// Not a timing rule: each row buffer's last ACT or PRE, its open activation.
+	{"state", actSet | preSet, 0, perBuf, 1, nil},
 	// CROW's activations carry a copy-row address: two command-bus cycles.
 	{"command bus", anySet, anySet, perChannel, 1, func(t *Timing, p *CmdEvent, plan ActTimings) int { return [...]int{1, 2, 2, 2, 1, 1, 1, 1, 1}[p.Cmd] }},
-	// Finding 2(i): tRP binds only within the precharged subarray, as the
-	// device's ReadyACT does; a conventional bank needs perBank unless MASA.
-	{"tRP", preSet, actSet, perSub, 1, func(t *Timing, p *CmdEvent, plan ActTimings) int { return t.RP }},
+	{"tRP", preSet, actSet, perBuf, 1, func(t *Timing, p *CmdEvent, plan ActTimings) int { return t.RP }},
 	{"tRP", preSet, pbSet, perBank, 1, func(t *Timing, p *CmdEvent, plan ActTimings) int { return t.RP }},
 	{"tRP", preSet, refSet, perRank, 1, func(t *Timing, p *CmdEvent, plan ActTimings) int { return t.RP }},
 	{"tRRD", actSet, actSet, perRank, 1, func(t *Timing, p *CmdEvent, plan ActTimings) int { return t.RRD }},
@@ -70,10 +68,10 @@ var rules = []rule{
 	{"tRFC", refSet, actSet | refSet | pbSet, perRank, 1, func(t *Timing, p *CmdEvent, plan ActTimings) int { return t.RFC }},
 	{"tRFCpb", pbSet, actSet | pbSet, perBank, 1, func(t *Timing, p *CmdEvent, plan ActTimings) int { return t.RFCpb }},
 	{"tRFCpb", pbSet, refSet, perRank, 1, func(t *Timing, p *CmdEvent, plan ActTimings) int { return t.RFCpb }}, // a REF covers every bank
-	{"tRCD", actSet, colSet, perSub, 1, func(t *Timing, p *CmdEvent, plan ActTimings) int { return plan.RCD }},
-	{"tRAS", actSet, preSet, perSub, 1, func(t *Timing, p *CmdEvent, plan ActTimings) int { return plan.RAS }},
-	{"tRTP", rdSet, preSet, perSub, 1, func(t *Timing, p *CmdEvent, plan ActTimings) int { return t.RTP }},
-	{"write recovery", wrSet, preSet, perSub, 1, func(t *Timing, p *CmdEvent, plan ActTimings) int { return t.CWL + t.BL + plan.WR }},
+	{"tRCD", actSet, colSet, perBuf, 1, func(t *Timing, p *CmdEvent, plan ActTimings) int { return plan.RCD }},
+	{"tRAS", actSet, preSet, perBuf, 1, func(t *Timing, p *CmdEvent, plan ActTimings) int { return plan.RAS }},
+	{"tRTP", rdSet, preSet, perBuf, 1, func(t *Timing, p *CmdEvent, plan ActTimings) int { return t.RTP }},
+	{"write recovery", wrSet, preSet, perBuf, 1, func(t *Timing, p *CmdEvent, plan ActTimings) int { return t.CWL + t.BL + plan.WR }},
 	{"tCCD", colSet, colSet, perChannel, 1, func(t *Timing, p *CmdEvent, plan ActTimings) int { return t.CCD }},
 	{"tWTR", wrSet, rdSet, perRank, 1, func(t *Timing, p *CmdEvent, plan ActTimings) int { return t.CWL + t.BL + t.WTR }},
 	{"data bus overlap", colSet, rdSet, dataBus, 1, func(t *Timing, p *CmdEvent, plan ActTimings) int { return toData(t, p.Cmd) + t.BL - t.CL }},
@@ -115,14 +113,18 @@ func NewChecker(c *Channel) *Checker {
 // index names a's instance of scope s; instances counts them, as the index of rank Ranks.
 func (k *Checker) index(s int, a Addr) int {
 	b := a.Rank*k.Geo.Banks + a.Bank
-	return [...]int{0, a.Rank, b, b*k.Geo.SubarraysPerBank() + a.Row/k.Geo.RowsPerSubarray, a.Rank * k.rankBus}[s]
+	buf := b
+	if k.MASA {
+		buf = b*k.Geo.SubarraysPerBank() + a.Row/k.Geo.RowsPerSubarray
+	}
+	return [...]int{0, a.Rank, b, buf, a.Rank * k.rankBus}[s]
 }
 
 func (k *Checker) instances(s int) int { return max(1, k.index(s, Addr{Rank: k.Geo.Ranks})) }
 
-// open reports whether, by the state row, a's instance of scope s holds an open subarray.
+// open reports whether, by the state row, a's instance of scope s holds an open row buffer.
 func (k *Checker) open(s int, a Addr) bool {
-	n := k.instances(perSub) / k.instances(s)
+	n := k.instances(perBuf) / k.instances(s)
 	return slices.ContainsFunc(k.last[0][k.index(s, a)*n:][:n], func(e CmdEvent) bool { return e.Cmd.IsACT() })
 }
 
@@ -136,7 +138,7 @@ func (k *Checker) OnCommand(e CmdEvent) {
 	if why := k.Blocked(e.Cmd, e.Addr); why != "" {
 		k.fail(&e, "%s", why)
 	}
-	plan := k.last[0][k.index(perSub, e.Addr)].Plan
+	plan := k.last[0][k.index(perBuf, e.Addr)].Plan
 	for i, r := range rules {
 		h := k.last[i][k.index(r.scope, e.Addr)*r.nth:][:r.nth]
 		if p := &h[r.nth-1]; r.next&(1<<e.Cmd) != 0 && e.Cycle < p.Cycle+int64(r.cycles(&k.T, p, plan)) {
@@ -153,18 +155,16 @@ func (k *Checker) OnCommand(e CmdEvent) {
 // device's Ready* answer must then be Horizon), or returns "".
 func (k *Checker) Blocked(cmd Command, a Addr) string {
 	switch {
-	case cmd.IsACT() && k.open(perSub, a):
-		return "subarray already open"
-	case cmd.IsACT() && k.open(perBank, a) && !k.MASA:
-		return "bank has another open subarray"
-	case 1<<cmd&(colSet|preSet) != 0 && !k.open(perSub, a):
-		return "command to closed subarray"
-	case 1<<cmd&colSet != 0 && k.last[0][k.index(perSub, a)].Addr.Row != a.Row:
+	case cmd.IsACT() && k.open(perBuf, a):
+		return "row buffer already open"
+	case 1<<cmd&(colSet|preSet) != 0 && !k.open(perBuf, a):
+		return "command to closed row buffer"
+	case 1<<cmd&colSet != 0 && k.last[0][k.index(perBuf, a)].Addr.Row != a.Row:
 		return "row mismatch"
 	case cmd == CmdREFpb && k.open(perBank, a):
 		return "REFpb with open bank"
 	case cmd == CmdREF && k.open(perRank, a):
-		return "REF with open subarray"
+		return "REF with open row buffer"
 	}
 	return ""
 }

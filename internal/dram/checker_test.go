@@ -69,7 +69,29 @@ func TestCheckerCatchesBankSecondSubarrayWithoutMASA(t *testing.T) {
 	k := newBareChecker()
 	feed(k, CmdACT, Addr{Row: 5}, 0, base(k), -1)
 	feed(k, CmdACT, Addr{Row: 5 + 512}, 1000, base(k), -1) // other subarray, same bank
-	expectViolation(t, k, "another open subarray")
+	expectViolation(t, k, "row buffer already open")
+}
+
+// A conventional bank has one row buffer, so a PRE's tRP gates the next ACT
+// to any of its subarrays; under MASA each subarray precharges on its own.
+func TestCheckerTRPBindsBankWithoutMASA(t *testing.T) {
+	for _, masa := range []bool{false, true} {
+		g := Std(8)
+		c := NewChannel(g, LPDDR4(Density8Gb, 64, g))
+		c.MASA = masa
+		k := NewChecker(c)
+		pre := int64(k.T.RAS)
+		feed(k, CmdACT, Addr{Row: 5}, 0, base(k), -1)
+		feed(k, CmdPRE, Addr{Row: 5}, pre, ActTimings{}, -1)
+		feed(k, CmdACT, Addr{Row: 5 + g.RowsPerSubarray}, pre+int64(k.T.RP)-1, base(k), -1)
+		if masa {
+			if len(k.Violations) != 0 {
+				t.Errorf("MASA: another subarray need not wait the PRE's tRP: %v", k.Violations)
+			}
+			continue
+		}
+		expectViolation(t, k, "tRP")
+	}
 }
 
 func TestCheckerAllowsSecondSubarrayWithMASA(t *testing.T) {
@@ -87,7 +109,7 @@ func TestCheckerAllowsSecondSubarrayWithMASA(t *testing.T) {
 func TestCheckerCatchesColumnToClosedRow(t *testing.T) {
 	k := newBareChecker()
 	feed(k, CmdRD, Addr{Row: 5}, 100, ActTimings{}, -1)
-	expectViolation(t, k, "closed subarray")
+	expectViolation(t, k, "closed row buffer")
 }
 
 func TestCheckerCatchesRowMismatch(t *testing.T) {
@@ -128,7 +150,7 @@ func TestCheckerCatchesRefreshViolations(t *testing.T) {
 	k := newBareChecker()
 	feed(k, CmdACT, Addr{Row: 5}, 0, base(k), -1)
 	feed(k, CmdREF, Addr{}, 1000, ActTimings{}, -1)
-	expectViolation(t, k, "open subarray")
+	expectViolation(t, k, "open row buffer")
 
 	k2 := newBareChecker()
 	feed(k2, CmdREF, Addr{}, 0, ActTimings{}, -1)

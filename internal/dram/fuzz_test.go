@@ -160,35 +160,29 @@ func checkReadyContract(t *testing.T, c *Channel, k *Checker, addrs ...Addr) {
 		}
 	}
 	// The open list — order included — and every bank summary, against a scan
-	// of every subarray; the index accessors against the addressed ones.
+	// of every row buffer; the index accessors against the addressed ones.
 	var scanned []int
 	checkerOpen := 0
-	for b := 0; b*c.subsPerBank < len(c.subs); b++ {
+	banks := c.Geo.Ranks * c.Geo.Banks
+	perBank := c.SubIndex(Addr{Rank: c.Geo.Ranks}) / banks
+	for b := range banks {
 		r, bankID := b/c.Geo.Banks, b%c.Geo.Banks
-		bk := &c.ranks[r].banks[bankID]
 		var actReady int64
-		firstOpen := -1
-		for i := b * c.subsPerBank; i < (b+1)*c.subsPerBank; i++ {
+		for i := b * perBank; i < (b+1)*perBank; i++ {
 			actReady = max(actReady, c.subs[i].actReady)
 			if c.subs[i].openRow >= 0 {
 				scanned = append(scanned, i)
-				if firstOpen < 0 {
-					firstOpen = c.subs[i].openRow
-				}
 			}
-			if k.Blocked(CmdPRE, Addr{Rank: r, Bank: bankID, Row: (i - b*c.subsPerBank) * c.Geo.RowsPerSubarray}) == "" {
+			if k.Blocked(CmdPRE, Addr{Rank: r, Bank: bankID, Row: (i - b*perBank) * c.Geo.RowsPerSubarray}) == "" {
 				checkerOpen++
 			}
 		}
-		if actReady != bk.actReady {
+		if bk := &c.ranks[r].banks[bankID]; actReady != bk.actReady {
 			t.Fatalf("bank %d: tracked actReady %d, scan says %d", bankID, bk.actReady, actReady)
-		}
-		if got := c.OpenRowInBank(r, bankID); got != firstOpen {
-			t.Fatalf("bank %d: OpenRowInBank %d, scan says %d", bankID, got, firstOpen)
 		}
 	}
 	if !slices.Equal(c.Open(), scanned) || len(scanned) != checkerOpen {
-		t.Fatalf("open subarrays: list %v, scan %v, %d open to the checker", c.Open(), scanned, checkerOpen)
+		t.Fatalf("open row buffers: list %v, scan %v, %d open to the checker", c.Open(), scanned, checkerOpen)
 	}
 	for _, a := range addrs {
 		i := c.SubIndex(a)

@@ -193,10 +193,6 @@ func (r recordingMech) PlanActivate(dram.Addr, int64) core.ActDecision {
 	r.saw["PlanActivate"] = true
 	return core.ActDecision{}
 }
-func (r recordingMech) RestoresAcrossSubarrays() bool {
-	r.saw["RestoresAcrossSubarrays"] = true
-	return false
-}
 func (r recordingMech) OnActivate(dram.Addr, core.ActDecision, int64) { r.saw["OnActivate"] = true }
 func (r recordingMech) OnPrecharge(dram.Addr, int, bool, int64)       { r.saw["OnPrecharge"] = true }
 func (r recordingMech) OnRefreshRows(int, int, int, int, int, int, int64) {

@@ -51,10 +51,9 @@ func TestDegenerateConfigsMatch(t *testing.T) {
 		{
 			// A conventional bank does not overlap a precharge with the
 			// next activation, however many subarrays it has.
-			name:     "baseline-128-subarrays=baseline-1",
-			a:        degenerate{mech: baselineMech},
-			b:        degenerate{oneSubarray: true, mech: baselineMech},
-			inverted: "finding 2(i): without MASA, tRP is enforced per subarray, not per bank",
+			name: "baseline-128-subarrays=baseline-1",
+			a:    degenerate{mech: baselineMech},
+			b:    degenerate{oneSubarray: true, mech: baselineMech},
 		},
 		{
 			// With one subarray a bank there is nothing for MASA to

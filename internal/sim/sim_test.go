@@ -335,9 +335,9 @@ func TestLazyCoresMatchEveryCycle(t *testing.T) {
 		{"3 cores", []string{"povray", "gcc", "mcf"}, nil, false, 0},
 		{"4 cores", []string{"povray", "gcc", "h264-enc", "jp2-dec"}, nil, false, 0},
 		{"truncated inside a run", []string{"povray", "gcc"}, func(c *Config) { c.MaxMeasureCycles = 12_345 }, false, 0},
-		{"warm-up boundary", []string{"mcf", "povray", "h264-enc"}, func(c *Config) { c.Seed = 2 }, true, 1},
+		{"warm-up boundary", []string{"mcf", "povray", "h264-enc"}, func(c *Config) { c.Seed = 4 }, true, 1},
 		{"warm-up boundary truncated", []string{"povray", "h264-enc", "jp2-dec"}, func(c *Config) {
-			c.WarmupInsts, c.MeasureInsts, c.MaxMeasureCycles, c.Seed = 5_000, 1_000_000, 10_000, 2
+			c.WarmupInsts, c.MeasureInsts, c.MaxMeasureCycles, c.Seed = 5_000, 1_000_000, 10_000, 7
 		}, true, 2},
 		// A core's finish cycle is stamped on the tick where Retired first
 		// reaches the target, so a jump may not carry any core across it.
