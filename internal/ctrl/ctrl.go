@@ -196,7 +196,6 @@ type Controller struct {
 
 	refDue  []int64 // next refresh deadline per rank
 	refOwed []int   // refreshes due but not yet issued, per rank
-	refRow  []int   // refresh row counter per rank
 	refBank []int   // next bank to refresh per rank (per-bank mode)
 
 	pendingCopy copyState
@@ -274,7 +273,6 @@ func New(cfg Config, mech core.Mechanism) *Controller {
 	c.resolvePolicies()
 	c.refDue = make([]int64, cfg.Geo.Ranks)
 	c.refOwed = make([]int, cfg.Geo.Ranks)
-	c.refRow = make([]int, cfg.Geo.Ranks)
 	c.refBank = make([]int, cfg.Geo.Ranks)
 	for r := range c.refDue {
 		c.refDue[r] = c.refInterval()
@@ -562,21 +560,18 @@ func (c *Controller) serviceRefresh(now int64) bool {
 			// other banks keep serving. Either way the scan stops at this rank.
 			return c.closeOne(dram.Addr{Rank: r, Bank: lo}, dram.Addr{Rank: r, Bank: hi}, now)
 		}
+		var start int
 		if c.perBank {
-			c.Dev.REFpb(r, lo, now)
+			start = c.Dev.REFpb(r, lo, now)
 		} else {
-			c.Dev.REF(r, now)
+			start = c.Dev.REF(r, now)
 		}
 		c.Stats.Refreshes++
 		if c.Obs != nil {
 			c.sched(SchedRefresh, dram.Addr{Channel: c.Cfg.ChannelID, Rank: r, Bank: lo}, now)
 		}
-		start := c.refRow[r]
 		c.Mech.OnRefreshRows(c.Cfg.ChannelID, r, lo, hi, start, c.Cfg.T.RowsPerRef, now)
-		// The rank's rows advance once every bank has refreshed them.
-		if c.refBank[r] = hi % banks; c.refBank[r] == 0 {
-			c.refRow[r] = (start + c.Cfg.T.RowsPerRef) % c.Cfg.Geo.RowsPerBank
-		}
+		c.refBank[r] = hi % banks
 		c.refOwed[r]--
 		return true
 	}

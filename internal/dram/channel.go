@@ -34,6 +34,7 @@ type rank struct {
 	lastACT   int64 // most recent ACT (tRRD)
 	refBusy   int64 // REF in progress until this cycle
 	wrDataEnd int64 // end of most recent write burst (tWTR)
+	refRow    int   // refresh counter: the first row the next refresh window covers
 
 	// dataBusFree is the per-rank data-bus horizon, used instead of the
 	// channel-level one when Features.PerRankDataBus is set (HBM2
@@ -506,30 +507,44 @@ func (c *Channel) ReadyRefresh(rankID, lo, hi int) int64 {
 	return at
 }
 
-// REFpb issues a per-bank refresh, blocking only that bank for tRFCpb (the
-// refBusy horizon every activation and refresh of the bank checks).
-func (c *Channel) REFpb(rankID, bankID int, now int64) {
+// REFpb issues a per-bank refresh of the rank's next T.RowsPerRef rows in one
+// bank, blocking only that bank for tRFCpb (the refBusy horizon every
+// activation and refresh of the bank checks), and returns the first refreshed
+// row. The rank's refresh counter advances after the last bank's refresh.
+func (c *Channel) REFpb(rankID, bankID int, now int64) int {
 	if now < c.ReadyRefresh(rankID, bankID, bankID+1) {
 		panic(fmt.Sprintf("dram: illegal REFpb to rank %d bank %d at cycle %d", rankID, bankID, now))
 	}
 	c.ranks[rankID].banks[bankID].refBusy = now + int64(c.T.RFCpb)
-	c.cmdBusFree = now + 1
 	c.Stats.REFpb++
-	if c.obs != nil {
-		c.emit(CmdEvent{Cmd: CmdREFpb, Addr: Addr{Rank: rankID, Bank: bankID}, Cycle: now, CopyRow: -1})
-	}
+	return c.refreshed(CmdREFpb, Addr{Rank: rankID, Bank: bankID}, bankID == c.Geo.Banks-1, now)
 }
 
-// REF issues an all-bank refresh, blocking the rank for tRFC (the refBusy
-// horizon every activation and refresh of the rank checks).
-func (c *Channel) REF(rankID int, now int64) {
+// REF issues an all-bank refresh of the rank's next T.RowsPerRef rows in every
+// bank, blocking the rank for tRFC (the refBusy horizon every activation and
+// refresh of the rank checks), and returns the first refreshed row.
+func (c *Channel) REF(rankID int, now int64) int {
 	if now < c.ReadyRefresh(rankID, 0, c.Geo.Banks) {
 		panic(fmt.Sprintf("dram: illegal REF to rank %d at cycle %d", rankID, now))
 	}
 	c.ranks[rankID].refBusy = now + int64(c.T.RFC)
-	c.cmdBusFree = now + 1
 	c.Stats.REF++
-	if c.obs != nil {
-		c.emit(CmdEvent{Cmd: CmdREF, Addr: Addr{Rank: rankID}, Cycle: now, CopyRow: -1})
+	return c.refreshed(CmdREF, Addr{Rank: rankID}, true, now)
+}
+
+// refreshed completes a refresh of a's rank: the command takes the command
+// bus, covers the rows from the rank's refresh counter on (reported in a.Row
+// and returned), and, when it is the rank's last one at that counter, moves the
+// counter on by T.RowsPerRef rows.
+func (c *Channel) refreshed(cmd Command, a Addr, last bool, now int64) int {
+	rk := &c.ranks[a.Rank]
+	a.Row = rk.refRow
+	if last {
+		rk.refRow = (a.Row + c.T.RowsPerRef) % c.Geo.RowsPerBank
 	}
+	c.cmdBusFree = now + 1
+	if c.obs != nil {
+		c.emit(CmdEvent{Cmd: cmd, Addr: a, Cycle: now, CopyRow: -1})
+	}
+	return a.Row
 }

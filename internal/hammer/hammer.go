@@ -92,10 +92,9 @@ func New(cfg Config, channels int, g dram.Geometry, t dram.Timing) *Model {
 	m := &Model{cfg: cfg, geo: g, rpr: t.RowsPerRef, chans: make([]*chanModel, channels)}
 	for ch := range m.chans {
 		m.chans[ch] = &chanModel{
-			m:      m,
-			ch:     ch,
-			refRow: make([]int, g.Ranks),
-			banks:  make([]*bankState, g.Ranks*g.Banks),
+			m:     m,
+			ch:    ch,
+			banks: make([]*bankState, g.Ranks*g.Banks),
 		}
 	}
 	return m
@@ -136,14 +135,11 @@ func (f Findings) String() string {
 	return fmt.Sprintf("flips=%d shielded=%d victim-rows=%d", f.Flips, f.Shielded, len(f.Rows))
 }
 
-// chanModel is one channel's replica: disturbance accumulators, the
-// CROW-hammer shield map, and the refresh-sweep pointer mirrored from the
-// controller's command stream (the same replica the oracle's
-// refresh-deadline monitor keeps).
+// chanModel is one channel's state: disturbance accumulators and the
+// CROW-hammer shield map. A refresh restores the rows its command reports.
 type chanModel struct {
 	m        *Model
 	ch       int
-	refRow   []int // next refresh window start, per rank
 	banks    []*bankState
 	flips    int64
 	shielded int64
@@ -210,19 +206,11 @@ func (c *chanModel) OnCommand(e dram.CmdEvent) {
 	case dram.CmdACT, dram.CmdACTt, dram.CmdACTc:
 		c.onACT(e)
 	case dram.CmdREF:
-		rpr := c.m.rpr
-		start := c.refRow[e.Addr.Rank]
 		for b := 0; b < c.m.geo.Banks; b++ {
-			c.refreshWindow(e.Addr.Rank, b, start, rpr)
+			c.refreshWindow(e.Addr.Rank, b, e.Addr.Row, c.m.rpr)
 		}
-		c.refRow[e.Addr.Rank] = (start + rpr) % c.m.geo.RowsPerBank
 	case dram.CmdREFpb:
-		rpr := c.m.rpr
-		start := c.refRow[e.Addr.Rank]
-		c.refreshWindow(e.Addr.Rank, e.Addr.Bank, start, rpr)
-		if e.Addr.Bank == c.m.geo.Banks-1 {
-			c.refRow[e.Addr.Rank] = (start + rpr) % c.m.geo.RowsPerBank
-		}
+		c.refreshWindow(e.Addr.Rank, e.Addr.Bank, e.Addr.Row, c.m.rpr)
 	}
 }
 

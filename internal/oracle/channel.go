@@ -94,11 +94,10 @@ type channelState struct {
 	rows map[int]*rowData
 	slab []rowData
 
-	// Refresh sweep replica: next row window per rank, and per bank (in
-	// (rank, bank) order) the cycle each row group was last refreshed, grown
-	// to the highest group the sweep has reached: the groups past its length,
-	// like all rows at the boot instant, count as refreshed at cycle 0.
-	refRow  []int
+	// Per bank (in (rank, bank) order), the cycle each row group was last
+	// refreshed, grown to the highest group a refresh has reached: the groups
+	// past its length, like all rows at the boot instant, count as refreshed
+	// at cycle 0.
 	lastRef [][]int64
 
 	// stats mirrors the dram.Stats fields a command stream determines.
@@ -384,24 +383,12 @@ func (s *channelState) refreshWindow(rank, bank, start, n int, cycle int64) {
 
 func (s *channelState) onREF(e *dram.CmdEvent) {
 	s.stats.REF++
-	g := &s.o.cfg.Geo
-	rpr := s.o.cfg.T.RowsPerRef
-	start := s.refRow[e.Addr.Rank]
-	for b := 0; b < g.Banks; b++ {
-		s.refreshWindow(e.Addr.Rank, b, start, rpr, e.Cycle)
+	for b := 0; b < s.o.cfg.Geo.Banks; b++ {
+		s.refreshWindow(e.Addr.Rank, b, e.Addr.Row, s.o.cfg.T.RowsPerRef, e.Cycle)
 	}
-	s.refRow[e.Addr.Rank] = (start + rpr) % g.RowsPerBank
 }
 
 func (s *channelState) onREFpb(e *dram.CmdEvent) {
 	s.stats.REFpb++
-	g := &s.o.cfg.Geo
-	rpr := s.o.cfg.T.RowsPerRef
-	start := s.refRow[e.Addr.Rank]
-	s.refreshWindow(e.Addr.Rank, e.Addr.Bank, start, rpr, e.Cycle)
-	// The controller sweeps banks round-robin, advancing the row window
-	// once every bank has been refreshed at the current window.
-	if e.Addr.Bank == g.Banks-1 {
-		s.refRow[e.Addr.Rank] = (start + rpr) % g.RowsPerBank
-	}
+	s.refreshWindow(e.Addr.Rank, e.Addr.Bank, e.Addr.Row, s.o.cfg.T.RowsPerRef, e.Cycle)
 }

@@ -340,17 +340,17 @@ func finishReport() []byte {
 	refpb := func(ch, rank, bank int, cycle int64) {
 		o.Observer(ch).OnCommand(dram.CmdEvent{Cmd: dram.CmdREFpb, Addr: dram.Addr{Rank: rank, Bank: bank}, Cycle: cycle, CopyRow: -1})
 	}
-	ref := func(ch, rank int, cycle int64) {
-		o.Observer(ch).OnCommand(dram.CmdEvent{Cmd: dram.CmdREF, Addr: dram.Addr{Rank: rank}, Cycle: cycle, CopyRow: -1})
+	ref := func(ch, rank, row int, cycle int64) {
+		o.Observer(ch).OnCommand(dram.CmdEvent{Cmd: dram.CmdREF, Addr: dram.Addr{Rank: rank, Row: row}, Cycle: cycle, CopyRow: -1})
 	}
-	// ch0 rank0: bank 1 alone is swept per bank (the window never advances:
-	// bank 2 is never reached), once in time and once late.
+	// ch0 rank0: bank 1 alone is refreshed per bank (the device's counter never
+	// advances: bank 2 is never reached), once in time and once late.
 	refpb(0, 0, 1, deadline/2)
 	refpb(0, 0, 1, deadline+deadline/2+1)
 	// ch1 rank1: two all-bank refreshes (groups 0 and 1 of every bank), the
 	// second one late; ch1 rank0 and ch0 rank1 never see a refresh.
-	ref(1, 1, deadline/2)
-	ref(1, 1, deadline+7)
+	ref(1, 1, 0, deadline/2)
+	ref(1, 1, tm.RowsPerRef, deadline+7)
 	o.Finish(deadline + deadline/2 + 2)
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "\n== Finish over untouched banks (deadline %d)\n", deadline)

@@ -10,7 +10,8 @@
 //     was never copied, a lost write to a remapped row, an eviction of a
 //     partially-restored pair) end to end.
 //  2. A refresh-deadline monitor replays the architectural refresh sweep
-//     (each REF/REFpb refreshes the next T.RowsPerRef rows of a bank) and
+//     (each REF/REFpb refreshes the T.RowsPerRef rows from the row the device
+//     reports, in its banks) and
 //     asserts every row group is refreshed within its retention window,
 //     including the relaxed window of CROW-ref's multiplied tREFW.
 //  3. Scheduler-legality and accounting checks: no activation serves more
@@ -113,7 +114,6 @@ func New(cfg Config) *Oracle {
 			o: o, ch: ch,
 			open:    make([]openAct, g.Ranks*g.Banks*o.subsPerBank),
 			rows:    map[int]*rowData{},
-			refRow:  make([]int, g.Ranks),
 			lastRef: make([][]int64, g.Ranks*g.Banks),
 		}
 	}

@@ -194,7 +194,8 @@ func TestRefreshSweepMeetsDeadline(t *testing.T) {
 	// A full sweep at the nominal REFI cadence, twice over, stays clean.
 	cycle := int64(0)
 	for i := 0; i < 2*8192; i++ {
-		obs.OnCommand(dram.CmdEvent{Cmd: dram.CmdREF, Addr: dram.Addr{}, Cycle: cycle, CopyRow: -1})
+		row := i * tm.RowsPerRef % g.RowsPerBank // the device's refresh counter
+		obs.OnCommand(dram.CmdEvent{Cmd: dram.CmdREF, Addr: dram.Addr{Row: row}, Cycle: cycle, CopyRow: -1})
 		cycle += int64(tm.REFI)
 	}
 	o.Finish(cycle)
@@ -214,8 +215,9 @@ func TestPerBankRefreshSweep(t *testing.T) {
 	cycle := int64(0)
 	interval := int64(tm.REFI) / int64(g.Banks)
 	for i := 0; i < 2*8192*g.Banks; i++ {
+		row := i / g.Banks * tm.RowsPerRef % g.RowsPerBank // advances after the last bank
 		obs.OnCommand(dram.CmdEvent{
-			Cmd: dram.CmdREFpb, Addr: dram.Addr{Bank: i % g.Banks}, Cycle: cycle, CopyRow: -1,
+			Cmd: dram.CmdREFpb, Addr: dram.Addr{Bank: i % g.Banks, Row: row}, Cycle: cycle, CopyRow: -1,
 		})
 		cycle += interval
 	}

@@ -35,8 +35,9 @@ func TestDDR5SamebankSweepIsClean(t *testing.T) {
 	cycle := int64(0)
 	interval := int64(tm.REFI) / int64(g.Banks)
 	for i := 0; i < 2*8192*g.Banks; i++ {
+		row := i / g.Banks * tm.RowsPerRef % g.RowsPerBank // the device's refresh counter
 		obs.OnCommand(dram.CmdEvent{
-			Cmd: dram.CmdREFpb, Addr: dram.Addr{Bank: i % g.Banks}, Cycle: cycle, CopyRow: -1,
+			Cmd: dram.CmdREFpb, Addr: dram.Addr{Bank: i % g.Banks, Row: row}, Cycle: cycle, CopyRow: -1,
 		})
 		cycle += interval
 	}
@@ -50,7 +51,7 @@ func TestDDR5SamebankSweepIsClean(t *testing.T) {
 // controller that silently stops refreshing one bank. The sweep runs the
 // full same-bank cadence but drops every REFsb aimed at bank 0, so bank 0's
 // rows sail past their retention deadline while the other bank stays
-// healthy (the oracle's sweep pointer advances on the last bank, so the
+// healthy (each REFsb carries the row the device's counter reports, so the
 // remaining bank's sweep is unaffected). The monitor must attribute a
 // violation to every starved row group — no more, no fewer — and name the
 // invariant in its samples.
@@ -63,8 +64,9 @@ func TestDDR5MissedREFsbIsCaught(t *testing.T) {
 	for i := 0; i < 2*8192*banks; i++ {
 		bank := i % banks
 		if bank != starved {
+			row := i / banks * tm.RowsPerRef % g.RowsPerBank
 			obs.OnCommand(dram.CmdEvent{
-				Cmd: dram.CmdREFpb, Addr: dram.Addr{Bank: bank}, Cycle: cycle, CopyRow: -1,
+				Cmd: dram.CmdREFpb, Addr: dram.Addr{Bank: bank, Row: row}, Cycle: cycle, CopyRow: -1,
 			})
 		}
 		cycle += interval
