@@ -117,7 +117,7 @@ func BenchmarkSchedulePass(b *testing.B) {
 		issued = cmds() != before
 	}
 	fill(now)
-	c.refOwed[0]++
+	c.refDone[0]--
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

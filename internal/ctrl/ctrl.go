@@ -194,9 +194,11 @@ type Controller struct {
 	bankQueued []int32 // requests queued for the bank, both queues
 	gen        uint64
 
-	refDue  []int64 // next refresh deadline per rank
-	refOwed []int   // refreshes due but not yet issued, per rank
-	refBank []int   // next bank to refresh per rank (per-bank mode)
+	// Refresh: one target comes due every refIv cycles, so rank r owes
+	// now/refIv - refDone[r] refreshes at cycle now (refTarget).
+	refIv   int64
+	refDone []int // refreshes issued, per rank
+	refBank []int // next bank to refresh per rank (per-bank mode)
 
 	pendingCopy copyState
 
@@ -271,12 +273,19 @@ func New(cfg Config, mech core.Mechanism) *Controller {
 		ReadLatency: metrics.NewHistogram(),
 	}
 	c.resolvePolicies()
-	c.refDue = make([]int64, cfg.Geo.Ranks)
-	c.refOwed = make([]int, cfg.Geo.Ranks)
-	c.refBank = make([]int, cfg.Geo.Ranks)
-	for r := range c.refDue {
-		c.refDue[r] = c.refInterval()
+	// The mechanism's refresh scale is fixed before New (CROW-ref's profile is
+	// loaded when the mechanism is built). A REFpb/REFsb target is a bank, so
+	// bank-granular refresh comes due Banks times as often.
+	targets := int64(1)
+	if c.perBank {
+		targets = int64(cfg.Geo.Banks)
 	}
+	c.refIv = 1 << 62
+	if mult := mech.RefreshMultiplier(); mult > 0 {
+		c.refIv = max(int64(cfg.T.REFI)*int64(mult)/(targets*int64(max(mech.RefreshDivisor(), 1))), 1)
+	}
+	c.refDone = make([]int, cfg.Geo.Ranks)
+	c.refBank = make([]int, cfg.Geo.Ranks)
 	c.verifyWake = verifyWakeAll.Load()
 	return c
 }
@@ -298,26 +307,6 @@ func (c *Controller) GetRequest() *Request {
 func (c *Controller) PutRequest(r *Request) {
 	*r = Request{next: c.free}
 	c.free = r
-}
-
-func (c *Controller) refInterval() int64 {
-	mult := c.Mech.RefreshMultiplier()
-	if mult == 0 {
-		return 1 << 62
-	}
-	iv := int64(c.Cfg.T.REFI) * int64(mult)
-	if c.perBank {
-		iv /= int64(c.Cfg.Geo.Banks)
-	}
-	if div := c.Mech.RefreshDivisor(); div > 1 {
-		iv /= int64(div)
-	}
-	if iv < 1 {
-		// Either division can round a tiny tREFI to zero, and a zero interval
-		// would never let serviceRefresh's catch-up loop end.
-		iv = 1
-	}
-	return iv
 }
 
 // Idle reports whether the controller has no queued work or in-flight
@@ -532,16 +521,15 @@ func (c *Controller) updateDrainMode(now int64) {
 func (c *Controller) serviceRefresh(now int64) bool {
 	banks := c.Cfg.Geo.Banks
 	for r := 0; r < c.Cfg.Geo.Ranks; r++ {
-		for c.ready(c.refDue[r], now) {
-			c.refOwed[r]++
-			c.refDue[r] += c.refInterval()
-		}
-		if c.refOwed[r] == 0 {
+		k := now / c.refIv
+		c.ready((k+1)*c.refIv, now)
+		owed := int(k) - c.refDone[r]
+		if owed == 0 {
 			continue
 		}
 		// Elastic refresh: defer while demand is queued, unless the
 		// owed count has reached the postponement limit.
-		if c.refOwed[r] <= c.Cfg.MaxPostpone && c.hasDemand(r, 0, banks) {
+		if owed <= c.Cfg.MaxPostpone && c.hasDemand(r, 0, banks) {
 			continue
 		}
 		lo, hi := 0, banks
@@ -551,7 +539,7 @@ func (c *Controller) serviceRefresh(now int64) bool {
 			// allows (8), so the refresh lands in a gap instead of stalling an
 			// active bank.
 			lo, hi = c.refBank[r], c.refBank[r]+1
-			if c.refOwed[r] <= cmp.Or(c.Cfg.MaxPostpone, banks) && c.hasDemand(r, lo, hi) {
+			if owed <= cmp.Or(c.Cfg.MaxPostpone, banks) && c.hasDemand(r, lo, hi) {
 				continue
 			}
 		}
@@ -572,7 +560,7 @@ func (c *Controller) serviceRefresh(now int64) bool {
 		}
 		c.Mech.OnRefreshRows(c.Cfg.ChannelID, r, lo, hi, start, c.Cfg.T.RowsPerRef, now)
 		c.refBank[r] = hi % banks
-		c.refOwed[r]--
+		c.refDone[r]++
 		return true
 	}
 	return false

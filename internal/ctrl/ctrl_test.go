@@ -77,7 +77,7 @@ func TestWakeIsExact(t *testing.T) {
 		{rd + 1, data, "nothing to schedule until the data returns"},
 		{data, rd + c.timeout, "completion fired; the idle row closes at its timeout"},
 		{rd + c.timeout, rd + c.timeout + 1, "PRE issued: re-evaluate next cycle"},
-		{rd + c.timeout + 1, c.refDue[0], "bank closed, queues empty: sleep until the refresh deadline"},
+		{rd + c.timeout + 1, c.refIv, "bank closed, queues empty: sleep until the refresh deadline"},
 	}
 	now := int64(0)
 	for _, s := range steps {
