@@ -514,34 +514,35 @@ func (c *Controller) updateDrainMode(now int64) {
 	}
 }
 
-// serviceRefresh runs the refresh state machine: per-rank deadline accounting
-// with elastic postponement [107], then one refresh of the rank's target — the
-// whole rank for REFab, the next bank of its round-robin order for
-// bank-granular REFpb/REFsb. It returns true if a command issued this cycle.
+// refTarget is the one refresh rule for rank r at cycle now. The next refresh
+// covers banks [lo, hi): the whole rank for REFab, the next bank of its
+// round-robin order for bank-granular REFpb/REFsb. owed refreshes have come due
+// and not issued, and due says the target may be postponed no longer: owed is
+// past MaxPostpone, or for bank-granular refresh past cmp.Or(MaxPostpone,
+// Banks), the per-bank budget JEDEC allows (8). The next due cycle goes through
+// ready.
+func (c *Controller) refTarget(r int, now int64) (lo, hi, owed int, due bool) {
+	k := now / c.refIv
+	c.ready((k+1)*c.refIv, now)
+	owed = int(k) - c.refDone[r]
+	if !c.perBank {
+		return 0, c.Cfg.Geo.Banks, owed, owed > c.Cfg.MaxPostpone
+	}
+	lo = c.refBank[r]
+	return lo, lo + 1, owed, owed > cmp.Or(c.Cfg.MaxPostpone, c.Cfg.Geo.Banks)
+}
+
+// serviceRefresh issues one refresh of the first rank whose target is owed and
+// not postponed. Elastic refresh [107] defers it while demand is queued for the
+// rank (within MaxPostpone) or for the target (until it is due), so the refresh
+// lands in a gap instead of stalling busy banks. It returns true if a command
+// issued this cycle.
 func (c *Controller) serviceRefresh(now int64) bool {
 	banks := c.Cfg.Geo.Banks
 	for r := 0; r < c.Cfg.Geo.Ranks; r++ {
-		k := now / c.refIv
-		c.ready((k+1)*c.refIv, now)
-		owed := int(k) - c.refDone[r]
-		if owed == 0 {
+		lo, hi, owed, due := c.refTarget(r, now)
+		if owed == 0 || owed <= c.Cfg.MaxPostpone && c.hasDemand(r, 0, banks) || !due && c.hasDemand(r, lo, hi) {
 			continue
-		}
-		// Elastic refresh: defer while demand is queued, unless the
-		// owed count has reached the postponement limit.
-		if owed <= c.Cfg.MaxPostpone && c.hasDemand(r, 0, banks) {
-			continue
-		}
-		lo, hi := 0, banks
-		if c.perBank {
-			// Time each refresh to bank idleness: defer while the target bank
-			// has queued demand, within the per-bank postponement budget JEDEC
-			// allows (8), so the refresh lands in a gap instead of stalling an
-			// active bank.
-			lo, hi = c.refBank[r], c.refBank[r]+1
-			if owed <= cmp.Or(c.Cfg.MaxPostpone, banks) && c.hasDemand(r, lo, hi) {
-				continue
-			}
 		}
 		if !c.ready(c.Dev.ReadyRefresh(r, lo, hi), now) {
 			// Close one of the target's open rows so the refresh can issue;
