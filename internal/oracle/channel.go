@@ -170,9 +170,11 @@ func (s *channelState) OnCommand(e dram.CmdEvent) {
 	case dram.CmdPRE:
 		s.onPRE(&e)
 	case dram.CmdREF:
-		s.onREF(&e)
+		s.stats.REF++
+		s.onRefresh(&e, 0, s.o.cfg.Geo.Banks)
 	case dram.CmdREFpb:
-		s.onREFpb(&e)
+		s.stats.REFpb++
+		s.onRefresh(&e, e.Addr.Bank, e.Addr.Bank+1)
 	}
 }
 
@@ -381,14 +383,10 @@ func (s *channelState) refreshWindow(rank, bank, start, n int, cycle int64) {
 	}
 }
 
-func (s *channelState) onREF(e *dram.CmdEvent) {
-	s.stats.REF++
-	for b := 0; b < s.o.cfg.Geo.Banks; b++ {
+// onRefresh replays a refresh of banks [lo, hi) of the event's rank, from the
+// row the device reports.
+func (s *channelState) onRefresh(e *dram.CmdEvent, lo, hi int) {
+	for b := lo; b < hi; b++ {
 		s.refreshWindow(e.Addr.Rank, b, e.Addr.Row, s.o.cfg.T.RowsPerRef, e.Cycle)
 	}
-}
-
-func (s *channelState) onREFpb(e *dram.CmdEvent) {
-	s.stats.REFpb++
-	s.refreshWindow(e.Addr.Rank, e.Addr.Bank, e.Addr.Row, s.o.cfg.T.RowsPerRef, e.Cycle)
 }
