@@ -589,6 +589,14 @@ func (c *Controller) openAddr(i int) dram.Addr {
 	return a
 }
 
+// fenced reports whether bank b of rank r is inside a refresh target that may
+// be postponed no longer: a demand activation there would hold the refresh
+// back, so it waits until the refresh has issued.
+func (c *Controller) fenced(r, b int, now int64) bool {
+	lo, hi, _, due := c.refTarget(r, now)
+	return due && b >= lo && b < hi
+}
+
 // hasDemand reports whether any queued request targets banks [lo, hi) of rank r.
 func (c *Controller) hasDemand(r, lo, hi int) bool {
 	banks := c.bankQueued[r*c.Cfg.Geo.Banks+lo : r*c.Cfg.Geo.Banks+hi]
@@ -773,9 +781,10 @@ func (c *Controller) advance(r *Request, now int64) bool {
 		// Conflict in this row buffer.
 		return c.evict(dram.Addr{Channel: a.Channel, Rank: a.Rank, Bank: a.Bank, Row: open}, i, now)
 	}
-	// Row buffer closed: activate. The device is asked before the mechanism,
-	// so a plan is made only on the cycle its ACT issues.
-	if !c.ready(c.Dev.ReadyACT(a), now) {
+	// Row buffer closed: activate, unless a refresh that may wait no longer
+	// fences the bank. The device is asked before the mechanism, so a plan is
+	// made only on the cycle its ACT issues.
+	if c.fenced(a.Rank, a.Bank, now) || !c.ready(c.Dev.ReadyACT(a), now) {
 		c.subs[i].blocked = c.gen
 		return false
 	}
