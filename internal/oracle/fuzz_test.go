@@ -63,7 +63,7 @@ func decodeEvents(data []byte) []dram.CmdEvent {
 // FuzzOracleStream feeds the oracle arbitrary command sequences — legal or
 // not, operands inside the geometry or not. It may report whatever it likes;
 // it must not panic. The seeds are the head of every channel's stream of the
-// run TestMutationVerdictsPinned records.
+// run TestMutationVerdictsPinned records, and a refresh of a negative row.
 func FuzzOracleStream(f *testing.F) {
 	rec := record(f)
 	cfg := rec.cfg
@@ -85,6 +85,8 @@ func FuzzOracleStream(f *testing.F) {
 		}
 		f.Add(seed)
 	}
+	// A refresh of a negative row: its row group must not be indexed.
+	f.Add(encodeEvents([]dram.CmdEvent{{Cmd: dram.CmdREF, Addr: dram.Addr{Row: -rec.cfg.T.RowsPerRef}, CopyRow: -1, Cycle: 1}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		o := replay(data)
 		o.CheckStats(0, dram.Stats{})

@@ -13,7 +13,10 @@
 //     (each REF/REFpb refreshes the T.RowsPerRef rows from the row the device
 //     reports, in its banks) and
 //     asserts every row group is refreshed within its retention window,
-//     including the relaxed window of CROW-ref's multiplied tREFW.
+//     including the relaxed window of CROW-ref's multiplied tREFW, and that
+//     every rank keeps the refresh cadence (refresh-cadence): at no refresh,
+//     and not at the end, does it owe more than its postponement budget plus
+//     the refresh in flight.
 //  3. Scheduler-legality and accounting checks: no activation serves more
 //     column commands than the FR-FCFS-Cap allows, and the command counts
 //     that the energy model integrates (activate restore windows, burst
@@ -26,6 +29,7 @@
 package oracle
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"reflect"
@@ -114,6 +118,7 @@ func New(cfg Config) *Oracle {
 			o: o, ch: ch,
 			open:    make([]openAct, g.Ranks*g.Banks*o.subsPerBank),
 			rows:    map[int]*rowData{},
+			refs:    make([]int64, g.Ranks),
 			lastRef: make([][]int64, g.Ranks*g.Banks),
 		}
 	}
@@ -137,27 +142,38 @@ func (o *Oracle) violate(ch int, class, format string, args ...any) {
 	}
 }
 
+// refreshPace is the refresh cadence the controller must keep on a rank: one
+// refresh command every interval cycles (REFI, multiplied, per target: the
+// rank, or a bank under bank-granular refresh), of which budget may be
+// postponed. A refresh-scale mitigation only refreshes faster.
+func (o *Oracle) refreshPace() (interval, budget int64) {
+	interval, budget = int64(o.cfg.T.REFI)*int64(o.cfg.RefreshMultiplier), int64(o.cfg.MaxPostpone)
+	if o.cfg.BankRefresh {
+		interval /= int64(o.cfg.Geo.Banks)
+		budget = cmp.Or(budget, int64(o.cfg.Geo.Banks))
+	}
+	return max(interval, 1), budget
+}
+
 // deadline returns the maximum tolerated gap between refreshes of one row
 // group: the (possibly multiplied) retention window plus the slack the
 // elastic scheduler may consume by postponing refreshes.
 func (o *Oracle) deadline() int64 {
-	mult := int64(o.cfg.RefreshMultiplier)
-	interval := int64(o.cfg.T.REFI) * mult
-	budget := int64(o.cfg.MaxPostpone)
-	if o.cfg.BankRefresh {
-		interval /= int64(o.cfg.Geo.Banks)
-		if budget == 0 {
-			budget = int64(o.cfg.Geo.Banks)
-		}
-	}
-	return o.cfg.T.RefWindow*mult + (budget+2)*interval + int64(o.cfg.T.RFC)
+	interval, budget := o.refreshPace()
+	return o.cfg.T.RefWindow*int64(o.cfg.RefreshMultiplier) + (budget+2)*interval + int64(o.cfg.T.RFC)
 }
 
-// Finish runs the end-of-simulation checks: no row group may be staler than
-// its retention deadline at the final cycle.
+// Finish runs the end-of-simulation checks: every rank keeps the refresh
+// cadence, and no row group may be staler than its retention deadline at the
+// final cycle.
 func (o *Oracle) Finish(endCycle int64) {
 	if o.cfg.RefreshMultiplier <= 0 {
 		return
+	}
+	for _, s := range o.chans {
+		for r := range s.refs {
+			s.keepsPace(r, endCycle)
+		}
 	}
 	dl := o.deadline()
 	rpr := o.cfg.T.RowsPerRef

@@ -170,7 +170,8 @@ func TestRefreshDeadline(t *testing.T) {
 	o := New(Config{Channels: 1, Geo: g, T: tm, RefreshMultiplier: 1})
 	obs := o.Observer(0)
 	// One REF refreshes group 0 just before the deadline; every other
-	// group then expires at Finish.
+	// group then expires at Finish. The rank owes thousands of refreshes both
+	// at that REF and at Finish: two refresh-cadence samples come first.
 	dl := o.deadline()
 	obs.OnCommand(dram.CmdEvent{Cmd: dram.CmdREF, Addr: dram.Addr{}, Cycle: dl, CopyRow: -1})
 	o.Finish(dl + 10)
@@ -178,8 +179,33 @@ func TestRefreshDeadline(t *testing.T) {
 	if got := f.Counts["refresh-deadline"]; got != 8191 {
 		t.Fatalf("refresh-deadline violations = %d, want 8191 (all groups but the refreshed one)", got)
 	}
-	if len(f.Samples) == 0 || !strings.Contains(f.Samples[0], "refresh-deadline") {
-		t.Fatalf("expected refresh-deadline samples, got %v", f.Samples)
+	if got := f.Counts["refresh-cadence"]; got != 2 {
+		t.Fatalf("refresh-cadence violations = %d, want 2 (the REF and Finish)", got)
+	}
+	if len(f.Samples) < 3 || !strings.Contains(f.Samples[0], "refresh-cadence") || !strings.Contains(f.Samples[2], "refresh-deadline") {
+		t.Fatalf("expected two refresh-cadence samples, then refresh-deadline ones, got %v", f.Samples)
+	}
+}
+
+// TestRefreshRowOutsideIsDesync: a refresh's row is an operand the device
+// reports, so one outside [0, RowsPerBank) means the oracle watches a device
+// of another shape. It is reported, not indexed (a negative row group would
+// panic), and the stream goes on.
+func TestRefreshRowOutsideIsDesync(t *testing.T) {
+	o, obs := testOracle(t, func(c *Config) { c.RefreshMultiplier, c.T.RowsPerRef = 1, 16 })
+	rows := o.cfg.Geo.RowsPerBank
+	for _, e := range []dram.CmdEvent{
+		{Cmd: dram.CmdREF, Addr: dram.Addr{Row: -o.cfg.T.RowsPerRef}},
+		{Cmd: dram.CmdREF, Addr: dram.Addr{Row: rows}},
+		{Cmd: dram.CmdREFpb, Addr: dram.Addr{Bank: 1, Row: -1}},
+		{Cmd: dram.CmdREFpb, Addr: dram.Addr{Bank: 1, Row: rows}},
+	} {
+		e.CopyRow = -1
+		obs.OnCommand(e)
+	}
+	wantViolations(t, o, "oracle-desync", 4)
+	if o.chans[0].stats.REF+o.chans[0].stats.REFpb != 0 {
+		t.Errorf("a refresh outside the geometry was counted: %+v", o.chans[0].stats)
 	}
 }
 

@@ -24,6 +24,7 @@ func ddr5Oracle(t *testing.T, banks int) (*Oracle, dram.CommandObserver, dram.Ti
 	o := New(Config{
 		Channels: 1, Geo: g, T: tm,
 		RefreshMultiplier: 1, BankRefresh: true,
+		MaxSamples: 1 << 16, // every sample, so one class cannot crowd out another
 	})
 	return o, o.Observer(0), tm, g
 }
@@ -54,7 +55,7 @@ func TestDDR5SamebankSweepIsClean(t *testing.T) {
 // healthy (each REFsb carries the row the device's counter reports, so the
 // remaining bank's sweep is unaffected). The monitor must attribute a
 // violation to every starved row group — no more, no fewer — and name the
-// invariant in its samples.
+// invariant in its samples; the rank's refresh cadence fails too.
 func TestDDR5MissedREFsbIsCaught(t *testing.T) {
 	const banks = 2
 	o, obs, tm, g := ddr5Oracle(t, banks)
@@ -88,5 +89,12 @@ func TestDDR5MissedREFsbIsCaught(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no refresh-deadline sample naming bank %d; samples: %v", starved, f.Samples)
+	}
+	// Half the refreshes are missing, so the rank falls behind its cadence
+	// (budget: two banks) as well: at the REFsb of event i (odd), it owes
+	// (i+1)/2, which passes budget+1 = 3 from i = 7 on; Finish adds one more.
+	last := 2*8192*banks - 1
+	if got, want := f.Counts["refresh-cadence"], int64((last-7)/2+1+1); got != want {
+		t.Fatalf("missed REFsb on bank %d: refresh-cadence violations = %d, want %d", starved, got, want)
 	}
 }
