@@ -62,9 +62,9 @@ func (b Breakdown) Total() float64 {
 	return b.ActPre + b.Read + b.Write + b.Refresh + b.Background
 }
 
-// Compute derives the energy breakdown of one channel from its command
-// statistics over `cycles` DRAM clock cycles.
-func Compute(s dram.Stats, t dram.Timing, cycles int64, p Params) Breakdown {
+// Compute derives the energy breakdown of one channel of banks banks per rank
+// from its command statistics over `cycles` DRAM clock cycles.
+func Compute(s dram.Stats, t dram.Timing, banks int, cycles int64, p Params) Breakdown {
 	ns := func(c int64) float64 { return float64(c) * t.CycleTime() }
 	mWtoNJ := func(mA float64, dur float64) float64 { return mA * p.VDD * dur * 1e-3 }
 
@@ -95,9 +95,9 @@ func Compute(s dram.Stats, t dram.Timing, cycles int64, p Params) Breakdown {
 	b.Write = mWtoNJ(p.IDD4W-p.IDD3N, ns(int64(t.BL))) * float64(s.WR)
 
 	// Refresh: elevated current for tRFC per REFab command; a REFpb
-	// refreshes one-eighth of the rows for one-eighth of the energy.
+	// refreshes one bank's share of the rows for that share of the energy.
 	b.Refresh = mWtoNJ(p.IDD5-p.IDD2N, ns(int64(t.RFC))) * float64(s.REF)
-	b.Refresh += mWtoNJ(p.IDD5-p.IDD2N, ns(int64(t.RFC))) / 8 * float64(s.REFpb)
+	b.Refresh += mWtoNJ(p.IDD5-p.IDD2N, ns(int64(t.RFC))) / float64(banks) * float64(s.REFpb)
 
 	// Background: precharge standby everywhere, plus the active-standby
 	// increment for every concurrently-open local row buffer. Charging

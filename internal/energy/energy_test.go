@@ -25,7 +25,7 @@ func TestComputeComponents(t *testing.T) {
 	tm := baseTiming()
 	p := DefaultParams()
 	s := dram.Stats{ACT: 100, RD: 500, WR: 200, REF: 10, OpenBufferCycles: 5000, ActiveStandbyCycles: 5000}
-	b := Compute(s, tm, 100000, p)
+	b := Compute(s, tm, 8, 100000, p)
 	if b.ActPre <= 0 || b.Read <= 0 || b.Write <= 0 || b.Refresh <= 0 || b.Background <= 0 {
 		t.Errorf("all components must be positive: %+v", b)
 	}
@@ -41,14 +41,14 @@ func TestComputeComponents(t *testing.T) {
 func TestMRACommandsCostMore(t *testing.T) {
 	tm := baseTiming()
 	p := DefaultParams()
-	plain := Compute(dram.Stats{ACT: 100}, tm, 1000, p)
-	mra := Compute(dram.Stats{ACTTwo: 100}, tm, 1000, p)
+	plain := Compute(dram.Stats{ACT: 100}, tm, 8, 1000, p)
+	mra := Compute(dram.Stats{ACTTwo: 100}, tm, 8, 1000, p)
 	ratio := mra.ActPre / plain.ActPre
 	if ratio < 1.05 || ratio > 1.07 {
 		t.Errorf("ACT-t energy ratio = %.3f, want 1.058", ratio)
 	}
 	// Remap single activations of copy rows cost the same as ACT.
-	remap := Compute(dram.Stats{ACTCopyRow: 100}, tm, 1000, p)
+	remap := Compute(dram.Stats{ACTCopyRow: 100}, tm, 8, 1000, p)
 	if remap.ActPre != plain.ActPre {
 		t.Error("ACT of a copy row alone must cost the same as a plain ACT")
 	}
@@ -56,12 +56,12 @@ func TestMRACommandsCostMore(t *testing.T) {
 
 func TestRefreshEnergyScalesWithDensityAndCount(t *testing.T) {
 	p := DefaultParams()
-	small := Compute(dram.Stats{REF: 100}, dram.LPDDR4(dram.Density8Gb, 64, dram.Std(8)), 1000, p)
-	big := Compute(dram.Stats{REF: 100}, dram.LPDDR4(dram.Density64Gb, 64, dram.Std(8)), 1000, p)
+	small := Compute(dram.Stats{REF: 100}, dram.LPDDR4(dram.Density8Gb, 64, dram.Std(8)), 8, 1000, p)
+	big := Compute(dram.Stats{REF: 100}, dram.LPDDR4(dram.Density64Gb, 64, dram.Std(8)), 8, 1000, p)
 	if big.Refresh <= small.Refresh {
 		t.Error("higher density (longer tRFC) must increase per-REF energy")
 	}
-	half := Compute(dram.Stats{REF: 50}, dram.LPDDR4(dram.Density8Gb, 64, dram.Std(8)), 1000, p)
+	half := Compute(dram.Stats{REF: 50}, dram.LPDDR4(dram.Density8Gb, 64, dram.Std(8)), 8, 1000, p)
 	if half.Refresh*2 != small.Refresh {
 		t.Error("refresh energy must be linear in REF count")
 	}
@@ -71,8 +71,8 @@ func TestSALPExtraOpenBuffersCost(t *testing.T) {
 	tm := baseTiming()
 	p := DefaultParams()
 	// Two buffers open for the whole interval vs one.
-	one := Compute(dram.Stats{OpenBufferCycles: 1000, ActiveStandbyCycles: 1000}, tm, 1000, p)
-	two := Compute(dram.Stats{OpenBufferCycles: 2000, ActiveStandbyCycles: 1000}, tm, 1000, p)
+	one := Compute(dram.Stats{OpenBufferCycles: 1000, ActiveStandbyCycles: 1000}, tm, 8, 1000, p)
+	two := Compute(dram.Stats{OpenBufferCycles: 2000, ActiveStandbyCycles: 1000}, tm, 8, 1000, p)
 	if two.Background <= one.Background {
 		t.Error("each concurrently-open buffer must add static power")
 	}
@@ -98,8 +98,8 @@ func TestEnergyMonotonicInCounts(t *testing.T) {
 		s2 := s
 		s2.ACT++
 		s2.RD++
-		b := Compute(s, tm, 1e6, p)
-		b2 := Compute(s2, tm, 1e6, p)
+		b := Compute(s, tm, 8, 1e6, p)
+		b2 := Compute(s2, tm, 8, 1e6, p)
 		return b2.Total() > b.Total()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

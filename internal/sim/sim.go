@@ -571,7 +571,7 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 		dev := metrics.Sub(c.Dev.Stats, devSnap[i])
 		res.DRAM = metrics.Add(res.DRAM, dev)
 		res.Ctrl = metrics.Add(res.Ctrl, metrics.Sub(c.Stats, ctrlSnap[i]))
-		res.Energy = metrics.Add(res.Energy, energy.Compute(dev, s.Cfg.T, res.DRAMCycles, params))
+		res.Energy = metrics.Add(res.Energy, energy.Compute(dev, s.Cfg.T, s.Cfg.Geo.Banks, res.DRAMCycles, params))
 	}
 	// Mean read latency weighted by each channel's read count. Averaging
 	// the per-channel means would let a nearly idle channel's handful of
