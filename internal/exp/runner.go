@@ -34,7 +34,7 @@ import (
 // ReportSchema names the store schema under which runner results persist. A
 // bump invalidates (as a miss, not an error) every result saved under the
 // old schema.
-const ReportSchema = "crow.Report/v3"
+const ReportSchema = "crow.Report/v4"
 
 // OpenStore opens (or creates) the persistent result store that crowserve
 // and crowbench mount via their -store flag. maxBytes > 0 caps the on-disk
