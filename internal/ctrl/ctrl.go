@@ -273,19 +273,16 @@ func New(cfg Config, mech core.Mechanism) *Controller {
 		ReadLatency: metrics.NewHistogram(),
 	}
 	c.resolvePolicies()
-	// The mechanism's refresh scale is fixed before New (CROW-ref's profile is
-	// loaded when the mechanism is built). A REFpb/REFsb target is a bank, so
-	// bank-granular refresh comes due Banks times as often.
+	// The mechanism's refresh scale is fixed before New (CROW-ref loads its
+	// profile when built); a bank-granular target comes due Banks times as often.
 	targets := int64(1)
 	if c.perBank {
 		targets = int64(cfg.Geo.Banks)
 	}
-	c.refIv = 1 << 62
+	c.refIv, c.refDone, c.refBank = 1<<62, make([]int, cfg.Geo.Ranks), make([]int, cfg.Geo.Ranks)
 	if mult := mech.RefreshMultiplier(); mult > 0 {
 		c.refIv = max(int64(cfg.T.REFI)*int64(mult)/(targets*int64(max(mech.RefreshDivisor(), 1))), 1)
 	}
-	c.refDone = make([]int, cfg.Geo.Ranks)
-	c.refBank = make([]int, cfg.Geo.Ranks)
 	c.verifyWake = verifyWakeAll.Load()
 	return c
 }
@@ -514,13 +511,12 @@ func (c *Controller) updateDrainMode(now int64) {
 	}
 }
 
-// refTarget is the one refresh rule for rank r at cycle now. The next refresh
-// covers banks [lo, hi): the whole rank for REFab, the next bank of its
-// round-robin order for bank-granular REFpb/REFsb. owed refreshes have come due
-// and not issued, and due says the target may be postponed no longer: owed is
-// past MaxPostpone, or for bank-granular refresh past cmp.Or(MaxPostpone,
-// Banks), the per-bank budget JEDEC allows (8). The next due cycle goes through
-// ready.
+// refTarget is the one refresh rule for rank r at cycle now: the next refresh
+// covers banks [lo, hi) (the rank for REFab, the next bank in round-robin order
+// for REFpb/REFsb), owed refreshes have come due and not issued, and due says
+// the target may be postponed no longer: owed is past MaxPostpone, or past
+// cmp.Or(MaxPostpone, Banks) for bank-granular refresh. The next due cycle goes
+// through ready.
 func (c *Controller) refTarget(r int, now int64) (lo, hi, owed int, due bool) {
 	k := now / c.refIv
 	c.ready((k+1)*c.refIv, now)
@@ -533,10 +529,9 @@ func (c *Controller) refTarget(r int, now int64) (lo, hi, owed int, due bool) {
 }
 
 // serviceRefresh issues one refresh of the first rank whose target is owed and
-// not postponed. Elastic refresh [107] defers it while demand is queued for the
-// rank (within MaxPostpone) or for the target (until it is due), so the refresh
-// lands in a gap instead of stalling busy banks. It returns true if a command
-// issued this cycle.
+// not postponed; it returns true if a command issued. Elastic refresh [107]
+// defers it while demand is queued for the rank (within MaxPostpone) or for the
+// target (until it is due), so it lands in a gap instead of stalling busy banks.
 func (c *Controller) serviceRefresh(now int64) bool {
 	banks := c.Cfg.Geo.Banks
 	for r := 0; r < c.Cfg.Geo.Ranks; r++ {

@@ -34,7 +34,7 @@ type rank struct {
 	lastACT   int64 // most recent ACT (tRRD)
 	refBusy   int64 // REF in progress until this cycle
 	wrDataEnd int64 // end of most recent write burst (tWTR)
-	refRow    int   // refresh counter: the first row the next refresh window covers
+	refRow    int   // refresh counter: the first row the next refresh covers
 
 	// dataBusFree is the per-rank data-bus horizon, used instead of the
 	// channel-level one when Features.PerRankDataBus is set (HBM2
@@ -507,10 +507,9 @@ func (c *Channel) ReadyRefresh(rankID, lo, hi int) int64 {
 	return at
 }
 
-// REFpb issues a per-bank refresh of the rank's next T.RowsPerRef rows in one
-// bank, blocking only that bank for tRFCpb (the refBusy horizon every
-// activation and refresh of the bank checks), and returns the first refreshed
-// row. The rank's refresh counter advances after the last bank's refresh.
+// REFpb issues a per-bank refresh, blocking only that bank for tRFCpb (the
+// refBusy horizon every activation and refresh of the bank checks). It returns
+// the first refreshed row; the rank's counter moves on after the last bank's.
 func (c *Channel) REFpb(rankID, bankID int, now int64) int {
 	if now < c.ReadyRefresh(rankID, bankID, bankID+1) {
 		panic(fmt.Sprintf("dram: illegal REFpb to rank %d bank %d at cycle %d", rankID, bankID, now))
@@ -520,9 +519,9 @@ func (c *Channel) REFpb(rankID, bankID int, now int64) int {
 	return c.refreshed(CmdREFpb, Addr{Rank: rankID, Bank: bankID}, bankID == c.Geo.Banks-1, now)
 }
 
-// REF issues an all-bank refresh of the rank's next T.RowsPerRef rows in every
-// bank, blocking the rank for tRFC (the refBusy horizon every activation and
-// refresh of the rank checks), and returns the first refreshed row.
+// REF issues an all-bank refresh, blocking the rank for tRFC (the refBusy
+// horizon every activation and refresh of the rank checks). It returns the
+// first refreshed row.
 func (c *Channel) REF(rankID int, now int64) int {
 	if now < c.ReadyRefresh(rankID, 0, c.Geo.Banks) {
 		panic(fmt.Sprintf("dram: illegal REF to rank %d at cycle %d", rankID, now))
@@ -532,10 +531,9 @@ func (c *Channel) REF(rankID int, now int64) int {
 	return c.refreshed(CmdREF, Addr{Rank: rankID}, true, now)
 }
 
-// refreshed completes a refresh of a's rank: the command takes the command
-// bus, covers the rows from the rank's refresh counter on (reported in a.Row
-// and returned), and, when it is the rank's last one at that counter, moves the
-// counter on by T.RowsPerRef rows.
+// refreshed completes a refresh of a's rank: it covers T.RowsPerRef rows from
+// the rank's refresh counter on (a.Row, returned), and the last refresh at that
+// counter moves it on.
 func (c *Channel) refreshed(cmd Command, a Addr, last bool, now int64) int {
 	rk := &c.ranks[a.Rank]
 	a.Row = rk.refRow

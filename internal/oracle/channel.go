@@ -94,11 +94,10 @@ type channelState struct {
 	rows map[int]*rowData
 	slab []rowData
 
-	// refs counts the refresh commands of each rank (refresh-cadence). Per
-	// bank (in (rank, bank) order), lastRef holds the cycle each row group was last
+	// refs counts each rank's refresh commands (refresh-cadence); lastRef
+	// holds, per bank in (rank, bank) order, the cycle each row group was last
 	// refreshed, grown to the highest group a refresh has reached: the groups
-	// past its length, like all rows at the boot instant, count as refreshed
-	// at cycle 0.
+	// past its length, like all rows at boot, count as refreshed at cycle 0.
 	refs    []int64
 	lastRef [][]int64
 
@@ -388,21 +387,18 @@ func (s *channelState) refreshWindow(rank, bank, start, n int, cycle int64) {
 // onRefresh replays a refresh of banks [lo, hi) of the event's rank, from the
 // row the device reports, after checking the rank's cadence.
 func (s *channelState) onRefresh(e *dram.CmdEvent, lo, hi int) {
-	if s.o.cfg.RefreshMultiplier > 0 {
-		s.keepsPace(e.Addr.Rank, e.Cycle)
-	}
+	s.keepsPace(e.Addr.Rank, e.Cycle)
 	s.refs[e.Addr.Rank]++
 	for b := lo; b < hi; b++ {
 		s.refreshWindow(e.Addr.Rank, b, e.Addr.Row, s.o.cfg.T.RowsPerRef, e.Cycle)
 	}
 }
 
-// keepsPace is the refresh-cadence check of rank r at cycle: the refreshes
-// that have come due and not issued may not exceed the postponement budget
-// plus the one the controller is closing the target for.
+// keepsPace checks rank r's refresh cadence at cycle: it may owe its budget
+// plus the one refresh the controller is closing the target for.
 func (s *channelState) keepsPace(r int, cycle int64) {
 	interval, budget := s.o.refreshPace()
-	if owed := cycle/interval - s.refs[r]; owed > budget+1 {
+	if owed := cycle/interval - s.refs[r]; owed > budget+1 && s.o.cfg.RefreshMultiplier > 0 {
 		s.o.violate(s.ch, "refresh-cadence", "r%d owes %d refreshes at cycle %d (one due every %d cycles, %d may be postponed)",
 			r, owed, cycle, interval, budget)
 	}

@@ -9,14 +9,11 @@
 //     CROW-cache/CROW-table coherence bugs (a redirect to a copy row that
 //     was never copied, a lost write to a remapped row, an eviction of a
 //     partially-restored pair) end to end.
-//  2. A refresh-deadline monitor replays the architectural refresh sweep
-//     (each REF/REFpb refreshes the T.RowsPerRef rows from the row the device
-//     reports, in its banks) and
+//  2. A refresh-deadline monitor replays the refreshes (T.RowsPerRef rows from
+//     the one each REF/REFpb reports) and
 //     asserts every row group is refreshed within its retention window,
 //     including the relaxed window of CROW-ref's multiplied tREFW, and that
-//     every rank keeps the refresh cadence (refresh-cadence): at no refresh,
-//     and not at the end, does it owe more than its postponement budget plus
-//     the refresh in flight.
+//     no rank owes more refreshes than its postponement budget plus one.
 //  3. Scheduler-legality and accounting checks: no activation serves more
 //     column commands than the FR-FCFS-Cap allows, and the command counts
 //     that the energy model integrates (activate restore windows, burst
@@ -142,10 +139,8 @@ func (o *Oracle) violate(ch int, class, format string, args ...any) {
 	}
 }
 
-// refreshPace is the refresh cadence the controller must keep on a rank: one
-// refresh command every interval cycles (REFI, multiplied, per target: the
-// rank, or a bank under bank-granular refresh), of which budget may be
-// postponed. A refresh-scale mitigation only refreshes faster.
+// refreshPace is the cadence a rank's refreshes keep: one per interval cycles
+// (tREFI, multiplied, per rank or per bank), of which budget may be postponed.
 func (o *Oracle) refreshPace() (interval, budget int64) {
 	interval, budget = int64(o.cfg.T.REFI)*int64(o.cfg.RefreshMultiplier), int64(o.cfg.MaxPostpone)
 	if o.cfg.BankRefresh {
@@ -170,11 +165,6 @@ func (o *Oracle) Finish(endCycle int64) {
 	if o.cfg.RefreshMultiplier <= 0 {
 		return
 	}
-	for _, s := range o.chans {
-		for r := range s.refs {
-			s.keepsPace(r, endCycle)
-		}
-	}
 	dl := o.deadline()
 	rpr := o.cfg.T.RowsPerRef
 	stale := func(ch, bank, g int, last int64) {
@@ -183,6 +173,9 @@ func (o *Oracle) Finish(endCycle int64) {
 			bank/o.cfg.Geo.Banks, bank%o.cfg.Geo.Banks, g*rpr, (g+1)*rpr-1, last, endCycle, dl)
 	}
 	for ch, s := range o.chans {
+		for r := range s.refs {
+			s.keepsPace(r, endCycle)
+		}
 		for bank, lastRef := range s.lastRef {
 			for g, last := range lastRef {
 				if endCycle-last > dl {
