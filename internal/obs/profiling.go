@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -11,74 +13,58 @@ import (
 // StartProfiles starts the Go runtime profilers selected by non-empty paths
 // — a CPU profile, a heap profile (written at stop), and a runtime
 // execution trace — and returns a stop function that finalizes all of them.
-// The stop function is safe to call exactly once; it reports the first
-// error encountered. With all paths empty it is a no-op that returns a
-// trivial stop, so CLIs can call it unconditionally.
+// The stop function is safe to call exactly once; it reports every error it
+// met, each prefixed with its flag's name. With all paths empty it is a no-op
+// that returns a trivial stop, so CLIs can call it unconditionally.
 func StartProfiles(cpuPath, memPath, tracePath string) (stop func() error, err error) {
-	var cpuF, traceF *os.File
-	cleanup := func() {
-		if cpuF != nil {
-			pprof.StopCPUProfile()
-			cpuF.Close()
+	var stops []func() error
+	stopAll := func() error {
+		var errs []error
+		for _, s := range stops {
+			errs = append(errs, s())
 		}
-		if traceF != nil {
-			trace.Stop()
-			traceF.Close()
-		}
+		return errors.Join(errs...)
 	}
-	if cpuPath != "" {
-		cpuF, err = os.Create(cpuPath)
-		if err != nil {
-			return nil, fmt.Errorf("cpuprofile: %w", err)
+	for _, p := range []struct {
+		flag, path string
+		start      func(io.Writer) error
+		stop       func()
+	}{
+		{"cpuprofile", cpuPath, pprof.StartCPUProfile, pprof.StopCPUProfile},
+		{"exectrace", tracePath, trace.Start, trace.Stop},
+	} {
+		if p.path == "" {
+			continue
 		}
-		if err := pprof.StartCPUProfile(cpuF); err != nil {
-			cpuF.Close()
-			return nil, fmt.Errorf("cpuprofile: %w", err)
-		}
-	}
-	if tracePath != "" {
-		traceF, err = os.Create(tracePath)
-		if err != nil {
-			cleanup()
-			return nil, fmt.Errorf("exectrace: %w", err)
-		}
-		if err := trace.Start(traceF); err != nil {
-			traceF.Close()
-			traceF = nil
-			cleanup()
-			return nil, fmt.Errorf("exectrace: %w", err)
-		}
-	}
-	return func() error {
-		var first error
-		if cpuF != nil {
-			pprof.StopCPUProfile()
-			if err := cpuF.Close(); err != nil && first == nil {
-				first = fmt.Errorf("cpuprofile: %w", err)
+		f, err := os.Create(p.path)
+		if err == nil {
+			if err = p.start(f); err != nil {
+				f.Close()
 			}
 		}
-		if traceF != nil {
-			trace.Stop()
-			if err := traceF.Close(); err != nil && first == nil {
-				first = fmt.Errorf("exectrace: %w", err)
-			}
+		if err != nil {
+			stopAll()
+			return nil, fmt.Errorf("%s: %w", p.flag, err)
 		}
-		if memPath != "" {
+		stops = append(stops, func() error { p.stop(); return flagErr(p.flag, f.Close()) })
+	}
+	if memPath != "" {
+		stops = append(stops, func() error {
 			f, err := os.Create(memPath)
-			if err != nil {
-				if first == nil {
-					first = fmt.Errorf("memprofile: %w", err)
-				}
-			} else {
+			if err == nil {
 				runtime.GC() // materialize up-to-date allocation stats
-				if err := pprof.WriteHeapProfile(f); err != nil && first == nil {
-					first = fmt.Errorf("memprofile: %w", err)
-				}
-				if err := f.Close(); err != nil && first == nil {
-					first = fmt.Errorf("memprofile: %w", err)
-				}
+				err = errors.Join(pprof.WriteHeapProfile(f), f.Close())
 			}
-		}
-		return first
-	}, nil
+			return flagErr("memprofile", err)
+		})
+	}
+	return stopAll, nil
+}
+
+// flagErr prefixes a non-nil err with the flag that asked for the file.
+func flagErr(flag string, err error) error {
+	if err != nil {
+		return fmt.Errorf("%s: %w", flag, err)
+	}
+	return nil
 }

@@ -162,7 +162,7 @@ type System struct {
 
 	cpuCycle  int64
 	dramCycle int64
-	accum     int
+	accum     int64 // DRAM cycle elapsed since the last DRAM tick, in 1/ratioDen
 	polled    int64 // the cpuCycle epoch of the last context poll (canceled)
 	ratioNum  int64 // DRAM ticks per ratioDen CPU cycles
 	ratioDen  int64
@@ -170,9 +170,11 @@ type System struct {
 	// due[i] is core i's next real tick: its clock + Horizon(until) + 1, or
 	// MaxInt64 while it is stalled. A core that is not due is left behind
 	// and caught up by whatever reaches it first (cpu.Core.CatchUp). target
-	// is the instruction count the current phase runs each core to.
-	due    []int64
-	target int64
+	// is the instruction count the current phase runs each core to, finish[i]
+	// the tick on which core i reached it (0: not yet), left the cores below.
+	due, finish []int64
+	target      int64
+	left        int
 
 	// everyCycle, set only from tests, turns jump off and ticks every core on
 	// every cycle, which is what a jumping run must be indistinguishable from.
@@ -198,11 +200,7 @@ func (m memPort) SendRead(lineAddr uint64, pref bool) bool {
 	a := s.Mapper.Decode(lineAddr)
 	c := s.Ctrls[a.Channel]
 	req := c.GetRequest()
-	req.Type = ctrl.Read
-	req.Addr = a
-	req.Line = lineAddr
-	req.IsPref = pref
-	req.Done = s.readDone
+	req.Type, req.Addr, req.Line, req.IsPref, req.Done = ctrl.Read, a, lineAddr, pref, s.readDone
 	if !c.EnqueueRead(req, s.dramCycle) {
 		c.PutRequest(req)
 		return false
@@ -215,8 +213,7 @@ func (m memPort) SendWrite(lineAddr uint64) bool {
 	a := s.Mapper.Decode(lineAddr)
 	c := s.Ctrls[a.Channel]
 	req := c.GetRequest()
-	req.Type = ctrl.Write
-	req.Addr = a
+	req.Type, req.Addr = ctrl.Write, a
 	if !c.EnqueueWrite(req, s.dramCycle) {
 		c.PutRequest(req)
 		return false
@@ -357,7 +354,8 @@ func (s *System) Release() { s.LLC.Release() }
 // tick executes one CPU cycle: the cores due on it in core order, the LLC if
 // it has an event, the controllers on a DRAM cycle. A core that ticked or that
 // a completion caught up (its clock reads the present) is rescheduled, its
-// horizon cut at the target so that the tick reaching it is a real one.
+// horizon cut at the target so that the tick reaching it is a real one; only
+// such a core can have crossed the target, so only it is stamped.
 func (s *System) tick() {
 	s.cpuCycle++
 	for i, c := range s.Cores {
@@ -370,9 +368,9 @@ func (s *System) tick() {
 	}
 	// ratioNum DRAM command cycles per ratioDen CPU cycles (2:5 for
 	// LPDDR4-3200's 1600 MHz vs 4 GHz; 3:5 for DDR5-4800; 1:4 for HBM2).
-	s.accum += int(s.ratioNum)
-	if int64(s.accum) >= s.ratioDen {
-		s.accum -= int(s.ratioDen)
+	s.accum += s.ratioNum
+	if s.accum >= s.ratioDen {
+		s.accum -= s.ratioDen
 		s.dramCycle++
 		for _, c := range s.Ctrls {
 			c.Tick(s.dramCycle)
@@ -385,6 +383,9 @@ func (s *System) tick() {
 		until := int64(math.MaxInt64)
 		if c.Retired < s.target {
 			until = s.target
+		} else if s.finish[i] == 0 {
+			s.finish[i] = s.cpuCycle
+			s.left--
 		}
 		s.due[i] = math.MaxInt64
 		if h := c.Horizon(until); h < math.MaxInt64 {
@@ -401,31 +402,50 @@ func (s *System) tick() {
 // thus cycle-for-cycle identical to one that ticks every cycle — including
 // every statistic.
 func (s *System) jump(limit int64) {
-	if s.everyCycle {
-		return
-	}
 	n := min(limit, s.LLC.NextEvent(s.cpuCycle)-1, slices.Min(s.due)-1) - s.cpuCycle
 	dnext := dram.Horizon
 	for _, c := range s.Ctrls {
-		if e := c.NextEvent(s.dramCycle); e < dnext {
-			dnext = e
-		}
+		dnext = min(dnext, c.NextEvent(s.dramCycle))
 	}
 	if dnext < dram.Horizon {
-		// The k-th DRAM tick from accumulator state `accum` lands
-		// ceil((den*k-accum)/num) CPU cycles ahead; stop one cycle short
-		// so the normal tick performs it.
-		k := dnext - s.dramCycle
-		m := (s.ratioDen*k - int64(s.accum) + s.ratioNum - 1) / s.ratioNum
-		n = min(n, m-1)
+		// Stop one cycle short of the DRAM tick, so the normal tick performs it.
+		n = min(n, s.cpuCyclesTo(dnext-s.dramCycle)-1)
 	}
-	if n <= 0 {
-		return
+	if n > 0 {
+		s.advance(n)
 	}
-	s.cpuCycle += n
-	total := int64(s.accum) + s.ratioNum*n
-	s.dramCycle += total / s.ratioDen
-	s.accum = int(total % s.ratioDen)
+}
+
+// cpuCyclesTo is how many CPU cycles ahead the k-th DRAM tick from now lands:
+// ceil((den·k − accum)/num).
+func (s *System) cpuCyclesTo(k int64) int64 {
+	return quo(s.ratioDen*k-s.accum+s.ratioNum-1, s.ratioNum)
+}
+
+// advance moves both clocks n CPU cycles ahead, as n ticks would.
+func (s *System) advance(n int64) {
+	total := s.accum + s.ratioNum*n
+	q := quo(total, s.ratioDen)
+	s.cpuCycle, s.dramCycle, s.accum = s.cpuCycle+n, s.dramCycle+q, total-q*s.ratioDen
+}
+
+// quo is x/d, x ≥ 0, for a term d of a clock ratio. Every standard's terms
+// (2:5, 3:5, 1:4, 1:5) are constants here, so most jumps divide by a multiply
+// and a shift: hardware divides were a tenth of cpu-bound's samples.
+func quo(x, d int64) int64 {
+	switch d {
+	case 1:
+		return x
+	case 2:
+		return x / 2
+	case 3:
+		return x / 3
+	case 4:
+		return x / 4
+	case 5:
+		return x / 5
+	}
+	return x / d
 }
 
 // syncDevStats brings each device's delta-based cycle accounting up to the
@@ -462,18 +482,16 @@ func (s *System) canceled(ctx context.Context) bool {
 }
 
 // runTo is the run loop; nothing else advances the system clock. Each pass
-// ticks, takes the interval snapshots due from DRAM cycle snapAt on (0: none),
-// polls ctx, stamps the cores that reached target on this tick, and stops once
-// every core has, or else jumps. Stopping on the crossing tick itself, before
-// any jump, ends a phase on the same cycle whether or not the run jumps. The
-// loop also stops at cycle limit. Every phase starts with each core at Retired
-// 0, so a target of 0 runs no tick. finish[i] is the number of cycles from the
-// call to the tick on which core i reached target, 0 if it never did.
-func (s *System) runTo(ctx context.Context, target, limit, snapAt int64) ([]int64, error) {
-	s.target = target
+// ticks (stamping the cores that reached target on this tick), takes the
+// interval snapshots due from DRAM cycle snapAt on (0: none), polls ctx, and
+// stops once every core has reached target, or else jumps. Stopping on the
+// crossing tick itself, before any jump, ends a phase on the same cycle
+// whether or not the run jumps. The loop also stops at cycle limit. Every
+// phase starts with each core at Retired 0, so a target of 0 runs no tick.
+func (s *System) runTo(ctx context.Context, target, limit, snapAt int64) error {
+	s.target, s.finish, s.left = target, make([]int64, len(s.Cores)), len(s.Cores)
 	clear(s.due) // a new target: every core ticks first, then is rescheduled
-	start, finish, left := s.cpuCycle, make([]int64, len(s.Cores)), len(s.Cores)
-	for target > 0 && left > 0 && s.cpuCycle < limit {
+	for target > 0 && s.left > 0 && s.cpuCycle < limit {
 		s.tick()
 		if snapAt > 0 && s.dramCycle >= snapAt {
 			s.syncDevStats()
@@ -481,19 +499,13 @@ func (s *System) runTo(ctx context.Context, target, limit, snapAt int64) ([]int6
 			snapAt = s.Cfg.Obs.NextSnapshot()
 		}
 		if s.canceled(ctx) {
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
-		for i, c := range s.Cores {
-			if finish[i] == 0 && c.Retired >= target {
-				finish[i] = s.cpuCycle - start
-				left--
-			}
-		}
-		if left > 0 {
+		if s.left > 0 && !s.everyCycle {
 			s.jump(limit)
 		}
 	}
-	return finish, nil
+	return nil
 }
 
 // RunContext is Run with cooperative cancellation: the simulation loop
@@ -507,7 +519,7 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 		// spin out the full warmup allowance before the cap even applies.
 		warmLimit = s.Cfg.MaxMeasureCycles
 	}
-	if _, err := s.runTo(ctx, s.Cfg.WarmupInsts, warmLimit, 0); err != nil {
+	if err := s.runTo(ctx, s.Cfg.WarmupInsts, warmLimit, 0); err != nil {
 		return Result{}, err
 	}
 	// Reset measurement state. Catch device accounting up to the present
@@ -524,11 +536,9 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 	for _, c := range s.Ctrls {
 		devSnap = append(devSnap, c.Dev.Stats)
 		ctrlSnap = append(ctrlSnap, c.Stats)
-	}
-	mechSnap := s.Mech.Counters().Stats
-	for _, c := range s.Ctrls {
 		c.ReadLatency.Reset()
 	}
+	mechSnap := s.Mech.Counters().Stats
 	s.LLC.ResetStats()
 	for _, c := range s.Cores {
 		c.CatchUp(s.cpuCycle)
@@ -541,8 +551,7 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 	if s.Cfg.MaxMeasureCycles > 0 {
 		limit = start + s.Cfg.MaxMeasureCycles
 	}
-	finish, err := s.runTo(ctx, s.Cfg.MeasureInsts, limit, s.Cfg.Obs.NextSnapshot())
-	if err != nil {
+	if err := s.runTo(ctx, s.Cfg.MeasureInsts, limit, s.Cfg.Obs.NextSnapshot()); err != nil {
 		return Result{}, err
 	}
 	s.syncDevStats()
@@ -552,8 +561,8 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 	insts := make([]int64, len(s.Cores))
 	for i, c := range s.Cores {
 		c.CatchUp(s.cpuCycle)
-		cyc, retired := finish[i], s.Cfg.MeasureInsts
-		if cyc == 0 {
+		cyc, retired := s.finish[i]-start, s.Cfg.MeasureInsts
+		if s.finish[i] == 0 {
 			// The loop hit its cycle limit before this core retired the
 			// target. Its IPC uses the instructions it actually retired;
 			// target/cycles would overstate it.
@@ -566,21 +575,18 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 	res.MPKI = s.LLC.MPKI(insts)
 	res.LLC = s.LLC.Stats
 
-	params := energy.DefaultParams()
+	params, allLat := energy.DefaultParams(), metrics.NewHistogram()
 	for i, c := range s.Ctrls {
 		dev := metrics.Sub(c.Dev.Stats, devSnap[i])
 		res.DRAM = metrics.Add(res.DRAM, dev)
 		res.Ctrl = metrics.Add(res.Ctrl, metrics.Sub(c.Stats, ctrlSnap[i]))
 		res.Energy = metrics.Add(res.Energy, energy.Compute(dev, s.Cfg.T, s.Cfg.Geo.Banks, res.DRAMCycles, params))
+		allLat.Merge(c.ReadLatency)
 	}
 	// Mean read latency weighted by each channel's read count. Averaging
 	// the per-channel means would let a nearly idle channel's handful of
 	// reads count as much as a busy channel's millions.
 	res.AvgReadNs = res.Ctrl.AvgReadLatencyNs(s.Cfg.T.CycleTime())
-	allLat := metrics.NewHistogram()
-	for _, c := range s.Ctrls {
-		allLat.Merge(c.ReadLatency)
-	}
 	res.ReadP50Ns = allLat.Percentile(50) * s.Cfg.T.CycleTime()
 	res.ReadP99Ns = allLat.Percentile(99) * s.Cfg.T.CycleTime()
 	res.Mech = metrics.Sub(s.Mech.Counters().Stats, mechSnap)

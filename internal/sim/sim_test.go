@@ -345,6 +345,11 @@ func TestLazyCoresMatchEveryCycle(t *testing.T) {
 			c.WarmupInsts, c.MeasureInsts = 2_000, 30_000
 		}, false, 0},
 		{"prefetch", []string{"libq", "povray"}, func(c *Config) { c.Prefetch = true }, false, 0},
+		// The other clock ratios: the jump converts DRAM cycles to CPU cycles
+		// and back from every accumulator phase.
+		{"ddr5 3:5", []string{"povray", "gcc", "mcf"}, onStandard("ddr5"), false, 0},
+		{"hbm2 1:4", []string{"povray", "gcc", "mcf"}, onStandard("hbm2"), false, 0},
+		{"lpddr5 1:5", []string{"povray", "gcc", "mcf"}, onStandard("lpddr5"), false, 0},
 	}
 	// The rowstripe hammer mix over seeds 1-8 (1-3 under -short): its measured
 	// interval is where a lazy run once drifted from the ticked one by a cycle
@@ -373,7 +378,7 @@ func TestLazyCoresMatchEveryCycle(t *testing.T) {
 			}
 			if tc.boundary {
 				s := New(cfg, &core.Baseline{T: cfg.T}, appGens(t, cfg.Seed, tc.apps...))
-				if _, err := s.runTo(context.Background(), cfg.WarmupInsts, math.MaxInt64, 0); err != nil {
+				if err := s.runTo(context.Background(), cfg.WarmupInsts, math.MaxInt64, 0); err != nil {
 					t.Fatal(err)
 				}
 				boundary := s.cpuCycle
@@ -408,19 +413,39 @@ func TestLazyCoresMatchEveryCycle(t *testing.T) {
 	}
 }
 
+// onStandard rebuilds a configuration on another memory standard, keeping its
+// instruction counts.
+func onStandard(name string) func(*Config) {
+	std, err := dram.StandardByName(name)
+	if err != nil {
+		panic(err)
+	}
+	return func(c *Config) {
+		warm, measure := c.WarmupInsts, c.MeasureInsts
+		*c = DefaultFor(std, 0, dram.Density8Gb, 64)
+		c.WarmupInsts, c.MeasureInsts = warm, measure
+	}
+}
+
+// lazyStandards are one standard per clock ratio: 2:5, 3:5, 1:4, 1:5.
+var lazyStandards = []string{"lpddr4", "ddr5", "hbm2", "lpddr5"}
+
 // lazyApps span the three MPKI classes (H: mcf, lbm, libq; M: zeusmp, astar;
 // L: gcc, povray, h264-enc) and the RowHammer attacker.
 var lazyApps = []string{"mcf", "lbm", "libq", "zeusmp", "astar", "gcc", "povray", "h264-enc", "hammer-double"}
 
 // FuzzLazyCores: TestLazyCoresMatchEveryCycle as a property. Over a seed, two
 // of lazyApps, either translation, an LLC of 64 KiB to 8 MiB, the flip model
-// on or off and a measurement cap (0: none), the jumping run is the run that
-// ticks every cycle, Result field for field.
+// on or off, a measurement cap (0: none) and one of lazyStandards, the
+// jumping run is the run that ticks every cycle, Result field for field.
 func FuzzLazyCores(f *testing.F) {
-	f.Add(int64(3), byte(8), byte(0), true, byte(0), true, uint16(0)) // the table's rowstripe hammer seed 3
-	f.Add(int64(5), byte(6), byte(3), false, byte(7), false, uint16(12_345))
-	f.Fuzz(func(t *testing.T, seed int64, a, b byte, rowstripe bool, llc byte, flips bool, maxCycles uint16) {
+	f.Add(int64(3), byte(8), byte(0), true, byte(0), true, uint16(0), byte(0)) // the table's rowstripe hammer seed 3
+	f.Add(int64(5), byte(6), byte(3), false, byte(7), false, uint16(12_345), byte(0))
+	f.Add(int64(2), byte(0), byte(7), false, byte(3), false, uint16(0), byte(2))
+	f.Add(int64(6), byte(8), byte(1), true, byte(1), true, uint16(30_000), byte(3))
+	f.Fuzz(func(t *testing.T, seed int64, a, b byte, rowstripe bool, llc byte, flips bool, maxCycles uint16, std byte) {
 		cfg := smallCfg(0)
+		onStandard(lazyStandards[int(std)%len(lazyStandards)])(&cfg)
 		cfg.MeasureInsts, cfg.Seed = 20_000, seed
 		cfg.LLC.SizeBytes = 64 << 10 << (llc % 8)
 		if rowstripe {
@@ -432,6 +457,50 @@ func FuzzLazyCores(f *testing.F) {
 		cfg.MaxMeasureCycles = int64(maxCycles)
 		runBothWays(t, cfg, lazyApps[int(a)%len(lazyApps)], lazyApps[int(b)%len(lazyApps)])
 	})
+}
+
+// TestClockConversion: at every standard's clock ratio and from every phase of
+// the accumulator, the loop's divide-free conversions are the divide formula,
+// and both are what ticking one CPU cycle at a time does. cpuCyclesTo(k) is
+// the CPU cycle of the k-th DRAM tick ahead; advance(n) leaves the clocks and
+// the accumulator where n ticks leave them.
+func TestClockConversion(t *testing.T) {
+	for _, name := range dram.StandardNames() {
+		std := mustStandard(t, name)
+		num, den := int64(std.RatioNum), int64(std.RatioDen)
+		for phase := int64(0); phase < den; phase++ {
+			var at []int64 // at[k-1]: the CPU cycle, counted from the phase, of the k-th DRAM tick
+			accum := phase
+			for n := int64(1); n <= 64; n++ {
+				if accum += num; accum >= den { // System.tick's step
+					accum -= den
+					at = append(at, n)
+				}
+				s := &System{ratioNum: num, ratioDen: den, accum: phase, cpuCycle: 1000, dramCycle: 400}
+				s.advance(n)
+				total := phase + num*n
+				if s.cpuCycle != 1000+n || s.dramCycle != 400+int64(len(at)) || s.accum != accum ||
+					s.dramCycle-400 != total/den || s.accum != total%den {
+					t.Errorf("%s %d:%d phase %d: advance(%d) left cycle %d, DRAM cycle %d, accumulator %d; ticking leaves %d, %d, %d",
+						name, num, den, phase, n, s.cpuCycle, s.dramCycle, s.accum, 1000+n, 400+len(at), accum)
+				}
+			}
+			for k := int64(1); k <= int64(len(at)); k++ {
+				s := &System{ratioNum: num, ratioDen: den, accum: phase}
+				if got, want := s.cpuCyclesTo(k), (den*k-phase+num-1)/num; got != want || got != at[k-1] {
+					t.Errorf("%s %d:%d phase %d: cpuCyclesTo(%d) = %d, the divide formula %d, ticking %d",
+						name, num, den, phase, k, got, want, at[k-1])
+				}
+			}
+		}
+	}
+	for d := int64(1); d <= 7; d++ { // the standards' terms and two others
+		for _, x := range []int64{0, 1, 2, 3, 4, 5, 6, 29, 30, 31, 1<<31 - 1, 1 << 40, 1<<62 + 3} {
+			if got := quo(x, d); got != x/d {
+				t.Errorf("quo(%d, %d) = %d, want %d", x, d, got, x/d)
+			}
+		}
+	}
 }
 
 func TestDeterminism(t *testing.T) {
